@@ -1,4 +1,4 @@
-.PHONY: all build test check validate trace bench clean
+.PHONY: all build test check validate trace clean
 
 all: build
 
@@ -10,11 +10,14 @@ test:
 
 # CI entry point: build, then run the tier-1 suite single-domain and
 # multi-domain so the determinism guarantee (parallel == sequential, see
-# test/test_parallel.ml) is exercised on every run.
+# test/test_parallel.ml) is exercised on every run.  The benchmark's
+# self-test runs each workload on a tiny context and checks its gates, so
+# a change that breaks them fails here rather than in a benchmark run.
 check: build
 	ICACHE_JOBS=1 dune runtest --force
 	ICACHE_JOBS=4 dune runtest --force
 	$(MAKE) validate
+	bash benchmark/run.sh --self-test
 
 # End-to-end check of the structured output path: run the full repro as
 # JSON and make sure every report parses back and the run manifest's
@@ -42,9 +45,6 @@ validate: build
 trace: build
 	_build/default/bin/icache_opt.exe repro --small --trace _build/trace.json
 	_build/default/bin/icache_opt.exe trace-summary _build/trace.json
-
-bench:
-	dune exec bench/main.exe -- --no-timing
 
 clean:
 	dune clean

@@ -923,8 +923,7 @@ let validate_cmd =
     | Ok doc
       when Json.member "schema_version" doc <> None
            && Json.member "stages" doc <> None ->
-        (* A bare manifest (bench/main.exe's BENCH_repro.json, or
-           manifest.json from repro --out). *)
+        (* A bare manifest: manifest.json from repro --out. *)
         let stages = check_manifest doc in
         Printf.printf "ok: manifest with %d stage(s)\n" stages
     | Ok doc ->

@@ -19,9 +19,7 @@ let () =
 
   let rate layout config =
     let system = System.unified config in
-    Replay.run_range ~trace ~map:(Program_layout.code_map layout)
-      ~systems:[| system |]
-      ~warmup:(Trace.length trace / 5);
+    Runner.replay ~trace ~map:(Program_layout.code_map layout) [| system |];
     Counters.miss_rate (System.counters system)
   in
 

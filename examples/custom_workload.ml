@@ -63,9 +63,7 @@ let () =
   List.iter
     (fun (name, layout) ->
       let system = System.unified (Config.make ~size_kb:8 ()) in
-      Replay.run_range ~trace ~map:(Program_layout.code_map layout)
-        ~systems:[| system |]
-        ~warmup:(Trace.length trace / 5);
+      Runner.replay ~trace ~map:(Program_layout.code_map layout) [| system |];
       let c = System.counters system in
       if name = "Base" then base_misses := Counters.misses c;
       Table.add_row t

@@ -35,10 +35,8 @@ let () =
     (fun i (cpu : Multiproc.cpu) ->
       let rate layout =
         let system = System.unified (Config.make ~size_kb:8 ()) in
-        Replay.run_range ~trace:cpu.Multiproc.trace
-          ~map:(Program_layout.code_map layout)
-          ~systems:[| system |]
-          ~warmup:(Trace.length cpu.Multiproc.trace / 5);
+        Runner.replay ~trace:cpu.Multiproc.trace ~map:(Program_layout.code_map layout)
+          [| system |];
         Counters.miss_rate (System.counters system)
       in
       let b = rate base and o = rate opt_s in

@@ -42,10 +42,11 @@ let () =
   let opt_s = Program_layout.opt_s ~model ~program ~os_profile () in
 
   (* 5. Replay the same trace against both layouts through an 8 KB
-     direct-mapped cache with 32-byte lines. *)
+     direct-mapped cache with 32-byte lines, counting after the first 20%
+     of executions has warmed the cache. *)
   let miss_rate layout =
     let system = System.unified (Config.make ~size_kb:8 ()) in
-    Replay.run ~trace ~map:(Program_layout.code_map layout) ~systems:[| system |];
+    Runner.replay ~trace ~map:(Program_layout.code_map layout) [| system |];
     Counters.miss_rate (System.counters system)
   in
   let base_rate = miss_rate base in

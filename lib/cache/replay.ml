@@ -11,8 +11,6 @@ let feed map systems ~image ~block =
     System.access (Array.unsafe_get systems k) ~os ~image ~block ~addr ~bytes
   done
 
-let run ~trace ~map ~systems = Trace.iter_exec trace (feed map systems)
-
 let run_range ~trace ~map ~systems ~warmup =
   let i = ref 0 in
   Trace.iter_exec trace (fun ~image ~block ->

@@ -12,15 +12,13 @@ type code_map = {
   bytes : int array array;  (** Per image: block id -> block size. *)
 }
 
-val run : trace:Trace.t -> map:code_map -> systems:System.t array -> unit
-(** Feed every execution event to every system.  Systems accumulate
-    counters; call {!System.reset} first to reuse one. *)
-
 val run_range :
   trace:Trace.t -> map:code_map -> systems:System.t array ->
   warmup:int -> unit
-(** Like {!run} but resets all counters after the first [warmup]
-    {e execution} events (invocation markers do not advance the warm-up
-    counter — compute thresholds from {!Trace.exec_count}), so reported
-    numbers exclude the initial cold start (the paper's traces are
-    mid-execution snapshots with negligible first-time misses). *)
+(** Feed every execution event to every system, in array order, and reset
+    all counters after the first [warmup] {e execution} events (invocation
+    markers do not advance the warm-up counter — compute thresholds from
+    {!Trace.exec_count}; [0] keeps every event), so reported numbers
+    exclude the initial cold start (the paper's traces are mid-execution
+    snapshots with negligible first-time misses).  Systems accumulate
+    counters; call {!System.reset} first to reuse one. *)

@@ -20,12 +20,7 @@ type t = {
           (hits do not reorder); under Random insertion also fills slot 0
           but the victim way is drawn uniformly. *)
   counters : Counters.t;
-  mutable evicted_by_os : Bytes.t;
-      (** Per line: '\000' = never evicted, '\001' = last evictor was OS,
-          '\002' = last evictor was the application.  Indexed by line
-          number and grown by doubling — line numbers are bounded by the
-          layout extent over the line size, so this stays a few tens of
-          KB while replacing two hashtable probes on every miss. *)
+  evictions : Evictions.t;
   mutable attr : int array array;  (** per image: per block miss counts *)
   mutable attr_self : int array array;
   mutable attr_cross : int array array;
@@ -52,7 +47,7 @@ let create config =
     line_shift = log2 config.Config.line;
     tags = Array.make (sets * config.Config.assoc) (-1);
     counters = Counters.create ();
-    evicted_by_os = Bytes.make 4096 '\000';
+    evictions = Evictions.create ();
     attr = [||];
     attr_self = [||];
     attr_cross = [||];
@@ -86,16 +81,6 @@ let block_misses_cross t ~image =
     invalid_arg "Sim.block_misses_cross: attribution not enabled";
   t.attr_cross.(image)
 
-let record_eviction t line os =
-  let n = Bytes.length t.evicted_by_os in
-  if line >= n then begin
-    let rec grow n = if line < n then n else grow (2 * n) in
-    let b = Bytes.make (grow (2 * n)) '\000' in
-    Bytes.blit t.evicted_by_os 0 b 0 n;
-    t.evicted_by_os <- b
-  end;
-  Bytes.unsafe_set t.evicted_by_os line (if os then '\001' else '\002')
-
 (* Returns true on hit.  On miss, installs the line as MRU and records the
    victim's evictor domain. *)
 let access_line t ~os line =
@@ -108,7 +93,7 @@ let access_line t ~os line =
       let cur = Array.unsafe_get tags set in
       if cur = line then true
       else begin
-        if cur >= 0 then record_eviction t cur os;
+        if cur >= 0 then Evictions.record t.evictions ~line:cur ~os;
         Array.unsafe_set tags set line;
         false
       end
@@ -148,44 +133,10 @@ let access_line t ~os line =
           | Direct | Lru_assoc | Fifo_assoc -> assoc - 1
         in
         let victim = tags.(base + victim_way) in
-        if victim >= 0 then record_eviction t victim os;
+        if victim >= 0 then Evictions.record t.evictions ~line:victim ~os;
         Array.blit tags base tags (base + 1) victim_way;
         tags.(base) <- line;
         false
-      end
-
-(* Returns: 0 = cold, 1 = self-interference, 2 = cross-interference. *)
-let classify t ~os line =
-  let c = t.counters in
-  let tag =
-    if line < Bytes.length t.evicted_by_os then
-      Bytes.unsafe_get t.evicted_by_os line
-    else '\000'
-  in
-  match tag with
-  | '\000' ->
-      if os then c.Counters.os_cold <- c.Counters.os_cold + 1
-      else c.Counters.app_cold <- c.Counters.app_cold + 1;
-      0
-  | '\001' ->
-      (* Last evictor was the OS. *)
-      if os then begin
-        c.Counters.os_self <- c.Counters.os_self + 1;
-        1
-      end
-      else begin
-        c.Counters.app_cross <- c.Counters.app_cross + 1;
-        2
-      end
-  | _ ->
-      (* Last evictor was the application. *)
-      if os then begin
-        c.Counters.os_cross <- c.Counters.os_cross + 1;
-        2
-      end
-      else begin
-        c.Counters.app_self <- c.Counters.app_self + 1;
-        1
       end
 
 let access t ~os ~image ~block ~addr ~bytes =
@@ -197,7 +148,7 @@ let access t ~os ~image ~block ~addr ~bytes =
   let last = (addr + bytes - 1) lsr t.line_shift in
   for line = first to last do
     if not (access_line t ~os line) then begin
-      let kind = classify t ~os line in
+      let kind = Evictions.classify t.evictions t.counters ~os line in
       if t.attribution then begin
         let a = t.attr.(image) in
         a.(block) <- a.(block) + 1;
@@ -234,5 +185,5 @@ let reset_counters t =
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Bytes.fill t.evicted_by_os 0 (Bytes.length t.evicted_by_os) '\000';
+  Evictions.reset t.evictions;
   reset_counters t

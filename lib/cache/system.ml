@@ -9,7 +9,7 @@ type victim_state = {
   vsets : int;
   vline_shift : int;
   vcounters : Counters.t;
-  vevicted : (int, bool) Hashtbl.t;  (** line -> last evictor was OS. *)
+  vevicted : Evictions.t;
 }
 
 type kind =
@@ -43,7 +43,7 @@ let victim ~main ~entries =
           vsets = sets;
           vline_shift = shift main.Config.line 0;
           vcounters = Counters.create ();
-          vevicted = Hashtbl.create 4096;
+          vevicted = Evictions.create ();
         };
   }
 
@@ -60,7 +60,7 @@ let victim_park v ~os line =
   if line >= 0 then begin
     let n = Array.length v.vbuf in
     let lru = v.vbuf.(n - 1) in
-    if lru >= 0 then Hashtbl.replace v.vevicted lru os;
+    if lru >= 0 then Evictions.record v.vevicted ~line:lru ~os;
     Array.blit v.vbuf 0 v.vbuf 1 (n - 1);
     v.vbuf.(0) <- line
   end
@@ -80,17 +80,7 @@ let victim_access_line v ~os line =
         v.vbuf.(0) <- displaced
         (* displaced >= 0 always here: the set conflicted before. *)
     | _ ->
-        let c = v.vcounters in
-        (match Hashtbl.find_opt v.vevicted line with
-        | None ->
-            if os then c.Counters.os_cold <- c.Counters.os_cold + 1
-            else c.Counters.app_cold <- c.Counters.app_cold + 1
-        | Some evictor_os ->
-            if os then
-              if evictor_os then c.Counters.os_self <- c.Counters.os_self + 1
-              else c.Counters.os_cross <- c.Counters.os_cross + 1
-            else if evictor_os then c.Counters.app_cross <- c.Counters.app_cross + 1
-            else c.Counters.app_self <- c.Counters.app_self + 1);
+        ignore (Evictions.classify v.vevicted v.vcounters ~os line);
         victim_park v ~os v.vmain.(set);
         v.vmain.(set) <- line
   end
@@ -157,7 +147,7 @@ let reset t =
   | Victim v ->
       Array.fill v.vmain 0 (Array.length v.vmain) (-1);
       Array.fill v.vbuf 0 (Array.length v.vbuf) (-1);
-      Hashtbl.reset v.vevicted;
+      Evictions.reset v.vevicted;
       Counters.reset v.vcounters
   | Unified _ | Split _ | Reserved _ -> List.iter Sim.reset (sims t)
 

@@ -1,9 +1,17 @@
+type digest_memo = string option Atomic.t
+
 type t = {
   name : string;
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   os_meta : Opt.result option;
+  digest_memo : digest_memo;
 }
+
+(* Every value gets a memo of its own: a copy made with [{ t with ... }]
+   would share, and so leak, the source's digest. *)
+let make ~name ~os_map ~app_maps ~os_meta =
+  { name; os_map; app_maps; os_meta; digest_memo = Atomic.make None }
 
 let app_region_base = 1 lsl 24
 
@@ -66,12 +74,7 @@ let base_os model =
       Base.layout g ~order:model.Model.base_order)
 
 let base ~model ~program =
-  {
-    name = "Base";
-    os_map = base_os model;
-    app_maps = base_apps program;
-    os_meta = None;
-  }
+  make ~name:"Base" ~os_map:(base_os model) ~app_maps:(base_apps program) ~os_meta:None
 
 (* The C-H OS placement depends only on (graph, profile) and is shared by
    every workload of a level build, so it rides the same content-addressed
@@ -89,17 +92,14 @@ let chang_hwu ~model ~program ~os_profile =
       (Digest.string
          (Layout_cache.graph_digest g ^ "|" ^ Layout_cache.profile_digest os_profile))
   in
-  {
-    name = "C-H";
-    os_map = Ch_cache.find_or_build ~key (fun () -> Chang_hwu.layout g os_profile);
-    app_maps = base_apps program;
-    os_meta = None;
-  }
+  make ~name:"C-H"
+    ~os_map:(Ch_cache.find_or_build ~key (fun () -> Chang_hwu.layout g os_profile))
+    ~app_maps:(base_apps program) ~os_meta:None
 
 let opt_with ~name ~extract_loops ~model ~program ~os_profile ~params =
   let params = { params with Opt.extract_loops } in
   let r = Opt.os_layout ~model ~profile:os_profile ~loops:(os_loops model) params in
-  { name; os_map = r.Opt.map; app_maps = base_apps program; os_meta = Some r }
+  make ~name ~os_map:r.Opt.map ~app_maps:(base_apps program) ~os_meta:(Some r)
 
 let opt_s ~model ~program ~os_profile ?(params = Opt.params ()) () =
   opt_with ~name:"OptS" ~extract_loops:false ~model ~program ~os_profile ~params
@@ -120,9 +120,9 @@ let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) ()
         r.Opt.map)
       program.Program.apps
   in
-  { os with app_maps }
+  make ~name:os.name ~os_map:os.os_map ~app_maps ~os_meta:os.os_meta
 
-let with_os_map t ~name os_map ~os_meta = { t with name; os_map; os_meta }
+let with_os_map t ~name os_map ~os_meta = make ~name ~os_map ~app_maps:t.app_maps ~os_meta
 
 let code_map t =
   let images = 1 + Array.length t.app_maps in
@@ -139,5 +139,12 @@ let code_map t =
   { Replay.addr; bytes }
 
 let digest t =
-  let m = code_map t in
-  Digest.to_hex (Digest.string (Marshal.to_string (m.Replay.addr, m.Replay.bytes) []))
+  match Atomic.get t.digest_memo with
+  | Some d -> d
+  | None ->
+      let m = code_map t in
+      let d =
+        Digest.to_hex (Digest.string (Marshal.to_string (m.Replay.addr, m.Replay.bytes) []))
+      in
+      Atomic.set t.digest_memo (Some d);
+      d

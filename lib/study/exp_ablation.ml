@@ -23,49 +23,57 @@ let os_variant (ctx : Context.t) ?schedule ?follow_calls ?(params = Opt.params (
     Opt.os_layout ?schedule ?follow_calls ~model ~profile:ctx.Context.avg_os_profile
       ~loops:(Context.os_loops ctx) params
   in
-  let layouts =
-    Array.map
-      (fun ((_ : Workload.t), program) ->
-        Program_layout.with_os_map
-          (Program_layout.base ~model ~program)
-          ~name r.Opt.map ~os_meta:(Some r))
-      ctx.Context.pairs
-  in
-  layouts
-
-let total_misses ctx layouts =
-  let runs =
-    Runner.simulate_config ctx ~layouts ~config:(Config.make ~size_kb:8 ()) ()
-  in
-  Counters.misses (Runner.total runs)
+  Array.map
+    (fun ((_ : Workload.t), program) ->
+      Program_layout.with_os_map
+        (Program_layout.base ~model ~program)
+        ~name r.Opt.map ~os_meta:(Some r))
+    ctx.Context.pairs
 
 let compute (ctx : Context.t) =
-  let base = total_misses ctx (Levels.build ctx Levels.Base) in
-  let full = total_misses ctx (os_variant ctx "OptS") in
-  let variant name what layouts =
-    let misses = total_misses ctx layouts in
-    {
-      name;
-      what;
-      misses;
-      vs_base = Stats.ratio misses base;
-      vs_opt_s = Stats.ratio misses full;
-    }
+  let variants =
+    [
+      ("OptS", "full algorithm", os_variant ctx "OptS");
+      ( "-schedule",
+        "flat (0,0) passes, no threshold descent",
+        os_variant ctx ~schedule:Schedule.flat "flat" );
+      ( "-seeds",
+        "interrupt seed only",
+        os_variant ctx
+          ~schedule:(Schedule.restrict [ Service.Interrupt ] Schedule.paper)
+          "one-seed" );
+      ( "-interleave",
+        "sequences stop at routine boundaries",
+        os_variant ctx ~follow_calls:false "no-interleave" );
+      ( "-scf",
+        "no SelfConfFree area",
+        os_variant ctx ~params:(Opt.params ~scf_cutoff:None ()) "no-scf" );
+    ]
   in
-  [
-    variant "OptS" "full algorithm" (os_variant ctx "OptS");
-    variant "-schedule" "flat (0,0) passes, no threshold descent"
-      (os_variant ctx ~schedule:Schedule.flat "flat");
-    variant "-seeds" "interrupt seed only"
-      (os_variant ctx
-         ~schedule:(Schedule.restrict [ Service.Interrupt ] Schedule.paper)
-         "one-seed");
-    variant "-interleave" "sequences stop at routine boundaries"
-      (os_variant ctx ~follow_calls:false "no-interleave");
-    variant "-scf" "no SelfConfFree area"
-      (os_variant ctx ~params:(Opt.params ~scf_cutoff:None ()) "no-scf");
-  ]
-  |> fun variants -> (base, variants)
+  (* Base and every variant through the 8 KB cache in one batch. *)
+  let config = Config.make ~size_kb:8 () in
+  let misses =
+    Runner.simulate_batch ctx
+      ~members:
+        (Array.of_list
+           ((Levels.build ctx Levels.Base, config)
+           :: List.map (fun (_, _, layouts) -> (layouts, config)) variants))
+      ()
+    |> Array.map (fun runs -> Counters.misses (Runner.total runs))
+  in
+  let base = misses.(0) and full = misses.(1) in
+  ( base,
+    List.mapi
+      (fun k (name, what, _) ->
+        let misses = misses.(k + 1) in
+        {
+          name;
+          what;
+          misses;
+          vs_base = Stats.ratio misses base;
+          vs_opt_s = Stats.ratio misses full;
+        })
+      variants )
 
 let report ctx =
   let base, variants = compute ctx in

@@ -22,24 +22,27 @@ let compute (ctx : Context.t) =
   let layout_from profile =
     (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
   in
-  let misses_under os_map =
-    let layouts =
-      Array.map
-        (fun ((_ : Workload.t), program) ->
-          Program_layout.with_os_map
-            (Program_layout.base ~model ~program)
-            ~name:"xval" os_map ~os_meta:None)
-        ctx.Context.pairs
-    in
-    Runner.simulate_config ctx ~layouts ~config:(Config.make ~size_kb:8 ()) ()
-    |> Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters)
+  let layouts_under os_map =
+    Array.map
+      (fun ((_ : Workload.t), program) ->
+        Program_layout.with_os_map
+          (Program_layout.base ~model ~program)
+          ~name:"xval" os_map ~os_meta:None)
+      ctx.Context.pairs
   in
   let n = Context.workload_count ctx in
-  let per_profile =
-    Array.init n (fun i -> misses_under (layout_from ctx.Context.os_profiles.(i)))
+  (* One layout per workload profile, then the averaged one, through the
+     8 KB cache in one batch. *)
+  let profiles = Array.append ctx.Context.os_profiles [| ctx.Context.avg_os_profile |] in
+  let config = Config.make ~size_kb:8 () in
+  let misses =
+    Runner.simulate_batch ctx
+      ~members:(Array.map (fun p -> (layouts_under (layout_from p), config)) profiles)
+      ()
+    |> Array.map (Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters))
   in
+  let per_profile = Array.sub misses 0 n and avg = misses.(n) in
   let own = Array.init n (fun j -> per_profile.(j).(j)) in
-  let avg = misses_under (layout_from ctx.Context.avg_os_profile) in
   {
     names = Context.workload_names ctx;
     matrix =

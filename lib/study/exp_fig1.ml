@@ -18,10 +18,8 @@ let compute (ctx : Context.t) =
         Graph.block_count (Program.graph program k))
   in
   System.enable_block_attribution sys ~images:(Program.image_count program) ~blocks;
-  let trace = ctx.Context.traces.(wl) in
-  let map = Program_layout.code_map layouts.(wl) in
-  let warmup = Trace.exec_count trace / 5 in
-  Replay.run_range ~trace ~map ~systems:[| sys |] ~warmup;
+  Runner.replay ~trace:ctx.Context.traces.(wl) ~map:(Program_layout.code_map layouts.(wl))
+    [| sys |];
   let c = System.counters sys in
   let base_map = layouts.(wl).Program_layout.os_map in
   let positions = Address_map.addr_array base_map in

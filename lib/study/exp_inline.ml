@@ -58,17 +58,14 @@ let compute (ctx : Context.t) =
         ~name:"Inline+OptS" opt.Opt.map ~os_meta:(Some opt)
     in
     let system = System.unified (Config.make ~size_kb:8 ()) in
-    let trace = Option.get traces.(i) in
-    Replay.run_range ~trace ~map:(Program_layout.code_map layout)
-      ~systems:[| system |]
-      ~warmup:(Trace.exec_count trace / 5);
+    Runner.replay ~trace:(Option.get traces.(i)) ~map:(Program_layout.code_map layout)
+      [| system |];
     Counters.miss_rate (System.counters system)
   in
   (* Reference: plain OptS on the original kernel, original traces. *)
   let opt_layouts = Levels.build ctx Levels.OptS in
   let reference =
-    Runner.simulate_config ctx ~layouts:opt_layouts
-      ~config:(Config.make ~size_kb:8 ()) ()
+    (Runner.simulate_batch ctx ~members:[| (opt_layouts, Config.make ~size_kb:8 ()) |] ()).(0)
   in
   let rows =
     Array.mapi

@@ -38,10 +38,8 @@ let compute (ctx : Context.t) =
         Array.map
           (fun (c : Multiproc.cpu) ->
             let system = System.unified (Config.make ~size_kb:8 ()) in
-            Replay.run_range ~trace:c.Multiproc.trace
-              ~map:(Program_layout.code_map layout)
-              ~systems:[| system |]
-              ~warmup:(Trace.exec_count c.Multiproc.trace / 5);
+            Runner.replay ~trace:c.Multiproc.trace ~map:(Program_layout.code_map layout)
+              [| system |];
             Counters.miss_rate (System.counters system))
           r.Multiproc.cpus
       in

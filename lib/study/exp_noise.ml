@@ -37,35 +37,34 @@ let perturb ~seed ~spread (p : Profile.t) =
 let compute (ctx : Context.t) =
   let model = ctx.Context.model in
   let loops = Context.os_loops ctx in
-  let misses_with os_map =
-    let layouts =
-      Array.map
-        (fun ((_ : Workload.t), program) ->
-          Program_layout.with_os_map
-            (Program_layout.base ~model ~program)
-            ~name:"noise" os_map ~os_meta:None)
-        ctx.Context.pairs
-    in
-    let runs =
-      Runner.simulate_config ctx ~layouts ~config:(Config.make ~size_kb:8 ()) ()
-    in
-    Counters.misses (Runner.total runs)
+  let layouts_from profile =
+    let os_map = (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map in
+    Array.map
+      (fun ((_ : Workload.t), program) ->
+        Program_layout.with_os_map
+          (Program_layout.base ~model ~program)
+          ~name:"noise" os_map ~os_meta:None)
+      ctx.Context.pairs
   in
-  let clean =
-    misses_with
-      (Opt.os_layout ~model ~profile:ctx.Context.avg_os_profile ~loops (Opt.params ()))
-        .Opt.map
+  (* The clean layout, then one per spread, through the 8 KB cache in one
+     batch. *)
+  let profiles =
+    Array.append [| ctx.Context.avg_os_profile |]
+      (Array.map (fun spread -> perturb ~seed:31 ~spread ctx.Context.avg_os_profile) spreads)
   in
-  Array.map
-    (fun spread ->
-      let profile = perturb ~seed:31 ~spread ctx.Context.avg_os_profile in
-      let m =
-        misses_with (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
-      in
+  let config = Config.make ~size_kb:8 () in
+  let misses =
+    Runner.simulate_batch ctx
+      ~members:(Array.map (fun p -> (layouts_from p, config)) profiles)
+      ()
+    |> Array.map (fun runs -> Counters.misses (Runner.total runs))
+  in
+  Array.mapi
+    (fun k spread ->
       {
         label = Printf.sprintf "%.2f" spread;
         spread;
-        ratio = Stats.ratio m clean;
+        ratio = Stats.ratio misses.(k + 1) misses.(0);
       })
     spreads
 

@@ -31,14 +31,17 @@ let compute (ctx : Context.t) =
           ~name map ~os_meta:None)
       ctx.Context.pairs
   in
+  let config = Config.make ~size_kb:8 () in
+  let runs =
+    Runner.simulate_batch ctx
+      ~members:(Array.of_list (List.map (fun name -> (layouts_of name, config)) levels))
+      ()
+  in
   let rates =
-    List.map
-      (fun name ->
-        let runs =
-          Runner.simulate_config ctx ~layouts:(layouts_of name)
-            ~config:(Config.make ~size_kb:8 ()) ()
-        in
-        (name, Array.map (fun (r : Runner.run) -> Counters.miss_rate r.Runner.counters) runs))
+    List.mapi
+      (fun k name ->
+        let rate (r : Runner.run) = Counters.miss_rate r.Runner.counters in
+        (name, Array.map rate runs.(k)))
       levels
   in
   Array.mapi

@@ -11,14 +11,15 @@ let budgets_of words = [| words / 4; words / 2; words; words * 2 |]
 
 let ratio_at ~spec ~seed words =
   let ctx = Context.create ~spec ~words ~seed () in
-  let misses level =
-    let runs =
-      Runner.simulate_config ctx ~layouts:(Levels.build ctx level)
-        ~config:(Config.make ~size_kb:8 ()) ()
-    in
-    Counters.misses (Runner.total runs)
+  let config = Config.make ~size_kb:8 () in
+  let misses =
+    Runner.simulate_batch ctx
+      ~members:
+        [| (Levels.build ctx Levels.OptS, config); (Levels.build ctx Levels.Base, config) |]
+      ()
+    |> Array.map (fun runs -> Counters.misses (Runner.total runs))
   in
-  Stats.ratio (misses Levels.OptS) (misses Levels.Base)
+  Stats.ratio misses.(0) misses.(1)
 
 let compute (ctx : Context.t) =
   (* Rebuild contexts at each budget with the committed spec and seed so

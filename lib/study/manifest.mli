@@ -3,12 +3,13 @@
     A process-global, domain-safe recorder of where the wall-clock time of
     a run went and what it was a run {e of}.  The pipeline's hot stages
     report here ({!Context.create} times trace capture, {!Levels.build}
-    times layout construction on memo misses, {!Runner.simulate} times
-    trace replay), the experiment drivers report per-experiment totals,
-    and {!Sim_cache}'s hit/miss counters are sampled at emission time.
-    [icache-opt repro --format json] and the bench harness emit the
-    manifest as JSON so the perf trajectory is recorded run over run
-    instead of scraped from ad-hoc prints.
+    times layout construction on memo misses, each call of a {!Runner}
+    entry point times trace replay), the experiment drivers report
+    per-experiment totals, and {!Sim_cache}'s hit/miss counters are
+    sampled at emission time.  [icache-opt repro --format json] and
+    [repro --out] emit the manifest as JSON, and the benchmark reads its
+    batch counters, so numbers are recorded run over run instead of
+    scraped from ad-hoc prints.
 
     JSON schema (see DESIGN.md for a worked example):
     {v

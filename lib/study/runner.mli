@@ -11,10 +11,19 @@
     workload order, so counters and per-block miss arrays are bit-identical
     across job counts — [test/test_parallel.ml] asserts this. *)
 
-type run = {
+type run = Sim_cache.entry = {
   counters : Counters.t;
   os_block_misses : int array;  (** Per OS block; empty unless requested. *)
 }
+(** One workload's result: the record {!Sim_cache} stores. *)
+
+(** Three entry points, one replay pass behind them all:
+    - {!simulate}: the solo, unmemoized path for any cache system;
+    - {!simulate_batch}: the memoized, fused path for unified geometries,
+      which every sweep and every single-geometry run of the experiments
+      goes through;
+    - {!replay}: one pass over a trace that is not in the context (an
+      inlined kernel's traces, a multiprocessor's per-CPU traces). *)
 
 val simulate :
   Context.t -> layouts:Program_layout.t array ->
@@ -23,16 +32,9 @@ val simulate :
   run array
 (** One run per workload.  [system] builds a fresh cache system per
     workload (it is called from worker domains, so it must not capture
-    shared mutable state).  Default warm-up: the first 20% of events. *)
-
-val simulate_config :
-  Context.t -> layouts:Program_layout.t array -> config:Config.t ->
-  ?attribute_os:bool -> ?warmup_fraction:float -> ?jobs:int -> unit ->
-  run array
-(** {!simulate} with a unified cache of the given geometry, memoized in
-    {!Sim_cache}: re-simulating an identical (trace identity, layout
-    digests, geometry, attribution) combination returns the cached runs
-    (as fresh copies) instead of replaying. *)
+    shared mutable state).  Default warm-up: the first 20% of executions.
+    A closure cannot be keyed, so nothing here is memoized: this is the
+    reference the memoized paths are checked against. *)
 
 val simulate_batch :
   Context.t -> members:(Program_layout.t array * Config.t) array ->
@@ -41,17 +43,25 @@ val simulate_batch :
 (** Fused sweep: simulate every (per-workload layouts, unified cache
     geometry) member of a configuration grid, replaying each workload
     trace {e once per distinct placement} while feeding all of that
-    placement's uncached members simultaneously ({!Replay.run_range} with
-    several systems).  Result [.(m).(i)] is member [m]'s run on workload
-    [i], bit-identical to [simulate_config ~layouts ~config] called per
-    member — same counters, same attribution arrays — just without the
-    redundant trace decodes.
+    placement's uncached members simultaneously.  Result [.(m).(i)] is
+    member [m]'s run on workload [i], bit-identical to
+    [simulate ~layouts ~system:(fun () -> System.unified config)] called
+    per member — same counters, same attribution arrays — just without
+    the redundant trace decodes.  A one-member batch is the way to run a
+    single geometry.
 
-    Every member consults {!Sim_cache} first (hits skip replay entirely)
-    and every simulated member is published to it, so batched and
-    per-config call sites share one memo.  Effectiveness (members served
-    from cache, replay passes and decoded events saved) is recorded via
+    Every member consults {!Sim_cache} first, keyed on the trace identity,
+    the layouts' {!Program_layout.digest}s, the geometry, the warm-up and
+    the attribution flag (hits skip replay entirely), and every simulated
+    member is published to it.  Effectiveness (members served from cache,
+    replay passes and decoded events saved) is recorded via
     {!Manifest.record_batch}. *)
+
+val replay : trace:Trace.t -> map:Replay.code_map -> System.t array -> unit
+(** Feed [trace] under [map] to every system in one pass, with
+    {!simulate}'s default warm-up (counters reset after the first 20% of
+    executions).  For traces outside the context; the systems keep the
+    counters. *)
 
 val total : run array -> Counters.t
 (** Sum of all workloads' counters. *)

@@ -29,7 +29,7 @@ let m_hits = Metrics_registry.counter "sim_cache.hits"
 let m_misses = Metrics_registry.counter "sim_cache.misses"
 let m_lookups = Metrics_registry.counter "sim_cache.lookups"
 
-let copy_entry e =
+let copy e =
   {
     counters = Counters.copy e.counters;
     os_block_misses = Array.copy e.os_block_misses;
@@ -42,14 +42,14 @@ let find k =
       | Some entries ->
           incr hit_count;
           Metrics_registry.incr m_hits;
-          Some (Array.map copy_entry entries)
+          Some (Array.map copy entries)
       | None ->
           incr miss_count;
           Metrics_registry.incr m_misses;
           None)
 
 let add k entries =
-  let entries = Array.map copy_entry entries in
+  let entries = Array.map copy entries in
   Mutex.protect lock (fun () ->
       if not (Hashtbl.mem table k) then Hashtbl.add table k entries)
 

@@ -7,20 +7,22 @@
     the trace identity (the context's digest over spec/words/seed), the
     per-workload layout digests ({!Program_layout.digest}), the cache
     geometry, the warm-up fraction and the attribution flag.  Equal keys
-    provably replay to equal results, so {!Runner.simulate_config} consults
+    provably replay to equal results, so {!Runner.simulate_batch} consults
     this table and the experiment suite stops re-simulating.
 
     Entries and lookups deep-copy counters and miss arrays, so callers may
     freely mutate what they get back.  The table is domain-safe (a single
     process-wide mutex) and process-global; {!hits}/{!misses} feed the
-    bench harness's cache-effectiveness report. *)
+    run manifest. *)
 
 type entry = {
   counters : Counters.t;
   os_block_misses : int array;
 }
-(** One workload's simulation result (mirrors [Runner.run], which lives
-    above this module in the dependency order). *)
+(** One workload's simulation result ([Runner.run] is this record). *)
+
+val copy : entry -> entry
+(** Deep copy: shares no mutable counters or arrays with the original. *)
 
 type key
 

@@ -1,5 +1,5 @@
-(** Minimal ASCII bar charts for rendering the paper's figures in the
-    benchmark harness. *)
+(** Minimal ASCII bar charts for rendering the paper's figures in
+    experiment reports. *)
 
 val bars :
   ?width:int -> ?title:string -> ?value_fmt:(float -> string) ->

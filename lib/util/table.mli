@@ -1,4 +1,4 @@
-(** ASCII table rendering for the benchmark harness output. *)
+(** ASCII table rendering for experiment reports. *)
 
 type align = Left | Right
 

@@ -67,6 +67,3 @@ let raw t i =
 let append_raw t v =
   ignore (decode v);
   push t v
-
-let events_to_list t =
-  List.init t.len (fun i -> decode t.data.(i))

@@ -21,10 +21,10 @@ val length : t -> int
 (** Total event count, including invocation markers. *)
 
 val exec_count : t -> int
-(** Number of [Exec] events only.  Warm-up thresholds for
-    {!Replay.run_range} must come from this, not {!length}: the replay
-    counter advances only on executions, so a threshold computed from the
-    marker-inclusive length would drift with marker density. *)
+(** Number of [Exec] events only.  Replay warm-up thresholds must come
+    from this, not {!length}: the replay counter advances only on
+    executions, so a threshold computed from the marker-inclusive length
+    would drift with marker density. *)
 
 val get : t -> int -> event
 
@@ -40,6 +40,3 @@ val raw : t -> int -> int
 val append_raw : t -> int -> unit
 (** Append a packed event.  @raise Invalid_argument if the encoding is
     not decodable. *)
-
-val events_to_list : t -> event list
-(** Testing aid; do not use on large traces. *)

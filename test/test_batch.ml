@@ -37,28 +37,27 @@ let same_runs (a : Runner.run array) (b : Runner.run array) =
       && x.Runner.os_block_misses = y.Runner.os_block_misses)
     a b
 
-(* Cold cache on both sides: the batch replays everything through fused
-   passes, the reference replays each member alone. *)
+(* The unmemoized solo path: one fresh unified system per workload. *)
+let solo ctx ?attribute_os (layouts, config) =
+  Runner.simulate ctx ~layouts ~system:(fun () -> System.unified config) ?attribute_os ()
+
+(* Cold cache: the batch replays everything through fused passes, the
+   reference replays each member alone and never touches the memo. *)
 let prop_batch_equals_sequential =
   QCheck.Test.make
-    ~name:"simulate_batch == per-member simulate_config (cold cache)" ~count:6
+    ~name:"simulate_batch == per-member simulate (cold cache)" ~count:6
     QCheck.(pair (list_of_size Gen.(1 -- 8) (int_bound 100)) bool)
     (fun (picks, attribute_os) ->
       let ctx = Lazy.force small_context in
       let members = members_of ctx picks in
       Sim_cache.clear ();
       let batch = Runner.simulate_batch ctx ~members ~attribute_os () in
-      Sim_cache.clear ();
-      let seq =
-        Array.map
-          (fun (layouts, config) ->
-            Runner.simulate_config ctx ~layouts ~config ~attribute_os ())
-          members
-      in
+      let seq = Array.map (solo ctx ~attribute_os) members in
       Array.for_all2 same_runs batch seq)
 
-(* Warm cache: every member was already simulated solo, so the batch must
-   serve pure Sim_cache hits (no new misses) and return identical runs. *)
+(* Warm cache: every member was already simulated in a batch of its own,
+   so the batch must serve pure Sim_cache hits (no new misses) and return
+   identical runs. *)
 let prop_batch_serves_warm_entries =
   QCheck.Test.make ~name:"simulate_batch serves warm Sim_cache entries" ~count:4
     QCheck.(list_of_size Gen.(1 -- 5) (int_bound 100))
@@ -68,7 +67,7 @@ let prop_batch_serves_warm_entries =
       Sim_cache.clear ();
       let seq =
         Array.map
-          (fun (layouts, config) -> Runner.simulate_config ctx ~layouts ~config ())
+          (fun member -> (Runner.simulate_batch ctx ~members:[| member |] ()).(0))
           members
       in
       let m0 = Sim_cache.misses () in
@@ -86,14 +85,9 @@ let prop_direct_fast_path_matches_generic =
     (fun (size_kb, line) ->
       let ctx = Lazy.force small_context in
       let layouts = Levels.build ctx Levels.Base in
-      Sim_cache.clear ();
-      let direct =
-        Runner.simulate_config ctx ~layouts
-          ~config:(Config.make ~size_kb ~line ()) ()
-      in
+      let direct = solo ctx (layouts, Config.make ~size_kb ~line ()) in
       let generic =
-        Runner.simulate_config ctx ~layouts
-          ~config:(Config.make ~size_kb ~line ~policy:(Config.Random 7) ()) ()
+        solo ctx (layouts, Config.make ~size_kb ~line ~policy:(Config.Random 7) ())
       in
       Array.for_all2
         (fun (x : Runner.run) (y : Runner.run) ->

@@ -349,6 +349,70 @@ let test_system_victim_validation () =
   check_raises_invalid "attribution unsupported" (fun () ->
       System.enable_block_attribution sys ~images:1 ~blocks:[| 1 |])
 
+(* A victim cache as one would draw it on paper: the main cache as an
+   association list set -> line, the buffer as an MRU-first list of at
+   most [entries] lines, and an association list line -> whether its last
+   evictor was the OS.  Slow, but every step can be checked by eye. *)
+type naive_victim = {
+  sets : int;
+  entries : int;
+  mutable main : (int * int) list;
+  mutable buffer : int list;
+  mutable evictors : (int * bool) list;
+  counters : Counters.t;
+}
+
+let naive_victim ~sets ~entries =
+  { sets; entries; main = []; buffer = []; evictors = []; counters = Counters.create () }
+
+let naive_victim_access t ~os line =
+  let c = t.counters in
+  if os then c.Counters.refs_os <- c.Counters.refs_os + 1
+  else c.Counters.refs_app <- c.Counters.refs_app + 1;
+  let set = line mod t.sets in
+  let resident = List.assoc_opt set t.main in
+  if resident <> Some line then begin
+    let displaced = Option.to_list resident in
+    if List.mem line t.buffer then
+      (* Buffer hit: swap the line with the main cache's resident. *)
+      t.buffer <- displaced @ List.filter (fun l -> l <> line) t.buffer
+    else begin
+      (match (List.assoc_opt line t.evictors, os) with
+      | None, true -> c.Counters.os_cold <- c.Counters.os_cold + 1
+      | None, false -> c.Counters.app_cold <- c.Counters.app_cold + 1
+      | Some true, true -> c.Counters.os_self <- c.Counters.os_self + 1
+      | Some false, true -> c.Counters.os_cross <- c.Counters.os_cross + 1
+      | Some true, false -> c.Counters.app_cross <- c.Counters.app_cross + 1
+      | Some false, false -> c.Counters.app_self <- c.Counters.app_self + 1);
+      let buffer = displaced @ t.buffer in
+      if List.length buffer > t.entries then begin
+        (* The buffer's LRU line leaves the hierarchy, evicted by [os]. *)
+        let gone = List.nth buffer t.entries in
+        t.evictors <- (gone, os) :: List.remove_assoc gone t.evictors;
+        t.buffer <- List.filteri (fun i _ -> i < t.entries) buffer
+      end
+      else t.buffer <- buffer
+    end;
+    t.main <- (set, line) :: List.remove_assoc set t.main
+  end
+
+(* Random OS/application line streams over a few conflicting sets: the
+   victim path must count exactly what the naive model counts. *)
+let prop_victim_matches_naive =
+  QCheck.Test.make ~name:"victim cache == naive list model" ~count:200
+    QCheck.(
+      triple (int_range 1 4) (oneofl [ 1; 4; 8 ])
+        (list_of_size Gen.(1 -- 300) (pair (int_bound 40) bool)))
+    (fun (entries, sets, stream) ->
+      let sys = System.victim ~main:(Config.v ~size:(sets * 32) ~assoc:1 ~line:32) ~entries in
+      let naive = naive_victim ~sets ~entries in
+      List.iter
+        (fun (line, os) ->
+          System.access sys ~os ~image:0 ~block:0 ~addr:(line * 32) ~bytes:4;
+          naive_victim_access naive ~os line)
+        stream;
+      System.counters sys = naive.counters)
+
 let test_system_victim_reset () =
   let sys = System.victim ~main:(Config.v ~size:1024 ~assoc:1 ~line:32) ~entries:2 in
   System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
@@ -380,7 +444,7 @@ let replay_fixture () =
 let test_replay_run () =
   let _, t, map = replay_fixture () in
   let sys = System.unified (Config.v ~size:1024 ~assoc:1 ~line:32) in
-  Replay.run ~trace:t ~map ~systems:[| sys |];
+  Replay.run_range ~warmup:0 ~trace:t ~map ~systems:[| sys |];
   let c = System.counters sys in
   check_int "words fetched" (7 * 4) (Counters.refs c);
   (* 7 blocks of 16 bytes over 32-byte lines from address 0: 4 lines. *)
@@ -390,7 +454,7 @@ let test_replay_multiple_systems () =
   let _, t, map = replay_fixture () in
   let a = System.unified (Config.v ~size:1024 ~assoc:1 ~line:32) in
   let b = System.unified (Config.v ~size:1024 ~assoc:1 ~line:16) in
-  Replay.run ~trace:t ~map ~systems:[| a; b |];
+  Replay.run_range ~warmup:0 ~trace:t ~map ~systems:[| a; b |];
   check_int "both systems see all refs" (Counters.refs (System.counters a))
     (Counters.refs (System.counters b));
   check_int "16B lines mean more line misses" 7
@@ -445,6 +509,7 @@ let () =
           case "victim capacity" test_system_victim_capacity;
           case "victim validation" test_system_victim_validation;
           case "victim reset" test_system_victim_reset;
+          qcheck prop_victim_matches_naive;
         ] );
       ( "replay",
         [

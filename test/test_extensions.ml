@@ -245,7 +245,7 @@ let test_mp_replayable () =
   Array.iter
     (fun (c : Multiproc.cpu) ->
       let system = System.unified (Config.make ~size_kb:8 ()) in
-      Replay.run ~trace:c.Multiproc.trace ~map ~systems:[| system |];
+      Replay.run_range ~warmup:0 ~trace:c.Multiproc.trace ~map ~systems:[| system |];
       let cnt = System.counters system in
       check_bool "cpu trace replays" true (Counters.refs cnt > 0);
       check_bool "misses bounded" true (Counters.misses cnt <= Counters.refs cnt))

@@ -191,10 +191,12 @@ let test_associativity_helps_base () =
   in
   check_bool "2-way below direct-mapped" true (misses 2 < misses 1)
 
-let test_simulate_config_shortcut () =
+let test_one_member_batch () =
   let c = ctx () in
   let layouts = Levels.build c Levels.Base in
-  let a = Runner.simulate_config c ~layouts ~config:(Config.make ~size_kb:8 ()) () in
+  let a =
+    (Runner.simulate_batch c ~members:[| (layouts, Config.make ~size_kb:8 ()) |] ()).(0)
+  in
   let b =
     Runner.simulate c ~layouts ~system:(fun () ->
         System.unified (Config.make ~size_kb:8 ()))
@@ -330,7 +332,7 @@ let () =
           case "counters consistent" test_runner_counters_consistent;
           case "attribution" test_runner_attribution;
           case "warmup" test_runner_warmup_reduces_cold;
-          case "simulate_config" test_simulate_config_shortcut;
+          case "one-member batch == simulate" test_one_member_batch;
         ] );
       ( "headline",
         [

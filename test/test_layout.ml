@@ -495,6 +495,34 @@ let test_program_layout_code_map () =
   check_bool "apps in their own region" true
     (app_min >= Program_layout.app_region_base)
 
+(* The digest is kept in the layout value, so a layout derived with
+   [with_os_map] must get the digest of what it now holds, never the one
+   its source had already computed. *)
+let test_program_layout_digest_memo () =
+  let ctx = small_ctx () in
+  let model = ctx.Context.model and _, program = ctx.Context.pairs.(0) in
+  let base () = Program_layout.base ~model ~program in
+  let l = Program_layout.opt_s ~model ~program ~os_profile:ctx.Context.avg_os_profile () in
+  let d = Program_layout.digest l in
+  let derive src map = Program_layout.with_os_map src ~name:"derived" map ~os_meta:None in
+  let same = derive l l.Program_layout.os_map in
+  check_string "same OS map, same digest" d (Program_layout.digest same);
+  let m = (base ()).Program_layout.os_map in
+  let derived = derive l m in
+  check_string "derived == built fresh" (Program_layout.digest (derive (base ()) m))
+    (Program_layout.digest derived);
+  check_bool "another OS map, another digest" false
+    (String.equal d (Program_layout.digest derived));
+  let cold = derive l m in
+  let from_domains =
+    List.init 4 (fun _ -> Domain.spawn (fun () -> Program_layout.digest cold))
+    |> List.map Domain.join
+  in
+  List.iter (check_string "cross-domain" (Program_layout.digest derived)) from_domains;
+  check_string "repeated" (Program_layout.digest derived) (Program_layout.digest cold);
+  check_bool "repeated calls read the kept string" true
+    (Program_layout.digest cold == Program_layout.digest cold)
+
 let test_program_layout_os_loops_memoized () =
   let ctx = small_ctx () in
   let model = ctx.Context.model in
@@ -562,5 +590,6 @@ let () =
           case "levels" test_program_layout_levels;
           case "code map" test_program_layout_code_map;
           case "loop memoization" test_program_layout_os_loops_memoized;
+          case "digest kept per value" test_program_layout_digest_memo;
         ] );
     ]

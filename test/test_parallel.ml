@@ -116,9 +116,12 @@ let test_sim_cache_roundtrip () =
   let ctx = Lazy.force ctx_seq in
   let layouts = Levels.build ctx Levels.CH in
   let cfg = Config.make ~size_kb:4 () in
-  let r1 = Runner.simulate_config ctx ~layouts ~config:cfg ~attribute_os:true () in
+  let simulate () =
+    (Runner.simulate_batch ctx ~members:[| (layouts, cfg) |] ~attribute_os:true ()).(0)
+  in
+  let r1 = simulate () in
   let h0 = Sim_cache.hits () and m0 = Sim_cache.misses () in
-  let r2 = Runner.simulate_config ctx ~layouts ~config:cfg ~attribute_os:true () in
+  let r2 = simulate () in
   check_int "re-lookup is a hit" (h0 + 1) (Sim_cache.hits ());
   check_int "re-lookup is not a miss" m0 (Sim_cache.misses ());
   Array.iteri
@@ -134,11 +137,11 @@ let test_sim_cache_copies () =
   let ctx = Lazy.force ctx_seq in
   let layouts = Levels.build ctx Levels.CH in
   let cfg = Config.make ~size_kb:4 () in
-  let r1 = Runner.simulate_config ctx ~layouts ~config:cfg () in
+  let r1 = (Runner.simulate_batch ctx ~members:[| (layouts, cfg) |] ()).(0) in
   let refs_before = Counters.refs r1.(0).Runner.counters in
   (* Mutating what a caller got back must not poison the cache. *)
   Counters.reset r1.(0).Runner.counters;
-  let r2 = Runner.simulate_config ctx ~layouts ~config:cfg () in
+  let r2 = (Runner.simulate_batch ctx ~members:[| (layouts, cfg) |] ()).(0) in
   check_int "cache unaffected by caller mutation" refs_before
     (Counters.refs r2.(0).Runner.counters)
 

@@ -164,9 +164,9 @@ let prop_relookup_always_hits =
       let ctx = Lazy.force small_context in
       let layouts = Levels.build ctx level in
       let config = Config.make ~size_kb ~assoc ~line () in
-      let r1 = Runner.simulate_config ctx ~layouts ~config () in
+      let r1 = (Runner.simulate_batch ctx ~members:[| (layouts, config) |] ()).(0) in
       let h0 = Sim_cache.hits () and m0 = Sim_cache.misses () in
-      let r2 = Runner.simulate_config ctx ~layouts ~config () in
+      let r2 = (Runner.simulate_batch ctx ~members:[| (layouts, config) |] ()).(0) in
       Sim_cache.hits () = h0 + 1
       && Sim_cache.misses () = m0
       && Array.for_all2

@@ -281,7 +281,7 @@ let test_trace_file_replay_equivalent () =
   let map = Program_layout.code_map layout in
   let misses trace =
     let system = System.unified (Config.make ~size_kb:8 ()) in
-    Replay.run ~trace ~map ~systems:[| system |];
+    Replay.run_range ~warmup:0 ~trace ~map ~systems:[| system |];
     Counters.misses (System.counters system)
   in
   let path = Filename.temp_file "icache_trace" ".bin" in

@@ -24,8 +24,7 @@ let test_trace_roundtrip () =
   List.iteri
     (fun i e ->
       check_bool (Printf.sprintf "event %d round-trips" i) true (Trace.get t i = e))
-    events;
-  check_bool "events_to_list" true (Trace.events_to_list t = events)
+    events
 
 let test_trace_capacity_growth () =
   let t = Trace.create ~capacity:1 () in
