@@ -23,12 +23,15 @@ check: build
 # JSON and make sure every report parses back and the run manifest's
 # invariants hold (stage seconds >= 0, sim-cache hits + misses = lookups,
 # batch cache_hits + simulated <= members, per layout stage
-# hits + misses = lookups with seconds >= 0, metrics counters consistent,
+# hits + misses = lookups with seconds >= 0, every memo's metrics
+# counter trio consistent, histogram percentiles inside [min, max],
 # GC sample present).  The same runs record a span trace (--trace), which
 # is then validated too: begin/end balanced per track, durations
 # non-negative, no unclosed spans.  Run single- and multi-domain so the
 # fused batch replay, the parallel staged layout builds and the
-# per-worker trace tracks are validated under both fan-out modes.
+# per-worker trace tracks are validated under both fan-out modes.  Last,
+# `repro --out` writes one report plus a bare manifest.json, which goes
+# through validate's bare-manifest path.
 validate: build
 	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 --format json \
 	  --trace _build/trace_j1.json \
@@ -38,6 +41,8 @@ validate: build
 	  --trace _build/trace_j4.json \
 	  | _build/default/bin/icache_opt.exe validate
 	_build/default/bin/icache_opt.exe validate _build/trace_j4.json
+	_build/default/bin/icache_opt.exe repro --small --words 60000 --out _build/repro_out table1
+	_build/default/bin/icache_opt.exe validate _build/repro_out/manifest.json
 
 # Capture a span timeline of the small repro and print its hot spans.
 # The Chrome-format trace lands in _build/trace.json: load it in

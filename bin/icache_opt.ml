@@ -704,7 +704,17 @@ let validate_cmd =
         | Some i -> if i < 0 then fail "metrics counter %s: %d < 0" n i
         | None -> fail "metrics counter %s: not an integer" n)
       counters;
+    (* Every Memo counts its lookups as a <name>.hits/.misses/.lookups
+       trio; check each trio any of the three names announces. *)
     let value n = Option.bind (List.assoc_opt n counters) Json.to_int in
+    let trio_prefix n =
+      List.find_map
+        (fun suffix ->
+          if String.ends_with ~suffix n then
+            Some (String.sub n 0 (String.length n - String.length suffix))
+          else None)
+        [ ".hits"; ".misses"; ".lookups" ]
+    in
     List.iter
       (fun prefix ->
         match
@@ -715,9 +725,8 @@ let validate_cmd =
         | Some h, Some m, Some l ->
             if h + m <> l then
               fail "metrics: %s hits %d + misses %d <> lookups %d" prefix h m l
-        | None, None, None -> ()
         | _ -> fail "metrics: incomplete %s hits/misses/lookups trio" prefix)
-      [ "sim_cache"; "layout_cache" ];
+      (List.sort_uniq compare (List.filter_map (fun (n, _) -> trio_prefix n) counters));
     match Json.member "histograms" mx with
     | Some (Json.Obj hs) ->
         List.iter
@@ -737,8 +746,13 @@ let validate_cmd =
             if not (p50 <= p90 && p90 <= p99) then
               fail "metrics histogram %s: percentiles not monotone (%g/%g/%g)" n p50
                 p90 p99;
-            if count > 0 && not (gf "min" <= gf "max") then
-              fail "metrics histogram %s: min > max" n)
+            if count > 0 then begin
+              let min = gf "min" and max = gf "max" in
+              if not (min <= max) then fail "metrics histogram %s: min > max" n;
+              if not (min <= p50 && p99 <= max) then
+                fail "metrics histogram %s: percentiles %g/%g outside [%g, %g]" n p50
+                  p99 min max
+            end)
           hs
     | _ -> fail "metrics: missing histograms object"
   in

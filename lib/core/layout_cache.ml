@@ -1,31 +1,11 @@
-type stats = { hits : int; misses : int; seconds : float }
+type stats = Memo.stats = { hits : int; misses : int; seconds : float }
 
-type counters = {
-  name : string;
-  mutable hits : int;
-  mutable misses : int;
-  mutable seconds : float;
-}
-
-(* One lock for every table in the module: stage lookups are O(1) hash
-   probes and digest memos are short physical-identity scans, so a single
-   lock is never contended for long and keeps the invariants (registry
-   order, counter consistency) trivial. Builds run OUTSIDE the lock. *)
+(* Guards the two physical-identity memos below and the stage list; the
+   stage tables are Memos with locks of their own. *)
 let lock = Mutex.create ()
 let enabled_flag = ref true
-let registry : counters list ref = ref [] (* reverse registration order *)
-let clearers : (unit -> unit) list ref = ref []
-
-(* Aggregate lookup counters mirrored into the metrics registry (summed
-   over every stage), so the manifest metrics snapshot and `icache-opt
-   validate` can check hits + misses = lookups without this module. *)
-let m_hits = Metrics_registry.counter "layout_cache.hits"
-let m_misses = Metrics_registry.counter "layout_cache.misses"
-let m_lookups = Metrics_registry.counter "layout_cache.lookups"
 
 let set_enabled b = enabled_flag := b
-
-let enabled () = !enabled_flag
 
 (* ------------------------------------------------------------------ *)
 (* Digests and loop detection                                         *)
@@ -83,95 +63,41 @@ let loops_digest g l =
   | Some _ | None -> md5 l
 
 (* ------------------------------------------------------------------ *)
-(* Stage tables                                                       *)
+(* Stages                                                             *)
 (* ------------------------------------------------------------------ *)
 
-module type STAGE = sig
-  type value
+type 'a stage = 'a Memo.t
 
-  val name : string
-end
+type any_stage = Stage : string * 'a stage -> any_stage
 
-module Stage (S : STAGE) = struct
-  let table : (string, S.value) Hashtbl.t = Hashtbl.create 64
+let stages : any_stage list ref = ref [] (* reverse creation order *)
 
-  let c =
-    Mutex.protect lock (fun () ->
-        let c = { name = S.name; hits = 0; misses = 0; seconds = 0.0 } in
-        registry := c :: !registry;
-        clearers := (fun () -> Hashtbl.reset table) :: !clearers;
-        c)
+let stage name =
+  let m = Memo.create ("layout_cache." ^ name) in
+  Mutex.protect lock (fun () -> stages := Stage (name, m) :: !stages);
+  m
 
-  let find_or_build ~key f =
-    if not !enabled_flag then f ()
-    else begin
-      Metrics_registry.incr m_lookups;
-      match
-        Mutex.protect lock (fun () ->
-            match Hashtbl.find_opt table key with
-            | Some v ->
-                c.hits <- c.hits + 1;
-                Some v
-            | None -> None)
-      with
-      | Some v ->
-          Metrics_registry.incr m_hits;
-          v
-      | None ->
-          Metrics_registry.incr m_misses;
-          let t0 = Unix.gettimeofday () in
-          let v = f () in
-          let dt = Unix.gettimeofday () -. t0 in
-          Mutex.protect lock (fun () ->
-              c.misses <- c.misses + 1;
-              c.seconds <- c.seconds +. dt;
-              match Hashtbl.find_opt table key with
-              | Some v' -> v' (* racing build: everyone shares the stored value *)
-              | None ->
-                  Hashtbl.add table key v;
-                  v)
-    end
-end
+let find_or_build m ~key build =
+  if !enabled_flag then Memo.find_or_build m key build else build ()
 
-(* ------------------------------------------------------------------ *)
-(* Statistics                                                         *)
-(* ------------------------------------------------------------------ *)
+let all_stages () = Mutex.protect lock (fun () -> List.rev !stages)
 
 let stage_stats () =
-  Mutex.protect lock (fun () ->
-      List.rev_map
-        (fun c -> (c.name, { hits = c.hits; misses = c.misses; seconds = c.seconds }))
-        !registry)
+  List.map (fun (Stage (name, m)) -> (name, Memo.stats m)) (all_stages ())
 
 let totals () =
-  Mutex.protect lock (fun () ->
-      List.fold_left
-        (fun (acc : stats) c ->
-          {
-            hits = acc.hits + c.hits;
-            misses = acc.misses + c.misses;
-            seconds = acc.seconds +. c.seconds;
-          })
-        { hits = 0; misses = 0; seconds = 0.0 }
-        !registry)
-
-let reset_stats () =
-  Mutex.protect lock (fun () ->
-      List.iter
-        (fun c ->
-          c.hits <- 0;
-          c.misses <- 0;
-          c.seconds <- 0.0)
-        !registry)
+  List.fold_left
+    (fun acc (_, (s : stats)) ->
+      {
+        hits = acc.hits + s.hits;
+        misses = acc.misses + s.misses;
+        seconds = acc.seconds +. s.seconds;
+      })
+    { hits = 0; misses = 0; seconds = 0.0 }
+    (stage_stats ())
 
 let clear () =
+  List.iter (fun (Stage (_, m)) -> Memo.clear m) (all_stages ());
   Mutex.protect lock (fun () ->
-      List.iter (fun f -> f ()) !clearers;
       graph_digests := [];
-      loops_tbl := [];
-      List.iter
-        (fun c ->
-          c.hits <- 0;
-          c.misses <- 0;
-          c.seconds <- 0.0)
-        !registry)
+      loops_tbl := [])

@@ -12,17 +12,18 @@
     - {e place} — the final cursor placement — is the only stage that
       consumes the full parameter record.
 
-    {!Program_layout} registers two more stages on the same registry:
-    {e base} (the Base OS placement, keyed on graph and block order) and
-    {e chang_hwu} (the C-H placement, keyed on graph and profile) — both
-    used to be rebuilt per workload despite identical inputs.
+    {!Program_layout} adds two more stages: {e base} (a Base placement of
+    the OS or of an application image, keyed on graph and routine order)
+    and {e chang_hwu} (the C-H placement, keyed on graph and profile) —
+    both used to be rebuilt per workload despite identical inputs.
 
-    Each stage memoizes in a process-global, mutex-guarded table keyed on
-    a digest of exactly the inputs that stage consumes, with hit/miss
-    counters and build-time accounting surfaced in the run manifest
-    (schema v3).  Like {!Sim_cache}, racing builders may construct the
-    same value twice; the first store wins and both callers observe the
-    stored value, so results are independent of domain scheduling.
+    Each stage is a {!Memo} named [layout_cache.<stage>], keyed on a
+    digest of exactly the inputs that stage consumes; its hit, miss and
+    lookup counts live in the metrics registry and, with its build
+    seconds, surface in the run manifest's [layout] object.  Racing
+    builders may construct the same value twice; the first store wins and
+    both callers observe the stored value, so results are independent of
+    domain scheduling.
 
     The module also owns natural-loop detection for {e both} OS and
     application graphs ({!loops}), replacing the unsynchronized global
@@ -46,40 +47,33 @@ val loops_digest : Graph.t -> Loops.t list -> string
     {!loops}[ g] list the digest is memoized; hand-built loop sets are
     digested on every call. *)
 
-type stats = { hits : int; misses : int; seconds : float }
+type stats = Memo.stats = { hits : int; misses : int; seconds : float }
 (** [seconds] is time spent building values on misses (cache management
     overhead is not counted).  On a cold build, an outer stage's seconds
     include the inner stages it triggered (stage timings nest, exactly
     like the manifest's [levels_build] envelope). *)
 
-module type STAGE = sig
-  type value
+type 'a stage
 
-  val name : string
-end
+val stage : string -> 'a stage
+(** A new named stage, reported by {!stage_stats} in creation order.
+    Create each stage once, at module initialization. *)
 
-module Stage (S : STAGE) : sig
-  val find_or_build : key:string -> (unit -> S.value) -> S.value
-end
-(** A named memo table registered with the module-wide statistics
-    registry.  Instantiate once per stage (at module initialization, not
-    per call). *)
+val find_or_build : 'a stage -> key:string -> (unit -> 'a) -> 'a
+(** {!Memo.find_or_build} on the stage, or a plain [build ()] while the
+    stages are disabled. *)
 
 val set_enabled : bool -> unit
 (** Test hook: [set_enabled false] turns every stage into a pass-through
     (no lookups, no stores, no counter updates), so a "monolithic"
     reference build can be produced for comparison.  Default: enabled. *)
 
-val enabled : unit -> bool
-
 val stage_stats : unit -> (string * stats) list
-(** Per-stage counters in stage registration order. *)
+(** Per-stage counts in stage creation order (process totals). *)
 
 val totals : unit -> stats
-
-val reset_stats : unit -> unit
-(** Zero the counters, keep the cached values. *)
+(** The sum of {!stage_stats}. *)
 
 val clear : unit -> unit
-(** Drop every cached value (including memoized loops and digests) and
-    zero the counters. *)
+(** Drop every cached value, including memoized loops and digests.  The
+    counts keep their process totals. *)

@@ -69,32 +69,17 @@ let rec fit c size =
 
 (* The layout decomposes into stages with strictly shrinking input sets
    (Layout_cache's doc lists them), each memoized on a digest of exactly
-   what it consumes.  Registration order below is pipeline order, which
-   is also the order the run manifest reports. *)
+   what it consumes.  Creation order below is pipeline order, which is
+   also the order the run manifest reports. *)
 
-module Seq_cache = Layout_cache.Stage (struct
-  type value = Sequence.t list
+let seq_stage : Sequence.t list Layout_cache.stage = Layout_cache.stage "sequences"
 
-  let name = "sequences"
-end)
+let scf_stage : Block.id list Layout_cache.stage = Layout_cache.stage "scf"
 
-module Scf_cache = Layout_cache.Stage (struct
-  type value = Block.id list
+let loop_mark_stage : Loopstat.info list Layout_cache.stage =
+  Layout_cache.stage "loop_mark"
 
-  let name = "scf"
-end)
-
-module Loop_mark_cache = Layout_cache.Stage (struct
-  type value = Loopstat.info list
-
-  let name = "loop_mark"
-end)
-
-module Place_cache = Layout_cache.Stage (struct
-  type value = result
-
-  let name = "place"
-end)
+let place_stage : result Layout_cache.stage = Layout_cache.stage "place"
 
 let digest_key v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
@@ -207,7 +192,7 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
     digest_key (gd, pd, (schedule : Schedule.pass list), follow_calls, (seeds : Block.id list))
   in
   let sequences =
-    Seq_cache.find_or_build ~key:seq_key (fun () ->
+    Layout_cache.find_or_build seq_stage ~key:seq_key (fun () ->
         Sequence.build ~graph:g ~profile:p ~seed_entry ~schedule ~follow_calls ())
   in
   (* SCF selection and the Loopstat pass are cached on their raw
@@ -215,11 +200,11 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
      iteration threshold afterwards, so a Call-optimization build with a
      custom [exclude] still shares them. *)
   let select_scf cutoff =
-    Scf_cache.find_or_build ~key:(digest_key (gd, pd, ld, cutoff)) (fun () ->
+    Layout_cache.find_or_build scf_stage ~key:(digest_key (gd, pd, ld, cutoff)) (fun () ->
         Scf.select ~graph:g ~profile:p ~loops ~cutoff)
   in
   let loop_infos () =
-    Loop_mark_cache.find_or_build ~key:(digest_key (gd, pd, ld)) (fun () ->
+    Layout_cache.find_or_build loop_mark_stage ~key:(digest_key (gd, pd, ld)) (fun () ->
         Loopstat.analyze g p loops)
   in
   match exclude with
@@ -232,7 +217,7 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
          parameter record everything geometry-dependent, so together they
          determine the whole placement. *)
       let place_key = digest_key (seq_key, ld, (params : params)) in
-      Place_cache.find_or_build ~key:place_key (fun () ->
+      Layout_cache.find_or_build place_stage ~key:place_key (fun () ->
           let r =
             assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos
               ~exclude:(fun _ -> false)

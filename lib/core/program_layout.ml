@@ -28,50 +28,28 @@ let app_skew k = (k + 1) * 1184
    data race under parallel level builds). *)
 let os_loops model = Layout_cache.loops model.Model.graph
 
-(* Base application placements depend only on the app image, which is
-   physically shared across workloads and identical for every layout
-   level, so one map per image serves all five levels of every workload.
-   The maps are immutable once built; a racing duplicate build is
-   harmless (first store wins, content is equal either way). *)
-let base_app_lock = Mutex.create ()
-let base_app_maps : (App_model.t * Address_map.t) list ref = ref []
+(* A Base placement depends only on (graph, routine order), both frozen
+   with the model or application image, so one stage serves the OS and
+   every application image: each gets one map, physically shared by
+   every workload and level that uses it. *)
+let base_stage : Address_map.t Layout_cache.stage = Layout_cache.stage "base"
 
-let base_app (app : App_model.t) =
-  let find () = List.find_opt (fun (a, _) -> a == app) !base_app_maps in
-  match Mutex.protect base_app_lock find with
-  | Some (_, m) -> m
-  | None ->
-      let m = Base.layout app.App_model.graph ~order:app.App_model.base_order in
-      Mutex.protect base_app_lock (fun () ->
-          match find () with
-          | Some (_, m') -> m'
-          | None ->
-              base_app_maps := (app, m) :: !base_app_maps;
-              m)
-
-let base_apps program = Array.map base_app program.Program.apps
-
-(* The Base OS placement depends only on (graph, base order), both frozen
-   with the model, yet used to be rebuilt for every workload of every
-   Base-level build — on the 40k-block kernel graph that was the single
-   largest redundant cost left in levels_build. *)
-module Base_cache = Layout_cache.Stage (struct
-  type value = Address_map.t
-
-  let name = "base"
-end)
-
-let base_os model =
-  let g = model.Model.graph in
+let base_map g ~order =
   let key =
     Digest.to_hex
       (Digest.string
          (Layout_cache.graph_digest g ^ "|"
-         ^ Digest.to_hex
-             (Digest.string (Marshal.to_string model.Model.base_order []))))
+         ^ Digest.to_hex (Digest.string (Marshal.to_string order []))))
   in
-  Base_cache.find_or_build ~key (fun () ->
-      Base.layout g ~order:model.Model.base_order)
+  Layout_cache.find_or_build base_stage ~key (fun () -> Base.layout g ~order)
+
+let base_apps program =
+  Array.map
+    (fun (app : App_model.t) ->
+      base_map app.App_model.graph ~order:app.App_model.base_order)
+    program.Program.apps
+
+let base_os model = base_map model.Model.graph ~order:model.Model.base_order
 
 let base ~model ~program =
   make ~name:"Base" ~os_map:(base_os model) ~app_maps:(base_apps program) ~os_meta:None
@@ -79,11 +57,7 @@ let base ~model ~program =
 (* The C-H OS placement depends only on (graph, profile) and is shared by
    every workload of a level build, so it rides the same content-addressed
    cache layer as the staged Opt pipeline. *)
-module Ch_cache = Layout_cache.Stage (struct
-  type value = Address_map.t
-
-  let name = "chang_hwu"
-end)
+let ch_stage : Address_map.t Layout_cache.stage = Layout_cache.stage "chang_hwu"
 
 let chang_hwu ~model ~program ~os_profile =
   let g = model.Model.graph in
@@ -93,7 +67,8 @@ let chang_hwu ~model ~program ~os_profile =
          (Layout_cache.graph_digest g ^ "|" ^ Layout_cache.profile_digest os_profile))
   in
   make ~name:"C-H"
-    ~os_map:(Ch_cache.find_or_build ~key (fun () -> Chang_hwu.layout g os_profile))
+    ~os_map:
+      (Layout_cache.find_or_build ch_stage ~key (fun () -> Chang_hwu.layout g os_profile))
     ~app_maps:(base_apps program) ~os_meta:None
 
 let opt_with ~name ~extract_loops ~model ~program ~os_profile ~params =

@@ -21,13 +21,6 @@ let of_string s =
         (Printf.sprintf "unknown layout level %S (expected base, ch, opts, optl or opta)"
            other)
 
-(* Layout construction is deterministic in (context, level, params) and
-   several experiments rebuild the same five levels, so memoize.  Layouts
-   are immutable once built (variants go through with_os_map, which
-   copies), so sharing one array across experiments is safe. *)
-let memo : (string, Program_layout.t array) Hashtbl.t = Hashtbl.create 16
-let memo_lock = Mutex.create ()
-
 let build_uncached (ctx : Context.t) ?jobs ~params level =
   let model = ctx.Context.model in
   let os_profile = ctx.Context.avg_os_profile in
@@ -69,6 +62,12 @@ let build_uncached (ctx : Context.t) ?jobs ~params level =
     Array.append [| first |] rest
   end
 
+(* Layout construction is deterministic in (context, level, params) and
+   several experiments rebuild the same five levels, so memoize.  Layouts
+   are immutable once built (variants go through with_os_map, which
+   copies), so sharing one array across experiments is safe. *)
+let memo : Program_layout.t array Memo.t = Memo.create "levels"
+
 let build ctx ?(params = Opt.params ()) level =
   (* Base and C-H never consume [params] (see [build_uncached]), so their
      memo key must not include it: a cache-size sweep would otherwise
@@ -80,19 +79,10 @@ let build ctx ?(params = Opt.params ()) level =
         Digest.to_hex (Digest.string (Marshal.to_string (params : Opt.params) []))
   in
   let key = Context.key ctx ^ "|" ^ to_string level ^ "|" ^ params_part in
-  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
-  | Some layouts -> layouts
-  | None ->
-      let layouts =
-        Manifest.time "levels_build" (fun () ->
-            Trace_log.with_span "levels_build"
-              ~args:[ ("level", Json.String (to_string level)) ]
-              (fun () -> build_uncached ctx ~params level))
-      in
-      Mutex.protect memo_lock (fun () ->
-          if not (Hashtbl.mem memo key) then Hashtbl.add memo key layouts);
-      layouts
-
-let build_opt_s_with ctx ~params = build ctx ~params OptS
+  Memo.find_or_build memo key (fun () ->
+      Manifest.time "levels_build" (fun () ->
+          Trace_log.with_span "levels_build"
+            ~args:[ ("level", Json.String (to_string level)) ]
+            (fun () -> build_uncached ctx ~params level)))
 
 let code_maps layouts = Array.map Program_layout.code_map layouts

@@ -15,9 +15,10 @@ val of_string : string -> (level, string) result
 
 val build : Context.t -> ?params:Opt.params -> level -> Program_layout.t array
 (** One program layout per workload, in workload order.  Memoized on
-    ({!Context.key}, level, params): experiments that rebuild the same
-    level share one layout array instead of re-running the placement
-    algorithms.  Underneath, construction is staged through
+    ({!Context.key}, level, params) in a {!Memo} named [levels] (so its
+    lookups count as [levels.hits/.misses/.lookups]): experiments that
+    rebuild the same level share one layout array instead of re-running
+    the placement algorithms.  Underneath, construction is staged through
     {!Layout_cache}, so even distinct memo keys (a cache-size sweep, a
     SelfConfFree sweep, OptS vs OptL vs OptA) share the stages whose
     inputs did not change, and the per-workload placements of a miss are
@@ -30,9 +31,5 @@ val build_uncached :
     first workload is built alone to warm the shared OS-side stage
     caches; the rest fan out over [jobs] domains.  Exposed for the
     staged-equals-monolithic equivalence tests. *)
-
-val build_opt_s_with : Context.t -> params:Opt.params -> Program_layout.t array
-(** OptS with explicit parameters (SelfConfFree sweeps, cache-size
-    variations). *)
 
 val code_maps : Program_layout.t array -> Replay.code_map array

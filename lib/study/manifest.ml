@@ -79,6 +79,18 @@ let record_batch ~members ~cache_hits ~simulated ~replay_passes ~passes_saved
       b.events_replayed <- b.events_replayed + events_replayed;
       b.events_saved <- b.events_saved + events_saved)
 
+(* The counts of one Memo, as every cache object of the manifest shows them. *)
+let memo_fields (s : Memo.stats) =
+  [
+    ("hits", Json.Int s.hits);
+    ("misses", Json.Int s.misses);
+    ("lookups", Json.Int (s.hits + s.misses));
+  ]
+
+let hit_rate (s : Memo.stats) =
+  let lookups = float_of_int (s.hits + s.misses) in
+  ("hit_rate", Json.Float (if lookups = 0.0 then 0.0 else float_of_int s.hits /. lookups))
+
 let to_json () =
   let run, stage_rows, experiment_rows, batch =
     Mutex.protect lock (fun () ->
@@ -91,15 +103,7 @@ let to_json () =
           List.rev !experiments,
           { batch_stats with calls = batch_stats.calls } ))
   in
-  (* Sample the caches outside the manifest lock: each has its own. *)
-  let hits = Sim_cache.hits () and misses = Sim_cache.misses () in
-  let layout_stages = Layout_cache.stage_stats () in
-  let layout_totals = Layout_cache.totals () in
-  let layout_hit_rate =
-    let lookups = layout_totals.Layout_cache.hits + layout_totals.Layout_cache.misses in
-    if lookups = 0 then 0.0
-    else float_of_int layout_totals.Layout_cache.hits /. float_of_int lookups
-  in
+  let sim = Sim_cache.stats () and layout_stages = Layout_cache.stage_stats () in
   (* GC statistics are a point sample taken now (manifest emission), not
      an accumulation: quick_stat is cheap and the emission point is the
      end of the run, so the numbers cover the whole pipeline. *)
@@ -145,32 +149,19 @@ let to_json () =
                    ("seconds", Json.Float seconds);
                  ])
              stage_rows) );
-      ( "sim_cache",
-        Json.Obj
-          [
-            ("hits", Json.Int hits);
-            ("misses", Json.Int misses);
-            ("lookups", Json.Int (hits + misses));
-            ("hit_rate", Json.Float (Sim_cache.hit_rate ()));
-          ] );
+      ("sim_cache", Json.Obj (memo_fields sim @ [ hit_rate sim ]));
       ( "layout",
         Json.Obj
           [
             ( "stages",
               Json.List
                 (List.map
-                   (fun (name, (s : Layout_cache.stats)) ->
+                   (fun (name, s) ->
                      Json.Obj
-                       [
-                         ("name", Json.String name);
-                         ("hits", Json.Int s.Layout_cache.hits);
-                         ("misses", Json.Int s.Layout_cache.misses);
-                         ( "lookups",
-                           Json.Int (s.Layout_cache.hits + s.Layout_cache.misses) );
-                         ("seconds", Json.Float s.Layout_cache.seconds);
-                       ])
+                       ((("name", Json.String name) :: memo_fields s)
+                       @ [ ("seconds", Json.Float s.Memo.seconds) ]))
                    layout_stages) );
-            ("hit_rate", Json.Float layout_hit_rate);
+            hit_rate (Layout_cache.totals ());
           ] );
       ( "batch",
         Json.Obj

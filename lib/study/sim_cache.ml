@@ -17,17 +17,7 @@ let key ~context ~layouts ~config ~warmup_fraction ~attribute_os =
   Buffer.add_string buf (Printf.sprintf "|%.17g|%b" warmup_fraction attribute_os);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let table : (string, entry array) Hashtbl.t = Hashtbl.create 64
-let lock = Mutex.create ()
-let hit_count = ref 0
-let miss_count = ref 0
-
-(* Mirrored into the metrics registry so the manifest's metrics snapshot
-   (and `icache-opt validate`'s hits + misses = lookups check) sees them
-   without reaching into this module. *)
-let m_hits = Metrics_registry.counter "sim_cache.hits"
-let m_misses = Metrics_registry.counter "sim_cache.misses"
-let m_lookups = Metrics_registry.counter "sim_cache.lookups"
+let memo : entry array Memo.t = Memo.create "sim_cache"
 
 let copy e =
   {
@@ -35,40 +25,14 @@ let copy e =
     os_block_misses = Array.copy e.os_block_misses;
   }
 
-let find k =
-  Metrics_registry.incr m_lookups;
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt table k with
-      | Some entries ->
-          incr hit_count;
-          Metrics_registry.incr m_hits;
-          Some (Array.map copy entries)
-      | None ->
-          incr miss_count;
-          Metrics_registry.incr m_misses;
-          None)
+let find k = Option.map (Array.map copy) (Memo.find memo k)
 
-let add k entries =
-  let entries = Array.map copy entries in
-  Mutex.protect lock (fun () ->
-      if not (Hashtbl.mem table k) then Hashtbl.add table k entries)
+let add k entries = Memo.add memo k (Array.map copy entries)
 
-let hits () = Mutex.protect lock (fun () -> !hit_count)
+let stats () = Memo.stats memo
 
-let misses () = Mutex.protect lock (fun () -> !miss_count)
+let hits () = (stats ()).Memo.hits
 
-let hit_rate () =
-  Mutex.protect lock (fun () ->
-      let total = !hit_count + !miss_count in
-      if total = 0 then 0.0 else float_of_int !hit_count /. float_of_int total)
+let misses () = (stats ()).Memo.misses
 
-let reset_stats () =
-  Mutex.protect lock (fun () ->
-      hit_count := 0;
-      miss_count := 0)
-
-let clear () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.reset table;
-      hit_count := 0;
-      miss_count := 0)
+let clear () = Memo.clear memo

@@ -11,9 +11,10 @@
     this table and the experiment suite stops re-simulating.
 
     Entries and lookups deep-copy counters and miss arrays, so callers may
-    freely mutate what they get back.  The table is domain-safe (a single
-    process-wide mutex) and process-global; {!hits}/{!misses} feed the
-    run manifest. *)
+    freely mutate what they get back.  Storage is one process-global
+    {!Memo} named [sim_cache]: domain-safe, with its lookup counts in the
+    metrics registry ([sim_cache.hits], [.misses], [.lookups]), which
+    {!stats} reads for the run manifest. *)
 
 type entry = {
   counters : Counters.t;
@@ -47,14 +48,13 @@ val add : key -> entry array -> unit
 (** Store a deep copy.  First writer wins; duplicate adds are ignored (the
     results are equal by construction). *)
 
+val stats : unit -> Memo.stats
+(** Lookup counts since the process started ([seconds] stays 0: replays
+    are stored with {!add}, not built by the table). *)
+
 val hits : unit -> int
 
 val misses : unit -> int
 
-val hit_rate : unit -> float
-(** [hits / (hits + misses)]; 0 when no lookups have happened. *)
-
-val reset_stats : unit -> unit
-
 val clear : unit -> unit
-(** Drop all entries and reset the statistics (tests). *)
+(** Drop all entries (tests); the counts keep their totals. *)

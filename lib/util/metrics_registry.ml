@@ -82,8 +82,14 @@ let observe h v =
       if v < h.min_v then h.min_v <- v;
       if v > h.max_v then h.max_v <- v)
 
-let percentile h p =
-  Mutex.protect lock (fun () -> Histogram.percentile h.buckets p /. micro)
+(* Bucket interpolation can land anywhere in the occupied bucket, which
+   may reach past the observed range (one observation of 0.31 s sits in a
+   bucket spanning 0.26-0.52 s); clamp to the exact [min, max]. *)
+let pct h p =
+  if h.count = 0 then 0.0
+  else Float.min h.max_v (Float.max h.min_v (Histogram.percentile h.buckets p /. micro))
+
+let percentile h p = Mutex.protect lock (fun () -> pct h p)
 
 let find_counter name =
   Mutex.protect lock (fun () ->
@@ -108,7 +114,6 @@ let to_json () =
     pick (function
       | n, Hist h ->
           let empty = h.count = 0 in
-          let pct p = Histogram.percentile h.buckets p /. micro in
           Some
             ( n,
               Json.Obj
@@ -120,9 +125,9 @@ let to_json () =
                   ("max", Json.Float (if empty then 0.0 else h.max_v));
                   ( "mean",
                     Json.Float (if empty then 0.0 else h.sum /. float_of_int h.count) );
-                  ("p50", Json.Float (pct 0.5));
-                  ("p90", Json.Float (pct 0.9));
-                  ("p99", Json.Float (pct 0.99));
+                  ("p50", Json.Float (pct h 0.5));
+                  ("p90", Json.Float (pct h 0.9));
+                  ("p99", Json.Float (pct h 0.99));
                 ] )
       | _ -> None)
   in

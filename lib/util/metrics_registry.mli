@@ -19,8 +19,8 @@
     e.g. seconds): each observation is scaled to an integer micro-unit and
     bucketed by binary magnitude through {!Histogram}, from which
     {!Histogram.percentile} answers p50/p90/p99 at export; exact count,
-    sum, min and max are kept alongside, so means are exact and only the
-    percentiles are bucket-quantized.
+    sum, min and max are kept alongside, so means are exact, only the
+    percentiles are bucket-quantized, and they never leave [[min, max]].
 
     JSON snapshot shape ({!to_json}):
     {v
@@ -61,7 +61,8 @@ val observe : histogram -> float -> unit
 
 val percentile : histogram -> float -> float
 (** Bucket-interpolated percentile in the histogram's own unit
-    (see {!Histogram.percentile}); [0.] when empty. *)
+    (see {!Histogram.percentile}), clamped to the observed [[min, max]];
+    [0.] when empty.  {!to_json} reports the same values. *)
 
 val find_counter : string -> int option
 (** The current value of a counter registered under [name], if any

@@ -33,12 +33,21 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let head = really_input_string ic (String.length magic) in
-      if head <> magic then invalid_arg "Trace_file.load: bad magic";
+      let malformed fmt =
+        Printf.ksprintf (fun m -> invalid_arg ("Trace_file.load: " ^ m)) fmt
+      in
+      let header = String.length magic + 8 in
+      let len = in_channel_length ic in
+      if len < header then malformed "truncated header (%d bytes)" len;
+      if really_input_string ic (String.length magic) <> magic then malformed "bad magic";
       let b8 = Bytes.create 8 in
       really_input ic b8 0 8;
       let n = Int64.to_int (Bytes.get_int64_le b8 0) in
-      if n < 0 then invalid_arg "Trace_file.load: bad length";
+      (* The file length fixes the event count, so a corrupt count never
+         sizes the buffer and a truncated body never reaches EOF. *)
+      let body = len - header in
+      if n < 0 || body mod 4 <> 0 || n <> body / 4 then
+        malformed "header claims %d events, body holds %d bytes" n body;
       let t = Trace.create ~capacity:(max 16 n) () in
       let b4 = Bytes.create 4 in
       for _ = 1 to n do

@@ -303,6 +303,32 @@ let test_trace_file_bad_magic () =
       check_raises_invalid "bad magic rejected" (fun () ->
           ignore (Trace_file.load path)))
 
+(* A file whose header is [magic] + [count] followed by [body]. *)
+let with_trace_file ~count body f =
+  let path = Filename.temp_file "icache_trace" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc Trace_file.magic;
+      let b8 = Bytes.create 8 in
+      Bytes.set_int64_le b8 0 count;
+      output_bytes oc b8;
+      output_string oc body;
+      close_out oc;
+      f path)
+
+let test_trace_file_huge_count () =
+  with_trace_file ~count:(Int64.shift_left 1L 40) (String.make 8 '\000') (fun path ->
+      check_raises_invalid "2^40-event header rejected before allocating" (fun () ->
+          ignore (Trace_file.load path)))
+
+let test_trace_file_truncated_body () =
+  (* Two events promised, one and a half present. *)
+  with_trace_file ~count:2L (String.make 6 '\000') (fun path ->
+      check_raises_invalid "body cut mid-event rejected" (fun () ->
+          ignore (Trace_file.load path)))
+
 let test_trace_raw_roundtrip () =
   let t = Trace.create () in
   Trace.append t (Trace.Exec { image = 2; block = 99 });
@@ -441,6 +467,8 @@ let () =
           case "round-trip" test_trace_file_roundtrip;
           case "replay equivalent" test_trace_file_replay_equivalent;
           case "bad magic" test_trace_file_bad_magic;
+          case "huge event count" test_trace_file_huge_count;
+          case "truncated body" test_trace_file_truncated_body;
           case "raw round-trip" test_trace_raw_roundtrip;
         ] );
       ("noise", [ case "perturb" test_noise_perturb ]);

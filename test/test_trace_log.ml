@@ -348,6 +348,36 @@ let test_observe_clamps_negative () =
   let p = Metrics_registry.percentile h 0.5 in
   check_bool "negative clamps to 0" true (p >= 0.0 && p <= 1e-6)
 
+(* Bucket interpolation must never report a percentile outside what was
+   observed: one observation of 0.31 s sits in a bucket reaching 0.52 s. *)
+let prop_registry_percentiles_in_range =
+  let fresh = ref 0 in
+  QCheck.Test.make ~count:200 ~name:"registry: min <= p50 <= p90 <= p99 <= max"
+    QCheck.(list_of_size Gen.(int_range 1 40) (float_bound_inclusive 10.0))
+    (fun obs ->
+      incr fresh;
+      let name = Printf.sprintf "test.pct_range_%d" !fresh in
+      let h = Metrics_registry.histogram name in
+      List.iter (Metrics_registry.observe h) obs;
+      let field f =
+        match
+          Option.bind
+            (Option.bind
+               (Json.member "histograms" (Metrics_registry.to_json ()))
+               (Json.member name))
+            (Json.member f)
+        with
+        | Some (Json.Float x) -> x
+        | _ -> Alcotest.failf "histogram %s: no %s" name f
+      in
+      let p q = Metrics_registry.percentile h q in
+      field "min" <= p 0.5
+      && p 0.5 <= p 0.9
+      && p 0.9 <= p 0.99
+      && p 0.99 <= field "max"
+      && field "p50" = p 0.5
+      && field "p99" = p 0.99)
+
 let () =
   Alcotest.run "trace_log"
     [
@@ -379,5 +409,6 @@ let () =
           case "get-or-create and kind clash" test_registry_get_or_create;
           case "json snapshot shape" test_registry_json_shape;
           case "negative observations clamp" test_observe_clamps_negative;
+          qcheck prop_registry_percentiles_in_range;
         ] );
     ]

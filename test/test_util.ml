@@ -412,6 +412,74 @@ let test_chart_grouped () =
   in
   check_bool "grouped render" true (String.length s > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Memo                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let registry_trio name =
+  let get suffix =
+    Option.value ~default:(-1) (Metrics_registry.find_counter (name ^ suffix))
+  in
+  (get ".hits", get ".misses", get ".lookups")
+
+let test_memo_race () =
+  let m : int array Memo.t = Memo.create "test.memo_race" in
+  let builds = Atomic.make 0 in
+  let ready = Atomic.make 0 in
+  let racer () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    Memo.find_or_build m "k" (fun () ->
+        Atomic.incr builds;
+        Unix.sleepf 0.01;
+        Array.make 4 7)
+  in
+  let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn racer)) in
+  let stored =
+    match Memo.find m "k" with Some v -> v | None -> Alcotest.fail "nothing stored"
+  in
+  check_bool "at least one build" true (Atomic.get builds >= 1);
+  List.iteri
+    (fun i v ->
+      check_bool (Printf.sprintf "domain %d got the stored value" i) true (v == stored))
+    results
+
+let test_memo_counters () =
+  let name = "test.memo_counters" in
+  let m = Memo.create name in
+  ignore (Memo.find m "a");
+  ignore (Memo.find_or_build m "a" (fun () -> 1));
+  ignore (Memo.find_or_build m "a" (fun () -> 2));
+  ignore (Memo.find m "a");
+  ignore (Memo.find m "b");
+  let h, mi, l = registry_trio name in
+  check_int "hits" 2 h;
+  check_int "misses" 3 mi;
+  check_int "hits + misses = lookups" l (h + mi);
+  let s = Memo.stats m in
+  check_int "stats.hits reads the registry" h s.Memo.hits;
+  check_int "stats.misses reads the registry" mi s.Memo.misses;
+  check_bool "build seconds >= 0" true (s.Memo.seconds >= 0.0)
+
+let test_memo_add_first_writer_wins () =
+  let m = Memo.create "test.memo_add" in
+  Memo.add m "k" "first";
+  Memo.add m "k" "second";
+  check_bool "second writer ignored" true (Memo.find m "k" = Some "first");
+  check_string "find_or_build serves the stored value" "first"
+    (Memo.find_or_build m "k" (fun () -> "built"))
+
+let test_memo_clear () =
+  let m = Memo.create "test.memo_clear" in
+  Memo.add m "a" 1;
+  Memo.add m "b" 2;
+  Memo.clear m;
+  check_bool "a gone" true (Memo.find m "a" = None);
+  check_bool "b gone" true (Memo.find m "b" = None);
+  check_int "rebuilt after clear" 3 (Memo.find_or_build m "a" (fun () -> 3))
+
 let () =
   Alcotest.run "util"
     [
@@ -470,6 +538,13 @@ let () =
           case "add_many / fraction" test_hist_add_many_fraction;
           case "merge" test_hist_merge;
           case "labels" test_hist_labels;
+        ] );
+      ( "memo",
+        [
+          case "racing builders share one value" test_memo_race;
+          case "registry counters" test_memo_counters;
+          case "add: first writer wins" test_memo_add_first_writer_wins;
+          case "clear empties the table" test_memo_clear;
         ] );
       ( "table+chart",
         [
