@@ -1,25 +1,43 @@
 (* Per line: '\000' = never evicted, '\001' = last evictor was the OS,
-   '\002' = last evictor was the application.  Indexed by line number and
-   grown by doubling: line numbers are bounded by the layout extent over
-   the line size, so this stays a few tens of KB while replacing two
-   hashtable probes on every miss. *)
-type t = { mutable by_line : Bytes.t }
+   '\002' = last evictor was the application.  Lines are grouped into
+   pages of 4096, each allocated on the first eviction inside it: a
+   layout's code is a few dense regions spread over tens of MB of address
+   space (applications sit at high bases), so a flat line-indexed map
+   would be megabytes of zeros per cache, allocated afresh for every
+   cache of every replay pass.  [none] stands for a page not yet
+   allocated. *)
+type t = { mutable pages : Bytes.t array }
 
-let create () = { by_line = Bytes.make 4096 '\000' }
+let page_bits = 12
+let page_mask = (1 lsl page_bits) - 1
+let none = Bytes.empty
+
+let create () = { pages = [||] }
+
+let[@inline never] page_for t p =
+  if p >= Array.length t.pages then begin
+    let pages = Array.make (max (p + 1) (2 * Array.length t.pages)) none in
+    Array.blit t.pages 0 pages 0 (Array.length t.pages);
+    t.pages <- pages
+  end;
+  if t.pages.(p) == none then t.pages.(p) <- Bytes.make (1 lsl page_bits) '\000';
+  t.pages.(p)
 
 let record t ~line ~os =
-  let n = Bytes.length t.by_line in
-  if line >= n then begin
-    let rec grow n = if line < n then n else grow (2 * n) in
-    let b = Bytes.make (grow (2 * n)) '\000' in
-    Bytes.blit t.by_line 0 b 0 n;
-    t.by_line <- b
-  end;
-  Bytes.unsafe_set t.by_line line (if os then '\001' else '\002')
+  let p = line lsr page_bits in
+  let page =
+    if p < Array.length t.pages && Array.unsafe_get t.pages p != none then
+      Array.unsafe_get t.pages p
+    else page_for t p
+  in
+  Bytes.unsafe_set page (line land page_mask) (if os then '\001' else '\002')
 
 let classify t (c : Counters.t) ~os line =
+  let p = line lsr page_bits in
   let tag =
-    if line < Bytes.length t.by_line then Bytes.unsafe_get t.by_line line else '\000'
+    if p < Array.length t.pages && Array.unsafe_get t.pages p != none then
+      Bytes.unsafe_get (Array.unsafe_get t.pages p) (line land page_mask)
+    else '\000'
   in
   match tag with
   | '\000' ->
@@ -44,4 +62,4 @@ let classify t (c : Counters.t) ~os line =
         1
       end
 
-let reset t = Bytes.fill t.by_line 0 (Bytes.length t.by_line) '\000'
+let reset t = Array.iter (fun page -> Bytes.fill page 0 (Bytes.length page) '\000') t.pages

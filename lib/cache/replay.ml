@@ -1,21 +1,14 @@
-type code_map = { addr : int array array; bytes : int array array }
+type code_map = Chunk.code_map = { addr : int array array; bytes : int array array }
 
-(* The systems fan-out is an array so the per-event loop neither allocates
-   nor chases list links: a whole configuration sweep rides one trace
-   decode (see Runner.simulate_batch). *)
-let feed map systems ~image ~block =
-  let addr = map.addr.(image).(block) in
-  let bytes = map.bytes.(image).(block) in
-  let os = image = 0 in
-  for k = 0 to Array.length systems - 1 do
-    System.access (Array.unsafe_get systems k) ~os ~image ~block ~addr ~bytes
-  done
-
+(* Member-major: each chunk is resolved once, then every system runs its
+   kernel over the whole chunk before the next system starts, so one
+   system's tags and eviction map stay cache-resident for 4096 events
+   instead of rotating with every other member's on each event. *)
 let run_range ~trace ~map ~systems ~warmup =
-  let i = ref 0 in
-  Trace.iter_exec trace (fun ~image ~block ->
-      feed map systems ~image ~block;
-      incr i;
-      if !i = warmup then
+  Chunk.iter ~trace ~map ~boundary:warmup (fun chunk fed ->
+      for k = 0 to Array.length systems - 1 do
+        System.run (Array.unsafe_get systems k) chunk
+      done;
+      if fed = warmup then
         (* Keep cache contents, drop the counters gathered so far. *)
         Array.iter System.reset_counters systems)

@@ -2,12 +2,15 @@
     systems under a given code placement.
 
     Feeding several systems through one call replays the trace {e once}:
-    every decoded event fans out to each system in array order, so a
+    the events are resolved under the placement a {!Chunk.size} chunk at
+    a time into one reused chunk, and every system in array order runs
+    its kernel over the whole chunk before the next chunk is read.  So a
     whole sweep of cache configurations shares a single trace decode and
-    code-map resolution.  Systems are mutually independent, so the
-    result for each is bit-identical to a solo replay. *)
+    code-map resolution, and the pass allocates nothing per event.
+    Systems are mutually independent, so the result for each is
+    bit-identical to a solo replay. *)
 
-type code_map = {
+type code_map = Chunk.code_map = {
   addr : int array array;  (** Per image: block id -> byte address. *)
   bytes : int array array;  (** Per image: block id -> block size. *)
 }
@@ -15,10 +18,11 @@ type code_map = {
 val run_range :
   trace:Trace.t -> map:code_map -> systems:System.t array ->
   warmup:int -> unit
-(** Feed every execution event to every system, in array order, and reset
-    all counters after the first [warmup] {e execution} events (invocation
-    markers do not advance the warm-up counter — compute thresholds from
-    {!Trace.exec_count}; [0] keeps every event), so reported numbers
+(** Feed every execution event to every system, and reset all counters
+    after the first [warmup] {e execution} events, where a chunk ends
+    (invocation markers do not advance the warm-up counter — compute
+    thresholds from {!Trace.exec_count}; [0] keeps every event), so
+    reported numbers
     exclude the initial cold start (the paper's traces are mid-execution
     snapshots with negligible first-time misses).  Systems accumulate
     counters; call {!System.reset} first to reuse one. *)

@@ -1,7 +1,7 @@
 (* The replacement policy is resolved once at [create] into this dispatch
-   so the per-access hot path never re-examines [Config.policy].  With one
-   way there is nothing to age, so every deterministic policy collapses to
-   [Direct]: a single tag compare, no way search, no blit. *)
+   so a kernel's loop never re-examines [Config.policy].  With one way
+   there is nothing to age, so every deterministic policy collapses to
+   [Direct]: a single tag compare, no way search, no shift. *)
 type kernel =
   | Direct
   | Lru_assoc
@@ -81,88 +81,133 @@ let block_misses_cross t ~image =
     invalid_arg "Sim.block_misses_cross: attribution not enabled";
   t.attr_cross.(image)
 
-(* Returns true on hit.  On miss, installs the line as MRU and records the
-   victim's evictor domain. *)
-let access_line t ~os line =
+type side = All | Inside of int | Outside of int
+
+(* Whether event [i] of a chunk is on the side given by [limit] and
+   [inside]: an OS fetch below [limit] is inside, any other event
+   outside. *)
+let[@inline] taken (c : Chunk.t) i ~limit ~inside =
+  if Array.unsafe_get c.owner i land 7 = 0 && Array.unsafe_get c.addr i < limit then inside
+  else not inside
+
+(* The cold path every kernel shares: count the miss of event [i] on
+   [line] as cold, self or cross, and charge it to the fetching block
+   when attributing. *)
+let[@inline never] classify t (c : Chunk.t) i line =
+  let owner = c.owner.(i) in
+  let kind = Evictions.classify t.evictions t.counters ~os:(owner land 7 = 0) line in
+  if t.attribution then begin
+    let image = owner land 7 and block = owner lsr 3 in
+    let a = t.attr.(image) in
+    a.(block) <- a.(block) + 1;
+    if kind = 1 then begin
+      let a = t.attr_self.(image) in
+      a.(block) <- a.(block) + 1
+    end
+    else if kind = 2 then begin
+      let a = t.attr_cross.(image) in
+      a.(block) <- a.(block) + 1
+    end
+  end
+
+(* One way: the set holds exactly one line, so replacement is an
+   unconditional store. *)
+let[@inline never] direct_miss t (c : Chunk.t) i line =
+  let set = line land (t.sets - 1) in
+  let cur = Array.unsafe_get t.tags set in
+  if cur >= 0 then Evictions.record t.evictions ~line:cur ~os:(c.owner.(i) land 7 = 0);
+  Array.unsafe_set t.tags set line;
+  classify t c i line
+
+(* Pick the victim way per policy, then shift the younger ways down and
+   insert at slot 0, so age order is maintained for LRU/FIFO. *)
+let[@inline never] assoc_miss t (c : Chunk.t) i line base =
+  let tags = t.tags and assoc = t.assoc in
+  let way =
+    match t.kernel with
+    | Random_assoc g ->
+        (* Prefer an invalid way; otherwise uniform. *)
+        let w = ref 0 in
+        while !w < assoc && Array.unsafe_get tags (base + !w) >= 0 do
+          incr w
+        done;
+        if !w < assoc then !w else Prng.int g assoc
+    | Direct | Lru_assoc | Fifo_assoc -> assoc - 1
+  in
+  let victim = Array.unsafe_get tags (base + way) in
+  if victim >= 0 then Evictions.record t.evictions ~line:victim ~os:(c.owner.(i) land 7 = 0);
+  for k = way downto 1 do
+    Array.unsafe_set tags (base + k) (Array.unsafe_get tags (base + k - 1))
+  done;
+  Array.unsafe_set tags base line;
+  classify t c i line
+
+(* Each kernel touches every line an event spans once: further words on
+   an already-touched line hit by construction.  [all] takes every event,
+   otherwise {!taken} picks the side. *)
+let run_direct t (c : Chunk.t) ~all ~limit ~inside =
+  let addr = c.addr and last = c.last in
+  let tags = t.tags and mask = t.sets - 1 and shift = t.line_shift in
+  for i = 0 to c.len - 1 do
+    if all || taken c i ~limit ~inside then
+      for line = Array.unsafe_get addr i lsr shift to Array.unsafe_get last i lsr shift do
+        if Array.unsafe_get tags (line land mask) <> line then direct_miss t c i line
+      done
+  done
+
+let run_assoc t (c : Chunk.t) ~all ~limit ~inside =
+  let addr = c.addr and last = c.last in
+  let tags = t.tags and mask = t.sets - 1 and shift = t.line_shift and assoc = t.assoc in
+  (* LRU refreshes on hit; FIFO and Random do not. *)
+  let lru = match t.kernel with Lru_assoc -> true | Direct | Fifo_assoc | Random_assoc _ -> false in
+  for i = 0 to c.len - 1 do
+    if all || taken c i ~limit ~inside then
+      for line = Array.unsafe_get addr i lsr shift to Array.unsafe_get last i lsr shift do
+        let base = (line land mask) * assoc in
+        let way = ref 0 in
+        while !way < assoc && Array.unsafe_get tags (base + !way) <> line do
+          incr way
+        done;
+        let way = !way in
+        if way = assoc then assoc_miss t c i line base
+        else if lru && way > 0 then begin
+          for k = way downto 1 do
+            Array.unsafe_set tags (base + k) (Array.unsafe_get tags (base + k - 1))
+          done;
+          Array.unsafe_set tags base line
+        end
+      done
+  done
+
+(* Words fetched on the side: the chunk's totals when every event is
+   taken, otherwise counted event by event. *)
+let count_words t (c : Chunk.t) ~all ~limit ~inside =
+  let k = t.counters in
+  if all then begin
+    k.Counters.refs_os <- k.Counters.refs_os + c.os_words;
+    k.Counters.refs_app <- k.Counters.refs_app + c.app_words
+  end
+  else
+    for i = 0 to c.len - 1 do
+      if taken c i ~limit ~inside then begin
+        let w = Chunk.words ~addr:c.addr.(i) ~last:c.last.(i) in
+        if c.owner.(i) land 7 = 0 then k.Counters.refs_os <- k.Counters.refs_os + w
+        else k.Counters.refs_app <- k.Counters.refs_app + w
+      end
+    done
+
+let run t side c =
+  let all = match side with All -> true | Inside _ | Outside _ -> false in
+  let limit = match side with All -> 0 | Inside l | Outside l -> l in
+  let inside = match side with Outside _ -> false | All | Inside _ -> true in
+  count_words t c ~all ~limit ~inside;
   match t.kernel with
-  | Direct ->
-      (* One way: the set holds exactly one line, so hit/miss is a single
-         tag compare and replacement is an unconditional store. *)
-      let set = line land (t.sets - 1) in
-      let tags = t.tags in
-      let cur = Array.unsafe_get tags set in
-      if cur = line then true
-      else begin
-        if cur >= 0 then Evictions.record t.evictions ~line:cur ~os;
-        Array.unsafe_set tags set line;
-        false
-      end
-  | (Lru_assoc | Fifo_assoc | Random_assoc _) as kernel ->
-      let set = line land (t.sets - 1) in
-      let base = set * t.assoc in
-      let assoc = t.assoc in
-      let tags = t.tags in
-      (* Find the way holding [line]. *)
-      let rec find i = if i = assoc then -1 else if tags.(base + i) = line then i else find (i + 1) in
-      let way = find 0 in
-      if way >= 0 then begin
-        (* LRU refreshes on hit; FIFO and Random do not. *)
-        (match kernel with
-        | Lru_assoc ->
-            if way > 0 then begin
-              let v = tags.(base + way) in
-              Array.blit tags base tags (base + 1) way;
-              tags.(base) <- v
-            end
-        | Direct | Fifo_assoc | Random_assoc _ -> ());
-        true
-      end
-      else begin
-        (* Pick the victim way per policy, then insert at slot 0 so age order
-           is maintained for LRU/FIFO. *)
-        let victim_way =
-          match kernel with
-          | Random_assoc g ->
-              (* Prefer an invalid way; otherwise uniform. *)
-              let rec invalid i =
-                if i = assoc then None
-                else if tags.(base + i) < 0 then Some i
-                else invalid (i + 1)
-              in
-              (match invalid 0 with Some i -> i | None -> Prng.int g assoc)
-          | Direct | Lru_assoc | Fifo_assoc -> assoc - 1
-        in
-        let victim = tags.(base + victim_way) in
-        if victim >= 0 then Evictions.record t.evictions ~line:victim ~os;
-        Array.blit tags base tags (base + 1) victim_way;
-        tags.(base) <- line;
-        false
-      end
+  | Direct -> run_direct t c ~all ~limit ~inside
+  | Lru_assoc | Fifo_assoc | Random_assoc _ -> run_assoc t c ~all ~limit ~inside
 
 let access t ~os ~image ~block ~addr ~bytes =
-  let words = if bytes <= 4 then 1 else bytes lsr 2 in
-  let c = t.counters in
-  if os then c.Counters.refs_os <- c.Counters.refs_os + words
-  else c.Counters.refs_app <- c.Counters.refs_app + words;
-  let first = addr lsr t.line_shift in
-  let last = (addr + bytes - 1) lsr t.line_shift in
-  for line = first to last do
-    if not (access_line t ~os line) then begin
-      let kind = Evictions.classify t.evictions t.counters ~os line in
-      if t.attribution then begin
-        let a = t.attr.(image) in
-        a.(block) <- a.(block) + 1;
-        if kind = 1 then begin
-          let a = t.attr_self.(image) in
-          a.(block) <- a.(block) + 1
-        end
-        else if kind = 2 then begin
-          let a = t.attr_cross.(image) in
-          a.(block) <- a.(block) + 1
-        end
-      end
-    end
-  done
+  if os <> (image = 0) then invalid_arg "Sim.access: os must mean image 0";
+  run t All (Chunk.single ~image ~block ~addr ~bytes)
 
 let probe t ~addr =
   let line = addr lsr t.line_shift in

@@ -1,6 +1,13 @@
-(** Set-associative LRU instruction-cache simulator with the paper's miss
-    classification and optional per-block miss attribution (for the
-    miss-address distributions of Figures 1 and 14). *)
+(** Set-associative instruction-cache simulator (LRU, FIFO or Random
+    replacement) with the paper's miss classification and optional
+    per-block miss attribution (for the miss-address distributions of
+    Figures 1 and 14).
+
+    A cache runs over a resolved {!Chunk.t} of events at a time: one
+    kernel loop per kind (direct-mapped, or set-associative with the
+    policy fixed at {!create}), with the way search and the age shift
+    inline and the miss classification in a cold out-of-line path.  It
+    allocates nothing per event. *)
 
 type t
 
@@ -23,10 +30,23 @@ val block_misses_self : t -> image:int -> int array
 val block_misses_cross : t -> image:int -> int array
 (** Per-block cross-interference miss counts. *)
 
+type side =
+  | All  (** Every event. *)
+  | Inside of int  (** OS events at addresses below the limit. *)
+  | Outside of int  (** Every event [Inside] the same limit rejects. *)
+(** Which of a chunk's events a cache takes: a sub-cache of a split or
+    reserved {!System} sees only its side of the stream. *)
+
+val run : t -> side -> Chunk.t -> unit
+(** Feed the chunk's events on [side], in order.  Each event is one
+    basic-block execution: it fetches [max 1 (bytes/4)] instruction
+    words and touches each spanned cache line once (further words on an
+    already-touched line hit by construction). *)
+
 val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> unit
-(** One basic-block execution: fetches the [bytes/4] instruction words
-    starting at [addr], touching each spanned cache line once (further
-    words on an already-touched line hit by construction). *)
+(** {!run} over a one-event chunk.
+    @raise Invalid_argument unless [os = (image = 0)] and
+    [0 <= image <= 5]. *)
 
 val probe : t -> addr:int -> bool
 (** Whether the line holding [addr] is currently resident (testing aid;

@@ -63,10 +63,9 @@ let tree_sum t i =
   in
   go i 0
 
-let access t ~addr ~bytes =
-  let first = addr lsr t.line_shift in
-  let last = (addr + max 1 bytes - 1) lsr t.line_shift in
-  for line = first to last do
+(* Record the lines spanned by bytes [addr .. last]. *)
+let touch t ~addr ~last =
+  for line = addr lsr t.line_shift to last lsr t.line_shift do
     t.refs <- t.refs + 1;
     grow t t.time;
     (match Hashtbl.find_opt t.last_ref line with
@@ -83,6 +82,8 @@ let access t ~addr ~bytes =
     tree_add t t.time 1;
     t.time <- t.time + 1
   done
+
+let access t ~addr ~bytes = touch t ~addr ~last:(addr + max 1 bytes - 1)
 
 let refs t = t.refs
 
@@ -114,8 +115,11 @@ let curve t ~max_lines =
 
 let from_trace ~trace ~map ?(line = 32) ?(os_only = false) () =
   let t = create ~line () in
-  Trace.iter_exec trace (fun ~image ~block ->
-      if (not os_only) || Program.is_os image then
-        access t ~addr:map.Replay.addr.(image).(block)
-          ~bytes:map.Replay.bytes.(image).(block));
+  Chunk.iter ~trace ~map ~boundary:0 (fun (c : Chunk.t) _ ->
+      for i = 0 to c.len - 1 do
+        let o = c.owner.(i) in
+        if (not os_only) || Program.is_os (o land 7) then
+          (* A block fetches at least one byte. *)
+          touch t ~addr:c.addr.(i) ~last:(max c.addr.(i) c.last.(i))
+      done);
   t

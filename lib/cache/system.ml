@@ -54,57 +54,71 @@ let sims t =
   | Reserved { hot; rest; _ } -> [ hot; rest ]
   | Victim _ -> []
 
-(* Park a displaced line as the buffer's MRU; the LRU entry leaves the
-   hierarchy, remembered in [vevicted] for miss classification. *)
-let victim_park v ~os line =
-  if line >= 0 then begin
-    let n = Array.length v.vbuf in
-    let lru = v.vbuf.(n - 1) in
-    if lru >= 0 then Evictions.record v.vevicted ~line:lru ~os;
-    Array.blit v.vbuf 0 v.vbuf 1 (n - 1);
-    v.vbuf.(0) <- line
+(* A main-cache miss: look in the buffer, swapping a hit back into the
+   main cache; otherwise classify the miss and park the displaced line as
+   the buffer's MRU, the buffer's LRU entry leaving the hierarchy
+   (remembered in [vevicted] for miss classification). *)
+let[@inline never] victim_miss v ~os line set =
+  let vmain = v.vmain and vbuf = v.vbuf in
+  let n = Array.length vbuf in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get vbuf !i <> line do
+    incr i
+  done;
+  let i = !i in
+  let displaced = Array.unsafe_get vmain set in
+  let shift =
+    if i < n then i
+    else begin
+      ignore (Evictions.classify v.vevicted v.vcounters ~os line);
+      let lru = Array.unsafe_get vbuf (n - 1) in
+      if displaced >= 0 && lru >= 0 then Evictions.record v.vevicted ~line:lru ~os;
+      n - 1
+    end
+  in
+  Array.unsafe_set vmain set line;
+  (* On a buffer hit [displaced >= 0] always: the set conflicted. *)
+  if displaced >= 0 then begin
+    for k = shift downto 1 do
+      Array.unsafe_set vbuf k (Array.unsafe_get vbuf (k - 1))
+    done;
+    Array.unsafe_set vbuf 0 displaced
   end
 
-let victim_access_line v ~os line =
-  let set = line land (v.vsets - 1) in
-  if v.vmain.(set) = line then ()
-  else begin
-    let n = Array.length v.vbuf in
-    let rec find i = if i = n then -1 else if v.vbuf.(i) = line then i else find (i + 1) in
-    match find 0 with
-    | i when i >= 0 ->
-        (* Victim hit: swap with the main cache's resident line. *)
-        let displaced = v.vmain.(set) in
-        v.vmain.(set) <- line;
-        Array.blit v.vbuf 0 v.vbuf 1 i;
-        v.vbuf.(0) <- displaced
-        (* displaced >= 0 always here: the set conflicted before. *)
-    | _ ->
-        ignore (Evictions.classify v.vevicted v.vcounters ~os line);
-        victim_park v ~os v.vmain.(set);
-        v.vmain.(set) <- line
-  end
+let run_victim v (c : Chunk.t) =
+  let addr = c.addr and last = c.last in
+  let vmain = v.vmain and mask = v.vsets - 1 and shift = v.vline_shift in
+  for i = 0 to c.len - 1 do
+    for line = Array.unsafe_get addr i lsr shift to Array.unsafe_get last i lsr shift do
+      let set = line land mask in
+      if Array.unsafe_get vmain set <> line then
+        victim_miss v ~os:(Array.unsafe_get c.owner i land 7 = 0) line set
+    done
+  done;
+  let k = v.vcounters in
+  k.Counters.refs_os <- k.Counters.refs_os + c.os_words;
+  k.Counters.refs_app <- k.Counters.refs_app + c.app_words
 
-let victim_access v ~os ~addr ~bytes =
-  let words = if bytes <= 4 then 1 else bytes lsr 2 in
-  let c = v.vcounters in
-  if os then c.Counters.refs_os <- c.Counters.refs_os + words
-  else c.Counters.refs_app <- c.Counters.refs_app + words;
-  let first = addr lsr v.vline_shift in
-  let last = (addr + bytes - 1) lsr v.vline_shift in
-  for line = first to last do
-    victim_access_line v ~os line
-  done
+let run t c =
+  match t.kind with
+  | Unified s -> Sim.run s Sim.All c
+  | Split { os_side; app_side } ->
+      Sim.run os_side (Sim.Inside max_int) c;
+      Sim.run app_side (Sim.Outside max_int) c
+  | Reserved { hot; rest; hot_limit } ->
+      Sim.run hot (Sim.Inside hot_limit) c;
+      Sim.run rest (Sim.Outside hot_limit) c
+  | Victim v -> run_victim v c
 
+(* The victim cache keeps no per-image state, so [os] alone names the
+   domain; the others charge misses to [image] and need the two to
+   agree. *)
 let access t ~os ~image ~block ~addr ~bytes =
   match t.kind with
-  | Unified s -> Sim.access s ~os ~image ~block ~addr ~bytes
-  | Split { os_side; app_side } ->
-      Sim.access (if os then os_side else app_side) ~os ~image ~block ~addr ~bytes
-  | Reserved { hot; rest; hot_limit } ->
-      let target = if os && addr < hot_limit then hot else rest in
-      Sim.access target ~os ~image ~block ~addr ~bytes
-  | Victim v -> victim_access v ~os ~addr ~bytes
+  | Victim v -> run_victim v (Chunk.single ~image:(if os then 0 else 1) ~block ~addr ~bytes)
+  | Unified _ | Split _ | Reserved _ ->
+      if os <> (image = 0) then invalid_arg "System.access: os must mean image 0";
+      run t (Chunk.single ~image ~block ~addr ~bytes)
 
 let counters t =
   match t.kind with

@@ -24,7 +24,19 @@ val victim : main:Config.t -> entries:int -> t
     @raise Invalid_argument unless [main] is direct-mapped and
     [entries >= 1]. *)
 
+val run : t -> Chunk.t -> unit
+(** Feed a chunk of events through every sub-cache, each over its whole
+    side of the chunk in turn: a split cache's OS half takes the OS
+    events, a reserved cache's hot half the OS events below [hot_limit],
+    the other half the rest.  Sub-caches are independent, so each sees
+    exactly the per-event order of the trace.  The victim cache runs its
+    own loop.  Allocates nothing per event. *)
+
 val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> unit
+(** {!run} over a one-event chunk.  The victim cache keeps no per-image
+    state and takes the domain from [os] alone.
+    @raise Invalid_argument for any other organization unless
+    [os = (image = 0)]. *)
 
 val counters : t -> Counters.t
 (** Aggregated snapshot (a fresh copy) across sub-caches. *)

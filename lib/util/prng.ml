@@ -1,18 +1,30 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a boxed [int64]
+   field: the unboxed byte primitives let a draw read, advance and store
+   the state without allocating (the Random cache policy draws on the
+   replay hot path).  The buffer never leaves this module, so its byte
+   order is irrelevant. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let g = Bytes.create 8 in
+  set64 g 0 seed;
+  g
 
 let of_int seed = create (Int64.of_int seed)
 
-let copy g = { state = g.state }
+let copy = Bytes.copy
 
 (* SplitMix64 step: advance by the golden gamma, then mix (Stafford's
-   variant 13 finalizer). *)
-let next_int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  let z = g.state in
+   variant 13 finalizer).  Inlined so callers that narrow the result to
+   an int never box it. *)
+let[@inline] next_int64 g =
+  let z = Int64.add (get64 g 0) golden_gamma in
+  set64 g 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -60,6 +60,25 @@ let iter_exec t f =
     if tag < 6 then f ~image:tag ~block:(v lsr 3)
   done
 
+type cursor = { trace : t; mutable pos : int }
+
+let cursor trace = { trace; pos = 0 }
+
+let read_exec c dst n =
+  let data = c.trace.data and len = c.trace.len in
+  let n = min n (Array.length dst) in
+  let k = ref 0 and pos = ref c.pos in
+  while !k < n && !pos < len do
+    let v = Array.unsafe_get data !pos in
+    if v land 7 < tag_end then begin
+      Array.unsafe_set dst !k v;
+      incr k
+    end;
+    incr pos
+  done;
+  c.pos <- !pos;
+  !k
+
 let raw t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.raw: out of bounds";
   t.data.(i)

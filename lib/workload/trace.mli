@@ -34,6 +34,20 @@ val iter_exec : t -> (image:int -> block:Block.id -> unit) -> unit
 (** Replay only block executions (the common fast path for cache
     simulation). *)
 
+type cursor
+(** A read position in a trace, for consuming its executions in
+    batches. *)
+
+val cursor : t -> cursor
+(** A cursor at the first event. *)
+
+val read_exec : cursor -> int array -> int -> int
+(** [read_exec c dst n] copies the packed encoding [(block lsl 3) lor
+    image] of the next (at most) [n] execution events into
+    [dst.(0 .. k-1)], skips invocation markers, advances [c] past them
+    and returns [k]; [0] once the trace is exhausted.  [n] is clipped to
+    [Array.length dst]. *)
+
 val raw : t -> int -> int
 (** The packed integer encoding of event [i] (for serialization). *)
 

@@ -349,69 +349,24 @@ let test_system_victim_validation () =
   check_raises_invalid "attribution unsupported" (fun () ->
       System.enable_block_attribution sys ~images:1 ~blocks:[| 1 |])
 
-(* A victim cache as one would draw it on paper: the main cache as an
-   association list set -> line, the buffer as an MRU-first list of at
-   most [entries] lines, and an association list line -> whether its last
-   evictor was the OS.  Slow, but every step can be checked by eye. *)
-type naive_victim = {
-  sets : int;
-  entries : int;
-  mutable main : (int * int) list;
-  mutable buffer : int list;
-  mutable evictors : (int * bool) list;
-  counters : Counters.t;
-}
-
-let naive_victim ~sets ~entries =
-  { sets; entries; main = []; buffer = []; evictors = []; counters = Counters.create () }
-
-let naive_victim_access t ~os line =
-  let c = t.counters in
-  if os then c.Counters.refs_os <- c.Counters.refs_os + 1
-  else c.Counters.refs_app <- c.Counters.refs_app + 1;
-  let set = line mod t.sets in
-  let resident = List.assoc_opt set t.main in
-  if resident <> Some line then begin
-    let displaced = Option.to_list resident in
-    if List.mem line t.buffer then
-      (* Buffer hit: swap the line with the main cache's resident. *)
-      t.buffer <- displaced @ List.filter (fun l -> l <> line) t.buffer
-    else begin
-      (match (List.assoc_opt line t.evictors, os) with
-      | None, true -> c.Counters.os_cold <- c.Counters.os_cold + 1
-      | None, false -> c.Counters.app_cold <- c.Counters.app_cold + 1
-      | Some true, true -> c.Counters.os_self <- c.Counters.os_self + 1
-      | Some false, true -> c.Counters.os_cross <- c.Counters.os_cross + 1
-      | Some true, false -> c.Counters.app_cross <- c.Counters.app_cross + 1
-      | Some false, false -> c.Counters.app_self <- c.Counters.app_self + 1);
-      let buffer = displaced @ t.buffer in
-      if List.length buffer > t.entries then begin
-        (* The buffer's LRU line leaves the hierarchy, evicted by [os]. *)
-        let gone = List.nth buffer t.entries in
-        t.evictors <- (gone, os) :: List.remove_assoc gone t.evictors;
-        t.buffer <- List.filteri (fun i _ -> i < t.entries) buffer
-      end
-      else t.buffer <- buffer
-    end;
-    t.main <- (set, line) :: List.remove_assoc set t.main
-  end
-
 (* Random OS/application line streams over a few conflicting sets: the
-   victim path must count exactly what the naive model counts. *)
+   victim path must count exactly what the naive list model in
+   ref_cache.ml counts. *)
 let prop_victim_matches_naive =
   QCheck.Test.make ~name:"victim cache == naive list model" ~count:200
     QCheck.(
       triple (int_range 1 4) (oneofl [ 1; 4; 8 ])
         (list_of_size Gen.(1 -- 300) (pair (int_bound 40) bool)))
     (fun (entries, sets, stream) ->
-      let sys = System.victim ~main:(Config.v ~size:(sets * 32) ~assoc:1 ~line:32) ~entries in
-      let naive = naive_victim ~sets ~entries in
+      let main = Config.v ~size:(sets * 32) ~assoc:1 ~line:32 in
+      let sys = System.victim ~main ~entries in
+      let naive = Ref_cache.victim ~main ~entries in
       List.iter
         (fun (line, os) ->
           System.access sys ~os ~image:0 ~block:0 ~addr:(line * 32) ~bytes:4;
-          naive_victim_access naive ~os line)
+          Ref_cache.access naive ~image:(if os then 0 else 1) ~block:0 ~addr:(line * 32) ~bytes:4)
         stream;
-      System.counters sys = naive.counters)
+      System.counters sys = Ref_cache.counters naive)
 
 let test_system_victim_reset () =
   let sys = System.victim ~main:(Config.v ~size:1024 ~assoc:1 ~line:32) ~entries:2 in
@@ -468,6 +423,44 @@ let test_replay_warmup () =
   check_int "warmup discards all misses" 0 (Counters.misses (System.counters sys));
   check_int "and all refs" 0 (Counters.refs (System.counters sys))
 
+(* A replay allocates per pass (the chunk, its cursor), never per event:
+   a closure or boxed value in any kernel's loop shows up here as
+   allocated words per event. *)
+let test_replay_allocation_free () =
+  let g = Prng.of_int 7 in
+  let blocks = [| 400; 300 |] in
+  let map =
+    {
+      Replay.addr = Array.map (fun n -> Array.init n (fun _ -> 4 * Prng.int g 16384)) blocks;
+      bytes = Array.map (fun n -> Array.init n (fun _ -> 4 + (4 * Prng.int g 24))) blocks;
+    }
+  in
+  let t = Trace.create () in
+  let events = 60_000 in
+  for _ = 1 to events do
+    let image = Prng.int g 2 in
+    Trace.append t (Trace.Exec { image; block = Prng.int g blocks.(image) })
+  done;
+  let kb size_kb = Config.make ~size_kb () in
+  let assoc4 policy = Config.make ~size_kb:8 ~assoc:4 ~policy () in
+  List.iter
+    (fun (name, make) ->
+      let systems = [| make () |] in
+      let w0 = Gc.minor_words () in
+      Replay.run_range ~trace:t ~map ~systems ~warmup:(events / 5);
+      let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
+      if per_event >= 0.01 then
+        Alcotest.failf "%s: %.4f minor words per event (want < 0.01)" name per_event)
+    [
+      ("direct", fun () -> System.unified (kb 8));
+      ("lru4", fun () -> System.unified (assoc4 Config.Lru));
+      ("fifo4", fun () -> System.unified (assoc4 Config.Fifo));
+      ("random4", fun () -> System.unified (assoc4 (Config.Random 1234)));
+      ("victim", fun () -> System.victim ~main:(kb 8) ~entries:8);
+      ("split", fun () -> System.split ~os:(kb 4) ~app:(kb 4));
+      ("reserved", fun () -> System.reserved ~hot:(kb 1) ~rest:(kb 8) ~hot_limit:8192);
+    ]
+
 let () =
   Alcotest.run "cache"
     [
@@ -516,5 +509,6 @@ let () =
           case "run" test_replay_run;
           case "multiple systems" test_replay_multiple_systems;
           case "warmup" test_replay_warmup;
+          case "allocation-free kernels" test_replay_allocation_free;
         ] );
     ]

@@ -1,0 +1,171 @@
+open Helpers
+
+(* Differential tests of the chunked replay kernels against the naive
+   reference model in ref_cache.ml.  Each case draws its program, trace
+   and caches from one QCheck-chosen seed, so a failure names the seed
+   that reproduces it. *)
+
+(* A random program: the OS (image 0) plus up to two applications, with
+   blocks of 1..160 bytes at random word-aligned addresses in a window of
+   1 KB up to [2^(sizes-1)] KB, so blocks span several lines and images
+   collide in the caches.  An application may sit 16 MB per image higher,
+   as real layouts place them, which still collides (16 MB is a multiple
+   of every cache size) but spreads the lines far apart. *)
+let program ?(sizes = 4) g =
+  let images = 1 + Prng.int g 3 in
+  let blocks = Array.init images (fun _ -> 1 + Prng.int g 40) in
+  let window = 1024 lsl Prng.int g sizes in
+  let base = Array.init images (fun image -> if Prng.bool g then image lsl 24 else 0) in
+  let map =
+    {
+      Replay.addr =
+        Array.mapi
+          (fun image n -> Array.init n (fun _ -> base.(image) + (4 * Prng.int g (window / 4))))
+          blocks;
+      bytes = Array.map (fun n -> Array.init n (fun _ -> 1 + Prng.int g 160)) blocks;
+    }
+  in
+  (map, blocks, window)
+
+(* [events] executions with invocation markers sprinkled between them:
+   markers must not advance the warm-up count. *)
+let trace g ~blocks ~events =
+  let t = Trace.create () in
+  for _ = 1 to events do
+    (match Prng.int g 64 with
+    | 0 -> Trace.append t (Trace.Invocation_start (Service.of_index 0))
+    | 1 -> Trace.append t Trace.Invocation_end
+    | _ -> ());
+    let image = Prng.int g (Array.length blocks) in
+    Trace.append t (Trace.Exec { image; block = Prng.int g blocks.(image) })
+  done;
+  t
+
+let pick g a = a.(Prng.int g (Array.length a))
+
+(* Any policy, 1..8 ways, 1..32 sets, 16..64-byte lines. *)
+let config ?assoc g =
+  let assoc = match assoc with Some a -> a | None -> pick g [| 1; 2; 4; 8 |] in
+  let line = pick g [| 16; 32; 64 |] and sets = 1 lsl Prng.int g 6 in
+  let policy =
+    match Prng.int g 3 with 0 -> Config.Lru | 1 -> Config.Fifo | _ -> Config.Random (Prng.int g 10_000)
+  in
+  Config.with_policy (Config.v ~size:(sets * assoc * line) ~assoc ~line) policy
+
+type kind = Unified | Split | Reserved | Victim
+
+(* The same organization built twice: once for Replay, once as the
+   reference. *)
+let pair g ~window kind =
+  match kind with
+  | Unified ->
+      let c = config g in
+      (System.unified c, Ref_cache.unified c)
+  | Split ->
+      let os = config g and app = config g in
+      (System.split ~os ~app, Ref_cache.split ~os ~app)
+  | Reserved ->
+      let hot = config g and rest = config g and hot_limit = Prng.int g (window + 1) in
+      (System.reserved ~hot ~rest ~hot_limit, Ref_cache.reserved ~hot ~rest ~hot_limit)
+  | Victim ->
+      let main = config ~assoc:1 g and entries = 1 + Prng.int g 8 in
+      (System.victim ~main ~entries, Ref_cache.victim ~main ~entries)
+
+(* Counters and, where the organization keeps them, per-block misses of
+   every kind must match the reference exactly. *)
+let agree ~blocks (sys, model) =
+  System.counters sys = Ref_cache.counters model
+  && (match model with
+     | Ref_cache.Victim _ -> true
+     | Ref_cache.Unified _ | Ref_cache.Split _ | Ref_cache.Reserved _ ->
+         Array.for_all Fun.id
+           (Array.mapi
+              (fun image n ->
+                let total = System.block_misses sys ~image
+                and self = System.block_misses_self sys ~image
+                and cross = System.block_misses_cross sys ~image in
+                List.for_all
+                  (fun block ->
+                    Ref_cache.block_misses model ~image ~block
+                    = (total.(block), self.(block), cross.(block)))
+                  (List.init n Fun.id))
+              blocks))
+
+(* Replay [pairs] through both paths and compare every member. *)
+let replay_agrees ~map ~blocks ~trace ~warmup pairs =
+  let images = Array.length blocks in
+  List.iter
+    (fun (sys, model) ->
+      match model with
+      | Ref_cache.Victim _ -> ()
+      | Ref_cache.Unified _ | Ref_cache.Split _ | Ref_cache.Reserved _ ->
+          System.enable_block_attribution sys ~images ~blocks)
+    pairs;
+  Replay.run_range ~trace ~map ~systems:(Array.of_list (List.map fst pairs)) ~warmup;
+  Ref_cache.replay ~trace ~map ~warmup (List.map snd pairs);
+  List.for_all (agree ~blocks) pairs
+
+let prop_unified =
+  QCheck.Test.make ~name:"unified: every policy x assoc x line, mixed line sizes per pass"
+    ~count:40 QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let map, blocks, window = program g in
+      let trace = trace g ~blocks ~events:(1 + Prng.int g 3000) in
+      let pairs = List.init (1 + Prng.int g 6) (fun _ -> pair g ~window Unified) in
+      replay_agrees ~map ~blocks ~trace ~warmup:(Prng.int g (Trace.exec_count trace + 1)) pairs)
+
+let prop_organizations =
+  QCheck.Test.make ~name:"split, reserved and victim organizations" ~count:40 QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let map, blocks, window = program g in
+      let trace = trace g ~blocks ~events:(1 + Prng.int g 3000) in
+      let pairs = List.map (pair g ~window) [ Split; Reserved; Victim; Unified ] in
+      replay_agrees ~map ~blocks ~trace ~warmup:(Prng.int g (Trace.exec_count trace + 1)) pairs)
+
+(* Warm-up thresholds around the chunk size: the counter reset must land
+   after exactly [warmup] executions wherever it falls in a chunk.  A
+   small footprint keeps the reference quick over these long traces. *)
+let prop_warmup_edges =
+  let n = Chunk.size in
+  QCheck.Test.make ~name:"warm-up at 0, 1, chunk-1, chunk, chunk+1 and exec_count" ~count:3
+    QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let map, blocks, window = program ~sizes:2 g in
+      let trace = trace g ~blocks ~events:(n + 2 + Prng.int g n) in
+      List.for_all
+        (fun warmup ->
+          let pairs = List.map (pair g ~window) [ Unified; Unified; Split; Reserved; Victim ] in
+          replay_agrees ~map ~blocks ~trace ~warmup pairs)
+        [ 0; 1; n - 1; n; n + 1; Trace.exec_count trace ])
+
+(* The one-event entry point runs the same kernels. *)
+let prop_single_access =
+  QCheck.Test.make ~name:"System.access event by event == reference" ~count:40 QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let map, blocks, window = program g in
+      let trace = trace g ~blocks ~events:(1 + Prng.int g 500) in
+      let pairs = List.map (pair g ~window) [ Unified; Split; Reserved; Victim ] in
+      Trace.iter_exec trace (fun ~image ~block ->
+          let addr = map.Replay.addr.(image).(block) and bytes = map.Replay.bytes.(image).(block) in
+          List.iter
+            (fun (sys, model) ->
+              System.access sys ~os:(image = 0) ~image ~block ~addr ~bytes;
+              Ref_cache.access model ~image ~block ~addr ~bytes)
+            pairs);
+      List.for_all (fun (sys, model) -> System.counters sys = Ref_cache.counters model) pairs)
+
+let () =
+  Alcotest.run "oracle"
+    [
+      ( "replay vs reference",
+        [
+          qcheck prop_unified;
+          qcheck prop_organizations;
+          qcheck prop_warmup_edges;
+          qcheck prop_single_access;
+        ] );
+    ]

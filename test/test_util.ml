@@ -41,6 +41,46 @@ let test_prng_int_bounds () =
     check_bool "0 <= v < 7" true (v >= 0 && v < 7)
   done
 
+(* The first 1000 draws per seed, as digests of their decimal listing
+   plus the leading values, pinned when the generator kept its state in a
+   boxed int64: every seeded experiment (the Random cache policy, the
+   workload walks) depends on this exact sequence.  [max_int] exposes all
+   62 bits a draw keeps; 4 is the Random policy's 4-way draw. *)
+let test_prng_pinned_draws () =
+  List.iter
+    (fun (seed, bound, digest, first) ->
+      let g = Prng.of_int seed in
+      let draws = List.init 1000 (fun _ -> Prng.int g bound) in
+      let name = Printf.sprintf "seed %d, bound %d" seed bound in
+      Alcotest.(check (list int)) (name ^ ": leading draws") first
+        (List.filteri (fun i _ -> i < List.length first) draws);
+      check_string (name ^ ": digest of 1000 draws") digest
+        (Digest.to_hex (Digest.string (String.concat "," (List.map string_of_int draws)))))
+    [
+      (0, 4, "5d44467c4587d3c0067df9caa31af3c7", [ 3; 1; 3; 3 ]);
+      ( 0, max_int, "7c24275095df0c3ce1dc8c1fcd7b93c4",
+        [ 4073552104164651883; 1990071630548588925; 121904254867886419; 4477402844195135611 ] );
+      (1, 4, "904954291059ad1d68be01989c7f773e", [ 0; 1; 3; 2 ]);
+      ( 1, max_int, "1106e1e3ccd1519282da239b392b6cdb",
+        [ 2612804094800205616; 3439311302766607129; 4477959822570722647; 2049245188455445058 ] );
+      (1234, 4, "2e2a081d2c189d3bd453723bf56bec11", [ 2; 1; 2; 0 ]);
+      ( 1234, max_int, "c909845766ab215af5f80bb2434ad219",
+        [ 3369604595356927798; 2734221868675111241; 932173350320474486; 1412037347925829644 ] );
+    ]
+
+(* A draw must not allocate: the Random cache policy draws inside the
+   replay kernels. *)
+let test_prng_int_allocation_free () =
+  let g = Prng.of_int 1 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Prng.int g 4
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "%.0f minor words for 10000 draws" words) true (words < 100.0);
+  check_bool "draws in range" true (!acc >= 0 && !acc < 40_000)
+
 let test_prng_int_invalid () =
   let g = Prng.of_int 3 in
   check_raises_invalid "bound 0" (fun () -> Prng.int g 0);
@@ -491,6 +531,8 @@ let () =
           case "split independence" test_prng_split_independent;
           case "int bounds" test_prng_int_bounds;
           case "int invalid" test_prng_int_invalid;
+          case "pinned draws" test_prng_pinned_draws;
+          case "int allocation-free" test_prng_int_allocation_free;
           case "int_in" test_prng_int_in;
           case "unit_float" test_prng_unit_float;
           case "float bound" test_prng_float_bound;
