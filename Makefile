@@ -20,18 +20,20 @@ check: build
 	bash benchmark/run.sh --self-test
 
 # End-to-end check of the structured output path: run the full repro as
-# JSON and make sure every report parses back and the run manifest's
-# invariants hold (stage seconds >= 0, sim-cache hits + misses = lookups,
-# batch cache_hits + simulated <= members, per layout stage
-# hits + misses = lookups with seconds >= 0, every memo's metrics
-# counter trio consistent, histogram percentiles inside [min, max],
-# GC sample present).  The same runs record a span trace (--trace), which
-# is then validated too: begin/end balanced per track, durations
-# non-negative, no unclosed spans.  Run single- and multi-domain so the
-# fused batch replay, the parallel staged layout builds and the
-# per-worker trace tracks are validated under both fan-out modes.  Last,
-# `repro --out` writes one report plus a bare manifest.json, which goes
-# through validate's bare-manifest path.
+# JSON and make sure every report parses back and the schema-v5 run
+# manifest holds (exactly run/stages/batch/metrics; every stage has
+# count >= 1 and seconds >= 0 with unique names; every metrics counter is
+# non-negative and every memo's hits + misses = lookups; histogram
+# percentiles monotone and inside [min, max]; every batch field equals
+# its batch.* counter and cache_hits + simulated <= members; the GC
+# sample non-negative).  The same runs record a span trace (--trace),
+# which is then validated too: begin/end balanced per track, durations
+# non-negative, no unclosed spans, and trace-summary reads it through the
+# same span fold.  Run single- and multi-domain so the fused batch
+# replay, the parallel staged layout builds and the per-worker trace
+# tracks are validated under both fan-out modes.  Last, `repro --out`
+# writes one report plus a bare manifest.json, which goes through
+# validate's bare-manifest path.
 validate: build
 	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 --format json \
 	  --trace _build/trace_j1.json \
@@ -41,6 +43,7 @@ validate: build
 	  --trace _build/trace_j4.json \
 	  | _build/default/bin/icache_opt.exe validate
 	_build/default/bin/icache_opt.exe validate _build/trace_j4.json
+	_build/default/bin/icache_opt.exe trace-summary _build/trace_j4.json
 	_build/default/bin/icache_opt.exe repro --small --words 60000 --out _build/repro_out table1
 	_build/default/bin/icache_opt.exe validate _build/repro_out/manifest.json
 

@@ -45,72 +45,6 @@ let format_conv =
   let print ppf f = Format.pp_print_string ppf (Result.format_to_string f) in
   Arg.conv ~docv:"FORMAT" (parse, print)
 
-(* Malformed --trace document; both trace-summary and validate turn this
-   into their own error reporting. *)
-exception Trace_error of string
-
-let tfail fmt = Printf.ksprintf (fun s -> raise (Trace_error s)) fmt
-
-(* Decode the traceEvents list of a Chrome trace document into
-   (name, phase, ts, tid) tuples, in file order (which is the recording
-   order).  Raises {!Trace_error} on shape problems. *)
-let chrome_events doc =
-  match Json.member "traceEvents" doc with
-  | Some (Json.List l) ->
-      List.mapi
-        (fun i e ->
-          let str field =
-            match Option.bind (Json.member field e) Json.to_str with
-            | Some s -> s
-            | None -> tfail "event %d: missing %s" i field
-          in
-          let name = str "name" in
-          let ph = str "ph" in
-          let ts =
-            match Option.bind (Json.member "ts" e) Json.to_float with
-            | Some f -> f
-            | None -> tfail "event %d (%s): missing ts" i name
-          in
-          let tid =
-            match Option.bind (Json.member "tid" e) Json.to_int with
-            | Some t -> t
-            | None -> tfail "event %d (%s): missing tid" i name
-          in
-          (name, ph, ts, tid))
-        l
-  | _ -> tfail "trace: missing traceEvents list"
-
-(* Replay a decoded event stream against per-track span stacks, calling
-   [on_span name tid dur_us] for every balanced begin/end pair; raises
-   {!Trace_error} on malformed nesting.  Returns the open stacks for the
-   caller to check emptiness. *)
-let fold_spans ~on_span events =
-  let stacks : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (name, ph, ts, tid) ->
-      let stack =
-        match Hashtbl.find_opt stacks tid with
-        | Some s -> s
-        | None ->
-            let s = ref [] in
-            Hashtbl.add stacks tid s;
-            s
-      in
-      match ph with
-      | "B" -> stack := (name, ts) :: !stack
-      | "E" -> (
-          match !stack with
-          | (n, t0) :: rest when n = name ->
-              stack := rest;
-              on_span name tid (ts -. t0)
-          | (n, _) :: _ ->
-              tfail "track %d: end of %S does not match innermost open span %S" tid
-                name n
-          | [] -> tfail "track %d: end of %S with no open span" tid name)
-      | other -> tfail "event %s: unsupported phase %S" name other)
-    events;
-  stacks
-
 let trace_arg =
   let doc =
     "Record a span timeline of the run and write it to $(docv) as Chrome \
@@ -118,6 +52,11 @@ let trace_arg =
      chrome://tracing, or summarize with $(b,icache-opt trace-summary))."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
+(* A whole input file, or stdin for '-'. *)
+let read_input file =
+  if file = "-" then In_channel.input_all stdin
+  else In_channel.with_open_bin file In_channel.input_all
 
 let make_context ~small ~words ~seed ~jobs =
   Option.iter Parallel.set_jobs jobs;
@@ -582,28 +521,22 @@ let trace_summary_cmd =
       Printf.eprintf "trace-summary: %s\n" msg;
       exit 1
     in
-    let text =
-      if file = "-" then In_channel.input_all stdin
-      else In_channel.with_open_bin file In_channel.input_all
-    in
-    let doc = match Json.of_string text with Ok d -> d | Error e -> fail e in
-    let events = try chrome_events doc with Trace_error e -> fail e in
+    let ok = function Ok x -> x | Error e -> fail e in
+    let doc = ok (Json.of_string (read_input file)) in
+    let events = ok (Trace_log.of_chrome doc) in
     (* name -> (count, total us, max us) *)
     let totals : (string, int * float * float) Hashtbl.t = Hashtbl.create 32 in
-    let tracks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    List.iter (fun (_, _, _, tid) -> Hashtbl.replace tracks tid ()) events;
-    (try
-       ignore
-         (fold_spans
-            ~on_span:(fun name _tid dur ->
-              let c, t, m =
-                match Hashtbl.find_opt totals name with
-                | Some x -> x
-                | None -> (0, 0.0, 0.0)
-              in
-              Hashtbl.replace totals name (c + 1, t +. dur, Float.max m dur))
-            events)
-     with Trace_error e -> fail e);
+    ok
+      (Trace_log.fold_spans
+         (fun () (b : Trace_log.event) dur ->
+           let c, t, m =
+             Option.value ~default:(0, 0.0, 0.0) (Hashtbl.find_opt totals b.Trace_log.name)
+           in
+           Hashtbl.replace totals b.Trace_log.name (c + 1, t +. dur, Float.max m dur))
+         () events);
+    let tracks =
+      List.sort_uniq compare (List.map (fun (e : Trace_log.event) -> e.Trace_log.track) events)
+    in
     let rows = Hashtbl.fold (fun n x acc -> (n, x) :: acc) totals [] in
     let rows =
       List.sort (fun (_, (_, a, _)) (_, (_, b, _)) -> compare b a) rows
@@ -612,7 +545,7 @@ let trace_summary_cmd =
     Printf.printf "%d events, %d spans on %d track(s), %.2fs of span time\n\n"
       (List.length events)
       (List.fold_left (fun acc (_, (c, _, _)) -> acc + c) 0 rows)
-      (Hashtbl.length tracks) (span_total /. 1e6);
+      (List.length tracks) (span_total /. 1e6);
     Printf.printf "  %10s %8s %12s %12s  %s\n" "total s" "count" "mean ms" "max ms" "span";
     List.iteri
       (fun i (name, (count, total, max_us)) ->
@@ -674,299 +607,12 @@ let validate_cmd =
     let doc = "JSON document to validate ('-' = stdin)." in
     Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc)
   in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.eprintf "invalid: %s\n" s;
-        exit 1)
-      fmt
-  in
-  let get_int what j =
-    match Json.to_int j with Some i -> i | None -> fail "%s: expected an integer" what
-  in
-  let get_float what j =
-    match Json.to_float j with Some f -> f | None -> fail "%s: expected a number" what
-  in
-  let get_str what j =
-    match Json.to_str j with Some s -> s | None -> fail "%s: expected a string" what
-  in
-  (* Shared by the manifest path (schema v4 embeds a snapshot) and the
-     trace path (--trace files carry one under "metrics"). *)
-  let check_metrics mx =
-    let counters =
-      match Json.member "counters" mx with
-      | Some (Json.Obj kvs) -> kvs
-      | _ -> fail "metrics: missing counters object"
-    in
-    List.iter
-      (fun (n, v) ->
-        match Json.to_int v with
-        | Some i -> if i < 0 then fail "metrics counter %s: %d < 0" n i
-        | None -> fail "metrics counter %s: not an integer" n)
-      counters;
-    (* Every Memo counts its lookups as a <name>.hits/.misses/.lookups
-       trio; check each trio any of the three names announces. *)
-    let value n = Option.bind (List.assoc_opt n counters) Json.to_int in
-    let trio_prefix n =
-      List.find_map
-        (fun suffix ->
-          if String.ends_with ~suffix n then
-            Some (String.sub n 0 (String.length n - String.length suffix))
-          else None)
-        [ ".hits"; ".misses"; ".lookups" ]
-    in
-    List.iter
-      (fun prefix ->
-        match
-          ( value (prefix ^ ".hits"),
-            value (prefix ^ ".misses"),
-            value (prefix ^ ".lookups") )
-        with
-        | Some h, Some m, Some l ->
-            if h + m <> l then
-              fail "metrics: %s hits %d + misses %d <> lookups %d" prefix h m l
-        | _ -> fail "metrics: incomplete %s hits/misses/lookups trio" prefix)
-      (List.sort_uniq compare (List.filter_map (fun (n, _) -> trio_prefix n) counters));
-    match Json.member "histograms" mx with
-    | Some (Json.Obj hs) ->
-        List.iter
-          (fun (n, h) ->
-            let gf field =
-              match Option.bind (Json.member field h) Json.to_float with
-              | Some f -> f
-              | None -> fail "metrics histogram %s: missing %s" n field
-            in
-            let count =
-              match Option.bind (Json.member "count" h) Json.to_int with
-              | Some c -> c
-              | None -> fail "metrics histogram %s: missing count" n
-            in
-            if count < 0 then fail "metrics histogram %s: count %d < 0" n count;
-            let p50 = gf "p50" and p90 = gf "p90" and p99 = gf "p99" in
-            if not (p50 <= p90 && p90 <= p99) then
-              fail "metrics histogram %s: percentiles not monotone (%g/%g/%g)" n p50
-                p90 p99;
-            if count > 0 then begin
-              let min = gf "min" and max = gf "max" in
-              if not (min <= max) then fail "metrics histogram %s: min > max" n;
-              if not (min <= p50 && p99 <= max) then
-                fail "metrics histogram %s: percentiles %g/%g outside [%g, %g]" n p50
-                  p99 min max
-            end)
-          hs
-    | _ -> fail "metrics: missing histograms object"
-  in
-  let check_gc g =
-    List.iter
-      (fun field ->
-        match Json.member field g with
-        | Some v ->
-            let x = get_float ("gc " ^ field) v in
-            if not (x >= 0.0) then fail "gc %s: %g < 0" field x
-        | None -> fail "gc: missing %s" field)
-      [
-        "minor_collections"; "major_collections"; "compactions"; "minor_words";
-        "promoted_words"; "major_words"; "heap_words"; "top_heap_words";
-      ]
-  in
-  let check_manifest m =
-    let schema_version =
-      match Json.member "schema_version" m with
-      | Some v ->
-          let v = get_int "schema_version" v in
-          if v < 1 then fail "schema_version %d < 1" v;
-          v
-      | None -> fail "manifest: missing schema_version"
-    in
-    let stages =
-      match Json.member "stages" m with
-      | Some (Json.List l) -> l
-      | _ -> fail "manifest: missing stages list"
-    in
-    List.iter
-      (fun s ->
-        let name =
-          match Json.member "name" s with
-          | Some n -> get_str "stage name" n
-          | None -> fail "stage: missing name"
-        in
-        let count =
-          match Json.member "count" s with
-          | Some c -> get_int "stage count" c
-          | None -> fail "stage %s: missing count" name
-        in
-        let seconds =
-          match Json.member "seconds" s with
-          | Some x -> get_float "stage seconds" x
-          | None -> fail "stage %s: missing seconds" name
-        in
-        if count < 1 then fail "stage %s: count %d < 1" name count;
-        if not (seconds >= 0.0) then fail "stage %s: seconds %g < 0" name seconds)
-      stages;
-    (match Json.member "sim_cache" m with
-    | Some sc ->
-        let g name =
-          match Json.member name sc with
-          | Some v -> get_int ("sim_cache " ^ name) v
-          | None -> fail "sim_cache: missing %s" name
-        in
-        let hits = g "hits" and misses = g "misses" and lookups = g "lookups" in
-        if hits < 0 || misses < 0 then fail "sim_cache: negative counters";
-        if hits + misses <> lookups then
-          fail "sim_cache: hits %d + misses %d <> lookups %d" hits misses lookups
-    | None -> fail "manifest: missing sim_cache");
-    (match Json.member "layout" m with
-    | Some lay ->
-        let stages =
-          match Json.member "stages" lay with
-          | Some (Json.List l) -> l
-          | _ -> fail "layout: missing stages list"
-        in
-        List.iter
-          (fun s ->
-            let name =
-              match Json.member "name" s with
-              | Some n -> get_str "layout stage name" n
-              | None -> fail "layout stage: missing name"
-            in
-            let g field =
-              match Json.member field s with
-              | Some v -> get_int ("layout stage " ^ field) v
-              | None -> fail "layout stage %s: missing %s" name field
-            in
-            let hits = g "hits" and misses = g "misses" and lookups = g "lookups" in
-            if hits < 0 || misses < 0 then
-              fail "layout stage %s: negative counters" name;
-            if hits + misses <> lookups then
-              fail "layout stage %s: hits %d + misses %d <> lookups %d" name hits
-                misses lookups;
-            match Json.member "seconds" s with
-            | Some x ->
-                let v = get_float "layout stage seconds" x in
-                if not (v >= 0.0) then fail "layout stage %s: seconds %g < 0" name v
-            | None -> fail "layout stage %s: missing seconds" name)
-          stages;
-        (match Json.member "hit_rate" lay with
-        | Some x ->
-            let v = get_float "layout hit_rate" x in
-            if not (v >= 0.0 && v <= 1.0) then fail "layout hit_rate %g not in [0,1]" v
-        | None -> fail "layout: missing hit_rate")
-    | None ->
-        if schema_version >= 3 then fail "manifest: missing layout (schema v3+)");
-    (match Json.member "batch" m with
-    | Some b ->
-        let g name =
-          match Json.member name b with
-          | Some v -> get_int ("batch " ^ name) v
-          | None -> fail "batch: missing %s" name
-        in
-        List.iter
-          (fun name -> if g name < 0 then fail "batch: %s %d < 0" name (g name))
-          [
-            "calls"; "members"; "cache_hits"; "simulated"; "replay_passes";
-            "passes_saved"; "events_replayed"; "events_saved";
-          ];
-        if g "cache_hits" + g "simulated" > g "members" then
-          fail "batch: cache_hits %d + simulated %d > members %d" (g "cache_hits")
-            (g "simulated") (g "members")
-    | None ->
-        if schema_version >= 2 then fail "manifest: missing batch (schema v2+)");
-    (match Json.member "experiments" m with
-    | Some (Json.List l) ->
-        List.iter
-          (fun e ->
-            match Json.member "seconds" e with
-            | Some x ->
-                let s = get_float "experiment seconds" x in
-                if not (s >= 0.0) then fail "experiment seconds %g < 0" s
-            | None -> fail "experiment entry: missing seconds")
-          l
-    | _ -> fail "manifest: missing experiments list");
-    (match Json.member "metrics" m with
-    | Some mx -> check_metrics mx
-    | None ->
-        if schema_version >= 4 then fail "manifest: missing metrics (schema v4+)");
-    (match Json.member "run" m with
-    | Some Json.Null | None -> ()
-    | Some r -> (
-        match Json.member "gc" r with
-        | Some g -> check_gc g
-        | None -> if schema_version >= 4 then fail "run: missing gc (schema v4+)"));
-    List.length stages
-  in
   let run file =
-    let text =
-      if file = "-" then In_channel.input_all stdin
-      else In_channel.with_open_bin file In_channel.input_all
-    in
-    match Json.of_string text with
-    | Error e -> fail "%s" e
-    | Ok doc when Json.member "traceEvents" doc <> None ->
-        (* A --trace artifact: check span invariants (every end matches
-           the innermost open begin on its track, durations are
-           non-negative, everything is closed) plus the embedded metrics
-           snapshot when present. *)
-        let events =
-          try chrome_events doc with Trace_error e -> fail "%s" e
-        in
-        let spans = ref 0 in
-        let tracks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-        List.iter (fun (_, _, _, tid) -> Hashtbl.replace tracks tid ()) events;
-        let stacks =
-          try
-            fold_spans
-              ~on_span:(fun name tid dur ->
-                if dur < 0.0 then
-                  fail "span %s on track %d: negative duration %g" name tid dur;
-                incr spans)
-              events
-          with Trace_error e -> fail "%s" e
-        in
-        Hashtbl.iter
-          (fun tid s ->
-            if !s <> [] then
-              fail "track %d: %d unclosed span(s), innermost %S" tid
-                (List.length !s)
-                (fst (List.hd !s)))
-          stacks;
-        (match Json.member "metrics" doc with
-        | Some mx -> check_metrics mx
-        | None -> ());
-        Printf.printf "ok: trace with %d event(s), %d span(s), %d track(s)\n"
-          (List.length events) !spans (Hashtbl.length tracks)
-    | Ok doc
-      when Json.member "schema_version" doc <> None
-           && Json.member "stages" doc <> None ->
-        (* A bare manifest: manifest.json from repro --out. *)
-        let stages = check_manifest doc in
-        Printf.printf "ok: manifest with %d stage(s)\n" stages
-    | Ok doc ->
-        let reports =
-          match Json.member "reports" doc with
-          | Some (Json.List l) -> l
-          | Some _ -> fail "reports: expected a list"
-          | None -> (
-              (* Also accept a single report document. *)
-              match Result.of_json doc with
-              | Ok _ -> [ doc ]
-              | Error _ -> fail "document has neither a reports list nor a report shape")
-        in
-        List.iteri
-          (fun i r ->
-            match Result.of_json r with
-            | Ok _ -> ()
-            | Error e -> fail "report %d: %s" i e)
-          reports;
-        let stage_count =
-          match Json.member "manifest" doc with
-          | Some m -> Some (check_manifest m)
-          | None -> None
-        in
-        (match stage_count with
-        | Some stages ->
-            Printf.printf "ok: %d report(s), manifest with %d stage(s)\n"
-              (List.length reports) stages
-        | None -> Printf.printf "ok: %d report(s), no manifest\n" (List.length reports))
+    match Validate.of_string (read_input file) with
+    | Ok summary -> print_endline summary
+    | Error e ->
+        Printf.eprintf "invalid: %s\n" e;
+        exit 1
   in
   Cmd.v
     (Cmd.info "validate"

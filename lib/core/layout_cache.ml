@@ -1,4 +1,4 @@
-type stats = Memo.stats = { hits : int; misses : int; seconds : float }
+type stats = Memo.stats = { hits : int; misses : int }
 
 (* Guards the two physical-identity memos below and the stage list; the
    stage tables are Memos with locks of their own. *)
@@ -66,38 +66,32 @@ let loops_digest g l =
 (* Stages                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type 'a stage = 'a Memo.t
+(* A stage's memo and its builds' timing stage share one name,
+   layout_cache.<stage>. *)
+type 'a stage = { name : string; memo : 'a Memo.t }
 
 type any_stage = Stage : string * 'a stage -> any_stage
 
 let stages : any_stage list ref = ref [] (* reverse creation order *)
 
-let stage name =
-  let m = Memo.create ("layout_cache." ^ name) in
-  Mutex.protect lock (fun () -> stages := Stage (name, m) :: !stages);
-  m
+let stage short =
+  let name = "layout_cache." ^ short in
+  let s = { name; memo = Memo.create name } in
+  Mutex.protect lock (fun () -> stages := Stage (short, s) :: !stages);
+  s
 
-let find_or_build m ~key build =
-  if !enabled_flag then Memo.find_or_build m key build else build ()
+let find_or_build s ~key build =
+  if !enabled_flag then
+    Memo.find_or_build s.memo key (fun () -> Trace_log.stage s.name build)
+  else build ()
 
 let all_stages () = Mutex.protect lock (fun () -> List.rev !stages)
 
 let stage_stats () =
-  List.map (fun (Stage (name, m)) -> (name, Memo.stats m)) (all_stages ())
-
-let totals () =
-  List.fold_left
-    (fun acc (_, (s : stats)) ->
-      {
-        hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        seconds = acc.seconds +. s.seconds;
-      })
-    { hits = 0; misses = 0; seconds = 0.0 }
-    (stage_stats ())
+  List.map (fun (Stage (short, s)) -> (short, Memo.stats s.memo)) (all_stages ())
 
 let clear () =
-  List.iter (fun (Stage (_, m)) -> Memo.clear m) (all_stages ());
+  List.iter (fun (Stage (_, s)) -> Memo.clear s.memo) (all_stages ());
   Mutex.protect lock (fun () ->
       graph_digests := [];
       loops_tbl := [])

@@ -19,8 +19,9 @@
 
     Each stage is a {!Memo} named [layout_cache.<stage>], keyed on a
     digest of exactly the inputs that stage consumes; its hit, miss and
-    lookup counts live in the metrics registry and, with its build
-    seconds, surface in the run manifest's [layout] object.  Racing
+    lookup counts live in the metrics registry, and each build on a miss
+    runs as the {!Trace_log.stage} of the same name, so the run manifest
+    reports both.  Racing
     builders may construct the same value twice; the first store wins and
     both callers observe the stored value, so results are independent of
     domain scheduling.
@@ -47,9 +48,9 @@ val loops_digest : Graph.t -> Loops.t list -> string
     {!loops}[ g] list the digest is memoized; hand-built loop sets are
     digested on every call. *)
 
-type stats = Memo.stats = { hits : int; misses : int; seconds : float }
-(** [seconds] is time spent building values on misses (cache management
-    overhead is not counted).  On a cold build, an outer stage's seconds
+type stats = Memo.stats = { hits : int; misses : int }
+(** Build time is the [layout_cache.<stage>] timing stage's (see
+    {!Trace_log.stage_totals}).  On a cold build, an outer stage's seconds
     include the inner stages it triggered (stage timings nest, exactly
     like the manifest's [levels_build] envelope). *)
 
@@ -60,8 +61,9 @@ val stage : string -> 'a stage
     Create each stage once, at module initialization. *)
 
 val find_or_build : 'a stage -> key:string -> (unit -> 'a) -> 'a
-(** {!Memo.find_or_build} on the stage, or a plain [build ()] while the
-    stages are disabled. *)
+(** {!Memo.find_or_build} on the stage, timing each build as the stage
+    [layout_cache.<stage>]; a plain [build ()] while the stages are
+    disabled. *)
 
 val set_enabled : bool -> unit
 (** Test hook: [set_enabled false] turns every stage into a pass-through
@@ -70,9 +72,6 @@ val set_enabled : bool -> unit
 
 val stage_stats : unit -> (string * stats) list
 (** Per-stage counts in stage creation order (process totals). *)
-
-val totals : unit -> stats
-(** The sum of {!stage_stats}. *)
 
 val clear : unit -> unit
 (** Drop every cached value, including memoized loops and digests.  The

@@ -21,28 +21,27 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
      workload), so fan it out across domains.  Results land by index, so
      the context is bit-identical for every job count. *)
   let captures =
-    Manifest.time "trace_capture" (fun () ->
-        Trace_log.with_span "trace_capture"
-          ~args:[ ("workloads", Json.Int (Array.length pairs)) ]
+    Trace_log.stage "trace_capture"
+      ~args:[ ("workloads", Json.Int (Array.length pairs)) ]
+    @@ fun () ->
+    Parallel.map_array ?jobs
+      (fun i (w, program) ->
+        Trace_log.with_span "capture_workload"
+          ~args:
+            [
+              ("workload", Json.String w.Workload.name);
+              ("words", Json.Int words);
+              ("domain", Json.Int (Domain.self () :> int));
+            ]
         @@ fun () ->
-        Parallel.map_array ?jobs
-          (fun i (w, program) ->
-            Trace_log.with_span "capture_workload"
-              ~args:
-                [
-                  ("workload", Json.String w.Workload.name);
-                  ("words", Json.Int words);
-                  ("domain", Json.Int (Domain.self () :> int));
-                ]
-            @@ fun () ->
-            let trace = Trace.create ~capacity:(words / 4) () in
-            let profiles, profile_sink = Profile.sinks ~program in
-            let sink =
-              Engine.combine_sinks [ Engine.trace_sink trace; profile_sink ]
-            in
-            let s = Engine.run ~program ~workload:w ~words ~seed:(seed + i) ~sink in
-            (trace, s, profiles))
-          pairs)
+        let trace = Trace.create ~capacity:(words / 4) () in
+        let profiles, profile_sink = Profile.sinks ~program in
+        let sink =
+          Engine.combine_sinks [ Engine.trace_sink trace; profile_sink ]
+        in
+        let s = Engine.run ~program ~workload:w ~words ~seed:(seed + i) ~sink in
+        (trace, s, profiles))
+      pairs
   in
   let traces = Array.map (fun (t, _, _) -> t) captures in
   let stats = Array.map (fun (_, s, _) -> s) captures in

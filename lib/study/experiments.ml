@@ -37,11 +37,7 @@ let all =
 
 let find id = List.find (fun e -> e.id = id) all
 
-let compute e ctx =
-  let t0 = Unix.gettimeofday () in
-  let report = e.compute ctx in
-  Manifest.record_experiment ~id:e.id ~seconds:(Unix.gettimeofday () -. t0);
-  report
+let compute e ctx = Trace_log.stage ("experiment." ^ e.id) (fun () -> e.compute ctx)
 
 let run e ctx = Result.print (compute e ctx)
 

@@ -13,8 +13,7 @@ val find : string -> t
 (** @raise Not_found on an unknown id. *)
 
 val compute : t -> Context.t -> Result.report
-(** [e.compute], with the wall-clock spent recorded in the run
-    {!Manifest} under the experiment's id. *)
+(** [e.compute], timed as the {!Trace_log.stage} [experiment.<id>]. *)
 
 val run : t -> Context.t -> unit
 (** {!compute} rendered as text to stdout — the classic transcript. *)

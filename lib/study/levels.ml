@@ -80,9 +80,8 @@ let build ctx ?(params = Opt.params ()) level =
   in
   let key = Context.key ctx ^ "|" ^ to_string level ^ "|" ^ params_part in
   Memo.find_or_build memo key (fun () ->
-      Manifest.time "levels_build" (fun () ->
-          Trace_log.with_span "levels_build"
-            ~args:[ ("level", Json.String (to_string level)) ]
-            (fun () -> build_uncached ctx ~params level)))
+      Trace_log.stage "levels_build"
+        ~args:[ ("level", Json.String (to_string level)) ]
+        (fun () -> build_uncached ctx ~params level))
 
 let code_maps layouts = Array.map Program_layout.code_map layouts

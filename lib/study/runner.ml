@@ -12,6 +12,15 @@ let member_seconds_hist =
 let events_per_sec_hist =
   Metrics_registry.histogram ~unit_:"events/s" "simulate.pass_events_per_sec"
 
+(* Aggregate effectiveness of simulate_batch, as the registry counters
+   batch.<field> (the manifest's batch object).  "Passes" and "events"
+   count (workload x member) replay work; saved = what per-member
+   sequential replay would have done minus what the fused path did. *)
+let batch_counters =
+  List.map (fun f -> (f, Metrics_registry.counter ("batch." ^ f))) Manifest.batch_fields
+
+let bump field by = Metrics_registry.incr ~by (List.assoc field batch_counters)
+
 let record_pass ~members ~events dt =
   for _ = 1 to members do
     Metrics_registry.observe member_seconds_hist
@@ -41,7 +50,7 @@ let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
           ("domain", Json.Int (Domain.self () :> int));
         ])
   @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  let t0 = Trace_log.now () in
   Option.iter
     (fun program ->
       let images = Program.image_count program in
@@ -50,7 +59,7 @@ let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
     attribute;
   Replay.run_range ~trace ~map ~systems ~warmup:(warmup_of trace ~warmup_fraction);
   record_pass ~members:(Array.length systems) ~events:(Trace.length trace)
-    (Unix.gettimeofday () -. t0);
+    (Trace_log.now () -. t0);
   Array.map
     (fun sys ->
       {
@@ -61,7 +70,7 @@ let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
     systems
 
 let replay ~trace ~map systems =
-  Manifest.time "simulate" @@ fun () ->
+  Trace_log.stage "replay" @@ fun () ->
   ignore (pass ~warmup_fraction:default_warmup_fraction ~trace ~map systems)
 
 let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
@@ -69,8 +78,7 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
   (* Each workload's replay is independent: a fresh System.t per slot, the
      shared trace/layout data is immutable, and results merge by index —
      so the output is bit-identical for every job count. *)
-  Manifest.time "simulate" @@ fun () ->
-  Trace_log.with_span "simulate"
+  Trace_log.stage "simulate"
     ~args:[ ("workloads", Json.Int (Array.length ctx.Context.pairs)) ]
   @@ fun () ->
   Parallel.map_array ?jobs
@@ -85,7 +93,10 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
 let simulate_batch ctx ~members ?(attribute_os = false)
     ?(warmup_fraction = default_warmup_fraction) ?jobs () =
   let n = Array.length members in
-  Manifest.time "simulate" @@ fun () ->
+  let workloads = Array.length ctx.Context.pairs in
+  Trace_log.stage "simulate_batch"
+    ~args:[ ("members", Json.Int n); ("workloads", Json.Int workloads) ]
+  @@ fun () ->
   let results : run array array = Array.make n [||] in
   (* A member's placement identity is its layouts' digests, each
      computed at most once per layout value; the memo key and the
@@ -136,20 +147,10 @@ let simulate_batch ctx ~members ?(attribute_os = false)
     |> List.map (fun cell -> Array.of_list (List.rev !cell))
     |> Array.of_list
   in
-  let workloads = Array.length ctx.Context.pairs in
   if Array.length reps > 0 then begin
     (* One pass per (workload, layout group); workloads fan out across
        domains exactly like [simulate], merging by index. *)
     let per_workload =
-      Trace_log.with_span "simulate_batch"
-        ~args:
-          [
-            ("members", Json.Int n);
-            ("uncached", Json.Int (Array.length reps));
-            ("groups", Json.Int (Array.length groups));
-            ("workloads", Json.Int workloads);
-          ]
-      @@ fun () ->
       Parallel.map_array ?jobs
         (fun i ((w : Workload.t), program) ->
           Array.map
@@ -196,11 +197,14 @@ let simulate_batch ctx ~members ?(attribute_os = false)
   let total_events =
     Array.fold_left (fun acc t -> acc + Trace.length t) 0 ctx.Context.traces
   in
-  Manifest.record_batch ~members:n ~cache_hits ~simulated
-    ~replay_passes:(group_count * workloads)
-    ~passes_saved:((simulated - group_count) * workloads)
-    ~events_replayed:(group_count * total_events)
-    ~events_saved:((simulated - group_count) * total_events);
+  bump "calls" 1;
+  bump "members" n;
+  bump "cache_hits" cache_hits;
+  bump "simulated" simulated;
+  bump "replay_passes" (group_count * workloads);
+  bump "passes_saved" ((simulated - group_count) * workloads);
+  bump "events_replayed" (group_count * total_events);
+  bump "events_saved" ((simulated - group_count) * total_events);
   results
 
 let total runs =

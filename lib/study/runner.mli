@@ -23,7 +23,9 @@ type run = Sim_cache.entry = {
       which every sweep and every single-geometry run of the experiments
       goes through;
     - {!replay}: one pass over a trace that is not in the context (an
-      inlined kernel's traces, a multiprocessor's per-CPU traces). *)
+      inlined kernel's traces, a multiprocessor's per-CPU traces).
+    Each call runs as the {!Trace_log.stage} named like its entry point,
+    and each replay pass inside it as a [replay_pass] span. *)
 
 val simulate :
   Context.t -> layouts:Program_layout.t array ->
@@ -54,8 +56,8 @@ val simulate_batch :
     the layouts' {!Program_layout.digest}s, the geometry, the warm-up and
     the attribution flag (hits skip replay entirely), and every simulated
     member is published to it.  Effectiveness (members served from cache,
-    replay passes and decoded events saved) is recorded via
-    {!Manifest.record_batch}. *)
+    replay passes and decoded events saved) is added to the registry
+    counters [batch.<field>] (see {!Manifest}). *)
 
 val replay : trace:Trace.t -> map:Replay.code_map -> System.t array -> unit
 (** Feed [trace] under [map] to every system in one pass, with

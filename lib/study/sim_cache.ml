@@ -29,10 +29,8 @@ let find k = Option.map (Array.map copy) (Memo.find memo k)
 
 let add k entries = Memo.add memo k (Array.map copy entries)
 
-let stats () = Memo.stats memo
+let hits () = (Memo.stats memo).Memo.hits
 
-let hits () = (stats ()).Memo.hits
-
-let misses () = (stats ()).Memo.misses
+let misses () = (Memo.stats memo).Memo.misses
 
 let clear () = Memo.clear memo

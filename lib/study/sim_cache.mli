@@ -13,8 +13,8 @@
     Entries and lookups deep-copy counters and miss arrays, so callers may
     freely mutate what they get back.  Storage is one process-global
     {!Memo} named [sim_cache]: domain-safe, with its lookup counts in the
-    metrics registry ([sim_cache.hits], [.misses], [.lookups]), which
-    {!stats} reads for the run manifest. *)
+    metrics registry ([sim_cache.hits], [.misses], [.lookups]), which the
+    run manifest's metrics snapshot carries. *)
 
 type entry = {
   counters : Counters.t;
@@ -48,11 +48,8 @@ val add : key -> entry array -> unit
 (** Store a deep copy.  First writer wins; duplicate adds are ignored (the
     results are equal by construction). *)
 
-val stats : unit -> Memo.stats
-(** Lookup counts since the process started ([seconds] stays 0: replays
-    are stored with {!add}, not built by the table). *)
-
 val hits : unit -> int
+(** Lookup counts since the process started. *)
 
 val misses : unit -> int
 

@@ -1,20 +1,18 @@
 type 'a t = {
   table : (string, 'a) Hashtbl.t;
   lock : Mutex.t;
-  mutable build_seconds : float;
   hit_count : Metrics_registry.counter;
   miss_count : Metrics_registry.counter;
   lookup_count : Metrics_registry.counter;
 }
 
-type stats = { hits : int; misses : int; seconds : float }
+type stats = { hits : int; misses : int }
 
 let create name =
   let counter suffix = Metrics_registry.counter (name ^ suffix) in
   {
     table = Hashtbl.create 64;
     lock = Mutex.create ();
-    build_seconds = 0.0;
     hit_count = counter ".hits";
     miss_count = counter ".misses";
     lookup_count = counter ".lookups";
@@ -40,18 +38,13 @@ let find_or_build t key build =
   match find t key with
   | Some v -> v
   | None ->
-      let t0 = Unix.gettimeofday () in
       let v = build () in
-      let dt = Unix.gettimeofday () -. t0 in
-      Mutex.protect t.lock (fun () ->
-          t.build_seconds <- t.build_seconds +. dt;
-          store t key v)
+      Mutex.protect t.lock (fun () -> store t key v)
 
 let stats t =
   {
     hits = Metrics_registry.counter_value t.hit_count;
     misses = Metrics_registry.counter_value t.miss_count;
-    seconds = Mutex.protect t.lock (fun () -> t.build_seconds);
   }
 
 let clear t = Mutex.protect t.lock (fun () -> Hashtbl.reset t.table)

@@ -15,11 +15,7 @@
 
 type 'a t
 
-type stats = {
-  hits : int;
-  misses : int;
-  seconds : float;  (** Time spent in {!find_or_build}'s builds. *)
-}
+type stats = { hits : int; misses : int }
 
 val create : string -> 'a t
 (** A fresh, empty table named [name] (see above for its counters). *)

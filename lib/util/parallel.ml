@@ -41,7 +41,7 @@ let map_array ?jobs f arr =
        shared, so plain writes need no synchronization before the join. *)
     let worker d () =
       Trace_log.set_track (d + 1);
-      let t0 = Unix.gettimeofday () in
+      let t0 = Trace_log.now () in
       let i = ref d in
       let first_error = ref None in
       while !i < n do
@@ -49,7 +49,7 @@ let map_array ?jobs f arr =
          with e -> if !first_error = None then first_error := Some e);
         i := !i + j
       done;
-      Metrics_registry.observe busy_hist (Unix.gettimeofday () -. t0);
+      Metrics_registry.observe busy_hist (Trace_log.now () -. t0);
       !first_error
     in
     let domains = List.init j (fun d -> Domain.spawn (worker d)) in

@@ -14,9 +14,11 @@ type event = {
    of the run's history. *)
 type buffer = { mutable items : event array; mutable len : int }
 
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let enabled_flag = Atomic.make false
 let seq_counter = Atomic.make 0
-let epoch = Unix.gettimeofday ()
+let epoch = now ()
 
 let registry_lock = Mutex.create ()
 let registry : buffer list ref = ref []
@@ -35,9 +37,8 @@ let set_track t = Domain.DLS.set track_key t
 
 let set_enabled b = Atomic.set enabled_flag b
 
-let enabled () = Atomic.get enabled_flag
-
-let record ~begin_ ~name ~args =
+(* [t] is the clock reading the event stands for. *)
+let record t ~begin_ ~name ~args =
   let b = Domain.DLS.get buffer_key in
   if b.len = Array.length b.items then begin
     let bigger = Array.make (2 * b.len) dummy_event in
@@ -49,30 +50,67 @@ let record ~begin_ ~name ~args =
       seq = Atomic.fetch_and_add seq_counter 1;
       name;
       begin_;
-      ts = (Unix.gettimeofday () -. epoch) *. 1e6;
+      ts = (t -. epoch) *. 1e6;
       track = Domain.DLS.get track_key;
       args;
     };
   b.len <- b.len + 1
 
-let with_span ?(args = []) name f =
-  if not (Atomic.get enabled_flag) then f ()
+(* Per-stage (calls, seconds), with names in reverse order of first completion. *)
+let totals_lock = Mutex.create ()
+let totals : (string, int * float) Hashtbl.t = Hashtbl.create 16
+let total_order : string list ref = ref []
+
+let add_total name dt =
+  Mutex.protect totals_lock (fun () ->
+      match Hashtbl.find_opt totals name with
+      | Some (n, s) -> Hashtbl.replace totals name (n + 1, s +. dt)
+      | None ->
+          Hashtbl.add totals name (1, dt);
+          total_order := name :: !total_order)
+
+(* The one timer: both the events and the total read [t0] and [t1]. *)
+let span ~total ?(args = []) name f =
+  let traced = Atomic.get enabled_flag in
+  if not (traced || total) then f ()
   else begin
-    record ~begin_:true ~name ~args;
-    Fun.protect ~finally:(fun () -> record ~begin_:false ~name ~args:[]) f
+    let t0 = now () in
+    if traced then record t0 ~begin_:true ~name ~args;
+    Fun.protect f ~finally:(fun () ->
+        let t1 = now () in
+        if traced then record t1 ~begin_:false ~name ~args:[];
+        if total then add_total name (t1 -. t0))
   end
 
+let stage ?args name f = span ~total:true ?args name f
+
+let with_span ?args name f = span ~total:false ?args name f
+
+let stage_totals () =
+  Mutex.protect totals_lock (fun () ->
+      List.rev_map
+        (fun name ->
+          let n, s = Hashtbl.find totals name in
+          (name, n, s))
+        !total_order)
+
+let buffers () = Mutex.protect registry_lock (fun () -> !registry)
+
 let events () =
-  let buffers = Mutex.protect registry_lock (fun () -> !registry) in
   let all =
-    List.concat_map
-      (fun b -> List.init b.len (fun i -> b.items.(i)))
-      buffers
+    List.concat_map (fun b -> List.init b.len (fun i -> b.items.(i))) (buffers ())
   in
   List.sort (fun a b -> compare a.seq b.seq) all
 
 let span_count () =
-  List.fold_left (fun n e -> if e.begin_ then n else n + 1) 0 (events ())
+  List.fold_left
+    (fun n b ->
+      let ends = ref n in
+      for i = 0 to b.len - 1 do
+        if not b.items.(i).begin_ then incr ends
+      done;
+      !ends)
+    0 (buffers ())
 
 let to_chrome ?(extra = []) () =
   let event_json e =
@@ -93,42 +131,66 @@ let to_chrome ?(extra = []) () =
      ]
     @ extra)
 
-let to_folded () =
-  (* Replay each track's begin/end stream against a stack; on every end,
-     attribute the span's duration to its full stack.  Events of one track
-     are in program order because seq order refines per-domain order and
-     successive domains sharing a track never overlap in time. *)
-  let totals : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  let stacks : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let stack_of track =
-    match Hashtbl.find_opt stacks track with
-    | Some s -> s
-    | None ->
-        let s = ref [] in
-        Hashtbl.add stacks track s;
-        s
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
+
+let of_chrome doc =
+  let event i e =
+    let field name conv =
+      match Option.bind (Json.member name e) conv with
+      | Some v -> v
+      | None -> malformed "event %d: missing %s" i name
+    in
+    let name = field "name" Json.to_str in
+    let begin_ =
+      match field "ph" Json.to_str with
+      | "B" -> true
+      | "E" -> false
+      | ph -> malformed "event %d (%s): unsupported phase %S" i name ph
+    in
+    let args = match Json.member "args" e with Some (Json.Obj a) -> a | _ -> [] in
+    { seq = i; name; begin_; ts = field "ts" Json.to_float; track = field "tid" Json.to_int; args }
   in
-  List.iter
-    (fun e ->
-      let stack = stack_of e.track in
-      if e.begin_ then stack := (e.name, e.ts) :: !stack
-      else
-        match !stack with
-        | (name, t0) :: rest when name = e.name ->
-            stack := rest;
-            let frames = List.rev_map fst ((name, t0) :: rest) in
-            let key = String.concat ";" frames in
-            let dur = e.ts -. t0 in
-            Hashtbl.replace totals key
-              ((match Hashtbl.find_opt totals key with Some d -> d | None -> 0.0)
-              +. dur)
-        | _ -> () (* unmatched end: drop rather than corrupt the stack *))
-    (events ());
-  let lines =
-    Hashtbl.fold (fun k d acc -> Printf.sprintf "%s %.0f" k d :: acc) totals []
-  in
-  String.concat "\n" (List.sort compare lines) ^ if lines = [] then "" else "\n"
+  match Json.member "traceEvents" doc with
+  | Some (Json.List l) -> ( try Ok (List.mapi event l) with Malformed msg -> Error msg)
+  | _ -> Error "trace: missing traceEvents list"
+
+(* Events of one track are in program order: seq order refines per-domain
+   order, and successive domains sharing a track never overlap in time. *)
+let fold_spans f init events =
+  let stacks : (int, event list) Hashtbl.t = Hashtbl.create 8 in
+  let stack track = Option.value ~default:[] (Hashtbl.find_opt stacks track) in
+  try
+    let acc =
+      List.fold_left
+        (fun acc e ->
+          match (e.begin_, stack e.track) with
+          | true, open_ ->
+              Hashtbl.replace stacks e.track (e :: open_);
+              acc
+          | false, b :: rest when b.name = e.name ->
+              Hashtbl.replace stacks e.track rest;
+              f acc b (e.ts -. b.ts)
+          | false, b :: _ ->
+              malformed "track %d: end of %S does not match innermost open span %S" e.track
+                e.name b.name
+          | false, [] -> malformed "track %d: end of %S with no open span" e.track e.name)
+        init events
+    in
+    Hashtbl.iter
+      (fun track open_ ->
+        match open_ with
+        | [] -> ()
+        | b :: _ ->
+            malformed "track %d: %d unclosed span(s), innermost %S" track (List.length open_)
+              b.name)
+      stacks;
+    Ok acc
+  with Malformed msg -> Error msg
 
 let reset () =
-  Mutex.protect registry_lock (fun () ->
-      List.iter (fun b -> b.len <- 0) !registry)
+  Mutex.protect registry_lock (fun () -> List.iter (fun b -> b.len <- 0) !registry);
+  Mutex.protect totals_lock (fun () ->
+      Hashtbl.reset totals;
+      total_order := [])

@@ -26,6 +26,9 @@ let stage name = List.assoc name (Layout_cache.stage_stats ())
 let level_gen =
   QCheck.oneofl [ Levels.Base; Levels.CH; Levels.OptS; Levels.OptL; Levels.OptA ]
 
+let total_misses () =
+  List.fold_left (fun n (_, s) -> n + s.Layout_cache.misses) 0 (Layout_cache.stage_stats ())
+
 let prop_staged_equals_monolithic =
   QCheck.Test.make ~count:12 ~name:"staged+cached == monolithic digests"
     QCheck.(
@@ -40,15 +43,15 @@ let prop_staged_equals_monolithic =
       (* Cold staged build (fresh caches), then a warm rebuild that must be
          served entirely from the placement stage. *)
       Layout_cache.clear ();
-      let before = Layout_cache.totals () in
+      let before = total_misses () in
       let cold = Levels.build_uncached ctx ~jobs ~params level in
-      let cold_totals = Layout_cache.totals () in
+      let cold_misses = total_misses () in
       let warm = Levels.build_uncached ctx ~jobs ~params level in
       digests reference = digests cold
       && digests cold = digests warm
       (* Every level builds at least its OS placement into the cold caches
          (the counts are process totals, so compare with [before]). *)
-      && cold_totals.Layout_cache.misses > before.Layout_cache.misses)
+      && cold_misses > before)
 
 (* --- cross-parameter sharing: the sweep paths ---------------------- *)
 
@@ -149,20 +152,18 @@ let test_counter_invariants () =
     (fun (name, (s : Layout_cache.stats)) ->
       check_bool (name ^ ": hits >= 0") true (s.Layout_cache.hits >= 0);
       check_bool (name ^ ": misses >= 0") true (s.Layout_cache.misses >= 0);
-      check_bool (name ^ ": seconds >= 0") true (s.Layout_cache.seconds >= 0.0);
+      (* Every miss is one build, timed as the stage of the memo's name. *)
+      let calls, seconds =
+        List.fold_left
+          (fun acc (n, c, sec) -> if n = "layout_cache." ^ name then (c, sec) else acc)
+          (0, 0.0) (Trace_log.stage_totals ())
+      in
+      check_int (name ^ ": one timed build per miss") s.Layout_cache.misses calls;
+      check_bool (name ^ ": build seconds >= 0") true (seconds >= 0.0);
       check_bool (name ^ ": lookups counted in the registry") true
         (Metrics_registry.find_counter ("layout_cache." ^ name ^ ".lookups")
         = Some (s.Layout_cache.hits + s.Layout_cache.misses)))
-    (Layout_cache.stage_stats ());
-  let t = Layout_cache.totals () in
-  let by_stage =
-    List.fold_left
-      (fun (h, m) (_, (s : Layout_cache.stats)) ->
-        (h + s.Layout_cache.hits, m + s.Layout_cache.misses))
-      (0, 0) (Layout_cache.stage_stats ())
-  in
-  check_int "totals.hits = sum of stage hits" (fst by_stage) t.Layout_cache.hits;
-  check_int "totals.misses = sum of stage misses" (snd by_stage) t.Layout_cache.misses
+    (Layout_cache.stage_stats ())
 
 let () =
   Alcotest.run "layout_cache"

@@ -205,8 +205,7 @@ let test_manifest_invariants () =
        ~system:(fun () -> System.unified (Config.make ~size_kb:8 ()))
        ());
   let m = Manifest.to_json () in
-  let version = Json.to_int (member "schema_version" m) in
-  check_bool "schema_version >= 1" true (match version with Some v -> v >= 1 | None -> false);
+  check_bool "schema_version 5" true (Json.to_int (member "schema_version" m) = Some 5);
   let stages =
     match member "stages" m with
     | Json.List l -> l
@@ -230,53 +229,43 @@ let test_manifest_invariants () =
       check_bool "stage count >= 1" true
         (match count with Some c -> c >= 1 | None -> false))
     stages;
-  let sc = member "sim_cache" m in
-  let geti n = match Json.to_int (member n sc) with
-    | Some v -> v
-    | None -> Alcotest.failf "sim_cache %s not an int" n
+  (* Schema v5: cache counts live only in the metrics snapshot, one
+     hits/misses/lookups trio per Memo. *)
+  let counters = member "counters" (member "metrics" m) in
+  let trio prefix =
+    let geti suffix =
+      match Option.bind (Json.member (prefix ^ suffix) counters) Json.to_int with
+      | Some v -> v
+      | None -> Alcotest.failf "metrics counter %s%s missing" prefix suffix
+    in
+    check_int (prefix ^ ": hits + misses = lookups") (geti ".lookups")
+      (geti ".hits" + geti ".misses")
   in
-  check_int "hits + misses = lookups" (geti "lookups") (geti "hits" + geti "misses");
-  (* Schema v3: the layout object mirrors Layout_cache per stage. *)
-  let lay = member "layout" m in
-  (match member "stages" lay with
-  | Json.List l ->
-      List.iter
-        (fun s ->
-          let geti n =
-            match Json.to_int (member n s) with
-            | Some v -> v
-            | None -> Alcotest.failf "layout stage %s not an int" n
-          in
-          check_int "layout hits + misses = lookups" (geti "lookups")
-            (geti "hits" + geti "misses");
-          check_bool "layout stage seconds >= 0" true
-            (match Json.to_float (member "seconds" s) with
-            | Some x -> x >= 0.0
-            | None -> false))
-        l
-  | _ -> Alcotest.fail "layout stages is not a list")
+  trio "sim_cache";
+  check_bool "validate accepts it" true (Stdlib.Result.is_ok (Validate.json m));
+  List.iter (fun (name, _) -> trio ("layout_cache." ^ name)) (Layout_cache.stage_stats ());
+  check_bool "exactly run, stages, batch and metrics" true
+    (match m with
+    | Json.Obj kvs ->
+        List.map fst kvs = [ "schema_version"; "run"; "stages"; "batch"; "metrics" ]
+    | _ -> false)
 
 let test_manifest_experiment_timing () =
   let ctx = Lazy.force small_context in
   let e = Experiments.find "fig9" in
   ignore (Experiments.compute e ctx);
   let m = Manifest.to_json () in
-  let exps =
-    match member "experiments" m with
+  let stages =
+    match member "stages" m with
     | Json.List l -> l
-    | _ -> Alcotest.fail "experiments is not a list"
+    | _ -> Alcotest.fail "stages is not a list"
   in
-  let entry =
-    List.find_opt
-      (fun e -> Json.to_str (member "id" e) = Some "fig9")
-      exps
-  in
-  match entry with
-  | None -> Alcotest.fail "fig9 missing from manifest experiments"
-  | Some e ->
+  match List.find_opt (fun s -> Json.to_str (member "name" s) = Some "experiment.fig9") stages with
+  | None -> Alcotest.fail "no experiment.fig9 stage in the manifest"
+  | Some s ->
       check_bool "experiment seconds >= 0" true
-        (match Json.to_float (member "seconds" e) with
-        | Some s -> s >= 0.0
+        (match Json.to_float (member "seconds" s) with
+        | Some x -> x >= 0.0
         | None -> false)
 
 let () =

@@ -245,22 +245,84 @@ let test_tracks_under_four_jobs () =
   check_bool "four worker tracks" true (tracks = [ 1; 2; 3; 4 ])
 
 (* ------------------------------------------------------------------ *)
-(* Folded flamegraph export                                           *)
+(* Stages: the span that also keeps a total                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_folded_export () =
+let stage_row name =
+  List.find_opt (fun (n, _, _) -> n = name) (Trace_log.stage_totals ())
+
+let test_stage_totals_untraced () =
+  Trace_log.reset ();
+  Trace_log.set_enabled false;
+  check_int "result passes through" 7 (Trace_log.stage "st" (fun () -> 7));
+  (try Trace_log.stage "st" (fun () -> failwith "x") with Failure _ -> ());
+  ignore (Trace_log.with_span "not_a_stage" (fun () -> ()));
+  (match stage_row "st" with
+  | Some (_, count, seconds) ->
+      check_int "both calls counted, the raising one too" 2 count;
+      check_bool "seconds >= 0" true (seconds >= 0.0)
+  | None -> Alcotest.fail "no st row");
+  check_bool "with_span keeps no total" true (stage_row "not_a_stage" = None);
+  check_int "no events while disabled" 0 (List.length (Trace_log.events ()))
+
+let test_stage_total_is_its_spans () =
   fresh ();
-  Trace_log.with_span "a" (fun () ->
-      Trace_log.with_span "b" (fun () -> ());
-      Trace_log.with_span "b" (fun () -> ()));
+  for _ = 1 to 3 do
+    Trace_log.stage "outer" (fun () -> Trace_log.stage "inner" (fun () -> ignore (Sys.opaque_identity (List.init 1000 Fun.id))))
+  done;
   quiesce ();
-  let folded = Trace_log.to_folded () in
-  let lines = String.split_on_char '\n' (String.trim folded) in
-  check_int "two distinct stacks" 2 (List.length lines);
-  check_bool "has a;b stack" true
-    (List.exists (fun l -> String.length l > 4 && String.sub l 0 4 = "a;b ") lines);
-  check_bool "has root a stack" true
-    (List.exists (fun l -> String.length l > 2 && String.sub l 0 2 = "a ") lines)
+  let spans =
+    match
+      Trace_log.fold_spans
+        (fun acc (b : Trace_log.event) dur -> (b.Trace_log.name, dur) :: acc)
+        [] (Trace_log.events ())
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun name ->
+      let durs = List.filter_map (fun (n, d) -> if n = name then Some d else None) spans in
+      match stage_row name with
+      | Some (_, count, seconds) ->
+          check_int (name ^ ": one span per call") count (List.length durs);
+          check_close 1e-3 (name ^ ": total = summed span us") (seconds *. 1e6)
+            (List.fold_left ( +. ) 0.0 durs)
+      | None -> Alcotest.failf "no %s row" name)
+    [ "outer"; "inner" ];
+  check_bool "rows in order of first completion" true
+    (List.map (fun (n, _, _) -> n) (Trace_log.stage_totals ()) = [ "inner"; "outer" ])
+
+(* ------------------------------------------------------------------ *)
+(* Chrome round trip and the shared span fold                         *)
+(* ------------------------------------------------------------------ *)
+
+let prop_of_chrome_inverts_to_chrome =
+  QCheck.Test.make ~count:50 ~name:"of_chrome (to_chrome ()) keeps name, phase, track, ts"
+    forest_arb (fun forest ->
+      fresh ();
+      ignore (Parallel.map_array ~jobs:2 (fun _ t -> exec t) (Array.of_list forest));
+      quiesce ();
+      let key (e : Trace_log.event) = (e.Trace_log.name, e.Trace_log.begin_, e.Trace_log.track, e.Trace_log.ts) in
+      let doc = Json.of_string (Json.to_string ~minify:true (Trace_log.to_chrome ())) in
+      match Stdlib.Result.bind doc Trace_log.of_chrome with
+      | Ok events -> List.map key events = List.map key (Trace_log.events ())
+      | Error e -> QCheck.Test.fail_reportf "of_chrome: %s" e)
+
+let test_fold_rejects_malformed () =
+  let ev seq name begin_ ts track = { Trace_log.seq; name; begin_; ts; track; args = [] } in
+  let rejects what events =
+    check_bool what true (Stdlib.Result.is_error (Trace_log.fold_spans (fun () _ _ -> ()) () events))
+  in
+  rejects "end without begin" [ ev 0 "a" false 1.0 0 ];
+  rejects "end of the wrong span" [ ev 0 "a" true 1.0 0; ev 1 "b" false 2.0 0 ];
+  rejects "unclosed span" [ ev 0 "a" true 1.0 0 ];
+  check_bool "tracks pair independently" true
+    (Trace_log.fold_spans
+       (fun n _ _ -> n + 1)
+       0
+       [ ev 0 "a" true 1.0 0; ev 1 "a" true 1.5 1; ev 2 "a" false 2.0 0; ev 3 "a" false 3.0 1 ]
+    = Ok 2)
 
 (* ------------------------------------------------------------------ *)
 (* Histogram.percentile                                               *)
@@ -390,8 +452,14 @@ let () =
         [
           case "begin/end pair with nesting and args" test_span_records_pair;
           case "end recorded when f raises" test_span_end_recorded_on_raise;
-          case "folded flamegraph export" test_folded_export;
           qcheck prop_forest_well_formed;
+          qcheck prop_of_chrome_inverts_to_chrome;
+          case "fold rejects unmatched and unclosed spans" test_fold_rejects_malformed;
+        ] );
+      ( "stages",
+        [
+          case "totals count every call, traced or not" test_stage_totals_untraced;
+          case "a stage's total is its spans' summed duration" test_stage_total_is_its_spans;
         ] );
       ( "parallel",
         [

@@ -500,8 +500,7 @@ let test_memo_counters () =
   check_int "hits + misses = lookups" l (h + mi);
   let s = Memo.stats m in
   check_int "stats.hits reads the registry" h s.Memo.hits;
-  check_int "stats.misses reads the registry" mi s.Memo.misses;
-  check_bool "build seconds >= 0" true (s.Memo.seconds >= 0.0)
+  check_int "stats.misses reads the registry" mi s.Memo.misses
 
 let test_memo_add_first_writer_wins () =
   let m = Memo.create "test.memo_add" in
