@@ -53,10 +53,19 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-(* A whole input file, or stdin for '-'. *)
+(* A whole input file, or stdin for '-'; a file that cannot be read is
+   one error line, "cannot read FILE: reason". *)
 let read_input file =
-  if file = "-" then In_channel.input_all stdin
-  else In_channel.with_open_bin file In_channel.input_all
+  if file = "-" then Ok (In_channel.input_all stdin)
+  else
+    try Ok (In_channel.with_open_bin file In_channel.input_all)
+    with Sys_error e ->
+      let prefix = file ^ ": " and n = String.length file + 2 in
+      let reason = if String.starts_with ~prefix e then String.sub e n (String.length e - n) else e in
+      Error (Printf.sprintf "cannot read %s: %s" file reason)
+
+let read_input_or_exit file =
+  match read_input file with Ok s -> s | Error e -> prerr_endline e; exit 1
 
 let make_context ~small ~words ~seed ~jobs =
   Option.iter Parallel.set_jobs jobs;
@@ -522,7 +531,7 @@ let trace_summary_cmd =
       exit 1
     in
     let ok = function Ok x -> x | Error e -> fail e in
-    let doc = ok (Json.of_string (read_input file)) in
+    let doc = ok (Json.of_string (read_input_or_exit file)) in
     let events = ok (Trace_log.of_chrome doc) in
     (* name -> (count, total us, max us) *)
     let totals : (string, int * float * float) Hashtbl.t = Hashtbl.create 32 in
@@ -608,7 +617,7 @@ let validate_cmd =
     Arg.(value & pos 0 string "-" & info [] ~docv:"FILE" ~doc)
   in
   let run file =
-    match Validate.of_string (read_input file) with
+    match Validate.of_string (read_input_or_exit file) with
     | Ok summary -> print_endline summary
     | Error e ->
         Printf.eprintf "invalid: %s\n" e;

@@ -13,6 +13,7 @@ type t = {
   region : region array;
   mutable extent : int;
   mutable placed : int;
+  mutable digest : string option;  (* [Some] once validated: the map is sealed *)
 }
 
 let create g =
@@ -22,11 +23,13 @@ let create g =
     region = Array.make (Graph.block_count g) Cold;
     extent = 0;
     placed = 0;
+    digest = None;
   }
 
 let is_placed t b = t.addr.(b) >= 0
 
 let place t b ~addr ~region =
+  if t.digest <> None then invalid_arg "Address_map.place: map is sealed";
   if addr < 0 then invalid_arg "Address_map.place: negative address";
   if is_placed t b then invalid_arg "Address_map.place: block already placed";
   t.addr.(b) <- addr;
@@ -47,31 +50,57 @@ let placed_count t = t.placed
 
 let graph t = t.graph
 
+let radix_bits = 11
+
+(* Stable LSD radix sort of the placed ids (collected in id order) on
+   their address, one pass per [radix_bits] digit of the highest address:
+   equal addresses keep id order. *)
 let blocks_by_addr t =
-  let blocks =
-    Array.of_seq
-      (Seq.filter (is_placed t) (Seq.init (Graph.block_count t.graph) Fun.id))
+  let ids = Array.make t.placed 0 and k = ref 0 in
+  Array.iteri (fun b a -> if a >= 0 then (ids.(!k) <- b; incr k)) t.addr;
+  let top = Array.fold_left Int.max 0 t.addr and mask = (1 lsl radix_bits) - 1 in
+  let count = Array.make (mask + 1) 0 in
+  let rec pass src dst shift =
+    if shift >= Sys.int_size || top lsr shift = 0 then src
+    else begin
+      Array.fill count 0 (mask + 1) 0;
+      for i = 0 to t.placed - 1 do
+        let x = (t.addr.(src.(i)) lsr shift) land mask in
+        count.(x) <- count.(x) + 1
+      done;
+      (* Counts become each digit's first slot. *)
+      let at = ref 0 in
+      Array.iteri (fun x c -> count.(x) <- !at; at := !at + c) count;
+      for i = 0 to t.placed - 1 do
+        let x = (t.addr.(src.(i)) lsr shift) land mask in
+        dst.(count.(x)) <- src.(i);
+        count.(x) <- count.(x) + 1
+      done;
+      pass dst src (shift + radix_bits)
+    end
   in
-  Array.sort (fun a b -> compare t.addr.(a) t.addr.(b)) blocks;
-  blocks
+  pass ids (Array.make t.placed 0) 0
+
+let addr_array t = Array.copy t.addr
+
+let bytes_array t =
+  Array.init (Graph.block_count t.graph) (fun b -> (Graph.block t.graph b).Block.size)
 
 let validate t =
   let n = Graph.block_count t.graph in
   if t.placed <> n then
     failwith (Printf.sprintf "Address_map: %d of %d blocks placed" t.placed n);
   let order = blocks_by_addr t in
-  Array.iteri
-    (fun i b ->
-      if i > 0 then begin
-        let prev = order.(i - 1) in
-        let prev_end = t.addr.(prev) + (Graph.block t.graph prev).Block.size in
-        if t.addr.(b) < prev_end then
-          failwith
-            (Printf.sprintf "Address_map: blocks %d and %d overlap at %d" prev b t.addr.(b))
-      end)
-    order
+  for i = 1 to n - 1 do
+    let prev = order.(i - 1) and b = order.(i) in
+    if t.addr.(b) < t.addr.(prev) + (Graph.block t.graph prev).Block.size then
+      failwith (Printf.sprintf "Address_map: blocks %d and %d overlap at %d" prev b t.addr.(b))
+  done;
+  if t.digest = None then
+    t.digest <-
+      Some (Digest.to_hex (Digest.string (Marshal.to_string (t.addr, bytes_array t) [])))
 
-let addr_array t = Array.copy t.addr
-
-let bytes_array t =
-  Array.init (Graph.block_count t.graph) (fun b -> (Graph.block t.graph b).Block.size)
+let digest t =
+  match t.digest with
+  | Some d -> d
+  | None -> invalid_arg "Address_map.digest: map not validated"

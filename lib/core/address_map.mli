@@ -16,8 +16,8 @@ type t
 val create : Graph.t -> t
 
 val place : t -> Block.id -> addr:int -> region:region -> unit
-(** @raise Invalid_argument if the block is already placed or the address
-    is negative. *)
+(** @raise Invalid_argument if the block is already placed, the address
+    is negative or the map is sealed. *)
 
 val is_placed : t -> Block.id -> bool
 val addr : t -> Block.id -> int
@@ -31,8 +31,15 @@ val placed_count : t -> int
 val graph : t -> Graph.t
 
 val validate : t -> unit
-(** Check completeness (every block placed) and non-overlap.
+(** Check completeness (every block placed) and non-overlap in one linear
+    scan over {!blocks_by_addr}.  The first success records {!digest} and
+    seals the map: later {!place} calls raise.
     @raise Failure with a diagnostic otherwise. *)
+
+val digest : t -> string
+(** Hex MD5 of the {!addr_array} and {!bytes_array} contents, recorded by
+    the first successful {!validate}.
+    @raise Invalid_argument if the map was never validated. *)
 
 val addr_array : t -> int array
 (** Block id -> address (for cache replay). *)
@@ -41,4 +48,4 @@ val bytes_array : t -> int array
 (** Block id -> size. *)
 
 val blocks_by_addr : t -> Block.id array
-(** All placed blocks sorted by address. *)
+(** All placed blocks sorted by address, equal addresses by id. *)

@@ -18,38 +18,25 @@ let region_of_string = function
   | "Cold" -> Address_map.Cold
   | other -> invalid_arg (Printf.sprintf "Layout_file: unknown region %S" other)
 
-let write_channel oc ~graph:g map =
-  Printf.fprintf oc "# %s\n" format_version;
-  Printf.fprintf oc "# addr size block region routine\n";
+let to_string ~graph:g map =
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "# %s\n# addr size block region routine\n" format_version;
   Array.iter
     (fun b ->
       let blk = Graph.block g b in
-      Printf.fprintf oc "0x%06x %d %d %s %s\n" (Address_map.addr map b)
-        blk.Block.size b
+      Printf.bprintf buf "0x%06x %d %d %s %s\n" (Address_map.addr map b) blk.Block.size b
         (Address_map.region_to_string (Address_map.region map b))
         (Graph.routine g blk.Block.routine).Routine.name)
-    (Address_map.blocks_by_addr map)
+    (Address_map.blocks_by_addr map);
+  Buffer.contents buf
+
+let write_channel oc ~graph map = output_string oc (to_string ~graph map)
 
 let save path ~graph map =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> write_channel oc ~graph map)
-
-let to_string ~graph map =
-  let buf = Buffer.create 4096 in
-  let header = Printf.sprintf "# %s\n# addr size block region routine\n" format_version in
-  Buffer.add_string buf header;
-  Array.iter
-    (fun b ->
-      let blk = Graph.block graph b in
-      Buffer.add_string buf
-        (Printf.sprintf "0x%06x %d %d %s %s\n" (Address_map.addr map b)
-           blk.Block.size b
-           (Address_map.region_to_string (Address_map.region map b))
-           (Graph.routine graph blk.Block.routine).Routine.name))
-    (Address_map.blocks_by_addr map);
-  Buffer.contents buf
 
 let parse_line lineno line =
   match String.split_on_char ' ' (String.trim line) with

@@ -28,27 +28,23 @@ type result = {
 
 (* Cursor over memory organized as logical caches of size [cache] whose
    lowest [hole] bytes (beyond the first logical cache) are reserved.
-   Records the holes it skips so they can be filled with cold code. *)
+   Records the holes it skips so they can be filled with cold code; the
+   cursor only moves up, so each hole is recorded once. *)
 type cursor = {
   cache : int;
   hole : int;
   mutable at : int;
-  mutable holes : (int * int) list;  (* (start, size), reverse order *)
-  seen : (int, unit) Hashtbl.t;  (* hole starts already recorded *)
+  mutable holes : int list;  (* starts of [hole]-byte spans, reverse order *)
 }
 
-let cursor ~cache ~hole ~start =
-  { cache; hole; at = start; holes = []; seen = Hashtbl.create 16 }
+let cursor ~cache ~hole ~start = { cache; hole; at = start; holes = [] }
 
 let rec fit c size =
   let off = c.at mod c.cache in
   if c.hole > 0 && c.at >= c.cache && off < c.hole then begin
     (* Entering a reserved hole: skip it, remembering the span. *)
     let start = c.at - off in
-    if not (Hashtbl.mem c.seen start) then begin
-      Hashtbl.add c.seen start ();
-      c.holes <- (start, c.hole) :: c.holes
-    end;
+    c.holes <- start :: c.holes;
     c.at <- start + c.hole;
     fit c size
   end
@@ -147,34 +143,37 @@ let assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude par
       let size = (Graph.block g b).Block.size in
       Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Loop_area)
     loop_blocks;
-  (* 4. Cold filler: coldest blocks first into the reserved holes, the
-     rest after the end. *)
-  let unplaced =
-    List.filter
-      (fun b -> (not (Address_map.is_placed map b)) && not (exclude b))
-      (List.init (Graph.block_count g) Fun.id)
+  (* 4. Cold filler: coldest blocks first (ties by id) into the reserved
+     holes, first fit, the rest after the end.  The zero-count blocks,
+     usually all of them, come out of the id scan already in order. *)
+  let n = Graph.block_count g and count b = p.Profile.block.(b) in
+  let zeros = Array.make n 0 and nz = ref 0 and others = ref [] in
+  for b = 0 to n - 1 do
+    if not (Address_map.is_placed map b || exclude b) then
+      if count b = 0.0 then (zeros.(!nz) <- b; incr nz) else others := b :: !others
+  done;
+  let below, above =
+    List.rev !others
+    |> List.stable_sort (fun a b -> Float.compare (count a) (count b))
+    |> List.partition (fun b -> Float.compare (count b) 0.0 < 0)
   in
-  let coldest =
-    List.sort
-      (fun a b -> compare (p.Profile.block.(a), a) (p.Profile.block.(b), b))
-      unplaced
-  in
-  let holes = ref (List.rev_map (fun (start, size) -> (start, size)) cur.holes) in
+  let starts = Array.of_list (List.rev cur.holes) in
+  let room = Array.make (Array.length starts) cur.hole in
   let place_cold b =
     let size = (Graph.block g b).Block.size in
-    let rec try_holes acc = function
-      | [] ->
-          holes := List.rev acc;
-          Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Cold
-      | (start, avail) :: rest when avail >= size ->
-          Address_map.place map b ~addr:start ~region:Address_map.Cold;
-          let remaining = (start + size, avail - size) in
-          holes := List.rev_append acc (remaining :: rest)
-      | hole :: rest -> try_holes (hole :: acc) rest
-    in
-    try_holes [] !holes
+    let i = ref 0 in
+    while !i < Array.length room && room.(!i) < size do incr i done;
+    if !i = Array.length room then
+      Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Cold
+    else begin
+      Address_map.place map b ~addr:starts.(!i) ~region:Address_map.Cold;
+      starts.(!i) <- starts.(!i) + size;
+      room.(!i) <- room.(!i) - size
+    end
   in
-  List.iter place_cold coldest;
+  List.iter place_cold below;
+  for i = 0 to !nz - 1 do place_cold zeros.(i) done;
+  List.iter place_cold above;
   { map; sequences; scf_blocks; scf_bytes; loop_blocks }
 
 let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
@@ -223,11 +222,11 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
               ~exclude:(fun _ -> false)
               params
           in
-          (* Validate once per actual construction: a placement served
-             from the place cache was validated when it was built.  The
-             exclude path above is left unvalidated on purpose — its maps
-             are incomplete by design until the caller (Call_opt) places
-             the blocks it claimed. *)
+          (* Validate, and so seal, once per actual construction: a
+             placement served from the place cache was sealed when it was
+             built.  The exclude path above returns an unsealed map, since
+             its caller (Call_opt) still places the blocks it claimed and
+             then validates. *)
           Address_map.validate r.map;
           r)
 

@@ -1,17 +1,19 @@
-type digest_memo = string option Atomic.t
-
 type t = {
   name : string;
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   os_meta : Opt.result option;
-  digest_memo : digest_memo;
+  digest : string;
 }
 
-(* Every value gets a memo of its own: a copy made with [{ t with ... }]
-   would share, and so leak, the source's digest. *)
+(* Image bases are a function of the image index, so the images' sealed
+   digests in order identify the whole code map. *)
 let make ~name ~os_map ~app_maps ~os_meta =
-  { name; os_map; app_maps; os_meta; digest_memo = Atomic.make None }
+  let images = os_map :: Array.to_list app_maps in
+  let digest =
+    Digest.to_hex (Digest.string (String.concat "|" (List.map Address_map.digest images)))
+  in
+  { name; os_map; app_maps; os_meta; digest }
 
 let app_region_base = 1 lsl 24
 
@@ -113,13 +115,4 @@ let code_map t =
     t.app_maps;
   { Replay.addr; bytes }
 
-let digest t =
-  match Atomic.get t.digest_memo with
-  | Some d -> d
-  | None ->
-      let m = code_map t in
-      let d =
-        Digest.to_hex (Digest.string (Marshal.to_string (m.Replay.addr, m.Replay.bytes) []))
-      in
-      Atomic.set t.digest_memo (Some d);
-      d
+let digest t = t.digest

@@ -10,19 +10,16 @@
     - [opt_a]: [opt_s] for the OS plus optimized application layouts
       (sequences + loop extraction, placed from the opposite cache side). *)
 
-type digest_memo
-(** Where a layout keeps its {!digest} once computed. *)
-
 type t = private {
   name : string;
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   os_meta : Opt.result option;  (** Sequence/SCF/loop metadata when built
                                     by the Opt machinery. *)
-  digest_memo : digest_memo;
+  digest : string;  (** See {!digest}. *)
 }
-(** Only this module builds layouts, so every value starts with an empty
-    digest memo of its own. *)
+(** Only this module builds layouts, so every value's digest is the one
+    of the maps it holds. *)
 
 val app_region_base : int
 (** Byte address where application image 1 begins (a multiple of every
@@ -49,23 +46,24 @@ val opt_a :
 (** [app_profiles.(k)] profiles application image [k+1]. *)
 
 val with_os_map : t -> name:string -> Address_map.t -> os_meta:Opt.result option -> t
-(** Replace the OS placement (used by the Call/Resv variants).  The result
-    has no digest yet. *)
+(** Replace the OS placement (used by the Call/Resv variants).
+    @raise Invalid_argument if the map was never validated. *)
 
 val code_map : t -> Replay.code_map
 (** Absolute addresses: OS at 0, application image [k] at
     [app_region_base + (k-1) * app_region_stride]. *)
 
 val digest : t -> string
-(** Content digest of the placement exactly as the simulator consumes it
-    (the absolute {!code_map} addresses and block sizes, hex-encoded MD5).
-    Two layouts with equal digests replay identically under every cache
-    configuration, so the digest is a sound memoization key for simulation
-    results regardless of how or when the layout was built.
+(** Content digest of the placement exactly as the simulator consumes it:
+    the hex MD5 of the images' {!Address_map.digest}s in image order.  Each
+    of those covers an image's addresses and block sizes, and image bases
+    depend only on the index, so two layouts with equal digests have equal
+    {!code_map}s and replay identically under every cache configuration.
+    The digest is thus a sound memoization key for simulation results
+    regardless of how or when the layout was built.
 
-    Computed on the first call and kept in the value, so later calls are a
-    field read.  Safe from any domain: two domains racing on the first
-    call may both compute it, and both get the same string. *)
+    Computed when the layout is built from the maps' sealed digests, so a
+    map shared by many layouts is hashed once per process. *)
 
 val os_loops : Model.t -> Loops.t list
 (** Natural loops of the kernel graph ({!Layout_cache.loops} on the

@@ -65,6 +65,32 @@ let test_address_map_arrays () =
   let bytes = Address_map.bytes_array m in
   check_int "sizes exported" 16 bytes.(d.entry)
 
+(* The first successful validate seals the map and records its digest;
+   a failed one leaves it open. *)
+let test_address_map_seal () =
+  let d = diamond () in
+  let m = Address_map.create d.g in
+  Address_map.place m d.entry ~addr:0 ~region:Address_map.Cold;
+  check_raises_invalid "digest before validate" (fun () -> Address_map.digest m);
+  (match Address_map.validate m with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "incomplete map validated");
+  check_raises_invalid "digest after a failed validate" (fun () -> Address_map.digest m);
+  List.iteri
+    (fun i b -> Address_map.place m b ~addr:(16 + (32 * i)) ~region:Address_map.Cold)
+    [ d.a; d.b; d.exit_ ];
+  Address_map.validate m;
+  check_raises_invalid "place after validate" (fun () ->
+      Address_map.place m d.b ~addr:512 ~region:Address_map.Cold);
+  check_string "digest covers addresses and sizes"
+    (Digest.to_hex
+       (Digest.string
+          (Marshal.to_string (Address_map.addr_array m, Address_map.bytes_array m) [])))
+    (Address_map.digest m);
+  Address_map.validate m;
+  check_bool "revalidating keeps the recorded digest" true
+    (Address_map.digest m == Address_map.digest m)
+
 (* ------------------------------------------------------------------ *)
 (* Base layout                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -495,9 +521,9 @@ let test_program_layout_code_map () =
   check_bool "apps in their own region" true
     (app_min >= Program_layout.app_region_base)
 
-(* The digest is kept in the layout value, so a layout derived with
-   [with_os_map] must get the digest of what it now holds, never the one
-   its source had already computed. *)
+(* The digest is computed when the layout is built, from its maps'
+   sealed digests, so a layout derived with [with_os_map] gets the digest
+   of what it now holds, never the one its source had. *)
 let test_program_layout_digest_memo () =
   let ctx = small_ctx () in
   let model = ctx.Context.model and _, program = ctx.Context.pairs.(0) in
@@ -541,6 +567,7 @@ let () =
           case "validate overlap" test_address_map_validate_overlap;
           case "blocks_by_addr" test_address_map_blocks_by_addr;
           case "arrays" test_address_map_arrays;
+          case "seal" test_address_map_seal;
         ] );
       ( "base",
         [

@@ -118,11 +118,173 @@ let prop_layout_file_roundtrip_random =
             ok := false);
       !ok)
 
+(* --- Placement oracle --------------------------------------------- *)
+
+(* Opt and Address_map against the list- and sort-based code they
+   replaced (test/ref_layout.ml): random kernels, random parameters, a
+   random exclusion, and a perturbed profile whose cold blocks tie and
+   mix zero, -0.0 and negative counts, and whose extra hot blocks make
+   the sequences cross several logical caches. *)
+type layout_case = {
+  spec : Spec.t;
+  params : Opt.params;
+  one_seed : bool;  (* interrupt seed only: executed blocks stay cold *)
+  exclude : (int * int) option;  (* exclude b when b mod k = r *)
+  perturb : bool;
+  stagger : int;
+  skew : int;
+}
+
+let layout_case_gen =
+  QCheck.Gen.(
+    let* spec = spec_gen in
+    (* A random kernel executes about 5 KB of code, so only a 4 KB
+       cache makes the sequences cross a logical cache and leave holes. *)
+    let* cache_kb = frequencyl [ (4, 4); (1, 8); (1, 16); (1, 32) ] in
+    let* scf_cutoff = oneofl [ None; Some 2.0; Some 0.5; Some 0.125 ] in
+    let* extract_loops = bool and* scf_holes = frequencyl [ (3, true); (1, false) ] in
+    let* start_offset = oneofl [ 0; 0; 36 ] in
+    let* one_seed = frequencyl [ (1, true); (3, false) ] and* perturb = bool in
+    let* exclude = opt (pair (3 -- 17) (0 -- 2)) in
+    let* stagger = 0 -- 3 and* skew = 0 -- 9000 in
+    let params =
+      {
+        (Opt.params ~cache_size:(cache_kb * 1024) ~scf_cutoff ~extract_loops ~scf_holes ()) with
+        Opt.start_offset;
+      }
+    in
+    return { spec; params; one_seed; exclude; perturb; stagger; skew })
+
+let layout_case_arb =
+  QCheck.make
+    ~print:(fun c ->
+      let p = c.params in
+      Printf.sprintf
+        "spec seed=%d cache=%d scf=%s loops=%b holes=%b start=%d one_seed=%b exclude=%s \
+         perturb=%b stagger=%d skew=%d"
+        c.spec.Spec.seed p.Opt.cache_size
+        (match p.Opt.scf_cutoff with None -> "none" | Some f -> string_of_float f)
+        p.Opt.extract_loops p.Opt.scf_holes p.Opt.start_offset c.one_seed
+        (match c.exclude with None -> "none" | Some (k, r) -> Printf.sprintf "%d/%d" k r)
+        c.perturb c.stagger c.skew)
+    layout_case_gen
+
+let same_result g (a : Opt.result) (b : Opt.result) =
+  let regions m = Array.init (Graph.block_count g) (Address_map.region m) in
+  Address_map.addr_array a.Opt.map = Address_map.addr_array b.Opt.map
+  && regions a.Opt.map = regions b.Opt.map
+  && a.Opt.scf_blocks = b.Opt.scf_blocks
+  && a.Opt.scf_bytes = b.Opt.scf_bytes
+  && a.Opt.loop_blocks = b.Opt.loop_blocks
+
+let prop_placement_matches_reference =
+  QCheck.Test.make ~name:"random kernels x params: placement == reference" ~count:40
+    layout_case_arb (fun c ->
+      let m = Generator.generate c.spec in
+      let g = m.Model.graph in
+      let w, program = (Workload.standard_programs m).(0) in
+      let profiles, sink = Profile.sinks ~program in
+      let _ = Engine.run ~program ~workload:w ~words:40_000 ~seed:c.spec.Spec.seed ~sink in
+      let p = profiles.(0) in
+      let p =
+        if not c.perturb then p
+        else
+          let block =
+            Array.mapi
+              (fun b x ->
+                if b mod 5 = 0 then -.float_of_int (b mod 7)
+                else if b mod 5 = 1 && x = 0.0 then float_of_int (b mod 4)
+                else x)
+              p.Profile.block
+          in
+          { p with Profile.block }
+      in
+      let loops = Layout_cache.loops g in
+      let seed_entry s = (Model.seed_for m s).Model.entry in
+      let schedule =
+        if c.one_seed then Schedule.restrict [ Service.Interrupt ] Schedule.paper
+        else Schedule.paper
+      in
+      let exclude = Option.map (fun (k, r) b -> b mod k = r) c.exclude in
+      let os =
+        same_result g
+          (Opt.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude c.params)
+          (Ref_layout.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude c.params)
+      in
+      let apps =
+        Array.mapi
+          (fun k (app : App_model.t) ->
+            let profile = profiles.(k + 1) in
+            same_result app.App_model.graph
+              (Opt.app_layout ~app ~profile ~stagger:c.stagger ~addr_skew:c.skew c.params)
+              (Ref_layout.app_layout ~app ~profile ~stagger:c.stagger ~addr_skew:c.skew
+                 c.params))
+          program.Program.apps
+      in
+      os && Array.for_all Fun.id apps)
+
+(* Hand-built maps: blocks laid out in a random order with gaps that
+   overlap, touch, tie or leave space, some left unplaced, from a base
+   that may need three or more radix digits and may straddle a digit
+   boundary. *)
+let map_case_gen =
+  QCheck.Gen.(
+    let* sizes = list_size (1 -- 40) (1 -- 48) in
+    let n = List.length sizes in
+    let* order = shuffle_l (List.init n Fun.id) in
+    let* gaps = list_repeat n (oneofl [ `Tie; `Overlap; `Touch; `Touch; `Touch; `Apart ]) in
+    let* skip = list_repeat n (frequencyl [ (12, false); (1, true) ]) in
+    let* base = oneofl [ 0; 100; (1 lsl 22) - 256; (1 lsl 24) + 12; (1 lsl 33) - 256; (1 lsl 44) - 256 ] in
+    return (sizes, order, gaps, skip, base))
+
+let map_case_arb = QCheck.make map_case_gen
+
+let prop_validate_matches_reference =
+  QCheck.Test.make ~name:"hand-built maps: validate and blocks_by_addr == reference"
+    ~count:500 map_case_arb (fun (sizes, order, gaps, skip, base) ->
+      let bld = Graph.builder () in
+      let r = Graph.declare_routine bld "r" in
+      List.iter (fun size -> ignore (Graph.add_block bld ~routine:r ~size ())) sizes;
+      let g = Graph.freeze bld in
+      let map = Address_map.create g in
+      let size b = (Graph.block g b).Block.size in
+      let _ =
+        List.fold_left2
+          (fun (at, prev) (b, gap) skip ->
+            let a =
+              match (gap, prev) with
+              | `Tie, Some (pa, _) -> pa
+              | `Overlap, Some (pa, ps) -> pa + max 0 (ps - 1)
+              | `Apart, _ -> at + 8
+              | _ -> at
+            in
+            if skip then (at, prev)
+            else begin
+              Address_map.place map b ~addr:a ~region:Address_map.Cold;
+              (max at (a + size b), Some (a, size b))
+            end)
+          (base, None) (List.combine order gaps) skip
+      in
+      let addr = Address_map.addr map in
+      let expect = Ref_layout.blocks_by_addr map in
+      let got = Address_map.blocks_by_addr map in
+      (* The reference's comparison sort leaves ties in no set order; the
+         radix sort puts them in id order. *)
+      let expect_ordered = Array.copy expect in
+      Array.stable_sort (fun a b -> compare (addr a, a) (addr b, b)) expect_ordered;
+      let ok f = match f map with () -> true | exception Failure _ -> false in
+      let ref_ok = ok Ref_layout.validate in
+      Array.map addr expect = Array.map addr got
+      && got = expect_ordered
+      && ref_ok = ok Address_map.validate)
+
 (* --- Sim_cache memo-key properties -------------------------------- *)
 
 (* The digest must separate placements exactly: equal iff the placement
    the simulator consumes (absolute addresses and block sizes) is equal.
-   Distinct layouts of random kernels must therefore never conflate. *)
+   Distinct layouts of random kernels must therefore never conflate, and
+   a [with_os_map] variant must key like the layout it reproduces.  The
+   layouts of every program share its Base application maps. *)
 let prop_digest_separates_layouts =
   QCheck.Test.make ~name:"random kernels: layout digest equal iff placement equal"
     ~count:10 spec_arb (fun spec ->
@@ -132,13 +294,29 @@ let prop_digest_separates_layouts =
       let profiles, sink = Profile.sinks ~program in
       let _ = Engine.run ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed ~sink in
       let p = profiles.(0) in
+      let app_profiles = Array.sub profiles 1 (Array.length profiles - 1) in
+      let built =
+        Array.to_list pairs
+        |> List.concat_map (fun (_, program) ->
+               [
+                 Program_layout.base ~model:m ~program;
+                 Program_layout.chang_hwu ~model:m ~program ~os_profile:p;
+                 Program_layout.opt_s ~model:m ~program ~os_profile:p ();
+               ])
+      in
+      let base = List.hd built and ch = List.nth built 1 and opt_s = List.nth built 2 in
+      let variant src (l : Program_layout.t) =
+        Program_layout.with_os_map src ~name:"variant" l.Program_layout.os_map ~os_meta:None
+      in
       let layouts =
-        [
-          Program_layout.base ~model:m ~program;
-          Program_layout.chang_hwu ~model:m ~program ~os_profile:p;
-          Program_layout.opt_s ~model:m ~program ~os_profile:p ();
-          Program_layout.opt_l ~model:m ~program ~os_profile:p ();
-        ]
+        built
+        @ [
+            Program_layout.opt_l ~model:m ~program ~os_profile:p ();
+            Program_layout.opt_a ~model:m ~program ~os_profile:p ~app_profiles ();
+            variant base opt_s;
+            variant opt_s ch;
+            variant ch base;
+          ]
       in
       let placement l =
         let map = Program_layout.code_map l in
@@ -204,6 +382,8 @@ let () =
           qcheck prop_inline_engine_runs;
           qcheck prop_layout_file_roundtrip_random;
         ] );
+      ( "placement",
+        [ qcheck prop_placement_matches_reference; qcheck prop_validate_matches_reference ] );
       ( "sim-cache",
         [
           qcheck prop_digest_separates_layouts;

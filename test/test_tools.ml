@@ -42,6 +42,22 @@ let test_layout_file_file_io () =
       check_int "file round-trip preserves extent" (Address_map.extent map)
         (Address_map.extent map'))
 
+(* One formatter serves both: the file [save] writes is [to_string]
+   byte for byte, and loading it back gives the same sealed digest. *)
+let test_layout_file_save_is_to_string () =
+  let ctx = small_ctx () in
+  let g = Context.os_graph ctx in
+  let map = opt_map ctx in
+  let path = Filename.temp_file "icache_layout" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Layout_file.save path ~graph:g map;
+      check_string "file bytes" (Layout_file.to_string ~graph:g map)
+        (In_channel.with_open_bin path In_channel.input_all);
+      check_string "loaded digest" (Address_map.digest map)
+        (Address_map.digest (Layout_file.load path ~graph:g)))
+
 let test_layout_file_rejects_garbage () =
   let ctx = small_ctx () in
   let g = Context.os_graph ctx in
@@ -437,6 +453,7 @@ let () =
         [
           case "round-trip" test_layout_file_roundtrip;
           case "file io" test_layout_file_file_io;
+          case "save writes to_string" test_layout_file_save_is_to_string;
           case "rejects garbage" test_layout_file_rejects_garbage;
           case "rejects size mismatch" test_layout_file_rejects_size_mismatch;
           case "rejects incomplete" test_layout_file_incomplete_rejected;
