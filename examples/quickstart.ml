@@ -34,7 +34,7 @@ let () =
   Printf.printf "traced %d instruction words (%d OS invocations)\n"
     stats.Engine.total_words
     (Array.fold_left ( + ) 0 stats.Engine.invocations);
-  let os_profile = profiles.(0) in
+  let os_profile = Profile.freeze profiles.(0) in
 
   (* 4. Two layouts: the original link order (Base) and the paper's OptS
      (sequences grown from the four seeds + a SelfConfFree area). *)

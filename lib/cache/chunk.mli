@@ -9,6 +9,10 @@ type code_map = {
   addr : int array array;  (** Per image: block id -> byte address. *)
   bytes : int array array;  (** Per image: block id -> block size. *)
 }
+(** A code map's arrays are shared and read-only: a layout builds its map
+    once and hands the same one to every pass, and its rows are the
+    placement's and the graph's own arrays, not copies.  Nothing that
+    consumes a code map writes it. *)
 
 type t = private {
   owner : int array;

@@ -6,6 +6,8 @@ type t = {
   in_arcs : Arc.id array array;
   callers : Block.id array array;
   code_bytes : int;
+  sizes : int array;
+  digest : string Atomic.t;  (* "" until the first {!digest} *)
 }
 
 type builder = {
@@ -109,8 +111,19 @@ let freeze b =
       ~index:(fun (blk : Block.t) -> Option.get blk.Block.call)
     |> Array.map (Array.map (fun (blk : Block.t) -> blk.Block.id))
   in
-  let code_bytes = Array.fold_left (fun acc (blk : Block.t) -> acc + blk.Block.size) 0 blocks in
-  { blocks; arcs; routines; out_arcs; in_arcs; callers; code_bytes }
+  let sizes = Array.map (fun (blk : Block.t) -> blk.Block.size) blocks in
+  let code_bytes = Array.fold_left ( + ) 0 sizes in
+  {
+    blocks;
+    arcs;
+    routines;
+    out_arcs;
+    in_arcs;
+    callers;
+    code_bytes;
+    sizes;
+    digest = Atomic.make "";
+  }
 
 let block_count t = Array.length t.blocks
 let arc_count t = Array.length t.arcs
@@ -129,3 +142,16 @@ let iter_routines t f = Array.iter f t.routines
 let iter_arcs t f = Array.iter f t.arcs
 let callers t r = t.callers.(r)
 let fold_blocks t ~init ~f = Array.fold_left f init t.blocks
+let block_sizes t = t.sizes
+
+(* The other fields are functions of blocks, arcs and routines.  Racing
+   first calls compute the same string, so a plain write-once slot will do. *)
+let digest t =
+  match Atomic.get t.digest with
+  | "" ->
+      let d =
+        Digest.to_hex (Digest.string (Marshal.to_string (t.blocks, t.arcs, t.routines) []))
+      in
+      Atomic.set t.digest d;
+      d
+  | d -> d

@@ -57,6 +57,15 @@ val entry_of : t -> Routine.id -> Block.id
 val code_bytes : t -> int
 (** Total static code size. *)
 
+val block_sizes : t -> int array
+(** Block id -> size, built once by {!freeze} and shared by every caller:
+    read it, never write it. *)
+
+val digest : t -> string
+(** Hex MD5 of the graph's content, computed on the first call and
+    stored in the graph (not in {!freeze}: most graphs are never keyed).
+    Graphs are immutable, so every later call is a field read. *)
+
 val routine_of_block : t -> Block.id -> Routine.id
 
 val iter_blocks : t -> (Block.t -> unit) -> unit

@@ -83,8 +83,7 @@ let blocks_by_addr t =
 
 let addr_array t = Array.copy t.addr
 
-let bytes_array t =
-  Array.init (Graph.block_count t.graph) (fun b -> (Graph.block t.graph b).Block.size)
+let bytes_array t = Array.copy (Graph.block_sizes t.graph)
 
 let validate t =
   let n = Graph.block_count t.graph in
@@ -98,9 +97,15 @@ let validate t =
   done;
   if t.digest = None then
     t.digest <-
-      Some (Digest.to_hex (Digest.string (Marshal.to_string (t.addr, bytes_array t) [])))
+      Some
+        (Digest.to_hex
+           (Digest.string (Marshal.to_string (t.addr, Graph.block_sizes t.graph) [])))
 
 let digest t =
   match t.digest with
   | Some d -> d
   | None -> invalid_arg "Address_map.digest: map not validated"
+
+let sealed_addr t =
+  if t.digest = None then invalid_arg "Address_map.sealed_addr: map not validated";
+  t.addr

@@ -45,7 +45,12 @@ val addr_array : t -> int array
 (** Block id -> address (for cache replay). *)
 
 val bytes_array : t -> int array
-(** Block id -> size. *)
+(** Block id -> size (a copy). *)
+
+val sealed_addr : t -> int array
+(** The sealed map's own block id -> address array, not a copy: sealing
+    forbids {!place}, so it never changes again.  Read it, never write it.
+    @raise Invalid_argument if the map was never validated. *)
 
 val blocks_by_addr : t -> Block.id array
 (** All placed blocks sorted by address, equal addresses by id. *)

@@ -1,14 +1,14 @@
 type stats = Memo.stats = { hits : int; misses : int }
 
-(* Guards the two physical-identity memos below and the stage list; the
-   stage tables are Memos with locks of their own. *)
+(* Guards the loop memo below and the stage list; the stage tables are
+   Memos with locks of their own. *)
 let lock = Mutex.create ()
 let enabled_flag = ref true
 
 let set_enabled b = enabled_flag := b
 
 (* ------------------------------------------------------------------ *)
-(* Digests and loop detection                                         *)
+(* Loop detection                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let md5 v = Digest.to_hex (Digest.string (Marshal.to_string v []))
@@ -16,30 +16,6 @@ let md5 v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 (* Physical-identity memo: the process only ever sees a handful of frozen
    graphs (the kernel plus a few application images), so a linear scan
    beats hashing structures that cannot be hashed physically. *)
-let graph_digests : (Graph.t * string) list ref = ref []
-
-let graph_digest g =
-  match
-    Mutex.protect lock (fun () ->
-        List.find_opt (fun (g', _) -> g' == g) !graph_digests)
-  with
-  | Some (_, d) -> d
-  | None ->
-      let d = md5 g in
-      Mutex.protect lock (fun () ->
-          match List.find_opt (fun (g', _) -> g' == g) !graph_digests with
-          | Some (_, d') -> d'
-          | None ->
-              graph_digests := (g, d) :: !graph_digests;
-              d)
-
-(* Profiles are mutable (Profile.accumulate, scale_to's sharing of
-   freshly-built arrays), so a physical memo could serve a stale digest;
-   recompute every time.  The arrays are small next to a single
-   Sequence.build, and staleness here would silently alias layouts. *)
-let profile_digest (p : Profile.t) =
-  md5 (p.Profile.block, p.Profile.arc, p.Profile.total_blocks, p.Profile.invocations)
-
 let loops_tbl : (Graph.t * (Loops.t list * string)) list ref = ref []
 
 let find_loops g = List.find_opt (fun (g', _) -> g' == g) !loops_tbl
@@ -92,6 +68,4 @@ let stage_stats () =
 
 let clear () =
   List.iter (fun (Stage (_, s)) -> Memo.clear s.memo) (all_stages ());
-  Mutex.protect lock (fun () ->
-      graph_digests := [];
-      loops_tbl := [])
+  Mutex.protect lock (fun () -> loops_tbl := [])

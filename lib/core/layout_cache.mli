@@ -18,7 +18,10 @@
     both used to be rebuilt per workload despite identical inputs.
 
     Each stage is a {!Memo} named [layout_cache.<stage>], keyed on a
-    digest of exactly the inputs that stage consumes; its hit, miss and
+    digest of exactly the inputs that stage consumes.  Graphs and frozen
+    profiles carry their own digests ({!Graph.digest}, {!Profile.digest}),
+    computed once per value on first use, so keying a stage costs a few
+    field reads and one small hash.  Its hit, miss and
     lookup counts live in the metrics registry, and each build on a miss
     runs as the {!Trace_log.stage} of the same name, so the run manifest
     reports both.  Racing
@@ -29,15 +32,6 @@
     The module also owns natural-loop detection for {e both} OS and
     application graphs ({!loops}), replacing the unsynchronized global
     that {!Program_layout} used to mutate from parallel builds. *)
-
-val graph_digest : Graph.t -> string
-(** Content digest of a frozen flow graph, memoized on physical identity
-    (graphs are immutable after {!Graph.freeze}). *)
-
-val profile_digest : Profile.t -> string
-(** Content digest of a profile.  Recomputed on every call — profiles are
-    mutable ({!Profile.accumulate}), so physical memoization would be
-    unsound. *)
 
 val loops : Graph.t -> Loops.t list
 (** [Loops.find g], memoized per graph (physical identity) behind a lock:
@@ -74,5 +68,5 @@ val stage_stats : unit -> (string * stats) list
 (** Per-stage counts in stage creation order (process totals). *)
 
 val clear : unit -> unit
-(** Drop every cached value, including memoized loops and digests.  The
-    counts keep their process totals. *)
+(** Drop every cached value, including memoized loops.  The counts keep
+    their process totals. *)

@@ -178,8 +178,8 @@ let assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude par
 
 let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
     ?(follow_calls = true) params =
-  let gd = Layout_cache.graph_digest g in
-  let pd = Layout_cache.profile_digest p in
+  let gd = Graph.digest g in
+  let pd = Profile.digest p in
   let ld = Layout_cache.loops_digest g loops in
   (* Sequence construction consumes [seed_entry] only through the seed
      block of each pass, so materializing those blocks turns the function

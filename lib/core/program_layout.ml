@@ -4,16 +4,8 @@ type t = {
   app_maps : Address_map.t array;
   os_meta : Opt.result option;
   digest : string;
+  code_map : Replay.code_map;
 }
-
-(* Image bases are a function of the image index, so the images' sealed
-   digests in order identify the whole code map. *)
-let make ~name ~os_map ~app_maps ~os_meta =
-  let images = os_map :: Array.to_list app_maps in
-  let digest =
-    Digest.to_hex (Digest.string (String.concat "|" (List.map Address_map.digest images)))
-  in
-  { name; os_map; app_maps; os_meta; digest }
 
 let app_region_base = 1 lsl 24
 
@@ -24,6 +16,34 @@ let app_region_stride = 1 lsl 23
    aligned with cache set 0 (where the OS hot area lives).  Line-aligned
    but not a divisor of any simulated cache size. *)
 let app_skew k = (k + 1) * 1184
+
+let shifted_apps app_maps =
+  Array.mapi
+    (fun k m ->
+      let b = app_region_base + (k * app_region_stride) + app_skew k in
+      Array.map (fun a -> a + b) (Address_map.sealed_addr m))
+    app_maps
+
+(* Image bases are a function of the image index, so the images' sealed
+   digests in order identify the whole code map.  The code map is built
+   here, once per layout: the OS image is the sealed map's own address
+   array and every image's sizes are its graph's, so no layout copies
+   the kernel's arrays.  Only the small application images get shifted
+   copies, which [with_os_map] passes on as [app_addr]. *)
+let make ?app_addr ~name ~os_map ~app_maps ~os_meta () =
+  let images = os_map :: Array.to_list app_maps in
+  let digest =
+    Digest.to_hex (Digest.string (String.concat "|" (List.map Address_map.digest images)))
+  in
+  let app_addr = match app_addr with Some a -> a | None -> shifted_apps app_maps in
+  let sizes m = Graph.block_sizes (Address_map.graph m) in
+  let code_map =
+    {
+      Replay.addr = Array.append [| Address_map.sealed_addr os_map |] app_addr;
+      bytes = Array.map sizes (Array.of_list images);
+    }
+  in
+  { name; os_map; app_maps; os_meta; digest; code_map }
 
 (* Loop detection over the 40k-block kernel graph is not free; delegate to
    the lock-guarded per-graph memo (the old single-slot ref here was a
@@ -40,7 +60,7 @@ let base_map g ~order =
   let key =
     Digest.to_hex
       (Digest.string
-         (Layout_cache.graph_digest g ^ "|"
+         (Graph.digest g ^ "|"
          ^ Digest.to_hex (Digest.string (Marshal.to_string order []))))
   in
   Layout_cache.find_or_build base_stage ~key (fun () -> Base.layout g ~order)
@@ -54,7 +74,7 @@ let base_apps program =
 let base_os model = base_map model.Model.graph ~order:model.Model.base_order
 
 let base ~model ~program =
-  make ~name:"Base" ~os_map:(base_os model) ~app_maps:(base_apps program) ~os_meta:None
+  make ~name:"Base" ~os_map:(base_os model) ~app_maps:(base_apps program) ~os_meta:None ()
 
 (* The C-H OS placement depends only on (graph, profile) and is shared by
    every workload of a level build, so it rides the same content-addressed
@@ -63,20 +83,16 @@ let ch_stage : Address_map.t Layout_cache.stage = Layout_cache.stage "chang_hwu"
 
 let chang_hwu ~model ~program ~os_profile =
   let g = model.Model.graph in
-  let key =
-    Digest.to_hex
-      (Digest.string
-         (Layout_cache.graph_digest g ^ "|" ^ Layout_cache.profile_digest os_profile))
-  in
+  let key = Digest.to_hex (Digest.string (Graph.digest g ^ "|" ^ Profile.digest os_profile)) in
   make ~name:"C-H"
     ~os_map:
       (Layout_cache.find_or_build ch_stage ~key (fun () -> Chang_hwu.layout g os_profile))
-    ~app_maps:(base_apps program) ~os_meta:None
+    ~app_maps:(base_apps program) ~os_meta:None ()
 
 let opt_with ~name ~extract_loops ~model ~program ~os_profile ~params =
   let params = { params with Opt.extract_loops } in
   let r = Opt.os_layout ~model ~profile:os_profile ~loops:(os_loops model) params in
-  make ~name ~os_map:r.Opt.map ~app_maps:(base_apps program) ~os_meta:(Some r)
+  make ~name ~os_map:r.Opt.map ~app_maps:(base_apps program) ~os_meta:(Some r) ()
 
 let opt_s ~model ~program ~os_profile ?(params = Opt.params ()) () =
   opt_with ~name:"OptS" ~extract_loops:false ~model ~program ~os_profile ~params
@@ -97,22 +113,13 @@ let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) ()
         r.Opt.map)
       program.Program.apps
   in
-  make ~name:os.name ~os_map:os.os_map ~app_maps ~os_meta:os.os_meta
+  make ~name:os.name ~os_map:os.os_map ~app_maps ~os_meta:os.os_meta ()
 
-let with_os_map t ~name os_map ~os_meta = make ~name ~os_map ~app_maps:t.app_maps ~os_meta
+let with_os_map t ~name os_map ~os_meta =
+  make ~name ~os_map ~app_maps:t.app_maps ~os_meta
+    ~app_addr:(Array.sub t.code_map.Replay.addr 1 (Array.length t.app_maps))
+    ()
 
-let code_map t =
-  let images = 1 + Array.length t.app_maps in
-  let addr = Array.make images [||] in
-  let bytes = Array.make images [||] in
-  addr.(0) <- Address_map.addr_array t.os_map;
-  bytes.(0) <- Address_map.bytes_array t.os_map;
-  Array.iteri
-    (fun k m ->
-      let b = app_region_base + (k * app_region_stride) + app_skew k in
-      addr.(k + 1) <- Array.map (fun a -> a + b) (Address_map.addr_array m);
-      bytes.(k + 1) <- Address_map.bytes_array m)
-    t.app_maps;
-  { Replay.addr; bytes }
+let code_map t = t.code_map
 
 let digest t = t.digest

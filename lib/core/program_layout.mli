@@ -17,9 +17,10 @@ type t = private {
   os_meta : Opt.result option;  (** Sequence/SCF/loop metadata when built
                                     by the Opt machinery. *)
   digest : string;  (** See {!digest}. *)
+  code_map : Replay.code_map;  (** See {!code_map}. *)
 }
-(** Only this module builds layouts, so every value's digest is the one
-    of the maps it holds. *)
+(** Only this module builds layouts, so every value's digest and code map
+    are the ones of the maps it holds. *)
 
 val app_region_base : int
 (** Byte address where application image 1 begins (a multiple of every
@@ -51,7 +52,13 @@ val with_os_map : t -> name:string -> Address_map.t -> os_meta:Opt.result option
 
 val code_map : t -> Replay.code_map
 (** Absolute addresses: OS at 0, application image [k] at
-    [app_region_base + (k-1) * app_region_stride]. *)
+    [app_region_base + (k-1) * app_region_stride] plus a per-image skew.
+
+    Built once, when the layout is, and returned as is by every call.
+    Its arrays are shared and read-only (see {!Chunk.code_map}): the OS
+    row is the sealed OS map's own {!Address_map.sealed_addr} array, every
+    [bytes] row is the image graph's {!Graph.block_sizes}, and only the
+    application rows are arrays of this layout's own. *)
 
 val digest : t -> string
 (** Content digest of the placement exactly as the simulator consumes it:

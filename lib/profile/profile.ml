@@ -1,21 +1,62 @@
+module Builder = struct
+  type t = {
+    block : float array;
+    arc : float array;
+    mutable total_blocks : float;
+    mutable invocations : float;
+  }
+
+  let create g =
+    {
+      block = Array.make (Graph.block_count g) 0.0;
+      arc = Array.make (Graph.arc_count g) 0.0;
+      total_blocks = 0.0;
+      invocations = 0.0;
+    }
+end
+
+type stamp = string Atomic.t
+
 type t = {
   block : float array;
   arc : float array;
-  mutable total_blocks : float;
-  mutable invocations : float;
+  total_blocks : float;
+  invocations : float;
+  stamp : stamp;  (* "" until the first {!digest} *)
 }
 
-let empty g =
+let make ~block ~arc ~total_blocks ~invocations =
+  { block; arc; total_blocks; invocations; stamp = Atomic.make "" }
+
+let freeze (b : Builder.t) =
+  make ~block:(Array.copy b.block) ~arc:(Array.copy b.arc) ~total_blocks:b.total_blocks
+    ~invocations:b.invocations
+
+let thaw t =
   {
-    block = Array.make (Graph.block_count g) 0.0;
-    arc = Array.make (Graph.arc_count g) 0.0;
-    total_blocks = 0.0;
-    invocations = 0.0;
+    Builder.block = Array.copy t.block;
+    arc = Array.copy t.arc;
+    total_blocks = t.total_blocks;
+    invocations = t.invocations;
   }
+
+(* Nothing can write a frozen profile's counts, so its digest is computed
+   once; racing first calls compute the same string. *)
+let digest t =
+  match Atomic.get t.stamp with
+  | "" ->
+      let d =
+        Digest.to_hex
+          (Digest.string (Marshal.to_string (t.block, t.arc, t.total_blocks, t.invocations) []))
+      in
+      Atomic.set t.stamp d;
+      d
+  | d -> d
 
 let sinks ~program =
   let profiles =
-    Array.init (Program.image_count program) (fun i -> empty (Program.graph program i))
+    Array.init (Program.image_count program) (fun i ->
+        Builder.create (Program.graph program i))
   in
   let sink =
     {
@@ -40,39 +81,47 @@ let sinks ~program =
 let collect ~program ~workload ~words ~seed =
   let profiles, sink = sinks ~program in
   let stats = Engine.run ~program ~workload ~words ~seed ~sink in
-  (profiles, stats)
+  (Array.map freeze profiles, stats)
+
+let factor t target = if t.total_blocks > 0.0 then target /. t.total_blocks else 0.0
 
 let scale_to t target =
-  let k = if t.total_blocks > 0.0 then target /. t.total_blocks else 0.0 in
-  {
-    block = Array.map (fun x -> x *. k) t.block;
-    arc = Array.map (fun x -> x *. k) t.arc;
-    total_blocks = t.total_blocks *. k;
-    invocations = t.invocations *. k;
-  }
+  let k = factor t target in
+  make
+    ~block:(Array.map (fun x -> x *. k) t.block)
+    ~arc:(Array.map (fun x -> x *. k) t.arc)
+    ~total_blocks:(t.total_blocks *. k) ~invocations:(t.invocations *. k)
 
-let accumulate dst src =
+(* [dst += k * src], rounding each product before the sum exactly as
+   adding a [scale_to] copy would, without allocating the copy. *)
+let add_scaled (dst : Builder.t) src k =
   if Array.length dst.block <> Array.length src.block then
     invalid_arg "Profile.accumulate: shape mismatch";
-  Array.iteri (fun i x -> dst.block.(i) <- dst.block.(i) +. x) src.block;
-  Array.iteri (fun i x -> dst.arc.(i) <- dst.arc.(i) +. x) src.arc;
-  dst.total_blocks <- dst.total_blocks +. src.total_blocks;
-  dst.invocations <- dst.invocations +. src.invocations
+  Array.iteri (fun i x -> dst.block.(i) <- dst.block.(i) +. (x *. k)) src.block;
+  Array.iteri (fun i x -> dst.arc.(i) <- dst.arc.(i) +. (x *. k)) src.arc;
+  dst.total_blocks <- dst.total_blocks +. (src.total_blocks *. k);
+  dst.invocations <- dst.invocations +. (src.invocations *. k)
+
+let accumulate dst src = add_scaled dst src 1.0
 
 let average = function
   | [] -> invalid_arg "Profile.average: empty list"
   | first :: _ as profiles ->
       let acc =
         {
-          block = Array.make (Array.length first.block) 0.0;
+          Builder.block = Array.make (Array.length first.block) 0.0;
           arc = Array.make (Array.length first.arc) 0.0;
           total_blocks = 0.0;
           invocations = 0.0;
         }
       in
       let n = float_of_int (List.length profiles) in
-      List.iter (fun p -> accumulate acc (scale_to p 1_000_000.0)) profiles;
-      scale_to acc (acc.total_blocks /. n)
+      List.iter (fun p -> add_scaled acc p (factor p 1_000_000.0)) profiles;
+      (* [acc] is private to this call, so it is scaled without a freeze copy. *)
+      scale_to
+        (make ~block:acc.block ~arc:acc.arc ~total_blocks:acc.total_blocks
+           ~invocations:acc.invocations)
+        (acc.total_blocks /. n)
 
 let executed t b = t.block.(b) > 0.0
 

@@ -1,26 +1,63 @@
 (** Execution profiles: per-block, per-arc and per-routine weights gathered
     from the trace engine, the input to every placement algorithm of the
-    paper (node and arc weights of the flow graph G, Section 4). *)
+    paper (node and arc weights of the flow graph G, Section 4).
 
-type t = {
+    Counts are gathered in a mutable {!Builder.t} and then {!freeze}d
+    into a {!t}, the only form the placement algorithms take.  A frozen
+    profile is never written, so its {!digest}, the key every layout
+    stage of {!Layout_cache} uses, is computed once per value. *)
+
+module Builder : sig
+  type t = {
+    block : float array;  (** Executions per {!Block.id}. *)
+    arc : float array;  (** Traversals per {!Arc.id}. *)
+    mutable total_blocks : float;  (** Sum of [block]. *)
+    mutable invocations : float;
+        (** OS invocations observed while profiling (0 for application
+            images and hand-built profiles). *)
+  }
+  (** A profile being accumulated. *)
+
+  val create : Graph.t -> t
+  (** All counts zero, shaped for the graph. *)
+end
+
+type stamp
+(** The write-once slot that holds a frozen profile's {!digest}. *)
+
+type t = private {
   block : float array;  (** Executions per {!Block.id}. *)
   arc : float array;  (** Traversals per {!Arc.id}. *)
-  mutable total_blocks : float;  (** Sum of [block]. *)
-  mutable invocations : float;
+  total_blocks : float;  (** Sum of [block]. *)
+  invocations : float;
       (** OS invocations observed while profiling (0 for application
           images and hand-built profiles).  Scaled along with the counts
           by {!scale_to} and {!average}. *)
+  stamp : stamp;
 }
+(** A frozen profile.  Its arrays are its own (no builder shares them)
+    and read-only by contract: no function of this library writes them. *)
 
-val empty : Graph.t -> t
+val freeze : Builder.t -> t
+(** A frozen copy of the builder's counts; later writes to the builder do
+    not reach it. *)
+
+val thaw : t -> Builder.t
+(** A builder holding a copy of the profile's counts. *)
+
+val digest : t -> string
+(** Hex MD5 of the counts ([block], [arc], [total_blocks],
+    [invocations]).  Computed on the first call, not by {!freeze} (most
+    profiles are never keyed), and stored in the value, so every later
+    call is a field read. *)
 
 val collect :
   program:Program.t -> workload:Workload.t -> words:int -> seed:int ->
   t array * Engine.stats
 (** Run the engine and gather one profile per image (index 0 = OS). *)
 
-val sinks : program:Program.t -> t array * Engine.sink
-(** The per-image profiles and an engine sink that fills them (for callers
+val sinks : program:Program.t -> Builder.t array * Engine.sink
+(** One builder per image and an engine sink that fills them (for callers
     that drive the engine themselves or combine sinks). *)
 
 val scale_to : t -> float -> t
@@ -32,7 +69,7 @@ val average : t list -> t
     profiles).  @raise Invalid_argument on the empty list or mismatched
     shapes. *)
 
-val accumulate : t -> t -> unit
+val accumulate : Builder.t -> t -> unit
 (** [accumulate dst src] adds [src]'s raw counts into [dst]. *)
 
 (** {1 Derived quantities} *)

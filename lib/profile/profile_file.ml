@@ -42,7 +42,7 @@ let to_string ~graph (p : Profile.t) =
   Buffer.contents buf
 
 let of_string ~graph:g s =
-  let p = Profile.empty g in
+  let p = Profile.Builder.create g in
   let blocks = Graph.block_count g and arcs = Graph.arc_count g in
   let fail lineno msg =
     invalid_arg (Printf.sprintf "Profile_file: line %d: %s" lineno msg)
@@ -68,18 +68,18 @@ let of_string ~graph:g s =
         | [ "shape"; b; a ] ->
             if idx lineno (blocks + 1) b <> blocks || idx lineno (arcs + 1) a <> arcs
             then fail lineno "profile shape does not match the graph"
-        | [ "invocations"; n ] -> p.Profile.invocations <- num lineno n
+        | [ "invocations"; n ] -> p.Profile.Builder.invocations <- num lineno n
         | [ "b"; b; w ] ->
             let b = idx lineno blocks b in
             let w = num lineno w in
-            p.Profile.block.(b) <- p.Profile.block.(b) +. w;
-            p.Profile.total_blocks <- p.Profile.total_blocks +. w
+            p.Profile.Builder.block.(b) <- p.block.(b) +. w;
+            p.total_blocks <- p.total_blocks +. w
         | [ "a"; a; w ] ->
             let a = idx lineno arcs a in
-            p.Profile.arc.(a) <- p.Profile.arc.(a) +. num lineno w
+            p.arc.(a) <- p.arc.(a) +. num lineno w
         | _ -> fail lineno "malformed line")
     (String.split_on_char '\n' s);
-  p
+  Profile.freeze p
 
 let save path ~graph p =
   let oc = open_out path in

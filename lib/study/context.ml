@@ -40,7 +40,7 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
           Engine.combine_sinks [ Engine.trace_sink trace; profile_sink ]
         in
         let s = Engine.run ~program ~workload:w ~words ~seed:(seed + i) ~sink in
-        (trace, s, profiles))
+        (trace, s, Array.map Profile.freeze profiles))
       pairs
   in
   let traces = Array.map (fun (t, _, _) -> t) captures in

@@ -84,13 +84,13 @@ let build () =
   (* update_hrtimer is the single block u. *)
   w u 100;
   let g = Graph.freeze bld in
-  let profile = Profile.empty g in
+  let profile = Profile.Builder.create g in
   Hashtbl.iter (fun b v ->
-      profile.Profile.block.(b) <- v;
-      profile.Profile.total_blocks <- profile.Profile.total_blocks +. v)
+      profile.Profile.Builder.block.(b) <- v;
+      profile.total_blocks <- profile.total_blocks +. v)
     weights;
-  List.iter (fun (a, count) -> profile.Profile.arc.(a) <- float_of_int count) !arcs;
-  (g, profile, labels, p.(0))
+  List.iter (fun (a, count) -> profile.Profile.Builder.arc.(a) <- float_of_int count) !arcs;
+  (g, Profile.freeze profile, labels, p.(0))
 
 let compute () =
   let g, profile, labels, seed = build () in

@@ -41,7 +41,7 @@ let compute (ctx : Context.t) =
           ~sink:(Engine.combine_sinks [ sink; Engine.trace_sink trace ])
       in
       traces.(i) <- Some trace;
-      profiles.(i) <- Some profs.(0))
+      profiles.(i) <- Some (Profile.freeze profs.(0)))
     pairs;
   let avg =
     Profile.average (Array.to_list (Array.map Option.get profiles))

@@ -23,16 +23,13 @@ let perturb ~seed ~spread (p : Profile.t) =
       x *. Float.exp (u *. spread)
     end
   in
-  let q =
-    {
-      Profile.block = Array.map noisy p.Profile.block;
-      arc = Array.map noisy p.Profile.arc;
-      total_blocks = 0.0;
-      invocations = p.Profile.invocations;
-    }
-  in
-  q.Profile.total_blocks <- Array.fold_left ( +. ) 0.0 q.Profile.block;
-  q
+  let q = Profile.thaw p in
+  (* Arcs first: the PRNG order of the record literal this replaced,
+     whose fields OCaml evaluates right to left. *)
+  Array.map_inplace noisy q.Profile.Builder.arc;
+  Array.map_inplace noisy q.block;
+  q.total_blocks <- Array.fold_left ( +. ) 0.0 q.block;
+  Profile.freeze q
 
 let compute (ctx : Context.t) =
   let model = ctx.Context.model in

@@ -83,5 +83,3 @@ let build ctx ?(params = Opt.params ()) level =
       Trace_log.stage "levels_build"
         ~args:[ ("level", Json.String (to_string level)) ]
         (fun () -> build_uncached ctx ~params level))
-
-let code_maps layouts = Array.map Program_layout.code_map layouts

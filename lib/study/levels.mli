@@ -31,5 +31,3 @@ val build_uncached :
     first workload is built alone to warm the shared OS-side stage
     caches; the rest fan out over [jobs] domains.  Exposed for the
     staged-equals-monolithic equivalence tests. *)
-
-val code_maps : Program_layout.t array -> Replay.code_map array

@@ -90,16 +90,34 @@ let loop_call () =
   let g = Graph.freeze bld in
   { g; caller; callee; c0; c1; c2; c3; c4; l0; l1; back_edge }
 
-(* A profile with explicit block/arc weights over a graph. *)
-let profile_of g block_weights arc_weights =
-  let p = Profile.empty g in
+(* A profile with explicit block/arc weights over a graph, before and
+   after freezing. *)
+let builder_of g block_weights arc_weights =
+  let p = Profile.Builder.create g in
   List.iter
     (fun (b, w) ->
-      p.Profile.block.(b) <- w;
-      p.Profile.total_blocks <- p.Profile.total_blocks +. w)
+      p.Profile.Builder.block.(b) <- w;
+      p.total_blocks <- p.total_blocks +. w)
     block_weights;
-  List.iter (fun (a, w) -> p.Profile.arc.(a) <- w) arc_weights;
+  List.iter (fun (a, w) -> p.Profile.Builder.arc.(a) <- w) arc_weights;
   p
+
+let profile_of g block_weights arc_weights =
+  Profile.freeze (builder_of g block_weights arc_weights)
+
+(* Digests recomputed from a value's content, never read from the value:
+   the references the stored digests must keep equalling. *)
+let md5_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+
+let profile_content_digest (p : Profile.t) =
+  md5_of (p.Profile.block, p.Profile.arc, p.Profile.total_blocks, p.Profile.invocations)
+
+(* Sizes read block by block, not through the shared Graph.block_sizes
+   array, so a write to that array shows up here. *)
+let sizes_of g = Array.init (Graph.block_count g) (fun b -> (Graph.block g b).Block.size)
+
+let map_content_digest m =
+  md5_of (Address_map.addr_array m, sizes_of (Address_map.graph m))
 
 (* ------------------------------------------------------------------ *)
 (* Memoized expensive fixtures.                                       *)

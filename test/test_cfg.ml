@@ -49,6 +49,18 @@ let test_graph_code_bytes () =
   let d = diamond () in
   check_int "code bytes" (16 + 24 + 8 + 12) (Graph.code_bytes d.g)
 
+(* The sizes array and the digest are built at most once per graph and
+   shared by every caller; equal content gives equal digests. *)
+let test_graph_identity () =
+  let d = diamond () in
+  Alcotest.(check (array int)) "block sizes" (sizes_of d.g) (Graph.block_sizes d.g);
+  check_bool "sizes array shared" true (Graph.block_sizes d.g == Graph.block_sizes d.g);
+  let first = Graph.digest d.g in
+  check_bool "digest stored on first use" true (first == Graph.digest d.g);
+  check_string "equal graphs, equal digests" first (Graph.digest (diamond ()).g);
+  check_bool "other graph, other digest" false
+    (String.equal first (Graph.digest (loop_call ()).g))
+
 let test_graph_routine_of_block () =
   let lc = loop_call () in
   check_int "caller block" lc.caller (Graph.routine_of_block lc.g lc.c0);
@@ -364,6 +376,7 @@ let () =
           case "out/in arcs" test_graph_out_in_arcs;
           case "is_exit" test_graph_is_exit;
           case "code bytes" test_graph_code_bytes;
+          case "sizes and digest built once" test_graph_identity;
           case "routine_of_block" test_graph_routine_of_block;
           case "callers" test_graph_callers;
           case "iterators" test_graph_iterators;

@@ -290,8 +290,9 @@ let test_scf_loop_discount () =
 
 let test_scf_invocation_relative () =
   let lc = loop_call () in
-  let p = scf_profile lc in
-  p.Profile.invocations <- 10.0;
+  let p = Profile.thaw (scf_profile lc) in
+  p.Profile.Builder.invocations <- 10.0;
+  let p = Profile.freeze p in
   let loops = Loops.find lc.g in
   (* Per-invocation rates: c0/c4 = 1, loop body adjusted = 1, callee = 3. *)
   let hot = Scf.select ~graph:lc.g ~profile:p ~loops ~cutoff:2.0 in
@@ -521,6 +522,98 @@ let test_program_layout_code_map () =
   check_bool "apps in their own region" true
     (app_min >= Program_layout.app_region_base)
 
+(* The code map the old per-pass way: copy each map's addresses, shift the
+   application images to their bases (the skew mirrors Program_layout's),
+   and rebuild every size array block by block. *)
+let reference_code_map (l : Program_layout.t) =
+  let images = Array.append [| l.Program_layout.os_map |] l.Program_layout.app_maps in
+  {
+    Replay.addr =
+      Array.mapi
+        (fun i m ->
+          let a = Address_map.addr_array m in
+          if i = 0 then a
+          else
+            let k = i - 1 in
+            let b =
+              Program_layout.app_region_base + (k * Program_layout.app_region_stride)
+              + ((k + 1) * 1184)
+            in
+            Array.map (fun x -> x + b) a)
+        images;
+    bytes = Array.map (fun m -> sizes_of (Address_map.graph m)) images;
+  }
+
+(* Every layout builds its code map once: the same value on every call,
+   equal to the old per-pass construction, with the OS row the sealed
+   map's own array (no copy).  The rows are shared and read-only, so a
+   replay pass and a stack-distance run must leave every image's content
+   hashing to its sealed digest. *)
+let test_program_layout_code_map_shared () =
+  let ctx = small_ctx () in
+  (* Base, C-H, OptS, OptL and OptA, one layout per workload each. *)
+  let per_level = Array.map (fun level -> Levels.build ctx level) Levels.all in
+  let base = per_level.(0) and ch = per_level.(1) and opt_s = per_level.(2) in
+  let opt_a = per_level.(4) in
+  let variants =
+    [|
+      Program_layout.with_os_map base.(0) ~name:"Base+OptS" opt_s.(0).Program_layout.os_map
+        ~os_meta:None;
+      Program_layout.with_os_map opt_a.(0) ~name:"OptA+C-H" ch.(0).Program_layout.os_map
+        ~os_meta:None;
+    |]
+  in
+  (* (layout, the workload whose trace it replays) *)
+  let replays =
+    Array.append
+      (Array.concat (Array.to_list (Array.map (Array.mapi (fun w l -> (l, w))) per_level)))
+      (Array.map (fun l -> (l, 0)) variants)
+  in
+  let layouts = Array.map fst replays in
+  let check_layout (l : Program_layout.t) =
+    let name = l.Program_layout.name and cm = Program_layout.code_map l in
+    let ref_cm = reference_code_map l in
+    check_bool (name ^ ": one map per layout") true (cm == Program_layout.code_map l);
+    Alcotest.(check (array (array int))) (name ^ ": addresses") ref_cm.Replay.addr cm.Replay.addr;
+    Alcotest.(check (array (array int))) (name ^ ": sizes") ref_cm.Replay.bytes cm.Replay.bytes;
+    check_bool (name ^ ": OS row is the sealed map's own") true
+      (cm.Replay.addr.(0) == Address_map.sealed_addr l.Program_layout.os_map);
+    Array.iteri
+      (fun i row ->
+        check_bool (name ^ ": sizes row is the graph's") true
+          (row
+          == Graph.block_sizes
+               (Address_map.graph
+                  (if i = 0 then l.Program_layout.os_map else l.Program_layout.app_maps.(i - 1)))))
+      cm.Replay.bytes
+  in
+  Array.iter check_layout layouts;
+  Array.iteri
+    (fun v (src : Program_layout.t) ->
+      let cm = Program_layout.code_map variants.(v) in
+      Array.iteri
+        (fun k _ ->
+          check_bool "with_os_map reuses the application rows" true
+            (cm.Replay.addr.(k + 1) == (Program_layout.code_map src).Replay.addr.(k + 1)))
+        src.Program_layout.app_maps)
+    [| base.(0); opt_a.(0) |];
+  Array.iter
+    (fun (l, w) ->
+      let trace = ctx.Context.traces.(w) and map = Program_layout.code_map l in
+      Replay.run_range ~trace ~map ~warmup:0
+        ~systems:[| System.unified (Config.make ~size_kb:8 ()) |];
+      ignore (Stack_dist.from_trace ~trace ~map ()))
+    replays;
+  Array.iter
+    (fun (l : Program_layout.t) ->
+      Array.iter
+        (fun m ->
+          check_string (l.Program_layout.name ^ ": content still hashes to the sealed digest")
+            (Address_map.digest m) (map_content_digest m))
+        (Array.append [| l.Program_layout.os_map |] l.Program_layout.app_maps);
+      check_layout l)
+    layouts
+
 (* The digest is computed when the layout is built, from its maps'
    sealed digests, so a layout derived with [with_os_map] gets the digest
    of what it now holds, never the one its source had. *)
@@ -616,6 +709,7 @@ let () =
         [
           case "levels" test_program_layout_levels;
           case "code map" test_program_layout_code_map;
+          case "code map built once, shared" test_program_layout_code_map_shared;
           case "loop memoization" test_program_layout_os_loops_memoized;
           case "digest kept per value" test_program_layout_digest_memo;
         ] );

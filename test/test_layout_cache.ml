@@ -123,6 +123,37 @@ let test_base_app_maps_shared () =
   check_bool "same app image shares one map across levels" true
     (base.(0).Program_layout.app_maps.(0) == ch.(0).Program_layout.app_maps.(0))
 
+(* --- profile identity -------------------------------------------- *)
+
+(* A frozen profile's digest is stored on first use and read ever after,
+   so it is only sound if no consumer writes the counts.  Run every
+   algorithm that reads a profile, uncached, on one whose digest is
+   already stored, then recompute the digest from its content. *)
+let test_profile_digest_survives_consumers () =
+  let ctx = Lazy.force small_context in
+  let model = ctx.Context.model in
+  let g = model.Model.graph and loops = Context.os_loops ctx in
+  let p = Profile.scale_to ctx.Context.avg_os_profile 123_456.0 in
+  let stored = Profile.digest p in
+  let seed_entry s = (Model.seed_for model s).Model.entry in
+  ignore (Sequence.build ~graph:g ~profile:p ~seed_entry ~schedule:Schedule.paper ());
+  ignore (Scf.select ~graph:g ~profile:p ~loops ~cutoff:0.5);
+  ignore (Loopstat.analyze g p loops);
+  ignore (Chang_hwu.layout g p);
+  ignore (Pettis_hansen.layout g p);
+  Layout_cache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Layout_cache.set_enabled true)
+    (fun () ->
+      List.iter
+        (fun extract_loops ->
+          ignore
+            (Opt.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule:Schedule.paper
+               { (Opt.params ()) with Opt.extract_loops }))
+        [ false; true ]);
+  check_string "content still hashes to the stored digest" stored (profile_content_digest p);
+  check_bool "the stored digest is served" true (Profile.digest p == stored)
+
 (* --- loop detection under parallelism ------------------------------ *)
 
 (* The old Program_layout.loops_cache was an unsynchronized global ref;
@@ -176,6 +207,8 @@ let () =
           case "cross-level sharing (OptS/OptL/OptA)" test_cross_level_sharing;
           case "base app maps shared across workloads/levels"
             test_base_app_maps_shared;
+          case "profile digest survives every consumer"
+            test_profile_digest_survives_consumers;
         ] );
       ( "concurrency",
         [

@@ -86,9 +86,80 @@ let test_profile_average_invalid () =
 
 let test_profile_accumulate () =
   let lc = loop_call () in
-  let a = loop_profile lc and b = loop_profile lc in
+  let a = Profile.thaw (loop_profile lc) and b = loop_profile lc in
   Profile.accumulate a b;
-  check_close 1e-9 "doubled" 20.0 a.Profile.block.(lc.c0)
+  check_close 1e-9 "doubled" 20.0 a.Profile.Builder.block.(lc.c0)
+
+(* A frozen profile owns its counts: writes to the builder it came from
+   reach neither the counts nor the digest. *)
+let test_profile_freeze_isolates () =
+  let lc = loop_call () in
+  let b = builder_of lc.g [ (lc.c0, 10.0); (lc.c1, 30.0) ] [ (0, 10.0) ] in
+  let p = Profile.freeze b in
+  let before = profile_content_digest p in
+  check_string "digest is the content's" before (Profile.digest p);
+  b.Profile.Builder.block.(lc.c0) <- 99.0;
+  b.arc.(0) <- 99.0;
+  b.total_blocks <- 1.0;
+  b.invocations <- 5.0;
+  check_float "block count kept" 10.0 p.Profile.block.(lc.c0);
+  check_float "arc count kept" 10.0 p.Profile.arc.(0);
+  check_float "total kept" 40.0 p.Profile.total_blocks;
+  check_float "invocations kept" 0.0 p.Profile.invocations;
+  check_string "content unchanged" before (profile_content_digest p);
+  check_string "digest unchanged" before (Profile.digest p);
+  check_bool "digest stored, not recomputed" true (Profile.digest p == Profile.digest p);
+  check_bool "a thawed copy is its own" true
+    ((Profile.thaw p).Profile.Builder.block != p.Profile.block)
+
+(* Equal content gives an equal digest and unequal content an unequal
+   one, across every way a frozen profile is made.  Content is compared
+   bit for bit, as the digest sees it. *)
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let same_content (p : Profile.t) (q : Profile.t) =
+  bits_equal p.Profile.block q.Profile.block
+  && bits_equal p.Profile.arc q.Profile.arc
+  && bits_equal [| p.Profile.total_blocks; p.Profile.invocations |]
+       [| q.Profile.total_blocks; q.Profile.invocations |]
+
+let prop_digest_is_content =
+  let lc = loop_call () in
+  let blocks = Graph.block_count lc.g and arcs = Graph.arc_count lc.g in
+  let weights n = QCheck.(array_of_size (Gen.return n) (int_bound 3)) in
+  QCheck.Test.make ~count:100 ~name:"frozen profiles: equal digest <=> equal content"
+    QCheck.(quad (weights blocks) (weights arcs) (weights blocks) (int_bound 2))
+    (fun (bw, aw, bw', inv) ->
+      let make bw =
+        let b =
+          builder_of lc.g
+            (List.init blocks (fun i -> (i, float_of_int bw.(i))))
+            (List.init arcs (fun i -> (i, float_of_int aw.(i))))
+        in
+        b.Profile.Builder.invocations <- float_of_int inv;
+        Profile.freeze b
+      in
+      let p = make bw and q = make bw' in
+      let round_trip p =
+        Profile_file.of_string ~graph:lc.g (Profile_file.to_string ~graph:lc.g p)
+      in
+      let variants =
+        [
+          p; q; make bw; round_trip p; round_trip q;
+          Profile.scale_to p p.Profile.total_blocks; Profile.scale_to p 1000.0;
+          Profile.scale_to q 1000.0; Profile.average [ p ]; Profile.average [ p; p ];
+          Profile.average [ p; q ]; Profile.average [ q; p ];
+        ]
+      in
+      List.for_all
+        (fun a ->
+          String.equal (Profile.digest a) (profile_content_digest a)
+          && List.for_all
+               (fun b -> same_content a b = String.equal (Profile.digest a) (Profile.digest b))
+               variants)
+        variants)
 
 let test_profile_collect_consistency () =
   let ctx = small_ctx () in
@@ -294,6 +365,8 @@ let () =
           case "average invalid" test_profile_average_invalid;
           case "accumulate" test_profile_accumulate;
           case "collect consistency" test_profile_collect_consistency;
+          case "freeze isolates the builder" test_profile_freeze_isolates;
+          qcheck prop_digest_is_content;
         ] );
       ( "arcstat",
         [

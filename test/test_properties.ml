@@ -51,8 +51,7 @@ let prop_pipeline_layouts_valid =
       let m = Generator.generate spec in
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(0) in
-      let profiles, sink = Profile.sinks ~program in
-      let _ = Engine.run ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed ~sink in
+      let profiles, _ = Profile.collect ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
       let p = profiles.(0) in
       let g = m.Model.graph in
       let loops = Loops.find g in
@@ -76,8 +75,7 @@ let prop_sequences_cover_executed =
       let m = Generator.generate spec in
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(1) in
-      let profiles, sink = Profile.sinks ~program in
-      let _ = Engine.run ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed ~sink in
+      let profiles, _ = Profile.collect ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
       let p = profiles.(0) in
       let g = m.Model.graph in
       let seqs =
@@ -97,8 +95,7 @@ let prop_inline_engine_runs =
       let m = Generator.generate spec in
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(0) in
-      let profiles, sink = Profile.sinks ~program in
-      let _ = Engine.run ~program ~workload:w ~words:30_000 ~seed:1 ~sink in
+      let profiles, _ = Profile.collect ~program ~workload:w ~words:30_000 ~seed:1 in
       let inlined, _ = Inline.transform ~model:m ~profile:profiles.(0) () in
       let pairs' = Workload.standard_programs inlined in
       let w', program' = pairs'.(0) in
@@ -183,21 +180,20 @@ let prop_placement_matches_reference =
       let m = Generator.generate c.spec in
       let g = m.Model.graph in
       let w, program = (Workload.standard_programs m).(0) in
-      let profiles, sink = Profile.sinks ~program in
-      let _ = Engine.run ~program ~workload:w ~words:40_000 ~seed:c.spec.Spec.seed ~sink in
+      let profiles, _ = Profile.collect ~program ~workload:w ~words:40_000 ~seed:c.spec.Spec.seed in
       let p = profiles.(0) in
       let p =
         if not c.perturb then p
         else
-          let block =
-            Array.mapi
-              (fun b x ->
-                if b mod 5 = 0 then -.float_of_int (b mod 7)
-                else if b mod 5 = 1 && x = 0.0 then float_of_int (b mod 4)
-                else x)
-              p.Profile.block
-          in
-          { p with Profile.block }
+          let q = Profile.thaw p in
+          Array.iteri
+            (fun b x ->
+              q.Profile.Builder.block.(b) <-
+                (if b mod 5 = 0 then -.float_of_int (b mod 7)
+                 else if b mod 5 = 1 && x = 0.0 then float_of_int (b mod 4)
+                 else x))
+            p.Profile.block;
+          Profile.freeze q
       in
       let loops = Layout_cache.loops g in
       let seed_entry s = (Model.seed_for m s).Model.entry in
@@ -291,8 +287,7 @@ let prop_digest_separates_layouts =
       let m = Generator.generate spec in
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(0) in
-      let profiles, sink = Profile.sinks ~program in
-      let _ = Engine.run ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed ~sink in
+      let profiles, _ = Profile.collect ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
       let p = profiles.(0) in
       let app_profiles = Array.sub profiles 1 (Array.length profiles - 1) in
       let built =
