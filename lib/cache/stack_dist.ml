@@ -10,80 +10,133 @@
    gap between the fully-associative curve and a set-associative
    simulation is conflict misses.
 
-   Distances are maintained with a Fenwick (binary indexed) tree over the
-   reference timeline: O(log n) per access. *)
+   Only the power-of-two bin of a distance is ever read, so the LRU stack
+   is kept as a doubly linked list over dense line ids, in int arrays,
+   with one boundary marker per bin: [first.(j)] is the line at depth
+   2^(j-1), the shallowest line of bin j.  Each line also records its bin,
+   which is the bin of its distance when it is next referenced.  Moving a
+   line from depth d to the top pushes the deepest line of every
+   shallower bin one bin down, so a reference costs O(bin of d) and hot
+   code, which sits in the low bins, is cheap. *)
+
+(* Bin 0 holds d = 0, bin j in 1..23 holds 2^(j-1) <= d < 2^j, and bin 24
+   holds every d >= 2^23. *)
+let bins = 25
+
+let last_bin = bins - 1
 
 type t = {
   line_shift : int;
-  last_ref : (int, int) Hashtbl.t;  (** line -> timestamp of last use *)
-  mutable time : int;
-  mutable tree : int array;  (** Fenwick tree over timestamps. *)
-  histogram : Histogram.t;  (** Power-of-two buckets of stack distances. *)
+  mutable prev : int array;  (** Toward the top; -1 at the top. *)
+  mutable next : int array;  (** Toward the bottom; -1 at the bottom. *)
+  mutable bin : int array;  (** Current bin of each line; -1 before its first reference. *)
+  first : int array;  (** [first.(j)] for j >= 1: the line at depth 2^(j-1), or -1. *)
+  mutable top : int;
+  mutable bottom : int;
+  mutable depth : int;  (** Lines on the stack. *)
+  hist : int array;  (** References per bin of stack distance. *)
   mutable cold : int;
   mutable refs : int;
+  ids : (int, int) Hashtbl.t;  (** Line -> id, for streams fed through {!access}. *)
 }
 
-let create ?(line = 32) () =
-  let rec shift v i = if v <= 1 then i else shift (v lsr 1) (i + 1) in
+let shift_of line =
+  let rec go v i = if v <= 1 then i else go (v lsr 1) (i + 1) in
+  go line 0
+
+let make ~line ~capacity =
+  let capacity = max 1 capacity in
   {
-    line_shift = shift line 0;
-    last_ref = Hashtbl.create 4096;
-    time = 0;
-    tree = Array.make 4096 0;
-    histogram = Histogram.explicit (Array.init 24 (fun i -> 1 lsl i));
+    line_shift = shift_of line;
+    prev = Array.make capacity (-1);
+    next = Array.make capacity (-1);
+    bin = Array.make capacity (-1);
+    first = Array.make bins (-1);
+    top = -1;
+    bottom = -1;
+    depth = 0;
+    hist = Array.make bins 0;
     cold = 0;
     refs = 0;
+    ids = Hashtbl.create 64;
   }
 
-let grow t needed =
-  if needed >= Array.length t.tree then begin
-    let n = ref (Array.length t.tree) in
-    while needed >= !n do
-      n := !n * 2
-    done;
-    let tree = Array.make !n 0 in
-    (* Rebuild from the live timestamps. *)
-    let add i =
-      let rec go i = if i < !n then begin tree.(i) <- tree.(i) + 1; go (i lor (i + 1)) end in
-      go i
-    in
-    Hashtbl.iter (fun _ ts -> add ts) t.last_ref;
-    t.tree <- tree
+let create ?(line = 32) () = make ~line ~capacity:1024
+
+(* A line's first reference: every line on the stack moves one deeper, so
+   the deepest line of each occupied bin crosses into the next one.  A bin
+   that was just reached takes the old bottom line as its first. *)
+let push_cold t id =
+  t.cold <- t.cold + 1;
+  let prev = t.prev and bin = t.bin and first = t.first in
+  let depth = t.depth + 1 in
+  let j = ref 1 in
+  while !j <= last_bin && 1 lsl (!j - 1) < depth do
+    let f = first.(!j) in
+    let f' = if f < 0 then t.bottom else prev.(f) in
+    first.(!j) <- f';
+    bin.(f') <- !j;
+    incr j
+  done;
+  t.depth <- depth;
+  if t.bottom < 0 then t.bottom <- id
+
+(* The one kernel both entry points run: reference line [id]. *)
+let touch t id =
+  t.refs <- t.refs + 1;
+  let bin = t.bin in
+  let b = bin.(id) in
+  if b = 0 then t.hist.(0) <- t.hist.(0) + 1
+  else begin
+    let prev = t.prev and next = t.next in
+    if b < 0 then push_cold t id
+    else begin
+      t.hist.(b) <- t.hist.(b) + 1;
+      (* Depths above [id] grow by one: each bin up to [b] gives its
+         first line to the next-shallower line, which joins it.  No such
+         line is [id], which sits at depth >= 2^(b-1). *)
+      let first = t.first in
+      for j = 1 to b do
+        let f' = prev.(first.(j)) in
+        first.(j) <- f';
+        bin.(f') <- j
+      done;
+      let p = prev.(id) and n = next.(id) in
+      next.(p) <- n;
+      if n < 0 then t.bottom <- p else prev.(n) <- p
+    end;
+    prev.(id) <- -1;
+    next.(id) <- t.top;
+    if t.top >= 0 then prev.(t.top) <- id;
+    t.top <- id;
+    bin.(id) <- 0
   end
 
-let tree_add t i delta =
-  let n = Array.length t.tree in
-  let rec go i = if i < n then begin t.tree.(i) <- t.tree.(i) + delta; go (i lor (i + 1)) end in
-  go i
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let tree_sum t i =
-  (* Sum of [0..i]. *)
-  let rec go i acc =
-    if i < 0 then acc else go ((i land (i + 1)) - 1) (acc + t.tree.(i))
-  in
-  go i 0
+(* Hand-fed streams number their lines in order of first reference. *)
+let intern t line =
+  match Hashtbl.find_opt t.ids line with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length t.ids in
+      Hashtbl.add t.ids line id;
+      let n = Array.length t.bin in
+      if id >= n then begin
+        t.prev <- grow t.prev (2 * n) (-1);
+        t.next <- grow t.next (2 * n) (-1);
+        t.bin <- grow t.bin (2 * n) (-1)
+      end;
+      id
 
-(* Record the lines spanned by bytes [addr .. last]. *)
-let touch t ~addr ~last =
+let access t ~addr ~bytes =
+  let last = addr + max 1 bytes - 1 in
   for line = addr lsr t.line_shift to last lsr t.line_shift do
-    t.refs <- t.refs + 1;
-    grow t t.time;
-    (match Hashtbl.find_opt t.last_ref line with
-    | None -> t.cold <- t.cold + 1
-    | Some ts ->
-        (* Distinct lines referenced strictly after ts = live timestamps
-           in (ts, now). *)
-        let total_live = Hashtbl.length t.last_ref in
-        let upto = tree_sum t ts in
-        let distance = total_live - upto in
-        Histogram.add t.histogram distance;
-        tree_add t ts (-1));
-    Hashtbl.replace t.last_ref line t.time;
-    tree_add t t.time 1;
-    t.time <- t.time + 1
+    touch t (intern t line)
   done
-
-let access t ~addr ~bytes = touch t ~addr ~last:(addr + max 1 bytes - 1)
 
 let refs t = t.refs
 
@@ -92,19 +145,17 @@ let cold t = t.cold
 let misses_at t ~lines =
   (* Misses in a fully-associative LRU cache of [lines] lines: cold misses
      plus references whose stack distance >= lines; [lines] is rounded
-     down to a power of two. *)
+     down to a power of two.  A distance d hits in a cache of 2^k lines
+     iff d < 2^k: bins 0..k exactly. *)
   if lines < 1 then invalid_arg "Stack_dist.misses_at: lines < 1";
-  let rec log2 v i = if v <= 1 then i else log2 (v lsr 1) (i + 1) in
-  let k = log2 lines 0 in
-  (* Distances are binned with explicit power-of-two edges: bucket 0 holds
-     d = 0, bucket j >= 1 holds 2^(j-1) <= d < 2^j.  A distance d hits in
-     a cache of 2^k lines iff d < 2^k: buckets 0..k exactly. *)
-  let h = t.histogram in
-  let hits = ref 0 in
-  for i = 0 to min k (Histogram.bucket_count h - 1) do
-    hits := !hits + Histogram.count h i
-  done;
-  t.cold + (Histogram.total h - !hits)
+  let k = shift_of lines in
+  let hits = ref 0 and total = ref 0 in
+  Array.iteri
+    (fun i n ->
+      total := !total + n;
+      if i <= k then hits := !hits + n)
+    t.hist;
+  t.cold + (!total - !hits)
 
 let curve t ~max_lines =
   let rec go lines acc =
@@ -113,13 +164,73 @@ let curve t ~max_lines =
   in
   go 1 []
 
+(* Dense ids for a code map's lines: each image spans one range of lines,
+   overlapping ranges merge (lines are keyed by address, so overlapping
+   images share them), and the merged ranges are numbered end to end, so
+   image [k]'s line [l] is id [l + delta.(k)].  [None] when the ranges
+   cover too many lines to hold arrays for. *)
+let max_dense_lines = 1 lsl 22
+
+let dense_ids (map : Chunk.code_map) ~shift =
+  let ranges =
+    List.filter_map
+      (fun k ->
+        let addr = map.Chunk.addr.(k) and bytes = map.Chunk.bytes.(k) in
+        if Array.length addr = 0 then None
+        else begin
+          let lo = ref max_int and hi = ref min_int in
+          Array.iteri
+            (fun b a ->
+              lo := min !lo (a lsr shift);
+              hi := max !hi ((a + max 1 bytes.(b) - 1) lsr shift))
+            addr;
+          Some (k, !lo, !hi)
+        end)
+      (List.init (Array.length map.Chunk.addr) Fun.id)
+    |> List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b)
+  in
+  let delta = Array.make (Array.length map.Chunk.addr) 0 in
+  (* [start] is the id of line [lo], the first of the current merged
+     range; a range starting past [hi] opens the next one. *)
+  let start = ref 0 and lo = ref 0 and hi = ref (-1) in
+  List.iter
+    (fun (k, l, h) ->
+      if l > !hi then begin
+        start := !start + (!hi - !lo + 1);
+        lo := l
+      end;
+      hi := max !hi h;
+      delta.(k) <- !start - !lo)
+    ranges;
+  let lines = !start + (!hi - !lo + 1) in
+  if lines > max_dense_lines then None else Some (delta, lines)
+
 let from_trace ~trace ~map ?(line = 32) ?(os_only = false) () =
-  let t = create ~line () in
+  let shift = shift_of line in
+  let dense = dense_ids map ~shift in
+  let t =
+    match dense with
+    | Some (_, lines) -> make ~line ~capacity:lines
+    | None -> create ~line ()
+  in
   Chunk.iter ~trace ~map ~boundary:0 (fun (c : Chunk.t) _ ->
+      let owner = c.owner and first = c.addr and last = c.last in
       for i = 0 to c.len - 1 do
-        let o = c.owner.(i) in
-        if (not os_only) || Program.is_os (o land 7) then
+        let image = owner.(i) land 7 in
+        if (not os_only) || Program.is_os image then begin
           (* A block fetches at least one byte. *)
-          touch t ~addr:c.addr.(i) ~last:(max c.addr.(i) c.last.(i))
+          let a = first.(i) in
+          let l = max a last.(i) in
+          match dense with
+          | Some (delta, _) ->
+              let d = delta.(image) in
+              for line = a lsr shift to l lsr shift do
+                touch t (line + d)
+              done
+          | None ->
+              for line = a lsr shift to l lsr shift do
+                touch t (intern t line)
+              done
+        end
       done);
   t

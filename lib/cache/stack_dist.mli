@@ -9,9 +9,13 @@
     the same trace is exactly the conflict-miss mass that the paper's
     layouts attack.
 
-    Distances are binned with power-of-two edges, so {!misses_at} is
-    exact at power-of-two capacities (others round down).  Maintained with a
-    Fenwick tree: O(log n) per reference. *)
+    Distances are binned with power-of-two edges (bin 0 is d = 0, bin j
+    is 2^(j-1) <= d < 2^j, bin 24 everything from 2^23 on), so
+    {!misses_at} is exact at power-of-two capacities (others round down).
+    The LRU stack is a doubly linked list over dense line ids with one
+    marker per bin at the bin's shallowest line; a reference at depth d
+    moves one line across each shallower bin boundary, so it costs
+    O(bin of d), and hot code, at small depths, is cheap. *)
 
 type t
 
@@ -19,7 +23,8 @@ val create : ?line:int -> unit -> t
 (** [line] is the line size in bytes (default 32, power of two). *)
 
 val access : t -> addr:int -> bytes:int -> unit
-(** Record the lines spanned by one block fetch. *)
+(** Record the lines spanned by one block fetch.  Lines get their ids
+    through a hash table here; {!from_trace} numbers them densely. *)
 
 val refs : t -> int
 (** Line references recorded. *)
@@ -38,4 +43,7 @@ val curve : t -> max_lines:int -> (int * int) list
 val from_trace :
   trace:Trace.t -> map:Replay.code_map -> ?line:int -> ?os_only:bool -> unit -> t
 (** Feed a captured block trace through the analysis under a given code
-    placement ([os_only] restricts to OS fetches). *)
+    placement ([os_only] restricts to OS fetches).  Line ids come from the
+    map's per-image line ranges, merged where images overlap, so one pass
+    sizes its arrays once and never hashes; the result equals feeding
+    every fetch through {!access}. *)

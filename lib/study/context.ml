@@ -13,8 +13,17 @@ type t = {
   key : string;
 }
 
+(* A model is never written after generation (Inline.transform builds a
+   new one), so every context of one spec can share it: robust's budget
+   contexts would otherwise regenerate the same kernel each time. *)
+let models : Model.t Memo.t = Memo.create "kernel_model"
+
 let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
-  let model = Generator.generate spec in
+  let spec_digest = Digest.to_hex (Digest.string (Marshal.to_string (spec : Spec.t) [])) in
+  let model =
+    Memo.find_or_build models spec_digest (fun () ->
+        Trace_log.stage "kernel_model.generate" (fun () -> Generator.generate spec))
+  in
   let pairs = Workload.standard_programs model in
   (* Trace capture is the expensive step and every workload is independent
      (fresh trace buffer, fresh profile arrays, engine PRNG seeded per
@@ -74,7 +83,7 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
   in
   let key = Digest.to_hex (Digest.string (Marshal.to_string (spec, words, seed) [])) in
   Manifest.set_run ~spec_seed:spec.Spec.seed
-    ~spec_digest:(Digest.to_hex (Digest.string (Marshal.to_string (spec : Spec.t) [])))
+    ~spec_digest
     ~words ~seed
     ~jobs:(match jobs with Some j -> j | None -> Parallel.default_jobs ())
     ~context_key:key;

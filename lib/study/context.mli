@@ -28,7 +28,9 @@ val create : ?spec:Spec.t -> ?words:int -> ?seed:int -> ?jobs:int -> unit -> t
 (** Defaults: the calibrated kernel, 2 M instruction words per workload,
     engine seed 11.  The per-workload trace captures run on up to [jobs]
     domains (default {!Parallel.default_jobs}); the result is bit-identical
-    for every job count. *)
+    for every job count.  The kernel is generated once per spec and
+    process (a {!Memo} named [kernel_model], keyed on the spec's digest),
+    so contexts of one spec share their [model] physically. *)
 
 val workload_count : t -> int
 val key : t -> string

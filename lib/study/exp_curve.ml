@@ -27,12 +27,27 @@ let conflict ~dm ~fa = max 0 (dm - fa)
 let compute (ctx : Context.t) =
   let base_layouts = Levels.build ctx Levels.Base in
   let opt_layouts = Levels.build ctx Levels.OptS in
-  let fa layout i =
-    let t =
-      Stack_dist.from_trace ~trace:ctx.Context.traces.(i)
-        ~map:(Program_layout.code_map layout) ()
-    in
-    Stack_dist.misses_at t ~lines:256
+  let n = Context.workload_count ctx in
+  let names = Context.workload_names ctx in
+  (* Pass [p] is workload [p mod n] under Base (p < n) or OptS: each is
+     independent and allocates its own stack, so all 2n fan out. *)
+  let fa =
+    Parallel.map_array
+      (fun p (layout : Program_layout.t) ->
+        let i = p mod n in
+        Trace_log.with_span "stack_dist"
+          ~args:
+            [
+              ("workload", Json.String names.(i));
+              ("layout", Json.String layout.Program_layout.name);
+            ]
+        @@ fun () ->
+        let t =
+          Stack_dist.from_trace ~trace:ctx.Context.traces.(i)
+            ~map:(Program_layout.code_map layout) ()
+        in
+        Stack_dist.misses_at t ~lines:256)
+      (Array.append base_layouts opt_layouts)
   in
   (* No warm-up discount on either side: the stack-distance pass counts
      every reference including cold ones, so the simulation must too. *)
@@ -48,8 +63,8 @@ let compute (ctx : Context.t) =
     (fun i ((w : Workload.t), _) ->
       {
         workload = w.Workload.name;
-        base_fa = fa base_layouts.(i) i;
-        opt_fa = fa opt_layouts.(i) i;
+        base_fa = fa.(i);
+        opt_fa = fa.(n + i);
         base_dm = Counters.misses base_dm.(i).Runner.counters;
         opt_dm = Counters.misses opt_dm.(i).Runner.counters;
       })

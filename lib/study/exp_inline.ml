@@ -22,45 +22,56 @@ type result = {
 let compute (ctx : Context.t) =
   let model = ctx.Context.model in
   let inlined, stats =
+    Trace_log.with_span "inline.transform" @@ fun () ->
     Inline.transform ~model ~profile:ctx.Context.avg_os_profile ()
   in
   let growth =
     Stats.pct stats.Inline.added_bytes (Graph.code_bytes model.Model.graph)
   in
   (* Re-trace the four workloads on the inlined kernel and build its OptS
-     layout from its own averaged profile, exactly as for the original. *)
+     layout from its own averaged profile, exactly as for the original.
+     The captures and the replays are independent per workload and fan
+     out; everything that consults a memo (the layouts) stays between
+     them, on this domain, so memo counts do not depend on the job
+     count. *)
   let pairs = Workload.standard_programs inlined in
-  let traces = Array.make (Array.length pairs) None in
-  let profiles = Array.make (Array.length pairs) None in
-  Array.iteri
-    (fun i ((w : Workload.t), program) ->
-      let profs, sink = Profile.sinks ~program in
-      let trace = Trace.create ~capacity:(ctx.Context.words / 4) () in
-      let _ =
-        Engine.run ~program ~workload:w ~words:ctx.Context.words ~seed:(11 + i)
-          ~sink:(Engine.combine_sinks [ sink; Engine.trace_sink trace ])
-      in
-      traces.(i) <- Some trace;
-      profiles.(i) <- Some (Profile.freeze profs.(0)))
-    pairs;
-  let avg =
-    Profile.average (Array.to_list (Array.map Option.get profiles))
+  let captures =
+    Parallel.map_array
+      (fun i ((w : Workload.t), program) ->
+        Trace_log.with_span "inline.trace"
+          ~args:[ ("workload", Json.String w.Workload.name); ("words", Json.Int ctx.Context.words) ]
+        @@ fun () ->
+        let profs, sink = Profile.sinks ~program in
+        let trace = Trace.create ~capacity:(ctx.Context.words / 4) () in
+        let _ =
+          Engine.run ~program ~workload:w ~words:ctx.Context.words ~seed:(11 + i)
+            ~sink:(Engine.combine_sinks [ sink; Engine.trace_sink trace ])
+        in
+        (trace, Profile.freeze profs.(0)))
+      pairs
   in
-  let loops = Loops.find inlined.Model.graph in
+  let avg = Profile.average (Array.to_list (Array.map snd captures)) in
   let opt =
+    Trace_log.with_span "opt.os_layout" @@ fun () ->
+    let loops = Loops.find inlined.Model.graph in
     Opt.os_layout ~model:inlined ~profile:avg ~loops (Opt.params ())
   in
-  let inline_rate i =
-    let _, program = pairs.(i) in
-    let layout =
-      Program_layout.with_os_map
-        (Program_layout.base ~model:inlined ~program)
-        ~name:"Inline+OptS" opt.Opt.map ~os_meta:(Some opt)
-    in
-    let system = System.unified (Config.make ~size_kb:8 ()) in
-    Runner.replay ~trace:(Option.get traces.(i)) ~map:(Program_layout.code_map layout)
-      [| system |];
-    Counters.miss_rate (System.counters system)
+  let maps =
+    Array.map
+      (fun (_, program) ->
+        Program_layout.code_map
+          (Program_layout.with_os_map
+             (Program_layout.base ~model:inlined ~program)
+             ~name:"Inline+OptS" opt.Opt.map ~os_meta:(Some opt)))
+      pairs
+  in
+  let inline_rates =
+    Parallel.map_array
+      (fun i (trace, _) ->
+        let system = System.unified (Config.make ~size_kb:8 ()) in
+        Runner.replay ~trace ~map:maps.(i) [| system |];
+        Counters.miss_rate (System.counters system))
+      captures
   in
   (* Reference: plain OptS on the original kernel, original traces. *)
   let opt_layouts = Levels.build ctx Levels.OptS in
@@ -73,7 +84,7 @@ let compute (ctx : Context.t) =
         {
           workload = w.Workload.name;
           opt_s_rate = Counters.miss_rate reference.(i).Runner.counters;
-          inline_rate = inline_rate i;
+          inline_rate = inline_rates.(i);
         })
       ctx.Context.pairs
   in

@@ -9,8 +9,13 @@ type point = { words : int; ratio : float }
 
 let budgets_of words = [| words / 4; words / 2; words; words * 2 |]
 
-let ratio_at ~spec ~seed words =
-  let ctx = Context.create ~spec ~words ~seed () in
+let ratio_at (ctx : Context.t) words =
+  (* The committed budget is the context itself: same spec, words and
+     seed, so rebuilding it would recapture identical traces. *)
+  let ctx =
+    if words = ctx.Context.words then ctx
+    else Context.create ~spec:ctx.Context.spec ~words ~seed:ctx.Context.seed ()
+  in
   let config = Config.make ~size_kb:8 () in
   let misses =
     Runner.simulate_batch ctx
@@ -24,10 +29,7 @@ let ratio_at ~spec ~seed words =
 let compute (ctx : Context.t) =
   (* Rebuild contexts at each budget with the committed spec and seed so
      only the trace length varies. *)
-  Array.map
-    (fun words ->
-      { words; ratio = ratio_at ~spec:ctx.Context.spec ~seed:ctx.Context.seed words })
-    (budgets_of ctx.Context.words)
+  Array.map (fun words -> { words; ratio = ratio_at ctx words }) (budgets_of ctx.Context.words)
 
 let report ctx =
   let points = compute ctx in

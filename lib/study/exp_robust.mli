@@ -9,6 +9,10 @@ val budgets_of : int -> int array
     itself and double it. *)
 
 val compute : Context.t -> point array
+(** One point per budget.  The budget equal to the context's own words is
+    measured on the context itself; the others build contexts of the same
+    spec and seed, which share its kernel model. *)
+
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
 

@@ -225,3 +225,43 @@ let replay ~trace ~(map : Replay.code_map) ~warmup models =
         models;
       incr fed;
       if !fed = warmup then List.iter reset_counters models)
+
+(* A fully-associative LRU stack, most recent line first: a reference's
+   stack distance is its line's position in the list, and it misses in a
+   cache of C lines iff that position is at least C. *)
+type stack = {
+  sline : int;
+  mutable lines : int list;
+  mutable distances : int list;  (** One per re-reference, latest first. *)
+  mutable first_touches : int;
+  mutable line_refs : int;
+}
+
+let stack ~line = { sline = line; lines = []; distances = []; first_touches = 0; line_refs = 0 }
+
+let rec position (line : int) i = function
+  | [] -> None
+  | l :: rest -> if l = line then Some i else position line (i + 1) rest
+
+let stack_line t line =
+  t.line_refs <- t.line_refs + 1;
+  (match position line 0 t.lines with
+  | None -> t.first_touches <- t.first_touches + 1
+  | Some d -> t.distances <- d :: t.distances);
+  t.lines <- line :: List.filter (fun (l : int) -> l <> line) t.lines
+
+let stack_access t ~addr ~bytes =
+  for line = addr / t.sline to (addr + max 1 bytes - 1) / t.sline do
+    stack_line t line
+  done
+
+let stack_misses t ~lines =
+  t.first_touches + List.length (List.filter (fun d -> d >= lines) t.distances)
+
+(* Every execution event of [trace] under [map], OS events only when
+   [os_only]. *)
+let stack_replay ~trace ~(map : Replay.code_map) ~os_only t =
+  Trace.iter_exec trace (fun ~image ~block ->
+      if (not os_only) || image = 0 then
+        stack_access t ~addr:map.Replay.addr.(image).(block)
+          ~bytes:map.Replay.bytes.(image).(block))

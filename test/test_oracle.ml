@@ -10,12 +10,16 @@ open Helpers
    1 KB up to [2^(sizes-1)] KB, so blocks span several lines and images
    collide in the caches.  An application may sit 16 MB per image higher,
    as real layouts place them, which still collides (16 MB is a multiple
-   of every cache size) but spreads the lines far apart. *)
-let program ?(sizes = 4) g =
-  let images = 1 + Prng.int g 3 in
+   of every cache size) but spreads the lines far apart.  With [overlap],
+   two or three images all sit at 0, so their address ranges overlap and
+   they share lines. *)
+let program ?(sizes = 4) ?(overlap = false) g =
+  let images = if overlap then 2 + Prng.int g 2 else 1 + Prng.int g 3 in
   let blocks = Array.init images (fun _ -> 1 + Prng.int g 40) in
   let window = 1024 lsl Prng.int g sizes in
-  let base = Array.init images (fun image -> if Prng.bool g then image lsl 24 else 0) in
+  let base =
+    Array.init images (fun image -> if (not overlap) && Prng.bool g then image lsl 24 else 0)
+  in
   let map =
     {
       Replay.addr =
@@ -158,6 +162,75 @@ let prop_single_access =
             pairs);
       List.for_all (fun (sys, model) -> System.counters sys = Ref_cache.counters model) pairs)
 
+(* Stack distances against the list-based LRU stack: refs, first
+   touches and the fully-associative misses at every power of two from 1
+   to 1024 lines, through both entry points. *)
+let stack_agrees sd (model : Ref_cache.stack) =
+  Stack_dist.refs sd = model.Ref_cache.line_refs
+  && Stack_dist.cold sd = model.Ref_cache.first_touches
+  && List.for_all
+       (fun k ->
+         let lines = 1 lsl k in
+         Stack_dist.misses_at sd ~lines = Ref_cache.stack_misses model ~lines)
+       (List.init 11 Fun.id)
+
+let prop_stack_dist =
+  QCheck.Test.make
+    ~name:"Stack_dist (from_trace and access) == LRU stack, 1..1024 lines" ~count:40
+    QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let map, blocks, _ = program ~overlap:(Prng.int g 3 = 0) g in
+      let trace = trace g ~blocks ~events:(1 + Prng.int g 2000) in
+      let line = pick g [| 16; 32; 64 |] and os_only = Prng.bool g in
+      let model = Ref_cache.stack ~line in
+      Ref_cache.stack_replay ~trace ~map ~os_only model;
+      let fed = Stack_dist.create ~line () in
+      Trace.iter_exec trace (fun ~image ~block ->
+          if (not os_only) || image = 0 then
+            Stack_dist.access fed ~addr:map.Replay.addr.(image).(block)
+              ~bytes:map.Replay.bytes.(image).(block));
+      stack_agrees (Stack_dist.from_trace ~trace ~map ~line ~os_only ()) model
+      && stack_agrees fed model)
+
+(* Distances past the random cases' reach: a cycle over [n] lines
+   re-references every line at distance [n - 1]. *)
+let test_stack_deep () =
+  List.iter
+    (fun n ->
+      let sd = Stack_dist.create ~line:16 () and model = Ref_cache.stack ~line:16 in
+      for _ = 1 to 2 do
+        for l = 0 to n - 1 do
+          Stack_dist.access sd ~addr:(16 * l) ~bytes:4;
+          Ref_cache.stack_access model ~addr:(16 * l) ~bytes:4
+        done
+      done;
+      List.iter
+        (fun k ->
+          let lines = 1 lsl k in
+          check_int
+            (Printf.sprintf "%d-line cycle at %d lines" n lines)
+            (Ref_cache.stack_misses model ~lines)
+            (Stack_dist.misses_at sd ~lines))
+        (List.init 15 Fun.id))
+    [ 1; 2; 3; 1024; 1025; 4097 ]
+
+(* An image whose blocks lie terabytes apart has too many lines to number
+   densely; from_trace falls back to hashed ids and must still agree. *)
+let test_stack_sparse () =
+  let g = Prng.of_int 3 in
+  let map =
+    {
+      Replay.addr = [| Array.init 8 (fun b -> b lsl 40); [| 1 lsl 24 |] |];
+      bytes = [| Array.make 8 48; [| 100 |] |];
+    }
+  in
+  let trace = trace g ~blocks:[| 8; 1 |] ~events:500 in
+  let model = Ref_cache.stack ~line:32 in
+  Ref_cache.stack_replay ~trace ~map ~os_only:false model;
+  check_bool "hashed ids == LRU stack" true
+    (stack_agrees (Stack_dist.from_trace ~trace ~map ~line:32 ()) model)
+
 let () =
   Alcotest.run "oracle"
     [
@@ -167,5 +240,11 @@ let () =
           qcheck prop_organizations;
           qcheck prop_warmup_edges;
           qcheck prop_single_access;
+        ] );
+      ( "stack vs reference",
+        [
+          qcheck prop_stack_dist;
+          case "deep cycles" test_stack_deep;
+          case "sparse map, hashed ids" test_stack_sparse;
         ] );
     ]

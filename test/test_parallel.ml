@@ -145,6 +145,49 @@ let test_sim_cache_copies () =
   check_int "cache unaffected by caller mutation" refs_before
     (Counters.refs r2.(0).Runner.counters)
 
+(* --- Experiments that fan out: reports identical across job counts - *)
+
+let with_jobs jobs f =
+  let saved = Parallel.default_jobs () in
+  Parallel.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Parallel.set_jobs saved) f
+
+let test_reports_identical () =
+  let ctx = Lazy.force ctx_seq in
+  List.iter
+    (fun (name, report) ->
+      let render jobs = with_jobs jobs (fun () -> Result.render_text (report ctx)) in
+      check_string (name ^ ": 1 job == 4 jobs") (render 1) (render 4))
+    [ ("curve", Exp_curve.report); ("inline", Exp_inline.report); ("robust", Exp_robust.report) ]
+
+(* --- Context reuse: one kernel per spec, the parent as robust's 1x -- *)
+
+let counter name = Option.value ~default:0 (Metrics_registry.find_counter name)
+
+let test_model_shared () =
+  let a = Lazy.force ctx_seq and b = Lazy.force ctx_par in
+  check_bool "one spec, one model" true (a.Context.model == b.Context.model)
+
+let stage_calls name =
+  List.fold_left
+    (fun acc (n, calls, _) -> if String.equal n name then calls else acc)
+    0 (Trace_log.stage_totals ())
+
+let test_robust_reuses_context () =
+  (* A context no other case builds, so its budgets' keys are fresh. *)
+  let ctx = Context.create ~spec:Spec.small ~words:40_000 ~seed:5 () in
+  ignore (Levels.build ctx Levels.OptS);
+  ignore (Levels.build ctx Levels.Base);
+  let captures = stage_calls "trace_capture" and levels = counter "levels.misses" in
+  let models = counter "kernel_model.misses" in
+  let points = Exp_robust.compute ctx in
+  check_int "four budgets" 4 (Array.length points);
+  check_int "three new contexts: the 1x budget is the parent" (captures + 3)
+    (stage_calls "trace_capture");
+  check_int "two new levels per new context, none for the 1x budget" (levels + 6)
+    (counter "levels.misses");
+  check_int "no kernel regenerated" models (counter "kernel_model.misses")
+
 let () =
   Alcotest.run "parallel"
     [
@@ -166,5 +209,12 @@ let () =
           case "re-lookup hits and returns identical runs" test_sim_cache_roundtrip;
           case "cached entries are isolated from caller mutation"
             test_sim_cache_copies;
+        ] );
+      ( "report-determinism",
+        [ case "curve, inline and robust render identically under 1 and 4 jobs" test_reports_identical ] );
+      ( "context-reuse",
+        [
+          case "contexts of one spec share the model" test_model_shared;
+          case "robust's 1x budget reuses the parent context" test_robust_reuses_context;
         ] );
     ]
