@@ -33,7 +33,9 @@ check: build
 # replay, the parallel staged layout builds and the per-worker trace
 # tracks are validated under both fan-out modes.  Last, `repro --out`
 # writes one report plus a bare manifest.json, which goes through
-# validate's bare-manifest path.
+# validate's bare-manifest path.  Finally the text transcript is rendered
+# at one and four domains and compared byte for byte, so a result that
+# depends on scheduling fails here.
 validate: build
 	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 --format json \
 	  --trace _build/trace_j1.json \
@@ -46,6 +48,9 @@ validate: build
 	_build/default/bin/icache_opt.exe trace-summary _build/trace_j4.json
 	_build/default/bin/icache_opt.exe repro --small --words 60000 --out _build/repro_out table1
 	_build/default/bin/icache_opt.exe validate _build/repro_out/manifest.json
+	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 > _build/repro_j1.txt
+	ICACHE_JOBS=4 _build/default/bin/icache_opt.exe repro --small --words 60000 > _build/repro_j4.txt
+	cmp _build/repro_j1.txt _build/repro_j4.txt
 
 # Capture a span timeline of the small repro and print its hot spans.
 # The Chrome-format trace lands in _build/trace.json: load it in

@@ -151,28 +151,29 @@ let repro_cmd =
                   exit 1)
             ids
     in
+    (* Every selected experiment in one fan-out; reports come back, and are
+       emitted, in registry order. *)
+    let reports = Experiments.compute_all exps ctx in
     (match out with
     | Some dir ->
         (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         List.iter
-          (fun e ->
-            let r = Experiments.compute e ctx in
+          (fun r ->
             let path =
               Filename.concat dir (r.Result.id ^ "." ^ Result.extension format)
             in
             Out.with_file path (fun oc -> output_string oc (Result.render format r));
             Printf.printf "wrote %s\n%!" path)
-          exps;
+          reports;
         let mpath = Filename.concat dir "manifest.json" in
         write_manifest mpath;
         Printf.printf "wrote %s\n%!" mpath
     | None -> (
         match format with
-        | Result.Text -> List.iter (fun e -> Experiments.run e ctx) exps
+        | Result.Text -> List.iter Result.print reports
         | Result.Json ->
             (* One document: every report plus the run manifest, so a
                single pipe carries both the results and the provenance. *)
-            let reports = List.map (fun e -> Experiments.compute e ctx) exps in
             let doc =
               Json.Obj
                 [
@@ -182,11 +183,7 @@ let repro_cmd =
             in
             print_string (Json.to_string doc);
             print_newline ()
-        | Result.Csv ->
-            List.iter
-              (fun e ->
-                print_string (Result.render Result.Csv (Experiments.compute e ctx)))
-              exps));
+        | Result.Csv -> List.iter (fun r -> print_string (Result.render Result.Csv r)) reports));
     finish_trace trace
   in
   Cmd.v

@@ -15,27 +15,51 @@ let md5 v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
 (* Physical-identity memo: the process only ever sees a handful of frozen
    graphs (the kernel plus a few application images), so a linear scan
-   beats hashing structures that cannot be hashed physically. *)
-let loops_tbl : (Graph.t * (Loops.t list * string)) list ref = ref []
+   beats hashing structures that cannot be hashed physically.  Like
+   {!Memo}, it is single-flight: the first caller claims a graph and runs
+   [Loops.find]; racing callers wait for its list. *)
+type loops_entry = Detecting | Found of Loops.t list * string
 
-let find_loops g = List.find_opt (fun (g', _) -> g' == g) !loops_tbl
+let loops_tbl : (Graph.t * loops_entry) list ref = ref []
+
+(* Broadcast whenever a detection ends, found or failed. *)
+let loops_found = Condition.create ()
+
+let find_loops g = List.assq_opt g !loops_tbl
+
+let set_loops g entry =
+  loops_tbl := List.filter (fun (g', _) -> g' != g) !loops_tbl;
+  Option.iter (fun e -> loops_tbl := (g, e) :: !loops_tbl) entry;
+  Condition.broadcast loops_found
 
 let loops g =
-  match Mutex.protect lock (fun () -> find_loops g) with
-  | Some (_, (l, _)) -> l
-  | None ->
-      let l = Loops.find g in
-      let d = md5 l in
-      Mutex.protect lock (fun () ->
-          match find_loops g with
-          | Some (_, (l', _)) -> l' (* racing detection: share the stored list *)
-          | None ->
-              loops_tbl := (g, (l, d)) :: !loops_tbl;
-              l)
+  (* Caller holds [lock]; [None] means this caller claimed [g]. *)
+  let rec claim () =
+    match find_loops g with
+    | Some (Found (l, _)) -> Some l
+    | Some Detecting ->
+        Condition.wait loops_found lock;
+        claim ()
+    | None ->
+        loops_tbl := (g, Detecting) :: !loops_tbl;
+        None
+  in
+  match Mutex.protect lock claim with
+  | Some l -> l
+  | None -> (
+      match Loops.find g with
+      | l ->
+          let d = md5 l in
+          Mutex.protect lock (fun () -> set_loops g (Some (Found (l, d))));
+          l
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Mutex.protect lock (fun () -> set_loops g None);
+          Printexc.raise_with_backtrace e bt)
 
 let loops_digest g l =
   match Mutex.protect lock (fun () -> find_loops g) with
-  | Some (_, (l', d)) when l' == l -> d
+  | Some (Found (l', d)) when l' == l -> d
   | Some _ | None -> md5 l
 
 (* ------------------------------------------------------------------ *)

@@ -24,18 +24,20 @@
     field reads and one small hash.  Its hit, miss and
     lookup counts live in the metrics registry, and each build on a miss
     runs as the {!Trace_log.stage} of the same name, so the run manifest
-    reports both.  Racing
-    builders may construct the same value twice; the first store wins and
-    both callers observe the stored value, so results are independent of
-    domain scheduling.
+    reports both.  The memos are single-flight: racing callers of one
+    key wait for the first one's build instead of repeating it, so every
+    stage value is built once and shared, whatever the domain schedule.
 
     The module also owns natural-loop detection for {e both} OS and
     application graphs ({!loops}), replacing the unsynchronized global
     that {!Program_layout} used to mutate from parallel builds. *)
 
 val loops : Graph.t -> Loops.t list
-(** [Loops.find g], memoized per graph (physical identity) behind a lock:
-    repeated calls return the {e same} list, including across domains. *)
+(** [Loops.find g], memoized per graph (physical identity) behind a lock
+    and claim-then-build like {!Memo.find_or_build}: the first caller for
+    [g] runs detection and racing callers wait for its list, so detection
+    runs once per graph and repeated calls return the {e same} list,
+    including across domains. *)
 
 val loops_digest : Graph.t -> Loops.t list -> string
 (** Content digest of a loop set.  When [loops] is the canonical

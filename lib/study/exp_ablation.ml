@@ -33,31 +33,35 @@ let os_variant (ctx : Context.t) ?schedule ?follow_calls ?(params = Opt.params (
 let compute (ctx : Context.t) =
   let variants =
     [
-      ("OptS", "full algorithm", os_variant ctx "OptS");
+      ("OptS", "full algorithm", fun () -> os_variant ctx "OptS");
       ( "-schedule",
         "flat (0,0) passes, no threshold descent",
-        os_variant ctx ~schedule:Schedule.flat "flat" );
+        fun () -> os_variant ctx ~schedule:Schedule.flat "flat" );
       ( "-seeds",
         "interrupt seed only",
-        os_variant ctx
-          ~schedule:(Schedule.restrict [ Service.Interrupt ] Schedule.paper)
-          "one-seed" );
+        fun () ->
+          os_variant ctx
+            ~schedule:(Schedule.restrict [ Service.Interrupt ] Schedule.paper)
+            "one-seed" );
       ( "-interleave",
         "sequences stop at routine boundaries",
-        os_variant ctx ~follow_calls:false "no-interleave" );
+        fun () -> os_variant ctx ~follow_calls:false "no-interleave" );
       ( "-scf",
         "no SelfConfFree area",
-        os_variant ctx ~params:(Opt.params ~scf_cutoff:None ()) "no-scf" );
+        fun () -> os_variant ctx ~params:(Opt.params ~scf_cutoff:None ()) "no-scf" );
     ]
   in
-  (* Base and every variant through the 8 KB cache in one batch. *)
+  (* Base and every variant, built concurrently, through the 8 KB cache in
+     one batch. *)
   let config = Config.make ~size_kb:8 () in
+  let builds =
+    Array.of_list
+      ((fun () -> Levels.build ctx Levels.Base)
+      :: List.map (fun (_, _, build) -> build) variants)
+  in
   let misses =
     Runner.simulate_batch ctx
-      ~members:
-        (Array.of_list
-           ((Levels.build ctx Levels.Base, config)
-           :: List.map (fun (_, _, layouts) -> (layouts, config)) variants))
+      ~members:(Parallel.map_array (fun _ build -> (build (), config)) builds)
       ()
     |> Array.map (fun runs -> Counters.misses (Runner.total runs))
   in

@@ -37,7 +37,8 @@ let compute (ctx : Context.t) =
   let config = Config.make ~size_kb:8 () in
   let misses =
     Runner.simulate_batch ctx
-      ~members:(Array.map (fun p -> (layouts_under (layout_from p), config)) profiles)
+      ~members:
+        (Parallel.map_array (fun _ p -> (layouts_under (layout_from p), config)) profiles)
       ()
     |> Array.map (Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters))
   in

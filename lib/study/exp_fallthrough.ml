@@ -27,17 +27,20 @@ let rate ~trace ~(map : Replay.code_map) =
   Stats.ratio !fallthroughs !transitions
 
 let compute (ctx : Context.t) =
+  (* Levels build concurrently; each level's workloads are measured
+     concurrently inside its task. *)
   let per_level =
-    List.map
-      (fun (name, level) ->
+    Parallel.map_array
+      (fun _ (name, level) ->
         let layouts = Levels.build ctx level in
         ( name,
-          Array.mapi
+          Parallel.map_array
             (fun i layout ->
               rate ~trace:ctx.Context.traces.(i)
                 ~map:(Program_layout.code_map layout))
             layouts ))
-      levels
+      (Array.of_list levels)
+    |> Array.to_list
   in
   Array.mapi
     (fun i ((w : Workload.t), _) ->

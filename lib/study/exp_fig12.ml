@@ -12,11 +12,13 @@ type row = { workload : string; os_ref_pct : float; bars : miss_bar array }
 
 let compute (ctx : Context.t) =
   let config = Config.make ~size_kb:8 () in
-  (* The whole level sweep is one batch: every uncached member replays in
-     the same fused pass over each workload trace. *)
+  (* The five levels build concurrently, then the whole level sweep is
+     one batch: every uncached member replays in the same fused pass over
+     each workload trace. *)
   let batch =
     Runner.simulate_batch ctx
-      ~members:(Array.map (fun level -> (Levels.build ctx level, config)) Levels.all)
+      ~members:
+        (Parallel.map_array (fun _ level -> (Levels.build ctx level, config)) Levels.all)
       ()
   in
   let per_level = Array.mapi (fun k level -> (level, batch.(k))) Levels.all in

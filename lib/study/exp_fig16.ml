@@ -27,24 +27,28 @@ let sizes = [| 4; 8; 16 |]
 
 let compute (ctx : Context.t) =
   (* One batch for the whole (cache size x cut-off) grid; the Base
-     placement is shared, so its three geometries ride one replay pass. *)
+     placement is shared, so its three geometries ride one replay pass.
+     The grid's layouts build concurrently, in member order. *)
   let stride = 1 + Array.length variants in
-  let members =
+  let grid =
     Array.concat
       (Array.to_list
          (Array.map
             (fun size_kb ->
-              let config = Config.make ~size_kb () in
-              Array.append
-                [| (Levels.build ctx Levels.Base, config) |]
-                (Array.map
-                   (fun (_label, cutoff) ->
-                     let params =
-                       Opt.params ~cache_size:(size_kb * 1024) ~scf_cutoff:cutoff ()
-                     in
-                     (Levels.build ctx ~params Levels.OptS, config))
-                   variants))
+              Array.append [| (size_kb, None) |]
+                (Array.map (fun (_label, cutoff) -> (size_kb, Some cutoff)) variants))
             sizes))
+  in
+  let members =
+    Parallel.map_array
+      (fun _ (size_kb, variant) ->
+        let config = Config.make ~size_kb () in
+        match variant with
+        | None -> (Levels.build ctx Levels.Base, config)
+        | Some cutoff ->
+            let params = Opt.params ~cache_size:(size_kb * 1024) ~scf_cutoff:cutoff () in
+            (Levels.build ctx ~params Levels.OptS, config))
+      grid
   in
   let batch = Runner.simulate_batch ctx ~members () in
   let rows = ref [] in

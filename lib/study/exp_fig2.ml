@@ -10,7 +10,7 @@ let compute (ctx : Context.t) =
   let base = Base.layout g ~order:ctx.Context.model.Model.base_order in
   let positions = Address_map.addr_array base in
   let sizes = Address_map.bytes_array base in
-  Array.mapi
+  Parallel.map_array
     (fun i (w, _) ->
       let p = ctx.Context.os_profiles.(i) in
       let words =

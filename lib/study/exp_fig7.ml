@@ -13,13 +13,15 @@ let compute (ctx : Context.t) =
   let routines = List.map fst top in
   let merged = Histogram.explicit Reuse.default_edges in
   let last_inv = ref 0 and calls = ref 0 in
+  (* Measure every trace concurrently, then merge in workload order. *)
   Array.iter
-    (fun trace ->
-      let r = Reuse.measure ~trace ~graph:g ~routines () in
+    (fun (r : Reuse.t) ->
       Histogram.merge merged r.Reuse.histogram;
       last_inv := !last_inv + r.Reuse.last_invocation;
       calls := !calls + r.Reuse.calls)
-    ctx.Context.traces;
+    (Parallel.map_array
+       (fun _ trace -> Reuse.measure ~trace ~graph:g ~routines ())
+       ctx.Context.traces);
   let events = !calls in
   let cum_le edge_idx = 100.0 *. Histogram.cumulative_fraction_below merged edge_idx in
   (* Edge indices: bucket 2 ends at 100 words, bucket 5 at 1000. *)

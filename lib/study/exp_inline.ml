@@ -31,9 +31,7 @@ let compute (ctx : Context.t) =
   (* Re-trace the four workloads on the inlined kernel and build its OptS
      layout from its own averaged profile, exactly as for the original.
      The captures and the replays are independent per workload and fan
-     out; everything that consults a memo (the layouts) stays between
-     them, on this domain, so memo counts do not depend on the job
-     count. *)
+     out. *)
   let pairs = Workload.standard_programs inlined in
   let captures =
     Parallel.map_array

@@ -26,7 +26,9 @@ let xcall_prob_for (w : Workload.t) =
 let compute (ctx : Context.t) =
   let base_layouts = Levels.build ctx Levels.Base in
   let opt_layouts = Levels.build ctx Levels.OptS in
-  Array.mapi
+  (* Each workload's machine run seeds its own engine, so they run
+     concurrently and merge by index. *)
+  Parallel.map_array
     (fun i ((w : Workload.t), program) ->
       let r =
         Multiproc.run ~program ~workload:w ~cpus

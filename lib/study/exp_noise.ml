@@ -43,17 +43,23 @@ let compute (ctx : Context.t) =
           ~name:"noise" os_map ~os_meta:None)
       ctx.Context.pairs
   in
-  (* The clean layout, then one per spread, through the 8 KB cache in one
+  (* The clean layout, then one per spread (each perturbed with its own
+     PRNG, so they build concurrently), through the 8 KB cache in one
      batch. *)
-  let profiles =
-    Array.append [| ctx.Context.avg_os_profile |]
-      (Array.map (fun spread -> perturb ~seed:31 ~spread ctx.Context.avg_os_profile) spreads)
-  in
   let config = Config.make ~size_kb:8 () in
+  let members =
+    Parallel.map_array
+      (fun _ spread ->
+        let profile =
+          match spread with
+          | None -> ctx.Context.avg_os_profile
+          | Some spread -> perturb ~seed:31 ~spread ctx.Context.avg_os_profile
+        in
+        (layouts_from profile, config))
+      (Array.append [| None |] (Array.map Option.some spreads))
+  in
   let misses =
-    Runner.simulate_batch ctx
-      ~members:(Array.map (fun p -> (layouts_from p, config)) profiles)
-      ()
+    Runner.simulate_batch ctx ~members ()
     |> Array.map (fun runs -> Counters.misses (Runner.total runs))
   in
   Array.mapi

@@ -34,7 +34,8 @@ let compute (ctx : Context.t) =
   let config = Config.make ~size_kb:8 () in
   let runs =
     Runner.simulate_batch ctx
-      ~members:(Array.of_list (List.map (fun name -> (layouts_of name, config)) levels))
+      ~members:
+        (Parallel.map_array (fun _ name -> (layouts_of name, config)) (Array.of_list levels))
       ()
   in
   let rates =

@@ -28,8 +28,12 @@ let ratio_at (ctx : Context.t) words =
 
 let compute (ctx : Context.t) =
   (* Rebuild contexts at each budget with the committed spec and seed so
-     only the trace length varies. *)
-  Array.map (fun words -> { words; ratio = ratio_at ctx words }) (budgets_of ctx.Context.words)
+     only the trace length varies.  The budgets are independent (each
+     context has its own key, so they share no memo entry) and run
+     concurrently; each one's trace capture fans out inside its task. *)
+  Parallel.map_array
+    (fun _ words -> { words; ratio = ratio_at ctx words })
+    (budgets_of ctx.Context.words)
 
 let report ctx =
   let points = compute ctx in

@@ -27,7 +27,7 @@ let compute (ctx : Context.t) =
       .(0)
   in
   let rows =
-    Array.mapi
+    Parallel.map_array
       (fun i (w, _) ->
         let trace = ctx.Context.traces.(i) in
         let p = ctx.Context.os_profiles.(i) in

@@ -8,7 +8,7 @@ type row = {
 let compute (ctx : Context.t) =
   let g = Context.os_graph ctx in
   let loops = Context.os_loops ctx in
-  Array.mapi
+  Parallel.map_array
     (fun i (w, _) ->
       let p = ctx.Context.os_profiles.(i) in
       {

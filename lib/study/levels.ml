@@ -44,29 +44,18 @@ let build_uncached (ctx : Context.t) ?jobs ~params level =
         in
         Program_layout.opt_a ~model ~program ~os_profile ~app_profiles ~params ()
   in
-  let pairs = ctx.Context.pairs in
-  if Array.length pairs <= 1 then Array.map build pairs
-  else begin
-    (* Warm the shared OS-side stage caches on the first pair before
-       fanning out: every workload of a level shares the same OS
-       placement, so without the warm-up each domain would race to
-       rebuild it (correct — first store wins — but wasted work).  The
-       fan-out then parallelizes only the genuinely per-workload part
-       (application placements). *)
-    let first = build pairs.(0) in
-    let rest =
-      Parallel.map_array ?jobs
-        (fun _ pair -> build pair)
-        (Array.sub pairs 1 (Array.length pairs - 1))
-    in
-    Array.append [| first |] rest
-  end
+  (* Every workload of a level shares one OS placement; the stage memos
+     are single-flight, so the first pair to reach it builds it and the
+     rest wait for it instead of rebuilding it. *)
+  Parallel.map_array ?jobs (fun _ pair -> build pair) ctx.Context.pairs
 
 (* Layout construction is deterministic in (context, level, params) and
    several experiments rebuild the same five levels, so memoize.  Layouts
    are immutable once built (variants go through with_os_map, which
    copies), so sharing one array across experiments is safe. *)
 let memo : Program_layout.t array Memo.t = Memo.create "levels"
+
+let clear () = Memo.clear memo
 
 let build ctx ?(params = Opt.params ()) level =
   (* Base and C-H never consume [params] (see [build_uncached]), so their

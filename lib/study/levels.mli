@@ -24,10 +24,15 @@ val build : Context.t -> ?params:Opt.params -> level -> Program_layout.t array
     inputs did not change, and the per-workload placements of a miss are
     built in parallel under [--jobs]. *)
 
+val clear : unit -> unit
+(** Drop every memoized layout array (tests that need a cold run); the
+    [levels] counters keep their totals. *)
+
 val build_uncached :
   Context.t -> ?jobs:int -> params:Opt.params -> level -> Program_layout.t array
 (** The construction behind {!build}, bypassing the whole-array memo (the
     staged {!Layout_cache} layer still applies unless disabled).  The
-    first workload is built alone to warm the shared OS-side stage
-    caches; the rest fan out over [jobs] domains.  Exposed for the
+    workloads fan out over [jobs] domains; the one that reaches the
+    shared OS placement first builds it and the others wait for it
+    (the stage memos are single-flight).  Exposed for the
     staged-equals-monolithic equivalence tests. *)

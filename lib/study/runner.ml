@@ -97,7 +97,6 @@ let simulate_batch ctx ~members ?(attribute_os = false)
   Trace_log.stage "simulate_batch"
     ~args:[ ("members", Json.Int n); ("workloads", Json.Int workloads) ]
   @@ fun () ->
-  let results : run array array = Array.make n [||] in
   (* A member's placement identity is its layouts' digests, each
      computed at most once per layout value; the memo key and the
      grouping below both read it from here. *)
@@ -112,88 +111,64 @@ let simulate_batch ctx ~members ?(attribute_os = false)
           ~warmup_fraction ~attribute_os)
       members
   in
-  (* Consult the memo per member; hits skip replay entirely. *)
-  let cached = Array.map Sim_cache.find keys in
-  (* One representative per distinct uncached key (first occurrence
-     wins); equal keys provably replay to equal results, so duplicates
-     within the batch share the representative's runs. *)
-  let rep_of_key : (Sim_cache.key, int) Hashtbl.t = Hashtbl.create 16 in
-  let rev_reps = ref [] in
-  Array.iteri
-    (fun m k ->
-      if cached.(m) = None && not (Hashtbl.mem rep_of_key k) then begin
-        Hashtbl.add rep_of_key k m;
-        rev_reps := m :: !rev_reps
-      end)
-    keys;
-  let reps = Array.of_list (List.rev !rev_reps) in
-  (* Group representatives by placement: members whose layouts resolve
-     to the same code maps ride one replay pass per workload, with every
-     member's cache system fed from the same decoded event stream. *)
-  let group_of_digest : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let rev_groups = ref [] in
-  Array.iter
-    (fun m ->
-      let d = String.concat "|" (Array.to_list digests.(m)) in
-      match Hashtbl.find_opt group_of_digest d with
-      | Some cell -> cell := m :: !cell
-      | None ->
-          let cell = ref [ m ] in
-          Hashtbl.add group_of_digest d cell;
-          rev_groups := cell :: !rev_groups)
-    reps;
-  let groups =
-    List.rev !rev_groups
-    |> List.map (fun cell -> Array.of_list (List.rev !cell))
-    |> Array.of_list
-  in
-  if Array.length reps > 0 then begin
-    (* One pass per (workload, layout group); workloads fan out across
-       domains exactly like [simulate], merging by index. *)
-    let per_workload =
-      Parallel.map_array ?jobs
-        (fun i ((w : Workload.t), program) ->
-          Array.map
-            (fun group ->
-              let rep_layouts, _ = members.(group.(0)) in
-              pass ~workload:w.Workload.name
-                ?attribute:(if attribute_os then Some program else None)
-                ~warmup_fraction ~trace:ctx.Context.traces.(i)
-                ~map:(Program_layout.code_map rep_layouts.(i))
-                (Array.map (fun m -> System.unified (snd members.(m))) group))
-            groups)
-        ctx.Context.pairs
+  let simulated = ref 0 and group_count = ref 0 in
+  (* [reps]: the members this call replays, one per key that no one has
+     stored or is replaying.  Equal keys provably replay to equal results,
+     so every other member is served from Sim_cache. *)
+  let replay reps =
+    (* Group representatives by placement: members whose layouts resolve
+       to the same code maps ride one replay pass per workload, with every
+       member's cache system fed from the same decoded event stream.
+       Groups hold positions in [reps]. *)
+    let group_of_digest : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+    let rev_groups = ref [] in
+    Array.iteri
+      (fun k m ->
+        let d = String.concat "|" (Array.to_list digests.(m)) in
+        match Hashtbl.find_opt group_of_digest d with
+        | Some cell -> cell := k :: !cell
+        | None ->
+            let cell = ref [ k ] in
+            Hashtbl.add group_of_digest d cell;
+            rev_groups := cell :: !rev_groups)
+      reps;
+    let groups =
+      List.rev !rev_groups
+      |> List.map (fun cell -> Array.of_list (List.rev !cell))
+      |> Array.of_list
     in
-    (* Transpose (workload, group, slot) -> per-member workload runs and
-       publish them to the memo, so later sweeps (and duplicates below)
-       are served from cache. *)
+    (* One pass per (workload, layout group), each its own task, so the
+       passes spread evenly over the runners; results merge by index. *)
+    let ngroups = Array.length groups in
+    let passes =
+      Parallel.map_array ?jobs
+        (fun t () ->
+          let i = t / ngroups and group = groups.(t mod ngroups) in
+          let (w : Workload.t), program = ctx.Context.pairs.(i) in
+          let rep_layouts, _ = members.(reps.(group.(0))) in
+          pass ~workload:w.Workload.name
+            ?attribute:(if attribute_os then Some program else None)
+            ~warmup_fraction ~trace:ctx.Context.traces.(i)
+            ~map:(Program_layout.code_map rep_layouts.(i))
+            (Array.map (fun k -> System.unified (snd members.(reps.(k)))) group))
+        (Array.make (workloads * ngroups) ())
+    in
+    (* Transpose (workload, group, slot) -> per-representative runs. *)
+    let runs = Array.make (Array.length reps) [||] in
     Array.iteri
       (fun g group ->
         Array.iteri
-          (fun j m ->
-            let runs =
-              Array.init workloads (fun i -> per_workload.(i).(g).(j))
-            in
-            Sim_cache.add keys.(m) runs;
-            results.(m) <- runs)
+          (fun j k ->
+            runs.(k) <- Array.init workloads (fun i -> passes.((i * ngroups) + g).(j)))
           group)
-      groups
-  end;
-  (* Cache hits and within-batch duplicates. *)
-  Array.iteri
-    (fun m hit ->
-      match hit with
-      | Some runs -> results.(m) <- runs
-      | None ->
-          if Array.length results.(m) = 0 then
-            let rep = Hashtbl.find rep_of_key keys.(m) in
-            results.(m) <- Array.map Sim_cache.copy results.(rep))
-    cached;
-  let cache_hits =
-    Array.fold_left (fun acc c -> if c = None then acc else acc + 1) 0 cached
+      groups;
+    simulated := !simulated + Array.length reps;
+    group_count := !group_count + Array.length groups;
+    runs
   in
-  let simulated = Array.length reps in
-  let group_count = Array.length groups in
+  let results = Sim_cache.find_or_replay keys replay in
+  let simulated = !simulated and group_count = !group_count in
+  let cache_hits = n - simulated in
   let total_events =
     Array.fold_left (fun acc t -> acc + Trace.length t) 0 ctx.Context.traces
   in

@@ -54,8 +54,9 @@ val simulate_batch :
 
     Every member consults {!Sim_cache} first, keyed on the trace identity,
     the layouts' {!Program_layout.digest}s, the geometry, the warm-up and
-    the attribution flag (hits skip replay entirely), and every simulated
-    member is published to it.  Effectiveness (members served from cache,
+    the attribution flag.  Only the members whose key no one has stored
+    or is replaying are replayed (one per key) and published; the rest
+    are cache hits, waiting for another domain's replay if need be.  Effectiveness (members served from cache,
     replay passes and decoded events saved) is added to the registry
     counters [batch.<field>] (see {!Manifest}). *)
 

@@ -25,9 +25,10 @@ let copy e =
     os_block_misses = Array.copy e.os_block_misses;
   }
 
-let find k = Option.map (Array.map copy) (Memo.find memo k)
-
-let add k entries = Memo.add memo k (Array.map copy entries)
+(* Stored entries are the replays' own arrays, which nothing else holds;
+   every caller gets copies. *)
+let find_or_replay keys replay =
+  Array.map (Array.map copy) (Memo.find_or_build_all memo keys replay)
 
 let hits () = (Memo.stats memo).Memo.hits
 

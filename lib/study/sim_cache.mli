@@ -10,8 +10,8 @@
     provably replay to equal results, so {!Runner.simulate_batch} consults
     this table and the experiment suite stops re-simulating.
 
-    Entries and lookups deep-copy counters and miss arrays, so callers may
-    freely mutate what they get back.  Storage is one process-global
+    Every lookup returns deep copies of counters and miss arrays, so
+    callers may freely mutate what they get back.  Storage is one process-global
     {!Memo} named [sim_cache]: domain-safe, with its lookup counts in the
     metrics registry ([sim_cache.hits], [.misses], [.lookups]), which the
     run manifest's metrics snapshot carries. *)
@@ -41,12 +41,13 @@ val key :
     replacement policy (including a [Random] policy's seed) — separates
     keys. *)
 
-val find : key -> entry array option
-(** Deep copy of the cached runs, or [None].  Counts one hit or miss. *)
-
-val add : key -> entry array -> unit
-(** Store a deep copy.  First writer wins; duplicate adds are ignored (the
-    results are equal by construction). *)
+val find_or_replay : key array -> (int array -> entry array array) -> entry array array
+(** [find_or_replay keys replay]: each key's runs, single-flight through
+    {!Memo.find_or_build_all}.  [replay claimed] simulates the members at
+    the [claimed] indices (the first index of each key no one has stored
+    or is replaying) and returns their runs in that order; keys another
+    domain is replaying are awaited, and a key repeated within [keys]
+    counts as a hit.  Every caller gets deep copies. *)
 
 val hits : unit -> int
 (** Lookup counts since the process started. *)

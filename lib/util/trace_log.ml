@@ -8,10 +8,10 @@ type event = {
 }
 
 (* Grow-on-demand event buffer owned by exactly one domain.  The owning
-   domain appends without synchronization; merging only happens after the
-   owner has been joined (or from the owner itself), so plain mutation is
-   safe.  Buffers of dead domains stay registered: their events are part
-   of the run's history. *)
+   domain appends without synchronization; merging only happens while the
+   owner records nothing (an idle pool worker, a joined domain, or the
+   owner itself), so plain mutation is safe.  Buffers of dead domains stay
+   registered: their events are part of the run's history. *)
 type buffer = { mutable items : event array; mutable len : int }
 
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9

@@ -20,15 +20,18 @@
     Tracing is {e off} by default and costs a single branch per
     {!with_span} when disabled; simulation results are unaffected either
     way because spans only observe.  Buffers are merged at export time
-    ({!events}, {!to_chrome}), which must happen after all worker domains
-    have been joined — {!Parallel.map_array} joins before returning, so
-    any point between pipeline stages qualifies.
+    ({!events}, {!to_chrome}), which must happen while no domain is
+    recording.  {!Parallel}'s pool workers stay alive between fan-outs,
+    but an idle worker records nothing, and {!Parallel.map_array} returns
+    only after every task of its fan-out has finished (the pool's lock
+    orders those writes before the return), so any point between
+    fan-outs qualifies.
 
-    Tracks: the main domain records on track 0; {!Parallel.map_array}
-    labels each worker domain with its slot index + 1 via {!set_track}, so
-    a run under [ICACHE_JOBS=4] shows tracks 0-4 and successive fork-join
-    phases reuse the same tracks instead of spraying one per spawned
-    domain.
+    Tracks: the main domain records on track 0, and so does any domain
+    the pool did not start; pool worker [k] labels itself track [k] via
+    {!set_track} when it starts.  A fan-out's caller runs its share of the
+    tasks on its own track, so a run under [ICACHE_JOBS=4] shows tracks
+    0-3, and every fan-out reuses the same tracks.
 
     Export: {!to_chrome} emits the Chrome trace-event JSON format
     (["traceEvents"] with [ph:"B"/"E"] pairs, microsecond timestamps,
@@ -71,12 +74,12 @@ val stage_totals : unit -> (string * int * float) list
 
 val set_track : int -> unit
 (** Label the calling domain's events with this track id (domain-local;
-    worker domains are labelled by {!Parallel.map_array}, everything else
-    records on track 0). *)
+    {!Parallel}'s pool workers label themselves, everything else records
+    on track 0). *)
 
 val events : unit -> event list
 (** All recorded events merged across domains, in [seq] order.  Call only
-    while no other domain is recording (i.e. between fork-join phases). *)
+    while no other domain is recording (i.e. between fan-outs). *)
 
 val span_count : unit -> int
 (** Number of {e completed} spans recorded so far (end events). *)
@@ -100,4 +103,4 @@ val fold_spans : ('a -> event -> float -> 'a) -> 'a -> event list -> ('a, string
 
 val reset : unit -> unit
 (** Drop all recorded events and stage totals (the enabled flag is left
-    as-is).  Call only between fork-join phases, like {!events}. *)
+    as-is).  Call only between fan-outs, like {!events}. *)

@@ -188,6 +188,67 @@ let test_robust_reuses_context () =
     (counter "levels.misses");
   check_int "no kernel regenerated" models (counter "kernel_model.misses")
 
+(* --- The whole suite: results and memo counts independent of jobs -- *)
+
+let suite_counters () =
+  match Json.member "counters" (Metrics_registry.to_json ()) with
+  | Some (Json.Obj kvs) ->
+      List.filter_map
+        (fun (k, v) ->
+          let memo =
+            List.exists (fun s -> String.ends_with ~suffix:s k) [ ".hits"; ".misses"; ".lookups" ]
+          in
+          if memo || String.starts_with ~prefix:"batch." k then
+            Some (k, Option.value ~default:(-1) (Json.to_int v))
+          else None)
+        kvs
+  | _ -> Alcotest.fail "no counters in the metrics snapshot"
+
+let is_memo_counter (k, _) = not (String.starts_with ~prefix:"batch." k)
+
+(* Every experiment from cold memos: the rendered reports and each
+   counter's increase over the run. *)
+let cold_suite jobs compute =
+  with_jobs jobs (fun () ->
+      Sim_cache.clear ();
+      Layout_cache.clear ();
+      Levels.clear ();
+      let before = suite_counters () in
+      let reports = List.map Result.render_text (compute ()) in
+      let after = suite_counters () in
+      ( reports,
+        List.map
+          (fun (k, v) -> (k, v - Option.value ~default:0 (List.assoc_opt k before)))
+          after ))
+
+let test_suite_counters_and_reports () =
+  let ctx = Lazy.force small_context in
+  let one_at_a_time () = List.map (fun e -> Experiments.compute e ctx) Experiments.all in
+  let reports1, counts1 = cold_suite 1 one_at_a_time in
+  let reports4, counts4 = cold_suite 4 one_at_a_time in
+  let reports_all, counts_all =
+    cold_suite 4 (fun () -> Experiments.compute_all Experiments.all ctx)
+  in
+  check_int "one report per experiment" (List.length Experiments.all) (List.length reports1);
+  List.iter2
+    (fun (e : Experiments.t) (r1, (r4, r_all)) ->
+      check_string (e.Experiments.id ^ ": 1 job == 4 jobs") r1 r4;
+      check_string (e.Experiments.id ^ ": compute_all == one at a time") r1 r_all)
+    Experiments.all
+    (List.combine reports1 (List.combine reports4 reports_all));
+  check_bool "memo trios counted" true (List.exists is_memo_counter counts1);
+  List.iter2
+    (fun (k, v1) (k', v4) ->
+      check_string "same counters" k k';
+      check_int (k ^ ": 1 job == 4 jobs") v1 v4)
+    counts1 counts4;
+  (* Concurrent experiments may split a shared key's replay differently
+     between their batches, so only the memo trios must match here. *)
+  List.iter2
+    (fun (k, v1) (_, v_all) -> check_int (k ^ ": compute_all == one at a time") v1 v_all)
+    (List.filter is_memo_counter counts1)
+    (List.filter is_memo_counter counts_all)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -216,5 +277,10 @@ let () =
         [
           case "contexts of one spec share the model" test_model_shared;
           case "robust's 1x budget reuses the parent context" test_robust_reuses_context;
+        ] );
+      ( "suite-determinism",
+        [
+          case "all experiments: counters and reports equal at 1 and 4 jobs"
+            test_suite_counters_and_reports;
         ] );
     ]

@@ -234,15 +234,29 @@ let test_jobs_parity () =
 
 let test_tracks_under_four_jobs () =
   fresh ();
-  run_parity_workload ~jobs:4;
+  (* Four tasks that each wait until all four have started, so every
+     runner of a 4-job fan-out holds one: the caller runs its own tasks
+     on track 0 and the pool's three persistent workers use tracks 1-3. *)
+  let started = Atomic.make 0 in
+  let deadline = Trace_log.now () +. 10.0 in
+  let met =
+    Parallel.map_array ~jobs:4
+      (fun _ () ->
+        Trace_log.with_span "rendezvous" (fun () ->
+            Atomic.incr started;
+            while Atomic.get started < 4 && Trace_log.now () < deadline do
+              Domain.cpu_relax ()
+            done;
+            Atomic.get started = 4))
+      (Array.make 4 ())
+  in
   quiesce ();
+  check_bool "all four tasks ran at once" true (Array.for_all Fun.id met);
   let tracks =
     List.sort_uniq compare
       (List.map (fun (e : Trace_log.event) -> e.Trace_log.track) (Trace_log.events ()))
   in
-  (* 12 items over 4 workers: every worker slot gets items, so all four
-     worker tracks (1-4) record; the main domain records nothing here. *)
-  check_bool "four worker tracks" true (tracks = [ 1; 2; 3; 4 ])
+  check_bool "caller on track 0, workers on 1-3" true (tracks = [ 0; 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
 (* Stages: the span that also keeps a total                           *)

@@ -519,6 +519,159 @@ let test_memo_clear () =
   check_bool "b gone" true (Memo.find m "b" = None);
   check_int "rebuilt after clear" 3 (Memo.find_or_build m "a" (fun () -> 3))
 
+let test_memo_single_flight () =
+  let name = "test.memo_single_flight" in
+  let m : int array Memo.t = Memo.create name in
+  let builds = Atomic.make 0 in
+  let ready = Atomic.make 0 in
+  let racer () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    Memo.find_or_build m "k" (fun () ->
+        Atomic.incr builds;
+        Unix.sleepf 0.02;
+        Array.make 4 7)
+  in
+  let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn racer)) in
+  check_int "exactly one build" 1 (Atomic.get builds);
+  let first = List.hd results in
+  List.iteri
+    (fun i v -> check_bool (Printf.sprintf "domain %d shares the value" i) true (v == first))
+    results;
+  let h, mi, l = registry_trio name in
+  check_int "one miss" 1 mi;
+  check_int "three hits" 3 h;
+  check_int "four lookups" 4 l
+
+let test_memo_raise_releases () =
+  let name = "test.memo_raise" in
+  let m : int Memo.t = Memo.create name in
+  (match Memo.find_or_build m "k" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "the build's exception was swallowed"
+  | exception Failure msg -> check_string "the builder sees its exception" "boom" msg);
+  check_int "the key is free again" 5 (Memo.find_or_build m "k" (fun () -> 5));
+  (* A caller waiting on a claim whose build raises claims the key itself. *)
+  let claimed = Atomic.make false in
+  let failing =
+    Domain.spawn (fun () ->
+        try
+          Memo.find_or_build m "j" (fun () ->
+              Atomic.set claimed true;
+              Unix.sleepf 0.02;
+              failwith "late")
+        with Failure _ -> -1)
+  in
+  while not (Atomic.get claimed) do
+    Domain.cpu_relax ()
+  done;
+  let waiter = Memo.find_or_build m "j" (fun () -> 9) in
+  check_int "the failing builder raised" (-1) (Domain.join failing);
+  check_int "the waiter built the key after the release" 9 waiter;
+  let h, mi, _ = registry_trio name in
+  check_int "every build is a miss" 4 mi;
+  check_int "no hits" 0 h
+
+let test_memo_build_all () =
+  let name = "test.memo_build_all" in
+  let m : string Memo.t = Memo.create name in
+  Memo.add m "a" "A";
+  let calls = ref [] in
+  let build claimed =
+    calls := claimed :: !calls;
+    Array.map (fun i -> "built" ^ string_of_int i) claimed
+  in
+  let got = Memo.find_or_build_all m [| "a"; "b"; "a"; "c"; "b" |] build in
+  check_bool "one build call, first index per absent key" true (!calls = [ [| 1; 3 |] ]);
+  check_bool "values by index" true (got = [| "A"; "built1"; "A"; "built3"; "built1" |]);
+  check_bool "repeats share the built value" true (got.(1) == got.(4));
+  let h, mi, l = registry_trio name in
+  check_int "two keys built" 2 mi;
+  check_int "stored and repeated keys hit" 3 h;
+  check_int "one lookup per key" 5 l;
+  calls := [];
+  ignore (Memo.find_or_build_all m [| "c"; "a" |] build);
+  check_bool "no build when everything is stored" true (!calls = []);
+  (match Memo.find_or_build_all m [| "d"; "e" |] (fun _ -> failwith "boom") with
+  | _ -> Alcotest.fail "the build's exception was swallowed"
+  | exception Failure _ -> ());
+  check_string "a raising batch releases its keys" "D"
+    (Memo.find_or_build m "d" (fun () -> "D"))
+
+(* ------------------------------------------------------------------ *)
+(* Parallel: the persistent pool                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Three levels of fan-out inside one another, each sized differently,
+   against plain Array.mapi. *)
+let k_len j = 2 + (j mod 3)
+
+let nested_work ~jobs =
+  Parallel.map_array ~jobs
+    (fun i a ->
+      Parallel.map_array ~jobs
+        (fun j b ->
+          Array.fold_left ( + ) 0
+            (Parallel.map_array ~jobs
+               (fun k c -> (i * 100) + (j * 10) + k + c)
+               (Array.make (k_len j) b)))
+        (Array.make (3 + i) a))
+    (Array.init 5 Fun.id)
+
+let nested_reference () =
+  Array.mapi
+    (fun i a ->
+      Array.mapi
+        (fun j b ->
+          Array.fold_left ( + ) 0
+            (Array.mapi (fun k c -> (i * 100) + (j * 10) + k + c) (Array.make (k_len j) b)))
+        (Array.make (3 + i) a))
+    (Array.init 5 Fun.id)
+
+let test_pool_nested () =
+  let expect = nested_reference () in
+  List.iter
+    (fun jobs ->
+      check_bool
+        (Printf.sprintf "three nested levels == Array.mapi at %d jobs" jobs)
+        true
+        (nested_work ~jobs = expect))
+    [ 1; 2; 4 ]
+
+let test_pool_nested_exception () =
+  let total = 4 * 6 in
+  let finished = Atomic.make 0 in
+  let outcome =
+    try
+      ignore
+        (Parallel.map_array ~jobs:4
+           (fun i () ->
+             Parallel.map_array ~jobs:4
+               (fun j () ->
+                 if i = 1 && (j = 2 || j = 4) then failwith (Printf.sprintf "task %d.%d" i j);
+                 Unix.sleepf 0.002;
+                 Atomic.incr finished)
+               (Array.make 6 ()))
+           (Array.make 4 ()));
+      None
+    with Failure msg -> Some msg
+  in
+  check_bool "the lowest failing index is re-raised" true (outcome = Some "task 1.2");
+  check_int "every sibling finished before the raise" (total - 2) (Atomic.get finished);
+  check_bool "the pool serves the next call" true
+    (Parallel.map_array ~jobs:4 (fun i x -> i + x) (Array.make 8 1) = Array.init 8 (fun i -> i + 1))
+
+let test_pool_one_job_inline () =
+  let fanouts () = Option.value ~default:0 (Metrics_registry.find_counter "parallel.fanouts") in
+  let before = fanouts () in
+  let main = Domain.self () in
+  let domains = Parallel.map_array ~jobs:1 (fun _ () -> Domain.self ()) (Array.make 6 ()) in
+  check_int "~jobs:1 counts no fan-out" before (fanouts ());
+  check_bool "~jobs:1 runs on the caller" true (Array.for_all (fun d -> d = main) domains);
+  ignore (Parallel.map_array ~jobs:2 (fun _ () -> ()) (Array.make 2 ()));
+  check_int "~jobs:2 counts one" (before + 1) (fanouts ())
+
 let () =
   Alcotest.run "util"
     [
@@ -586,6 +739,15 @@ let () =
           case "registry counters" test_memo_counters;
           case "add: first writer wins" test_memo_add_first_writer_wins;
           case "clear empties the table" test_memo_clear;
+          case "single flight: one build, one miss" test_memo_single_flight;
+          case "a raising build releases its key" test_memo_raise_releases;
+          case "batched claims" test_memo_build_all;
+        ] );
+      ( "parallel",
+        [
+          case "nested fan-outs == Array.mapi" test_pool_nested;
+          case "nested exception after siblings" test_pool_nested_exception;
+          case "one job runs inline" test_pool_one_job_inline;
         ] );
       ( "table+chart",
         [
