@@ -263,24 +263,10 @@ let layout_cmd =
   in
   let run words seed small jobs level out =
     let ctx = make_context ~small ~words ~seed ~jobs in
-    let model = ctx.Context.model in
     let g = Context.os_graph ctx in
-    let profile = ctx.Context.avg_os_profile in
-    let map =
-      match level with
-      | Levels.Base -> Base.layout g ~order:model.Model.base_order
-      | Levels.CH -> Chang_hwu.layout g profile
-      | Levels.OptS | Levels.OptA ->
-          (* OptA differs from OptS only on the application images; the OS
-             map this subcommand emits is the same. *)
-          (Opt.os_layout ~model ~profile ~loops:(Context.os_loops ctx)
-             (Opt.params ()))
-            .Opt.map
-      | Levels.OptL ->
-          (Opt.os_layout ~model ~profile ~loops:(Context.os_loops ctx)
-             (Opt.params ~extract_loops:true ()))
-            .Opt.map
-    in
+    (* Every workload of a level shares one OS placement (OptA differs
+       from OptS only on the application images). *)
+    let map = (Levels.build ctx level).(0).Program_layout.os_map in
     Out.with_file out (fun oc -> Layout_file.write_channel oc ~graph:g map);
     if out <> "-" then
       Printf.printf "wrote %s (%d blocks, extent %d bytes)\n" out

@@ -25,16 +25,13 @@ let () =
     (100.0 *. workload.Workload.os_fraction);
 
   (* 3. Trace one million instruction words and profile them. *)
-  let profiles, sink = Profile.sinks ~program in
-  let trace = Trace.create () in
-  let stats =
-    Engine.run ~program ~workload ~words:1_000_000 ~seed:1
-      ~sink:(Engine.combine_sinks [ sink; Engine.trace_sink trace ])
+  let trace, stats, profiles =
+    Profile.capture ~program ~workload ~words:1_000_000 ~seed:1
   in
   Printf.printf "traced %d instruction words (%d OS invocations)\n"
     stats.Engine.total_words
     (Array.fold_left ( + ) 0 stats.Engine.invocations);
-  let os_profile = Profile.freeze profiles.(0) in
+  let os_profile = profiles.(0) in
 
   (* 4. Two layouts: the original link order (Base) and the paper's OptS
      (sequences grown from the four seeds + a SelfConfFree area). *)

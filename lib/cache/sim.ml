@@ -209,17 +209,6 @@ let access t ~os ~image ~block ~addr ~bytes =
   if os <> (image = 0) then invalid_arg "Sim.access: os must mean image 0";
   run t All (Chunk.single ~image ~block ~addr ~bytes)
 
-let probe t ~addr =
-  let line = addr lsr t.line_shift in
-  let set = line land (t.sets - 1) in
-  let base = set * t.assoc in
-  let rec find i =
-    if i = t.assoc then false
-    else if t.tags.(base + i) = line then true
-    else find (i + 1)
-  in
-  find 0
-
 let reset_counters t =
   Counters.reset t.counters;
   if t.attribution then begin

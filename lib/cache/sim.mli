@@ -48,10 +48,6 @@ val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> 
     @raise Invalid_argument unless [os = (image = 0)] and
     [0 <= image <= 5]. *)
 
-val probe : t -> addr:int -> bool
-(** Whether the line holding [addr] is currently resident (testing aid;
-    does not update LRU or counters). *)
-
 val reset_counters : t -> unit
 (** Zero counters and attributions, keeping cache contents (warm-up). *)
 

@@ -7,6 +7,7 @@ type t = {
   callers : Block.id array array;
   code_bytes : int;
   sizes : int array;
+  words : int array;
   digest : string Atomic.t;  (* "" until the first {!digest} *)
 }
 
@@ -113,6 +114,7 @@ let freeze b =
   in
   let sizes = Array.map (fun (blk : Block.t) -> blk.Block.size) blocks in
   let code_bytes = Array.fold_left ( + ) 0 sizes in
+  let words = Array.map Block.instruction_words blocks in
   {
     blocks;
     arcs;
@@ -122,6 +124,7 @@ let freeze b =
     callers;
     code_bytes;
     sizes;
+    words;
     digest = Atomic.make "";
   }
 
@@ -143,6 +146,7 @@ let iter_arcs t f = Array.iter f t.arcs
 let callers t r = t.callers.(r)
 let fold_blocks t ~init ~f = Array.fold_left f init t.blocks
 let block_sizes t = t.sizes
+let block_words t = t.words
 
 (* The other fields are functions of blocks, arcs and routines.  Racing
    first calls compute the same string, so a plain write-once slot will do. *)

@@ -61,6 +61,10 @@ val block_sizes : t -> int array
 (** Block id -> size, built once by {!freeze} and shared by every caller:
     read it, never write it. *)
 
+val block_words : t -> int array
+(** Block id -> {!Block.instruction_words}, built and shared like
+    {!block_sizes}. *)
+
 val digest : t -> string
 (** Hex MD5 of the graph's content, computed on the first call and
     stored in the graph (not in {!freeze}: most graphs are never keyed).

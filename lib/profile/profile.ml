@@ -53,12 +53,13 @@ let digest t =
       d
   | d -> d
 
-let sinks ~program =
+let capture ~program ~workload ~words ~seed =
+  let trace = Trace.create ~capacity:(words / 4) () in
   let profiles =
     Array.init (Program.image_count program) (fun i ->
         Builder.create (Program.graph program i))
   in
-  let sink =
+  let profile_sink =
     {
       Engine.on_exec =
         (fun ~image ~block ->
@@ -76,12 +77,9 @@ let sinks ~program =
       on_invocation_end = ignore;
     }
   in
-  (profiles, sink)
-
-let collect ~program ~workload ~words ~seed =
-  let profiles, sink = sinks ~program in
+  let sink = Engine.combine_sinks [ Engine.trace_sink trace; profile_sink ] in
   let stats = Engine.run ~program ~workload ~words ~seed ~sink in
-  (Array.map freeze profiles, stats)
+  (trace, stats, Array.map freeze profiles)
 
 let factor t target = if t.total_blocks > 0.0 then target /. t.total_blocks else 0.0
 

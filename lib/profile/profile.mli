@@ -51,14 +51,13 @@ val digest : t -> string
     profiles are never keyed), and stored in the value, so every later
     call is a field read. *)
 
-val collect :
+val capture :
   program:Program.t -> workload:Workload.t -> words:int -> seed:int ->
-  t array * Engine.stats
-(** Run the engine and gather one profile per image (index 0 = OS). *)
-
-val sinks : program:Program.t -> Builder.t array * Engine.sink
-(** One builder per image and an engine sink that fills them (for callers
-    that drive the engine themselves or combine sinks). *)
+  Trace.t * Engine.stats * t array
+(** One {!Engine.run}: its trace (exactly {!Engine.capture}'s for the same
+    arguments), its stats, and one frozen profile per image (index 0 =
+    OS) counting the same run's block executions, arcs taken and OS
+    invocations.  Every trace-plus-profile capture goes through here. *)
 
 val scale_to : t -> float -> t
 (** Copy, rescaled so [total_blocks] equals the given value. *)

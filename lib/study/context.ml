@@ -43,13 +43,7 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
               ("domain", Json.Int (Domain.self () :> int));
             ]
         @@ fun () ->
-        let trace = Trace.create ~capacity:(words / 4) () in
-        let profiles, profile_sink = Profile.sinks ~program in
-        let sink =
-          Engine.combine_sinks [ Engine.trace_sink trace; profile_sink ]
-        in
-        let s = Engine.run ~program ~workload:w ~words ~seed:(seed + i) ~sink in
-        (trace, s, Array.map Profile.freeze profiles))
+        Profile.capture ~program ~workload:w ~words ~seed:(seed + i))
       pairs
   in
   let traces = Array.map (fun (t, _, _) -> t) captures in

@@ -107,5 +107,3 @@ let report ctx =
       Result.note
         "caller/callee interleaving are the paper's claimed advantages over C-H";
     ]
-
-let run ctx = Result.print (report ctx)

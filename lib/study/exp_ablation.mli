@@ -16,5 +16,3 @@ val compute : Context.t -> int * variant list
 
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

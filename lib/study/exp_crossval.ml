@@ -75,5 +75,3 @@ let report ctx =
       Result.note "transfer (the popular routines are shared, Figure 2); the averaged";
       Result.note "profile is the safe choice the paper made";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -102,5 +102,3 @@ let report ctx =
       Result.note "fully-associative floor, and the floor itself drops as hot code packs";
       Result.note "into fewer lines (the spatial-locality effect of sequences)";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -15,5 +15,3 @@ val conflict : dm:int -> fa:int -> int
 val compute : Context.t -> row array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

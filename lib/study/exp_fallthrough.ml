@@ -70,5 +70,3 @@ let report ctx =
       Result.note "layout straightens control flow: sequences turn the likely path into";
       Result.note "straight-line fetches (the prefetch benefit behind Figure 17a)";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -9,5 +9,3 @@ val rate : trace:Trace.t -> map:Replay.code_map -> float
 val compute : Context.t -> row array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

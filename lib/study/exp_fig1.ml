@@ -60,5 +60,3 @@ let report ctx =
           "self-interference accounts for over 90% of OS misses in all workloads;";
         Result.paper "the two dominant peaks hold 12.6% + 8.6% of OS misses in TRFD+Make";
       ])
-
-let run ctx = Result.print (report ctx)

@@ -89,5 +89,3 @@ let report ctx =
       Result.paper
         "OptS to 0.24-0.53 (25% below C-H); OptL ~ OptS; OptA another 4-19% lower";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -22,5 +22,3 @@ val compute : Context.t -> row array
 
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

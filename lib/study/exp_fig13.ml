@@ -98,5 +98,3 @@ let report ctx =
       Result.paper
         "misses (33% Shell); loops cause almost no misses; OptS empties SelfConfFree misses";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -52,5 +52,3 @@ let report ctx =
         Result.paper
           "C-H shrinks the Base peaks; OptS flattens them further, leaving only small peaks";
       ])
-
-let run ctx = Result.print (report ctx)

@@ -91,5 +91,3 @@ let report ctx =
       Result.paper
         "4-16KB, ~equal at 32KB; 30-cycle penalty yields ~10-25% speed increase";
     ]
-
-let run ctx = Result.print (report ctx)

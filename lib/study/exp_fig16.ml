@@ -101,5 +101,3 @@ let report ctx =
           "paper areas: 0/376/1286/2514 bytes; the 2.0% cut-off (~1KB) wins most often;";
         Result.paper "large areas favor 4KB caches, small ones 16KB caches";
       ])
-
-let run ctx = Result.print (report ctx)

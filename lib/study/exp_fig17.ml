@@ -109,5 +109,3 @@ let report ctx =
         Result.paper "gains grow with line size (59% @16B -> 70% @128B) and shrink with";
         Result.paper "associativity (55% DM -> 41% 8-way); DM OptS beats 8-way Base";
       ])
-
-let run ctx = Result.print (report ctx)

@@ -18,5 +18,3 @@ val average_reduction : point array -> label:string -> float
 
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

@@ -127,5 +127,3 @@ let report ctx =
       Result.paper
         "(same performance, higher cost); Call raises OS misses 20-100% over OptA";
     ]
-
-let run ctx = Result.print (report ctx)

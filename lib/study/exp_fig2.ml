@@ -74,5 +74,3 @@ let report ctx =
         Result.paper
           "references are concentrated; peaks sit at similar addresses across workloads";
       ])
-
-let run ctx = Result.print (report ctx)

@@ -17,5 +17,3 @@ val overlap_pct : result array -> float
 
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

@@ -28,5 +28,3 @@ let report ctx =
         ~text:(Printf.sprintf "arcs with probability <= 0.01: %.1f%%" (100.0 *. r.le_01));
       Result.paper "73.6% of arcs have probability >= 0.99; 6.9% have <= 0.01 (bimodal)";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -54,5 +54,3 @@ let report ctx =
       Result.note "largest executed loop body: %d bytes" r.max_size_bytes;
       Result.paper "156 loops; 50% run <= 6 iterations, ~75% <= 25; largest spans 300 bytes";
     ]
-
-let run ctx = Result.print (report ctx)

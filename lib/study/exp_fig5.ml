@@ -52,5 +52,3 @@ let report ctx =
         r.median_size_bytes r.max_size_bytes;
       Result.paper "71 loops; usually <= 10 iterations; median size 2KB, a few above 16KB";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -43,5 +43,3 @@ let report ctx =
         Result.note "union of workloads: %d distinct routines executed" (Array.length union);
         Result.paper "about 600 routines executed; a few account for most invocations";
       ])
-
-let run ctx = Result.print (report ctx)

@@ -46,5 +46,3 @@ let report ctx =
       Result.paper
         "~25% of calls recur within 100 words, ~70% within 1000; ~9% are last in invocation";
     ]
-
-let run ctx = Result.print (report ctx)

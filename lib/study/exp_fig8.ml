@@ -32,5 +32,3 @@ let report ctx =
       Result.paper
         "~8,500 executed BBs; 22 above 3%, 157 above 1%, ~6,000 below 0.01%; peak ~5%";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -13,5 +13,3 @@ val compute : Context.t -> result
 
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

@@ -125,5 +125,3 @@ let report _ctx =
       Result.paper "0 1 4 8 | read 0 1 2 3 | 9 10 11 12 | chk 0 1 2 5 | 13 | upd 0 |";
       Result.paper "14 15 17 18 19 | 16, then (0,0) places 5 and 7";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -17,8 +17,6 @@ val expected_pass2 : string list
 val compute : unit -> result
 
 val report : Context.t -> Result.report
-(** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit
-(** The context is unused (the example is self-contained); kept for
-    driver uniformity. *)
+(** Typed report whose text rendering is the classic transcript.  The
+    context is unused (the example is self-contained); it is taken so
+    that every experiment has the same signature. *)

@@ -39,13 +39,10 @@ let compute (ctx : Context.t) =
         Trace_log.with_span "inline.trace"
           ~args:[ ("workload", Json.String w.Workload.name); ("words", Json.Int ctx.Context.words) ]
         @@ fun () ->
-        let profs, sink = Profile.sinks ~program in
-        let trace = Trace.create ~capacity:(ctx.Context.words / 4) () in
-        let _ =
-          Engine.run ~program ~workload:w ~words:ctx.Context.words ~seed:(11 + i)
-            ~sink:(Engine.combine_sinks [ sink; Engine.trace_sink trace ])
+        let trace, _, profiles =
+          Profile.capture ~program ~workload:w ~words:ctx.Context.words ~seed:(11 + i)
         in
-        (trace, Profile.freeze profs.(0)))
+        (trace, profiles.(0)))
       pairs
   in
   let avg = Profile.average (Array.to_list (Array.map snd captures)) in
@@ -119,5 +116,3 @@ let report ctx =
       Result.paper
         "code expansion increases conflicts, so the paper's sequences do not inline";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -87,5 +87,3 @@ let report ctx =
       Result.note "the decade-wide threshold schedule only needs the profile's order of";
       Result.note "magnitude, so moderate profiling error costs little";
     ]
-
-let run ctx = Result.print (report ctx)

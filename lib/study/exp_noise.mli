@@ -11,5 +11,3 @@ val perturb : seed:int -> spread:float -> Profile.t -> Profile.t
 val compute : Context.t -> point array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

@@ -77,5 +77,3 @@ let report ctx =
       Result.note
         "should still lead through its OS-specific seeds, sequences and SelfConfFree";
     ]
-
-let run ctx = Result.print (report ctx)

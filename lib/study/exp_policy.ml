@@ -74,5 +74,3 @@ let report ctx =
         "the layout advantage is policy-independent: conflicts removed in software";
       Result.note "stay removed whatever the hardware evicts";
     ]
-
-let run ctx = Result.print (report ctx)

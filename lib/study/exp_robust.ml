@@ -51,5 +51,3 @@ let report ctx =
         (Stats.maximum ratios -. Stats.minimum ratios)
         (Stats.minimum ratios) (Stats.maximum ratios);
     ]
-
-let run ctx = Result.print (report ctx)

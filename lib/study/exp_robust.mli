@@ -15,5 +15,3 @@ val compute : Context.t -> point array
 
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

@@ -51,5 +51,3 @@ let report ctx =
       Result.paper
         "mix: interrupts 76.0/65.7/73.8/29.7, faults 23.0/21.3/21.9/12.0, syscalls 0.0/11.2/2.4/54.7";
     ]
-
-let run ctx = Result.print (report ctx)

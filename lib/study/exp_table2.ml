@@ -86,5 +86,3 @@ let report ctx =
       Result.paper
         "regular: P(any) 0.96-0.98, P(next) 0.77-0.79, 13-38% BBs, 38-74% refs, 57-88% misses";
     ]
-
-let run ctx = Result.print (report ctx)

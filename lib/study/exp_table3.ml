@@ -47,5 +47,3 @@ let report ctx =
       Result.of_table t;
       Result.paper "dynamic 28.9-39.4%; static-executed 2.7-3.9%; static 0.1-0.4%";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -55,5 +55,3 @@ let report ctx =
       Result.paper
         "sequences are hundreds of bytes to a few KB, final sweeps tens of KB";
     ]
-
-let run ctx = Result.print (report ctx)

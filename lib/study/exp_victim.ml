@@ -75,5 +75,3 @@ let report ctx =
         "the buffer soaks up ping-pong conflicts cheaply, but OptS removes them at";
       Result.note "the source; the two compose (OptS+V8 is the floor of every row)";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -9,5 +9,3 @@ val setups : (string * Levels.level * int option) list
 val compute : Context.t -> row array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

@@ -43,5 +43,3 @@ let compute_all exps ctx =
   Array.to_list (Parallel.map_array (fun _ e -> compute e ctx) (Array.of_list exps))
 
 let run e ctx = Result.print (compute e ctx)
-
-let run_all ctx = List.iter (fun e -> run e ctx) all

@@ -26,5 +26,3 @@ val compute_all : t list -> Context.t -> Result.report list
 
 val run : t -> Context.t -> unit
 (** {!compute} rendered as text to stdout — the classic transcript. *)
-
-val run_all : Context.t -> unit

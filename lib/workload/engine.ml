@@ -13,14 +13,6 @@ type sink = {
   on_invocation_end : unit -> unit;
 }
 
-let null_sink =
-  {
-    on_exec = (fun ~image:_ ~block:_ -> ());
-    on_arc = (fun ~image:_ ~arc:_ -> ());
-    on_invocation_start = ignore;
-    on_invocation_end = ignore;
-  }
-
 let trace_sink trace =
   {
     on_exec = (fun ~image ~block -> Trace.append trace (Trace.Exec { image; block }));
@@ -41,20 +33,28 @@ let combine_sinks sinks =
    the self-regulating ratio controller from starving OS activity. *)
 let max_burst = 30_000
 
-let run ~program ~workload ~words:target ~seed ~sink =
-  let os = program.Program.os in
-  let g_class = Prng.of_int (seed * 3 + 1) in
-  let g_os = Prng.of_int (seed * 3 + 2) in
-  let g_app = Prng.of_int (seed * 3 + 3) in
+type core = {
+  program : Program.t;
+  workload : Workload.t;
+  sink : sink;
+  g_class : Prng.t;
+  words_of : int array array;  (* per image, per block: instruction words *)
+  class_choices : (int * float) array;
+  current_handler : int array;  (* per class: the handler its dispatch takes *)
+  os_walker : Walker.t;
+  instances : int array;
+  app_walkers : Walker.t array;
+  invocations : int array;
+  mutable os_words : int;
+  mutable app_words : int;
+}
 
-  (* Fast per-image word counts. *)
+let core ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
+  let os = program.Program.os in
   let words_of =
     Array.init (Program.image_count program) (fun i ->
-        let g = Program.graph program i in
-        Array.init (Graph.block_count g) (fun b ->
-            Block.instruction_words (Graph.block g b)))
+        Graph.block_words (Program.graph program i))
   in
-
   (* Dispatch handling: block id -> class index, and per class the arc for
      each handler plus the currently selected handler. *)
   let dispatch_class = Hashtbl.create 8 in
@@ -81,26 +81,7 @@ let run ~program ~workload ~words:target ~seed ~sink =
       ~on_arc:(fun arc -> sink.on_arc ~image:Program.os_image ~arc)
       ()
   in
-
-  let sample_handler ci =
-    let w = workload.Workload.handler_weights.(ci) in
-    let total = Array.fold_left ( +. ) 0.0 w in
-    if total <= 0.0 then 0
-    else begin
-      let u = Prng.unit_float g_class *. total in
-      let rec scan i acc =
-        if i >= Array.length w - 1 then i
-        else
-          let acc = acc +. w.(i) in
-          if u < acc then i else scan (i + 1) acc
-      in
-      scan 0 0.0
-    end
-  in
-
   (* Application instances: persistent walkers over their image graphs. *)
-  let instances = workload.Workload.app_instances in
-  let n_instances = Array.length instances in
   let app_walkers =
     Array.map
       (fun image ->
@@ -111,104 +92,135 @@ let run ~program ~workload ~words:target ~seed ~sink =
           ())
       instances
   in
-  let app_main image =
-    Graph.entry_of
-      (Program.graph program image)
-      program.Program.apps.(image - 1).App_model.main
-  in
+  {
+    program;
+    workload;
+    sink;
+    g_class;
+    words_of;
+    class_choices = Array.mapi (fun i p -> (i, p)) workload.Workload.mix;
+    current_handler;
+    os_walker;
+    instances;
+    app_walkers;
+    invocations = Array.make Service.count 0;
+    os_words = 0;
+    app_words = 0;
+  }
 
-  let os_words = ref 0 in
-  let app_words = ref 0 in
-  let invocations = Array.make Service.count 0 in
-  let switches = ref 0 in
-  let inv_total = ref 0 in
-  let current = ref 0 in
+let os_words c = c.os_words
+let app_words c = c.app_words
+let invocations c = c.invocations
 
-  let class_choices =
-    Array.mapi (fun i p -> (i, p)) workload.Workload.mix
-  in
-
-  let run_invocation ci =
-    invocations.(ci) <- invocations.(ci) + 1;
-    sink.on_invocation_start (Service.of_index ci);
-    let info = Model.seed_for os (Service.of_index ci) in
-    Walker.start os_walker info.Model.entry;
-    let rec go () =
-      match Walker.step os_walker with
-      | None -> ()
-      | Some b ->
-          sink.on_exec ~image:Program.os_image ~block:b;
-          os_words := !os_words + words_of.(0).(b);
-          go ()
+let sample_handler c ci =
+  let w = c.workload.Workload.handler_weights.(ci) in
+  let total = Array.fold_left ( +. ) 0.0 w in
+  if total <= 0.0 then 0
+  else begin
+    let u = Prng.unit_float c.g_class *. total in
+    let rec scan i acc =
+      if i >= Array.length w - 1 then i
+      else
+        let acc = acc +. w.(i) in
+        if u < acc then i else scan (i + 1) acc
     in
-    go ();
-    sink.on_invocation_end ()
-  in
+    scan 0 0.0
+  end
 
-  let run_app_burst budget =
-    if n_instances > 0 && budget > 0 then begin
-      let w = app_walkers.(!current) in
-      let image = instances.(!current) in
+let draw_invocation c =
+  let ci = Prng.choose_weighted c.g_class c.class_choices in
+  (ci, sample_handler c ci)
+
+let invoke c ci ~handler =
+  let service = Service.of_index ci in
+  c.current_handler.(ci) <- handler;
+  c.invocations.(ci) <- c.invocations.(ci) + 1;
+  c.sink.on_invocation_start service;
+  Walker.start c.os_walker (Model.seed_for c.program.Program.os service).Model.entry;
+  let rec go () =
+    match Walker.step c.os_walker with
+    | None -> ()
+    | Some b ->
+        c.sink.on_exec ~image:Program.os_image ~block:b;
+        c.os_words <- c.os_words + c.words_of.(0).(b);
+        go ()
+  in
+  go ();
+  c.sink.on_invocation_end ()
+
+let app_burst c ~slot =
+  let n = Array.length c.instances in
+  let f = c.workload.Workload.os_fraction in
+  if n = 0 || f >= 1.0 then false
+  else begin
+    let desired_app = int_of_float (float_of_int c.os_words *. (1.0 -. f) /. f) in
+    let budget = min max_burst (desired_app - c.app_words) in
+    if budget <= 0 then false
+    else begin
+      let w = c.app_walkers.(slot mod n) and image = c.instances.(slot mod n) in
+      let main =
+        Graph.entry_of (Program.graph c.program image)
+          c.program.Program.apps.(image - 1).App_model.main
+      in
+      let words = c.words_of.(image) in
       let emitted = ref 0 in
       while !emitted < budget do
-        if not (Walker.active w) then Walker.start w (app_main image);
+        if not (Walker.active w) then Walker.start w main;
         match Walker.step w with
         | None -> ()
         | Some b ->
-            sink.on_exec ~image ~block:b;
-            let n = words_of.(image).(b) in
-            emitted := !emitted + n;
-            app_words := !app_words + n
-      done
+            c.sink.on_exec ~image ~block:b;
+            let k = words.(b) in
+            emitted := !emitted + k;
+            c.app_words <- c.app_words + k
+      done;
+      true
     end
-  in
+  end
 
-  let f = workload.Workload.os_fraction in
+let run ~program ~workload ~words:target ~seed ~sink =
+  let g_class = Prng.of_int (seed * 3 + 1) in
+  let c =
+    core ~program ~workload ~instances:workload.Workload.app_instances ~g_class
+      ~g_os:(Prng.of_int (seed * 3 + 2))
+      ~g_app:(Prng.of_int (seed * 3 + 3))
+      ~sink
+  in
+  let n_instances = Array.length c.instances in
+  let switches = ref 0 in
+  let inv_total = ref 0 in
+  let current = ref 0 in
   let prev = ref None in
-  while !os_words + !app_words < target do
+  while c.os_words + c.app_words < target do
     incr inv_total;
     let switching =
       workload.Workload.switch_period > 0
       && !inv_total mod workload.Workload.switch_period = 0
       && n_instances > 1
     in
-    let ci =
-      if switching then begin
+    let ci, handler =
+      if switching then
         (* A forced context switch runs the switch handler itself: class
            Other, handler 0 (state save/restore, TLB invalidation). *)
-        let ci = Service.index Service.Other in
-        current_handler.(ci) <- 0;
-        ci
-      end
+        (Service.index Service.Other, 0)
       else
         match !prev with
-        | Some (pc, ph) when Prng.bernoulli g_class workload.Workload.repeat_prob ->
-            current_handler.(pc) <- ph;
-            pc
-        | Some _ | None ->
-            let ci = Prng.choose_weighted g_class class_choices in
-            current_handler.(ci) <- sample_handler ci;
-            ci
+        | Some (pc, ph) when Prng.bernoulli g_class workload.Workload.repeat_prob -> (pc, ph)
+        | Some _ | None -> draw_invocation c
     in
-    prev := Some (ci, current_handler.(ci));
-    run_invocation ci;
+    prev := Some (ci, handler);
+    invoke c ci ~handler;
     if switching then begin
       incr switches;
       current := (!current + 1) mod n_instances
     end;
-    if n_instances > 0 && f < 1.0 then begin
-      let desired_app =
-        int_of_float (float_of_int !os_words *. (1.0 -. f) /. f)
-      in
-      let budget = min max_burst (desired_app - !app_words) in
-      run_app_burst budget
-    end
+    ignore (app_burst c ~slot:!current)
   done;
   {
-    total_words = !os_words + !app_words;
-    os_words = !os_words;
-    app_words = !app_words;
-    invocations;
+    total_words = c.os_words + c.app_words;
+    os_words = c.os_words;
+    app_words = c.app_words;
+    invocations = c.invocations;
     context_switches = !switches;
   }
 

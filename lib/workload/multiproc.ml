@@ -2,13 +2,13 @@
    with one instruction cache per processor; every reported number is the
    average of the four processors.
 
-   Each CPU runs its own interleaving of application execution and OS
-   invocations (its own walkers and PRNG stream over the shared kernel
-   image).  Cross-processor interrupts couple the streams: with
-   probability [xcall_prob], an invocation on one CPU forces an
-   interrupt-class invocation (the cross-processor interrupt handler,
-   index 1 when present) on every other CPU before that CPU continues -
-   the mechanism behind TRFD_4's interrupt-dominated profile. *)
+   Each CPU is one Engine.core (its own walkers and PRNG streams over the
+   shared kernel image) recording into its own trace.  Cross-processor
+   interrupts couple the streams: with probability [xcall_prob], an
+   invocation on one CPU forces an interrupt-class invocation (the
+   cross-processor interrupt handler, index 1 when present) on every
+   other CPU before that CPU continues - the mechanism behind TRFD_4's
+   interrupt-dominated profile. *)
 
 type cpu = {
   trace : Trace.t;
@@ -28,151 +28,60 @@ let words cpu = cpu.os_words + cpu.app_words
 
 let run ~program ~workload ~cpus:n_cpus ~words_per_cpu ~seed ?(xcall_prob = 0.0) () =
   if n_cpus < 1 then invalid_arg "Multiproc.run: need at least one CPU";
-  let os = program.Program.os in
   let master = Prng.of_int seed in
   let xcalls_sent = ref 0 in
-
-  let words_of =
-    Array.init (Program.image_count program) (fun i ->
-        let g = Program.graph program i in
-        Array.init (Graph.block_count g) (fun b ->
-            Block.instruction_words (Graph.block g b)))
+  let interrupt = Service.index Service.Interrupt in
+  let xcall_handler =
+    min 1 (Array.length program.Program.os.Model.handlers.(interrupt) - 1)
   in
-
-  (* Shared dispatch structure (as in Engine.run). *)
-  let dispatch_class = Hashtbl.create 8 in
-  let arcs_by_handler =
-    Array.map
-      (fun (d : Model.dispatch) ->
-        let arr = Array.make (Array.length d.Model.arcs) (-1) in
-        Array.iter (fun (a, hi) -> arr.(hi) <- a) d.Model.arcs;
-        arr)
-      os.Model.dispatches
-  in
-  Array.iteri
-    (fun ci (d : Model.dispatch) -> Hashtbl.add dispatch_class d.Model.block ci)
-    os.Model.dispatches;
-
-  let instances = workload.Workload.app_instances in
-  let class_choices = Array.mapi (fun i p -> (i, p)) workload.Workload.mix in
 
   let make_cpu cpu_index =
     let g_class = Prng.split master in
     let g_os = Prng.split master in
     let g_app = Prng.split master in
+    let trace = Trace.create ~capacity:(words_per_cpu / 4) () in
+    (* This CPU owns the app instances congruent to its index. *)
+    let instances =
+      Array.of_list
+        (List.filteri
+           (fun k _ -> k mod n_cpus = cpu_index)
+           (Array.to_list workload.Workload.app_instances))
+    in
+    let core =
+      Engine.core ~program ~workload ~instances ~g_class ~g_os ~g_app
+        ~sink:(Engine.trace_sink trace)
+    in
     let cpu =
       {
-        trace = Trace.create ~capacity:(words_per_cpu / 4) ();
+        trace;
         os_words = 0;
         app_words = 0;
-        invocations = Array.make Service.count 0;
+        invocations = Engine.invocations core;
         forced = 0;
         pending_xcalls = 0;
       }
     in
-    let current_handler = Array.make Service.count 0 in
-    let os_choose b _arcs =
-      match Hashtbl.find_opt dispatch_class b with
-      | None -> None
-      | Some ci -> Some arcs_by_handler.(ci).(current_handler.(ci))
-    in
-    let os_walker =
-      Walker.create ~graph:os.Model.graph ~arc_prob:os.Model.arc_prob ~prng:g_os
-        ~choose:os_choose ()
-    in
-    (* This CPU owns the app instances congruent to its index. *)
-    let my_instances =
-      Array.of_list
-        (List.filteri
-           (fun k _ -> k mod n_cpus = cpu_index)
-           (Array.to_list instances))
-    in
-    let app_walkers =
-      Array.map
-        (fun image ->
-          Walker.create ~graph:(Program.graph program image)
-            ~arc_prob:(Program.arc_prob program image)
-            ~prng:(Prng.split g_app) ())
-        my_instances
-    in
-    let current = ref 0 in
-    let sample_handler ci =
-      let w = workload.Workload.handler_weights.(ci) in
-      let total = Array.fold_left ( +. ) 0.0 w in
-      if total <= 0.0 then 0
-      else begin
-        let u = Prng.unit_float g_class *. total in
-        let rec scan i acc =
-          if i >= Array.length w - 1 then i
-          else
-            let acc = acc +. w.(i) in
-            if u < acc then i else scan (i + 1) acc
-        in
-        scan 0 0.0
-      end
-    in
-    let run_invocation ?handler ci =
-      cpu.invocations.(ci) <- cpu.invocations.(ci) + 1;
-      (match handler with
-      | Some h -> current_handler.(ci) <- h
-      | None -> current_handler.(ci) <- sample_handler ci);
-      Trace.append cpu.trace (Trace.Invocation_start (Service.of_index ci));
-      let info = Model.seed_for os (Service.of_index ci) in
-      Walker.start os_walker info.Model.entry;
-      let rec go () =
-        match Walker.step os_walker with
-        | None -> ()
-        | Some b ->
-            Trace.append cpu.trace (Trace.Exec { image = Program.os_image; block = b });
-            cpu.os_words <- cpu.os_words + words_of.(0).(b);
-            go ()
-      in
-      go ();
-      Trace.append cpu.trace Trace.Invocation_end
-    in
-    let run_app_burst budget =
-      if Array.length my_instances > 0 && budget > 0 then begin
-        let w = app_walkers.(!current mod Array.length app_walkers) in
-        let image = my_instances.(!current mod Array.length my_instances) in
-        let main =
-          Graph.entry_of
-            (Program.graph program image)
-            program.Program.apps.(image - 1).App_model.main
-        in
-        let emitted = ref 0 in
-        while !emitted < budget do
-          if not (Walker.active w) then Walker.start w main;
-          match Walker.step w with
-          | None -> ()
-          | Some b ->
-              Trace.append cpu.trace (Trace.Exec { image; block = b });
-              let n = words_of.(image).(b) in
-              emitted := !emitted + n;
-              cpu.app_words <- cpu.app_words + n
-        done;
-        incr current
-      end
-    in
+    (* Each burst runs the next of this CPU's instances in turn. *)
+    let slot = ref 0 in
     let step () =
-      (* Serve forced cross-processor interrupts first. *)
-      if cpu.pending_xcalls > 0 then begin
-        cpu.pending_xcalls <- cpu.pending_xcalls - 1;
-        cpu.forced <- cpu.forced + 1;
-        let ci = Service.index Service.Interrupt in
-        let handler = min 1 (Array.length os.Model.handlers.(ci) - 1) in
-        run_invocation ~handler ci;
-        false
-      end
-      else begin
-        let ci = Prng.choose_weighted g_class class_choices in
-        run_invocation ci;
-        let f = workload.Workload.os_fraction in
-        if Array.length my_instances > 0 && f < 1.0 then begin
-          let desired = int_of_float (float_of_int cpu.os_words *. (1.0 -. f) /. f) in
-          run_app_burst (min 30_000 (desired - cpu.app_words))
-        end;
-        Prng.bernoulli g_class xcall_prob
-      end
+      let broadcast =
+        (* Serve forced cross-processor interrupts first. *)
+        if cpu.pending_xcalls > 0 then begin
+          cpu.pending_xcalls <- cpu.pending_xcalls - 1;
+          cpu.forced <- cpu.forced + 1;
+          Engine.invoke core interrupt ~handler:xcall_handler;
+          false
+        end
+        else begin
+          let ci, handler = Engine.draw_invocation core in
+          Engine.invoke core ci ~handler;
+          if Engine.app_burst core ~slot:!slot then incr slot;
+          Prng.bernoulli g_class xcall_prob
+        end
+      in
+      cpu.os_words <- Engine.os_words core;
+      cpu.app_words <- Engine.app_words core;
+      broadcast
     in
     (cpu, step)
   in

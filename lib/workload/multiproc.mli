@@ -8,7 +8,18 @@
     invocations, and cross-processor interrupts couple the streams - with
     probability [xcall_prob] an invocation broadcasts a forced
     interrupt-class invocation (the cross-processor handler) to every
-    other CPU, the mechanism behind TRFD_4's interrupt-dominated mix. *)
+    other CPU, the mechanism behind TRFD_4's interrupt-dominated mix.
+
+    Each CPU is one {!Engine.core}, so the kernel walk, handler dispatch,
+    word counts and OS-fraction burst controller are {!Engine.run}'s.
+    The scheduling policy is this machine model's own and differs from
+    {!Engine.run}'s: every invocation draws a fresh class and handler
+    (the workload's [repeat_prob] is not used), no context switch is
+    ever forced (its [switch_period] is not used), and each burst runs
+    the CPU's next instance in turn.  The CPUs' PRNG streams are
+    [Prng.split]s of one master seeded with [seed], three per CPU in CPU
+    order (class and handler choices, kernel walk, application walks);
+    the furthest-behind CPU always steps next. *)
 
 type cpu = {
   trace : Trace.t;

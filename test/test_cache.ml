@@ -66,6 +66,15 @@ let test_counters_arith () =
 
 let dm_1kb () = Sim.create (Config.v ~size:1024 ~assoc:1 ~line:32)
 
+(* Whether the line holding [addr] is resident, read off the miss counter
+   of a one-byte OS access to it.  A hit changes no line's residency (LRU
+   only reorders a set), so after the history under test, check the lines
+   expected resident first and the evicted ones last. *)
+let hits s ~addr =
+  let before = Counters.misses (Sim.counters s) in
+  Sim.access s ~os:true ~image:0 ~block:0 ~addr ~bytes:1;
+  Counters.misses (Sim.counters s) = before
+
 let test_sim_miss_then_hit () =
   let s = dm_1kb () in
   Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:16;
@@ -82,7 +91,7 @@ let test_sim_block_spanning_lines () =
   Sim.access s ~os:true ~image:0 ~block:0 ~addr:16 ~bytes:80;
   check_int "three line misses" 3 (Counters.misses (Sim.counters s));
   check_bool "all three resident" true
-    (Sim.probe s ~addr:0 && Sim.probe s ~addr:32 && Sim.probe s ~addr:95)
+    (hits s ~addr:0 && hits s ~addr:32 && hits s ~addr:95)
 
 let test_sim_conflict_direct_mapped () =
   let s = dm_1kb () in
@@ -93,7 +102,7 @@ let test_sim_conflict_direct_mapped () =
   let c = Sim.counters s in
   check_int "three misses" 3 (Counters.misses c);
   check_int "last one is self-interference" 1 c.Counters.os_self;
-  check_bool "victim no longer resident" false (Sim.probe s ~addr:1024)
+  check_bool "victim no longer resident" false (hits s ~addr:1024)
 
 let test_sim_no_conflict_different_sets () =
   let s = dm_1kb () in
@@ -110,9 +119,9 @@ let test_sim_lru_two_way () =
   (* Touch 0 so 512 becomes LRU. *)
   Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
   Sim.access s ~os:true ~image:0 ~block:2 ~addr:1024 ~bytes:4;
-  check_bool "0 still resident (MRU)" true (Sim.probe s ~addr:0);
-  check_bool "512 evicted (LRU)" false (Sim.probe s ~addr:512);
-  check_bool "1024 resident" true (Sim.probe s ~addr:1024)
+  check_bool "0 still resident (MRU)" true (hits s ~addr:0);
+  check_bool "1024 resident" true (hits s ~addr:1024);
+  check_bool "512 evicted (LRU)" false (hits s ~addr:512)
 
 let test_sim_fifo_no_refresh () =
   (* Set 0 of a 2-way cache under FIFO: hits do not refresh, so the oldest
@@ -123,9 +132,9 @@ let test_sim_fifo_no_refresh () =
   (* Touch 0: under LRU this would protect it; FIFO ignores the hit. *)
   Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
   Sim.access s ~os:true ~image:0 ~block:2 ~addr:1024 ~bytes:4;
+  check_bool "512 survives" true (hits s ~addr:512);
   check_bool "oldest insertion (0) evicted despite the hit" false
-    (Sim.probe s ~addr:0);
-  check_bool "512 survives" true (Sim.probe s ~addr:512)
+    (hits s ~addr:0)
 
 let test_sim_random_deterministic () =
   let run () =
@@ -163,7 +172,7 @@ let test_sim_random_fills_invalid_first () =
     (fun addr -> Sim.access s ~os:true ~image:0 ~block:0 ~addr ~bytes:4)
     [ 0; 256; 512; 768 ];
   List.iter
-    (fun addr -> check_bool "resident" true (Sim.probe s ~addr))
+    (fun addr -> check_bool "resident" true (hits s ~addr))
     [ 0; 256; 512; 768 ]
 
 let test_sim_policy_in_to_string () =
@@ -215,8 +224,7 @@ let test_sim_reset_empties () =
   let s = dm_1kb () in
   Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
   Sim.reset s;
-  check_bool "line gone" false (Sim.probe s ~addr:0);
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  check_bool "line gone" false (hits s ~addr:0);
   check_int "misses again, as cold" 1 (Sim.counters s).Counters.os_cold
 
 let prop_misses_bounded_by_refs =

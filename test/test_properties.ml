@@ -51,7 +51,7 @@ let prop_pipeline_layouts_valid =
       let m = Generator.generate spec in
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(0) in
-      let profiles, _ = Profile.collect ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
+      let _, _, profiles = Profile.capture ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
       let p = profiles.(0) in
       let g = m.Model.graph in
       let loops = Loops.find g in
@@ -75,7 +75,7 @@ let prop_sequences_cover_executed =
       let m = Generator.generate spec in
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(1) in
-      let profiles, _ = Profile.collect ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
+      let _, _, profiles = Profile.capture ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
       let p = profiles.(0) in
       let g = m.Model.graph in
       let seqs =
@@ -95,7 +95,7 @@ let prop_inline_engine_runs =
       let m = Generator.generate spec in
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(0) in
-      let profiles, _ = Profile.collect ~program ~workload:w ~words:30_000 ~seed:1 in
+      let _, _, profiles = Profile.capture ~program ~workload:w ~words:30_000 ~seed:1 in
       let inlined, _ = Inline.transform ~model:m ~profile:profiles.(0) () in
       let pairs' = Workload.standard_programs inlined in
       let w', program' = pairs'.(0) in
@@ -180,7 +180,7 @@ let prop_placement_matches_reference =
       let m = Generator.generate c.spec in
       let g = m.Model.graph in
       let w, program = (Workload.standard_programs m).(0) in
-      let profiles, _ = Profile.collect ~program ~workload:w ~words:40_000 ~seed:c.spec.Spec.seed in
+      let _, _, profiles = Profile.capture ~program ~workload:w ~words:40_000 ~seed:c.spec.Spec.seed in
       let p = profiles.(0) in
       let p =
         if not c.perturb then p
@@ -287,7 +287,7 @@ let prop_digest_separates_layouts =
       let m = Generator.generate spec in
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(0) in
-      let profiles, _ = Profile.collect ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
+      let _, _, profiles = Profile.capture ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
       let p = profiles.(0) in
       let app_profiles = Array.sub profiles 1 (Array.length profiles - 1) in
       let built =

@@ -336,6 +336,135 @@ let test_engine_combine_sinks () =
   Trace.iter_exec t (fun ~image:_ ~block:_ -> incr trace_execs);
   check_int "both sinks saw the same stream" !execs !trace_execs
 
+(* Trace identity: MD5 digests of raw event streams and profiles, pinned
+   when the engine and the multiprocessor model were moved onto one
+   per-processor core.  Any change to the order in which a PRNG draws, or
+   to what a capture emits, changes them, including at settings no
+   experiment golden uses.  Regenerating them is a change of results. *)
+
+let events_md5 t =
+  let b = Buffer.create (8 * Trace.length t) in
+  for i = 0 to Trace.length t - 1 do
+    Buffer.add_int64_le b (Int64.of_int (Trace.raw t i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_digests expected actual =
+  List.iter2
+    (fun (label, want) (label', got) ->
+      check_string "case" label label';
+      check_string label want got)
+    expected actual
+
+let engine_digests =
+  [
+    ("TRFD_4 seed 3", "bce11760d552dd7eb1515c465a696c84");
+    ("TRFD+Make seed 3", "45c0c3cbef245c7a017cd3b13f370029");
+    ("ARC2D+Fsck seed 3", "a347be2d2a182542df4c8ad29dbf9ce2");
+    ("Shell seed 3", "366dd091c0b85debf3d0d1478f90b4db");
+    ("TRFD_4 seed 11", "a9d530d7c88bbc356c5ce1d428155bff");
+    ("TRFD+Make seed 11", "da15a0de3845d9bb16447c5c18421db8");
+    ("ARC2D+Fsck seed 11", "e9d66bf9b56339ae2dcfe59149bc96e3");
+    ("Shell seed 11", "efee6ff593b3a79e6bbfbc8bcfa8cb63");
+  ]
+
+let test_engine_trace_identity () =
+  let pairs = Workload.standard_programs (model ()) in
+  check_digests engine_digests
+    (List.concat_map
+       (fun seed ->
+         Array.to_list
+           (Array.map
+              (fun ((w : Workload.t), program) ->
+                let trace, stats = Engine.capture ~program ~workload:w ~words:40_000 ~seed in
+                ( Printf.sprintf "%s seed %d" w.Workload.name seed,
+                  md5_of (events_md5 trace, stats) ))
+              pairs))
+       [ 3; 11 ])
+
+let multiproc_digests =
+  [
+    ("TRFD_4 xcall 0 cpu0", "7c1d04f17315af8493303377079e02d1");
+    ("TRFD_4 xcall 0 cpu1", "946943ec89123814f8613f1acf57d4e3");
+    ("TRFD_4 xcall 0 cpu2", "6a73d46fbe265c4af70f6e2c4d9fd1e6");
+    ("TRFD_4 xcall 0 cpu3", "63dae4246875d5f9bb315b3b59f2933a");
+    ("TRFD+Make xcall 0 cpu0", "c9f0ee1ea19545e918e2cb7a72853c32");
+    ("TRFD+Make xcall 0 cpu1", "f5a7aa2533647e55526d637fed3e5c85");
+    ("TRFD+Make xcall 0 cpu2", "65dfccc36faf783ef6b8061d60f44e6f");
+    ("TRFD+Make xcall 0 cpu3", "471de8907de582b51e065155b6f7d0ea");
+    ("ARC2D+Fsck xcall 0 cpu0", "66b11f70a7d419e5331576966e129fc1");
+    ("ARC2D+Fsck xcall 0 cpu1", "4368b3ffc2820b794aca889422804d36");
+    ("ARC2D+Fsck xcall 0 cpu2", "dcf8896c06f21846cd9a2855eeabdf63");
+    ("ARC2D+Fsck xcall 0 cpu3", "114ceb7cda570a29b283e1a60551f375");
+    ("Shell xcall 0 cpu0", "37c2bdb0ebe05c3385651ec5ebf73a95");
+    ("Shell xcall 0 cpu1", "cc6d6e44ab4771f792c9b05fff61cc77");
+    ("Shell xcall 0 cpu2", "f44fdd677d20cb44d86442e97cfa63ce");
+    ("Shell xcall 0 cpu3", "1b17b1eca149f9399acc4c5a5fefeeb8");
+    ("TRFD_4 xcall 0.5 cpu0", "d5797ed2a21ec1f4e83061aafcd50bc7");
+    ("TRFD_4 xcall 0.5 cpu1", "e24cf42e5830bd4c24feb24226c61066");
+    ("TRFD_4 xcall 0.5 cpu2", "4cb7c538d735e11ca4730e3e56559f54");
+    ("TRFD_4 xcall 0.5 cpu3", "106f2474db0042c0b11d79728d76c617");
+    ("TRFD+Make xcall 0.5 cpu0", "6a9edc914a0860ccbadbe3a3296d2955");
+    ("TRFD+Make xcall 0.5 cpu1", "4005fa8367b1572a0678c23c99f5aa0e");
+    ("TRFD+Make xcall 0.5 cpu2", "8bde65153dd3e5635a59d85191ecb1b8");
+    ("TRFD+Make xcall 0.5 cpu3", "bb29f4e0319d71969d1ec2e9d98bd447");
+    ("ARC2D+Fsck xcall 0.5 cpu0", "8261d7c990ca978d5ebeea769301e606");
+    ("ARC2D+Fsck xcall 0.5 cpu1", "34eb318042077bd070b62d1a450275d9");
+    ("ARC2D+Fsck xcall 0.5 cpu2", "acf5d5f4d8ca9de905306c3ecfbd00f3");
+    ("ARC2D+Fsck xcall 0.5 cpu3", "baad477b3c2a8ffa5cdba48691c9cfc3");
+    ("Shell xcall 0.5 cpu0", "21ff3d43ffa71d7c60558d813b2801cb");
+    ("Shell xcall 0.5 cpu1", "501e9f10ec3a11b832636c76a51fd4fe");
+    ("Shell xcall 0.5 cpu2", "a1526d4d48ceba6d079e72c10e062472");
+    ("Shell xcall 0.5 cpu3", "fc8576a0855f1c245196bf6712749176");
+  ]
+
+let test_multiproc_trace_identity () =
+  let pairs = Workload.standard_programs (model ()) in
+  check_digests multiproc_digests
+    (List.concat_map
+       (fun xcall_prob ->
+         List.concat_map
+           (fun ((w : Workload.t), program) ->
+             let r =
+               Multiproc.run ~program ~workload:w ~cpus:4 ~words_per_cpu:15_000 ~seed:5
+                 ~xcall_prob ()
+             in
+             Array.to_list
+               (Array.mapi
+                  (fun i (c : Multiproc.cpu) ->
+                    ( Printf.sprintf "%s xcall %g cpu%d" w.Workload.name xcall_prob i,
+                      md5_of
+                        ( events_md5 c.Multiproc.trace, c.Multiproc.os_words,
+                          c.Multiproc.app_words, c.Multiproc.invocations,
+                          c.Multiproc.forced, r.Multiproc.xcalls_sent ) ))
+                  r.Multiproc.cpus))
+           (Array.to_list pairs))
+       [ 0.0; 0.5 ])
+
+let profile_digests =
+  [
+    ("TRFD_4 profiles", "360652636fa950fee66965b0dbec394e");
+    ("TRFD+Make profiles", "94ec2caa8b68dbc481088a23473e919a");
+    ("ARC2D+Fsck profiles", "d6017b96a06c488450a618558094f2ae");
+    ("Shell profiles", "eeddf0c0c75ef86e969306971f44e289");
+  ]
+
+let test_profile_capture_identity () =
+  let pairs = Workload.standard_programs (model ()) in
+  check_digests profile_digests
+    (Array.to_list
+       (Array.map
+          (fun ((w : Workload.t), program) ->
+            let trace, stats, profiles =
+              Profile.capture ~program ~workload:w ~words:40_000 ~seed:11
+            in
+            let trace', stats' = Engine.capture ~program ~workload:w ~words:40_000 ~seed:11 in
+            check_string "the trace is Engine.capture's"
+              (md5_of (events_md5 trace', stats'))
+              (md5_of (events_md5 trace, stats));
+            (Printf.sprintf "%s profiles" w.Workload.name, md5_of (Array.map Profile.digest profiles)))
+          pairs))
+
 let () =
   Alcotest.run "workload"
     [
@@ -373,5 +502,8 @@ let () =
           case "context switches" test_engine_context_switches;
           case "trace agrees with stats" test_engine_trace_agrees_with_stats;
           case "combine sinks" test_engine_combine_sinks;
+          case "trace identity" test_engine_trace_identity;
+          case "multiproc trace identity" test_multiproc_trace_identity;
+          case "profile capture identity" test_profile_capture_identity;
         ] );
     ]
