@@ -13,9 +13,15 @@ test:
 # test/test_parallel.ml) is exercised on every run.  The benchmark's
 # self-test runs each workload on a tiny context and checks its gates, so
 # a change that breaks them fails here rather than in a benchmark run.
+# The property tests also run at two fixed QCheck seeds that once drew a
+# placement that never finished, under an address-space limit so a
+# regression fails instead of exhausting the machine.
 check: build
 	ICACHE_JOBS=1 dune runtest --force
 	ICACHE_JOBS=4 dune runtest --force
+	for seed in 303146471 807996100; do \
+	  (ulimit -v 4000000 && QCHECK_SEED=$$seed _build/default/test/test_properties.exe) || exit 1; \
+	done
 	$(MAKE) validate
 	bash benchmark/run.sh --self-test
 

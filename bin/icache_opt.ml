@@ -45,6 +45,18 @@ let format_conv =
   let print ppf f = Format.pp_print_string ppf (Result.format_to_string f) in
   Arg.conv ~docv:"FORMAT" (parse, print)
 
+(* Workload.standard's four workloads, in paper order; checked before any
+   context is built. *)
+let workload_arg =
+  let doc = "Workload index 0-3 (TRFD_4, TRFD+Make, ARC2D+Fsck, Shell)." in
+  Arg.(value & opt int 0 & info [ "w"; "workload" ] ~docv:"I" ~doc)
+
+let check_workload w =
+  if w < 0 || w > 3 then begin
+    prerr_endline "workload index out of range";
+    exit 1
+  end
+
 let trace_arg =
   let doc =
     "Record a span timeline of the run and write it to $(docv) as Chrome \
@@ -197,10 +209,6 @@ let repro_cmd =
 (* ------------------------------------------------------------------ *)
 
 let simulate_cmd =
-  let workload_arg =
-    let doc = "Workload index 0-3 (TRFD_4, TRFD+Make, ARC2D+Fsck, Shell)." in
-    Arg.(value & opt int 0 & info [ "w"; "workload" ] ~docv:"I" ~doc)
-  in
   let level_arg =
     let doc = "Layout level: base, ch, opts, optl or opta." in
     Arg.(value & opt level_conv Levels.OptS & info [ "l"; "level" ] ~docv:"LEVEL" ~doc)
@@ -218,18 +226,17 @@ let simulate_cmd =
     Arg.(value & opt int 32 & info [ "line" ] ~docv:"BYTES" ~doc)
   in
   let run words seed small jobs w level size_kb assoc line =
-    let ctx = make_context ~small ~words ~seed ~jobs in
-    if w < 0 || w >= Context.workload_count ctx then begin
-      Printf.eprintf "workload index out of range\n";
-      exit 1
-    end;
-    let layouts = Levels.build ctx level in
-    let config = Config.v ~size:(size_kb * 1024) ~assoc ~line in
-    let runs =
-      Runner.simulate ctx ~layouts
-        ~system:(fun () -> System.unified config)
-        ()
+    let config =
+      try Config.v ~size:(size_kb * 1024) ~assoc ~line
+      with Invalid_argument e ->
+        Printf.eprintf "bad cache geometry %d KB, %d-way, %d B lines (%s)\n" size_kb assoc
+          line e;
+        exit 1
     in
+    check_workload w;
+    let ctx = make_context ~small ~words ~seed ~jobs in
+    let layouts = Levels.build ctx level in
+    let runs = (Runner.simulate_batch ctx ~members:[| (layouts, config) |] ()).(0) in
     let c = runs.(w).Runner.counters in
     Printf.printf "workload %s, layout %s, cache %s\n"
       (Context.workload_names ctx).(w) (Levels.to_string level)
@@ -443,22 +450,14 @@ let profile_cmd =
 (* ------------------------------------------------------------------ *)
 
 let trace_cmd =
-  let workload_arg =
-    let doc = "Workload index 0-3 (TRFD_4, TRFD+Make, ARC2D+Fsck, Shell)." in
-    Arg.(value & opt int 0 & info [ "w"; "workload" ] ~docv:"I" ~doc)
-  in
   let out_arg =
     let doc = "Binary trace output file." in
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run words seed small w out =
+    check_workload w;
     let spec = if small then Spec.small else Spec.default in
-    let model = Generator.generate spec in
-    let pairs = Workload.standard_programs model in
-    if w < 0 || w >= Array.length pairs then begin
-      Printf.eprintf "workload index out of range\n";
-      exit 1
-    end;
+    let pairs = Workload.standard_programs (Generator.generate spec) in
     let workload, program = pairs.(w) in
     let trace, stats = Engine.capture ~program ~workload ~words ~seed in
     Trace_file.save out trace;

@@ -1,9 +1,14 @@
+type spec =
+  | Unified of Config.t
+  | Split of { os : Config.t; app : Config.t }
+  | Reserved of { hot : Config.t; rest : Config.t; hot_limit : int }
+  | Victim of { main : Config.t; entries : int }
+
 (* A direct-mapped main cache backed by a small fully-associative victim
    buffer (Jouppi 1990): the classic hardware remedy for exactly the
    conflict misses the paper removes in software.  A line displaced from
    the main cache parks in the buffer; hitting it there swaps it back. *)
 type victim_state = {
-  vmain_config : Config.t;
   vmain : int array;  (** Per set: resident line, -1 = invalid. *)
   vbuf : int array;  (** Fully associative, slot 0 = MRU, -1 = invalid. *)
   vsets : int;
@@ -12,47 +17,47 @@ type victim_state = {
   vevicted : Evictions.t;
 }
 
-type kind =
-  | Unified of Sim.t
-  | Split of { os_side : Sim.t; app_side : Sim.t }
-  | Reserved of { hot : Sim.t; rest : Sim.t; hot_limit : int }
-  | Victim of victim_state
+(* A split cache is a pair whose [low] half takes every OS event
+   ([limit = max_int]); a reserved cache's takes the OS events below
+   [hot_limit]. *)
+type t =
+  | Single of Sim.t
+  | Pair of { low : Sim.t; high : Sim.t; limit : int }
+  | Buffered of victim_state
 
-type t = { kind : kind }
-
-let unified config = { kind = Unified (Sim.create config) }
-
-let split ~os ~app = { kind = Split { os_side = Sim.create os; app_side = Sim.create app } }
-
-let reserved ~hot ~rest ~hot_limit =
-  { kind = Reserved { hot = Sim.create hot; rest = Sim.create rest; hot_limit } }
-
-let victim ~main ~entries =
-  if main.Config.assoc <> 1 then
-    invalid_arg "System.victim: the main cache must be direct-mapped";
-  if entries < 1 then invalid_arg "System.victim: need at least one entry";
-  let sets = Config.sets main in
-  let rec shift v i = if v <= 1 then i else shift (v lsr 1) (i + 1) in
-  {
-    kind =
-      Victim
+let create = function
+  | Unified config -> Single (Sim.create config)
+  | Split { os; app } -> Pair { low = Sim.create os; high = Sim.create app; limit = max_int }
+  | Reserved { hot; rest; hot_limit } ->
+      Pair { low = Sim.create hot; high = Sim.create rest; limit = hot_limit }
+  | Victim { main; entries } ->
+      if main.Config.assoc <> 1 then
+        invalid_arg "System.create: a victim cache's main cache must be direct-mapped";
+      if entries < 1 then invalid_arg "System.create: a victim buffer needs at least one entry";
+      let sets = Config.sets main in
+      let rec shift v i = if v <= 1 then i else shift (v lsr 1) (i + 1) in
+      Buffered
         {
-          vmain_config = main;
           vmain = Array.make sets (-1);
           vbuf = Array.make entries (-1);
           vsets = sets;
           vline_shift = shift main.Config.line 0;
           vcounters = Counters.create ();
           vevicted = Evictions.create ();
-        };
-  }
+        }
 
-let sims t =
-  match t.kind with
-  | Unified s -> [ s ]
-  | Split { os_side; app_side } -> [ os_side; app_side ]
-  | Reserved { hot; rest; _ } -> [ hot; rest ]
-  | Victim _ -> []
+let unified config = create (Unified config)
+
+let split ~os ~app = create (Split { os; app })
+
+let reserved ~hot ~rest ~hot_limit = create (Reserved { hot; rest; hot_limit })
+
+let victim ~main ~entries = create (Victim { main; entries })
+
+let sims = function
+  | Single s -> [ s ]
+  | Pair { low; high; _ } -> [ low; high ]
+  | Buffered _ -> []
 
 (* A main-cache miss: look in the buffer, swapping a hit back into the
    main cache; otherwise classify the miss and park the displaced line as
@@ -100,44 +105,41 @@ let run_victim v (c : Chunk.t) =
   k.Counters.refs_app <- k.Counters.refs_app + c.app_words
 
 let run t c =
-  match t.kind with
-  | Unified s -> Sim.run s Sim.All c
-  | Split { os_side; app_side } ->
-      Sim.run os_side (Sim.Inside max_int) c;
-      Sim.run app_side (Sim.Outside max_int) c
-  | Reserved { hot; rest; hot_limit } ->
-      Sim.run hot (Sim.Inside hot_limit) c;
-      Sim.run rest (Sim.Outside hot_limit) c
-  | Victim v -> run_victim v c
+  match t with
+  | Single s -> Sim.run s Sim.All c
+  | Pair { low; high; limit } ->
+      Sim.run low (Sim.Inside limit) c;
+      Sim.run high (Sim.Outside limit) c
+  | Buffered v -> run_victim v c
 
 (* The victim cache keeps no per-image state, so [os] alone names the
    domain; the others charge misses to [image] and need the two to
    agree. *)
 let access t ~os ~image ~block ~addr ~bytes =
-  match t.kind with
-  | Victim v -> run_victim v (Chunk.single ~image:(if os then 0 else 1) ~block ~addr ~bytes)
-  | Unified _ | Split _ | Reserved _ ->
+  match t with
+  | Buffered v -> run_victim v (Chunk.single ~image:(if os then 0 else 1) ~block ~addr ~bytes)
+  | Single _ | Pair _ ->
       if os <> (image = 0) then invalid_arg "System.access: os must mean image 0";
       run t (Chunk.single ~image ~block ~addr ~bytes)
 
 let counters t =
-  match t.kind with
-  | Victim v -> Counters.copy v.vcounters
-  | Unified _ | Split _ | Reserved _ ->
+  match t with
+  | Buffered v -> Counters.copy v.vcounters
+  | Single _ | Pair _ ->
       let acc = Counters.create () in
       List.iter (fun s -> Counters.add acc (Sim.counters s)) (sims t);
       acc
 
 let reset_counters t =
-  match t.kind with
-  | Victim v -> Counters.reset v.vcounters
-  | Unified _ | Split _ | Reserved _ -> List.iter Sim.reset_counters (sims t)
+  match t with
+  | Buffered v -> Counters.reset v.vcounters
+  | Single _ | Pair _ -> List.iter Sim.reset_counters (sims t)
 
 let enable_block_attribution t ~images ~blocks =
-  match t.kind with
-  | Victim _ ->
+  match t with
+  | Buffered _ ->
       invalid_arg "System.enable_block_attribution: unsupported for victim caches"
-  | Unified _ | Split _ | Reserved _ ->
+  | Single _ | Pair _ ->
       List.iter (fun s -> Sim.enable_block_attribution s ~images ~blocks) (sims t)
 
 let merged_misses t ~image get =
@@ -157,27 +159,10 @@ let block_misses_self t ~image = merged_misses t ~image Sim.block_misses_self
 let block_misses_cross t ~image = merged_misses t ~image Sim.block_misses_cross
 
 let reset t =
-  match t.kind with
-  | Victim v ->
+  match t with
+  | Buffered v ->
       Array.fill v.vmain 0 (Array.length v.vmain) (-1);
       Array.fill v.vbuf 0 (Array.length v.vbuf) (-1);
       Evictions.reset v.vevicted;
       Counters.reset v.vcounters
-  | Unified _ | Split _ | Reserved _ -> List.iter Sim.reset (sims t)
-
-let describe t =
-  match t.kind with
-  | Unified s -> Config.to_string (Sim.config s)
-  | Split { os_side; app_side } ->
-      Printf.sprintf "split[os:%s|app:%s]"
-        (Config.to_string (Sim.config os_side))
-        (Config.to_string (Sim.config app_side))
-  | Reserved { hot; rest; hot_limit } ->
-      Printf.sprintf "reserved[hot:%s<%dB|rest:%s]"
-        (Config.to_string (Sim.config hot))
-        hot_limit
-        (Config.to_string (Sim.config rest))
-  | Victim v ->
-      Printf.sprintf "%s+%d-line victim"
-        (Config.to_string v.vmain_config)
-        (Array.length v.vbuf)
+  | Single _ | Pair _ -> List.iter Sim.reset (sims t)

@@ -1,28 +1,38 @@
 (** Cache organizations evaluated in Section 5.5: the standard unified
     cache, the split OS/application cache ("Sep"), and a small reserved
-    cache for the hottest OS code next to a main cache ("Resv"). *)
+    cache for the hottest OS code next to a main cache ("Resv"), plus a
+    victim buffer behind a direct-mapped cache. *)
+
+type spec =
+  | Unified of Config.t
+  | Split of { os : Config.t; app : Config.t }
+      (** OS fetches go to [os], application fetches to [app]. *)
+  | Reserved of { hot : Config.t; rest : Config.t; hot_limit : int }
+      (** OS fetches at addresses below [hot_limit] go to the small [hot]
+          cache; everything else to [rest].  The layout must place the
+          most important OS code in [\[0, hot_limit)]. *)
+  | Victim of { main : Config.t; entries : int }
+      (** A direct-mapped [main] cache backed by an [entries]-line
+          fully-associative LRU victim buffer (Jouppi 1990) - the classic
+          hardware remedy for the conflict misses the paper removes in
+          software.  Lines displaced from the main cache park in the
+          buffer; hitting one there swaps it back.  Per-block attribution
+          is not supported for this organization. *)
+(** A cache organization as plain data: comparable, and keyable through
+    its runtime representation (as {!Sim_cache} keys replays). *)
 
 type t
 
+val create : spec -> t
+(** A fresh, empty system.
+    @raise Invalid_argument for a [Victim] whose [main] is not
+    direct-mapped or whose [entries < 1]. *)
+
 val unified : Config.t -> t
-
 val split : os:Config.t -> app:Config.t -> t
-(** OS fetches go to one half, application fetches to the other. *)
-
 val reserved : hot:Config.t -> rest:Config.t -> hot_limit:int -> t
-(** OS fetches at addresses below [hot_limit] go to the small [hot]
-    cache; everything else to [rest].  The layout must place the most
-    important OS code in [\[0, hot_limit)]. *)
-
 val victim : main:Config.t -> entries:int -> t
-(** A direct-mapped [main] cache backed by an [entries]-line
-    fully-associative LRU victim buffer (Jouppi 1990) - the classic
-    hardware remedy for the conflict misses the paper removes in
-    software.  Lines displaced from the main cache park in the buffer;
-    hitting one there swaps it back.  Per-block attribution is not
-    supported for this organization.
-    @raise Invalid_argument unless [main] is direct-mapped and
-    [entries >= 1]. *)
+(** {!create} of the matching {!spec}. *)
 
 val run : t -> Chunk.t -> unit
 (** Feed a chunk of events through every sub-cache, each over its whole
@@ -53,5 +63,3 @@ val block_misses_self : t -> image:int -> int array
 val block_misses_cross : t -> image:int -> int array
 
 val reset : t -> unit
-
-val describe : t -> string

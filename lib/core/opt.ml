@@ -39,7 +39,13 @@ type cursor = {
 
 let cursor ~cache ~hole ~start = { cache; hole; at = start; holes = [] }
 
+(* [fit] cannot place a block that has no room beside the hole in any
+   logical cache ([hole + size > cache]) and does not end inside the
+   first one: it would skip holes forever. *)
+exception No_room
+
 let rec fit c size =
+  if c.hole > 0 && c.hole + size > c.cache && c.at + size > c.cache then raise No_room;
   let off = c.at mod c.cache in
   if c.hole > 0 && c.at >= c.cache && off < c.hole then begin
     (* Entering a reserved hole: skip it, remembering the span. *)
@@ -83,7 +89,7 @@ let digest_key v = Digest.to_hex (Digest.string (Marshal.to_string v []))
    is the original monolithic construction, with sequence construction,
    raw SCF selection and the Loopstat pass factored out so they can be
    shared across parameter sweeps. *)
-let assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude params =
+let assemble_once ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude params =
   let scf_blocks, scf_bytes =
     match params.scf_cutoff with
     | None -> ([], 0)
@@ -175,6 +181,12 @@ let assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude par
   for i = 0 to !nz - 1 do place_cold zeros.(i) done;
   List.iter place_cold above;
   { map; sequences; scf_blocks; scf_bytes; loop_blocks }
+
+(* The totality rule of opt.mli: holes that leave a block no room are
+   dropped, and the layout is built again without them. *)
+let assemble ~graph ~profile ~sequences ~select_scf ~loop_infos ~exclude params =
+  let once = assemble_once ~graph ~profile ~sequences ~select_scf ~loop_infos ~exclude in
+  try once params with No_room -> once { params with scf_holes = false }
 
 let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
     ?(follow_calls = true) params =

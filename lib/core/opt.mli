@@ -24,7 +24,14 @@
     changed; two calls with equal inputs share one physically-identical
     (immutable) result.  {!Address_map.validate} runs once per actual
     construction, inside the placement stage's build — a cache hit
-    returns a map that was validated when it was first built. *)
+    returns a map that was validated when it was first built.
+
+    Placement is total.  A replicated SelfConfFree hole leaves
+    [cache_size - scf_bytes] bytes per logical cache for other code.  When
+    a block that has to go past the first logical cache is larger than
+    that, no logical cache can take it, and the layout is built without
+    replicated holes, exactly as with [scf_holes = false]; every other
+    parameter set keeps its holes. *)
 
 type params = {
   cache_size : int;  (** Logical-cache granularity. *)

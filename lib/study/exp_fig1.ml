@@ -11,7 +11,7 @@ let compute (ctx : Context.t) =
   let wl = 1 in
   let layouts = Levels.build ctx Levels.Base in
   let config = Config.make ~size_kb:16 () in
-  let sys = System.unified config in
+  let sys = System.create (System.Unified config) in
   let program = snd ctx.Context.pairs.(wl) in
   let blocks =
     Array.init (Program.image_count program) (fun k ->

@@ -63,7 +63,7 @@ let compute (ctx : Context.t) =
   let inline_rates =
     Parallel.map_array
       (fun i (trace, _) ->
-        let system = System.unified (Config.make ~size_kb:8 ()) in
+        let system = System.create (System.Unified (Config.make ~size_kb:8 ())) in
         Runner.replay ~trace ~map:maps.(i) [| system |];
         Counters.miss_rate (System.counters system))
       captures

@@ -39,7 +39,7 @@ let compute (ctx : Context.t) =
       let rates layout =
         Array.map
           (fun (c : Multiproc.cpu) ->
-            let system = System.unified (Config.make ~size_kb:8 ()) in
+            let system = System.create (System.Unified (Config.make ~size_kb:8 ())) in
             Runner.replay ~trace:c.Multiproc.trace ~map:(Program_layout.code_map layout)
               [| system |];
             Counters.miss_rate (System.counters system))

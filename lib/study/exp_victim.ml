@@ -25,33 +25,28 @@ let setups =
 
 let compute (ctx : Context.t) =
   let main = Config.make ~size_kb:8 () in
-  (* The two plain unified setups go through one batch up front; the
-     victim-cache systems need System.victim and stay on the general path. *)
-  let plain =
-    Runner.simulate_batch ctx
+  let runs =
+    Runner.batch ctx
       ~members:
-        [| (Levels.build ctx Levels.Base, main); (Levels.build ctx Levels.OptS, main) |]
+        (Array.of_list
+           (List.map
+              (fun (_, level, entries) ->
+                ( Levels.build ctx level,
+                  match entries with
+                  | None -> System.Unified main
+                  | Some entries -> System.Victim { main; entries } ))
+              setups))
       ()
-  in
-  let rates =
-    List.map
-      (fun (name, level, entries) ->
-        let layouts = Levels.build ctx level in
-        let runs =
-          match (entries, level) with
-          | None, Levels.Base -> plain.(0)
-          | None, _ -> plain.(1)
-          | Some entries, _ ->
-              Runner.simulate ctx ~layouts
-                ~system:(fun () -> System.victim ~main ~entries)
-                ()
-        in
-        (name, Array.map (fun (r : Runner.run) -> Counters.miss_rate r.Runner.counters) runs))
-      setups
   in
   Array.mapi
     (fun i ((w : Workload.t), _) ->
-      { workload = w.Workload.name; rates = List.map (fun (n, r) -> (n, r.(i))) rates })
+      {
+        workload = w.Workload.name;
+        rates =
+          List.mapi
+            (fun m (name, _, _) -> (name, Counters.miss_rate runs.(m).(i).Runner.counters))
+            setups;
+      })
     ctx.Context.pairs
 
 let report ctx =

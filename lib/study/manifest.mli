@@ -33,7 +33,8 @@
     {!Trace_log.stage_totals} in order of first completion: stage
     [experiment.<id>] is one experiment, [layout_cache.<stage>] the builds
     of one staged layout cache.  [batch] is the registry's [batch.<field>] counters
-    without their prefix: how many {!Runner.simulate_batch} members were
+    without their prefix: how many {!Runner.batch} members (and
+    {!Runner.replay} systems) were
     requested, served from {!Sim_cache} or simulated, and how many
     (workload x member) replay passes and trace events the fused path
     spent and saved.  [metrics] is {!Metrics_registry.to_json}.

@@ -83,11 +83,3 @@ val format_to_string : format -> string
 
 val extension : format -> string
 (** File extension (without dot) used by [--out] directories. *)
-
-(** {1 CSV} *)
-
-val csv_of_table : (string * Table.align) list -> Table.row list -> string
-(** Bare CSV: one header line then one line per {!Table.row} [Cells]
-    (separators are skipped).  Fields containing commas, double quotes or
-    newlines are quoted.  This is exactly the [sweep] subcommand's CSV
-    shape. *)

@@ -21,6 +21,19 @@ let batch_counters =
 
 let bump field by = Metrics_registry.incr ~by (List.assoc field batch_counters)
 
+(* One call's batch.* counts: [simulated] of its [members] replay in
+   [groups] fused groups, each group making [passes] passes over
+   [events] events in all. *)
+let count_call ~members ~simulated ~groups ~passes ~events =
+  bump "calls" 1;
+  bump "members" members;
+  bump "cache_hits" (members - simulated);
+  bump "simulated" simulated;
+  bump "replay_passes" (groups * passes);
+  bump "passes_saved" ((simulated - groups) * passes);
+  bump "events_replayed" (groups * events);
+  bump "events_saved" ((simulated - groups) * events)
+
 let record_pass ~members ~events dt =
   for _ = 1 to members do
     Metrics_registry.observe member_seconds_hist
@@ -71,7 +84,9 @@ let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
 
 let replay ~trace ~map systems =
   Trace_log.stage "replay" @@ fun () ->
-  ignore (pass ~warmup_fraction:default_warmup_fraction ~trace ~map systems)
+  ignore (pass ~warmup_fraction:default_warmup_fraction ~trace ~map systems);
+  let n = Array.length systems in
+  count_call ~members:n ~simulated:n ~groups:1 ~passes:1 ~events:(Trace.length trace)
 
 let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
     ?(warmup_fraction = default_warmup_fraction) ?jobs () =
@@ -90,8 +105,10 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
          [| system () |]).(0))
     ctx.Context.pairs
 
-let simulate_batch ctx ~members ?(attribute_os = false)
+let batch ctx ~members ?(attribute_os = false)
     ?(warmup_fraction = default_warmup_fraction) ?jobs () =
+  if attribute_os && Array.exists (function _, System.Victim _ -> true | _ -> false) members
+  then invalid_arg "Runner.batch: victim caches support no per-block attribution";
   let n = Array.length members in
   let workloads = Array.length ctx.Context.pairs in
   Trace_log.stage "simulate_batch"
@@ -106,8 +123,8 @@ let simulate_batch ctx ~members ?(attribute_os = false)
   let context = Context.key ctx in
   let keys =
     Array.mapi
-      (fun m (_, config) ->
-        Sim_cache.key ~context ~layouts:digests.(m) ~config
+      (fun m (_, spec) ->
+        Sim_cache.key ~context ~layouts:digests.(m) ~spec
           ~warmup_fraction ~attribute_os)
       members
   in
@@ -150,7 +167,7 @@ let simulate_batch ctx ~members ?(attribute_os = false)
             ?attribute:(if attribute_os then Some program else None)
             ~warmup_fraction ~trace:ctx.Context.traces.(i)
             ~map:(Program_layout.code_map rep_layouts.(i))
-            (Array.map (fun k -> System.unified (snd members.(reps.(k)))) group))
+            (Array.map (fun k -> System.create (snd members.(reps.(k)))) group))
         (Array.make (workloads * ngroups) ())
     in
     (* Transpose (workload, group, slot) -> per-representative runs. *)
@@ -167,20 +184,12 @@ let simulate_batch ctx ~members ?(attribute_os = false)
     runs
   in
   let results = Sim_cache.find_or_replay keys replay in
-  let simulated = !simulated and group_count = !group_count in
-  let cache_hits = n - simulated in
-  let total_events =
-    Array.fold_left (fun acc t -> acc + Trace.length t) 0 ctx.Context.traces
-  in
-  bump "calls" 1;
-  bump "members" n;
-  bump "cache_hits" cache_hits;
-  bump "simulated" simulated;
-  bump "replay_passes" (group_count * workloads);
-  bump "passes_saved" ((simulated - group_count) * workloads);
-  bump "events_replayed" (group_count * total_events);
-  bump "events_saved" ((simulated - group_count) * total_events);
+  count_call ~members:n ~simulated:!simulated ~groups:!group_count ~passes:workloads
+    ~events:(Array.fold_left (fun acc t -> acc + Trace.length t) 0 ctx.Context.traces);
   results
+
+let simulate_batch ctx ~members =
+  batch ctx ~members:(Array.map (fun (layouts, config) -> (layouts, System.Unified config)) members)
 
 let total runs =
   let acc = Counters.create () in

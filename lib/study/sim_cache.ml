@@ -2,7 +2,7 @@ type entry = { counters : Counters.t; os_block_misses : int array }
 
 type key = string
 
-let key ~context ~layouts ~config ~warmup_fraction ~attribute_os =
+let key ~context ~layouts ~spec ~warmup_fraction ~attribute_os =
   let buf = Buffer.create 256 in
   Buffer.add_string buf context;
   Array.iter
@@ -11,9 +11,9 @@ let key ~context ~layouts ~config ~warmup_fraction ~attribute_os =
       Buffer.add_string buf d)
     layouts;
   Buffer.add_char buf '|';
-  (* The runtime representation covers every Config field, including a
-     Random policy's seed (Config.to_string does not). *)
-  Buffer.add_string buf (Marshal.to_string (config : Config.t) []);
+  (* The runtime representation covers every field of the spec, including
+     a Random policy's seed (Config.to_string does not). *)
+  Buffer.add_string buf (Marshal.to_string (spec : System.spec) []);
   Buffer.add_string buf (Printf.sprintf "|%.17g|%b" warmup_fraction attribute_os);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 

@@ -6,9 +6,10 @@
     whole per-workload [run array] on everything the simulation depends on:
     the trace identity (the context's digest over spec/words/seed), the
     per-workload layout digests ({!Program_layout.digest}), the cache
-    geometry, the warm-up fraction and the attribution flag.  Equal keys
-    provably replay to equal results, so {!Runner.simulate_batch} consults
-    this table and the experiment suite stops re-simulating.
+    system's {!System.spec}, the warm-up fraction and the attribution
+    flag.  Equal keys provably replay to equal results, so
+    {!Runner.batch} consults this table and the experiment suite stops
+    re-simulating.
 
     Every lookup returns deep copies of counters and miss arrays, so
     callers may freely mutate what they get back.  Storage is one process-global
@@ -22,24 +23,21 @@ type entry = {
 }
 (** One workload's simulation result ([Runner.run] is this record). *)
 
-val copy : entry -> entry
-(** Deep copy: shares no mutable counters or arrays with the original. *)
-
 type key
 
 val key :
   context:string ->
   layouts:string array ->
-  config:Config.t ->
+  spec:System.spec ->
   warmup_fraction:float ->
   attribute_os:bool ->
   key
 (** Build the content address.  [context] is the trace identity (see
     [Context.key]); [layouts] the per-workload placement digests in
-    workload order.  The cache geometry is folded in via its runtime
-    representation, so every field — size, associativity, line size and
-    replacement policy (including a [Random] policy's seed) — separates
-    keys. *)
+    workload order.  The cache system is folded in via its spec's runtime
+    representation, so every field separates keys: the organization, each
+    sub-cache's size, associativity, line size and replacement policy
+    (including a [Random] policy's seed), [hot_limit] and [entries]. *)
 
 val find_or_replay : key array -> (int array -> entry array array) -> entry array array
 (** [find_or_replay keys replay]: each key's runs, single-flight through

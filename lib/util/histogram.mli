@@ -34,9 +34,6 @@ val total : t -> int
 val fraction : t -> int -> float
 (** Bucket count over total; 0. when empty. *)
 
-val bucket_label : t -> int -> string
-(** Human-readable range label for bucket [i]. *)
-
 val to_list : t -> (string * int) list
 (** All (label, count) pairs in bucket order. *)
 

@@ -18,7 +18,12 @@ type cursor = {
 let cursor ~cache ~hole ~start =
   { cache; hole; at = start; holes = []; seen = Hashtbl.create 16 }
 
+(* Opt's totality rule: a block with no room beside the hole of any
+   logical cache, and no room left in the first one, drops the holes. *)
+exception No_room
+
 let rec fit c size =
+  if c.hole > 0 && c.hole + size > c.cache && c.at + size > c.cache then raise No_room;
   let off = c.at mod c.cache in
   if c.hole > 0 && c.at >= c.cache && off < c.hole then begin
     (* Entering a reserved hole: skip it, remembering the span. *)
@@ -137,7 +142,10 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?(exclude = fun _ ->
   let sequences = Sequence.build ~graph:g ~profile:p ~seed_entry ~schedule ~follow_calls () in
   let select_scf cutoff = Scf.select ~graph:g ~profile:p ~loops ~cutoff in
   let loop_infos () = Loopstat.analyze g p loops in
-  assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude params
+  try assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude params
+  with No_room ->
+    assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude
+      { params with Opt.scf_holes = false }
 
 let app_schedule =
   Schedule.uniform ~levels:[ (1e-3, 0.4); (1e-4, 0.1); (1e-7, 0.01); (0.0, 0.0) ]

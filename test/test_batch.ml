@@ -1,33 +1,43 @@
 open Helpers
 
-(* Fused multi-configuration replay: [Runner.simulate_batch] must be
-   bit-identical to simulating every member alone, whatever mixture of
-   layouts, geometries, policies, duplicates and cache temperatures the
+(* Fused multi-configuration replay: [Runner.batch] must be bit-identical
+   to simulating every member alone, whatever mixture of layouts,
+   organizations, geometries, policies, duplicates and cache temperatures the
    caller throws at it.  This is the safety net under the experiment
    conversions: if fan-out through a shared Replay pass ever diverges
    from the solo path, these properties fail before any golden does. *)
 
-(* A pool of (layout level, geometry) combinations spanning the dispatch
-   kernels: direct-mapped (the specialized fast path), LRU / FIFO with
-   real associativity, and the seeded Random policy. *)
+(* A pool of (layout level, cache system) combinations spanning the
+   dispatch kernels: direct-mapped (the specialized fast path), LRU / FIFO
+   with real associativity, the seeded Random policy, and the split,
+   reserved and victim organizations. *)
 let combos =
+  let dm kb = Config.make ~size_kb:kb () in
   [|
-    (Levels.Base, Config.make ~size_kb:4 ());
-    (Levels.Base, Config.make ~size_kb:8 ~assoc:2 ());
-    (Levels.Base, Config.make ~size_kb:8 ~assoc:4 ~policy:Config.Fifo ());
-    (Levels.CH, Config.make ~size_kb:8 ());
-    (Levels.CH, Config.make ~size_kb:4 ~assoc:4 ~policy:(Config.Random 1234) ());
-    (Levels.OptS, Config.make ~size_kb:8 ());
-    (Levels.OptS, Config.make ~size_kb:16 ~assoc:2 ~policy:Config.Fifo ());
-    (Levels.OptS, Config.make ~size_kb:4 ~line:16 ())
+    (Levels.Base, System.Unified (dm 4));
+    (Levels.Base, System.Unified (Config.make ~size_kb:8 ~assoc:2 ()));
+    (Levels.Base, System.Unified (Config.make ~size_kb:8 ~assoc:4 ~policy:Config.Fifo ()));
+    (Levels.CH, System.Unified (dm 8));
+    (Levels.CH, System.Unified (Config.make ~size_kb:4 ~assoc:4 ~policy:(Config.Random 1234) ()));
+    (Levels.OptS, System.Unified (dm 8));
+    (Levels.OptS, System.Unified (Config.make ~size_kb:16 ~assoc:2 ~policy:Config.Fifo ()));
+    (Levels.OptS, System.Unified (Config.make ~size_kb:4 ~line:16 ()));
+    (Levels.OptS, System.Split { os = dm 4; app = dm 4 });
+    (Levels.Base, System.Reserved { hot = dm 1; rest = dm 8; hot_limit = 1024 });
+    (Levels.OptS, System.Victim { main = dm 8; entries = 8 });
+    (Levels.Base, System.Victim { main = dm 4; entries = 2 });
   |]
 
-let members_of ctx picks =
+let is_victim = function System.Victim _ -> true | _ -> false
+
+(* Victim caches count no per-block misses, so attributed batches leave
+   them out. *)
+let members_of ?(attribute_os = false) ctx picks =
   Array.of_list
-    (List.map
+    (List.filter_map
        (fun i ->
-         let level, config = combos.(i mod Array.length combos) in
-         (Levels.build ctx level, config))
+         let level, spec = combos.(i mod Array.length combos) in
+         if attribute_os && is_victim spec then None else Some (Levels.build ctx level, spec))
        picks)
 
 let same_runs (a : Runner.run array) (b : Runner.run array) =
@@ -37,9 +47,9 @@ let same_runs (a : Runner.run array) (b : Runner.run array) =
       && x.Runner.os_block_misses = y.Runner.os_block_misses)
     a b
 
-(* The unmemoized solo path: one fresh unified system per workload. *)
-let solo ctx ?attribute_os (layouts, config) =
-  Runner.simulate ctx ~layouts ~system:(fun () -> System.unified config) ?attribute_os ()
+(* The unmemoized solo path: one fresh system per workload. *)
+let solo ctx ?attribute_os (layouts, spec) =
+  Runner.simulate ctx ~layouts ~system:(fun () -> System.create spec) ?attribute_os ()
 
 (* Cold cache: the batch replays everything through fused passes, the
    reference replays each member alone and never touches the memo. *)
@@ -49,9 +59,9 @@ let prop_batch_equals_sequential =
     QCheck.(pair (list_of_size Gen.(1 -- 8) (int_bound 100)) bool)
     (fun (picks, attribute_os) ->
       let ctx = Lazy.force small_context in
-      let members = members_of ctx picks in
+      let members = members_of ~attribute_os ctx picks in
       Sim_cache.clear ();
-      let batch = Runner.simulate_batch ctx ~members ~attribute_os () in
+      let batch = Runner.batch ctx ~members ~attribute_os () in
       let seq = Array.map (solo ctx ~attribute_os) members in
       Array.for_all2 same_runs batch seq)
 
@@ -67,11 +77,11 @@ let prop_batch_serves_warm_entries =
       Sim_cache.clear ();
       let seq =
         Array.map
-          (fun member -> (Runner.simulate_batch ctx ~members:[| member |] ()).(0))
+          (fun member -> (Runner.batch ctx ~members:[| member |] ()).(0))
           members
       in
       let m0 = Sim_cache.misses () in
-      let batch = Runner.simulate_batch ctx ~members () in
+      let batch = Runner.batch ctx ~members () in
       Sim_cache.misses () = m0 && Array.for_all2 same_runs batch seq)
 
 (* The direct-mapped fast path must agree with the generic kernel.  A
@@ -85,9 +95,10 @@ let prop_direct_fast_path_matches_generic =
     (fun (size_kb, line) ->
       let ctx = Lazy.force small_context in
       let layouts = Levels.build ctx Levels.Base in
-      let direct = solo ctx (layouts, Config.make ~size_kb ~line ()) in
+      let direct = solo ctx (layouts, System.Unified (Config.make ~size_kb ~line ())) in
       let generic =
-        solo ctx (layouts, Config.make ~size_kb ~line ~policy:(Config.Random 7) ())
+        solo ctx
+          (layouts, System.Unified (Config.make ~size_kb ~line ~policy:(Config.Random 7) ()))
       in
       Array.for_all2
         (fun (x : Runner.run) (y : Runner.run) ->
@@ -106,6 +117,23 @@ let test_duplicates_are_copies () =
   check_bool "results are independent copies" true
     (batch.(1).(0).Runner.counters.Counters.os_self <> min_int)
 
+(* Attribution is unsupported for victim caches: the batch says so before
+   it keys or replays anything. *)
+let test_victim_attribution_rejected () =
+  let ctx = Lazy.force small_context in
+  let layouts = Levels.build ctx Levels.Base in
+  let lookups () = Sim_cache.hits () + Sim_cache.misses () in
+  let l0 = lookups () in
+  check_raises_invalid "victim member with attribute_os" (fun () ->
+      Runner.batch ctx ~attribute_os:true
+        ~members:
+          [|
+            (layouts, System.Unified (Config.make ~size_kb:8 ()));
+            (layouts, System.Victim { main = Config.make ~size_kb:8 (); entries = 4 });
+          |]
+        ());
+  check_int "no Sim_cache lookup" l0 (lookups ())
+
 let () =
   Alcotest.run "batch"
     [
@@ -115,5 +143,6 @@ let () =
           qcheck prop_batch_serves_warm_entries;
           qcheck prop_direct_fast_path_matches_generic;
           case "duplicate members are deep copies" test_duplicates_are_copies;
+          case "victim members reject attribution" test_victim_attribution_rejected;
         ] );
     ]

@@ -313,8 +313,7 @@ let test_system_attribution () =
   let sys = System.unified (Config.v ~size:1024 ~assoc:1 ~line:32) in
   System.enable_block_attribution sys ~images:1 ~blocks:[| 2 |];
   System.access sys ~os:true ~image:0 ~block:1 ~addr:0 ~bytes:4;
-  check_int "attributed" 1 (System.block_misses sys ~image:0).(1);
-  check_bool "describe non-empty" true (String.length (System.describe sys) > 0)
+  check_int "attributed" 1 (System.block_misses sys ~image:0).(1)
 
 let test_system_victim_swap () =
   (* 1 KB direct-mapped main (32 sets) with a 2-line victim buffer.
@@ -381,9 +380,7 @@ let test_system_victim_reset () =
   System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
   System.reset sys;
   System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  check_int "cold again after reset" 1 (System.counters sys).Counters.os_cold;
-  check_bool "victim described" true
-    (String.length (System.describe sys) > 0)
+  check_int "cold again after reset" 1 (System.counters sys).Counters.os_cold
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                             *)

@@ -249,6 +249,30 @@ let test_suite_counters_and_reports () =
     (List.filter is_memo_counter counts1)
     (List.filter is_memo_counter counts_all)
 
+(* Every replay is counted: the whole suite from cold memos, traced,
+   records exactly as many replay_pass spans as batch.replay_passes
+   rises. *)
+let test_every_pass_counted () =
+  let ctx = Lazy.force small_context in
+  Sim_cache.clear ();
+  Layout_cache.clear ();
+  Levels.clear ();
+  let passes0 = counter "batch.replay_passes" in
+  Trace_log.reset ();
+  Trace_log.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Trace_log.set_enabled false)
+    (fun () -> ignore (Experiments.compute_all Experiments.all ctx));
+  let spans =
+    List.filter
+      (fun (e : Trace_log.event) -> e.Trace_log.begin_ && e.Trace_log.name = "replay_pass")
+      (Trace_log.events ())
+  in
+  Trace_log.reset ();
+  check_bool "passes recorded" true (spans <> []);
+  check_int "replay_pass spans == batch.replay_passes rise" (List.length spans)
+    (counter "batch.replay_passes" - passes0)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -282,5 +306,6 @@ let () =
         [
           case "all experiments: counters and reports equal at 1 and 4 jobs"
             test_suite_counters_and_reports;
+          case "every replay pass is counted in batch.*" test_every_pass_counted;
         ] );
     ]

@@ -152,9 +152,7 @@ let layout_case_gen =
     in
     return { spec; params; one_seed; exclude; perturb; stagger; skew })
 
-let layout_case_arb =
-  QCheck.make
-    ~print:(fun c ->
+let print_layout_case c =
       let p = c.params in
       Printf.sprintf
         "spec seed=%d cache=%d scf=%s loops=%b holes=%b start=%d one_seed=%b exclude=%s \
@@ -163,8 +161,9 @@ let layout_case_arb =
         (match p.Opt.scf_cutoff with None -> "none" | Some f -> string_of_float f)
         p.Opt.extract_loops p.Opt.scf_holes p.Opt.start_offset c.one_seed
         (match c.exclude with None -> "none" | Some (k, r) -> Printf.sprintf "%d/%d" k r)
-        c.perturb c.stagger c.skew)
-    layout_case_gen
+        c.perturb c.stagger c.skew
+
+let layout_case_arb = QCheck.make ~print:print_layout_case layout_case_gen
 
 let same_result g (a : Opt.result) (b : Opt.result) =
   let regions m = Array.init (Graph.block_count g) (Address_map.region m) in
@@ -174,39 +173,46 @@ let same_result g (a : Opt.result) (b : Opt.result) =
   && a.Opt.scf_bytes = b.Opt.scf_bytes
   && a.Opt.loop_blocks = b.Opt.loop_blocks
 
+(* A case's OS graph, its Opt and reference OS layouts as functions of
+   the parameters (over the case's profile, perturbed if asked), and the
+   program and per-image profiles for its apps. *)
+let case_builds c =
+  let m = Generator.generate c.spec in
+  let g = m.Model.graph in
+  let w, program = (Workload.standard_programs m).(0) in
+  let _, _, profiles = Profile.capture ~program ~workload:w ~words:40_000 ~seed:c.spec.Spec.seed in
+  let p = profiles.(0) in
+  let p =
+    if not c.perturb then p
+    else
+      let q = Profile.thaw p in
+      Array.iteri
+        (fun b x ->
+          q.Profile.Builder.block.(b) <-
+            (if b mod 5 = 0 then -.float_of_int (b mod 7)
+             else if b mod 5 = 1 && x = 0.0 then float_of_int (b mod 4)
+             else x))
+        p.Profile.block;
+      Profile.freeze q
+  in
+  let loops = Layout_cache.loops g in
+  let seed_entry s = (Model.seed_for m s).Model.entry in
+  let schedule =
+    if c.one_seed then Schedule.restrict [ Service.Interrupt ] Schedule.paper
+    else Schedule.paper
+  in
+  let exclude = Option.map (fun (k, r) b -> b mod k = r) c.exclude in
+  ( g,
+    Opt.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude,
+    Ref_layout.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude,
+    program,
+    profiles )
+
 let prop_placement_matches_reference =
   QCheck.Test.make ~name:"random kernels x params: placement == reference" ~count:40
     layout_case_arb (fun c ->
-      let m = Generator.generate c.spec in
-      let g = m.Model.graph in
-      let w, program = (Workload.standard_programs m).(0) in
-      let _, _, profiles = Profile.capture ~program ~workload:w ~words:40_000 ~seed:c.spec.Spec.seed in
-      let p = profiles.(0) in
-      let p =
-        if not c.perturb then p
-        else
-          let q = Profile.thaw p in
-          Array.iteri
-            (fun b x ->
-              q.Profile.Builder.block.(b) <-
-                (if b mod 5 = 0 then -.float_of_int (b mod 7)
-                 else if b mod 5 = 1 && x = 0.0 then float_of_int (b mod 4)
-                 else x))
-            p.Profile.block;
-          Profile.freeze q
-      in
-      let loops = Layout_cache.loops g in
-      let seed_entry s = (Model.seed_for m s).Model.entry in
-      let schedule =
-        if c.one_seed then Schedule.restrict [ Service.Interrupt ] Schedule.paper
-        else Schedule.paper
-      in
-      let exclude = Option.map (fun (k, r) b -> b mod k = r) c.exclude in
-      let os =
-        same_result g
-          (Opt.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude c.params)
-          (Ref_layout.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude c.params)
-      in
+      let g, opt, reference, program, profiles = case_builds c in
+      let os = same_result g (opt c.params) (reference c.params) in
       let apps =
         Array.mapi
           (fun k (app : App_model.t) ->
@@ -218,6 +224,83 @@ let prop_placement_matches_reference =
           program.Program.apps
       in
       os && Array.for_all Fun.id apps)
+
+(* --- Totality -------------------------------------------------------- *)
+
+(* A block past the first logical cache that has no room beside the
+   SelfConfFree hole ([hole + size > cache_size]) drops the holes
+   (opt.mli), so such a build equals the one with [scf_holes = false]. *)
+
+(* The case QCHECK_SEED=303146471 drew: its 4332-byte SelfConfFree area
+   is larger than the 4096-byte cache. *)
+let test_scf_area_above_cache () =
+  let c =
+    {
+      spec =
+        {
+          Spec.small with
+          Spec.seed = 49;
+          leaf_count = 14;
+          sub_mid_count = 6;
+          mid_count = 11;
+          handler_counts = [| 5; 1; 6; 3 |];
+          cold_count = 75;
+        };
+      params = { (Opt.params ~cache_size:4096 ~scf_cutoff:(Some 0.125) ()) with Opt.start_offset = 36 };
+      one_seed = false;
+      exclude = Some (14, 0);
+      perturb = true;
+      stagger = 1;
+      skew = 3432;
+    }
+  in
+  let g, opt, reference, _, _ = case_builds c in
+  check_int "SelfConfFree area" 4332 (opt c.params).Opt.scf_bytes;
+  check_bool "built without holes" true
+    (same_result g (opt c.params) (opt { c.params with Opt.scf_holes = false }));
+  check_bool "reference agrees" true (same_result g (opt c.params) (reference c.params))
+
+(* Two OptS builds that never finished on the small context, and the
+   default cut-off, which keeps its holes. *)
+let test_levels_small_cutoffs () =
+  let ctx = Lazy.force small_context in
+  let os_map ~cache_size ~cutoff scf_holes =
+    let params = Opt.params ~cache_size ~scf_cutoff:(Some cutoff) ~scf_holes () in
+    Address_map.addr_array (Levels.build ctx ~params Levels.OptS).(0).Program_layout.os_map
+  in
+  let holes_dropped ~cache_size ~cutoff =
+    os_map ~cache_size ~cutoff true = os_map ~cache_size ~cutoff false
+  in
+  check_bool "8 KB, cut-off 0.01: no holes" true (holes_dropped ~cache_size:8192 ~cutoff:0.01);
+  check_bool "4 KB, cut-off 0.001: no holes" true (holes_dropped ~cache_size:4096 ~cutoff:0.001);
+  check_bool "8 KB, cut-off 0.5: holes kept" false (holes_dropped ~cache_size:8192 ~cutoff:0.5)
+
+(* Cut-offs near 0 and caches down to 1 KB: every build ends, agrees with
+   the reference, and spans at most one logical cache per block past the
+   first two (the cursor enters a logical cache only to place a block in
+   it). *)
+let prop_placement_total =
+  QCheck.Test.make ~name:"cut-offs near 0, caches down to 1 KB: placement ends" ~count:20
+    (QCheck.make ~print:print_layout_case
+       QCheck.Gen.(
+         let* c = layout_case_gen in
+         let* cache_kb = oneofl [ 1; 2; 4 ] and* cutoff = oneofl [ 0.0; 1e-4; 1e-3; 1e-2 ] in
+         return
+           {
+             c with
+             params =
+               {
+                 c.params with
+                 Opt.cache_size = cache_kb * 1024;
+                 scf_cutoff = Some cutoff;
+                 scf_holes = true;
+               };
+           }))
+    (fun c ->
+      let g, opt, reference, _, _ = case_builds c in
+      let r = opt c.params in
+      Address_map.extent r.Opt.map <= (Graph.block_count g + 2) * c.params.Opt.cache_size
+      && same_result g r (reference c.params))
 
 (* Hand-built maps: blocks laid out in a random order with gaps that
    overlap, touch, tie or leave space, some left unplaced, from a base
@@ -358,13 +441,31 @@ let prop_distinct_configs_distinct_keys =
       let layouts = Levels.build ctx Levels.Base in
       let digests = Array.map Program_layout.digest layouts in
       let key config =
-        Sim_cache.key ~context:(Context.key ctx) ~layouts:digests ~config
+        Sim_cache.key ~context:(Context.key ctx) ~layouts:digests ~spec:(System.Unified config)
           ~warmup_fraction:0.2 ~attribute_os:false
       in
       let k = key (Config.make ~size_kb ~assoc ()) in
       let k' = key (Config.make ~size_kb:(2 * size_kb) ~assoc ()) in
       let k'' = key (Config.make ~size_kb ~assoc ~policy:Config.Fifo ()) in
       k <> k' && k <> k'' && k' <> k'')
+
+(* Every field of a spec separates keys, beyond the unified geometry. *)
+let test_spec_fields_separate_keys () =
+  let ctx = Lazy.force small_context in
+  let layouts = Array.map Program_layout.digest (Levels.build ctx Levels.Base) in
+  let key spec =
+    Sim_cache.key ~context:(Context.key ctx) ~layouts ~spec ~warmup_fraction:0.2
+      ~attribute_os:false
+  in
+  let c4 = Config.make ~size_kb:4 () and c8 = Config.make ~size_kb:8 () in
+  let differ what a b = check_bool what true (key a <> key b) in
+  differ "split os/app swapped" (System.Split { os = c4; app = c8 })
+    (System.Split { os = c8; app = c4 });
+  differ "hot_limit" (System.Reserved { hot = c4; rest = c8; hot_limit = 1024 })
+    (System.Reserved { hot = c4; rest = c8; hot_limit = 2048 });
+  differ "entries" (System.Victim { main = c8; entries = 4 })
+    (System.Victim { main = c8; entries = 8 });
+  differ "organization" (System.Unified c8) (System.Victim { main = c8; entries = 4 })
 
 let () =
   Alcotest.run "properties"
@@ -379,10 +480,17 @@ let () =
         ] );
       ( "placement",
         [ qcheck prop_placement_matches_reference; qcheck prop_validate_matches_reference ] );
+      ( "totality",
+        [
+          case "SelfConfFree area above the cache" test_scf_area_above_cache;
+          case "OptS at small cut-offs" test_levels_small_cutoffs;
+          qcheck prop_placement_total;
+        ] );
       ( "sim-cache",
         [
           qcheck prop_digest_separates_layouts;
           qcheck prop_relookup_always_hits;
           qcheck prop_distinct_configs_distinct_keys;
+          case "sim-cache: every spec field separates keys" test_spec_fields_separate_keys;
         ] );
     ]
