@@ -208,6 +208,14 @@ let repro_cmd =
 (* simulate                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Checked before any context is built: a bad geometry is one line on
+   stderr and exit 1. *)
+let cache_config size_kb assoc line =
+  try Config.v ~size:(size_kb * 1024) ~assoc ~line
+  with Invalid_argument e ->
+    Printf.eprintf "bad cache geometry %d KB, %d-way, %d B lines (%s)\n" size_kb assoc line e;
+    exit 1
+
 let simulate_cmd =
   let level_arg =
     let doc = "Layout level: base, ch, opts, optl or opta." in
@@ -226,13 +234,7 @@ let simulate_cmd =
     Arg.(value & opt int 32 & info [ "line" ] ~docv:"BYTES" ~doc)
   in
   let run words seed small jobs w level size_kb assoc line =
-    let config =
-      try Config.v ~size:(size_kb * 1024) ~assoc ~line
-      with Invalid_argument e ->
-        Printf.eprintf "bad cache geometry %d KB, %d-way, %d B lines (%s)\n" size_kb assoc
-          line e;
-        exit 1
-    in
+    let config = cache_config size_kb assoc line in
     check_workload w;
     let ctx = make_context ~small ~words ~seed ~jobs in
     let layouts = Levels.build ctx level in
@@ -346,6 +348,15 @@ let sweep_cmd =
     Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run words seed small jobs sizes assocs lines levels format out trace =
+    let geometries =
+      List.concat_map
+        (fun size_kb ->
+          List.concat_map
+            (fun assoc ->
+              List.map (fun line -> (size_kb, assoc, line, cache_config size_kb assoc line)) lines)
+            assocs)
+        sizes
+    in
     start_trace trace;
     let ctx = make_context ~small ~words ~seed ~jobs in
     let columns =
@@ -364,17 +375,9 @@ let sweep_cmd =
       List.concat_map
         (fun level ->
           let layouts = Levels.build ctx level in
-          List.concat_map
-            (fun size_kb ->
-              List.concat_map
-                (fun assoc ->
-                  List.map
-                    (fun line ->
-                      let config = Config.v ~size:(size_kb * 1024) ~assoc ~line in
-                      (level, size_kb, assoc, line, (layouts, config)))
-                    lines)
-                assocs)
-            sizes)
+          List.map
+            (fun (size_kb, assoc, line, config) -> (level, size_kb, assoc, line, (layouts, config)))
+            geometries)
         levels
     in
     let batch =

@@ -33,16 +33,17 @@
     that {!Program_layout} used to mutate from parallel builds. *)
 
 val loops : Graph.t -> Loops.t list
-(** [Loops.find g], memoized per graph (physical identity) behind a lock
-    and claim-then-build like {!Memo.find_or_build}: the first caller for
-    [g] runs detection and racing callers wait for its list, so detection
-    runs once per graph and repeated calls return the {e same} list,
-    including across domains. *)
+(** [Loops.find g], memoized on [Graph.digest g] in the {!Memo} named
+    [layout_cache.loops] (not a stage of {!stage_stats}): the first
+    caller for a graph runs detection and racing callers wait for its
+    list, so detection runs once per graph content and repeated calls
+    return the {e same} list, including across domains. *)
 
 val loops_digest : Graph.t -> Loops.t list -> string
 (** Content digest of a loop set.  When [loops] is the canonical
-    {!loops}[ g] list the digest is memoized; hand-built loop sets are
-    digested on every call. *)
+    {!loops}[ g] list the digest is memoized with it; hand-built loop
+    sets are digested on every call.  Looks [g] up in the loop memo
+    (detecting its loops on first use). *)
 
 type stats = Memo.stats = { hits : int; misses : int }
 (** Build time is the [layout_cache.<stage>] timing stage's (see

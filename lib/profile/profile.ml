@@ -54,32 +54,22 @@ let digest t =
   | d -> d
 
 let capture ~program ~workload ~words ~seed =
-  let trace = Trace.create ~capacity:(words / 4) () in
-  let profiles =
-    Array.init (Program.image_count program) (fun i ->
-        Builder.create (Program.graph program i))
+  let counts = Engine.counts program in
+  let trace, stats = Engine.run ~program ~workload ~words ~seed ~counts in
+  (* The run's count arrays become the profiles: nothing else holds them. *)
+  let invocations = float_of_int (Array.fold_left ( + ) 0 stats.Engine.invocations) in
+  let profile image block =
+    let arc = counts.Engine.arcs.(image) in
+    let total_blocks = Array.fold_left ( +. ) 0.0 block in
+    (* An image that never ran gets one zero constant in both fields, as
+       [Builder.create] gives them: {!digest} marshals with sharing, so
+       this keeps its digest that of an empty builder's frozen copy. *)
+    if total_blocks = 0.0 then make ~block ~arc ~total_blocks:0.0 ~invocations:0.0
+    else
+      make ~block ~arc ~total_blocks
+        ~invocations:(if Program.is_os image then invocations else 0.0)
   in
-  let profile_sink =
-    {
-      Engine.on_exec =
-        (fun ~image ~block ->
-          let p = profiles.(image) in
-          p.block.(block) <- p.block.(block) +. 1.0;
-          p.total_blocks <- p.total_blocks +. 1.0);
-      on_arc =
-        (fun ~image ~arc ->
-          let p = profiles.(image) in
-          p.arc.(arc) <- p.arc.(arc) +. 1.0);
-      on_invocation_start =
-        (fun _ ->
-          let p = profiles.(Program.os_image) in
-          p.invocations <- p.invocations +. 1.0);
-      on_invocation_end = ignore;
-    }
-  in
-  let sink = Engine.combine_sinks [ Engine.trace_sink trace; profile_sink ] in
-  let stats = Engine.run ~program ~workload ~words ~seed ~sink in
-  (trace, stats, Array.map freeze profiles)
+  (trace, stats, Array.mapi profile counts.Engine.blocks)
 
 let factor t target = if t.total_blocks > 0.0 then target /. t.total_blocks else 0.0
 

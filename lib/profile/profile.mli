@@ -2,10 +2,11 @@
     from the trace engine, the input to every placement algorithm of the
     paper (node and arc weights of the flow graph G, Section 4).
 
-    Counts are gathered in a mutable {!Builder.t} and then {!freeze}d
-    into a {!t}, the only form the placement algorithms take.  A frozen
-    profile is never written, so its {!digest}, the key every layout
-    stage of {!Layout_cache} uses, is computed once per value. *)
+    A {!t}, the only form the placement algorithms take, is frozen: a
+    {!capture} wraps the engine's count arrays, and any other profile is
+    gathered in a mutable {!Builder.t} and {!freeze}d.  A frozen profile
+    is never written, so its {!digest}, the key every layout stage of
+    {!Layout_cache} uses, is computed once per value. *)
 
 module Builder : sig
   type t = {
@@ -35,8 +36,9 @@ type t = private {
           by {!scale_to} and {!average}. *)
   stamp : stamp;
 }
-(** A frozen profile.  Its arrays are its own (no builder shares them)
-    and read-only by contract: no function of this library writes them. *)
+(** A frozen profile.  Its arrays are its own (no builder or capture
+    holds them) and read-only by contract: no function of this library
+    writes them. *)
 
 val freeze : Builder.t -> t
 (** A frozen copy of the builder's counts; later writes to the builder do
@@ -57,7 +59,8 @@ val capture :
 (** One {!Engine.run}: its trace (exactly {!Engine.capture}'s for the same
     arguments), its stats, and one frozen profile per image (index 0 =
     OS) counting the same run's block executions, arcs taken and OS
-    invocations.  Every trace-plus-profile capture goes through here. *)
+    invocations.  The profiles are the run's {!Engine.counts} arrays,
+    not copies.  Every trace-plus-profile capture goes through here. *)
 
 val scale_to : t -> float -> t
 (** Copy, rescaled so [total_blocks] equals the given value. *)

@@ -6,28 +6,14 @@ type stats = {
   context_switches : int;
 }
 
-type sink = {
-  on_exec : image:int -> block:Block.id -> unit;
-  on_arc : image:int -> arc:Arc.id -> unit;
-  on_invocation_start : Service.t -> unit;
-  on_invocation_end : unit -> unit;
-}
+type counts = { blocks : float array array; arcs : float array array }
 
-let trace_sink trace =
-  {
-    on_exec = (fun ~image ~block -> Trace.append trace (Trace.Exec { image; block }));
-    on_arc = (fun ~image:_ ~arc:_ -> ());
-    on_invocation_start = (fun c -> Trace.append trace (Trace.Invocation_start c));
-    on_invocation_end = (fun () -> Trace.append trace Trace.Invocation_end);
-  }
-
-let combine_sinks sinks =
-  {
-    on_exec = (fun ~image ~block -> List.iter (fun s -> s.on_exec ~image ~block) sinks);
-    on_arc = (fun ~image ~arc -> List.iter (fun s -> s.on_arc ~image ~arc) sinks);
-    on_invocation_start = (fun c -> List.iter (fun s -> s.on_invocation_start c) sinks);
-    on_invocation_end = (fun () -> List.iter (fun s -> s.on_invocation_end ()) sinks);
-  }
+let counts program =
+  let per_image size =
+    Array.init (Program.image_count program) (fun i ->
+        Array.make (size (Program.graph program i)) 0.0)
+  in
+  { blocks = per_image Graph.block_count; arcs = per_image Graph.arc_count }
 
 (* Longest application burst between two OS invocations, in words.  Keeps
    the self-regulating ratio controller from starving OS activity. *)
@@ -36,7 +22,8 @@ let max_burst = 30_000
 type core = {
   program : Program.t;
   workload : Workload.t;
-  sink : sink;
+  trace : Trace.t;
+  block_counts : float array array;
   g_class : Prng.t;
   words_of : int array array;  (* per image, per block: instruction words *)
   class_choices : (int * float) array;
@@ -49,7 +36,7 @@ type core = {
   mutable app_words : int;
 }
 
-let core ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
+let core ~program ~workload ~instances ~g_class ~g_os ~g_app ~trace ~counts =
   let os = program.Program.os in
   let words_of =
     Array.init (Program.image_count program) (fun i ->
@@ -77,9 +64,7 @@ let core ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
   in
   let os_walker =
     Walker.create ~graph:os.Model.graph ~arc_prob:os.Model.arc_prob ~prng:g_os
-      ~choose:os_choose
-      ~on_arc:(fun arc -> sink.on_arc ~image:Program.os_image ~arc)
-      ()
+      ~choose:os_choose ~arc_counts:counts.arcs.(Program.os_image) ()
   in
   (* Application instances: persistent walkers over their image graphs. *)
   let app_walkers =
@@ -87,15 +72,14 @@ let core ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
       (fun image ->
         Walker.create ~graph:(Program.graph program image)
           ~arc_prob:(Program.arc_prob program image)
-          ~prng:(Prng.split g_app)
-          ~on_arc:(fun arc -> sink.on_arc ~image ~arc)
-          ())
+          ~prng:(Prng.split g_app) ~arc_counts:counts.arcs.(image) ())
       instances
   in
   {
     program;
     workload;
-    sink;
+    trace;
+    block_counts = counts.blocks;
     g_class;
     words_of;
     class_choices = Array.mapi (fun i p -> (i, p)) workload.Workload.mix;
@@ -111,6 +95,12 @@ let core ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
 let os_words c = c.os_words
 let app_words c = c.app_words
 let invocations c = c.invocations
+
+(* One block execution: into the trace and the image's block counts. *)
+let exec c ~image b =
+  Trace.append_exec c.trace ~image ~block:b;
+  let n = c.block_counts.(image) in
+  n.(b) <- n.(b) +. 1.0
 
 let sample_handler c ci =
   let w = c.workload.Workload.handler_weights.(ci) in
@@ -135,18 +125,18 @@ let invoke c ci ~handler =
   let service = Service.of_index ci in
   c.current_handler.(ci) <- handler;
   c.invocations.(ci) <- c.invocations.(ci) + 1;
-  c.sink.on_invocation_start service;
+  Trace.append c.trace (Trace.Invocation_start service);
   Walker.start c.os_walker (Model.seed_for c.program.Program.os service).Model.entry;
   let rec go () =
     match Walker.step c.os_walker with
     | None -> ()
     | Some b ->
-        c.sink.on_exec ~image:Program.os_image ~block:b;
+        exec c ~image:Program.os_image b;
         c.os_words <- c.os_words + c.words_of.(0).(b);
         go ()
   in
   go ();
-  c.sink.on_invocation_end ()
+  Trace.append c.trace Trace.Invocation_end
 
 let app_burst c ~slot =
   let n = Array.length c.instances in
@@ -169,7 +159,7 @@ let app_burst c ~slot =
         match Walker.step w with
         | None -> ()
         | Some b ->
-            c.sink.on_exec ~image ~block:b;
+            exec c ~image b;
             let k = words.(b) in
             emitted := !emitted + k;
             c.app_words <- c.app_words + k
@@ -178,13 +168,14 @@ let app_burst c ~slot =
     end
   end
 
-let run ~program ~workload ~words:target ~seed ~sink =
+let run ~program ~workload ~words:target ~seed ~counts =
   let g_class = Prng.of_int (seed * 3 + 1) in
+  let trace = Trace.create ~capacity:(target / 4) () in
   let c =
     core ~program ~workload ~instances:workload.Workload.app_instances ~g_class
       ~g_os:(Prng.of_int (seed * 3 + 2))
       ~g_app:(Prng.of_int (seed * 3 + 3))
-      ~sink
+      ~trace ~counts
   in
   let n_instances = Array.length c.instances in
   let switches = ref 0 in
@@ -216,15 +207,14 @@ let run ~program ~workload ~words:target ~seed ~sink =
     end;
     ignore (app_burst c ~slot:!current)
   done;
-  {
-    total_words = c.os_words + c.app_words;
-    os_words = c.os_words;
-    app_words = c.app_words;
-    invocations = c.invocations;
-    context_switches = !switches;
-  }
+  ( trace,
+    {
+      total_words = c.os_words + c.app_words;
+      os_words = c.os_words;
+      app_words = c.app_words;
+      invocations = c.invocations;
+      context_switches = !switches;
+    } )
 
 let capture ~program ~workload ~words ~seed =
-  let trace = Trace.create ~capacity:(words / 4) () in
-  let stats = run ~program ~workload ~words ~seed ~sink:(trace_sink trace) in
-  (trace, stats)
+  run ~program ~workload ~words ~seed ~counts:(counts program)

@@ -23,18 +23,15 @@ type stats = {
   context_switches : int;
 }
 
-type sink = {
-  on_exec : image:int -> block:Block.id -> unit;
-  on_arc : image:int -> arc:Arc.id -> unit;
-      (** Intra-routine arcs taken (profiling; not recorded in traces). *)
-  on_invocation_start : Service.t -> unit;
-  on_invocation_end : unit -> unit;
+type counts = {
+  blocks : float array array;  (** Per image: executions of each {!Block.id}. *)
+  arcs : float array array;  (** Per image: traversals of each {!Arc.id}. *)
 }
+(** What a capture counts besides its trace: the raw profile of each
+    image (index 0 = OS).  Every count is a whole number. *)
 
-val trace_sink : Trace.t -> sink
-(** Records every event into the trace buffer. *)
-
-val combine_sinks : sink list -> sink
+val counts : Program.t -> counts
+(** All zero, shaped for the program's images. *)
 
 (** {1 One processor} *)
 
@@ -42,19 +39,22 @@ type core
 (** What every trace generator shares about one processor: the OS walker with its
     dispatch chooser and each class's current handler, one persistent
     walker per application instance, the per-image word counts, and the
-    OS and application word and per-class invocation counts.  Every
-    event goes to the core's sink.  The scheduling policy (which class
+    OS and application word and per-class invocation counts.  The core
+    appends every event to its trace as a packed int and bumps its
+    image's block count; each walker bumps its image's arc counts.  The
+    scheduling policy (which class
     runs next, which instance is current, when to stop) is the caller's. *)
 
 val core :
   program:Program.t -> workload:Workload.t -> instances:int array ->
-  g_class:Prng.t -> g_os:Prng.t -> g_app:Prng.t -> sink:sink -> core
+  g_class:Prng.t -> g_os:Prng.t -> g_app:Prng.t -> trace:Trace.t -> counts:counts ->
+  core
 (** A processor running the given application instances (image indexes,
     1-based into [program]'s apps).  [g_class] draws class choices and
     handlers (the caller may draw its own policy decisions from it too),
     [g_os] the kernel walk's branches; each instance's walker
     takes its own [Prng.split] of [g_app], in instance order.  Nothing is
-    drawn here. *)
+    drawn here.  The core fills [trace] and adds to [counts]. *)
 
 val os_words : core -> int
 val app_words : core -> int
@@ -70,8 +70,8 @@ val draw_invocation : core -> int * int
 
 val invoke : core -> int -> handler:int -> unit
 (** One OS invocation of the class: select [handler] at its dispatch
-    block, emit the start marker, walk from the class's seed entry to
-    completion, emit the end marker. *)
+    block, append the start marker, walk from the class's seed entry to
+    completion, append the end marker. *)
 
 val app_burst : core -> slot:int -> bool
 (** The OS-fraction controller: run instance [slot mod (instance count)]
@@ -86,9 +86,10 @@ val app_burst : core -> slot:int -> bool
 
 val run :
   program:Program.t -> workload:Workload.t -> words:int -> seed:int ->
-  sink:sink -> stats
+  counts:counts -> Trace.t * stats
 (** Generate at least [words] instruction words of trace on one core
-    running every instance of the workload.  Each invocation repeats the
+    running every instance of the workload, adding its block and arc
+    counts to [counts].  Each invocation repeats the
     previous (class, handler) pair with probability [repeat_prob], or
     draws a fresh class and handler; after it, the current instance
     bursts ({!app_burst}).  Deterministic in [seed] (and the
@@ -97,4 +98,4 @@ val run :
 val capture :
   program:Program.t -> workload:Workload.t -> words:int -> seed:int ->
   Trace.t * stats
-(** {!run} into a fresh trace buffer. *)
+(** {!run} with fresh counts, which are dropped. *)

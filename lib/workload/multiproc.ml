@@ -35,6 +35,8 @@ let run ~program ~workload ~cpus:n_cpus ~words_per_cpu ~seed ?(xcall_prob = 0.0)
     min 1 (Array.length program.Program.os.Model.handlers.(interrupt) - 1)
   in
 
+  (* Every CPU adds to one set of counts; this model reads only traces. *)
+  let counts = Engine.counts program in
   let make_cpu cpu_index =
     let g_class = Prng.split master in
     let g_os = Prng.split master in
@@ -48,8 +50,7 @@ let run ~program ~workload ~cpus:n_cpus ~words_per_cpu ~seed ?(xcall_prob = 0.0)
            (Array.to_list workload.Workload.app_instances))
     in
     let core =
-      Engine.core ~program ~workload ~instances ~g_class ~g_os ~g_app
-        ~sink:(Engine.trace_sink trace)
+      Engine.core ~program ~workload ~instances ~g_class ~g_os ~g_app ~trace ~counts
     in
     let cpu =
       {

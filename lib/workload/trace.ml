@@ -39,6 +39,8 @@ let push t v =
 
 let append t ev = push t (encode ev)
 
+let append_exec t ~image ~block = push t ((block lsl 3) lor image)
+
 let length t = t.len
 
 let exec_count t = t.execs

@@ -17,6 +17,9 @@ val create : ?capacity:int -> unit -> t
 
 val append : t -> event -> unit
 
+val append_exec : t -> image:int -> block:Block.id -> unit
+(** [append t (Exec { image; block })] without building the event. *)
+
 val length : t -> int
 (** Total event count, including invocation markers. *)
 

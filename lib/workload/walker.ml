@@ -5,7 +5,7 @@ type t = {
   arc_prob : float array;
   prng : Prng.t;
   choose : chooser;
-  on_arc : Arc.id -> unit;
+  arc_counts : float array;
   mutable current : Block.id;
   mutable running : bool;
   stack : Block.id Stack.t;
@@ -13,13 +13,15 @@ type t = {
 
 let no_choice _ _ = None
 
-let create ~graph ~arc_prob ~prng ?(choose = no_choice) ?(on_arc = ignore) () =
+let create ~graph ~arc_prob ~prng ?(choose = no_choice) ~arc_counts () =
+  if Array.length arc_counts <> Graph.arc_count graph then
+    invalid_arg "Walker.create: arc_counts is not one slot per arc";
   {
     graph;
     arc_prob;
     prng;
     choose;
-    on_arc;
+    arc_counts;
     current = 0;
     running = false;
     stack = Stack.create ();
@@ -59,7 +61,7 @@ let rec resume t b =
   end
   else begin
     let a = pick_arc t b arcs in
-    t.on_arc a;
+    t.arc_counts.(a) <- t.arc_counts.(a) +. 1.0;
     t.current <- (Graph.arc t.graph a).Arc.dst
   end
 

@@ -18,9 +18,12 @@ type chooser = Block.id -> Arc.id array -> Arc.id option
 
 val create :
   graph:Graph.t -> arc_prob:float array -> prng:Prng.t ->
-  ?choose:chooser -> ?on_arc:(Arc.id -> unit) -> unit -> t
-(** [on_arc] is invoked for every intra-routine arc the walk takes (used by
-    profiling; call/return transitions are visible as block executions). *)
+  ?choose:chooser -> arc_counts:float array -> unit -> t
+(** [arc_counts], one slot per arc of [graph], gains 1 for every
+    intra-routine arc the walk takes (the profile's arc weights;
+    call/return transitions are visible as block executions).  Walkers
+    over one image may share it.
+    @raise Invalid_argument if its length is not [Graph.arc_count graph]. *)
 
 val start : t -> Block.id -> unit
 (** Begin a new walk at the given block, discarding any previous state. *)

@@ -51,8 +51,13 @@ let test_trace_iter_exec () =
 (* Walker                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let walker ?choose g arc_prob =
+  Walker.create ~graph:g ~arc_prob ~prng:(Prng.of_int 5) ?choose
+    ~arc_counts:(Array.make (Graph.arc_count g) 0.0)
+    ()
+
 let collect_walk ?choose g arc_prob start =
-  let w = Walker.create ~graph:g ~arc_prob ~prng:(Prng.of_int 5) ?choose () in
+  let w = walker ?choose g arc_prob in
   Walker.start w start;
   let rec go acc =
     match Walker.step w with None -> List.rev acc | Some b -> go (b :: acc)
@@ -92,7 +97,7 @@ let test_walker_active_depth () =
   let lc = loop_call () in
   let arc_prob = Array.make (Graph.arc_count lc.g) 1.0 in
   arc_prob.(lc.back_edge) <- 0.0;
-  let w = Walker.create ~graph:lc.g ~arc_prob ~prng:(Prng.of_int 5) () in
+  let w = walker lc.g arc_prob in
   check_bool "inactive before start" false (Walker.active w);
   Walker.start w lc.c0;
   check_bool "active after start" true (Walker.active w);
@@ -109,21 +114,24 @@ let test_walker_active_depth () =
   check_bool "drained" true (Walker.step w = None);
   check_bool "inactive after completion" false (Walker.active w)
 
-let test_walker_on_arc () =
+let test_walker_arc_counts () =
   let d = diamond () in
   let arc_prob = Array.make (Graph.arc_count d.g) 0.0 in
   arc_prob.(d.arc_ea) <- 1.0;
   arc_prob.(d.arc_ax) <- 1.0;
-  let arcs = ref [] in
-  let w =
-    Walker.create ~graph:d.g ~arc_prob ~prng:(Prng.of_int 5)
-      ~on_arc:(fun a -> arcs := a :: !arcs)
-      ()
-  in
-  Walker.start w d.entry;
+  let arc_counts = Array.make (Graph.arc_count d.g) 0.0 in
+  let w = Walker.create ~graph:d.g ~arc_prob ~prng:(Prng.of_int 5) ~arc_counts () in
   let rec drain () = match Walker.step w with Some _ -> drain () | None -> () in
-  drain ();
-  check_bool "took the hot path arcs" true (List.rev !arcs = [ d.arc_ea; d.arc_ax ])
+  for _ = 1 to 3 do
+    Walker.start w d.entry;
+    drain ()
+  done;
+  let expected = Array.make (Graph.arc_count d.g) 0.0 in
+  expected.(d.arc_ea) <- 3.0;
+  expected.(d.arc_ax) <- 3.0;
+  check_bool "each walk counts the hot path arcs once" true (arc_counts = expected);
+  check_raises_invalid "one slot per arc" (fun () ->
+      Walker.create ~graph:d.g ~arc_prob ~prng:(Prng.of_int 5) ~arc_counts:[||] ())
 
 let test_walker_probabilistic_split () =
   let d = diamond () in
@@ -131,7 +139,7 @@ let test_walker_probabilistic_split () =
   arc_prob.(d.arc_ea) <- 0.7;
   arc_prob.(d.arc_eb) <- 0.3;
   let a_count = ref 0 and n = 5_000 in
-  let w = Walker.create ~graph:d.g ~arc_prob ~prng:(Prng.of_int 5) () in
+  let w = walker d.g arc_prob in
   for _ = 1 to n do
     Walker.start w d.entry;
     let rec drain () =
@@ -312,29 +320,58 @@ let test_engine_trace_agrees_with_stats () =
   check_int "os words agree" stats.Engine.os_words !os;
   check_int "app words agree" stats.Engine.app_words !app
 
-let test_engine_combine_sinks () =
+(* Profile.capture's profiles count exactly its own trace: per image,
+   each block's executions and their total, and on the OS image the
+   invocations, which the stats and the start markers count too. *)
+let test_profile_capture_consistency () =
   let m = model () in
-  let pairs = Workload.standard_programs m in
-  let w, p = pairs.(0) in
-  let execs = ref 0 and invs = ref 0 in
-  let counting =
-    {
-      Engine.on_exec = (fun ~image:_ ~block:_ -> incr execs);
-      on_arc = (fun ~image:_ ~arc:_ -> ());
-      on_invocation_start = (fun _ -> incr invs);
-      on_invocation_end = (fun () -> ());
-    }
-  in
-  let t = Trace.create () in
-  let sink = Engine.combine_sinks [ counting; Engine.trace_sink t ] in
-  let stats = Engine.run ~program:p ~workload:w ~words:30_000 ~seed:3 ~sink in
-  check_bool "counting sink saw execs" true (!execs > 0);
-  check_int "counting sink saw the invocations"
-    (Array.fold_left ( + ) 0 stats.Engine.invocations)
-    !invs;
-  let trace_execs = ref 0 in
-  Trace.iter_exec t (fun ~image:_ ~block:_ -> incr trace_execs);
-  check_int "both sinks saw the same stream" !execs !trace_execs
+  Array.iter
+    (fun ((w : Workload.t), p) ->
+      let trace, stats, profiles =
+        Profile.capture ~program:p ~workload:w ~words:30_000 ~seed:3
+      in
+      let execs =
+        Array.map (fun (q : Profile.t) -> Array.make (Array.length q.Profile.block) 0.0) profiles
+      in
+      let starts = ref 0 in
+      Trace.iter trace (function
+        | Trace.Exec { image; block } ->
+            execs.(image).(block) <- execs.(image).(block) +. 1.0
+        | Trace.Invocation_start _ -> incr starts
+        | Trace.Invocation_end -> ());
+      Array.iteri
+        (fun image (q : Profile.t) ->
+          let name = Printf.sprintf "%s image %d" w.Workload.name image in
+          check_bool (name ^ ": block counts are the trace's") true
+            (q.Profile.block = execs.(image));
+          check_float (name ^ ": total_blocks is the image's executions")
+            (Array.fold_left ( +. ) 0.0 execs.(image))
+            q.Profile.total_blocks)
+        profiles;
+      let os = profiles.(Program.os_image) in
+      check_float "OS invocations are the start markers" (float_of_int !starts)
+        os.Profile.invocations;
+      check_int "and the stats' invocations" !starts
+        (Array.fold_left ( + ) 0 stats.Engine.invocations))
+    (Workload.standard_programs m)
+
+(* Capture appends packed ints and bumps flat float arrays, so what it
+   allocates per event is the walker's own stepping, about 6 words; an
+   event record and callbacks per event took it to about 20. *)
+let test_profile_capture_allocation () =
+  let pairs = Workload.standard_programs (model ()) in
+  let capture (w, p) = Profile.capture ~program:p ~workload:w ~words:200_000 ~seed:3 in
+  Array.iter (fun pair -> ignore (capture pair)) pairs;
+  Array.iter
+    (fun ((w : Workload.t), p) ->
+      let before = Gc.minor_words () in
+      let trace, _, _ = capture (w, p) in
+      let words = Gc.minor_words () -. before in
+      let per_event = words /. float_of_int (Trace.exec_count trace) in
+      if per_event > 10.0 then
+        Alcotest.failf "%s: %.2f minor words per exec event (at most 10)" w.Workload.name
+          per_event)
+    pairs
 
 (* Trace identity: MD5 digests of raw event streams and profiles, pinned
    when the engine and the multiprocessor model were moved onto one
@@ -479,7 +516,7 @@ let () =
           case "follows calls" test_walker_follows_call;
           case "loop iterations via chooser" test_walker_loop_iterations;
           case "active/depth" test_walker_active_depth;
-          case "on_arc callback" test_walker_on_arc;
+          case "arc counts" test_walker_arc_counts;
           case "probabilistic split" test_walker_probabilistic_split;
         ] );
       ( "workload",
@@ -501,7 +538,8 @@ let () =
           case "mix respected" test_engine_mix_respected;
           case "context switches" test_engine_context_switches;
           case "trace agrees with stats" test_engine_trace_agrees_with_stats;
-          case "combine sinks" test_engine_combine_sinks;
+          case "profile capture consistency" test_profile_capture_consistency;
+          case "capture allocation" test_profile_capture_allocation;
           case "trace identity" test_engine_trace_identity;
           case "multiproc trace identity" test_multiproc_trace_identity;
           case "profile capture identity" test_profile_capture_identity;
