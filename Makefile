@@ -13,12 +13,18 @@ test:
 # test/test_parallel.ml) is exercised on every run.  The benchmark's
 # self-test runs each workload on a tiny context and checks its gates, so
 # a change that breaks them fails here rather than in a benchmark run.
-# The property tests also run at two fixed QCheck seeds that once drew a
-# placement that never finished, under an address-space limit so a
-# regression fails instead of exhausting the machine.
+# Each pass draws its own QCheck seed from /dev/urandom, prints it and
+# exports it as QCHECK_SEED, so a failing or hanging property run can be
+# replayed with that seed.  The property tests also run at two fixed
+# QCheck seeds that once drew a placement that never finished, under an
+# address-space limit so a regression fails instead of exhausting the
+# machine.
 check: build
-	ICACHE_JOBS=1 dune runtest --force
-	ICACHE_JOBS=4 dune runtest --force
+	for jobs in 1 4; do \
+	  seed=$$(od -An -N4 -tu4 /dev/urandom | tr -d ' '); \
+	  echo "make check: ICACHE_JOBS=$$jobs QCHECK_SEED=$$seed dune runtest --force"; \
+	  ICACHE_JOBS=$$jobs QCHECK_SEED=$$seed dune runtest --force || exit 1; \
+	done
 	for seed in 303146471 807996100; do \
 	  (ulimit -v 4000000 && QCHECK_SEED=$$seed _build/default/test/test_properties.exe) || exit 1; \
 	done

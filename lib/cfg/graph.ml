@@ -153,9 +153,7 @@ let block_words t = t.words
 let digest t =
   match Atomic.get t.digest with
   | "" ->
-      let d =
-        Digest.to_hex (Digest.string (Marshal.to_string (t.blocks, t.arcs, t.routines) []))
-      in
+      let d = Memo.digest (t.blocks, t.arcs, t.routines) in
       Atomic.set t.digest d;
       d
   | d -> d

@@ -96,10 +96,7 @@ let validate t =
       failwith (Printf.sprintf "Address_map: blocks %d and %d overlap at %d" prev b t.addr.(b))
   done;
   if t.digest = None then
-    t.digest <-
-      Some
-        (Digest.to_hex
-           (Digest.string (Marshal.to_string (t.addr, Graph.block_sizes t.graph) [])))
+    t.digest <- Some (Memo.digest (t.addr, Graph.block_sizes t.graph))
 
 let digest t =
   match t.digest with

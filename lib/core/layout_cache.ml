@@ -11,21 +11,19 @@ let set_enabled b = enabled_flag := b
 (* Loop detection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let md5 v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
 (* Not a stage: {!stage_stats} lists the layout stages only. *)
 let loops_memo : (Loops.t list * string) Memo.t = Memo.create "layout_cache.loops"
 
 let loops_entry g =
   Memo.find_or_build loops_memo (Graph.digest g) (fun () ->
       let l = Loops.find g in
-      (l, md5 l))
+      (l, Memo.digest l))
 
 let loops g = fst (loops_entry g)
 
 let loops_digest g l =
   let l', d = loops_entry g in
-  if l' == l then d else md5 l
+  if l' == l then d else Memo.digest l
 
 (* ------------------------------------------------------------------ *)
 (* Stages                                                             *)

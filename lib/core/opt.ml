@@ -83,8 +83,6 @@ let loop_mark_stage : Loopstat.info list Layout_cache.stage =
 
 let place_stage : result Layout_cache.stage = Layout_cache.stage "place"
 
-let digest_key v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
 (* Assemble a layout from the (individually cached) stage outputs.  This
    is the original monolithic construction, with sequence construction,
    raw SCF selection and the Loopstat pass factored out so they can be
@@ -200,7 +198,7 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
     List.map (fun (pass : Schedule.pass) -> seed_entry pass.Schedule.service) schedule
   in
   let seq_key =
-    digest_key (gd, pd, (schedule : Schedule.pass list), follow_calls, (seeds : Block.id list))
+    Memo.digest (gd, pd, (schedule : Schedule.pass list), follow_calls, (seeds : Block.id list))
   in
   let sequences =
     Layout_cache.find_or_build seq_stage ~key:seq_key (fun () ->
@@ -211,11 +209,11 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
      iteration threshold afterwards, so a Call-optimization build with a
      custom [exclude] still shares them. *)
   let select_scf cutoff =
-    Layout_cache.find_or_build scf_stage ~key:(digest_key (gd, pd, ld, cutoff)) (fun () ->
+    Layout_cache.find_or_build scf_stage ~key:(Memo.digest (gd, pd, ld, cutoff)) (fun () ->
         Scf.select ~graph:g ~profile:p ~loops ~cutoff)
   in
   let loop_infos () =
-    Layout_cache.find_or_build loop_mark_stage ~key:(digest_key (gd, pd, ld)) (fun () ->
+    Layout_cache.find_or_build loop_mark_stage ~key:(Memo.digest (gd, pd, ld)) (fun () ->
         Loopstat.analyze g p loops)
   in
   match exclude with
@@ -227,7 +225,7 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude
       (* [seq_key] covers graph and profile, [ld] the loop set, and the
          parameter record everything geometry-dependent, so together they
          determine the whole placement. *)
-      let place_key = digest_key (seq_key, ld, (params : params)) in
+      let place_key = Memo.digest (seq_key, ld, (params : params)) in
       Layout_cache.find_or_build place_stage ~key:place_key (fun () ->
           let r =
             assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos

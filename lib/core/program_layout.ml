@@ -32,9 +32,7 @@ let shifted_apps app_maps =
    copies, which [with_os_map] passes on as [app_addr]. *)
 let make ?app_addr ~name ~os_map ~app_maps ~os_meta () =
   let images = os_map :: Array.to_list app_maps in
-  let digest =
-    Digest.to_hex (Digest.string (String.concat "|" (List.map Address_map.digest images)))
-  in
+  let digest = Memo.digest (List.map Address_map.digest images) in
   let app_addr = match app_addr with Some a -> a | None -> shifted_apps app_maps in
   let sizes m = Graph.block_sizes (Address_map.graph m) in
   let code_map =
@@ -57,13 +55,9 @@ let os_loops model = Layout_cache.loops model.Model.graph
 let base_stage : Address_map.t Layout_cache.stage = Layout_cache.stage "base"
 
 let base_map g ~order =
-  let key =
-    Digest.to_hex
-      (Digest.string
-         (Graph.digest g ^ "|"
-         ^ Digest.to_hex (Digest.string (Marshal.to_string order []))))
-  in
-  Layout_cache.find_or_build base_stage ~key (fun () -> Base.layout g ~order)
+  Layout_cache.find_or_build base_stage
+    ~key:(Memo.digest (Graph.digest g, order))
+    (fun () -> Base.layout g ~order)
 
 let base_apps program =
   Array.map
@@ -83,7 +77,7 @@ let ch_stage : Address_map.t Layout_cache.stage = Layout_cache.stage "chang_hwu"
 
 let chang_hwu ~model ~program ~os_profile =
   let g = model.Model.graph in
-  let key = Digest.to_hex (Digest.string (Graph.digest g ^ "|" ^ Profile.digest os_profile)) in
+  let key = Memo.digest (Graph.digest g, Profile.digest os_profile) in
   make ~name:"C-H"
     ~os_map:
       (Layout_cache.find_or_build ch_stage ~key (fun () -> Chang_hwu.layout g os_profile))

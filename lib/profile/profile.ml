@@ -1,20 +1,3 @@
-module Builder = struct
-  type t = {
-    block : float array;
-    arc : float array;
-    mutable total_blocks : float;
-    mutable invocations : float;
-  }
-
-  let create g =
-    {
-      block = Array.make (Graph.block_count g) 0.0;
-      arc = Array.make (Graph.arc_count g) 0.0;
-      total_blocks = 0.0;
-      invocations = 0.0;
-    }
-end
-
 type stamp = string Atomic.t
 
 type t = {
@@ -28,27 +11,15 @@ type t = {
 let make ~block ~arc ~total_blocks ~invocations =
   { block; arc; total_blocks; invocations; stamp = Atomic.make "" }
 
-let freeze (b : Builder.t) =
-  make ~block:(Array.copy b.block) ~arc:(Array.copy b.arc) ~total_blocks:b.total_blocks
-    ~invocations:b.invocations
+let of_counts ~block ~arc ~invocations =
+  make ~block ~arc ~total_blocks:(Array.fold_left ( +. ) 0.0 block) ~invocations
 
-let thaw t =
-  {
-    Builder.block = Array.copy t.block;
-    arc = Array.copy t.arc;
-    total_blocks = t.total_blocks;
-    invocations = t.invocations;
-  }
-
-(* Nothing can write a frozen profile's counts, so its digest is computed
-   once; racing first calls compute the same string. *)
+(* Nothing can write a profile's counts, so its digest is computed once;
+   racing first calls compute the same string. *)
 let digest t =
   match Atomic.get t.stamp with
   | "" ->
-      let d =
-        Digest.to_hex
-          (Digest.string (Marshal.to_string (t.block, t.arc, t.total_blocks, t.invocations) []))
-      in
+      let d = Memo.digest (t.block, t.arc, t.total_blocks, t.invocations) in
       Atomic.set t.stamp d;
       d
   | d -> d
@@ -59,15 +30,8 @@ let capture ~program ~workload ~words ~seed =
   (* The run's count arrays become the profiles: nothing else holds them. *)
   let invocations = float_of_int (Array.fold_left ( + ) 0 stats.Engine.invocations) in
   let profile image block =
-    let arc = counts.Engine.arcs.(image) in
-    let total_blocks = Array.fold_left ( +. ) 0.0 block in
-    (* An image that never ran gets one zero constant in both fields, as
-       [Builder.create] gives them: {!digest} marshals with sharing, so
-       this keeps its digest that of an empty builder's frozen copy. *)
-    if total_blocks = 0.0 then make ~block ~arc ~total_blocks:0.0 ~invocations:0.0
-    else
-      make ~block ~arc ~total_blocks
-        ~invocations:(if Program.is_os image then invocations else 0.0)
+    of_counts ~block ~arc:counts.Engine.arcs.(image)
+      ~invocations:(if Program.is_os image then invocations else 0.0)
   in
   (trace, stats, Array.mapi profile counts.Engine.blocks)
 
@@ -80,36 +44,28 @@ let scale_to t target =
     ~arc:(Array.map (fun x -> x *. k) t.arc)
     ~total_blocks:(t.total_blocks *. k) ~invocations:(t.invocations *. k)
 
-(* [dst += k * src], rounding each product before the sum exactly as
-   adding a [scale_to] copy would, without allocating the copy. *)
-let add_scaled (dst : Builder.t) src k =
-  if Array.length dst.block <> Array.length src.block then
-    invalid_arg "Profile.accumulate: shape mismatch";
-  Array.iteri (fun i x -> dst.block.(i) <- dst.block.(i) +. (x *. k)) src.block;
-  Array.iteri (fun i x -> dst.arc.(i) <- dst.arc.(i) +. (x *. k)) src.arc;
-  dst.total_blocks <- dst.total_blocks +. (src.total_blocks *. k);
-  dst.invocations <- dst.invocations +. (src.invocations *. k)
-
-let accumulate dst src = add_scaled dst src 1.0
-
 let average = function
   | [] -> invalid_arg "Profile.average: empty list"
   | first :: _ as profiles ->
-      let acc =
-        {
-          Builder.block = Array.make (Array.length first.block) 0.0;
-          arc = Array.make (Array.length first.arc) 0.0;
-          total_blocks = 0.0;
-          invocations = 0.0;
-        }
-      in
+      let block = Array.make (Array.length first.block) 0.0 in
+      let arc = Array.make (Array.length first.arc) 0.0 in
+      let total_blocks = ref 0.0 and invocations = ref 0.0 in
+      (* [+= k * src], rounding each product before the sum exactly as
+         adding a [scale_to] copy would, without allocating the copy. *)
+      List.iter
+        (fun src ->
+          if Array.length src.block <> Array.length block then
+            invalid_arg "Profile.average: shape mismatch";
+          let k = factor src 1_000_000.0 in
+          Array.iteri (fun i x -> block.(i) <- block.(i) +. (x *. k)) src.block;
+          Array.iteri (fun i x -> arc.(i) <- arc.(i) +. (x *. k)) src.arc;
+          total_blocks := !total_blocks +. (src.total_blocks *. k);
+          invocations := !invocations +. (src.invocations *. k))
+        profiles;
       let n = float_of_int (List.length profiles) in
-      List.iter (fun p -> add_scaled acc p (factor p 1_000_000.0)) profiles;
-      (* [acc] is private to this call, so it is scaled without a freeze copy. *)
       scale_to
-        (make ~block:acc.block ~arc:acc.arc ~total_blocks:acc.total_blocks
-           ~invocations:acc.invocations)
-        (acc.total_blocks /. n)
+        (make ~block ~arc ~total_blocks:!total_blocks ~invocations:!invocations)
+        (!total_blocks /. n)
 
 let executed t b = t.block.(b) > 0.0
 

@@ -2,29 +2,14 @@
     from the trace engine, the input to every placement algorithm of the
     paper (node and arc weights of the flow graph G, Section 4).
 
-    A {!t}, the only form the placement algorithms take, is frozen: a
-    {!capture} wraps the engine's count arrays, and any other profile is
-    gathered in a mutable {!Builder.t} and {!freeze}d.  A frozen profile
-    is never written, so its {!digest}, the key every layout stage of
-    {!Layout_cache} uses, is computed once per value. *)
-
-module Builder : sig
-  type t = {
-    block : float array;  (** Executions per {!Block.id}. *)
-    arc : float array;  (** Traversals per {!Arc.id}. *)
-    mutable total_blocks : float;  (** Sum of [block]. *)
-    mutable invocations : float;
-        (** OS invocations observed while profiling (0 for application
-            images and hand-built profiles). *)
-  }
-  (** A profile being accumulated. *)
-
-  val create : Graph.t -> t
-  (** All counts zero, shaped for the graph. *)
-end
+    A {!t} is immutable: {!capture} wraps the engine's count arrays, any
+    other profile is made by {!of_counts}, and [total_blocks] is always
+    computed, never supplied.  A profile is never written, so its
+    {!digest}, the key every layout stage of {!Layout_cache} uses, is
+    computed once per value. *)
 
 type stamp
-(** The write-once slot that holds a frozen profile's {!digest}. *)
+(** The write-once slot that holds a profile's {!digest}. *)
 
 type t = private {
   block : float array;  (** Executions per {!Block.id}. *)
@@ -36,20 +21,18 @@ type t = private {
           by {!scale_to} and {!average}. *)
   stamp : stamp;
 }
-(** A frozen profile.  Its arrays are its own (no builder or capture
-    holds them) and read-only by contract: no function of this library
-    writes them. *)
+(** A profile.  Its arrays are its own (nothing else holds them) and
+    read-only by contract: no function of this library writes them. *)
 
-val freeze : Builder.t -> t
-(** A frozen copy of the builder's counts; later writes to the builder do
-    not reach it. *)
-
-val thaw : t -> Builder.t
-(** A builder holding a copy of the profile's counts. *)
+val of_counts : block:float array -> arc:float array -> invocations:float -> t
+(** The profile of these counts, taking ownership of the arrays: the
+    caller must not write them afterwards.  [total_blocks] is the left
+    fold of [( +. )] over [block] from [0.0]. *)
 
 val digest : t -> string
 (** Hex MD5 of the counts ([block], [arc], [total_blocks],
-    [invocations]).  Computed on the first call, not by {!freeze} (most
+    [invocations]), by {!Memo.digest}, so profiles with equal counts get
+    equal digests.  Computed on the first call, not by {!of_counts} (most
     profiles are never keyed), and stored in the value, so every later
     call is a field read. *)
 
@@ -57,7 +40,7 @@ val capture :
   program:Program.t -> workload:Workload.t -> words:int -> seed:int ->
   Trace.t * Engine.stats * t array
 (** One {!Engine.run}: its trace (exactly {!Engine.capture}'s for the same
-    arguments), its stats, and one frozen profile per image (index 0 =
+    arguments), its stats, and one profile per image (index 0 =
     OS) counting the same run's block executions, arcs taken and OS
     invocations.  The profiles are the run's {!Engine.counts} arrays,
     not copies.  Every trace-plus-profile capture goes through here. *)
@@ -70,9 +53,6 @@ val average : t list -> t
     total (the paper builds layouts from the average of all workload
     profiles).  @raise Invalid_argument on the empty list or mismatched
     shapes. *)
-
-val accumulate : Builder.t -> t -> unit
-(** [accumulate dst src] adds [src]'s raw counts into [dst]. *)
 
 (** {1 Derived quantities} *)
 

@@ -42,8 +42,9 @@ let to_string ~graph (p : Profile.t) =
   Buffer.contents buf
 
 let of_string ~graph:g s =
-  let p = Profile.Builder.create g in
   let blocks = Graph.block_count g and arcs = Graph.arc_count g in
+  let block = Array.make blocks 0.0 and arc = Array.make arcs 0.0 in
+  let invocations = ref 0.0 in
   let fail lineno msg =
     invalid_arg (Printf.sprintf "Profile_file: line %d: %s" lineno msg)
   in
@@ -68,18 +69,16 @@ let of_string ~graph:g s =
         | [ "shape"; b; a ] ->
             if idx lineno (blocks + 1) b <> blocks || idx lineno (arcs + 1) a <> arcs
             then fail lineno "profile shape does not match the graph"
-        | [ "invocations"; n ] -> p.Profile.Builder.invocations <- num lineno n
+        | [ "invocations"; n ] -> invocations := num lineno n
         | [ "b"; b; w ] ->
             let b = idx lineno blocks b in
-            let w = num lineno w in
-            p.Profile.Builder.block.(b) <- p.block.(b) +. w;
-            p.total_blocks <- p.total_blocks +. w
+            block.(b) <- block.(b) +. num lineno w
         | [ "a"; a; w ] ->
             let a = idx lineno arcs a in
-            p.arc.(a) <- p.arc.(a) +. num lineno w
+            arc.(a) <- arc.(a) +. num lineno w
         | _ -> fail lineno "malformed line")
     (String.split_on_char '\n' s);
-  Profile.freeze p
+  Profile.of_counts ~block ~arc ~invocations:!invocations
 
 let save path ~graph p =
   let oc = open_out path in

@@ -19,7 +19,7 @@ type t = {
 let models : Model.t Memo.t = Memo.create "kernel_model"
 
 let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
-  let spec_digest = Digest.to_hex (Digest.string (Marshal.to_string (spec : Spec.t) [])) in
+  let spec_digest = Memo.digest (spec : Spec.t) in
   let model =
     Memo.find_or_build models spec_digest (fun () ->
         Trace_log.stage "kernel_model.generate" (fun () -> Generator.generate spec))
@@ -75,7 +75,7 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
     | Some (_, p) -> p
     | None -> invalid_arg "Context.avg_app_profile: unknown application"
   in
-  let key = Digest.to_hex (Digest.string (Marshal.to_string (spec, words, seed) [])) in
+  let key = Memo.digest (spec, words, seed) in
   Manifest.set_run ~spec_seed:spec.Spec.seed
     ~spec_digest
     ~words ~seed

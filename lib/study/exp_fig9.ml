@@ -84,13 +84,11 @@ let build () =
   (* update_hrtimer is the single block u. *)
   w u 100;
   let g = Graph.freeze bld in
-  let profile = Profile.Builder.create g in
-  Hashtbl.iter (fun b v ->
-      profile.Profile.Builder.block.(b) <- v;
-      profile.total_blocks <- profile.total_blocks +. v)
-    weights;
-  List.iter (fun (a, count) -> profile.Profile.Builder.arc.(a) <- float_of_int count) !arcs;
-  (g, Profile.freeze profile, labels, p.(0))
+  let block = Array.make (Graph.block_count g) 0.0 in
+  Hashtbl.iter (fun b v -> block.(b) <- v) weights;
+  let arc = Array.make (Graph.arc_count g) 0.0 in
+  List.iter (fun (a, count) -> arc.(a) <- float_of_int count) !arcs;
+  (g, Profile.of_counts ~block ~arc ~invocations:0.0, labels, p.(0))
 
 let compute () =
   let g, profile, labels, seed = build () in

@@ -23,13 +23,11 @@ let perturb ~seed ~spread (p : Profile.t) =
       x *. Float.exp (u *. spread)
     end
   in
-  let q = Profile.thaw p in
-  (* Arcs first: the PRNG order of the record literal this replaced,
-     whose fields OCaml evaluates right to left. *)
-  Array.map_inplace noisy q.Profile.Builder.arc;
-  Array.map_inplace noisy q.block;
-  q.total_blocks <- Array.fold_left ( +. ) 0.0 q.block;
-  Profile.freeze q
+  (* Arcs before blocks: the PRNG draw order the noise golden was
+     recorded with. *)
+  let arc = Array.map noisy p.Profile.arc in
+  let block = Array.map noisy p.Profile.block in
+  Profile.of_counts ~block ~arc ~invocations:p.Profile.invocations
 
 let compute (ctx : Context.t) =
   let model = ctx.Context.model in

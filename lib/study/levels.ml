@@ -21,7 +21,7 @@ let of_string s =
         (Printf.sprintf "unknown layout level %S (expected base, ch, opts, optl or opta)"
            other)
 
-let build_uncached (ctx : Context.t) ?jobs ~params level =
+let build_uncached (ctx : Context.t) ~params level =
   let model = ctx.Context.model in
   let os_profile = ctx.Context.avg_os_profile in
   let build ((w : Workload.t), program) =
@@ -47,7 +47,7 @@ let build_uncached (ctx : Context.t) ?jobs ~params level =
   (* Every workload of a level shares one OS placement; the stage memos
      are single-flight, so the first pair to reach it builds it and the
      rest wait for it instead of rebuilding it. *)
-  Parallel.map_array ?jobs (fun _ pair -> build pair) ctx.Context.pairs
+  Parallel.map_array (fun _ pair -> build pair) ctx.Context.pairs
 
 (* Layout construction is deterministic in (context, level, params) and
    several experiments rebuild the same five levels, so memoize.  Layouts
@@ -64,8 +64,7 @@ let build ctx ?(params = Opt.params ()) level =
   let params_part =
     match level with
     | Base | CH -> "-"
-    | OptS | OptL | OptA ->
-        Digest.to_hex (Digest.string (Marshal.to_string (params : Opt.params) []))
+    | OptS | OptL | OptA -> Memo.digest (params : Opt.params)
   in
   let key = Context.key ctx ^ "|" ^ to_string level ^ "|" ^ params_part in
   Memo.find_or_build memo key (fun () ->

@@ -29,10 +29,10 @@ val clear : unit -> unit
     [levels] counters keep their totals. *)
 
 val build_uncached :
-  Context.t -> ?jobs:int -> params:Opt.params -> level -> Program_layout.t array
+  Context.t -> params:Opt.params -> level -> Program_layout.t array
 (** The construction behind {!build}, bypassing the whole-array memo (the
     staged {!Layout_cache} layer still applies unless disabled).  The
-    workloads fan out over [jobs] domains; the one that reaches the
+    workloads fan out over the [--jobs] domains; the one that reaches the
     shared OS placement first builds it and the others wait for it
     (the stage memos are single-flight).  Exposed for the
     staged-equals-monolithic equivalence tests. *)

@@ -66,7 +66,8 @@ val print : report -> unit
 (** [render_text] to stdout (the experiment drivers' [run]). *)
 
 val section_banner : string -> string
-(** The ["=== title ==="] banner line group (exposed for {!Report}). *)
+(** The ["=== title ==="] banner line group that opens every rendered
+    report. *)
 
 (** {1 JSON} *)
 

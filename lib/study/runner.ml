@@ -89,14 +89,14 @@ let replay ~trace ~map systems =
   count_call ~members:n ~simulated:n ~groups:1 ~passes:1 ~events:(Trace.length trace)
 
 let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
-    ?(warmup_fraction = default_warmup_fraction) ?jobs () =
+    ?(warmup_fraction = default_warmup_fraction) () =
   (* Each workload's replay is independent: a fresh System.t per slot, the
      shared trace/layout data is immutable, and results merge by index —
      so the output is bit-identical for every job count. *)
   Trace_log.stage "simulate"
     ~args:[ ("workloads", Json.Int (Array.length ctx.Context.pairs)) ]
   @@ fun () ->
-  Parallel.map_array ?jobs
+  Parallel.map_array
     (fun i ((w : Workload.t), program) ->
       (pass ~workload:w.Workload.name
          ?attribute:(if attribute_os then Some program else None)
@@ -106,7 +106,7 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
     ctx.Context.pairs
 
 let batch ctx ~members ?(attribute_os = false)
-    ?(warmup_fraction = default_warmup_fraction) ?jobs () =
+    ?(warmup_fraction = default_warmup_fraction) () =
   if attribute_os && Array.exists (function _, System.Victim _ -> true | _ -> false) members
   then invalid_arg "Runner.batch: victim caches support no per-block attribution";
   let n = Array.length members in
@@ -158,7 +158,7 @@ let batch ctx ~members ?(attribute_os = false)
        passes spread evenly over the runners; results merge by index. *)
     let ngroups = Array.length groups in
     let passes =
-      Parallel.map_array ?jobs
+      Parallel.map_array
         (fun t () ->
           let i = t / ngroups and group = groups.(t mod ngroups) in
           let (w : Workload.t), program = ctx.Context.pairs.(i) in

@@ -5,9 +5,8 @@
     matching the paper's mid-execution hardware traces ("misses caused by
     first-time references are negligible").
 
-    Workloads replay concurrently on up to [jobs] domains (default
-    {!Parallel.default_jobs}, i.e. [--jobs]/[ICACHE_JOBS] or the core
-    count).  Every domain owns a fresh {!System.t} and results merge in
+    Workloads replay concurrently on up to {!Parallel.default_jobs}
+    domains ([--jobs]/[ICACHE_JOBS] or the core count).  Every domain owns a fresh {!System.t} and results merge in
     workload order, so counters and per-block miss arrays are bit-identical
     across job counts — [test/test_parallel.ml] asserts this. *)
 
@@ -34,7 +33,7 @@ type run = Sim_cache.entry = {
 
 val batch :
   Context.t -> members:(Program_layout.t array * System.spec) array ->
-  ?attribute_os:bool -> ?warmup_fraction:float -> ?jobs:int -> unit ->
+  ?attribute_os:bool -> ?warmup_fraction:float -> unit ->
   run array array
 (** Fused sweep: simulate every (per-workload layouts, cache system)
     member, replaying each workload trace {e once per distinct placement}
@@ -58,7 +57,7 @@ val batch :
 
 val simulate_batch :
   Context.t -> members:(Program_layout.t array * Config.t) array ->
-  ?attribute_os:bool -> ?warmup_fraction:float -> ?jobs:int -> unit ->
+  ?attribute_os:bool -> ?warmup_fraction:float -> unit ->
   run array array
 (** {!batch} over unified caches of the given geometries. *)
 
@@ -72,7 +71,7 @@ val replay : trace:Trace.t -> map:Replay.code_map -> System.t array -> unit
 val simulate :
   Context.t -> layouts:Program_layout.t array ->
   system:(unit -> System.t) ->
-  ?attribute_os:bool -> ?warmup_fraction:float -> ?jobs:int -> unit ->
+  ?attribute_os:bool -> ?warmup_fraction:float -> unit ->
   run array
 (** One run per workload.  [system] builds a fresh cache system per
     workload (it is called from worker domains, so it must not capture

@@ -2,20 +2,10 @@ type entry = { counters : Counters.t; os_block_misses : int array }
 
 type key = string
 
+(* The runtime representation covers every field of the spec, including
+   a Random policy's seed (Config.to_string does not). *)
 let key ~context ~layouts ~spec ~warmup_fraction ~attribute_os =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf context;
-  Array.iter
-    (fun d ->
-      Buffer.add_char buf '|';
-      Buffer.add_string buf d)
-    layouts;
-  Buffer.add_char buf '|';
-  (* The runtime representation covers every field of the spec, including
-     a Random policy's seed (Config.to_string does not). *)
-  Buffer.add_string buf (Marshal.to_string (spec : System.spec) []);
-  Buffer.add_string buf (Printf.sprintf "|%.17g|%b" warmup_fraction attribute_os);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Memo.digest (context, layouts, (spec : System.spec), warmup_fraction, attribute_os)
 
 let memo : entry array Memo.t = Memo.create "sim_cache"
 

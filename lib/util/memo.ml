@@ -12,6 +12,8 @@ type 'a t = {
 
 type stats = { hits : int; misses : int }
 
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
 let create name =
   let counter suffix = Metrics_registry.counter (name ^ suffix) in
   {
@@ -28,14 +30,6 @@ let count t ~hits ~misses =
   Metrics_registry.incr ~by:hits t.hit_count;
   Metrics_registry.incr ~by:misses t.miss_count
 
-let find t key =
-  let v =
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.table key with Some (Done v) -> Some v | _ -> None)
-  in
-  if Option.is_some v then count t ~hits:1 ~misses:0 else count t ~hits:0 ~misses:1;
-  v
-
 (* Caller holds the lock.  Fills [key] unless a value is already there and
    returns what the table holds afterwards. *)
 let store t key v =
@@ -45,8 +39,6 @@ let store t key v =
       Hashtbl.replace t.table key (Done v);
       Condition.broadcast t.built;
       v
-
-let add t key v = Mutex.protect t.lock (fun () -> ignore (store t key v))
 
 (* Caller holds the lock.  Drop this caller's unfinished claims, so a
    waiter claims the key itself. *)

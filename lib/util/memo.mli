@@ -1,6 +1,6 @@
 (** Named, domain-safe, single-flight, content-addressed memo table.
 
-    Keys are strings — in practice hex digests of exactly the inputs the
+    Keys are strings — in practice {!digest}s of exactly the inputs the
     memoized computation consumes — so equal keys stand for equal values
     and a stored value may be handed to every caller.  Each table guards
     its own [Hashtbl] with its own mutex; builds run outside the lock.
@@ -30,17 +30,15 @@ type 'a t
 
 type stats = { hits : int; misses : int }
 
+val digest : 'a -> string
+(** Hex MD5 of the value's marshalled content, without sharing: two
+    values with equal content get equal digests however their parts are
+    shared.  The one way this library turns a value into a key.  The
+    value must be acyclic and hold no closures (marshalling loops on a
+    cycle and raises on a closure). *)
+
 val create : string -> 'a t
 (** A fresh, empty table named [name] (see above for its counters). *)
-
-val find : 'a t -> string -> 'a option
-(** The stored value, if any, without waiting: a key still being built
-    reads as absent.  Counts one lookup: a hit or a miss. *)
-
-val add : 'a t -> string -> 'a -> unit
-(** Store [v] under [key] unless a value is already there: the first
-    writer wins and later writers are ignored (a build in flight for the
-    key then returns the added value).  Counts no lookup. *)
 
 val find_or_build : 'a t -> string -> (unit -> 'a) -> 'a
 (** The stored value, or [build ()] stored and returned, single-flight

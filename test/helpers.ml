@@ -18,6 +18,13 @@ let case name f = Alcotest.test_case name `Quick f
 
 let qcheck cell = QCheck_alcotest.to_alcotest cell
 
+(* Run [f] with [jobs] as the default domain count, restoring the old one
+   afterwards. *)
+let with_jobs jobs f =
+  let saved = Parallel.default_jobs () in
+  Parallel.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Parallel.set_jobs saved) f
+
 (* ------------------------------------------------------------------ *)
 (* Hand-built flow graphs.                                            *)
 (* ------------------------------------------------------------------ *)
@@ -90,34 +97,31 @@ let loop_call () =
   let g = Graph.freeze bld in
   { g; caller; callee; c0; c1; c2; c3; c4; l0; l1; back_edge }
 
-(* A profile with explicit block/arc weights over a graph, before and
-   after freezing. *)
-let builder_of g block_weights arc_weights =
-  let p = Profile.Builder.create g in
-  List.iter
-    (fun (b, w) ->
-      p.Profile.Builder.block.(b) <- w;
-      p.total_blocks <- p.total_blocks +. w)
-    block_weights;
-  List.iter (fun (a, w) -> p.Profile.Builder.arc.(a) <- w) arc_weights;
-  p
-
-let profile_of g block_weights arc_weights =
-  Profile.freeze (builder_of g block_weights arc_weights)
+(* A profile with explicit block/arc weights over a graph. *)
+let profile_of ?(invocations = 0.0) g block_weights arc_weights =
+  let block = Array.make (Graph.block_count g) 0.0 in
+  List.iter (fun (b, w) -> block.(b) <- w) block_weights;
+  let arc = Array.make (Graph.arc_count g) 0.0 in
+  List.iter (fun (a, w) -> arc.(a) <- w) arc_weights;
+  Profile.of_counts ~block ~arc ~invocations
 
 (* Digests recomputed from a value's content, never read from the value:
-   the references the stored digests must keep equalling. *)
+   the references the stored digests must keep equalling.  [md5_of]
+   marshals with sharing, as the pinned trace digests were computed;
+   [content_md5] without, as every library key is. *)
 let md5_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
+let content_md5 v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
 let profile_content_digest (p : Profile.t) =
-  md5_of (p.Profile.block, p.Profile.arc, p.Profile.total_blocks, p.Profile.invocations)
+  content_md5 (p.Profile.block, p.Profile.arc, p.Profile.total_blocks, p.Profile.invocations)
 
 (* Sizes read block by block, not through the shared Graph.block_sizes
    array, so a write to that array shows up here. *)
 let sizes_of g = Array.init (Graph.block_count g) (fun b -> (Graph.block g b).Block.size)
 
 let map_content_digest m =
-  md5_of (Address_map.addr_array m, sizes_of (Address_map.graph m))
+  content_md5 (Address_map.addr_array m, sizes_of (Address_map.graph m))
 
 (* ------------------------------------------------------------------ *)
 (* Memoized expensive fixtures.                                       *)

@@ -83,9 +83,7 @@ let test_address_map_seal () =
   check_raises_invalid "place after validate" (fun () ->
       Address_map.place m d.b ~addr:512 ~region:Address_map.Cold);
   check_string "digest covers addresses and sizes"
-    (Digest.to_hex
-       (Digest.string
-          (Marshal.to_string (Address_map.addr_array m, Address_map.bytes_array m) [])))
+    (content_md5 (Address_map.addr_array m, Address_map.bytes_array m))
     (Address_map.digest m);
   Address_map.validate m;
   check_bool "revalidating keeps the recorded digest" true
@@ -251,12 +249,12 @@ let test_sequence_seed_first () =
 (* ------------------------------------------------------------------ *)
 
 (* The loop_call profile again: 10 invocations, 3 iterations each. *)
-let scf_profile (lc : loop_call) =
+let scf_profile ?invocations (lc : loop_call) =
   let arcs b = Array.to_list (Graph.out_arcs lc.g b) in
   let arc_between src dst =
     List.find (fun a -> (Graph.arc lc.g a).Arc.dst = dst) (arcs src)
   in
-  profile_of lc.g
+  profile_of ?invocations lc.g
     [
       (lc.c0, 10.0); (lc.c1, 30.0); (lc.c2, 30.0); (lc.c3, 30.0); (lc.c4, 10.0);
       (lc.l0, 30.0); (lc.l1, 30.0);
@@ -290,9 +288,7 @@ let test_scf_loop_discount () =
 
 let test_scf_invocation_relative () =
   let lc = loop_call () in
-  let p = Profile.thaw (scf_profile lc) in
-  p.Profile.Builder.invocations <- 10.0;
-  let p = Profile.freeze p in
+  let p = scf_profile ~invocations:10.0 lc in
   let loops = Loops.find lc.g in
   (* Per-invocation rates: c0/c4 = 1, loop body adjusted = 1, callee = 3. *)
   let hot = Scf.select ~graph:lc.g ~profile:p ~loops ~cutoff:2.0 in

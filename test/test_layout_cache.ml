@@ -12,12 +12,16 @@ let digests layouts = Array.map Program_layout.digest layouts
 let check_digests name a b =
   Alcotest.(check (array string)) name (digests a) (digests b)
 
+(* The workloads' builds fan out over [jobs] domains, one by default. *)
+let build_uncached ?(jobs = 1) ctx ~params level =
+  with_jobs jobs (fun () -> Levels.build_uncached ctx ~params level)
+
 (* Monolithic reference: every stage cache bypassed, strictly sequential. *)
 let monolithic ctx ~params level =
   Layout_cache.set_enabled false;
   Fun.protect
     ~finally:(fun () -> Layout_cache.set_enabled true)
-    (fun () -> Levels.build_uncached ctx ~jobs:1 ~params level)
+    (fun () -> build_uncached ctx ~params level)
 
 let stage name = List.assoc name (Layout_cache.stage_stats ())
 
@@ -44,9 +48,9 @@ let prop_staged_equals_monolithic =
          served entirely from the placement stage. *)
       Layout_cache.clear ();
       let before = total_misses () in
-      let cold = Levels.build_uncached ctx ~jobs ~params level in
+      let cold = build_uncached ctx ~jobs ~params level in
       let cold_misses = total_misses () in
-      let warm = Levels.build_uncached ctx ~jobs ~params level in
+      let warm = build_uncached ctx ~jobs ~params level in
       digests reference = digests cold
       && digests cold = digests warm
       (* Every level builds at least its OS placement into the cold caches
@@ -61,11 +65,11 @@ let prop_staged_equals_monolithic =
 let test_geometry_sweep_shares_sequences () =
   let ctx = Lazy.force small_context in
   Layout_cache.clear ();
-  ignore (Levels.build_uncached ctx ~jobs:1 ~params:(Opt.params ()) Levels.OptS);
+  ignore (build_uncached ctx ~params:(Opt.params ()) Levels.OptS);
   let seq0 = stage "sequences" in
   let scf0 = stage "scf" in
   let params = Opt.params ~cache_size:4096 () in
-  let swept = Levels.build_uncached ctx ~jobs:1 ~params Levels.OptS in
+  let swept = build_uncached ctx ~params Levels.OptS in
   let seq1 = stage "sequences" in
   let scf1 = stage "scf" in
   check_int "cache-size sweep builds no new sequences" seq0.Layout_cache.misses
@@ -80,11 +84,11 @@ let test_geometry_sweep_shares_sequences () =
 let test_cutoff_sweep_shares_sequences () =
   let ctx = Lazy.force small_context in
   Layout_cache.clear ();
-  ignore (Levels.build_uncached ctx ~jobs:1 ~params:(Opt.params ()) Levels.OptS);
+  ignore (build_uncached ctx ~params:(Opt.params ()) Levels.OptS);
   let seq0 = stage "sequences" in
   let scf0 = stage "scf" in
   let params = Opt.params ~scf_cutoff:(Some 0.25) () in
-  let swept = Levels.build_uncached ctx ~jobs:1 ~params Levels.OptS in
+  let swept = build_uncached ctx ~params Levels.OptS in
   let seq1 = stage "sequences" in
   let scf1 = stage "scf" in
   check_int "cutoff sweep builds no new sequences" seq0.Layout_cache.misses
@@ -98,15 +102,15 @@ let test_cutoff_sweep_shares_sequences () =
 let test_cross_level_sharing () =
   let ctx = Lazy.force small_context in
   Layout_cache.clear ();
-  let opt_s = Levels.build_uncached ctx ~jobs:1 ~params:(Opt.params ()) Levels.OptS in
+  let opt_s = build_uncached ctx ~params:(Opt.params ()) Levels.OptS in
   let seq0 = stage "sequences" in
-  let opt_l = Levels.build_uncached ctx ~jobs:1 ~params:(Opt.params ()) Levels.OptL in
+  let opt_l = build_uncached ctx ~params:(Opt.params ()) Levels.OptL in
   let seq1 = stage "sequences" in
   check_int "OptL reuses OptS's sequences" seq0.Layout_cache.misses
     seq1.Layout_cache.misses;
   check_digests "OptL == its monolithic reference" opt_l
     (monolithic ctx ~params:(Opt.params ()) Levels.OptL);
-  let opt_a = Levels.build_uncached ctx ~jobs:1 ~params:(Opt.params ()) Levels.OptA in
+  let opt_a = build_uncached ctx ~params:(Opt.params ()) Levels.OptA in
   check_bool "OptA's OS placement is physically OptS's" true
     (opt_a.(0).Program_layout.os_map == opt_s.(0).Program_layout.os_map)
 
@@ -115,8 +119,8 @@ let test_cross_level_sharing () =
    per (workload, level) was pure waste. *)
 let test_base_app_maps_shared () =
   let ctx = Lazy.force small_context in
-  let base = Levels.build_uncached ctx ~jobs:1 ~params:(Opt.params ()) Levels.Base in
-  let ch = Levels.build_uncached ctx ~jobs:1 ~params:(Opt.params ()) Levels.CH in
+  let base = build_uncached ctx ~params:(Opt.params ()) Levels.Base in
+  let ch = build_uncached ctx ~params:(Opt.params ()) Levels.CH in
   (* Workloads 0 (trfd_4) and 1 (trfd_make) both run the trfd image. *)
   check_bool "same app image shares one map across workloads" true
     (base.(0).Program_layout.app_maps.(0) == base.(1).Program_layout.app_maps.(0));
@@ -177,8 +181,8 @@ let test_loops_race_free () =
 let test_counter_invariants () =
   let ctx = Lazy.force small_context in
   Layout_cache.clear ();
-  ignore (Levels.build_uncached ctx ~jobs:4 ~params:(Opt.params ()) Levels.OptA);
-  ignore (Levels.build_uncached ctx ~jobs:1 ~params:(Opt.params ()) Levels.OptA);
+  ignore (build_uncached ctx ~jobs:4 ~params:(Opt.params ()) Levels.OptA);
+  ignore (build_uncached ctx ~params:(Opt.params ()) Levels.OptA);
   List.iter
     (fun (name, (s : Layout_cache.stats)) ->
       check_bool (name ^ ": hits >= 0") true (s.Layout_cache.hits >= 0);

@@ -31,9 +31,10 @@ let test_runner_determinism () =
   let simulate jobs =
     (* Through the uncached [simulate] entry point, so every job count
        actually replays rather than hitting Sim_cache. *)
-    Runner.simulate ctx ~layouts
-      ~system:(fun () -> System.unified config)
-      ~attribute_os:true ~jobs ()
+    with_jobs jobs (fun () ->
+        Runner.simulate ctx ~layouts
+          ~system:(fun () -> System.unified config)
+          ~attribute_os:true ())
   in
   let seq = simulate 1 in
   check_int "one run per workload" (Context.workload_count ctx) (Array.length seq);
@@ -55,10 +56,9 @@ let test_runner_totals () =
   let ctx = Lazy.force ctx_seq in
   let layouts = Levels.build ctx Levels.Base in
   let totals jobs =
-    Runner.total
-      (Runner.simulate ctx ~layouts
-         ~system:(fun () -> System.unified config)
-         ~jobs ())
+    with_jobs jobs (fun () ->
+        Runner.total
+          (Runner.simulate ctx ~layouts ~system:(fun () -> System.unified config) ()))
   in
   check_counters "merged totals" (totals 1) (totals 4)
 
@@ -146,11 +146,6 @@ let test_sim_cache_copies () =
     (Counters.refs r2.(0).Runner.counters)
 
 (* --- Experiments that fan out: reports identical across job counts - *)
-
-let with_jobs jobs f =
-  let saved = Parallel.default_jobs () in
-  Parallel.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Parallel.set_jobs saved) f
 
 let test_reports_identical () =
   let ctx = Lazy.force ctx_seq in

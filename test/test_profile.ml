@@ -84,36 +84,28 @@ let test_profile_scale_average () =
 let test_profile_average_invalid () =
   check_raises_invalid "empty average" (fun () -> ignore (Profile.average []))
 
-let test_profile_accumulate () =
+(* [of_counts] wraps the arrays it is given, computes the total from the
+   block counts, and keys the result by content. *)
+let test_profile_of_counts () =
   let lc = loop_call () in
-  let a = Profile.thaw (loop_profile lc) and b = loop_profile lc in
-  Profile.accumulate a b;
-  check_close 1e-9 "doubled" 20.0 a.Profile.Builder.block.(lc.c0)
-
-(* A frozen profile owns its counts: writes to the builder it came from
-   reach neither the counts nor the digest. *)
-let test_profile_freeze_isolates () =
-  let lc = loop_call () in
-  let b = builder_of lc.g [ (lc.c0, 10.0); (lc.c1, 30.0) ] [ (0, 10.0) ] in
-  let p = Profile.freeze b in
-  let before = profile_content_digest p in
-  check_string "digest is the content's" before (Profile.digest p);
-  b.Profile.Builder.block.(lc.c0) <- 99.0;
-  b.arc.(0) <- 99.0;
-  b.total_blocks <- 1.0;
-  b.invocations <- 5.0;
-  check_float "block count kept" 10.0 p.Profile.block.(lc.c0);
-  check_float "arc count kept" 10.0 p.Profile.arc.(0);
-  check_float "total kept" 40.0 p.Profile.total_blocks;
-  check_float "invocations kept" 0.0 p.Profile.invocations;
-  check_string "content unchanged" before (profile_content_digest p);
-  check_string "digest unchanged" before (Profile.digest p);
+  let block = Array.make (Graph.block_count lc.g) 0.0 in
+  block.(lc.c0) <- 10.0;
+  block.(lc.c1) <- 30.0;
+  let arc = Array.make (Graph.arc_count lc.g) 0.0 in
+  arc.(0) <- 10.0;
+  let p = Profile.of_counts ~block ~arc ~invocations:5.0 in
+  check_bool "the block array is wrapped" true (p.Profile.block == block);
+  check_bool "the arc array is wrapped" true (p.Profile.arc == arc);
+  check_float "total is the block sum" 40.0 p.Profile.total_blocks;
+  check_float "invocations kept" 5.0 p.Profile.invocations;
+  check_string "digest is the content's" (profile_content_digest p) (Profile.digest p);
   check_bool "digest stored, not recomputed" true (Profile.digest p == Profile.digest p);
-  check_bool "a thawed copy is its own" true
-    ((Profile.thaw p).Profile.Builder.block != p.Profile.block)
+  check_string "a copy has the same digest" (Profile.digest p)
+    (Profile.digest
+       (Profile.of_counts ~block:(Array.copy block) ~arc:(Array.copy arc) ~invocations:5.0))
 
 (* Equal content gives an equal digest and unequal content an unequal
-   one, across every way a frozen profile is made.  Content is compared
+   one, across every way a profile is made.  Content is compared
    bit for bit, as the digest sees it. *)
 let bits_equal a b =
   Array.length a = Array.length b
@@ -133,13 +125,9 @@ let prop_digest_is_content =
     QCheck.(quad (weights blocks) (weights arcs) (weights blocks) (int_bound 2))
     (fun (bw, aw, bw', inv) ->
       let make bw =
-        let b =
-          builder_of lc.g
-            (List.init blocks (fun i -> (i, float_of_int bw.(i))))
-            (List.init arcs (fun i -> (i, float_of_int aw.(i))))
-        in
-        b.Profile.Builder.invocations <- float_of_int inv;
-        Profile.freeze b
+        profile_of ~invocations:(float_of_int inv) lc.g
+          (List.init blocks (fun i -> (i, float_of_int bw.(i))))
+          (List.init arcs (fun i -> (i, float_of_int aw.(i))))
       in
       let p = make bw and q = make bw' in
       let round_trip p =
@@ -363,9 +351,8 @@ let () =
           case "executed counts" test_profile_executed_counts;
           case "scale/average" test_profile_scale_average;
           case "average invalid" test_profile_average_invalid;
-          case "accumulate" test_profile_accumulate;
           case "collect consistency" test_profile_collect_consistency;
-          case "freeze isolates the builder" test_profile_freeze_isolates;
+          case "of_counts sums the blocks" test_profile_of_counts;
           qcheck prop_digest_is_content;
         ] );
       ( "arcstat",

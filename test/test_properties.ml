@@ -185,15 +185,15 @@ let case_builds c =
   let p =
     if not c.perturb then p
     else
-      let q = Profile.thaw p in
-      Array.iteri
-        (fun b x ->
-          q.Profile.Builder.block.(b) <-
-            (if b mod 5 = 0 then -.float_of_int (b mod 7)
-             else if b mod 5 = 1 && x = 0.0 then float_of_int (b mod 4)
-             else x))
-        p.Profile.block;
-      Profile.freeze q
+      let block =
+        Array.mapi
+          (fun b x ->
+            if b mod 5 = 0 then -.float_of_int (b mod 7)
+            else if b mod 5 = 1 && x = 0.0 then float_of_int (b mod 4)
+            else x)
+          p.Profile.block
+      in
+      Profile.of_counts ~block ~arc:p.Profile.arc ~invocations:p.Profile.invocations
   in
   let loops = Layout_cache.loops g in
   let seed_entry s = (Model.seed_for m s).Model.entry in

@@ -462,6 +462,19 @@ let registry_trio name =
   in
   (get ".hits", get ".misses", get ".lookups")
 
+(* Boxed floats: one shared by both components, or two equal ones. *)
+let test_memo_digest_ignores_sharing () =
+  let x = Float.of_string "0.0" in
+  let shared = (x, x, [| 1; 2 |]) and unshared = (x, Float.of_string "0.0", [| 1; 2 |]) in
+  let a, b, _ = shared and a', b', _ = unshared in
+  check_bool "shared components are one block" true (Obj.repr a == Obj.repr b);
+  check_bool "unshared components are two" false (Obj.repr a' == Obj.repr b');
+  check_bool "marshalling with sharing tells them apart" true
+    (Marshal.to_string shared [] <> Marshal.to_string unshared []);
+  check_string "equal digests" (Memo.digest unshared) (Memo.digest shared);
+  check_bool "unequal content, unequal digests" true
+    (Memo.digest shared <> Memo.digest (x, x, [| 2; 1 |]))
+
 let test_memo_race () =
   let m : int array Memo.t = Memo.create "test.memo_race" in
   let builds = Atomic.make 0 in
@@ -477,9 +490,7 @@ let test_memo_race () =
         Array.make 4 7)
   in
   let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn racer)) in
-  let stored =
-    match Memo.find m "k" with Some v -> v | None -> Alcotest.fail "nothing stored"
-  in
+  let stored = Memo.find_or_build m "k" (fun () -> Alcotest.fail "nothing stored") in
   check_bool "at least one build" true (Atomic.get builds >= 1);
   List.iteri
     (fun i v ->
@@ -489,35 +500,25 @@ let test_memo_race () =
 let test_memo_counters () =
   let name = "test.memo_counters" in
   let m = Memo.create name in
-  ignore (Memo.find m "a");
   ignore (Memo.find_or_build m "a" (fun () -> 1));
   ignore (Memo.find_or_build m "a" (fun () -> 2));
-  ignore (Memo.find m "a");
-  ignore (Memo.find m "b");
+  ignore (Memo.find_or_build m "b" (fun () -> 3));
+  ignore (Memo.find_or_build m "a" (fun () -> 4));
   let h, mi, l = registry_trio name in
   check_int "hits" 2 h;
-  check_int "misses" 3 mi;
+  check_int "misses" 2 mi;
   check_int "hits + misses = lookups" l (h + mi);
   let s = Memo.stats m in
   check_int "stats.hits reads the registry" h s.Memo.hits;
   check_int "stats.misses reads the registry" mi s.Memo.misses
 
-let test_memo_add_first_writer_wins () =
-  let m = Memo.create "test.memo_add" in
-  Memo.add m "k" "first";
-  Memo.add m "k" "second";
-  check_bool "second writer ignored" true (Memo.find m "k" = Some "first");
-  check_string "find_or_build serves the stored value" "first"
-    (Memo.find_or_build m "k" (fun () -> "built"))
-
 let test_memo_clear () =
   let m = Memo.create "test.memo_clear" in
-  Memo.add m "a" 1;
-  Memo.add m "b" 2;
+  ignore (Memo.find_or_build m "a" (fun () -> 1));
+  ignore (Memo.find_or_build m "b" (fun () -> 2));
   Memo.clear m;
-  check_bool "a gone" true (Memo.find m "a" = None);
-  check_bool "b gone" true (Memo.find m "b" = None);
-  check_int "rebuilt after clear" 3 (Memo.find_or_build m "a" (fun () -> 3))
+  check_int "a rebuilt after clear" 3 (Memo.find_or_build m "a" (fun () -> 3));
+  check_int "b rebuilt after clear" 4 (Memo.find_or_build m "b" (fun () -> 4))
 
 let test_memo_single_flight () =
   let name = "test.memo_single_flight" in
@@ -576,7 +577,8 @@ let test_memo_raise_releases () =
 let test_memo_build_all () =
   let name = "test.memo_build_all" in
   let m : string Memo.t = Memo.create name in
-  Memo.add m "a" "A";
+  ignore (Memo.find_or_build m "a" (fun () -> "A"));
+  let h0, mi0, l0 = registry_trio name in
   let calls = ref [] in
   let build claimed =
     calls := claimed :: !calls;
@@ -587,9 +589,9 @@ let test_memo_build_all () =
   check_bool "values by index" true (got = [| "A"; "built1"; "A"; "built3"; "built1" |]);
   check_bool "repeats share the built value" true (got.(1) == got.(4));
   let h, mi, l = registry_trio name in
-  check_int "two keys built" 2 mi;
-  check_int "stored and repeated keys hit" 3 h;
-  check_int "one lookup per key" 5 l;
+  check_int "two keys built" 2 (mi - mi0);
+  check_int "stored and repeated keys hit" 3 (h - h0);
+  check_int "one lookup per key" 5 (l - l0);
   calls := [];
   ignore (Memo.find_or_build_all m [| "c"; "a" |] build);
   check_bool "no build when everything is stored" true (!calls = []);
@@ -735,9 +737,9 @@ let () =
         ] );
       ( "memo",
         [
+          case "digest ignores sharing" test_memo_digest_ignores_sharing;
           case "racing builders share one value" test_memo_race;
           case "registry counters" test_memo_counters;
-          case "add: first writer wins" test_memo_add_first_writer_wins;
           case "clear empties the table" test_memo_clear;
           case "single flight: one build, one miss" test_memo_single_flight;
           case "a raising build releases its key" test_memo_raise_releases;

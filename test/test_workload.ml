@@ -478,12 +478,24 @@ let test_multiproc_trace_identity () =
            (Array.to_list pairs))
        [ 0.0; 0.5 ])
 
+(* The profile pins hash the counts' float bits directly, not through
+   Profile.digest, so a change to how profiles are keyed cannot move them:
+   only a change to what a capture counts can. *)
+let profile_bits_md5 (p : Profile.t) =
+  let b = Buffer.create (8 * (Array.length p.Profile.block + Array.length p.Profile.arc + 2)) in
+  let add x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  Array.iter add p.Profile.block;
+  Array.iter add p.Profile.arc;
+  add p.Profile.total_blocks;
+  add p.Profile.invocations;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let profile_digests =
   [
-    ("TRFD_4 profiles", "360652636fa950fee66965b0dbec394e");
-    ("TRFD+Make profiles", "94ec2caa8b68dbc481088a23473e919a");
-    ("ARC2D+Fsck profiles", "d6017b96a06c488450a618558094f2ae");
-    ("Shell profiles", "eeddf0c0c75ef86e969306971f44e289");
+    ("TRFD_4 profiles", "ef609938a0c111cc3d2aed5221ea4192");
+    ("TRFD+Make profiles", "7e076cd32864e019cf6e59a028f65bee");
+    ("ARC2D+Fsck profiles", "0e6f43d841a2ccdf2bc468fae6414859");
+    ("Shell profiles", "e34754e476b14a1ad700fed1d99f943d");
   ]
 
 let test_profile_capture_identity () =
@@ -499,8 +511,34 @@ let test_profile_capture_identity () =
             check_string "the trace is Engine.capture's"
               (md5_of (events_md5 trace', stats'))
               (md5_of (events_md5 trace, stats));
-            (Printf.sprintf "%s profiles" w.Workload.name, md5_of (Array.map Profile.digest profiles)))
+            ( Printf.sprintf "%s profiles" w.Workload.name,
+              Digest.to_hex
+                (Digest.string
+                   (String.concat "," (Array.to_list (Array.map profile_bits_md5 profiles)))) ))
           pairs))
+
+(* Profiles are keyed by content: a copy of each captured profile rebuilt
+   through [of_counts] digests like it, including ARC2D+Fsck's image 2,
+   which never runs at these settings, so its zero total and invocations
+   are separately computed floats. *)
+let test_profile_digest_is_content () =
+  let pairs = Workload.standard_programs (model ()) in
+  Array.iter
+    (fun ((w : Workload.t), program) ->
+      let _, _, profiles = Profile.capture ~program ~workload:w ~words:40_000 ~seed:11 in
+      if w.Workload.name = "ARC2D+Fsck" then
+        check_float "ARC2D+Fsck image 2 never runs" 0.0 profiles.(2).Profile.total_blocks;
+      Array.iteri
+        (fun i (p : Profile.t) ->
+          let copy =
+            Profile.of_counts ~block:(Array.copy p.Profile.block)
+              ~arc:(Array.copy p.Profile.arc) ~invocations:p.Profile.invocations
+          in
+          check_string
+            (Printf.sprintf "%s image %d: rebuilt copy's digest" w.Workload.name i)
+            (Profile.digest p) (Profile.digest copy))
+        profiles)
+    pairs
 
 let () =
   Alcotest.run "workload"
@@ -543,5 +581,6 @@ let () =
           case "trace identity" test_engine_trace_identity;
           case "multiproc trace identity" test_multiproc_trace_identity;
           case "profile capture identity" test_profile_capture_identity;
+          case "profile digest is content" test_profile_digest_is_content;
         ] );
     ]
