@@ -9,7 +9,6 @@ type kernel =
   | Random_assoc of Prng.t
 
 type t = {
-  config : Config.t;
   kernel : kernel;
   sets : int;
   assoc : int;
@@ -34,7 +33,6 @@ let log2 n =
 let create config =
   let sets = Config.sets config in
   {
-    config;
     kernel =
       (match config.Config.policy with
       | Config.Random seed -> Random_assoc (Prng.of_int seed)
@@ -53,8 +51,6 @@ let create config =
     attr_cross = [||];
     attribution = false;
   }
-
-let config t = t.config
 
 let counters t = t.counters
 

@@ -13,7 +13,6 @@ type t
 
 val create : Config.t -> t
 
-val config : t -> Config.t
 val counters : t -> Counters.t
 
 val enable_block_attribution : t -> images:int -> blocks:int array -> unit

@@ -109,8 +109,8 @@ let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) ()
   in
   make ~name:os.name ~os_map:os.os_map ~app_maps ~os_meta:os.os_meta ()
 
-let with_os_map t ~name os_map ~os_meta =
-  make ~name ~os_map ~app_maps:t.app_maps ~os_meta
+let with_os_map t ~name os_map =
+  make ~name ~os_map ~app_maps:t.app_maps ~os_meta:None
     ~app_addr:(Array.sub t.code_map.Replay.addr 1 (Array.length t.app_maps))
     ()
 

@@ -46,8 +46,9 @@ val opt_a :
   app_profiles:Profile.t array -> ?params:Opt.params -> unit -> t
 (** [app_profiles.(k)] profiles application image [k+1]. *)
 
-val with_os_map : t -> name:string -> Address_map.t -> os_meta:Opt.result option -> t
-(** Replace the OS placement (used by the Call/Resv variants).
+val with_os_map : t -> name:string -> Address_map.t -> t
+(** Replace the OS placement (the experiments' OS-map variants); the
+    result carries no [os_meta].
     @raise Invalid_argument if the map was never validated. *)
 
 val code_map : t -> Replay.code_map

@@ -83,8 +83,6 @@ let analyze g p loops =
       end)
     loops
 
-let executed_loops infos = List.filter (fun i -> i.invocations > 0.0) infos
-
 let split_by_calls infos =
   List.partition (fun i -> not (Loops.has_calls i.loop)) infos
 

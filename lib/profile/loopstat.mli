@@ -15,9 +15,6 @@ type info = {
 val analyze : Graph.t -> Profile.t -> Loops.t list -> info list
 (** Statistics for every loop whose header executed. *)
 
-val executed_loops : info list -> info list
-(** Loops actually entered at least once. *)
-
 val split_by_calls : info list -> info list * info list
 (** (without procedure calls, with procedure calls). *)
 

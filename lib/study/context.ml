@@ -18,12 +18,9 @@ type t = {
    contexts would otherwise regenerate the same kernel each time. *)
 let models : Model.t Memo.t = Memo.create "kernel_model"
 
-let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
-  let spec_digest = Memo.digest (spec : Spec.t) in
-  let model =
-    Memo.find_or_build models spec_digest (fun () ->
-        Trace_log.stage "kernel_model.generate" (fun () -> Generator.generate spec))
-  in
+(* Trace the four standard workloads on [model] and average their
+   profiles.  [key] must cover everything the traces depend on. *)
+let build ~spec ~model ~words ~seed ~key ?jobs () =
   let pairs = Workload.standard_programs model in
   (* Trace capture is the expensive step and every workload is independent
      (fresh trace buffer, fresh profile arrays, engine PRNG seeded per
@@ -75,12 +72,6 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
     | Some (_, p) -> p
     | None -> invalid_arg "Context.avg_app_profile: unknown application"
   in
-  let key = Memo.digest (spec, words, seed) in
-  Manifest.set_run ~spec_seed:spec.Spec.seed
-    ~spec_digest
-    ~words ~seed
-    ~jobs:(match jobs with Some j -> j | None -> Parallel.default_jobs ())
-    ~context_key:key;
   {
     model;
     pairs;
@@ -95,6 +86,36 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
     seed;
     key;
   }
+
+let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
+  let spec_digest = Memo.digest (spec : Spec.t) in
+  let model =
+    Memo.find_or_build models spec_digest (fun () ->
+        Trace_log.stage "kernel_model.generate" (fun () -> Generator.generate spec))
+  in
+  let key = Memo.digest (spec, words, seed) in
+  let t = build ~spec ~model ~words ~seed ~key ?jobs () in
+  Manifest.set_run ~spec_seed:spec.Spec.seed
+    ~spec_digest
+    ~words ~seed
+    ~jobs:(match jobs with Some j -> j | None -> Parallel.default_jobs ())
+    ~context_key:key;
+  t
+
+(* A derived model is not a function of the spec, so the key names the
+   model's content: the workloads are built from its handler counts and
+   the engine walks its graph, arc probabilities, seeds, dispatches and
+   handlers. *)
+let derive t ~(model : Model.t) ~seed =
+  let key =
+    Memo.digest
+      ( "derived",
+        Graph.digest model.graph,
+        (model.arc_prob, model.seeds, model.dispatches, model.handlers),
+        t.words,
+        seed )
+  in
+  build ~spec:t.spec ~model ~words:t.words ~seed ~key ()
 
 let workload_count t = Array.length t.pairs
 

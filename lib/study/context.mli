@@ -15,13 +15,17 @@ type t = {
   avg_app_profile : App_model.t -> Profile.t;
       (** Average profile of an application across the workloads running
           it (physical identity of the app model). *)
-  spec : Spec.t;  (** The kernel spec this context was generated from. *)
+  spec : Spec.t;
+      (** The kernel spec this context (or the one it was derived from)
+          was generated from. *)
   words : int;
   seed : int;  (** Engine seed (see {!create}). *)
   key : string;
-      (** Trace identity: digest of (spec, words, seed).  Traces (and
+      (** Trace identity: digest of (spec, words, seed) for {!create}, of
+          the model's content, words and seed for {!derive}.  Traces (and
           hence every simulation result) are a pure function of these, so
-          the key content-addresses this context in {!Sim_cache} keys. *)
+          the key content-addresses this context in {!Sim_cache} and
+          {!Levels} keys. *)
 }
 
 val create : ?spec:Spec.t -> ?words:int -> ?seed:int -> ?jobs:int -> unit -> t
@@ -31,6 +35,15 @@ val create : ?spec:Spec.t -> ?words:int -> ?seed:int -> ?jobs:int -> unit -> t
     for every job count.  The kernel is generated once per spec and
     process (a {!Memo} named [kernel_model], keyed on the spec's digest),
     so contexts of one spec share their [model] physically. *)
+
+val derive : t -> model:Model.t -> seed:int -> t
+(** The same four workloads and word budget traced on another kernel
+    (an {!Inline.transform}ed one), workload [i] with engine seed
+    [seed + i], profiles averaged as by {!create}.  Its key digests
+    everything the traces depend on (the model's graph, arc
+    probabilities, seeds, dispatches and handlers, [words] and [seed]),
+    so its layouts and replays are memoized like any context's.  The
+    run manifest keeps the parent's identity. *)
 
 val workload_count : t -> int
 val key : t -> string

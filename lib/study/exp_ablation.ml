@@ -18,17 +18,11 @@ type variant = {
 }
 
 let os_variant (ctx : Context.t) ?schedule ?follow_calls ?(params = Opt.params ()) name =
-  let model = ctx.Context.model in
   let r =
-    Opt.os_layout ?schedule ?follow_calls ~model ~profile:ctx.Context.avg_os_profile
-      ~loops:(Context.os_loops ctx) params
+    Opt.os_layout ?schedule ?follow_calls ~model:ctx.Context.model
+      ~profile:ctx.Context.avg_os_profile ~loops:(Context.os_loops ctx) params
   in
-  Array.map
-    (fun ((_ : Workload.t), program) ->
-      Program_layout.with_os_map
-        (Program_layout.base ~model ~program)
-        ~name r.Opt.map ~os_meta:(Some r))
-    ctx.Context.pairs
+  Levels.os_variant ctx ~name r.Opt.map
 
 let compute (ctx : Context.t) =
   let variants =

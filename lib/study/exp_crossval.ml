@@ -19,16 +19,9 @@ type result = {
 let compute (ctx : Context.t) =
   let model = ctx.Context.model in
   let loops = Context.os_loops ctx in
-  let layout_from profile =
-    (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
-  in
-  let layouts_under os_map =
-    Array.map
-      (fun ((_ : Workload.t), program) ->
-        Program_layout.with_os_map
-          (Program_layout.base ~model ~program)
-          ~name:"xval" os_map ~os_meta:None)
-      ctx.Context.pairs
+  let layouts_from profile =
+    Levels.os_variant ctx ~name:"xval"
+      (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
   in
   let n = Context.workload_count ctx in
   (* One layout per workload profile, then the averaged one, through the
@@ -38,7 +31,7 @@ let compute (ctx : Context.t) =
   let misses =
     Runner.simulate_batch ctx
       ~members:
-        (Parallel.map_array (fun _ p -> (layouts_under (layout_from p), config)) profiles)
+        (Parallel.map_array (fun _ p -> (layouts_from p, config)) profiles)
       ()
     |> Array.map (Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters))
   in

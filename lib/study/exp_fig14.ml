@@ -9,7 +9,7 @@ type result = {
 let compute (ctx : Context.t) =
   let config = Config.make ~size_kb:8 () in
   let g = Context.os_graph ctx in
-  let base_map = Base.layout g ~order:ctx.Context.model.Model.base_order in
+  let base_map = (Levels.build ctx Levels.Base).(0).Program_layout.os_map in
   let positions = Address_map.addr_array base_map in
   let sizes = Address_map.bytes_array base_map in
   let levels = [| Levels.Base; Levels.CH; Levels.OptS |] in

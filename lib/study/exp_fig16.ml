@@ -9,18 +9,15 @@ let variants =
      of the same sizes. *)
   [| ("None", None); ("1.00", Some 1.0); ("0.50", Some 0.5); ("0.25", Some 0.25) |]
 
-let scf_area_bytes (ctx : Context.t) =
-  let g = Context.os_graph ctx in
-  let loops = Context.os_loops ctx in
+let params ~size_kb cutoff = Opt.params ~cache_size:(size_kb * 1024) ~scf_cutoff:cutoff ()
+
+(* The area does not depend on the cache size; read it from the 8 KB
+   layouts [compute] simulates. *)
+let scf_area_bytes ctx =
   Array.map
     (fun (label, cutoff) ->
-      match cutoff with
-      | None -> (label, 0)
-      | Some cutoff ->
-          let blocks =
-            Scf.select ~graph:g ~profile:ctx.Context.avg_os_profile ~loops ~cutoff
-          in
-          (label, Scf.bytes g blocks))
+      let r = Levels.opt_result ctx ~params:(params ~size_kb:8 cutoff) Levels.OptS in
+      (label, r.Opt.scf_bytes))
     variants
 
 let sizes = [| 4; 8; 16 |]
@@ -45,9 +42,7 @@ let compute (ctx : Context.t) =
         let config = Config.make ~size_kb () in
         match variant with
         | None -> (Levels.build ctx Levels.Base, config)
-        | Some cutoff ->
-            let params = Opt.params ~cache_size:(size_kb * 1024) ~scf_cutoff:cutoff () in
-            (Levels.build ctx ~params Levels.OptS, config))
+        | Some cutoff -> (Levels.build ctx ~params:(params ~size_kb cutoff) Levels.OptS, config))
       grid
   in
   let batch = Runner.simulate_batch ctx ~members () in

@@ -7,7 +7,7 @@ type result = {
 
 let compute (ctx : Context.t) =
   let g = Context.os_graph ctx in
-  let base = Base.layout g ~order:ctx.Context.model.Model.base_order in
+  let base = (Levels.build ctx Levels.Base).(0).Program_layout.os_map in
   let positions = Address_map.addr_array base in
   let sizes = Address_map.bytes_array base in
   Parallel.map_array

@@ -2,7 +2,7 @@ type result = { bins : Arcstat.bin array; ge_99 : float; le_01 : float }
 
 let compute (ctx : Context.t) =
   let g = Context.os_graph ctx in
-  let union = Profile.average (Array.to_list ctx.Context.os_profiles) in
+  let union = ctx.Context.avg_os_profile in
   let bins = Arcstat.distribution union g () in
   {
     bins;

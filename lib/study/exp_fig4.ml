@@ -7,16 +7,11 @@ type result = {
   size_bins : (string * int) list;
 }
 
-let union_profile (ctx : Context.t) = Profile.average (Array.to_list ctx.Context.os_profiles)
-
-let analyze_plain ctx =
-  let g = Context.os_graph ctx in
-  let loops = Context.os_loops ctx in
-  let infos = Loopstat.analyze g (union_profile ctx) loops in
-  fst (Loopstat.split_by_calls infos)
-
-let compute ctx =
-  let plain = analyze_plain ctx in
+let compute (ctx : Context.t) =
+  let infos =
+    Loopstat.analyze (Context.os_graph ctx) ctx.Context.avg_os_profile (Context.os_loops ctx)
+  in
+  let plain = fst (Loopstat.split_by_calls infos) in
   let iters =
     Array.of_list (List.map (fun (i : Loopstat.info) -> i.iterations_per_invocation) plain)
   in

@@ -10,7 +10,7 @@ type result = {
 let compute (ctx : Context.t) =
   let g = Context.os_graph ctx in
   let loops = Context.os_loops ctx in
-  let union = Profile.average (Array.to_list ctx.Context.os_profiles) in
+  let union = ctx.Context.avg_os_profile in
   let infos = Loopstat.analyze g union loops in
   let with_calls = snd (Loopstat.split_by_calls infos) in
   let n = List.length with_calls in

@@ -26,11 +26,7 @@ let compute (ctx : Context.t) =
 
 let report ctx =
   let results = compute ctx in
-  let union =
-    let g = Context.os_graph ctx in
-    let p = Profile.average (Array.to_list ctx.Context.os_profiles) in
-    Popularity.routine_series p g
-  in
+  let union = Popularity.routine_series ctx.Context.avg_os_profile (Context.os_graph ctx) in
   let per_workload =
     Array.to_list results
     |> List.map (fun r ->

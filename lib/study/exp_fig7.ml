@@ -8,7 +8,7 @@ type result = {
 
 let compute (ctx : Context.t) =
   let g = Context.os_graph ctx in
-  let union = Profile.average (Array.to_list ctx.Context.os_profiles) in
+  let union = ctx.Context.avg_os_profile in
   let top = Popularity.top_routines union g ~n:10 in
   let routines = List.map fst top in
   let merged = Histogram.explicit Reuse.default_edges in

@@ -8,7 +8,7 @@ type result = {
 
 let compute (ctx : Context.t) =
   let g = Context.os_graph ctx in
-  let union = Profile.average (Array.to_list ctx.Context.os_profiles) in
+  let union = ctx.Context.avg_os_profile in
   let series = Popularity.block_series_deloop union g (Context.os_loops ctx) in
   let n = Array.length series in
   {

@@ -29,56 +29,21 @@ let compute (ctx : Context.t) =
     Stats.pct stats.Inline.added_bytes (Graph.code_bytes model.Model.graph)
   in
   (* Re-trace the four workloads on the inlined kernel and build its OptS
-     layout from its own averaged profile, exactly as for the original.
-     The captures and the replays are independent per workload and fan
-     out. *)
-  let pairs = Workload.standard_programs inlined in
-  let captures =
-    Parallel.map_array
-      (fun i ((w : Workload.t), program) ->
-        Trace_log.with_span "inline.trace"
-          ~args:[ ("workload", Json.String w.Workload.name); ("words", Json.Int ctx.Context.words) ]
-        @@ fun () ->
-        let trace, _, profiles =
-          Profile.capture ~program ~workload:w ~words:ctx.Context.words ~seed:(11 + i)
-        in
-        (trace, profiles.(0)))
-      pairs
+     layout from its own averaged profile, exactly as for the original. *)
+  let ictx = Context.derive ctx ~model:inlined ~seed:11 in
+  let rate_under ctx =
+    let layouts = Levels.build ctx Levels.OptS in
+    (Runner.simulate_batch ctx ~members:[| (layouts, Config.make ~size_kb:8 ()) |] ()).(0)
+    |> Array.map (fun (r : Runner.run) -> Counters.miss_rate r.Runner.counters)
   in
-  let avg = Profile.average (Array.to_list (Array.map snd captures)) in
-  let opt =
-    Trace_log.with_span "opt.os_layout" @@ fun () ->
-    let loops = Loops.find inlined.Model.graph in
-    Opt.os_layout ~model:inlined ~profile:avg ~loops (Opt.params ())
-  in
-  let maps =
-    Array.map
-      (fun (_, program) ->
-        Program_layout.code_map
-          (Program_layout.with_os_map
-             (Program_layout.base ~model:inlined ~program)
-             ~name:"Inline+OptS" opt.Opt.map ~os_meta:(Some opt)))
-      pairs
-  in
-  let inline_rates =
-    Parallel.map_array
-      (fun i (trace, _) ->
-        let system = System.create (System.Unified (Config.make ~size_kb:8 ())) in
-        Runner.replay ~trace ~map:maps.(i) [| system |];
-        Counters.miss_rate (System.counters system))
-      captures
-  in
-  (* Reference: plain OptS on the original kernel, original traces. *)
-  let opt_layouts = Levels.build ctx Levels.OptS in
-  let reference =
-    (Runner.simulate_batch ctx ~members:[| (opt_layouts, Config.make ~size_kb:8 ()) |] ()).(0)
-  in
+  let inline_rates = rate_under ictx in
+  let reference = rate_under ctx in
   let rows =
     Array.mapi
       (fun i ((w : Workload.t), _) ->
         {
           workload = w.Workload.name;
-          opt_s_rate = Counters.miss_rate reference.(i).Runner.counters;
+          opt_s_rate = reference.(i);
           inline_rate = inline_rates.(i);
         })
       ctx.Context.pairs

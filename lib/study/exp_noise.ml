@@ -33,13 +33,8 @@ let compute (ctx : Context.t) =
   let model = ctx.Context.model in
   let loops = Context.os_loops ctx in
   let layouts_from profile =
-    let os_map = (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map in
-    Array.map
-      (fun ((_ : Workload.t), program) ->
-        Program_layout.with_os_map
-          (Program_layout.base ~model ~program)
-          ~name:"noise" os_map ~os_meta:None)
-      ctx.Context.pairs
+    Levels.os_variant ctx ~name:"noise"
+      (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
   in
   (* The clean layout, then one per spread (each perturbed with its own
      PRNG, so they build concurrently), through the 8 KB cache in one

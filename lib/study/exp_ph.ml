@@ -10,26 +10,14 @@ type row = { workload : string; rates : (string * float) list }
 let levels = [ "Base"; "C-H"; "P-H"; "OptS" ]
 
 let compute (ctx : Context.t) =
-  let model = ctx.Context.model in
-  let profile = ctx.Context.avg_os_profile in
-  let g = Context.os_graph ctx in
-  let os_map = function
-    | "Base" -> Base.layout g ~order:model.Model.base_order
-    | "C-H" -> Chang_hwu.layout g profile
-    | "P-H" -> Pettis_hansen.layout g profile
-    | "OptS" ->
-        (Opt.os_layout ~model ~profile ~loops:(Context.os_loops ctx) (Opt.params ()))
-          .Opt.map
+  let layouts_of = function
+    | "Base" -> Levels.build ctx Levels.Base
+    | "C-H" -> Levels.build ctx Levels.CH
+    | "OptS" -> Levels.build ctx Levels.OptS
+    | "P-H" ->
+        Levels.os_variant ctx ~name:"P-H"
+          (Pettis_hansen.layout (Context.os_graph ctx) ctx.Context.avg_os_profile)
     | other -> invalid_arg other
-  in
-  let layouts_of name =
-    let map = os_map name in
-    Array.map
-      (fun ((_ : Workload.t), program) ->
-        Program_layout.with_os_map
-          (Program_layout.base ~model ~program)
-          ~name map ~os_meta:None)
-      ctx.Context.pairs
   in
   let config = Config.make ~size_kb:8 () in
   let runs =

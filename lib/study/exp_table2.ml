@@ -10,12 +10,7 @@ type result = { core : Seqstat.set; regular : Seqstat.set; rows : row array }
 
 let compute (ctx : Context.t) =
   let g = Context.os_graph ctx in
-  let model = ctx.Context.model in
-  let seed_entry c = (Model.seed_for model c).Model.entry in
-  let seqs =
-    Sequence.build ~graph:g ~profile:ctx.Context.avg_os_profile ~seed_entry
-      ~schedule:Schedule.paper ()
-  in
+  let seqs = (Levels.opt_result ctx Levels.OptS).Opt.sequences in
   let core = Seqstat.of_sequences g seqs ~budget_bytes:8192 in
   let regular = Seqstat.of_sequences g seqs ~budget_bytes:16384 in
   (* Misses measured under the Base layout, 8 KB DM, 32 B lines. *)

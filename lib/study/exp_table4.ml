@@ -7,13 +7,6 @@ type row = {
 }
 
 let compute (ctx : Context.t) =
-  let g = Context.os_graph ctx in
-  let model = ctx.Context.model in
-  let seed_entry c = (Model.seed_for model c).Model.entry in
-  let seqs =
-    Sequence.build ~graph:g ~profile:ctx.Context.avg_os_profile ~seed_entry
-      ~schedule:Schedule.paper ()
-  in
   Array.of_list
     (List.map
        (fun (s : Sequence.t) ->
@@ -24,7 +17,7 @@ let compute (ctx : Context.t) =
            blocks = Array.length s.Sequence.blocks;
            bytes = s.Sequence.bytes;
          })
-       seqs)
+       (Levels.opt_result ctx Levels.OptS).Opt.sequences)
 
 let report ctx =
   let rows = compute ctx in

@@ -71,3 +71,11 @@ let build ctx ?(params = Opt.params ()) level =
       Trace_log.stage "levels_build"
         ~args:[ ("level", Json.String (to_string level)) ]
         (fun () -> build_uncached ctx ~params level))
+
+let opt_result ctx ?params level =
+  match (build ctx ?params level).(0).Program_layout.os_meta with
+  | Some r -> r
+  | None -> invalid_arg "Levels.opt_result: Base and C-H carry no Opt result"
+
+let os_variant ctx ~name os_map =
+  Array.map (fun l -> Program_layout.with_os_map l ~name os_map) (build ctx Base)

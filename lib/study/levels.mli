@@ -24,6 +24,16 @@ val build : Context.t -> ?params:Opt.params -> level -> Program_layout.t array
     inputs did not change, and the per-workload placements of a miss are
     built in parallel under [--jobs]. *)
 
+val opt_result : Context.t -> ?params:Opt.params -> level -> Opt.result
+(** The OS placement's sequences, SelfConfFree set and loop blocks, as
+    {!build} made them (every workload shares them): the one source for
+    reports on an Opt level's construction.
+    @raise Invalid_argument for [Base] and [CH]. *)
+
+val os_variant : Context.t -> name:string -> Address_map.t -> Program_layout.t array
+(** The [Base] level's layouts with the OS placement replaced by [os_map]
+    ({!Program_layout.with_os_map}): an experiment's OS-only variant. *)
+
 val clear : unit -> unit
 (** Drop every memoized layout array (tests that need a cold run); the
     [levels] counters keep their totals. *)

@@ -26,7 +26,7 @@
                  "simulated": int, "replay_passes": int,
                  "passes_saved": int, "events_replayed": int,
                  "events_saved": int },
-      "metrics": { "counters": {..}, "gauges": {..}, "histograms": {..} } }
+      "metrics": { "counters": {..}, "histograms": {..} } }
     v}
 
     [run.gc] samples [Gc.quick_stat] at emission time.  [stages] lists

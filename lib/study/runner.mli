@@ -21,9 +21,11 @@ type run = Sim_cache.entry = {
       as a {!System.spec}; every replay of the experiments' context traces
       goes through it;
     - {!simulate_batch}: {!batch} with every member a [System.Unified];
-    - {!replay}: one pass over a trace that is not in the context (an
-      inlined kernel's traces, a multiprocessor's per-CPU traces, fig1's
-      attributed run), counted like a batch but not memoized;
+    - {!replay}: one pass into systems the caller keeps, counted like a
+      batch but not memoized.  Two experiments use it: mp, whose per-CPU
+      traces no context holds, and fig1, which reads per-block self/cross
+      attribution that batch entries do not carry.  (A kernel other than
+      the context's gets a {!Context.derive}d context and the batch.)
     - {!simulate}: the unmemoized, uncounted closure form, kept only as
       the reference that tests and the benchmark's solo gate check the
       batch against.  Nothing in the library or the CLI calls it.
@@ -64,7 +66,7 @@ val simulate_batch :
 val replay : trace:Trace.t -> map:Replay.code_map -> System.t array -> unit
 (** Feed [trace] under [map] to every system in one pass, with {!batch}'s
     default warm-up (counters reset after the first 20% of executions).
-    For traces outside the context; the systems keep the counters.  Adds
+    The systems keep the counters.  Adds
     one call, its systems as members all simulated, one replay pass and
     the trace's events to [batch.<field>]. *)
 

@@ -1,7 +1,5 @@
 type counter = { value : int Atomic.t }
 
-type gauge = { mutable g_value : float }
-
 (* Observations are scaled to integer micro-units and bucketed by binary
    magnitude; 2^52 micro-units covers ~4.5e9 whole units, far beyond any
    duration or rate the pipeline records.  Exact sum/min/max ride along so
@@ -18,7 +16,7 @@ type histogram = {
   mutable max_v : float;
 }
 
-type metric = Counter of counter | Gauge of gauge | Hist of histogram
+type metric = Counter of counter | Hist of histogram
 
 let lock = Mutex.create ()
 let table : (string, metric) Hashtbl.t = Hashtbl.create 32
@@ -34,7 +32,7 @@ let register name make kind_label =
             m)
   in
   match (m, kind_label) with
-  | Counter _, `C | Gauge _, `G | Hist _, `H -> m
+  | Counter _, `C | Hist _, `H -> m
   | _ ->
       invalid_arg
         (Printf.sprintf "Metrics_registry: %S already registered as another kind" name)
@@ -47,13 +45,6 @@ let counter name =
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.value by)
 
 let counter_value c = Atomic.get c.value
-
-let gauge name =
-  match register name (fun () -> Gauge { g_value = 0.0 }) `G with
-  | Gauge g -> g
-  | _ -> assert false
-
-let set_gauge g v = Mutex.protect lock (fun () -> g.g_value <- v)
 
 let histogram ?(unit_ = "seconds") name =
   match
@@ -107,9 +98,6 @@ let to_json () =
   let counters =
     pick (function n, Counter c -> Some (n, Json.Int (Atomic.get c.value)) | _ -> None)
   in
-  let gauges =
-    pick (function n, Gauge g -> Some (n, Json.Float g.g_value) | _ -> None)
-  in
   let hists =
     pick (function
       | n, Hist h ->
@@ -132,8 +120,7 @@ let to_json () =
       | _ -> None)
   in
   Json.Obj
-    [ ("counters", Json.Obj counters); ("gauges", Json.Obj gauges);
-      ("histograms", Json.Obj hists) ]
+    [ ("counters", Json.Obj counters); ("histograms", Json.Obj hists) ]
 
 let reset () =
   Mutex.protect lock (fun () ->
@@ -141,7 +128,6 @@ let reset () =
         (fun _ m ->
           match m with
           | Counter c -> Atomic.set c.value 0
-          | Gauge g -> g.g_value <- 0.0
           | Hist h ->
               h.buckets <- Histogram.copy_empty h.buckets;
               h.count <- 0;

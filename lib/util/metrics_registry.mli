@@ -1,5 +1,5 @@
-(** Process-global registry of named metrics: counters, gauges and
-    histograms, domain-safe, exported as one JSON snapshot.
+(** Process-global registry of named metrics: counters and histograms,
+    domain-safe, exported as one JSON snapshot.
 
     Metrics complement {!Trace_log} spans: spans answer {e when} something
     ran, metrics answer {e how often} and {e how it was distributed}
@@ -8,12 +8,12 @@
     is far off the simulator's inner loops, so the cost is a handful of
     mutex-protected updates per pipeline stage.
 
-    Handles are get-or-create by name: {!counter}, {!gauge} and
-    {!histogram} return the existing metric when the name is already
-    registered (a name registered as one kind stays that kind —
-    re-registering it as another raises [Invalid_argument]).  Counters
-    update with a single atomic add and never lock; gauges and histograms
-    take the registry mutex per update.
+    Handles are get-or-create by name: {!counter} and {!histogram}
+    return the existing metric when the name is already registered (a
+    name registered as one kind stays that kind — re-registering it as
+    another raises [Invalid_argument]).  Counters
+    update with a single atomic add and never lock; histograms take the
+    registry mutex per update.
 
     Histograms record float observations in fixed units (their [unit_],
     e.g. seconds): each observation is scaled to an integer micro-unit and
@@ -25,7 +25,6 @@
     JSON snapshot shape ({!to_json}):
     {v
     { "counters":   { name: int, ... },
-      "gauges":     { name: float, ... },
       "histograms": { name: { "unit": string, "count": int,
                               "sum": float, "min": float, "max": float,
                               "mean": float, "p50": float, "p90": float,
@@ -35,7 +34,6 @@
     domain schedules. *)
 
 type counter
-type gauge
 type histogram
 
 val counter : string -> counter
@@ -45,11 +43,6 @@ val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1) atomically. *)
 
 val counter_value : counter -> int
-
-val gauge : string -> gauge
-(** Get or create the gauge [name] (initially 0.). *)
-
-val set_gauge : gauge -> float -> unit
 
 val histogram : ?unit_:string -> string -> histogram
 (** Get or create the histogram [name].  [unit_] (default ["seconds"])

@@ -111,6 +111,14 @@ let profile_of ?(invocations = 0.0) g block_weights arc_weights =
    [content_md5] without, as every library key is. *)
 let md5_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
+(* MD5 of a trace's raw event stream (the trace-identity pins). *)
+let events_md5 t =
+  let b = Buffer.create (8 * Trace.length t) in
+  for i = 0 to Trace.length t - 1 do
+    Buffer.add_int64_le b (Int64.of_int (Trace.raw t i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let content_md5 v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
 let profile_content_digest (p : Profile.t) =

@@ -128,6 +128,46 @@ let test_fig16 () =
         r.Exp_fig16.cells)
     rows
 
+(* A context derived on the inlined kernel.  The pins are the event
+   streams of [Profile.capture ~seed:(11 + i)] on that kernel, taken
+   before [Context.derive] existed, when the inline experiment captured
+   its traces itself. *)
+let inlined_trace_digests =
+  [
+    ("TRFD_4", "e57249c1a5af9ac8cc2ed1fd2514b294");
+    ("TRFD+Make", "a007ef15899cfa11b49ee0a1dafc6b97");
+    ("ARC2D+Fsck", "eccee9d4cfc0ec83513ec8c861cc67fb");
+    ("Shell", "cd65e845899bcbefb2d668aa374887ba");
+  ]
+
+let inlined c = fst (Inline.transform ~model:c.Context.model ~profile:c.Context.avg_os_profile ())
+
+let test_context_derive () =
+  let c = ctx () in
+  let d = Context.derive c ~model:(inlined c) ~seed:11 in
+  List.iteri
+    (fun i (name, md5) ->
+      check_string "workload" name (Context.workload_names d).(i);
+      check_string (name ^ " trace") md5 (events_md5 d.Context.traces.(i)))
+    inlined_trace_digests;
+  check_int "the parent's word budget" c.Context.words d.Context.words;
+  let key = Context.key in
+  check_bool "derived key differs from the parent's" true (key d <> key c);
+  check_bool "another seed, another key" true
+    (key (Context.derive c ~model:(inlined c) ~seed:12) <> key d);
+  check_bool "another model, another key" true
+    (key (Context.derive c ~model:c.Context.model ~seed:11) <> key d);
+  check_string "an equal model, the same key" (key d)
+    (key (Context.derive c ~model:(inlined c) ~seed:11))
+
+let test_inline_memoized () =
+  let c = ctx () in
+  ignore (Exp_inline.report c);
+  let simulated () = Option.value ~default:0 (Metrics_registry.find_counter "batch.simulated") in
+  let before = simulated () in
+  ignore (Exp_inline.report c);
+  check_int "a second report replays nothing" before (simulated ())
+
 let () =
   Alcotest.run "experiments"
     [
@@ -140,5 +180,7 @@ let () =
           case "figure 14" test_fig14;
           case "figure 15" test_fig15;
           case "figure 16" test_fig16;
+          case "context derive" test_context_derive;
+          case "inline replays memoized" test_inline_memoized;
         ] );
     ]

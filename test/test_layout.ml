@@ -553,10 +553,8 @@ let test_program_layout_code_map_shared () =
   let opt_a = per_level.(4) in
   let variants =
     [|
-      Program_layout.with_os_map base.(0) ~name:"Base+OptS" opt_s.(0).Program_layout.os_map
-        ~os_meta:None;
-      Program_layout.with_os_map opt_a.(0) ~name:"OptA+C-H" ch.(0).Program_layout.os_map
-        ~os_meta:None;
+      Program_layout.with_os_map base.(0) ~name:"Base+OptS" opt_s.(0).Program_layout.os_map;
+      Program_layout.with_os_map opt_a.(0) ~name:"OptA+C-H" ch.(0).Program_layout.os_map;
     |]
   in
   (* (layout, the workload whose trace it replays) *)
@@ -619,7 +617,7 @@ let test_program_layout_digest_memo () =
   let base () = Program_layout.base ~model ~program in
   let l = Program_layout.opt_s ~model ~program ~os_profile:ctx.Context.avg_os_profile () in
   let d = Program_layout.digest l in
-  let derive src map = Program_layout.with_os_map src ~name:"derived" map ~os_meta:None in
+  let derive src map = Program_layout.with_os_map src ~name:"derived" map in
   let same = derive l l.Program_layout.os_map in
   check_string "same OS map, same digest" d (Program_layout.digest same);
   let m = (base ()).Program_layout.os_map in

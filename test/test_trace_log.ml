@@ -394,14 +394,10 @@ let test_registry_get_or_create () =
 let test_registry_json_shape () =
   let h = Metrics_registry.histogram ~unit_:"widgets" "test.shape_hist" in
   List.iter (fun v -> Metrics_registry.observe h (float_of_int v)) [ 1; 2; 3; 4 ];
-  let g = Metrics_registry.gauge "test.shape_gauge" in
-  Metrics_registry.set_gauge g 2.5;
   let j = Metrics_registry.to_json () in
   let dig path =
     List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
   in
-  check_bool "gauge exported" true
-    (dig [ "gauges"; "test.shape_gauge" ] = Some (Json.Float 2.5));
   check_bool "hist count" true
     (dig [ "histograms"; "test.shape_hist"; "count" ] = Some (Json.Int 4));
   check_bool "hist unit" true

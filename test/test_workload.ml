@@ -379,13 +379,6 @@ let test_profile_capture_allocation () =
    to what a capture emits, changes them, including at settings no
    experiment golden uses.  Regenerating them is a change of results. *)
 
-let events_md5 t =
-  let b = Buffer.create (8 * Trace.length t) in
-  for i = 0 to Trace.length t - 1 do
-    Buffer.add_int64_le b (Int64.of_int (Trace.raw t i))
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let check_digests expected actual =
   List.iter2
     (fun (label, want) (label', got) ->
