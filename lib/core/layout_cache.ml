@@ -3,9 +3,6 @@ type stats = Memo.stats = { hits : int; misses : int }
 (* Guards the stage list; the stage tables are Memos with locks of their
    own. *)
 let lock = Mutex.create ()
-let enabled_flag = ref true
-
-let set_enabled b = enabled_flag := b
 
 (* ------------------------------------------------------------------ *)
 (* Loop detection                                                     *)
@@ -44,9 +41,7 @@ let stage short =
   s
 
 let find_or_build s ~key build =
-  if !enabled_flag then
-    Memo.find_or_build s.memo key (fun () -> Trace_log.stage s.name build)
-  else build ()
+  Memo.find_or_build s.memo key (fun () -> Trace_log.stage s.name build)
 
 let all_stages () = Mutex.protect lock (fun () -> List.rev !stages)
 

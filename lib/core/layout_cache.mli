@@ -59,17 +59,13 @@ val stage : string -> 'a stage
 
 val find_or_build : 'a stage -> key:string -> (unit -> 'a) -> 'a
 (** {!Memo.find_or_build} on the stage, timing each build as the stage
-    [layout_cache.<stage>]; a plain [build ()] while the stages are
-    disabled. *)
-
-val set_enabled : bool -> unit
-(** Test hook: [set_enabled false] turns every stage into a pass-through
-    (no lookups, no stores, no counter updates), so a "monolithic"
-    reference build can be produced for comparison.  Default: enabled. *)
+    [layout_cache.<stage>]. *)
 
 val stage_stats : unit -> (string * stats) list
 (** Per-stage counts in stage creation order (process totals). *)
 
 val clear : unit -> unit
-(** Drop every cached value, including memoized loops.  The counts keep
-    their process totals. *)
+(** Drop every cached value, including memoized loops, so the next layout
+    build is cold: the one reset for all layout caching (no layer above
+    the stages keeps layouts of its own).  The counts keep their process
+    totals. *)

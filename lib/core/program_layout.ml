@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   os_meta : Opt.result option;
@@ -30,7 +29,7 @@ let shifted_apps app_maps =
    array and every image's sizes are its graph's, so no layout copies
    the kernel's arrays.  Only the small application images get shifted
    copies, which [with_os_map] passes on as [app_addr]. *)
-let make ?app_addr ~name ~os_map ~app_maps ~os_meta () =
+let make ?app_addr ~os_map ~app_maps ~os_meta () =
   let images = os_map :: Array.to_list app_maps in
   let digest = Memo.digest (List.map Address_map.digest images) in
   let app_addr = match app_addr with Some a -> a | None -> shifted_apps app_maps in
@@ -41,7 +40,7 @@ let make ?app_addr ~name ~os_map ~app_maps ~os_meta () =
       bytes = Array.map sizes (Array.of_list images);
     }
   in
-  { name; os_map; app_maps; os_meta; digest; code_map }
+  { os_map; app_maps; os_meta; digest; code_map }
 
 (* Loop detection over the 40k-block kernel graph is not free; delegate to
    the lock-guarded per-graph memo (the old single-slot ref here was a
@@ -68,7 +67,7 @@ let base_apps program =
 let base_os model = base_map model.Model.graph ~order:model.Model.base_order
 
 let base ~model ~program =
-  make ~name:"Base" ~os_map:(base_os model) ~app_maps:(base_apps program) ~os_meta:None ()
+  make ~os_map:(base_os model) ~app_maps:(base_apps program) ~os_meta:None ()
 
 (* The C-H OS placement depends only on (graph, profile) and is shared by
    every workload of a level build, so it rides the same content-addressed
@@ -78,24 +77,24 @@ let ch_stage : Address_map.t Layout_cache.stage = Layout_cache.stage "chang_hwu"
 let chang_hwu ~model ~program ~os_profile =
   let g = model.Model.graph in
   let key = Memo.digest (Graph.digest g, Profile.digest os_profile) in
-  make ~name:"C-H"
+  make
     ~os_map:
       (Layout_cache.find_or_build ch_stage ~key (fun () -> Chang_hwu.layout g os_profile))
     ~app_maps:(base_apps program) ~os_meta:None ()
 
-let opt_with ~name ~extract_loops ~model ~program ~os_profile ~params =
+let opt_with ~extract_loops ~model ~program ~os_profile ~params =
   let params = { params with Opt.extract_loops } in
   let r = Opt.os_layout ~model ~profile:os_profile ~loops:(os_loops model) params in
-  make ~name ~os_map:r.Opt.map ~app_maps:(base_apps program) ~os_meta:(Some r) ()
+  make ~os_map:r.Opt.map ~app_maps:(base_apps program) ~os_meta:(Some r) ()
 
 let opt_s ~model ~program ~os_profile ?(params = Opt.params ()) () =
-  opt_with ~name:"OptS" ~extract_loops:false ~model ~program ~os_profile ~params
+  opt_with ~extract_loops:false ~model ~program ~os_profile ~params
 
 let opt_l ~model ~program ~os_profile ?(params = Opt.params ()) () =
-  opt_with ~name:"OptL" ~extract_loops:true ~model ~program ~os_profile ~params
+  opt_with ~extract_loops:true ~model ~program ~os_profile ~params
 
 let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) () =
-  let os = opt_with ~name:"OptA" ~extract_loops:false ~model ~program ~os_profile ~params in
+  let os = opt_with ~extract_loops:false ~model ~program ~os_profile ~params in
   let app_maps =
     Array.mapi
       (fun k (app : App_model.t) ->
@@ -107,10 +106,10 @@ let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) ()
         r.Opt.map)
       program.Program.apps
   in
-  make ~name:os.name ~os_map:os.os_map ~app_maps ~os_meta:os.os_meta ()
+  make ~os_map:os.os_map ~app_maps ~os_meta:os.os_meta ()
 
-let with_os_map t ~name os_map =
-  make ~name ~os_map ~app_maps:t.app_maps ~os_meta:None
+let with_os_map t os_map =
+  make ~os_map ~app_maps:t.app_maps ~os_meta:None
     ~app_addr:(Array.sub t.code_map.Replay.addr 1 (Array.length t.app_maps))
     ()
 

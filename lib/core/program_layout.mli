@@ -11,7 +11,6 @@
       (sequences + loop extraction, placed from the opposite cache side). *)
 
 type t = private {
-  name : string;
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   os_meta : Opt.result option;  (** Sequence/SCF/loop metadata when built
@@ -46,7 +45,7 @@ val opt_a :
   app_profiles:Profile.t array -> ?params:Opt.params -> unit -> t
 (** [app_profiles.(k)] profiles application image [k+1]. *)
 
-val with_os_map : t -> name:string -> Address_map.t -> t
+val with_os_map : t -> Address_map.t -> t
 (** Replace the OS placement (the experiments' OS-map variants); the
     result carries no [os_meta].
     @raise Invalid_argument if the map was never validated. *)

@@ -4,7 +4,6 @@ type t = {
   traces : Trace.t array;
   stats : Engine.stats array;
   os_profiles : Profile.t array;
-  app_profiles : Profile.t array array;
   avg_os_profile : Profile.t;
   avg_app_profile : App_model.t -> Profile.t;
   spec : Spec.t;
@@ -78,7 +77,6 @@ let build ~spec ~model ~words ~seed ~key ?jobs () =
     traces;
     stats;
     os_profiles;
-    app_profiles;
     avg_os_profile;
     avg_app_profile;
     spec;

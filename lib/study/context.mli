@@ -9,8 +9,6 @@ type t = {
   traces : Trace.t array;
   stats : Engine.stats array;
   os_profiles : Profile.t array;
-  app_profiles : Profile.t array array;
-      (** Per workload, indexed by app image - 1. *)
   avg_os_profile : Profile.t;
   avg_app_profile : App_model.t -> Profile.t;
       (** Average profile of an application across the workloads running
@@ -24,8 +22,7 @@ type t = {
       (** Trace identity: digest of (spec, words, seed) for {!create}, of
           the model's content, words and seed for {!derive}.  Traces (and
           hence every simulation result) are a pure function of these, so
-          the key content-addresses this context in {!Sim_cache} and
-          {!Levels} keys. *)
+          the key content-addresses this context in {!Sim_cache} keys. *)
 }
 
 val create : ?spec:Spec.t -> ?words:int -> ?seed:int -> ?jobs:int -> unit -> t

@@ -17,32 +17,32 @@ type variant = {
   vs_opt_s : float;
 }
 
-let os_variant (ctx : Context.t) ?schedule ?follow_calls ?(params = Opt.params ()) name =
+let os_variant (ctx : Context.t) ?schedule ?follow_calls ?(params = Opt.params ()) () =
   let r =
     Opt.os_layout ?schedule ?follow_calls ~model:ctx.Context.model
       ~profile:ctx.Context.avg_os_profile ~loops:(Context.os_loops ctx) params
   in
-  Levels.os_variant ctx ~name r.Opt.map
+  Levels.os_variant ctx r.Opt.map
 
 let compute (ctx : Context.t) =
   let variants =
     [
-      ("OptS", "full algorithm", fun () -> os_variant ctx "OptS");
+      ("OptS", "full algorithm", fun () -> os_variant ctx ());
       ( "-schedule",
         "flat (0,0) passes, no threshold descent",
-        fun () -> os_variant ctx ~schedule:Schedule.flat "flat" );
+        fun () -> os_variant ctx ~schedule:Schedule.flat () );
       ( "-seeds",
         "interrupt seed only",
         fun () ->
           os_variant ctx
             ~schedule:(Schedule.restrict [ Service.Interrupt ] Schedule.paper)
-            "one-seed" );
+            () );
       ( "-interleave",
         "sequences stop at routine boundaries",
-        fun () -> os_variant ctx ~follow_calls:false "no-interleave" );
+        fun () -> os_variant ctx ~follow_calls:false () );
       ( "-scf",
         "no SelfConfFree area",
-        fun () -> os_variant ctx ~params:(Opt.params ~scf_cutoff:None ()) "no-scf" );
+        fun () -> os_variant ctx ~params:(Opt.params ~scf_cutoff:None ()) () );
     ]
   in
   (* Base and every variant, built concurrently, through the 8 KB cache in

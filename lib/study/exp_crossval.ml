@@ -20,7 +20,7 @@ let compute (ctx : Context.t) =
   let model = ctx.Context.model in
   let loops = Context.os_loops ctx in
   let layouts_from profile =
-    Levels.os_variant ctx ~name:"xval"
+    Levels.os_variant ctx
       (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
   in
   let n = Context.workload_count ctx in

@@ -39,7 +39,7 @@ let compute (ctx : Context.t) =
           ~args:
             [
               ("workload", Json.String names.(i));
-              ("layout", Json.String layout.Program_layout.name);
+              ("layout", Json.String (if p < n then "Base" else "OptS"));
             ]
         @@ fun () ->
         let t =

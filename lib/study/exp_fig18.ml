@@ -15,7 +15,7 @@ let compute (ctx : Context.t) =
   (* Call: Section 4.4 loop-callee placement on the OS side. *)
   let call_os, _stats = Call_opt.layout ~model ~profile:os_profile () in
   let call_layouts =
-    Array.map (fun l -> Program_layout.with_os_map l ~name:"Call" call_os.Opt.map) opt_a_layouts
+    Array.map (fun l -> Program_layout.with_os_map l call_os.Opt.map) opt_a_layouts
   in
   (* Sep: both halves 4 KB; layouts optimized for 4 KB logical caches. *)
   let sep_layouts = Levels.build ctx ~params:(Opt.params ~cache_size:4096 ()) Levels.OptA in
@@ -26,7 +26,7 @@ let compute (ctx : Context.t) =
       (Opt.params ~cache_size:7168 ~scf_holes:false ())
   in
   let resv_layouts =
-    Array.map (fun l -> Program_layout.with_os_map l ~name:"Resv" resv_os.Opt.map) opt_a_layouts
+    Array.map (fun l -> Program_layout.with_os_map l resv_os.Opt.map) opt_a_layouts
   in
   let dm kb = Config.make ~size_kb:kb () in
   let setups =

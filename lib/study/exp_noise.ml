@@ -33,7 +33,7 @@ let compute (ctx : Context.t) =
   let model = ctx.Context.model in
   let loops = Context.os_loops ctx in
   let layouts_from profile =
-    Levels.os_variant ctx ~name:"noise"
+    Levels.os_variant ctx
       (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
   in
   (* The clean layout, then one per spread (each perturbed with its own

@@ -15,7 +15,7 @@ let compute (ctx : Context.t) =
     | "C-H" -> Levels.build ctx Levels.CH
     | "OptS" -> Levels.build ctx Levels.OptS
     | "P-H" ->
-        Levels.os_variant ctx ~name:"P-H"
+        Levels.os_variant ctx
           (Pettis_hansen.layout (Context.os_graph ctx) ctx.Context.avg_os_profile)
     | other -> invalid_arg other
   in

@@ -49,33 +49,15 @@ let build_uncached (ctx : Context.t) ~params level =
      rest wait for it instead of rebuilding it. *)
   Parallel.map_array (fun _ pair -> build pair) ctx.Context.pairs
 
-(* Layout construction is deterministic in (context, level, params) and
-   several experiments rebuild the same five levels, so memoize.  Layouts
-   are immutable once built (variants go through with_os_map, which
-   copies), so sharing one array across experiments is safe. *)
-let memo : Program_layout.t array Memo.t = Memo.create "levels"
-
-let clear () = Memo.clear memo
-
 let build ctx ?(params = Opt.params ()) level =
-  (* Base and C-H never consume [params] (see [build_uncached]), so their
-     memo key must not include it: a cache-size sweep would otherwise
-     rebuild the identical placement once per geometry. *)
-  let params_part =
-    match level with
-    | Base | CH -> "-"
-    | OptS | OptL | OptA -> Memo.digest (params : Opt.params)
-  in
-  let key = Context.key ctx ^ "|" ^ to_string level ^ "|" ^ params_part in
-  Memo.find_or_build memo key (fun () ->
-      Trace_log.stage "levels_build"
-        ~args:[ ("level", Json.String (to_string level)) ]
-        (fun () -> build_uncached ctx ~params level))
+  Trace_log.stage "levels_build"
+    ~args:[ ("level", Json.String (to_string level)) ]
+    (fun () -> build_uncached ctx ~params level)
 
 let opt_result ctx ?params level =
   match (build ctx ?params level).(0).Program_layout.os_meta with
   | Some r -> r
   | None -> invalid_arg "Levels.opt_result: Base and C-H carry no Opt result"
 
-let os_variant ctx ~name os_map =
-  Array.map (fun l -> Program_layout.with_os_map l ~name os_map) (build ctx Base)
+let os_variant ctx os_map =
+  Array.map (fun l -> Program_layout.with_os_map l os_map) (build ctx Base)

@@ -553,19 +553,23 @@ let test_program_layout_code_map_shared () =
   let opt_a = per_level.(4) in
   let variants =
     [|
-      Program_layout.with_os_map base.(0) ~name:"Base+OptS" opt_s.(0).Program_layout.os_map;
-      Program_layout.with_os_map opt_a.(0) ~name:"OptA+C-H" ch.(0).Program_layout.os_map;
+      ("Base+OptS", Program_layout.with_os_map base.(0) opt_s.(0).Program_layout.os_map);
+      ("OptA+C-H", Program_layout.with_os_map opt_a.(0) ch.(0).Program_layout.os_map);
     |]
   in
-  (* (layout, the workload whose trace it replays) *)
+  (* (name, layout, the workload whose trace it replays) *)
   let replays =
     Array.append
-      (Array.concat (Array.to_list (Array.map (Array.mapi (fun w l -> (l, w))) per_level)))
-      (Array.map (fun l -> (l, 0)) variants)
+      (Array.concat
+         (Array.to_list
+            (Array.mapi
+               (fun i ls -> Array.mapi (fun w l -> (Levels.to_string Levels.all.(i), l, w)) ls)
+               per_level)))
+      (Array.map (fun (name, l) -> (name, l, 0)) variants)
   in
-  let layouts = Array.map fst replays in
-  let check_layout (l : Program_layout.t) =
-    let name = l.Program_layout.name and cm = Program_layout.code_map l in
+  let layouts = Array.map (fun (name, l, _) -> (name, l)) replays in
+  let check_layout (name, l) =
+    let cm = Program_layout.code_map l in
     let ref_cm = reference_code_map l in
     check_bool (name ^ ": one map per layout") true (cm == Program_layout.code_map l);
     Alcotest.(check (array (array int))) (name ^ ": addresses") ref_cm.Replay.addr cm.Replay.addr;
@@ -584,7 +588,7 @@ let test_program_layout_code_map_shared () =
   Array.iter check_layout layouts;
   Array.iteri
     (fun v (src : Program_layout.t) ->
-      let cm = Program_layout.code_map variants.(v) in
+      let cm = Program_layout.code_map (snd variants.(v)) in
       Array.iteri
         (fun k _ ->
           check_bool "with_os_map reuses the application rows" true
@@ -592,20 +596,20 @@ let test_program_layout_code_map_shared () =
         src.Program_layout.app_maps)
     [| base.(0); opt_a.(0) |];
   Array.iter
-    (fun (l, w) ->
+    (fun (_, l, w) ->
       let trace = ctx.Context.traces.(w) and map = Program_layout.code_map l in
       Replay.run_range ~trace ~map ~warmup:0
         ~systems:[| System.unified (Config.make ~size_kb:8 ()) |];
       ignore (Stack_dist.from_trace ~trace ~map ()))
     replays;
   Array.iter
-    (fun (l : Program_layout.t) ->
+    (fun (name, (l : Program_layout.t)) ->
       Array.iter
         (fun m ->
-          check_string (l.Program_layout.name ^ ": content still hashes to the sealed digest")
+          check_string (name ^ ": content still hashes to the sealed digest")
             (Address_map.digest m) (map_content_digest m))
         (Array.append [| l.Program_layout.os_map |] l.Program_layout.app_maps);
-      check_layout l)
+      check_layout (name, l))
     layouts
 
 (* The digest is computed when the layout is built, from its maps'
@@ -617,7 +621,7 @@ let test_program_layout_digest_memo () =
   let base () = Program_layout.base ~model ~program in
   let l = Program_layout.opt_s ~model ~program ~os_profile:ctx.Context.avg_os_profile () in
   let d = Program_layout.digest l in
-  let derive src map = Program_layout.with_os_map src ~name:"derived" map in
+  let derive src map = Program_layout.with_os_map src map in
   let same = derive l l.Program_layout.os_map in
   check_string "same OS map, same digest" d (Program_layout.digest same);
   let m = (base ()).Program_layout.os_map in

@@ -1,11 +1,12 @@
 open Helpers
 
 (* The staged, memoized, parallel layout pipeline must be observationally
-   identical to the monolithic uncached construction: for any level,
+   identical to a cold sequential construction: for any level,
    geometry and job count, the per-workload `Program_layout.digest`s (the
-   exact placement the simulator consumes) must match a build with every
-   Layout_cache stage disabled — cold caches, warm caches and
-   cross-parameter cache-hit paths included. *)
+   exact placement the simulator consumes) must match a sequential build
+   from cleared caches — warm caches and cross-parameter cache-hit paths
+   included.  test/ref_layout.ml is the independent reference for the
+   placement itself. *)
 
 let digests layouts = Array.map Program_layout.digest layouts
 
@@ -16,12 +17,10 @@ let check_digests name a b =
 let build_uncached ?(jobs = 1) ctx ~params level =
   with_jobs jobs (fun () -> Levels.build_uncached ctx ~params level)
 
-(* Monolithic reference: every stage cache bypassed, strictly sequential. *)
+(* Reference: a strictly sequential build from cleared stage caches. *)
 let monolithic ctx ~params level =
-  Layout_cache.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Layout_cache.set_enabled true)
-    (fun () -> build_uncached ctx ~params level)
+  Layout_cache.clear ();
+  build_uncached ctx ~params level
 
 let stage name = List.assoc name (Layout_cache.stage_stats ())
 
@@ -108,11 +107,11 @@ let test_cross_level_sharing () =
   let seq1 = stage "sequences" in
   check_int "OptL reuses OptS's sequences" seq0.Layout_cache.misses
     seq1.Layout_cache.misses;
-  check_digests "OptL == its monolithic reference" opt_l
-    (monolithic ctx ~params:(Opt.params ()) Levels.OptL);
   let opt_a = build_uncached ctx ~params:(Opt.params ()) Levels.OptA in
   check_bool "OptA's OS placement is physically OptS's" true
-    (opt_a.(0).Program_layout.os_map == opt_s.(0).Program_layout.os_map)
+    (opt_a.(0).Program_layout.os_map == opt_s.(0).Program_layout.os_map);
+  check_digests "OptL == its monolithic reference" opt_l
+    (monolithic ctx ~params:(Opt.params ()) Levels.OptL)
 
 (* Base application images are physically shared across workloads and
    levels: the same app appears in several programs, and rebuilding it
@@ -131,8 +130,8 @@ let test_base_app_maps_shared () =
 
 (* A frozen profile's digest is stored on first use and read ever after,
    so it is only sound if no consumer writes the counts.  Run every
-   algorithm that reads a profile, uncached, on one whose digest is
-   already stored, then recompute the digest from its content. *)
+   algorithm that reads a profile, from cleared caches, on one whose
+   digest is already stored, then recompute the digest from its content. *)
 let test_profile_digest_survives_consumers () =
   let ctx = Lazy.force small_context in
   let model = ctx.Context.model in
@@ -145,18 +144,30 @@ let test_profile_digest_survives_consumers () =
   ignore (Loopstat.analyze g p loops);
   ignore (Chang_hwu.layout g p);
   ignore (Pettis_hansen.layout g p);
-  Layout_cache.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Layout_cache.set_enabled true)
-    (fun () ->
-      List.iter
-        (fun extract_loops ->
-          ignore
-            (Opt.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule:Schedule.paper
-               { (Opt.params ()) with Opt.extract_loops }))
-        [ false; true ]);
+  Layout_cache.clear ();
+  List.iter
+    (fun extract_loops ->
+      ignore
+        (Opt.layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule:Schedule.paper
+           { (Opt.params ()) with Opt.extract_loops }))
+    [ false; true ];
   check_string "content still hashes to the stored digest" stored (profile_content_digest p);
   check_bool "the stored digest is served" true (Profile.digest p == stored)
+
+(* --- one reset for all layout caching ------------------------------ *)
+
+(* No cache above the stages keeps whole layouts, so after
+   [Layout_cache.clear] a level the context already built is placed
+   again: exactly one new OS placement, shared by every workload. *)
+let test_clear_makes_levels_build_cold () =
+  let ctx = Lazy.force small_context in
+  let warm = Levels.build ctx Levels.OptS in
+  let place () = (stage "place").Layout_cache.misses in
+  Layout_cache.clear ();
+  let before = place () in
+  let cold = Levels.build ctx Levels.OptS in
+  check_int "one new OptS placement after clear" (before + 1) (place ());
+  check_digests "rebuilt after clear == before" warm cold
 
 (* --- loop detection under parallelism ------------------------------ *)
 
@@ -214,6 +225,7 @@ let () =
           case "profile digest survives every consumer"
             test_profile_digest_survives_consumers;
         ] );
+      ("reset", [ case "clear makes the next Levels.build cold" test_clear_makes_levels_build_cold ]);
       ( "concurrency",
         [
           case "loop detection race-free" test_loops_race_free;

@@ -173,14 +173,14 @@ let test_robust_reuses_context () =
   let ctx = Context.create ~spec:Spec.small ~words:40_000 ~seed:5 () in
   ignore (Levels.build ctx Levels.OptS);
   ignore (Levels.build ctx Levels.Base);
-  let captures = stage_calls "trace_capture" and levels = counter "levels.misses" in
+  let captures = stage_calls "trace_capture" and places = counter "layout_cache.place.misses" in
   let models = counter "kernel_model.misses" in
   let points = Exp_robust.compute ctx in
   check_int "four budgets" 4 (Array.length points);
   check_int "three new contexts: the 1x budget is the parent" (captures + 3)
     (stage_calls "trace_capture");
-  check_int "two new levels per new context, none for the 1x budget" (levels + 6)
-    (counter "levels.misses");
+  check_int "one new OptS placement per new context, none for the 1x budget" (places + 3)
+    (counter "layout_cache.place.misses");
   check_int "no kernel regenerated" models (counter "kernel_model.misses")
 
 (* --- The whole suite: results and memo counts independent of jobs -- *)
@@ -207,7 +207,6 @@ let cold_suite jobs compute =
   with_jobs jobs (fun () ->
       Sim_cache.clear ();
       Layout_cache.clear ();
-      Levels.clear ();
       let before = suite_counters () in
       let reports = List.map Result.render_text (compute ()) in
       let after = suite_counters () in
@@ -251,7 +250,6 @@ let test_every_pass_counted () =
   let ctx = Lazy.force small_context in
   Sim_cache.clear ();
   Layout_cache.clear ();
-  Levels.clear ();
   let passes0 = counter "batch.replay_passes" in
   Trace_log.reset ();
   Trace_log.set_enabled true;

@@ -384,7 +384,7 @@ let prop_digest_separates_layouts =
       in
       let base = List.hd built and ch = List.nth built 1 and opt_s = List.nth built 2 in
       let variant src (l : Program_layout.t) =
-        Program_layout.with_os_map src ~name:"variant" l.Program_layout.os_map
+        Program_layout.with_os_map src l.Program_layout.os_map
       in
       let layouts =
         built
