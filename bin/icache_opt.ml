@@ -9,9 +9,18 @@
 
 open Cmdliner
 
+(* A budget below one word is one error line and exit code 1, checked as
+   the arguments are read, before any output is opened. *)
 let words_arg =
-  let doc = "Instruction words to trace per workload." in
-  Arg.(value & opt int 2_000_000 & info [ "words" ] ~docv:"N" ~doc)
+  let doc = "Instruction words to trace per workload (at least 1)." in
+  let check words =
+    if words < 1 then begin
+      Printf.eprintf "--words must be at least 1 (got %d)\n" words;
+      exit 1
+    end;
+    words
+  in
+  Term.(const check $ Arg.(value & opt int 2_000_000 & info [ "words" ] ~docv:"N" ~doc))
 
 let seed_arg =
   let doc = "Engine seed (the kernel itself is always built from the spec seed)." in
@@ -65,19 +74,39 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
+(* "cannot VERB FILE: reason" from a Sys_error message about FILE. *)
+let cannot verb file e =
+  let prefix = file ^ ": " and n = String.length file + 2 in
+  let reason = if String.starts_with ~prefix e then String.sub e n (String.length e - n) else e in
+  Printf.sprintf "cannot %s %s: %s" verb file reason
+
 (* A whole input file, or stdin for '-'; a file that cannot be read is
    one error line, "cannot read FILE: reason". *)
 let read_input file =
   if file = "-" then Ok (In_channel.input_all stdin)
   else
     try Ok (In_channel.with_open_bin file In_channel.input_all)
-    with Sys_error e ->
-      let prefix = file ^ ": " and n = String.length file + 2 in
-      let reason = if String.starts_with ~prefix e then String.sub e n (String.length e - n) else e in
-      Error (Printf.sprintf "cannot read %s: %s" file reason)
+    with Sys_error e -> Error (cannot "read" file e)
 
 let read_input_or_exit file =
   match read_input file with Ok s -> s | Error e -> prerr_endline e; exit 1
+
+(* Every output path is checked before any context is built, so a long
+   run never ends on a path it cannot write.  The check opens the file
+   for writing without truncating it (creating it if need be); a failure
+   is one error line, "cannot write FILE: reason", and exit code 1. *)
+let check_output file =
+  if file <> "-" then
+    try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 file)
+    with Sys_error e ->
+      prerr_endline (cannot "write" file e);
+      exit 1
+
+(* [repro --out DIR] is created up front and checked through the
+   manifest it will hold. *)
+let check_out_dir dir =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
+  check_output (Filename.concat dir "manifest.json")
 
 let make_context ~small ~words ~seed ~jobs =
   Option.iter Parallel.set_jobs jobs;
@@ -92,7 +121,9 @@ let write_manifest path =
 (* The trace document is the Chrome trace plus the metrics snapshot under
    an extra key viewers ignore, so one artifact carries both the timeline
    and the histogram/counter summary trace-summary prints. *)
-let start_trace trace = if trace <> None then Trace_log.set_enabled true
+let start_trace trace =
+  Option.iter check_output trace;
+  if trace <> None then Trace_log.set_enabled true
 
 let finish_trace trace =
   Option.iter
@@ -148,8 +179,6 @@ let repro_cmd =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc)
   in
   let run words seed small jobs format out trace ids =
-    start_trace trace;
-    let ctx = make_context ~small ~words ~seed ~jobs in
     let exps =
       match ids with
       | [] -> Experiments.all
@@ -163,12 +192,14 @@ let repro_cmd =
                   exit 1)
             ids
     in
+    Option.iter check_out_dir out;
+    start_trace trace;
+    let ctx = make_context ~small ~words ~seed ~jobs in
     (* Every selected experiment in one fan-out; reports come back, and are
        emitted, in registry order. *)
     let reports = Experiments.compute_all exps ctx in
     (match out with
     | Some dir ->
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         List.iter
           (fun r ->
             let path =
@@ -271,6 +302,7 @@ let layout_cmd =
     Arg.(value & opt level_conv Levels.OptS & info [ "l"; "level" ] ~docv:"LEVEL" ~doc)
   in
   let run words seed small jobs level out =
+    check_output out;
     let ctx = make_context ~small ~words ~seed ~jobs in
     let g = Context.os_graph ctx in
     (* Every workload of a level shares one OS placement (OptA differs
@@ -299,6 +331,7 @@ let dot_cmd =
     Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run words seed small jobs name out =
+    check_output out;
     let ctx = make_context ~small ~words ~seed ~jobs in
     let g = Context.os_graph ctx in
     let found = ref None in
@@ -357,6 +390,7 @@ let sweep_cmd =
             assocs)
         sizes
     in
+    check_output out;
     start_trace trace;
     let ctx = make_context ~small ~words ~seed ~jobs in
     let columns =
@@ -435,6 +469,7 @@ let profile_cmd =
     Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run words seed small jobs out =
+    check_output out;
     let ctx = make_context ~small ~words ~seed ~jobs in
     let g = Context.os_graph ctx in
     let p = ctx.Context.avg_os_profile in
@@ -459,6 +494,7 @@ let trace_cmd =
   in
   let run words seed small w out =
     check_workload w;
+    check_output out;
     let spec = if small then Spec.small else Spec.default in
     let pairs = Workload.standard_programs (Generator.generate spec) in
     let workload, program = pairs.(w) in

@@ -106,3 +106,14 @@ let digest t =
 let sealed_addr t =
   if t.digest = None then invalid_arg "Address_map.sealed_addr: map not validated";
   t.addr
+
+let back_to_back g blocks ~region =
+  let t = create g in
+  let cursor = ref 0 in
+  Seq.iter
+    (fun b ->
+      place t b ~addr:!cursor ~region:(region b);
+      cursor := !cursor + (Graph.block g b).Block.size)
+    blocks;
+  validate t;
+  t

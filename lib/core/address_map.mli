@@ -36,6 +36,13 @@ val validate : t -> unit
     seals the map: later {!place} calls raise.
     @raise Failure with a diagnostic otherwise. *)
 
+val back_to_back : Graph.t -> Block.id Seq.t -> region:(Block.id -> region) -> t
+(** A validated map with [blocks] placed in order from address 0,
+    each block right after the one before it, in region [region b]: the
+    Base, Chang-Hwu and Pettis-Hansen placements.
+    @raise Invalid_argument if a block repeats.
+    @raise Failure if a block of the graph is missing. *)
+
 val digest : t -> string
 (** Hex MD5 of the {!addr_array} and {!bytes_array} contents, recorded by
     the first successful {!validate}.

@@ -1,15 +1,8 @@
 let layout g ~order =
   if Array.length order <> Graph.routine_count g then
     invalid_arg "Base.layout: order must list every routine";
-  let map = Address_map.create g in
-  let cursor = ref 0 in
-  Array.iter
-    (fun r ->
-      Array.iter
-        (fun b ->
-          Address_map.place map b ~addr:!cursor ~region:Address_map.Cold;
-          cursor := !cursor + (Graph.block g b).Block.size)
-        (Graph.routine g r).Routine.blocks)
-    order;
-  Address_map.validate map;
-  map
+  Address_map.back_to_back g
+    (Seq.concat_map
+       (fun r -> Array.to_seq (Graph.routine g r).Routine.blocks)
+       (Array.to_seq order))
+    ~region:(fun _ -> Address_map.Cold)

@@ -97,18 +97,9 @@ let routine_order g p =
   List.concat_map snd sorted
 
 let layout g p =
-  let map = Address_map.create g in
-  let cursor = ref 0 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun b ->
-          let region =
-            if Profile.executed p b then Address_map.Other_seq else Address_map.Cold
-          in
-          Address_map.place map b ~addr:!cursor ~region;
-          cursor := !cursor + (Graph.block g b).Block.size)
-        (intra_routine_order g p (Graph.routine g r)))
-    (routine_order g p);
-  Address_map.validate map;
-  map
+  Address_map.back_to_back g
+    (Seq.concat_map
+       (fun r -> List.to_seq (intra_routine_order g p (Graph.routine g r)))
+       (List.to_seq (routine_order g p)))
+    ~region:(fun b ->
+      if Profile.executed p b then Address_map.Other_seq else Address_map.Cold)

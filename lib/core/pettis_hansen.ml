@@ -182,18 +182,9 @@ let intra_routine_order g p (r : Routine.t) =
 (* ------------------------------------------------------------------ *)
 
 let layout g p =
-  let map = Address_map.create g in
-  let at = ref 0 in
-  List.iter
-    (fun rid ->
-      let r = Graph.routine g rid in
-      List.iter
-        (fun b ->
-          let executed = p.Profile.block.(b) > 0.0 in
-          let region = if executed then Address_map.Main_seq else Address_map.Cold in
-          Address_map.place map b ~addr:!at ~region;
-          at := !at + (Graph.block g b).Block.size)
-        (intra_routine_order g p r))
-    (routine_order g p);
-  Address_map.validate map;
-  map
+  Address_map.back_to_back g
+    (Seq.concat_map
+       (fun rid -> List.to_seq (intra_routine_order g p (Graph.routine g rid)))
+       (List.to_seq (routine_order g p)))
+    ~region:(fun b ->
+      if p.Profile.block.(b) > 0.0 then Address_map.Main_seq else Address_map.Cold)

@@ -86,6 +86,7 @@ let build ~spec ~model ~words ~seed ~key ?jobs () =
   }
 
 let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
+  if words < 1 then invalid_arg "Context.create: words < 1";
   let spec_digest = Memo.digest (spec : Spec.t) in
   let model =
     Memo.find_or_build models spec_digest (fun () ->

@@ -31,7 +31,8 @@ val create : ?spec:Spec.t -> ?words:int -> ?seed:int -> ?jobs:int -> unit -> t
     domains (default {!Parallel.default_jobs}); the result is bit-identical
     for every job count.  The kernel is generated once per spec and
     process (a {!Memo} named [kernel_model], keyed on the spec's digest),
-    so contexts of one spec share their [model] physically. *)
+    so contexts of one spec share their [model] physically.
+    @raise Invalid_argument if [words < 1]. *)
 
 val derive : t -> model:Model.t -> seed:int -> t
 (** The same four workloads and word budget traced on another kernel

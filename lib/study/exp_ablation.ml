@@ -17,32 +17,25 @@ type variant = {
   vs_opt_s : float;
 }
 
-let os_variant (ctx : Context.t) ?schedule ?follow_calls ?(params = Opt.params ()) () =
-  let r =
-    Opt.os_layout ?schedule ?follow_calls ~model:ctx.Context.model
-      ~profile:ctx.Context.avg_os_profile ~loops:(Context.os_loops ctx) params
-  in
-  Levels.os_variant ctx r.Opt.map
-
 let compute (ctx : Context.t) =
   let variants =
     [
-      ("OptS", "full algorithm", fun () -> os_variant ctx ());
+      ("OptS", "full algorithm", fun () -> Levels.opt_variant ctx ());
       ( "-schedule",
         "flat (0,0) passes, no threshold descent",
-        fun () -> os_variant ctx ~schedule:Schedule.flat () );
+        fun () -> Levels.opt_variant ctx ~schedule:Schedule.flat () );
       ( "-seeds",
         "interrupt seed only",
         fun () ->
-          os_variant ctx
+          Levels.opt_variant ctx
             ~schedule:(Schedule.restrict [ Service.Interrupt ] Schedule.paper)
             () );
       ( "-interleave",
         "sequences stop at routine boundaries",
-        fun () -> os_variant ctx ~follow_calls:false () );
+        fun () -> Levels.opt_variant ctx ~follow_calls:false () );
       ( "-scf",
         "no SelfConfFree area",
-        fun () -> os_variant ctx ~params:(Opt.params ~scf_cutoff:None ()) () );
+        fun () -> Levels.opt_variant ctx ~params:(Opt.params ~scf_cutoff:None ()) () );
     ]
   in
   (* Base and every variant, built concurrently, through the 8 KB cache in

@@ -17,12 +17,7 @@ type result = {
 }
 
 let compute (ctx : Context.t) =
-  let model = ctx.Context.model in
-  let loops = Context.os_loops ctx in
-  let layouts_from profile =
-    Levels.os_variant ctx
-      (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
-  in
+  let layouts_from = Levels.opt_variant ctx in
   let n = Context.workload_count ctx in
   (* One layout per workload profile, then the averaged one, through the
      8 KB cache in one batch. *)
@@ -31,7 +26,7 @@ let compute (ctx : Context.t) =
   let misses =
     Runner.simulate_batch ctx
       ~members:
-        (Parallel.map_array (fun _ p -> (layouts_from p, config)) profiles)
+        (Parallel.map_array (fun _ profile -> (layouts_from ~profile (), config)) profiles)
       ()
     |> Array.map (Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters))
   in

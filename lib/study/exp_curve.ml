@@ -14,17 +14,9 @@
    conflict misses (gap to floor shrinks) and packs hot code into fewer
    lines (the floor itself drops a little). *)
 
-type row = {
-  workload : string;
-  base_fa : int;  (** Fully-associative misses, 256 lines (8 KB / 32 B). *)
-  opt_fa : int;
-  base_dm : int;  (** Direct-mapped 8 KB simulated misses. *)
-  opt_dm : int;
-}
-
 let conflict ~dm ~fa = max 0 (dm - fa)
 
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let base_layouts = Levels.build ctx Levels.Base in
   let opt_layouts = Levels.build ctx Levels.OptS in
   let n = Context.workload_count ctx in
@@ -51,27 +43,13 @@ let compute (ctx : Context.t) =
   in
   (* No warm-up discount on either side: the stack-distance pass counts
      every reference including cold ones, so the simulation must too. *)
-  let dm_batch =
+  let dm =
     let config = Config.make ~size_kb:8 () in
     Runner.simulate_batch ctx
       ~members:[| (base_layouts, config); (opt_layouts, config) |]
       ~warmup_fraction:0.0 ()
+    |> Array.map (Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters))
   in
-  let base_dm = dm_batch.(0) in
-  let opt_dm = dm_batch.(1) in
-  Array.mapi
-    (fun i ((w : Workload.t), _) ->
-      {
-        workload = w.Workload.name;
-        base_fa = fa.(i);
-        opt_fa = fa.(n + i);
-        base_dm = Counters.misses base_dm.(i).Runner.counters;
-        opt_dm = Counters.misses opt_dm.(i).Runner.counters;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
   let t =
     Table.create
       [
@@ -80,20 +58,20 @@ let report ctx =
         ("conflict", Table.Right);
       ]
   in
-  Array.iter
-    (fun r ->
-      Table.add_row t
-        [
-          r.workload; "Base"; Table.cell_i r.base_fa; Table.cell_i r.base_dm;
-          Table.cell_i (conflict ~dm:r.base_dm ~fa:r.base_fa);
-        ];
-      Table.add_row t
-        [
-          ""; "OptS"; Table.cell_i r.opt_fa; Table.cell_i r.opt_dm;
-          Table.cell_i (conflict ~dm:r.opt_dm ~fa:r.opt_fa);
-        ];
+  Array.iteri
+    (fun i name ->
+      let add workload layout k =
+        let fa = fa.((k * n) + i) and dm = dm.(k).(i) in
+        Table.add_row t
+          [
+            workload; layout; Table.cell_i fa; Table.cell_i dm;
+            Table.cell_i (conflict ~dm ~fa);
+          ]
+      in
+      add name "Base" 0;
+      add "" "OptS" 1;
       Table.add_separator t)
-    rows;
+    names;
   Result.report ~id:"curve"
     ~section:"Stack distances: conflict vs capacity misses (8KB, 32B lines)"
     [

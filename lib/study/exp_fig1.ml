@@ -1,13 +1,5 @@
-type result = {
-  total_bins : int array;
-  self_bins : int array;
-  cross_bins : int array;
-  self_pct : float;
-  top2_peak_pct : float;
-}
-
 (* TRFD+Make is workload index 1, as in the paper's Figure 1. *)
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let wl = 1 in
   let layouts = Levels.build ctx Levels.Base in
   let config = Config.make ~size_kb:16 () in
@@ -26,36 +18,29 @@ let compute (ctx : Context.t) =
   let sizes = Address_map.bytes_array base_map in
   let bins misses = Missmap.by_address ~positions ~sizes ~misses ~bin:1024 in
   let total_bins = bins (System.block_misses sys ~image:0) in
-  {
-    total_bins;
-    self_bins = bins (System.block_misses_self sys ~image:0);
-    cross_bins = bins (System.block_misses_cross sys ~image:0);
-    self_pct = Stats.pct c.Counters.os_self (Counters.os_misses c);
-    top2_peak_pct = 100.0 *. Missmap.peak_fraction total_bins ~n:2;
-  }
-
-let report ctx =
-  let r = compute ctx in
+  let self_bins = bins (System.block_misses_self sys ~image:0) in
+  let cross_bins = bins (System.block_misses_cross sys ~image:0) in
+  let self_pct = Stats.pct c.Counters.os_self (Counters.os_misses c) in
+  let top2_peak_pct = 100.0 *. Missmap.peak_fraction total_bins ~n:2 in
   let peaks =
     List.filter_map
       (fun (bin, count) ->
         if count > 0 then
           Some
             (Result.note "  addr %5dK: total %6d  self %6d  app-interf %6d" bin count
-               r.self_bins.(bin) r.cross_bins.(bin))
+               self_bins.(bin) cross_bins.(bin))
         else None)
-      (Missmap.peaks r.total_bins ~n:8)
+      (Missmap.peaks total_bins ~n:8)
   in
   Result.report ~id:"fig1"
     ~section:"Figure 1: OS miss-address distribution (TRFD+Make, 16KB DM)"
     ((Result.note "largest miss peaks (1KB bins of the Base address space):" :: peaks)
     @ [
-        Result.scalar ~label:"self_interference_pct" ~value:r.self_pct
+        Result.scalar ~label:"self_interference_pct" ~value:self_pct
+          ~text:(Printf.sprintf "self-interference share of OS misses: %.1f%%" self_pct);
+        Result.scalar ~label:"top2_peak_pct" ~value:top2_peak_pct
           ~text:
-            (Printf.sprintf "self-interference share of OS misses: %.1f%%" r.self_pct);
-        Result.scalar ~label:"top2_peak_pct" ~value:r.top2_peak_pct
-          ~text:
-            (Printf.sprintf "two largest peaks hold %.1f%% of OS misses" r.top2_peak_pct);
+            (Printf.sprintf "two largest peaks hold %.1f%% of OS misses" top2_peak_pct);
         Result.paper
           "self-interference accounts for over 90% of OS misses in all workloads;";
         Result.paper "the two dominant peaks hold 12.6% + 8.6% of OS misses in TRFD+Make";

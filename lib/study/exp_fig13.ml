@@ -1,16 +1,5 @@
-type split = {
-  main_seq : float;
-  self_conf_free : float;
-  loops : float;
-  other_seq : float;
-}
-
-type row = {
-  workload : string;
-  refs : split;
-  misses : (Levels.level * split) array;
-}
-
+(* Percentages of [values] per region: MainSeq, SelfConfFree, Loops and
+   OtherSeq (which takes the cold blocks too). *)
 let classify_split region_of values =
   let acc = [| 0.0; 0.0; 0.0; 0.0 |] in
   Array.iteri
@@ -25,10 +14,9 @@ let classify_split region_of values =
       acc.(slot) <- acc.(slot) +. v)
     values;
   let total = Array.fold_left ( +. ) 0.0 acc in
-  let pct i = if total > 0.0 then 100.0 *. acc.(i) /. total else 0.0 in
-  { main_seq = pct 0; self_conf_free = pct 1; loops = pct 2; other_seq = pct 3 }
+  Array.map (fun v -> if total > 0.0 then 100.0 *. v /. total else 0.0) acc
 
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let g = Context.os_graph ctx in
   let config = Config.make ~size_kb:8 () in
   (* Region taxonomy comes from the OptL layout (as in the paper). *)
@@ -43,29 +31,6 @@ let compute (ctx : Context.t) =
       ~members:(Array.map (fun level -> (Levels.build ctx level, config)) levels)
       ~attribute_os:true ()
   in
-  let runs_per_level = Array.mapi (fun k level -> (level, batch.(k))) levels in
-  Array.mapi
-    (fun i (w, _) ->
-      let p = ctx.Context.os_profiles.(i) in
-      let ref_words =
-        Array.init (Graph.block_count g) (fun b ->
-            p.Profile.block.(b)
-            *. float_of_int (Block.instruction_words (Graph.block g b)))
-      in
-      {
-        workload = w.Workload.name;
-        refs = classify_split region_of ref_words;
-        misses =
-          Array.map
-            (fun (level, runs) ->
-              let m = runs.(i).Runner.os_block_misses in
-              (level, classify_split region_of (Array.map float_of_int m)))
-            runs_per_level;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
   let t =
     Table.create
       [
@@ -74,22 +39,25 @@ let report ctx =
         ("Loops", Table.Right); ("OtherSeq", Table.Right);
       ]
   in
-  let add name label (s : split) =
+  let add name label values =
     Table.add_row t
-      [
-        name; label;
-        Table.cell_pct s.main_seq; Table.cell_pct s.self_conf_free;
-        Table.cell_pct s.loops; Table.cell_pct s.other_seq;
-      ]
+      (name :: label
+      :: Array.to_list (Array.map Table.cell_pct (classify_split region_of values)))
   in
-  Array.iter
-    (fun r ->
-      add r.workload "refs" r.refs;
-      Array.iter
-        (fun (level, s) -> add "" ("misses " ^ Levels.to_string level) s)
-        r.misses;
+  Array.iteri
+    (fun i name ->
+      let p = ctx.Context.os_profiles.(i) in
+      add name "refs"
+        (Array.init (Graph.block_count g) (fun b ->
+             p.Profile.block.(b)
+             *. float_of_int (Block.instruction_words (Graph.block g b))));
+      Array.iteri
+        (fun k level ->
+          add "" ("misses " ^ Levels.to_string level)
+            (Array.map float_of_int batch.(k).(i).Runner.os_block_misses))
+        levels;
       Table.add_separator t)
-    rows;
+    (Context.workload_names ctx);
   Result.report ~id:"fig13" ~section:"Figure 13: OS refs and misses by block region (8KB DM)"
     [
       Result.of_table t;

@@ -9,55 +9,54 @@ type point = {
 
 let levels = [| Levels.Base; Levels.CH; Levels.OptS |]
 
-let compute (ctx : Context.t) =
-  let sizes = [| 4; 8; 16; 32 |] in
-  (* The whole (cache size x level) grid goes through one batch: the Base
-     and C-H placements do not depend on the cache size, so their four
-     geometries share a single replay pass per workload. *)
+let sweep (ctx : Context.t) configs =
+  (* The whole (geometry x level) grid goes through one batch: the Base
+     and C-H placements do not depend on the geometry, and OptS only on
+     the cache size, so geometries share a level's single replay pass per
+     workload wherever their placements agree. *)
   let members =
     Array.concat
       (Array.to_list
          (Array.map
-            (fun size_kb ->
-              let config = Config.make ~size_kb () in
-              let params = Opt.params ~cache_size:(size_kb * 1024) () in
-              Array.map
-                (fun level -> (Levels.build ctx ~params level, config))
-                levels)
-            sizes))
+            (fun (config : Config.t) ->
+              let params = Opt.params ~cache_size:config.Config.size () in
+              Array.map (fun level -> (Levels.build ctx ~params level, config)) levels)
+            configs))
   in
   let batch = Runner.simulate_batch ctx ~members () in
-  let points = ref [] in
-  Array.iteri
-    (fun si size_kb ->
-      let rates k =
-        Array.map
-          (fun (r : Runner.run) -> Counters.miss_rate r.Runner.counters)
-          batch.((si * Array.length levels) + k)
-      in
-      let base = rates 0 in
-      let ch = rates 1 in
-      let opt_s = rates 2 in
-      Array.iteri
-        (fun i (w, _) ->
-          points :=
-            {
-              size_kb;
-              workload = w.Workload.name;
-              base_pct = 100.0 *. base.(i);
-              ch_pct = 100.0 *. ch.(i);
-              opt_s_pct = 100.0 *. opt_s.(i);
-              speedups =
-                Array.map
-                  (fun penalty ->
-                    Speedup.speed_increase ~base_miss_rate:base.(i)
-                      ~opt_miss_rate:opt_s.(i) ~penalty)
-                  Speedup.penalties;
-            }
-            :: !points)
-        ctx.Context.pairs)
-    sizes;
-  Array.of_list (List.rev !points)
+  Array.mapi
+    (fun ci _ ->
+      Array.init (Array.length levels) (fun k ->
+          Array.map
+            (fun (r : Runner.run) -> Counters.miss_rate r.Runner.counters)
+            batch.((ci * Array.length levels) + k)))
+    configs
+
+let compute (ctx : Context.t) =
+  let sizes = [| 4; 8; 16; 32 |] in
+  let rates = sweep ctx (Array.map (fun size_kb -> Config.make ~size_kb ()) sizes) in
+  Array.concat
+    (Array.to_list
+       (Array.mapi
+          (fun si size_kb ->
+            let base = rates.(si).(0) and ch = rates.(si).(1) and opt_s = rates.(si).(2) in
+            Array.mapi
+              (fun i workload ->
+                {
+                  size_kb;
+                  workload;
+                  base_pct = 100.0 *. base.(i);
+                  ch_pct = 100.0 *. ch.(i);
+                  opt_s_pct = 100.0 *. opt_s.(i);
+                  speedups =
+                    Array.map
+                      (fun penalty ->
+                        Speedup.speed_increase ~base_miss_rate:base.(i)
+                          ~opt_miss_rate:opt_s.(i) ~penalty)
+                      Speedup.penalties;
+                })
+              (Context.workload_names ctx))
+          sizes))
 
 let report ctx =
   let points = compute ctx in

@@ -1,14 +1,4 @@
-type bar = {
-  setup : string;
-  os_misses : int;
-  app_misses : int;
-  total : int;
-  normalized : float;
-}
-
-type row = { workload : string; bars : bar array }
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let model = ctx.Context.model in
   let os_profile = ctx.Context.avg_os_profile in
   let opt_a_layouts = Levels.build ctx Levels.OptA in
@@ -42,24 +32,6 @@ let compute (ctx : Context.t) =
     |]
   in
   let runs = Runner.batch ctx ~members:(Array.map snd setups) () in
-  Array.mapi
-    (fun i (w, _) ->
-      let base_total = Counters.misses runs.(0).(i).Runner.counters in
-      let bar j (setup, _) =
-        let c = runs.(j).(i).Runner.counters in
-        {
-          setup;
-          os_misses = Counters.os_misses c;
-          app_misses = Counters.app_misses c;
-          total = Counters.misses c;
-          normalized = Stats.ratio (Counters.misses c) base_total;
-        }
-      in
-      { workload = w.Workload.name; bars = Array.mapi bar setups })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
   let t =
     Table.create
       [
@@ -68,22 +40,24 @@ let report ctx =
         ("Total", Table.Right); ("Norm", Table.Right);
       ]
   in
-  Array.iter
-    (fun r ->
+  Array.iteri
+    (fun i name ->
+      let base_total = Counters.misses runs.(0).(i).Runner.counters in
       Array.iteri
-        (fun j b ->
+        (fun j (setup, _) ->
+          let c = runs.(j).(i).Runner.counters in
           Table.add_row t
             [
-              (if j = 0 then r.workload else "");
-              b.setup;
-              Table.cell_i b.os_misses;
-              Table.cell_i b.app_misses;
-              Table.cell_i b.total;
-              Table.cell_f b.normalized;
+              (if j = 0 then name else "");
+              setup;
+              Table.cell_i (Counters.os_misses c);
+              Table.cell_i (Counters.app_misses c);
+              Table.cell_i (Counters.misses c);
+              Table.cell_f (Stats.ratio (Counters.misses c) base_total);
             ])
-        r.bars;
+        setups;
       Table.add_separator t)
-    rows;
+    (Context.workload_names ctx);
   Result.report ~id:"fig18"
     ~section:"Figure 18: Sep / Resv / Call setups (8KB total, 32B lines)"
     [

@@ -3,17 +3,5 @@
     reserved for the hottest OS code + 7 KB for the rest), and [Call]
     (the Section 4.4 loop-callee placement) - against Base and OptA. *)
 
-type bar = {
-  setup : string;
-  os_misses : int;
-  app_misses : int;
-  total : int;
-  normalized : float;  (** Over Base. *)
-}
-
-type row = { workload : string; bars : bar array }
-
-val compute : Context.t -> row array
-
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)

@@ -1,13 +1,4 @@
-type result = {
-  loop_count : int;
-  iters_le_6_pct : float;
-  iters_le_25_pct : float;
-  max_size_bytes : int;
-  iteration_bins : (string * int) list;
-  size_bins : (string * int) list;
-}
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let infos =
     Loopstat.analyze (Context.os_graph ctx) ctx.Context.avg_os_profile (Context.os_loops ctx)
   in
@@ -26,26 +17,14 @@ let compute (ctx : Context.t) =
   let max_size =
     List.fold_left (fun acc (i : Loopstat.info) -> max acc i.executed_body_bytes) 0 plain
   in
-  {
-    loop_count = n;
-    iters_le_6_pct = Stats.pct (le 6.0) n;
-    iters_le_25_pct = Stats.pct (le 25.0) n;
-    max_size_bytes = max_size;
-    iteration_bins = Histogram.to_list iter_hist;
-    size_bins = Histogram.to_list size_hist;
-  }
-
-let report ctx =
-  let r = compute ctx in
+  let series h = List.map (fun (l, c) -> (l, float_of_int c)) (Histogram.to_list h) in
   Result.report ~id:"fig4" ~section:"Figure 4: loops without procedure calls"
     [
-      Result.note "executed loops without calls: %d" r.loop_count;
-      Result.series ~label:"  iterations per invocation"
-        (List.map (fun (l, c) -> (l, float_of_int c)) r.iteration_bins);
-      Result.series ~label:"  executed static size (bytes)"
-        (List.map (fun (l, c) -> (l, float_of_int c)) r.size_bins);
-      Result.note "loops with <= 6 iterations/invocation: %.0f%%" r.iters_le_6_pct;
-      Result.note "loops with <= 25 iterations/invocation: %.0f%%" r.iters_le_25_pct;
-      Result.note "largest executed loop body: %d bytes" r.max_size_bytes;
+      Result.note "executed loops without calls: %d" n;
+      Result.series ~label:"  iterations per invocation" (series iter_hist);
+      Result.series ~label:"  executed static size (bytes)" (series size_hist);
+      Result.note "loops with <= 6 iterations/invocation: %.0f%%" (Stats.pct (le 6.0) n);
+      Result.note "loops with <= 25 iterations/invocation: %.0f%%" (Stats.pct (le 25.0) n);
+      Result.note "largest executed loop body: %d bytes" max_size;
       Result.paper "156 loops; 50% run <= 6 iterations, ~75% <= 25; largest spans 300 bytes";
     ]

@@ -1,13 +1,4 @@
-type result = {
-  loop_count : int;
-  iters_le_10_pct : float;
-  median_size_bytes : float;
-  max_size_bytes : int;
-  iteration_bins : (string * int) list;
-  size_bins : (string * int) list;
-}
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let g = Context.os_graph ctx in
   let loops = Context.os_loops ctx in
   let union = ctx.Context.avg_os_profile in
@@ -29,26 +20,15 @@ let compute (ctx : Context.t) =
   in
   let size_hist = Histogram.explicit [| 256; 512; 1024; 2048; 4096; 8192; 16384 |] in
   Array.iter (fun v -> Histogram.add size_hist (int_of_float v)) sizes;
-  {
-    loop_count = n;
-    iters_le_10_pct = Stats.pct (le 10.0) n;
-    median_size_bytes = Stats.median sizes;
-    max_size_bytes = int_of_float (if Array.length sizes = 0 then 0.0 else Stats.maximum sizes);
-    iteration_bins = Histogram.to_list iter_hist;
-    size_bins = Histogram.to_list size_hist;
-  }
-
-let report ctx =
-  let r = compute ctx in
+  let max_size = int_of_float (if Array.length sizes = 0 then 0.0 else Stats.maximum sizes) in
+  let series h = List.map (fun (l, c) -> (l, float_of_int c)) (Histogram.to_list h) in
   Result.report ~id:"fig5" ~section:"Figure 5: loops with procedure calls"
     [
-      Result.note "executed loops with calls: %d" r.loop_count;
-      Result.series ~label:"  iterations per invocation"
-        (List.map (fun (l, c) -> (l, float_of_int c)) r.iteration_bins);
-      Result.series ~label:"  executed static size incl. callees (bytes)"
-        (List.map (fun (l, c) -> (l, float_of_int c)) r.size_bins);
-      Result.note "loops with <= 10 iterations/invocation: %.0f%%" r.iters_le_10_pct;
+      Result.note "executed loops with calls: %d" n;
+      Result.series ~label:"  iterations per invocation" (series iter_hist);
+      Result.series ~label:"  executed static size incl. callees (bytes)" (series size_hist);
+      Result.note "loops with <= 10 iterations/invocation: %.0f%%" (Stats.pct (le 10.0) n);
       Result.note "median executed size incl. callees: %.0f bytes (max %d)"
-        r.median_size_bytes r.max_size_bytes;
+        (Stats.median sizes) max_size;
       Result.paper "71 loops; usually <= 10 iterations; median size 2KB, a few above 16KB";
     ]

@@ -7,19 +7,7 @@
    and increases conflicts, making it unstable next to sequence-based
    placement, which borrows only the callee blocks it needs. *)
 
-type row = {
-  workload : string;
-  opt_s_rate : float;  (** OptS on the original kernel. *)
-  inline_rate : float;  (** OptS on the inlined kernel. *)
-}
-
-type result = {
-  stats : Inline.stats;
-  code_growth_pct : float;
-  rows : row array;
-}
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let model = ctx.Context.model in
   let inlined, stats =
     Trace_log.with_span "inline.transform" @@ fun () ->
@@ -38,20 +26,6 @@ let compute (ctx : Context.t) =
   in
   let inline_rates = rate_under ictx in
   let reference = rate_under ctx in
-  let rows =
-    Array.mapi
-      (fun i ((w : Workload.t), _) ->
-        {
-          workload = w.Workload.name;
-          opt_s_rate = reference.(i);
-          inline_rate = inline_rates.(i);
-        })
-      ctx.Context.pairs
-  in
-  { stats; code_growth_pct = growth; rows }
-
-let report ctx =
-  let r = compute ctx in
   let t =
     Table.create
       [
@@ -59,22 +33,22 @@ let report ctx =
         ("Inline+OptS %", Table.Right); ("ratio", Table.Right);
       ]
   in
-  Array.iter
-    (fun row ->
+  Array.iteri
+    (fun i name ->
+      let opt_s = reference.(i) and with_inline = inline_rates.(i) in
       Table.add_row t
         [
-          row.workload;
-          Table.cell_f ~decimals:3 (100.0 *. row.opt_s_rate);
-          Table.cell_f ~decimals:3 (100.0 *. row.inline_rate);
-          Table.cell_f (row.inline_rate /. Float.max 1e-12 row.opt_s_rate);
+          name;
+          Table.cell_f ~decimals:3 (100.0 *. opt_s);
+          Table.cell_f ~decimals:3 (100.0 *. with_inline);
+          Table.cell_f (with_inline /. Float.max 1e-12 opt_s);
         ])
-    r.rows;
+    (Context.workload_names ctx);
   Result.report ~id:"inline" ~section:"Inlining: OptS vs inline-then-OptS (8KB DM, 32B lines)"
     [
       Result.note
         "inlined %d call sites of %d leaf routines; +%d bytes (%.1f%% of the kernel)"
-        r.stats.Inline.sites r.stats.Inline.callees r.stats.Inline.added_bytes
-        r.code_growth_pct;
+        stats.Inline.sites stats.Inline.callees stats.Inline.added_bytes growth;
       Result.of_table t;
       Result.paper
         "Chen et al. (cited in 4.1): inlining is not a stable and effective scheme;";

@@ -8,8 +8,6 @@
    algorithm only needs the profile's order of magnitude - which is what
    its threshold structure (decades of ExecThresh) suggests. *)
 
-type point = { label : string; spread : float; ratio : float }
-
 let spreads = [| 0.0; 0.25; 0.5; 1.0; 2.0 |]
 
 let perturb ~seed ~spread (p : Profile.t) =
@@ -29,13 +27,8 @@ let perturb ~seed ~spread (p : Profile.t) =
   let block = Array.map noisy p.Profile.block in
   Profile.of_counts ~block ~arc ~invocations:p.Profile.invocations
 
-let compute (ctx : Context.t) =
-  let model = ctx.Context.model in
-  let loops = Context.os_loops ctx in
-  let layouts_from profile =
-    Levels.os_variant ctx
-      (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
-  in
+let report (ctx : Context.t) =
+  let layouts_from = Levels.opt_variant ctx in
   (* The clean layout, then one per spread (each perturbed with its own
      PRNG, so they build concurrently), through the 8 KB cache in one
      batch. *)
@@ -48,31 +41,22 @@ let compute (ctx : Context.t) =
           | None -> ctx.Context.avg_os_profile
           | Some spread -> perturb ~seed:31 ~spread ctx.Context.avg_os_profile
         in
-        (layouts_from profile, config))
+        (layouts_from ~profile (), config))
       (Array.append [| None |] (Array.map Option.some spreads))
   in
   let misses =
     Runner.simulate_batch ctx ~members ()
     |> Array.map (fun runs -> Counters.misses (Runner.total runs))
   in
-  Array.mapi
-    (fun k spread ->
-      {
-        label = Printf.sprintf "%.2f" spread;
-        spread;
-        ratio = Stats.ratio misses.(k + 1) misses.(0);
-      })
-    spreads
-
-let report ctx =
-  let points = compute ctx in
   let t =
     Table.create
       [ ("noise spread (xe^±s)", Table.Right); ("misses vs clean OptS", Table.Right) ]
   in
-  Array.iter
-    (fun p -> Table.add_row t [ p.label; Table.cell_f p.ratio ])
-    points;
+  Array.iteri
+    (fun k spread ->
+      Table.add_row t
+        [ Printf.sprintf "%.2f" spread; Table.cell_f (Stats.ratio misses.(k + 1) misses.(0)) ])
+    spreads;
   Result.report ~id:"noise"
     ~section:"Profile noise: OptS from a perturbed profile vs the clean one"
     [

@@ -2,12 +2,10 @@
     multiplicatively perturbed profile, evaluated on the clean traces,
     as the perturbation spread grows. *)
 
-type point = { label : string; spread : float; ratio : float }
-
-val spreads : float array
-
 val perturb : seed:int -> spread:float -> Profile.t -> Profile.t
+(** Every block and arc count multiplied by [exp (u *. spread)], [u]
+    uniform in [-1, 1) from a PRNG seeded with [seed]; zero counts stay
+    zero. *)
 
-val compute : Context.t -> point array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)

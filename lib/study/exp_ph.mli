@@ -3,8 +3,6 @@
 
 type row = { workload : string; rates : (string * float) list }
 
-val levels : string list
-
 val compute : Context.t -> row array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)

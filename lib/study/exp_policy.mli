@@ -7,8 +7,6 @@ type row = {
   rates : (string * float * float) array;  (** policy, Base, OptS. *)
 }
 
-val policies : (string * Config.policy) array
-
 val compute : Context.t -> row array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)

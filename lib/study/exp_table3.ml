@@ -1,27 +1,20 @@
-type row = {
-  workload : string;
-  dynamic_pct : float;
-  static_executed_pct : float;
-  static_pct : float;
-}
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let g = Context.os_graph ctx in
   let loops = Context.os_loops ctx in
-  Parallel.map_array
-    (fun i (w, _) ->
-      let p = ctx.Context.os_profiles.(i) in
-      {
-        workload = w.Workload.name;
-        dynamic_pct = 100.0 *. Loopstat.dynamic_share_without_calls g p loops;
-        static_executed_pct =
-          100.0 *. Loopstat.static_executed_share_without_calls g p loops;
-        static_pct = 100.0 *. Loopstat.static_share_without_calls ~profile:p g loops;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
+  let rows =
+    Parallel.map_array
+      (fun i ((w : Workload.t), _) ->
+        let p = ctx.Context.os_profiles.(i) in
+        w.Workload.name
+        :: List.map
+             (fun share -> Table.cell_f ~decimals:1 (100.0 *. share))
+             [
+               Loopstat.dynamic_share_without_calls g p loops;
+               Loopstat.static_executed_share_without_calls g p loops;
+               Loopstat.static_share_without_calls ~profile:p g loops;
+             ])
+      ctx.Context.pairs
+  in
   let t =
     Table.create
       [
@@ -31,16 +24,7 @@ let report ctx =
         ("Static Loops/Static OS (%)", Table.Right);
       ]
   in
-  Array.iter
-    (fun r ->
-      Table.add_row t
-        [
-          r.workload;
-          Table.cell_f ~decimals:1 r.dynamic_pct;
-          Table.cell_f ~decimals:1 r.static_executed_pct;
-          Table.cell_f ~decimals:1 r.static_pct;
-        ])
-    rows;
+  Array.iter (Table.add_row t) rows;
   Result.report ~id:"table3"
     ~section:"Table 3: OS instructions in loops without procedure calls"
     [

@@ -1,26 +1,4 @@
-type row = {
-  service : Service.t;
-  exec_thresh : float;
-  branch_thresh : float;
-  blocks : int;
-  bytes : int;
-}
-
-let compute (ctx : Context.t) =
-  Array.of_list
-    (List.map
-       (fun (s : Sequence.t) ->
-         {
-           service = s.Sequence.pass.Schedule.service;
-           exec_thresh = s.Sequence.pass.Schedule.exec_thresh;
-           branch_thresh = s.Sequence.pass.Schedule.branch_thresh;
-           blocks = Array.length s.Sequence.blocks;
-           bytes = s.Sequence.bytes;
-         })
-       (Levels.opt_result ctx Levels.OptS).Opt.sequences)
-
-let report ctx =
-  let rows = compute ctx in
+let report (ctx : Context.t) =
   let t =
     Table.create
       [
@@ -29,17 +7,18 @@ let report ctx =
         ("# of Bytes", Table.Right);
       ]
   in
-  Array.iter
-    (fun r ->
+  List.iter
+    (fun (s : Sequence.t) ->
+      let pass = s.Sequence.pass in
       Table.add_row t
         [
-          Service.to_string r.service;
-          Printf.sprintf "%g" r.exec_thresh;
-          Printf.sprintf "%g" r.branch_thresh;
-          Table.cell_i r.blocks;
-          Table.cell_i r.bytes;
+          Service.to_string pass.Schedule.service;
+          Printf.sprintf "%g" pass.Schedule.exec_thresh;
+          Printf.sprintf "%g" pass.Schedule.branch_thresh;
+          Table.cell_i (Array.length s.Sequence.blocks);
+          Table.cell_i s.Sequence.bytes;
         ])
-    rows;
+    (Levels.opt_result ctx Levels.OptS).Opt.sequences;
   Result.report ~id:"table4" ~section:"Table 4: threshold schedule and sequence lengths"
     [
       Result.of_table t;

@@ -2,15 +2,5 @@
     blocks and bytes) of the sequence each pass generates on the averaged
     profile. *)
 
-type row = {
-  service : Service.t;
-  exec_thresh : float;
-  branch_thresh : float;
-  blocks : int;
-  bytes : int;
-}
-
-val compute : Context.t -> row array
-
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)

@@ -4,8 +4,6 @@
 
 type row = { workload : string; rates : (string * float) list }
 
-val setups : (string * Levels.level * int option) list
-
 val compute : Context.t -> row array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)

@@ -61,3 +61,12 @@ let opt_result ctx ?params level =
 
 let os_variant ctx os_map =
   Array.map (fun l -> Program_layout.with_os_map l os_map) (build ctx Base)
+
+let opt_variant (ctx : Context.t) =
+  let loops = Context.os_loops ctx in
+  fun ?schedule ?follow_calls ?(profile = ctx.Context.avg_os_profile)
+      ?(params = Opt.params ()) () ->
+    os_variant ctx
+      (Opt.os_layout ?schedule ?follow_calls ~model:ctx.Context.model ~profile ~loops
+         params)
+        .Opt.map

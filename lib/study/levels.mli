@@ -34,6 +34,16 @@ val os_variant : Context.t -> Address_map.t -> Program_layout.t array
 (** The [Base] level's layouts with the OS placement replaced by [os_map]
     ({!Program_layout.with_os_map}): an experiment's OS-only variant. *)
 
+val opt_variant :
+  Context.t -> ?schedule:Schedule.pass list -> ?follow_calls:bool ->
+  ?profile:Profile.t -> ?params:Opt.params -> unit -> Program_layout.t array
+(** {!os_variant} of an OS placement that {!Opt.os_layout} builds from
+    [profile] (default: the averaged OS profile) and [params] (default
+    [Opt.params ()]): the OS-only OptS variants of the ablation,
+    cross-validation and noise studies.  [opt_variant ctx] looks the
+    kernel's loops up once, so the variants built through one partial
+    application share that lookup. *)
+
 val build_uncached :
   Context.t -> params:Opt.params -> level -> Program_layout.t array
 (** {!build} without the [levels_build] stage.  The workloads fan out

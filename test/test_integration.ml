@@ -54,6 +54,17 @@ let test_context_determinism () =
     a.Context.avg_os_profile.Profile.total_blocks
     b.Context.avg_os_profile.Profile.total_blocks
 
+(* The run manifest's [words >= 1] invariant, which [validate] checks,
+   holds by construction. *)
+let test_context_rejects_empty_budget () =
+  List.iter
+    (fun words ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d words" words)
+        (Invalid_argument "Context.create: words < 1")
+        (fun () -> ignore (Context.create ~spec:Spec.small ~words ())))
+    [ 0; -5 ]
+
 (* ------------------------------------------------------------------ *)
 (* Runner                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -303,17 +314,21 @@ let test_experiments_registry () =
       check_bool "titles non-empty" true (String.length e.Experiments.title > 0))
     Experiments.all
 
-(* Run every experiment driver end-to-end on the small context (except
-   [robust], which deliberately rebuilds full-size contexts).  Catches
-   crashes in any table/figure/extension code path; the printed output
-   goes to the test log. *)
+(* Run every experiment driver end-to-end on the small context.  Catches
+   crashes in any table/figure/extension code path, and a report whose id
+   disagrees with its registry entry; the printed output goes to the test
+   log. *)
 let test_experiments_all_run () =
   let c = ctx () in
   List.iter
     (fun (e : Experiments.t) ->
-      if e.Experiments.id <> "robust" then
-        try Experiments.run e c
-        with exn ->
+      match Experiments.compute e c with
+      | r ->
+          (* [repro --out] names each report's file by the report's id. *)
+          Alcotest.(check string) "report id is the registry id" e.Experiments.id
+            r.Result.id;
+          Result.print r
+      | exception exn ->
           Alcotest.failf "experiment %s raised %s" e.Experiments.id
             (Printexc.to_string exn))
     Experiments.all
@@ -326,6 +341,7 @@ let () =
           case "shape" test_context_shape;
           case "profiles match traces" test_context_profiles_match_traces;
           case "determinism" test_context_determinism;
+          case "rejects words < 1" test_context_rejects_empty_budget;
         ] );
       ( "runner",
         [
