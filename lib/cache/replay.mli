@@ -6,7 +6,9 @@
     a time into one reused chunk, and every system in array order runs
     its kernel over the whole chunk before the next chunk is read.  So a
     whole sweep of cache configurations shares a single trace decode and
-    code-map resolution, and the pass allocates nothing per event.
+    code-map resolution, systems of one line size share each chunk's
+    line stream ({!Chunk.stream}), and the pass allocates nothing per
+    event.
     Systems are mutually independent, so the result for each is
     bit-identical to a solo replay. *)
 

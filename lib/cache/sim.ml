@@ -77,20 +77,12 @@ let block_misses_cross t ~image =
     invalid_arg "Sim.block_misses_cross: attribution not enabled";
   t.attr_cross.(image)
 
-type side = All | Inside of int | Outside of int
+type side = Chunk.side = All | Inside of int | Outside of int
 
-(* Whether event [i] of a chunk is on the side given by [limit] and
-   [inside]: an OS fetch below [limit] is inside, any other event
-   outside. *)
-let[@inline] taken (c : Chunk.t) i ~limit ~inside =
-  if Array.unsafe_get c.owner i land 7 = 0 && Array.unsafe_get c.addr i < limit then inside
-  else not inside
-
-(* The cold path every kernel shares: count the miss of event [i] on
-   [line] as cold, self or cross, and charge it to the fetching block
-   when attributing. *)
-let[@inline never] classify t (c : Chunk.t) i line =
-  let owner = c.owner.(i) in
+(* The cold path every kernel shares: count the miss on [line] by the
+   stream entry's [owner] as cold, self or cross, and charge it to the
+   fetching block when attributing. *)
+let[@inline never] classify t owner line =
   let kind = Evictions.classify t.evictions t.counters ~os:(owner land 7 = 0) line in
   if t.attribution then begin
     let image = owner land 7 and block = owner lsr 3 in
@@ -108,16 +100,16 @@ let[@inline never] classify t (c : Chunk.t) i line =
 
 (* One way: the set holds exactly one line, so replacement is an
    unconditional store. *)
-let[@inline never] direct_miss t (c : Chunk.t) i line =
+let[@inline never] direct_miss t owner line =
   let set = line land (t.sets - 1) in
   let cur = Array.unsafe_get t.tags set in
-  if cur >= 0 then Evictions.record t.evictions ~line:cur ~os:(c.owner.(i) land 7 = 0);
+  if cur >= 0 then Evictions.record t.evictions ~line:cur ~os:(owner land 7 = 0);
   Array.unsafe_set t.tags set line;
-  classify t c i line
+  classify t owner line
 
 (* Pick the victim way per policy, then shift the younger ways down and
    insert at slot 0, so age order is maintained for LRU/FIFO. *)
-let[@inline never] assoc_miss t (c : Chunk.t) i line base =
+let[@inline never] assoc_miss t owner line base =
   let tags = t.tags and assoc = t.assoc in
   let way =
     match t.kernel with
@@ -131,75 +123,54 @@ let[@inline never] assoc_miss t (c : Chunk.t) i line base =
     | Direct | Lru_assoc | Fifo_assoc -> assoc - 1
   in
   let victim = Array.unsafe_get tags (base + way) in
-  if victim >= 0 then Evictions.record t.evictions ~line:victim ~os:(c.owner.(i) land 7 = 0);
+  if victim >= 0 then Evictions.record t.evictions ~line:victim ~os:(owner land 7 = 0);
   for k = way downto 1 do
     Array.unsafe_set tags (base + k) (Array.unsafe_get tags (base + k - 1))
   done;
   Array.unsafe_set tags base line;
-  classify t c i line
+  classify t owner line
 
-(* Each kernel touches every line an event spans once: further words on
-   an already-touched line hit by construction.  [all] takes every event,
-   otherwise {!taken} picks the side. *)
-let run_direct t (c : Chunk.t) ~all ~limit ~inside =
-  let addr = c.addr and last = c.last in
-  let tags = t.tags and mask = t.sets - 1 and shift = t.line_shift in
-  for i = 0 to c.len - 1 do
-    if all || taken c i ~limit ~inside then
-      for line = Array.unsafe_get addr i lsr shift to Array.unsafe_get last i lsr shift do
-        if Array.unsafe_get tags (line land mask) <> line then direct_miss t c i line
-      done
+(* Each kernel probes the stream's lines in order; the stream has already
+   taken the side and dropped repeats of the line probed last. *)
+let run_direct t (s : Chunk.stream) =
+  let lines = s.lines and owner = s.owner in
+  let tags = t.tags and mask = t.sets - 1 in
+  for j = 0 to s.len - 1 do
+    let line = Array.unsafe_get lines j in
+    if Array.unsafe_get tags (line land mask) <> line then
+      direct_miss t (Array.unsafe_get owner j) line
   done
 
-let run_assoc t (c : Chunk.t) ~all ~limit ~inside =
-  let addr = c.addr and last = c.last in
-  let tags = t.tags and mask = t.sets - 1 and shift = t.line_shift and assoc = t.assoc in
+let run_assoc t (s : Chunk.stream) =
+  let lines = s.lines and owner = s.owner in
+  let tags = t.tags and mask = t.sets - 1 and assoc = t.assoc in
   (* LRU refreshes on hit; FIFO and Random do not. *)
   let lru = match t.kernel with Lru_assoc -> true | Direct | Fifo_assoc | Random_assoc _ -> false in
-  for i = 0 to c.len - 1 do
-    if all || taken c i ~limit ~inside then
-      for line = Array.unsafe_get addr i lsr shift to Array.unsafe_get last i lsr shift do
-        let base = (line land mask) * assoc in
-        let way = ref 0 in
-        while !way < assoc && Array.unsafe_get tags (base + !way) <> line do
-          incr way
-        done;
-        let way = !way in
-        if way = assoc then assoc_miss t c i line base
-        else if lru && way > 0 then begin
-          for k = way downto 1 do
-            Array.unsafe_set tags (base + k) (Array.unsafe_get tags (base + k - 1))
-          done;
-          Array.unsafe_set tags base line
-        end
-      done
+  for j = 0 to s.len - 1 do
+    let line = Array.unsafe_get lines j in
+    let base = (line land mask) * assoc in
+    let way = ref 0 in
+    while !way < assoc && Array.unsafe_get tags (base + !way) <> line do
+      incr way
+    done;
+    let way = !way in
+    if way = assoc then assoc_miss t (Array.unsafe_get owner j) line base
+    else if lru && way > 0 then begin
+      for k = way downto 1 do
+        Array.unsafe_set tags (base + k) (Array.unsafe_get tags (base + k - 1))
+      done;
+      Array.unsafe_set tags base line
+    end
   done
 
-(* Words fetched on the side: the chunk's totals when every event is
-   taken, otherwise counted event by event. *)
-let count_words t (c : Chunk.t) ~all ~limit ~inside =
-  let k = t.counters in
-  if all then begin
-    k.Counters.refs_os <- k.Counters.refs_os + c.os_words;
-    k.Counters.refs_app <- k.Counters.refs_app + c.app_words
-  end
-  else
-    for i = 0 to c.len - 1 do
-      if taken c i ~limit ~inside then begin
-        let w = Chunk.words ~addr:c.addr.(i) ~last:c.last.(i) in
-        if c.owner.(i) land 7 = 0 then k.Counters.refs_os <- k.Counters.refs_os + w
-        else k.Counters.refs_app <- k.Counters.refs_app + w
-      end
-    done
-
 let run t side c =
-  let all = match side with All -> true | Inside _ | Outside _ -> false in
-  let limit = match side with All -> 0 | Inside l | Outside l -> l in
-  let inside = match side with Outside _ -> false | All | Inside _ -> true in
-  count_words t c ~all ~limit ~inside;
+  let s = Chunk.stream c ~shift:t.line_shift side in
+  let k = t.counters in
+  k.Counters.refs_os <- k.Counters.refs_os + s.os_words;
+  k.Counters.refs_app <- k.Counters.refs_app + s.app_words;
   match t.kernel with
-  | Direct -> run_direct t c ~all ~limit ~inside
-  | Lru_assoc | Fifo_assoc | Random_assoc _ -> run_assoc t c ~all ~limit ~inside
+  | Direct -> run_direct t s
+  | Lru_assoc | Fifo_assoc | Random_assoc _ -> run_assoc t s
 
 let access t ~os ~image ~block ~addr ~bytes =
   if os <> (image = 0) then invalid_arg "Sim.access: os must mean image 0";

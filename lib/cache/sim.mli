@@ -3,8 +3,8 @@
     per-block miss attribution (for the miss-address distributions of
     Figures 1 and 14).
 
-    A cache runs over a resolved {!Chunk.t} of events at a time: one
-    kernel loop per kind (direct-mapped, or set-associative with the
+    A cache runs over a chunk's line stream ({!Chunk.stream}) at a time:
+    one kernel loop per kind (direct-mapped, or set-associative with the
     policy fixed at {!create}), with the way search and the age shift
     inline and the miss classification in a cold out-of-line path.  It
     allocates nothing per event. *)
@@ -29,7 +29,7 @@ val block_misses_self : t -> image:int -> int array
 val block_misses_cross : t -> image:int -> int array
 (** Per-block cross-interference miss counts. *)
 
-type side =
+type side = Chunk.side =
   | All  (** Every event. *)
   | Inside of int  (** OS events at addresses below the limit. *)
   | Outside of int  (** Every event [Inside] the same limit rejects. *)
@@ -37,10 +37,10 @@ type side =
     reserved {!System} sees only its side of the stream. *)
 
 val run : t -> side -> Chunk.t -> unit
-(** Feed the chunk's events on [side], in order.  Each event is one
-    basic-block execution: it fetches [max 1 (bytes/4)] instruction
-    words and touches each spanned cache line once (further words on an
-    already-touched line hit by construction). *)
+(** Feed the chunk's events on [side], in order, as the chunk's
+    {!Chunk.stream} at this cache's line size: each event is one
+    basic-block execution that fetches [max 1 (bytes/4)] instruction
+    words and touches each spanned cache line once. *)
 
 val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> unit
 (** {!run} over a one-event chunk.

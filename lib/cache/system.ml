@@ -19,17 +19,18 @@ type victim_state = {
 
 (* A split cache is a pair whose [low] half takes every OS event
    ([limit = max_int]); a reserved cache's takes the OS events below
-   [hot_limit]. *)
+   [hot_limit].  Both sides are built here once, not per chunk. *)
 type t =
   | Single of Sim.t
-  | Pair of { low : Sim.t; high : Sim.t; limit : int }
+  | Pair of { low : Sim.t; high : Sim.t; inside : Sim.side; outside : Sim.side }
   | Buffered of victim_state
+
+let pair low high limit = Pair { low; high; inside = Sim.Inside limit; outside = Sim.Outside limit }
 
 let create = function
   | Unified config -> Single (Sim.create config)
-  | Split { os; app } -> Pair { low = Sim.create os; high = Sim.create app; limit = max_int }
-  | Reserved { hot; rest; hot_limit } ->
-      Pair { low = Sim.create hot; high = Sim.create rest; limit = hot_limit }
+  | Split { os; app } -> pair (Sim.create os) (Sim.create app) max_int
+  | Reserved { hot; rest; hot_limit } -> pair (Sim.create hot) (Sim.create rest) hot_limit
   | Victim { main; entries } ->
       if main.Config.assoc <> 1 then
         invalid_arg "System.create: a victim cache's main cache must be direct-mapped";
@@ -90,26 +91,28 @@ let[@inline never] victim_miss v ~os line set =
     Array.unsafe_set vbuf 0 displaced
   end
 
-let run_victim v (c : Chunk.t) =
-  let addr = c.addr and last = c.last in
-  let vmain = v.vmain and mask = v.vsets - 1 and shift = v.vline_shift in
-  for i = 0 to c.len - 1 do
-    for line = Array.unsafe_get addr i lsr shift to Array.unsafe_get last i lsr shift do
-      let set = line land mask in
-      if Array.unsafe_get vmain set <> line then
-        victim_miss v ~os:(Array.unsafe_get c.owner i land 7 = 0) line set
-    done
+(* A repeat of the line probed last is a main-array hit, so the shared
+   stream serves the victim cache too. *)
+let run_victim v c =
+  let s = Chunk.stream c ~shift:v.vline_shift Chunk.All in
+  let lines = s.lines and owner = s.owner in
+  let vmain = v.vmain and mask = v.vsets - 1 in
+  for j = 0 to s.len - 1 do
+    let line = Array.unsafe_get lines j in
+    let set = line land mask in
+    if Array.unsafe_get vmain set <> line then
+      victim_miss v ~os:(Array.unsafe_get owner j land 7 = 0) line set
   done;
   let k = v.vcounters in
-  k.Counters.refs_os <- k.Counters.refs_os + c.os_words;
-  k.Counters.refs_app <- k.Counters.refs_app + c.app_words
+  k.Counters.refs_os <- k.Counters.refs_os + s.os_words;
+  k.Counters.refs_app <- k.Counters.refs_app + s.app_words
 
 let run t c =
   match t with
   | Single s -> Sim.run s Sim.All c
-  | Pair { low; high; limit } ->
-      Sim.run low (Sim.Inside limit) c;
-      Sim.run high (Sim.Outside limit) c
+  | Pair { low; high; inside; outside } ->
+      Sim.run low inside c;
+      Sim.run high outside c
   | Buffered v -> run_victim v c
 
 (* The victim cache keeps no per-image state, so [os] alone names the

@@ -35,12 +35,12 @@ val victim : main:Config.t -> entries:int -> t
 (** {!create} of the matching {!spec}. *)
 
 val run : t -> Chunk.t -> unit
-(** Feed a chunk of events through every sub-cache, each over its whole
-    side of the chunk in turn: a split cache's OS half takes the OS
-    events, a reserved cache's hot half the OS events below [hot_limit],
-    the other half the rest.  Sub-caches are independent, so each sees
+(** Feed a chunk of events through every sub-cache, each over its side's
+    {!Chunk.stream} in turn: a split cache's OS half takes the OS events,
+    a reserved cache's hot half the OS events below [hot_limit], the
+    other half the rest.  Sub-caches are independent, so each sees
     exactly the per-event order of the trace.  The victim cache runs its
-    own loop.  Allocates nothing per event. *)
+    own loop over the whole stream.  Allocates nothing per event. *)
 
 val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> unit
 (** {!run} over a one-event chunk.  The victim cache keeps no per-image

@@ -1,8 +1,9 @@
 (* A deliberately naive model of every cache organization Replay drives,
    written to be checked by eye rather than to be fast: each set is a
-   list of lines in age order, the last evictor of every line lives in an
-   association list, and a replay walks the trace one event at a time.
-   The differential tests hold the chunked kernels to it. *)
+   list of lines in age order, the last evictor of every line lives in a
+   hash table (an association list made the model quadratic in the lines
+   evicted), and a replay walks the trace one event at a time.  The
+   differential tests hold the chunked kernels to it. *)
 
 type policy = Lru | Fifo | Random of Prng.t
 
@@ -15,7 +16,7 @@ type cache = {
       (** Per set: resident lines, newest first.  Under LRU "newest" means
           most recently used; under FIFO and Random, most recently
           inserted. *)
-  mutable evictors : (int * bool) list;  (** line -> last evictor was the OS *)
+  evictors : (int, bool) Hashtbl.t;  (** line -> last evictor was the OS *)
   counters : Counters.t;
   blocks : (int * int, int * int * int) Hashtbl.t;
       (** (image, block) -> (misses, self-interference, cross-interference) *)
@@ -33,7 +34,7 @@ let cache (c : Config.t) =
       | Config.Fifo -> Fifo
       | Config.Random seed -> Random (Prng.of_int seed));
     content = Array.make sets [];
-    evictors = [];
+    evictors = Hashtbl.create 64;
     counters = Counters.create ();
     blocks = Hashtbl.create 64;
   }
@@ -62,7 +63,7 @@ let charge t ~image ~block ~kind =
    otherwise self- or cross-interference by its last evictor's domain. *)
 let classify counters evictors ~os line =
   let c = counters in
-  match (lookup line evictors, os) with
+  match (Hashtbl.find_opt evictors line, os) with
   | None, true -> c.Counters.os_cold <- c.Counters.os_cold + 1; `Cold
   | None, false -> c.Counters.app_cold <- c.Counters.app_cold + 1; `Cold
   | Some true, true -> c.Counters.os_self <- c.Counters.os_self + 1; `Self
@@ -95,7 +96,7 @@ let cache_line t ~os ~image ~block line =
           | Random g -> Prng.int g t.assoc
         in
         let victim = List.nth lines gone in
-        t.evictors <- (victim, os) :: remove victim t.evictors;
+        Hashtbl.replace t.evictors victim os;
         remove_nth gone lines
       end
     in
@@ -117,7 +118,7 @@ type victim = {
   entries : int;
   mutable main : (int * int) list;  (** set -> resident line *)
   mutable buffer : int list;
-  mutable vevictors : (int * bool) list;
+  vevictors : (int, bool) Hashtbl.t;
   vcounters : Counters.t;
 }
 
@@ -134,7 +135,7 @@ let victim_line t ~os line =
       if List.length buffer > t.entries then begin
         (* The buffer's oldest line leaves the hierarchy, evicted by [os]. *)
         let gone = List.nth buffer t.entries in
-        t.vevictors <- (gone, os) :: remove gone t.vevictors;
+        Hashtbl.replace t.vevictors gone os;
         t.buffer <- List.filteri (fun i _ -> i < t.entries) buffer
       end
       else t.buffer <- buffer
@@ -162,7 +163,7 @@ let victim ~(main : Config.t) ~entries =
       entries;
       main = [];
       buffer = [];
-      vevictors = [];
+      vevictors = Hashtbl.create 64;
       vcounters = Counters.create ();
     }
 

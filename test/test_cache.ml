@@ -466,6 +466,87 @@ let test_replay_allocation_free () =
       ("reserved", fun () -> System.reserved ~hot:(kb 1) ~rest:(kb 8) ~hot_limit:8192);
     ]
 
+(* A second pass on the same domain reuses the chunk and the stream
+   buffers the first one left: it allocates less in the major heap than a
+   chunk's three arrays, which a pass once allocated afresh.  The
+   systems are warmed by the first pass, so their eviction pages exist. *)
+let test_replay_reuses_buffers () =
+  let g = Prng.of_int 11 in
+  let blocks = [| 400; 300 |] in
+  let map =
+    {
+      Replay.addr = Array.map (fun n -> Array.init n (fun _ -> 4 * Prng.int g 16384)) blocks;
+      bytes = Array.map (fun n -> Array.init n (fun _ -> 4 + (4 * Prng.int g 24))) blocks;
+    }
+  in
+  let t = Trace.create () in
+  for _ = 1 to 3 * Chunk.size do
+    let image = Prng.int g 2 in
+    Trace.append t (Trace.Exec { image; block = Prng.int g blocks.(image) })
+  done;
+  let kb size_kb = Config.make ~size_kb () in
+  let systems =
+    [|
+      System.unified (kb 8);
+      System.unified (Config.make ~size_kb:8 ~assoc:4 ());
+      System.victim ~main:(kb 8) ~entries:8;
+      System.split ~os:(kb 4) ~app:(kb 4);
+      System.reserved ~hot:(kb 1) ~rest:(Config.make ~size_kb:8 ~line:64 ()) ~hot_limit:8192;
+    |]
+  in
+  Replay.run_range ~trace:t ~map ~systems ~warmup:0;
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let w0 = major () in
+  Replay.run_range ~trace:t ~map ~systems ~warmup:0;
+  let words = major () -. w0 in
+  if words > float_of_int (3 * Chunk.size) then
+    Alcotest.failf "second pass: %.0f major words (want <= %d)" words (3 * Chunk.size)
+
+(* A hand-made chunk's streams at 32- and 64-byte lines on every side.
+   OS blocks b0 = [0, 40), b1 = [40, 64), b2 = [200, 204); application
+   blocks a0 = [64, 164), a1 = [0, 2); the side limit is 100, so b2 is
+   the one OS block outside.  Owners are [(block lsl 3) lor image]. *)
+let test_chunk_streams () =
+  let map =
+    { Replay.addr = [| [| 0; 40; 200 |]; [| 64; 0 |] |]; bytes = [| [| 40; 24; 4 |]; [| 100; 2 |] |] }
+  in
+  let t = Trace.create () in
+  List.iter
+    (fun (image, block) -> Trace.append t (Trace.Exec { image; block }))
+    [ (0, 0); (0, 1); (1, 0); (0, 2); (1, 1); (0, 0) ];
+  let b0 = 0 and b2 = 16 and a0 = 1 and a1 = 9 in
+  (* (shift, side, lines, owners, os words, app words) *)
+  let expected =
+    [
+      (5, Sim.All, [ 0; 1; 2; 3; 4; 5; 6; 0; 1 ], [ b0; b0; a0; a0; a0; a0; b2; a1; b0 ], 27, 26);
+      (5, Sim.Inside 100, [ 0; 1; 0; 1 ], [ b0; b0; b0; b0 ], 26, 0);
+      (5, Sim.Outside 100, [ 2; 3; 4; 5; 6; 0 ], [ a0; a0; a0; a0; b2; a1 ], 1, 26);
+      (6, Sim.All, [ 0; 1; 2; 3; 0 ], [ b0; a0; a0; b2; a1 ], 27, 26);
+      (6, Sim.Inside 100, [ 0 ], [ b0 ], 26, 0);
+      (6, Sim.Outside 100, [ 1; 2; 3; 0 ], [ a0; a0; b2; a1 ], 1, 26);
+    ]
+  in
+  let chunks = ref 0 in
+  Chunk.iter ~trace:t ~map ~boundary:0 (fun c _ ->
+      incr chunks;
+      (* Build every key first: a later key must not disturb an earlier
+         one's stream, and asking again returns the same stream. *)
+      let built = List.map (fun (shift, side, _, _, _, _) -> Chunk.stream c ~shift side) expected in
+      List.iter2
+        (fun (shift, side, lines, owners, os_words, app_words) (s : Chunk.stream) ->
+          let side_name =
+            match side with Sim.All -> "all" | Sim.Inside _ -> "inside" | Sim.Outside _ -> "outside"
+          in
+          let name = Printf.sprintf "%d-byte lines, %s" (1 lsl shift) side_name in
+          check_bool (name ^ ": shared") true (Chunk.stream c ~shift side == s);
+          let entries a = Array.to_list (Array.sub a 0 s.len) in
+          Alcotest.(check (list int)) (name ^ ": lines") lines (entries s.lines);
+          Alcotest.(check (list int)) (name ^ ": owners") owners (entries s.owner);
+          check_int (name ^ ": OS words") os_words s.os_words;
+          check_int (name ^ ": app words") app_words s.app_words)
+        expected built);
+  check_int "one chunk" 1 !chunks
+
 let () =
   Alcotest.run "cache"
     [
@@ -515,5 +596,7 @@ let () =
           case "multiple systems" test_replay_multiple_systems;
           case "warmup" test_replay_warmup;
           case "allocation-free kernels" test_replay_allocation_free;
+          case "second pass reuses its buffers" test_replay_reuses_buffers;
+          case "chunk streams" test_chunk_streams;
         ] );
     ]

@@ -48,9 +48,10 @@ let trace g ~blocks ~events =
 let pick g a = a.(Prng.int g (Array.length a))
 
 (* Any policy, 1..8 ways, 1..32 sets, 16..64-byte lines. *)
-let config ?assoc g =
+let config ?assoc ?line g =
   let assoc = match assoc with Some a -> a | None -> pick g [| 1; 2; 4; 8 |] in
-  let line = pick g [| 16; 32; 64 |] and sets = 1 lsl Prng.int g 6 in
+  let line = match line with Some l -> l | None -> pick g [| 16; 32; 64 |] in
+  let sets = 1 lsl Prng.int g 6 in
   let policy =
     match Prng.int g 3 with 0 -> Config.Lru | 1 -> Config.Fifo | _ -> Config.Random (Prng.int g 10_000)
   in
@@ -162,6 +163,115 @@ let prop_single_access =
             pairs);
       List.for_all (fun (sys, model) -> System.counters sys = Ref_cache.counters model) pairs)
 
+(* Blocks of [bytes] laid out back to back from [base], as every layout
+   algorithm places its fall-through chains, so consecutive blocks share
+   lines. *)
+let back_to_back ~base bytes =
+  let next = ref base in
+  Array.map
+    (fun b ->
+      let a = !next in
+      next := a + b;
+      a)
+    bytes
+
+let block_bytes g n = Array.init n (fun _ -> 4 * (1 + Prng.int g 40))
+
+(* Every image back to back: with [overlap] all start at 0 and share
+   lines, otherwise an application sits 16 MB per image higher. *)
+let fallthrough_program ~overlap g =
+  let images = if overlap then 2 + Prng.int g 2 else 1 + Prng.int g 3 in
+  let bytes = Array.init images (fun _ -> block_bytes g (2 + Prng.int g 40)) in
+  let addr =
+    Array.mapi (fun image b -> back_to_back ~base:(if overlap then 0 else image lsl 24) b) bytes
+  in
+  let window = Array.fold_left (fun w b -> max w (Array.fold_left ( + ) 0 b)) 0 bytes in
+  ({ Replay.addr; bytes }, Array.map Array.length bytes, window)
+
+(* Runs of consecutive blocks, as a fall-through chain executes them: a
+   run starts at a random block of a random image and walks forward, one
+   step in four running the same block again (a self-loop).  So most
+   events share a line with the one before. *)
+let walk g ~blocks ~events =
+  let t = Trace.create () in
+  let n = ref 0 in
+  while !n < events do
+    let image = Prng.int g (Array.length blocks) in
+    let block = ref (Prng.int g blocks.(image)) and run = ref (1 + Prng.int g 12) in
+    while !n < events && !run > 0 && !block < blocks.(image) do
+      Trace.append t (Trace.Exec { image; block = !block });
+      incr n;
+      decr run;
+      if Prng.int g 4 > 0 then incr block
+    done
+  done;
+  t
+
+let prop_fallthrough =
+  QCheck.Test.make ~name:"fall-through runs: most events repeat a line" ~count:40 QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let map, blocks, window = fallthrough_program ~overlap:(Prng.int g 3 = 0) g in
+      let trace = walk g ~blocks ~events:(1 + Prng.int g 3000) in
+      let pairs = List.map (pair g ~window) [ Unified; Unified; Split; Reserved; Victim ] in
+      replay_agrees ~map ~blocks ~trace ~warmup:(Prng.int g (Trace.exec_count trace + 1)) pairs)
+
+(* An OS image of [n] blocks back to back and an application image that
+   mirrors it at the same addresses.  With [huge], one block spans more
+   [huge]-byte lines than a stream's buffers start with (one per chunk
+   event), so the buffers must grow. *)
+let mirrored_program ?huge g n =
+  let bytes = block_bytes g n in
+  Option.iter (fun line -> bytes.(Prng.int g n) <- line * (Chunk.size + 1 + Prng.int g 64)) huge;
+  let addr = back_to_back ~base:0 bytes in
+  let map = { Replay.addr = [| addr; addr |]; bytes = [| bytes; bytes |] } in
+  (map, [| n; n |], addr.(n - 1) + bytes.(n - 1))
+
+(* [count] triples in which only a side makes repeats: an OS block, an
+   application block, then OS again.  Half the triples run the first OS
+   block again, which only the OS side sees twice in a row; the others
+   run the OS block after the application block's twin, which mostly
+   starts on the line the application block ends on, so only the whole
+   stream sees that line twice in a row. *)
+let triples g ~n ~count =
+  let t = Trace.create () in
+  for _ = 1 to count do
+    let os = Prng.int g n and app = Prng.int g (n - 1) in
+    Trace.append t (Trace.Exec { image = 0; block = os });
+    Trace.append t (Trace.Exec { image = 1; block = app });
+    Trace.append t (Trace.Exec { image = 0; block = (if Prng.bool g then os else app + 1) })
+  done;
+  t
+
+let prop_side_repeats =
+  QCheck.Test.make ~name:"split and reserved: repeats that only a side makes" ~count:40
+    QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let n = 2 + Prng.int g 40 in
+      let map, blocks, window = mirrored_program g n in
+      let trace = triples g ~n ~count:(1 + Prng.int g 1000) in
+      let pairs = List.map (pair g ~window) [ Split; Reserved; Reserved; Unified ] in
+      replay_agrees ~map ~blocks ~trace ~warmup:(Prng.int g (Trace.exec_count trace + 1)) pairs)
+
+(* One line size per case, so the huge block spans just over a chunk's
+   worth of lines in every cache.  Each case replays on a domain of its
+   own, which starts with fresh stream buffers that the huge block makes
+   grow. *)
+let prop_huge_block =
+  QCheck.Test.make ~name:"a block spanning more lines than a chunk holds events" ~count:6
+    QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let line = pick g [| 16; 32; 64 |] and n = 2 + Prng.int g 8 in
+      let map, blocks, _ = mirrored_program ~huge:line g n in
+      let trace = triples g ~n ~count:(1 + Prng.int g 20) in
+      let c = config ~line g and os = config ~line g and app = config ~line g in
+      let pairs =
+        [ (System.unified c, Ref_cache.unified c); (System.split ~os ~app, Ref_cache.split ~os ~app) ]
+      in
+      Domain.join (Domain.spawn (fun () -> replay_agrees ~map ~blocks ~trace ~warmup:0 pairs)))
+
 (* Stack distances against the list-based LRU stack: refs, first
    touches and the fully-associative misses at every power of two from 1
    to 1024 lines, through both entry points. *)
@@ -240,6 +350,9 @@ let () =
           qcheck prop_organizations;
           qcheck prop_warmup_edges;
           qcheck prop_single_access;
+          qcheck prop_fallthrough;
+          qcheck prop_side_repeats;
+          qcheck prop_huge_block;
         ] );
       ( "stack vs reference",
         [
