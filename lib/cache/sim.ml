@@ -1,9 +1,12 @@
 (* The replacement policy is resolved once at [create] into this dispatch
    so a kernel's loop never re-examines [Config.policy].  With one way
    there is nothing to age, so every deterministic policy collapses to
-   [Direct]: a single tag compare, no way search, no shift. *)
+   [Direct]: a single tag compare, no way search, no shift.  [Victim] is
+   [Direct] backed by a fully-associative victim buffer (Jouppi 1990):
+   slot 0 is the MRU line, -1 invalid.  It changes only the miss path. *)
 type kernel =
   | Direct
+  | Victim of int array
   | Lru_assoc
   | Fifo_assoc
   | Random_assoc of Prng.t
@@ -52,6 +55,12 @@ let create config =
     attribution = false;
   }
 
+let victim main ~entries =
+  if main.Config.assoc <> 1 then
+    invalid_arg "Sim.victim: a victim cache's main cache must be direct-mapped";
+  if entries < 1 then invalid_arg "Sim.victim: a victim buffer needs at least one entry";
+  { (create main) with kernel = Victim (Array.make entries (-1)) }
+
 let counters t = t.counters
 
 let enable_block_attribution t ~images ~blocks =
@@ -98,14 +107,46 @@ let[@inline never] classify t owner line =
     end
   end
 
+(* A main-array miss behind a victim buffer: a buffered [line] swaps
+   back with the [displaced] one and is no miss.  Otherwise the miss is
+   classified as any other, and the displaced line parks as the buffer's
+   MRU, pushing its LRU line out of the hierarchy. *)
+let victim_miss t buf owner line set displaced =
+  let n = Array.length buf in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get buf !i <> line do
+    incr i
+  done;
+  let shift =
+    if !i < n then !i
+    else begin
+      classify t owner line;
+      let lru = Array.unsafe_get buf (n - 1) in
+      if displaced >= 0 && lru >= 0 then
+        Evictions.record t.evictions ~line:lru ~os:(owner land 7 = 0);
+      n - 1
+    end
+  in
+  Array.unsafe_set t.tags set line;
+  (* On a buffer hit [displaced >= 0] always: the set conflicted. *)
+  if displaced >= 0 then begin
+    for k = shift downto 1 do
+      Array.unsafe_set buf k (Array.unsafe_get buf (k - 1))
+    done;
+    Array.unsafe_set buf 0 displaced
+  end
+
 (* One way: the set holds exactly one line, so replacement is an
    unconditional store. *)
 let[@inline never] direct_miss t owner line =
   let set = line land (t.sets - 1) in
   let cur = Array.unsafe_get t.tags set in
-  if cur >= 0 then Evictions.record t.evictions ~line:cur ~os:(owner land 7 = 0);
-  Array.unsafe_set t.tags set line;
-  classify t owner line
+  match t.kernel with
+  | Victim buf -> victim_miss t buf owner line set cur
+  | Direct | Lru_assoc | Fifo_assoc | Random_assoc _ ->
+      if cur >= 0 then Evictions.record t.evictions ~line:cur ~os:(owner land 7 = 0);
+      Array.unsafe_set t.tags set line;
+      classify t owner line
 
 (* Pick the victim way per policy, then shift the younger ways down and
    insert at slot 0, so age order is maintained for LRU/FIFO. *)
@@ -120,7 +161,7 @@ let[@inline never] assoc_miss t owner line base =
           incr w
         done;
         if !w < assoc then !w else Prng.int g assoc
-    | Direct | Lru_assoc | Fifo_assoc -> assoc - 1
+    | Direct | Victim _ | Lru_assoc | Fifo_assoc -> assoc - 1
   in
   let victim = Array.unsafe_get tags (base + way) in
   if victim >= 0 then Evictions.record t.evictions ~line:victim ~os:(owner land 7 = 0);
@@ -145,7 +186,9 @@ let run_assoc t (s : Chunk.stream) =
   let lines = s.lines and owner = s.owner in
   let tags = t.tags and mask = t.sets - 1 and assoc = t.assoc in
   (* LRU refreshes on hit; FIFO and Random do not. *)
-  let lru = match t.kernel with Lru_assoc -> true | Direct | Fifo_assoc | Random_assoc _ -> false in
+  let lru =
+    match t.kernel with Lru_assoc -> true | Direct | Victim _ | Fifo_assoc | Random_assoc _ -> false
+  in
   for j = 0 to s.len - 1 do
     let line = Array.unsafe_get lines j in
     let base = (line land mask) * assoc in
@@ -169,7 +212,7 @@ let run t side c =
   k.Counters.refs_os <- k.Counters.refs_os + s.os_words;
   k.Counters.refs_app <- k.Counters.refs_app + s.app_words;
   match t.kernel with
-  | Direct -> run_direct t s
+  | Direct | Victim _ -> run_direct t s
   | Lru_assoc | Fifo_assoc | Random_assoc _ -> run_assoc t s
 
 let access t ~os ~image ~block ~addr ~bytes =
@@ -186,5 +229,8 @@ let reset_counters t =
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
+  (match t.kernel with
+  | Victim buf -> Array.fill buf 0 (Array.length buf) (-1)
+  | Direct | Lru_assoc | Fifo_assoc | Random_assoc _ -> ());
   Evictions.reset t.evictions;
   reset_counters t

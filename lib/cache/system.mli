@@ -16,8 +16,7 @@ type spec =
           fully-associative LRU victim buffer (Jouppi 1990) - the classic
           hardware remedy for the conflict misses the paper removes in
           software.  Lines displaced from the main cache park in the
-          buffer; hitting one there swaps it back.  Per-block attribution
-          is not supported for this organization. *)
+          buffer; hitting one there swaps it back. *)
 (** A cache organization as plain data: comparable, and keyable through
     its runtime representation (as {!Sim_cache} keys replays). *)
 
@@ -39,14 +38,13 @@ val run : t -> Chunk.t -> unit
     {!Chunk.stream} in turn: a split cache's OS half takes the OS events,
     a reserved cache's hot half the OS events below [hot_limit], the
     other half the rest.  Sub-caches are independent, so each sees
-    exactly the per-event order of the trace.  The victim cache runs its
-    own loop over the whole stream.  Allocates nothing per event. *)
+    exactly the per-event order of the trace.  A unified or victim cache
+    is one sub-cache over the whole stream.  Allocates nothing per
+    event. *)
 
 val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> unit
-(** {!run} over a one-event chunk.  The victim cache keeps no per-image
-    state and takes the domain from [os] alone.
-    @raise Invalid_argument for any other organization unless
-    [os = (image = 0)]. *)
+(** {!run} over a one-event chunk.
+    @raise Invalid_argument unless [os = (image = 0)]. *)
 
 val counters : t -> Counters.t
 (** Aggregated snapshot (a fresh copy) across sub-caches. *)
@@ -55,6 +53,7 @@ val reset_counters : t -> unit
 (** Zero all counters while keeping cache contents (warm-up support). *)
 
 val enable_block_attribution : t -> images:int -> blocks:int array -> unit
+(** {!Sim.enable_block_attribution} on every sub-cache. *)
 
 val block_misses : t -> image:int -> int array
 (** Aggregated per-block misses across sub-caches. *)

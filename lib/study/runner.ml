@@ -107,8 +107,6 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
 
 let batch ctx ~members ?(attribute_os = false)
     ?(warmup_fraction = default_warmup_fraction) () =
-  if attribute_os && Array.exists (function _, System.Victim _ -> true | _ -> false) members
-  then invalid_arg "Runner.batch: victim caches support no per-block attribution";
   let n = Array.length members in
   let workloads = Array.length ctx.Context.pairs in
   Trace_log.stage "simulate_batch"

@@ -53,9 +53,7 @@ val batch :
     replaying are replayed (one per key) and published; the rest are cache
     hits, waiting for another domain's replay if need be.  Effectiveness
     (members served from cache, replay passes and decoded events saved)
-    is added to the registry counters [batch.<field>] (see {!Manifest}).
-    @raise Invalid_argument before any replay when [attribute_os] is set
-    and a member is a [System.Victim]. *)
+    is added to the registry counters [batch.<field>] (see {!Manifest}). *)
 
 val simulate_batch :
   Context.t -> members:(Program_layout.t array * Config.t) array ->

@@ -41,15 +41,9 @@ let cache (c : Config.t) =
 
 let remove_nth n l = List.filteri (fun i _ -> i <> n) l
 
-(* Int-keyed list helpers: the stdlib ones compare polymorphically, which
+(* An int-keyed [List.mem]: the stdlib one compares polymorphically, which
    makes long replays of the model needlessly slow. *)
 let mem (x : int) l = List.exists (fun y -> y = x) l
-
-let rec lookup (key : int) = function
-  | [] -> None
-  | (k, v) :: rest -> if k = key then Some v else lookup key rest
-
-let remove (key : int) l = List.filter (fun (k, _) -> k <> key) l
 
 let charge t ~image ~block ~kind =
   let m, s, x = Option.value ~default:(0, 0, 0) (Hashtbl.find_opt t.blocks (image, block)) in
@@ -109,38 +103,31 @@ let cache_access t ~os ~image ~block ~addr ~bytes =
     cache_line t ~os ~image ~block line
   done
 
-(* A direct-mapped main cache and an MRU-first buffer of [entries] lines:
-   a line displaced from the main cache enters the buffer, and hitting a
-   line there swaps it back. *)
-type victim = {
-  vsets : int;
-  vline : int;
-  entries : int;
-  mutable main : (int * int) list;  (** set -> resident line *)
-  mutable buffer : int list;
-  vevictors : (int, bool) Hashtbl.t;
-  vcounters : Counters.t;
-}
+(* A direct-mapped [main] cache and an MRU-first buffer of [entries]
+   lines: a line displaced from the main cache enters the buffer, and
+   hitting a line there swaps it back.  Only a miss in both is counted
+   and charged, in [main]'s counters and blocks. *)
+type victim = { main : cache; entries : int; mutable buffer : int list }
 
-let victim_line t ~os line =
-  let set = line mod t.vsets in
-  let resident = lookup set t.main in
-  if resident <> Some line then begin
-    let displaced = Option.to_list resident in
-    if mem line t.buffer then
-      t.buffer <- displaced @ List.filter (fun (l : int) -> l <> line) t.buffer
+let victim_line v ~os ~image ~block line =
+  let t = v.main in
+  let set = line mod t.sets in
+  let displaced = t.content.(set) in
+  if not (mem line displaced) then begin
+    if mem line v.buffer then
+      v.buffer <- displaced @ List.filter (fun (l : int) -> l <> line) v.buffer
     else begin
-      ignore (classify t.vcounters t.vevictors ~os line);
-      let buffer = displaced @ t.buffer in
-      if List.length buffer > t.entries then begin
+      charge t ~image ~block ~kind:(classify t.counters t.evictors ~os line);
+      let buffer = displaced @ v.buffer in
+      if List.length buffer > v.entries then begin
         (* The buffer's oldest line leaves the hierarchy, evicted by [os]. *)
-        let gone = List.nth buffer t.entries in
-        Hashtbl.replace t.vevictors gone os;
-        t.buffer <- List.filteri (fun i _ -> i < t.entries) buffer
+        let gone = List.nth buffer v.entries in
+        Hashtbl.replace t.evictors gone os;
+        v.buffer <- List.filteri (fun i _ -> i < v.entries) buffer
       end
-      else t.buffer <- buffer
+      else v.buffer <- buffer
     end;
-    t.main <- (set, line) :: remove set t.main
+    t.content.(set) <- [ line ]
   end
 
 type t =
@@ -155,23 +142,13 @@ let split ~os ~app = Split { os_side = cache os; app_side = cache app }
 
 let reserved ~hot ~rest ~hot_limit = Reserved { hot = cache hot; rest = cache rest; hot_limit }
 
-let victim ~(main : Config.t) ~entries =
-  Victim
-    {
-      vsets = Config.sets main;
-      vline = main.Config.line;
-      entries;
-      main = [];
-      buffer = [];
-      vevictors = Hashtbl.create 64;
-      vcounters = Counters.create ();
-    }
+let victim ~main ~entries = Victim { main = cache main; entries; buffer = [] }
 
 let caches = function
   | Unified c -> [ c ]
   | Split { os_side; app_side } -> [ os_side; app_side ]
   | Reserved { hot; rest; _ } -> [ hot; rest ]
-  | Victim _ -> []
+  | Victim v -> [ v.main ]
 
 (* One basic-block execution; image 0 is the OS. *)
 let access t ~image ~block ~addr ~bytes =
@@ -183,28 +160,22 @@ let access t ~image ~block ~addr ~bytes =
   | Reserved { hot; rest; hot_limit } ->
       cache_access (if os && addr < hot_limit then hot else rest) ~os ~image ~block ~addr ~bytes
   | Victim v ->
-      count_words v.vcounters ~os ~bytes;
-      for line = addr / v.vline to (addr + bytes - 1) / v.vline do
-        victim_line v ~os line
+      count_words v.main.counters ~os ~bytes;
+      for line = addr / v.main.line to (addr + bytes - 1) / v.main.line do
+        victim_line v ~os ~image ~block line
       done
 
 let counters t =
-  match t with
-  | Victim v -> Counters.copy v.vcounters
-  | Unified _ | Split _ | Reserved _ ->
-      let acc = Counters.create () in
-      List.iter (fun c -> Counters.add acc c.counters) (caches t);
-      acc
+  let acc = Counters.create () in
+  List.iter (fun c -> Counters.add acc c.counters) (caches t);
+  acc
 
 let reset_counters t =
-  match t with
-  | Victim v -> Counters.reset v.vcounters
-  | Unified _ | Split _ | Reserved _ ->
-      List.iter
-        (fun c ->
-          Counters.reset c.counters;
-          Hashtbl.reset c.blocks)
-        (caches t)
+  List.iter
+    (fun c ->
+      Counters.reset c.counters;
+      Hashtbl.reset c.blocks)
+    (caches t)
 
 (* Per-block (misses, self, cross) summed over the sub-caches. *)
 let block_misses t ~image ~block =

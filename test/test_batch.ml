@@ -28,16 +28,12 @@ let combos =
     (Levels.Base, System.Victim { main = dm 4; entries = 2 });
   |]
 
-let is_victim = function System.Victim _ -> true | _ -> false
-
-(* Victim caches count no per-block misses, so attributed batches leave
-   them out. *)
-let members_of ?(attribute_os = false) ctx picks =
+let members_of ctx picks =
   Array.of_list
-    (List.filter_map
+    (List.map
        (fun i ->
          let level, spec = combos.(i mod Array.length combos) in
-         if attribute_os && is_victim spec then None else Some (Levels.build ctx level, spec))
+         (Levels.build ctx level, spec))
        picks)
 
 let same_runs (a : Runner.run array) (b : Runner.run array) =
@@ -59,7 +55,7 @@ let prop_batch_equals_sequential =
     QCheck.(pair (list_of_size Gen.(1 -- 8) (int_bound 100)) bool)
     (fun (picks, attribute_os) ->
       let ctx = Lazy.force small_context in
-      let members = members_of ~attribute_os ctx picks in
+      let members = members_of ctx picks in
       Sim_cache.clear ();
       let batch = Runner.batch ctx ~members ~attribute_os () in
       let seq = Array.map (solo ctx ~attribute_os) members in
@@ -117,23 +113,6 @@ let test_duplicates_are_copies () =
   check_bool "results are independent copies" true
     (batch.(1).(0).Runner.counters.Counters.os_self <> min_int)
 
-(* Attribution is unsupported for victim caches: the batch says so before
-   it keys or replays anything. *)
-let test_victim_attribution_rejected () =
-  let ctx = Lazy.force small_context in
-  let layouts = Levels.build ctx Levels.Base in
-  let lookups () = Sim_cache.hits () + Sim_cache.misses () in
-  let l0 = lookups () in
-  check_raises_invalid "victim member with attribute_os" (fun () ->
-      Runner.batch ctx ~attribute_os:true
-        ~members:
-          [|
-            (layouts, System.Unified (Config.make ~size_kb:8 ()));
-            (layouts, System.Victim { main = Config.make ~size_kb:8 (); entries = 4 });
-          |]
-        ());
-  check_int "no Sim_cache lookup" l0 (lookups ())
-
 let () =
   Alcotest.run "batch"
     [
@@ -143,6 +122,5 @@ let () =
           qcheck prop_batch_serves_warm_entries;
           qcheck prop_direct_fast_path_matches_generic;
           case "duplicate members are deep copies" test_duplicates_are_copies;
-          case "victim members reject attribution" test_victim_attribution_rejected;
         ] );
     ]

@@ -332,6 +332,20 @@ let test_system_victim_swap () =
   check_int "only the two cold misses" 2 (Counters.misses c);
   check_int "all references counted" 22 (Counters.refs c)
 
+(* The swap scenario with attribution on: buffer hits are no misses, so
+   each block is charged its one cold miss and nothing else. *)
+let test_system_victim_attribution () =
+  let main = Config.v ~size:1024 ~assoc:1 ~line:32 in
+  let sys = System.victim ~main ~entries:2 in
+  System.enable_block_attribution sys ~images:1 ~blocks:[| 2 |];
+  for _ = 1 to 11 do
+    System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+    System.access sys ~os:true ~image:0 ~block:1 ~addr:1024 ~bytes:4
+  done;
+  check_bool "one cold miss per block" true (System.block_misses sys ~image:0 = [| 1; 1 |]);
+  check_bool "no self-interference" true (System.block_misses_self sys ~image:0 = [| 0; 0 |]);
+  check_bool "no cross-interference" true (System.block_misses_cross sys ~image:0 = [| 0; 0 |])
+
 let test_system_victim_capacity () =
   (* Three conflicting lines against a 1-line buffer: the buffer cannot
      hold the ping-pong set, so conflict misses persist. *)
@@ -351,10 +365,7 @@ let test_system_victim_validation () =
   check_raises_invalid "set-associative main rejected" (fun () ->
       System.victim ~main:(Config.v ~size:1024 ~assoc:2 ~line:32) ~entries:4);
   check_raises_invalid "zero entries rejected" (fun () ->
-      System.victim ~main:(Config.v ~size:1024 ~assoc:1 ~line:32) ~entries:0);
-  let sys = System.victim ~main:(Config.v ~size:1024 ~assoc:1 ~line:32) ~entries:4 in
-  check_raises_invalid "attribution unsupported" (fun () ->
-      System.enable_block_attribution sys ~images:1 ~blocks:[| 1 |])
+          System.victim ~main:(Config.v ~size:1024 ~assoc:1 ~line:32) ~entries:0)
 
 (* Random OS/application line streams over a few conflicting sets: the
    victim path must count exactly what the naive list model in
@@ -370,7 +381,7 @@ let prop_victim_matches_naive =
       let naive = Ref_cache.victim ~main ~entries in
       List.iter
         (fun (line, os) ->
-          System.access sys ~os ~image:0 ~block:0 ~addr:(line * 32) ~bytes:4;
+          System.access sys ~os ~image:(if os then 0 else 1) ~block:0 ~addr:(line * 32) ~bytes:4;
           Ref_cache.access naive ~image:(if os then 0 else 1) ~block:0 ~addr:(line * 32) ~bytes:4)
         stream;
       System.counters sys = Ref_cache.counters naive)
@@ -585,6 +596,7 @@ let () =
           case "reset" test_system_reset;
           case "attribution" test_system_attribution;
           case "victim swap" test_system_victim_swap;
+          case "victim attribution" test_system_victim_attribution;
           case "victim capacity" test_system_victim_capacity;
           case "victim validation" test_system_victim_validation;
           case "victim reset" test_system_victim_reset;

@@ -76,36 +76,27 @@ let pair g ~window kind =
       let main = config ~assoc:1 g and entries = 1 + Prng.int g 8 in
       (System.victim ~main ~entries, Ref_cache.victim ~main ~entries)
 
-(* Counters and, where the organization keeps them, per-block misses of
-   every kind must match the reference exactly. *)
+(* Counters and per-block misses of every kind must match the reference
+   exactly. *)
 let agree ~blocks (sys, model) =
   System.counters sys = Ref_cache.counters model
-  && (match model with
-     | Ref_cache.Victim _ -> true
-     | Ref_cache.Unified _ | Ref_cache.Split _ | Ref_cache.Reserved _ ->
-         Array.for_all Fun.id
-           (Array.mapi
-              (fun image n ->
-                let total = System.block_misses sys ~image
-                and self = System.block_misses_self sys ~image
-                and cross = System.block_misses_cross sys ~image in
-                List.for_all
-                  (fun block ->
-                    Ref_cache.block_misses model ~image ~block
-                    = (total.(block), self.(block), cross.(block)))
-                  (List.init n Fun.id))
-              blocks))
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun image n ->
+            let total = System.block_misses sys ~image
+            and self = System.block_misses_self sys ~image
+            and cross = System.block_misses_cross sys ~image in
+            List.for_all
+              (fun block ->
+                Ref_cache.block_misses model ~image ~block
+                = (total.(block), self.(block), cross.(block)))
+              (List.init n Fun.id))
+          blocks)
 
 (* Replay [pairs] through both paths and compare every member. *)
 let replay_agrees ~map ~blocks ~trace ~warmup pairs =
   let images = Array.length blocks in
-  List.iter
-    (fun (sys, model) ->
-      match model with
-      | Ref_cache.Victim _ -> ()
-      | Ref_cache.Unified _ | Ref_cache.Split _ | Ref_cache.Reserved _ ->
-          System.enable_block_attribution sys ~images ~blocks)
-    pairs;
+  List.iter (fun (sys, _) -> System.enable_block_attribution sys ~images ~blocks) pairs;
   Replay.run_range ~trace ~map ~systems:(Array.of_list (List.map fst pairs)) ~warmup;
   Ref_cache.replay ~trace ~map ~warmup (List.map snd pairs);
   List.for_all (agree ~blocks) pairs
