@@ -47,7 +47,10 @@ check: build
 # writes one report plus a bare manifest.json, which goes through
 # validate's bare-manifest path.  Finally the text transcript is rendered
 # at one and four domains and compared byte for byte, so a result that
-# depends on scheduling fails here.
+# depends on scheduling fails here.  Last, the full-size transcript
+# (`repro --words 1000000`, two domains) must hash to the MD5 pinned in
+# test/golden/repro_1m.md5; a change meant to move results updates the
+# pin along with the goldens.
 validate: build
 	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 --format json \
 	  --trace _build/trace_j1.json \
@@ -63,6 +66,9 @@ validate: build
 	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 > _build/repro_j1.txt
 	ICACHE_JOBS=4 _build/default/bin/icache_opt.exe repro --small --words 60000 > _build/repro_j4.txt
 	cmp _build/repro_j1.txt _build/repro_j4.txt
+	ICACHE_JOBS=2 _build/default/bin/icache_opt.exe repro --words 1000000 \
+	  | md5sum | cut -d' ' -f1 > _build/repro_1m.md5
+	diff test/golden/repro_1m.md5 _build/repro_1m.md5
 
 # Capture a span timeline of the small repro and print its hot spans.
 # The Chrome-format trace lands in _build/trace.json: load it in

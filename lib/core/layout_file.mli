@@ -5,8 +5,6 @@
     layout computed once can be archived, inspected with text tools, and
     re-simulated later. *)
 
-val format_version : string
-
 val to_string : graph:Graph.t -> Address_map.t -> string
 
 val of_string : graph:Graph.t -> string -> Address_map.t

@@ -54,8 +54,6 @@ val hot_size_dist : Dist.t
 (** Hot-block sizes: multiples of 4 bytes with mean about 21 bytes (the
     paper reports 21.3-byte average basic blocks). *)
 
-val cold_size_dist : Dist.t
-
 val cold_take_probability : Prng.t -> float
 (** Probability of entering a cold detour: log-uniform in about
     [1e-4, 0.16], reproducing the non-bimodal tail of Figure 3. *)

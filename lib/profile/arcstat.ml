@@ -1,9 +1,9 @@
 type bin = { lo : float; hi : float; count : int }
 
-let default_edges =
-  [| 0.01; 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.95; 0.99 |]
+(* Bins matching Figure 3's x-axis granularity. *)
+let edges = [| 0.01; 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.95; 0.99 |]
 
-let distribution p g ?(edges = default_edges) () =
+let distribution p g =
   let n = Array.length edges in
   let counts = Array.make (n + 1) 0 in
   let bucket_of prob =

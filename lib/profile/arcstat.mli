@@ -8,12 +8,10 @@
 
 type bin = { lo : float; hi : float; count : int }
 
-val default_edges : float array
-(** [0.01; 0.05; 0.1; ...; 0.9; 0.95; 0.99]: bins matching Figure 3's
+val distribution : Profile.t -> Graph.t -> bin array
+(** Counts of executed-block outgoing arcs per probability bin, the bins
+    split at [0.01; 0.05; 0.1; ...; 0.9; 0.95; 0.99] to match Figure 3's
     x-axis granularity. *)
-
-val distribution : Profile.t -> Graph.t -> ?edges:float array -> unit -> bin array
-(** Counts of executed-block outgoing arcs per probability bin. *)
 
 val fraction_at_least : bin array -> float -> float
 (** Fraction of arcs whose bin lies entirely at or above the threshold

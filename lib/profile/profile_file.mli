@@ -4,8 +4,6 @@
     counts round-trip exactly enough for averaged profiles.  The [shape]
     header ties a profile to its graph's block/arc counts. *)
 
-val format_version : string
-
 val to_string : graph:Graph.t -> Profile.t -> string
 
 val of_string : graph:Graph.t -> string -> Profile.t

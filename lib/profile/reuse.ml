@@ -2,8 +2,8 @@ type t = { histogram : Histogram.t; last_invocation : int; calls : int }
 
 let default_edges = [| 10; 32; 100; 316; 1000; 3162; 10_000; 31_623; 100_000 |]
 
-let measure ~trace ~graph ~routines ?(edges = default_edges) () =
-  let histogram = Histogram.explicit edges in
+let measure ~trace ~graph ~routines =
+  let histogram = Histogram.explicit default_edges in
   (* Map tracked routines' entry blocks to a dense slot. *)
   let entry_slot = Hashtbl.create 16 in
   List.iteri

@@ -4,7 +4,7 @@
 
 type t = {
   histogram : Histogram.t;
-      (** Word-distance buckets (explicit decade-ish edges). *)
+      (** Word-distance buckets split at {!default_edges}. *)
   last_invocation : int;
       (** Calls not followed by another call to the same routine in the
           same OS invocation (the paper's "Last Inv" column). *)
@@ -12,9 +12,8 @@ type t = {
 }
 
 val default_edges : int array
+(** Decade-ish word distances, 10 to 100,000. *)
 
-val measure :
-  trace:Trace.t -> graph:Graph.t -> routines:Routine.id list ->
-  ?edges:int array -> unit -> t
+val measure : trace:Trace.t -> graph:Graph.t -> routines:Routine.id list -> t
 (** Track the given routines (the paper uses the 10 most frequently
     invoked) through a captured trace. *)

@@ -3,7 +3,7 @@ type result = { bins : Arcstat.bin array; ge_99 : float; le_01 : float }
 let compute (ctx : Context.t) =
   let g = Context.os_graph ctx in
   let union = ctx.Context.avg_os_profile in
-  let bins = Arcstat.distribution union g () in
+  let bins = Arcstat.distribution union g in
   {
     bins;
     ge_99 = Arcstat.fraction_at_least bins 0.95;

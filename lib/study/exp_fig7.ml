@@ -20,7 +20,7 @@ let compute (ctx : Context.t) =
       last_inv := !last_inv + r.Reuse.last_invocation;
       calls := !calls + r.Reuse.calls)
     (Parallel.map_array
-       (fun _ trace -> Reuse.measure ~trace ~graph:g ~routines ())
+       (fun _ trace -> Reuse.measure ~trace ~graph:g ~routines)
        ctx.Context.traces);
   let events = !calls in
   let cum_le edge_idx = 100.0 *. Histogram.cumulative_fraction_below merged edge_idx in

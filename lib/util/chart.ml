@@ -1,6 +1,13 @@
-let default_fmt v = Printf.sprintf "%.3f" v
+(* Bars are at most 50 characters wide; values print as [%.3f]. *)
+let width = 50
 
-let render_bars buf ~width ~value_fmt ~label_width ~scale series =
+let bars ?title series =
+  let buf = Buffer.create 512 in
+  (match title with None -> () | Some t -> Buffer.add_string buf (t ^ "\n"));
+  let scale = List.fold_left (fun acc (_, v) -> max acc v) 0.0 series in
+  let label_width =
+    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 series
+  in
   List.iter
     (fun (label, v) ->
       let bar_len =
@@ -9,39 +16,8 @@ let render_bars buf ~width ~value_fmt ~label_width ~scale series =
       in
       let bar_len = if v > 0.0 && bar_len = 0 then 1 else bar_len in
       Buffer.add_string buf
-        (Printf.sprintf "  %-*s |%s %s\n" label_width label
+        (Printf.sprintf "  %-*s |%s %.3f\n" label_width label
            (String.make (max 0 bar_len) '#')
-           (value_fmt v)))
-    series
-
-let bars ?(width = 50) ?title ?(value_fmt = default_fmt) series =
-  let buf = Buffer.create 512 in
-  (match title with None -> () | Some t -> Buffer.add_string buf (t ^ "\n"));
-  let scale = List.fold_left (fun acc (_, v) -> max acc v) 0.0 series in
-  let label_width =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 series
-  in
-  render_bars buf ~width ~value_fmt ~label_width ~scale series;
-  Buffer.contents buf
-
-let grouped ?(width = 50) ?title ~group_header groups =
-  let buf = Buffer.create 1024 in
-  (match title with None -> () | Some t -> Buffer.add_string buf (t ^ "\n"));
-  let scale =
-    List.fold_left
-      (fun acc (_, series) ->
-        List.fold_left (fun acc (_, v) -> max acc v) acc series)
-      0.0 groups
-  in
-  let label_width =
-    List.fold_left
-      (fun acc (_, series) ->
-        List.fold_left (fun acc (l, _) -> max acc (String.length l)) acc series)
-      0 groups
-  in
-  List.iter
-    (fun (name, series) ->
-      Buffer.add_string buf (group_header name ^ "\n");
-      render_bars buf ~width ~value_fmt:default_fmt ~label_width ~scale series)
-    groups;
+           v))
+    series;
   Buffer.contents buf

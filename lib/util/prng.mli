@@ -7,11 +7,8 @@
 
 type t
 
-val create : int64 -> t
-(** [create seed] returns a fresh generator seeded with [seed]. *)
-
 val of_int : int -> t
-(** [of_int seed] is [create (Int64.of_int seed)]. *)
+(** [of_int seed] returns a fresh generator seeded with [seed]. *)
 
 val copy : t -> t
 (** [copy g] is a generator with the same state as [g], advancing

@@ -33,7 +33,6 @@ val focused_weights :
     and given Zipf-decaying weights; the rest get 0. *)
 
 val trfd_4 : Model.t -> t
-val arc2d_fsck : Model.t -> t
 val shell : Model.t -> t
 
 val standard : Model.t -> t array

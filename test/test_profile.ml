@@ -171,7 +171,7 @@ let test_profile_collect_consistency () =
 let test_arcstat_bins () =
   let lc = loop_call () in
   let p = loop_profile lc in
-  let bins = Arcstat.distribution p lc.g () in
+  let bins = Arcstat.distribution p lc.g in
   let total = Array.fold_left (fun acc (b : Arcstat.bin) -> acc + b.count) 0 bins in
   check_bool "some arcs counted" true (total > 0);
   Array.iter
@@ -181,7 +181,7 @@ let test_arcstat_bins () =
 let test_arcstat_fractions () =
   let lc = loop_call () in
   let p = loop_profile lc in
-  let bins = Arcstat.distribution p lc.g () in
+  let bins = Arcstat.distribution p lc.g in
   let hi = Arcstat.fraction_at_least bins 0.99 in
   let lo = Arcstat.fraction_at_most bins 0.01 in
   check_bool "fractions in range" true
@@ -194,7 +194,7 @@ let test_arcstat_bimodal_kernel () =
      Our synthetic kernel must reproduce the bimodality. *)
   let ctx = small_ctx () in
   let p = ctx.Context.avg_os_profile in
-  let bins = Arcstat.distribution p (Context.os_graph ctx) () in
+  let bins = Arcstat.distribution p (Context.os_graph ctx) in
   let hi = Arcstat.fraction_at_least bins 0.99 in
   check_bool "most arcs near-deterministic" true (hi > 0.5)
 
@@ -315,7 +315,7 @@ let test_reuse_distances () =
     (fun b -> Trace.append t (Trace.Exec { image = 0; block = b }))
     [ lc.c0; lc.c1; lc.c2; lc.l0; lc.l1; lc.c3; lc.c1; lc.c2; lc.l0; lc.l1; lc.c3; lc.c4 ];
   Trace.append t Trace.Invocation_end;
-  let r = Reuse.measure ~trace:t ~graph:lc.g ~routines:[ lc.callee ] () in
+  let r = Reuse.measure ~trace:t ~graph:lc.g ~routines:[ lc.callee ] in
   check_int "two calls" 2 r.Reuse.calls;
   check_int "one last-invocation call" 1 r.Reuse.last_invocation;
   (* Distance between the two l0 executions: l0,l1,c3,c1,c2 = 5 blocks of
@@ -335,7 +335,7 @@ let test_reuse_resets_across_invocations () =
   in
   one_invocation ();
   one_invocation ();
-  let r = Reuse.measure ~trace:t ~graph:lc.g ~routines:[ lc.callee ] () in
+  let r = Reuse.measure ~trace:t ~graph:lc.g ~routines:[ lc.callee ] in
   check_int "two calls" 2 r.Reuse.calls;
   check_int "no cross-invocation distance" 0 (Histogram.total r.Reuse.histogram);
   check_int "both calls are last in their invocation" 2 r.Reuse.last_invocation

@@ -444,14 +444,6 @@ let test_chart_bars () =
   let s = Chart.bars [] in
   check_bool "empty ok" true (String.length s >= 0)
 
-let test_chart_grouped () =
-  let s =
-    Chart.grouped
-      ~group_header:(fun g -> "== " ^ g)
-      [ ("g1", [ ("x", 1.0) ]); ("g2", [ ("y", 2.0) ]) ]
-  in
-  check_bool "grouped render" true (String.length s > 0)
-
 (* ------------------------------------------------------------------ *)
 (* Memo                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -757,6 +749,5 @@ let () =
           case "arity" test_table_arity;
           case "cells" test_table_cells;
           case "bars" test_chart_bars;
-          case "grouped" test_chart_grouped;
         ] );
     ]
