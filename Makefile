@@ -49,8 +49,11 @@ check: build
 # at one and four domains and compared byte for byte, so a result that
 # depends on scheduling fails here.  Last, the full-size transcript
 # (`repro --words 1000000`, two domains) must hash to the MD5 pinned in
-# test/golden/repro_1m.md5; a change meant to move results updates the
-# pin along with the goldens.
+# test/golden/repro_1m.md5, and a 1M-word sweep over 36 geometries (four
+# sizes, three associativities, three line sizes) and three levels to
+# the one in test/golden/sweep_1m.md5, so every set count a replay pass
+# strips its streams by is covered; a change meant to move results
+# updates the pins along with the goldens.
 validate: build
 	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 --format json \
 	  --trace _build/trace_j1.json \
@@ -69,6 +72,10 @@ validate: build
 	ICACHE_JOBS=2 _build/default/bin/icache_opt.exe repro --words 1000000 \
 	  | md5sum | cut -d' ' -f1 > _build/repro_1m.md5
 	diff test/golden/repro_1m.md5 _build/repro_1m.md5
+	ICACHE_JOBS=2 _build/default/bin/icache_opt.exe sweep --words 1000000 \
+	  --sizes 4,8,16,32 --assocs 1,2,4 --lines 16,32,64 --levels base,ch,opts \
+	  | md5sum | cut -d' ' -f1 > _build/sweep_1m.md5
+	diff test/golden/sweep_1m.md5 _build/sweep_1m.md5
 
 # Capture a span timeline of the small repro and print its hot spans.
 # The Chrome-format trace lands in _build/trace.json: load it in

@@ -4,8 +4,8 @@
 
     A replay pass fills one chunk over and over, so each event's code-map
     lookup happens once per pass however many cache systems ride it, and
-    each chunk's line stream is built once per (line size, side) however
-    many caches read it.  The pass allocates nothing per event. *)
+    each chunk's streams are built once per fill however many caches read
+    them.  The pass allocates nothing per event. *)
 
 type code_map = {
   addr : int array array;  (** Per image: block id -> byte address. *)
@@ -23,15 +23,45 @@ type side =
 (** Which of a chunk's events a cache takes: a sub-cache of a split or
     reserved system sees only its side of the events. *)
 
+type reader = {
+  shift : int;  (** [log2] of the cache's line size. *)
+  side : side;  (** The events it takes. *)
+  sets : int;  (** Its set count, a power of two. *)
+}
+(** What a cache reads of a chunk: the pass plans one stream per reader
+    from these three numbers. *)
+
 type stream = private {
-  mutable lines : int array;  (** Entries [0 .. len-1]: the lines fetched, in order. *)
+  mutable lines : int array;  (** Entries [0 .. len-1]: the lines probed, in order. *)
   mutable owner : int array;  (** Per entry: the fetching event's owner (see {!t}). *)
   mutable len : int;
   mutable os_words : int;  (** Instruction words the side's OS events fetch. *)
   mutable app_words : int;  (** Instruction words the side's other events fetch. *)
-  mutable shift : int;  (** Key: [log2] of the line size. *)
-  mutable side : side;  (** Key: the events taken. *)
 }
+(** The line fetches of a chunk's events on one side at one line size,
+    stripped of references that cannot change a reader's state.
+
+    Stage 1 is the fetches themselves: each event touches every line it
+    spans once (further words on an already-touched line hit by
+    construction), except that a line equal to the entry before it is
+    dropped.  That is a one-set direct-mapped filter.  A stage at [s]
+    sets keeps only the entries of the stage before it that miss an
+    [s]-set direct-mapped tag array, which starts empty when the pass
+    starts and keeps its state from chunk to chunk.  Every stage carries
+    stage 1's word totals: every event on the side, one word per 4 bytes
+    and at least one per event.
+
+    A dropped entry changes no result of a cache with at least [s] sets
+    and the same line size (set counts are powers of two): the filter
+    still holding line [L] means [L] was the last line referenced in its
+    filter set, which contains [L]'s cache set, so [L] is resident, and
+    under LRU most recent.  A hit on it writes no tag, eviction record,
+    PRNG draw or victim buffer, and references come from the word
+    totals, never from the lines. *)
+
+type buffers
+(** A chunk's plan and the stream and filter buffers it reuses from pass
+    to pass. *)
 
 type t = private {
   owner : int array;
@@ -41,8 +71,7 @@ type t = private {
   addr : int array;  (** Per event: first byte fetched. *)
   last : int array;  (** Per event: [addr + bytes - 1], the last byte. *)
   mutable len : int;  (** Events [0 .. len-1] are valid. *)
-  mutable streams : stream array;  (** Buffers for {!stream}. *)
-  mutable built : int;  (** [streams.(0 .. built-1)] hold this fill's streams. *)
+  buffers : buffers;
 }
 
 val size : int
@@ -50,36 +79,29 @@ val size : int
     the per-chunk switch between systems, small enough that the three
     arrays stay in L2 while every system runs over them. *)
 
-val stream : t -> shift:int -> side -> stream
-(** The line fetches of the chunk's events on [side], at lines of
-    [1 lsl shift] bytes: each event touches every line it spans once
-    (further words on an already-touched line hit by construction),
-    except that a line equal to the entry before it is dropped.  The word
-    totals count every event on the side, one word per 4 bytes and at
-    least one per event.
-
-    Dropping a repeat changes no cache result: a cache that reads the
-    stream has just probed that line, so it is resident, and a hit on
-    the line probed last changes no state (under LRU it is already most
-    recent; FIFO, Random, direct-mapped and a victim cache's main array
-    never reorder on a hit, and Random draws only on a miss).  Only the
-    word totals count references.
-
-    Built on the first call per key after each fill and shared by every
-    later call with that key, so the result is valid until the next
-    fill.  Its buffers start as long as the chunk and grow as a fill
-    needs more. *)
-
-val iter : trace:Trace.t -> map:code_map -> boundary:int -> (t -> int -> unit) -> unit
+val iter :
+  trace:Trace.t -> map:code_map -> boundary:int -> readers:reader array ->
+  (t -> int -> unit) -> unit
 (** Resolve [trace]'s execution events under [map] chunk by chunk
-    through one reused chunk, calling [f chunk fed] with the number of
-    events fed so far.  When [0 < boundary], a chunk ends exactly after
-    event [boundary], so [f] sees [fed = boundary] once if the trace is
-    that long.  Each domain keeps one chunk, with its stream buffers,
-    from pass to pass; an [iter] called from inside another's [f] uses a
-    chunk of its own.
+    through one reused chunk, build every stream [readers] need, and
+    call [f chunk fed] with the number of events fed so far.
+
+    Per (shift, side) of [readers] the chunk builds a chain of stages
+    once per fill: stage 1, then one at each of those readers' set
+    counts above 1 up to the second-largest.  Reader [i] reads
+    ({!stream} [chunk i]) the last stage whose set count is at most its
+    own, so a reader alone on its key reads stage 1 and nothing more is
+    built.  A largest reader reads the stage below its own count, since
+    a stage of its own would only repeat its kernel's work.
+
+    When [0 < boundary], a chunk ends exactly after event [boundary], so
+    [f] sees [fed = boundary] once if the trace is that long.  Each
+    domain keeps one chunk, with its stream and filter buffers, from
+    pass to pass; an [iter] called from inside another's [f] uses a
+    chunk of its own.  Buffers start as long as the chunk and grow as a
+    fill needs more.
     @raise Invalid_argument if an event names a block [map] lacks. *)
 
-val single : image:int -> block:int -> addr:int -> bytes:int -> t
-(** A one-event chunk, for feeding a single fetch through the kernels.
-    @raise Invalid_argument unless [0 <= image <= 5]. *)
+val stream : t -> int -> stream
+(** [stream chunk i]: reader [i]'s stream of the current fill, valid
+    until the next fill. *)

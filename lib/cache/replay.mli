@@ -6,9 +6,13 @@
     a time into one reused chunk, and every system in array order runs
     its kernel over the whole chunk before the next chunk is read.  So a
     whole sweep of cache configurations shares a single trace decode and
-    code-map resolution, systems of one line size share each chunk's
-    line stream ({!Chunk.stream}), and the pass allocates nothing per
-    event.
+    code-map resolution, and the pass allocates nothing per event.
+
+    The pass hands {!Chunk.iter} every sub-cache's {!System.readers}, so
+    caches of one line size and side share each chunk's chain of
+    streams ({!Chunk.stream}), and each reads the stage stripped at the
+    most sets it can take: the more members of different sizes a pass
+    carries, the fewer entries each larger one probes.
     Systems are mutually independent, so the result for each is
     bit-identical to a solo replay. *)
 

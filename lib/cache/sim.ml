@@ -27,6 +27,7 @@ type t = {
   mutable attr_self : int array array;
   mutable attr_cross : int array array;
   mutable attribution : bool;
+  mutable probes : int;  (** Stream entries read, over the cache's life. *)
 }
 
 let log2 n =
@@ -53,6 +54,7 @@ let create config =
     attr_self = [||];
     attr_cross = [||];
     attribution = false;
+    probes = 0;
   }
 
 let victim main ~entries =
@@ -172,7 +174,8 @@ let[@inline never] assoc_miss t owner line base =
   classify t owner line
 
 (* Each kernel probes the stream's lines in order; the stream has already
-   taken the side and dropped repeats of the line probed last. *)
+   taken the side and dropped the references that would hit without
+   changing any state (Chunk.stream). *)
 let run_direct t (s : Chunk.stream) =
   let lines = s.lines and owner = s.owner in
   let tags = t.tags and mask = t.sets - 1 in
@@ -206,18 +209,18 @@ let run_assoc t (s : Chunk.stream) =
     end
   done
 
-let run t side c =
-  let s = Chunk.stream c ~shift:t.line_shift side in
+let reader t side = { Chunk.shift = t.line_shift; side; sets = t.sets }
+
+let run t (s : Chunk.stream) =
   let k = t.counters in
   k.Counters.refs_os <- k.Counters.refs_os + s.os_words;
   k.Counters.refs_app <- k.Counters.refs_app + s.app_words;
+  t.probes <- t.probes + s.len;
   match t.kernel with
   | Direct | Victim _ -> run_direct t s
   | Lru_assoc | Fifo_assoc | Random_assoc _ -> run_assoc t s
 
-let access t ~os ~image ~block ~addr ~bytes =
-  if os <> (image = 0) then invalid_arg "Sim.access: os must mean image 0";
-  run t All (Chunk.single ~image ~block ~addr ~bytes)
+let probes t = t.probes
 
 let reset_counters t =
   Counters.reset t.counters;

@@ -3,10 +3,11 @@
     per-block miss attribution (for the miss-address distributions of
     Figures 1 and 14).
 
-    A cache runs over a chunk's line stream ({!Chunk.stream}) at a time:
-    one kernel loop per kind (direct-mapped, or set-associative with the
-    policy fixed at {!create}), with the way search and the age shift
-    inline and the miss classification in a cold out-of-line path.  A
+    A cache runs over one chunk's line stream ({!Chunk.stream}) at a
+    time, the stream its {!reader} planned: one kernel loop per kind
+    (direct-mapped, or set-associative with the policy fixed at
+    {!create}), with the way search and the age shift inline and the
+    miss classification in a cold out-of-line path.  A
     victim cache ({!victim}) is the direct-mapped loop whose miss path
     first looks in its buffer; only a miss there too is classified, so
     it counts and attributes misses as every other kernel does.  It
@@ -47,16 +48,20 @@ type side = Chunk.side =
 (** Which of a chunk's events a cache takes: a sub-cache of a split or
     reserved {!System} sees only its side of the stream. *)
 
-val run : t -> side -> Chunk.t -> unit
-(** Feed the chunk's events on [side], in order, as the chunk's
-    {!Chunk.stream} at this cache's line size: each event is one
-    basic-block execution that fetches [max 1 (bytes/4)] instruction
-    words and touches each spanned cache line once. *)
+val reader : t -> side -> Chunk.reader
+(** What this cache reads of a chunk on [side]: its line shift, the side
+    and its set count. *)
 
-val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> unit
-(** {!run} over a one-event chunk.
-    @raise Invalid_argument unless [os = (image = 0)] and
-    [0 <= image <= 5]. *)
+val run : t -> Chunk.stream -> unit
+(** Probe the stream's lines in order and add its word totals to the
+    references: each event is one basic-block execution that fetches
+    [max 1 (bytes/4)] instruction words.  The stream must be one planned
+    for this cache's {!reader}: same line size and side, stripped at no
+    more sets than the cache has. *)
+
+val probes : t -> int
+(** Stream entries {!run} has read over the cache's life, for
+    observability: what stripping left the kernel to probe. *)
 
 val reset_counters : t -> unit
 (** Zero counters and attributions, keeping cache contents (warm-up). *)

@@ -213,7 +213,7 @@ let from_trace ~trace ~map ?(line = 32) ?(os_only = false) () =
     | Some (_, lines) -> make ~line ~capacity:lines
     | None -> create ~line ()
   in
-  Chunk.iter ~trace ~map ~boundary:0 (fun (c : Chunk.t) _ ->
+  Chunk.iter ~trace ~map ~boundary:0 ~readers:[||] (fun (c : Chunk.t) _ ->
       let owner = c.owner and first = c.addr and last = c.last in
       for i = 0 to c.len - 1 do
         let image = owner.(i) land 7 in

@@ -26,11 +26,11 @@ let reserved ~hot ~rest ~hot_limit = create (Reserved { hot; rest; hot_limit })
 
 let victim ~main ~entries = create (Victim { main; entries })
 
-let run t c = Array.iter (fun (s, side) -> Sim.run s side c) t
+let readers t = Array.map (fun (s, side) -> Sim.reader s side) t
 
-let access t ~os ~image ~block ~addr ~bytes =
-  if os <> (image = 0) then invalid_arg "System.access: os must mean image 0";
-  run t (Chunk.single ~image ~block ~addr ~bytes)
+let run t c ~first = Array.iteri (fun k (s, _) -> Sim.run s (Chunk.stream c (first + k))) t
+
+let probes t = Array.fold_left (fun n (s, _) -> n + Sim.probes s) 0 t
 
 let counters t =
   let acc = Counters.create () in

@@ -33,18 +33,20 @@ val reserved : hot:Config.t -> rest:Config.t -> hot_limit:int -> t
 val victim : main:Config.t -> entries:int -> t
 (** {!create} of the matching {!spec}. *)
 
-val run : t -> Chunk.t -> unit
-(** Feed a chunk of events through every sub-cache, each over its side's
-    {!Chunk.stream} in turn: a split cache's OS half takes the OS events,
-    a reserved cache's hot half the OS events below [hot_limit], the
-    other half the rest.  Sub-caches are independent, so each sees
-    exactly the per-event order of the trace.  A unified or victim cache
-    is one sub-cache over the whole stream.  Allocates nothing per
-    event. *)
+val readers : t -> Chunk.reader array
+(** One {!Chunk.reader} per sub-cache, in the order {!run} feeds them: a
+    split cache's OS half takes the OS events, a reserved cache's hot
+    half the OS events below [hot_limit], the other half the rest.  A
+    unified or victim cache is one sub-cache over every event. *)
 
-val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> unit
-(** {!run} over a one-event chunk.
-    @raise Invalid_argument unless [os = (image = 0)]. *)
+val run : t -> Chunk.t -> first:int -> unit
+(** Feed a chunk through every sub-cache in turn: sub-cache [k] reads
+    the chunk's stream for reader [first + k], which [readers t] planned
+    at position [k].  Sub-caches are independent, so each sees exactly
+    the per-event order of the trace.  Allocates nothing per event. *)
+
+val probes : t -> int
+(** {!Sim.probes} summed over the sub-caches. *)
 
 val counters : t -> Counters.t
 (** Aggregated snapshot (a fresh copy) across sub-caches. *)

@@ -52,8 +52,12 @@ let warmup_of trace ~warmup_fraction =
 (* The one replay pass behind every entry point: every system in
    [systems] rides a single decode of [trace] under [map], with counters
    reset after the warm-up prefix.  With [attribute], each system also
-   counts misses per block of that program's images. *)
+   counts misses per block of that program's images.  A traced pass
+   also reports [probes], the stream entries its kernels read: what
+   stripping left of the events for its members to probe. *)
 let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
+  let probes () = Array.fold_left (fun n sys -> n + System.probes sys) 0 systems in
+  let probes0 = probes () in
   Trace_log.with_span "replay_pass"
     ~args:
       (Option.to_list (Option.map (fun w -> ("workload", Json.String w)) workload)
@@ -62,6 +66,7 @@ let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
           ("events", Json.Int (Trace.length trace));
           ("domain", Json.Int (Domain.self () :> int));
         ])
+    ~after:(fun () -> [ ("probes", Json.Int (probes () - probes0)) ])
   @@ fun () ->
   let t0 = Trace_log.now () in
   Option.iter

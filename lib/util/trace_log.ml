@@ -37,7 +37,8 @@ let set_track t = Domain.DLS.set track_key t
 
 let set_enabled b = Atomic.set enabled_flag b
 
-(* [t] is the clock reading the event stands for. *)
+(* [t] is the clock reading the event stands for.  Returns the event's
+   slot in this domain's buffer. *)
 let record t ~begin_ ~name ~args =
   let b = Domain.DLS.get buffer_key in
   if b.len = Array.length b.items then begin
@@ -54,7 +55,8 @@ let record t ~begin_ ~name ~args =
       track = Domain.DLS.get track_key;
       args;
     };
-  b.len <- b.len + 1
+  b.len <- b.len + 1;
+  (b, b.len - 1)
 
 (* Per-stage (calls, seconds), with names in reverse order of first completion. *)
 let totals_lock = Mutex.create ()
@@ -69,22 +71,32 @@ let add_total name dt =
           Hashtbl.add totals name (1, dt);
           total_order := name :: !total_order)
 
-(* The one timer: both the events and the total read [t0] and [t1]. *)
-let span ~total ?(args = []) name f =
+(* The one timer: both the events and the total read [t0] and [t1].  The
+   begin event stays in this domain's buffer at the same index while [f]
+   runs, so [after]'s arguments can join it there once [f] returns. *)
+let span ~total ?(args = []) ?after name f =
   let traced = Atomic.get enabled_flag in
   if not (traced || total) then f ()
   else begin
     let t0 = now () in
-    if traced then record t0 ~begin_:true ~name ~args;
-    Fun.protect f ~finally:(fun () ->
-        let t1 = now () in
-        if traced then record t1 ~begin_:false ~name ~args:[];
-        if total then add_total name (t1 -. t0))
+    let opened = if traced then Some (record t0 ~begin_:true ~name ~args) else None in
+    let r =
+      Fun.protect f ~finally:(fun () ->
+          let t1 = now () in
+          if traced then ignore (record t1 ~begin_:false ~name ~args:[]);
+          if total then add_total name (t1 -. t0))
+    in
+    (match (opened, after) with
+    | Some (b, at), Some more ->
+        let e = b.items.(at) in
+        b.items.(at) <- { e with args = e.args @ more () }
+    | _ -> ());
+    r
   end
 
 let stage ?args name f = span ~total:true ?args name f
 
-let with_span ?args name f = span ~total:false ?args name f
+let with_span ?args ?after name f = span ~total:false ?args ?after name f
 
 let stage_totals () =
   Mutex.protect totals_lock (fun () ->

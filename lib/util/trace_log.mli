@@ -62,11 +62,15 @@ val stage : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
     tracing is enabled.  The total and the span read the same two clock
     values, and both are recorded even when [f] raises. *)
 
-val with_span : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** [with_span ?args name f] runs [f ()], bracketing it with a begin/end
-    event pair on the calling domain's track when tracing is enabled (the
-    end event is recorded even when [f] raises).  When disabled this is
-    [f ()] plus one branch. *)
+val with_span :
+  ?args:(string * Json.t) list -> ?after:(unit -> (string * Json.t) list) -> string ->
+  (unit -> 'a) -> 'a
+(** [with_span ?args ?after name f] runs [f ()], bracketing it with a
+    begin/end event pair on the calling domain's track when tracing is
+    enabled (the end event is recorded even when [f] raises).  The begin
+    event carries [args], then [after ()], evaluated once [f] has
+    returned, for figures only the work itself yields; a raise skips
+    [after].  When disabled this is [f ()] plus one branch. *)
 
 val stage_totals : unit -> (string * int * float) list
 (** [(name, calls, seconds)] per stage name, in the order each name

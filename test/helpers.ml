@@ -26,6 +26,32 @@ let with_jobs jobs f =
   Fun.protect ~finally:(fun () -> Parallel.set_jobs saved) f
 
 (* ------------------------------------------------------------------ *)
+(* One fetch at a time.                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A one-event trace of block [block] of [image], and a code map that
+   places that block at [addr] with [bytes] bytes. *)
+let one_event ~image ~block ~addr ~bytes =
+  let trace = Trace.create ~capacity:1 () in
+  Trace.append trace (Trace.Exec { image; block });
+  let row v = Array.init (image + 1) (fun i -> Array.make (if i = image then block + 1 else 0) v) in
+  let map = { Replay.addr = row addr; bytes = row bytes } in
+  (trace, map)
+
+(* One fetch through a system or a cache, as a one-event replay pass:
+   the planned stream and the kernels every replay runs.  Image 0 is the
+   OS. *)
+let system_access sys ~image ~block ~addr ~bytes =
+  let trace, map = one_event ~image ~block ~addr ~bytes in
+  Replay.run_range ~trace ~map ~systems:[| sys |] ~warmup:0
+
+let sim_access sim ~image ~block ~addr ~bytes =
+  let trace, map = one_event ~image ~block ~addr ~bytes in
+  Chunk.iter ~trace ~map ~boundary:0
+    ~readers:[| Sim.reader sim Sim.All |]
+    (fun c _ -> Sim.run sim (Chunk.stream c 0))
+
+(* ------------------------------------------------------------------ *)
 (* Hand-built flow graphs.                                            *)
 (* ------------------------------------------------------------------ *)
 

@@ -72,23 +72,23 @@ let dm_1kb () = Sim.create (Config.v ~size:1024 ~assoc:1 ~line:32)
    expected resident first and the evicted ones last. *)
 let hits s ~addr =
   let before = Counters.misses (Sim.counters s) in
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr ~bytes:1;
+  sim_access s ~image:0 ~block:0 ~addr ~bytes:1;
   Counters.misses (Sim.counters s) = before
 
 let test_sim_miss_then_hit () =
   let s = dm_1kb () in
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:16;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:16;
   let c = Sim.counters s in
   check_int "first access misses once" 1 (Counters.misses c);
   check_int "cold classified" 1 c.Counters.os_cold;
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:16;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:16;
   check_int "second access hits" 1 (Counters.misses (Sim.counters s));
   check_int "refs counted in words" 8 (Counters.refs (Sim.counters s))
 
 let test_sim_block_spanning_lines () =
   let s = dm_1kb () in
   (* Bytes 16..95 span lines 0, 1 and 2 of 32 bytes. *)
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:16 ~bytes:80;
+  sim_access s ~image:0 ~block:0 ~addr:16 ~bytes:80;
   check_int "three line misses" 3 (Counters.misses (Sim.counters s));
   check_bool "all three resident" true
     (hits s ~addr:0 && hits s ~addr:32 && hits s ~addr:95)
@@ -96,9 +96,9 @@ let test_sim_block_spanning_lines () =
 let test_sim_conflict_direct_mapped () =
   let s = dm_1kb () in
   (* Addresses 0 and 1024 share set 0 in a 1 KB direct-mapped cache. *)
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:1 ~addr:1024 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:1 ~addr:1024 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
   let c = Sim.counters s in
   check_int "three misses" 3 (Counters.misses c);
   check_int "last one is self-interference" 1 c.Counters.os_self;
@@ -106,19 +106,19 @@ let test_sim_conflict_direct_mapped () =
 
 let test_sim_no_conflict_different_sets () =
   let s = dm_1kb () in
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:1 ~addr:32 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:1 ~addr:32 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
   check_int "only two cold misses" 2 (Counters.misses (Sim.counters s))
 
 let test_sim_lru_two_way () =
   let s = Sim.create (Config.v ~size:1024 ~assoc:2 ~line:32) in
   (* Set 0 of a 2-way 1 KB cache: lines at 0, 512, 1024 all map there. *)
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:1 ~addr:512 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:1 ~addr:512 ~bytes:4;
   (* Touch 0 so 512 becomes LRU. *)
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:2 ~addr:1024 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:2 ~addr:1024 ~bytes:4;
   check_bool "0 still resident (MRU)" true (hits s ~addr:0);
   check_bool "1024 resident" true (hits s ~addr:1024);
   check_bool "512 evicted (LRU)" false (hits s ~addr:512)
@@ -127,11 +127,11 @@ let test_sim_fifo_no_refresh () =
   (* Set 0 of a 2-way cache under FIFO: hits do not refresh, so the oldest
      insertion is evicted even if it was just used. *)
   let s = Sim.create (Config.with_policy (Config.v ~size:1024 ~assoc:2 ~line:32) Config.Fifo) in
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:1 ~addr:512 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:1 ~addr:512 ~bytes:4;
   (* Touch 0: under LRU this would protect it; FIFO ignores the hit. *)
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:2 ~addr:1024 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:2 ~addr:1024 ~bytes:4;
   check_bool "512 survives" true (hits s ~addr:512);
   check_bool "oldest insertion (0) evicted despite the hit" false
     (hits s ~addr:0)
@@ -144,7 +144,7 @@ let test_sim_random_deterministic () =
     in
     let g = Prng.of_int 99 in
     for _ = 1 to 2000 do
-      Sim.access s ~os:true ~image:0 ~block:0 ~addr:(32 * Prng.int g 64) ~bytes:4
+      sim_access s ~image:0 ~block:0 ~addr:(32 * Prng.int g 64) ~bytes:4
     done;
     Counters.misses (Sim.counters s)
   in
@@ -156,7 +156,7 @@ let test_sim_random_deterministic () =
     in
     let g = Prng.of_int 99 in
     for _ = 1 to 2000 do
-      Sim.access s ~os:true ~image:0 ~block:0 ~addr:(32 * Prng.int g 64) ~bytes:4
+      sim_access s ~image:0 ~block:0 ~addr:(32 * Prng.int g 64) ~bytes:4
     done;
     Counters.misses (Sim.counters s)
   in
@@ -169,7 +169,7 @@ let test_sim_random_fills_invalid_first () =
   in
   (* Four lines into one set of a 4-way cache: all must be resident. *)
   List.iter
-    (fun addr -> Sim.access s ~os:true ~image:0 ~block:0 ~addr ~bytes:4)
+    (fun addr -> sim_access s ~image:0 ~block:0 ~addr ~bytes:4)
     [ 0; 256; 512; 768 ];
   List.iter
     (fun addr -> check_bool "resident" true (hits s ~addr))
@@ -182,25 +182,25 @@ let test_sim_policy_in_to_string () =
 
 let test_sim_cross_interference () =
   let s = dm_1kb () in
-  Sim.access s ~os:false ~image:1 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:1 ~block:0 ~addr:0 ~bytes:4;
   (* OS evicts the app line. *)
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:1024 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:1024 ~bytes:4;
   (* App misses again: cross-interference. *)
-  Sim.access s ~os:false ~image:1 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:1 ~block:0 ~addr:0 ~bytes:4;
   let c = Sim.counters s in
   check_int "app cross" 1 c.Counters.app_cross;
   check_int "app cold" 1 c.Counters.app_cold;
   check_int "os cold" 1 c.Counters.os_cold;
   (* Now the app evicts the OS line back: OS cross. *)
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:1024 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:1024 ~bytes:4;
   check_int "os cross" 1 c.Counters.os_cross
 
 let test_sim_attribution () =
   let s = dm_1kb () in
   Sim.enable_block_attribution s ~images:2 ~blocks:[| 4; 4 |];
-  Sim.access s ~os:true ~image:0 ~block:2 ~addr:0 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:3 ~addr:1024 ~bytes:4;
-  Sim.access s ~os:true ~image:0 ~block:2 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:2 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:3 ~addr:1024 ~bytes:4;
+  sim_access s ~image:0 ~block:2 ~addr:0 ~bytes:4;
   check_int "block 2 missed twice" 2 (Sim.block_misses s ~image:0).(2);
   check_int "block 3 missed once" 1 (Sim.block_misses s ~image:0).(3);
   check_int "block 2 self misses" 1 (Sim.block_misses_self s ~image:0).(2);
@@ -213,16 +213,16 @@ let test_sim_attribution_disabled () =
 
 let test_sim_reset_counters_keeps_contents () =
   let s = dm_1kb () in
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
   Sim.reset_counters s;
   check_int "counters zeroed" 0 (Counters.misses (Sim.counters s));
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
   check_int "line still resident after reset_counters" 0
     (Counters.misses (Sim.counters s))
 
 let test_sim_reset_empties () =
   let s = dm_1kb () in
-  Sim.access s ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  sim_access s ~image:0 ~block:0 ~addr:0 ~bytes:4;
   Sim.reset s;
   check_bool "line gone" false (hits s ~addr:0);
   check_int "misses again, as cold" 1 (Sim.counters s).Counters.os_cold
@@ -234,7 +234,7 @@ let prop_misses_bounded_by_refs =
       let s = Sim.create (Config.v ~size:512 ~assoc:2 ~line:16) in
       List.iter
         (fun (addr, os) ->
-          Sim.access s ~os ~image:(if os then 0 else 1) ~block:0
+          sim_access s ~image:(if os then 0 else 1) ~block:0
             ~addr:(addr land lnot 3) ~bytes:4)
         accesses;
       let c = Sim.counters s in
@@ -246,7 +246,7 @@ let prop_large_cache_no_conflicts =
     (fun addrs ->
       let s = Sim.create (Config.v ~size:65536 ~assoc:1 ~line:32) in
       List.iter
-        (fun addr -> Sim.access s ~os:true ~image:0 ~block:0 ~addr ~bytes:4)
+        (fun addr -> sim_access s ~image:0 ~block:0 ~addr ~bytes:4)
         addrs;
       let c = Sim.counters s in
       c.Counters.os_self = 0 && c.Counters.os_cross = 0)
@@ -257,8 +257,8 @@ let prop_large_cache_no_conflicts =
 
 let test_system_unified () =
   let sys = System.unified (Config.v ~size:1024 ~assoc:1 ~line:32) in
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
   let c = System.counters sys in
   check_int "one miss" 1 (Counters.misses c);
   check_int "two word refs" 2 (Counters.refs c)
@@ -270,10 +270,10 @@ let test_system_split_routes () =
       ~app:(Config.v ~size:1024 ~assoc:1 ~line:32)
   in
   (* Same address from OS and app: separate caches, no interference. *)
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  System.access sys ~os:false ~image:1 ~block:0 ~addr:0 ~bytes:4;
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  System.access sys ~os:false ~image:1 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:1 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:1 ~block:0 ~addr:0 ~bytes:4;
   let c = System.counters sys in
   check_int "two cold misses only" 2 (Counters.misses c);
   check_int "no cross interference" 0 (c.Counters.os_cross + c.Counters.app_cross)
@@ -287,32 +287,32 @@ let test_system_reserved_routes () =
   in
   (* OS below hot_limit goes to the hot cache; the same set in the rest
      cache is untouched, so an app line there survives. *)
-  System.access sys ~os:false ~image:1 ~block:0 ~addr:0 ~bytes:4;
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  System.access sys ~os:false ~image:1 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:1 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:1 ~block:0 ~addr:0 ~bytes:4;
   let c = System.counters sys in
   check_int "no app re-miss" 2 (Counters.misses c);
   (* OS above hot_limit goes to the rest cache and does evict the app. *)
-  System.access sys ~os:true ~image:0 ~block:1 ~addr:1024 ~bytes:4;
-  System.access sys ~os:false ~image:1 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:1 ~addr:1024 ~bytes:4;
+  system_access sys ~image:1 ~block:0 ~addr:0 ~bytes:4;
   let c = System.counters sys in
   check_int "app cross after rest-cache eviction" 1 c.Counters.app_cross
 
 let test_system_reset () =
   let sys = System.unified (Config.v ~size:1024 ~assoc:1 ~line:32) in
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
   System.reset_counters sys;
   check_int "counters zero" 0 (Counters.misses (System.counters sys));
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
   check_int "contents kept" 0 (Counters.misses (System.counters sys));
   System.reset sys;
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
   check_int "reset empties" 1 (Counters.misses (System.counters sys))
 
 let test_system_attribution () =
   let sys = System.unified (Config.v ~size:1024 ~assoc:1 ~line:32) in
   System.enable_block_attribution sys ~images:1 ~blocks:[| 2 |];
-  System.access sys ~os:true ~image:0 ~block:1 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:1 ~addr:0 ~bytes:4;
   check_int "attributed" 1 (System.block_misses sys ~image:0).(1)
 
 let test_system_victim_swap () =
@@ -321,12 +321,12 @@ let test_system_victim_swap () =
      plain cache a miss each time is absorbed by the buffer. *)
   let main = Config.v ~size:1024 ~assoc:1 ~line:32 in
   let sys = System.victim ~main ~entries:2 in
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-  System.access sys ~os:true ~image:0 ~block:1 ~addr:1024 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:1 ~addr:1024 ~bytes:4;
   (* Both cold so far; from now on the two lines swap via the buffer. *)
   for _ = 1 to 10 do
-    System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-    System.access sys ~os:true ~image:0 ~block:1 ~addr:1024 ~bytes:4
+    system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
+    system_access sys ~image:0 ~block:1 ~addr:1024 ~bytes:4
   done;
   let c = System.counters sys in
   check_int "only the two cold misses" 2 (Counters.misses c);
@@ -339,8 +339,8 @@ let test_system_victim_attribution () =
   let sys = System.victim ~main ~entries:2 in
   System.enable_block_attribution sys ~images:1 ~blocks:[| 2 |];
   for _ = 1 to 11 do
-    System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
-    System.access sys ~os:true ~image:0 ~block:1 ~addr:1024 ~bytes:4
+    system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
+    system_access sys ~image:0 ~block:1 ~addr:1024 ~bytes:4
   done;
   check_bool "one cold miss per block" true (System.block_misses sys ~image:0 = [| 1; 1 |]);
   check_bool "no self-interference" true (System.block_misses_self sys ~image:0 = [| 0; 0 |]);
@@ -352,10 +352,10 @@ let test_system_victim_capacity () =
   let main = Config.v ~size:1024 ~assoc:1 ~line:32 in
   let sys = System.victim ~main ~entries:1 in
   let addrs = [ 0; 1024; 2048 ] in
-  List.iter (fun addr -> System.access sys ~os:true ~image:0 ~block:0 ~addr ~bytes:4) addrs;
+  List.iter (fun addr -> system_access sys ~image:0 ~block:0 ~addr ~bytes:4) addrs;
   for _ = 1 to 5 do
     List.iter
-      (fun addr -> System.access sys ~os:true ~image:0 ~block:0 ~addr ~bytes:4)
+      (fun addr -> system_access sys ~image:0 ~block:0 ~addr ~bytes:4)
       addrs
   done;
   let c = System.counters sys in
@@ -381,16 +381,16 @@ let prop_victim_matches_naive =
       let naive = Ref_cache.victim ~main ~entries in
       List.iter
         (fun (line, os) ->
-          System.access sys ~os ~image:(if os then 0 else 1) ~block:0 ~addr:(line * 32) ~bytes:4;
+          system_access sys ~image:(if os then 0 else 1) ~block:0 ~addr:(line * 32) ~bytes:4;
           Ref_cache.access naive ~image:(if os then 0 else 1) ~block:0 ~addr:(line * 32) ~bytes:4)
         stream;
       System.counters sys = Ref_cache.counters naive)
 
 let test_system_victim_reset () =
   let sys = System.victim ~main:(Config.v ~size:1024 ~assoc:1 ~line:32) ~entries:2 in
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
   System.reset sys;
-  System.access sys ~os:true ~image:0 ~block:0 ~addr:0 ~bytes:4;
+  system_access sys ~image:0 ~block:0 ~addr:0 ~bytes:4;
   check_int "cold again after reset" 1 (System.counters sys).Counters.os_cold
 
 (* ------------------------------------------------------------------ *)
@@ -477,10 +477,12 @@ let test_replay_allocation_free () =
       ("reserved", fun () -> System.reserved ~hot:(kb 1) ~rest:(kb 8) ~hot_limit:8192);
     ]
 
-(* A second pass on the same domain reuses the chunk and the stream
-   buffers the first one left: it allocates less in the major heap than a
-   chunk's three arrays, which a pass once allocated afresh.  The
-   systems are warmed by the first pass, so their eviction pages exist. *)
+(* A second pass on the same domain reuses the chunk and the stream and
+   filter buffers the first one left: it allocates less in the major heap
+   than a chunk's three arrays, which a pass once allocated afresh.  The
+   systems are warmed by the first pass, so their eviction pages exist.
+   The second mixture has seven set counts at one line size, so its pass
+   plans a chain of filter stages. *)
 let test_replay_reuses_buffers () =
   let g = Prng.of_int 11 in
   let blocks = [| 400; 300 |] in
@@ -496,7 +498,7 @@ let test_replay_reuses_buffers () =
     Trace.append t (Trace.Exec { image; block = Prng.int g blocks.(image) })
   done;
   let kb size_kb = Config.make ~size_kb () in
-  let systems =
+  let organizations =
     [|
       System.unified (kb 8);
       System.unified (Config.make ~size_kb:8 ~assoc:4 ());
@@ -505,18 +507,45 @@ let test_replay_reuses_buffers () =
       System.reserved ~hot:(kb 1) ~rest:(Config.make ~size_kb:8 ~line:64 ()) ~hot_limit:8192;
     |]
   in
-  Replay.run_range ~trace:t ~map ~systems ~warmup:0;
-  let major () = (Gc.quick_stat ()).Gc.major_words in
-  let w0 = major () in
-  Replay.run_range ~trace:t ~map ~systems ~warmup:0;
-  let words = major () -. w0 in
-  if words > float_of_int (3 * Chunk.size) then
-    Alcotest.failf "second pass: %.0f major words (want <= %d)" words (3 * Chunk.size)
+  let set_counts =
+    Array.of_list
+      (List.concat_map
+         (fun size_kb ->
+           [ System.unified (kb size_kb); System.unified (Config.make ~size_kb ~assoc:2 ()) ])
+         [ 1; 2; 4; 8; 16; 32 ])
+  in
+  List.iter
+    (fun (name, systems) ->
+      Replay.run_range ~trace:t ~map ~systems ~warmup:0;
+      let major () = (Gc.quick_stat ()).Gc.major_words in
+      let w0 = major () in
+      Replay.run_range ~trace:t ~map ~systems ~warmup:0;
+      let words = major () -. w0 in
+      if words > float_of_int (3 * Chunk.size) then
+        Alcotest.failf "%s: second pass: %.0f major words (want <= %d)" name words
+          (3 * Chunk.size))
+    [ ("organizations", organizations); ("set counts", set_counts) ]
+
+let side_name = function Sim.All -> "all" | Sim.Inside _ -> "inside" | Sim.Outside _ -> "outside"
+
+(* Reader [i]'s stream against its expected lines, owners and word
+   totals. *)
+let check_stream c i (name, lines, owners, os_words, app_words) =
+  let s = Chunk.stream c i in
+  let entries a = Array.to_list (Array.sub a 0 s.len) in
+  Alcotest.(check (list int)) (name ^ ": lines") lines (entries s.lines);
+  Alcotest.(check (list int)) (name ^ ": owners") owners (entries s.owner);
+  check_int (name ^ ": OS words") os_words s.os_words;
+  check_int (name ^ ": app words") app_words s.app_words
 
 (* A hand-made chunk's streams at 32- and 64-byte lines on every side.
    OS blocks b0 = [0, 40), b1 = [40, 64), b2 = [200, 204); application
    blocks a0 = [64, 164), a1 = [0, 2); the side limit is 100, so b2 is
-   the one OS block outside.  Owners are [(block lsl 3) lor image]. *)
+   the one OS block outside.  Owners are [(block lsl 3) lor image].  Each
+   reader is alone on its key, so each reads stage 1.  Every stream is
+   checked before any is compared with another, so a build that
+   overwrote an earlier key's buffers fails; a last reader repeats the
+   first one's key and shares its stream. *)
 let test_chunk_streams () =
   let map =
     { Replay.addr = [| [| 0; 40; 200 |]; [| 64; 0 |] |]; bytes = [| [| 40; 24; 4 |]; [| 100; 2 |] |] }
@@ -537,26 +566,51 @@ let test_chunk_streams () =
       (6, Sim.Outside 100, [ 1; 2; 3; 0 ], [ a0; a0; b2; a1 ], 1, 26);
     ]
   in
+  let readers =
+    Array.of_list
+      (List.map (fun (shift, side, _, _, _, _) -> { Chunk.shift; side; sets = 8 }) expected
+      @ [ { Chunk.shift = 5; side = Sim.All; sets = 8 } ])
+  in
   let chunks = ref 0 in
-  Chunk.iter ~trace:t ~map ~boundary:0 (fun c _ ->
+  Chunk.iter ~trace:t ~map ~boundary:0 ~readers (fun c _ ->
       incr chunks;
-      (* Build every key first: a later key must not disturb an earlier
-         one's stream, and asking again returns the same stream. *)
-      let built = List.map (fun (shift, side, _, _, _, _) -> Chunk.stream c ~shift side) expected in
-      List.iter2
-        (fun (shift, side, lines, owners, os_words, app_words) (s : Chunk.stream) ->
-          let side_name =
-            match side with Sim.All -> "all" | Sim.Inside _ -> "inside" | Sim.Outside _ -> "outside"
-          in
-          let name = Printf.sprintf "%d-byte lines, %s" (1 lsl shift) side_name in
-          check_bool (name ^ ": shared") true (Chunk.stream c ~shift side == s);
-          let entries a = Array.to_list (Array.sub a 0 s.len) in
-          Alcotest.(check (list int)) (name ^ ": lines") lines (entries s.lines);
-          Alcotest.(check (list int)) (name ^ ": owners") owners (entries s.owner);
-          check_int (name ^ ": OS words") os_words s.os_words;
-          check_int (name ^ ": app words") app_words s.app_words)
-        expected built);
+      List.iteri
+        (fun i (shift, side, lines, owners, os_words, app_words) ->
+          let name = Printf.sprintf "%d-byte lines, %s" (1 lsl shift) (side_name side) in
+          check_stream c i (name, lines, owners, os_words, app_words))
+        expected;
+      check_bool "one key, one stream" true (Chunk.stream c 6 == Chunk.stream c 0));
   check_int "one chunk" 1 !chunks
+
+(* A hand-made chain at 32-byte lines.  Ten one-word OS events on lines
+   0 1 0 2 0 1 4 0 3 1 (block b sits on line b, so owner b * 8).  Stage 1
+   drops no repeat; the 2-set stage drops the second 0 and the second 1,
+   which its filter still holds; the 4-set stage, run over the 2-set one,
+   also drops the 0 after 2 and the last 1.  The 8-set reader is the
+   largest, so it reads the 4-set stage; the 1-set reader reads stage 1.
+   A second pass starts with empty filters and builds the same streams. *)
+let test_chunk_stages () =
+  let map = { Replay.addr = [| Array.init 5 (fun b -> 32 * b) |]; bytes = [| Array.make 5 4 |] } in
+  let t = Trace.create () in
+  List.iter
+    (fun block -> Trace.append t (Trace.Exec { image = 0; block }))
+    [ 0; 1; 0; 2; 0; 1; 4; 0; 3; 1 ];
+  let reader sets = { Chunk.shift = 5; side = Sim.All; sets } in
+  let readers = [| reader 8; reader 2; reader 1; reader 4 |] in
+  let owners = List.map (fun l -> l * 8) in
+  let stage name lines = (name, lines, owners lines, 10, 0) in
+  let stage1 = stage "stage 1" [ 0; 1; 0; 2; 0; 1; 4; 0; 3; 1 ]
+  and sets2 = stage "2-set stage" [ 0; 1; 2; 0; 4; 0; 3; 1 ]
+  and sets4 = stage "4-set stage" [ 0; 1; 2; 4; 0; 3 ] in
+  for pass = 1 to 2 do
+    Chunk.iter ~trace:t ~map ~boundary:0 ~readers (fun c _ ->
+        let pass name = Printf.sprintf "pass %d, %s" pass name in
+        let named (name, lines, owners, os, app) = (pass name, lines, owners, os, app) in
+        check_stream c 2 (named stage1);
+        check_stream c 1 (named sets2);
+        check_stream c 3 (named sets4);
+        check_bool (pass "8 sets read the 4-set stage") true (Chunk.stream c 0 == Chunk.stream c 3))
+  done
 
 let () =
   Alcotest.run "cache"
@@ -610,5 +664,6 @@ let () =
           case "allocation-free kernels" test_replay_allocation_free;
           case "second pass reuses its buffers" test_replay_reuses_buffers;
           case "chunk streams" test_chunk_streams;
+          case "chunk stages" test_chunk_stages;
         ] );
     ]

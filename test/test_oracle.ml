@@ -47,11 +47,12 @@ let trace g ~blocks ~events =
 
 let pick g a = a.(Prng.int g (Array.length a))
 
-(* Any policy, 1..8 ways, 1..32 sets, 16..64-byte lines. *)
-let config ?assoc ?line g =
+(* Any policy, 1..8 ways, 1 to [2^(set_bits-1)] sets (32 by default),
+   16..64-byte lines. *)
+let config ?assoc ?line ?(set_bits = 6) g =
   let assoc = match assoc with Some a -> a | None -> pick g [| 1; 2; 4; 8 |] in
   let line = match line with Some l -> l | None -> pick g [| 16; 32; 64 |] in
-  let sets = 1 lsl Prng.int g 6 in
+  let sets = 1 lsl Prng.int g set_bits in
   let policy =
     match Prng.int g 3 with 0 -> Config.Lru | 1 -> Config.Fifo | _ -> Config.Random (Prng.int g 10_000)
   in
@@ -137,9 +138,9 @@ let prop_warmup_edges =
           replay_agrees ~map ~blocks ~trace ~warmup pairs)
         [ 0; 1; n - 1; n; n + 1; Trace.exec_count trace ])
 
-(* The one-event entry point runs the same kernels. *)
+(* One-event passes, a pass per fetch, run the same kernels. *)
 let prop_single_access =
-  QCheck.Test.make ~name:"System.access event by event == reference" ~count:40 QCheck.int
+  QCheck.Test.make ~name:"one-event passes, in order" ~count:40 QCheck.int
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, window = program g in
@@ -149,10 +150,73 @@ let prop_single_access =
           let addr = map.Replay.addr.(image).(block) and bytes = map.Replay.bytes.(image).(block) in
           List.iter
             (fun (sys, model) ->
-              System.access sys ~os:(image = 0) ~image ~block ~addr ~bytes;
+              system_access sys ~image ~block ~addr ~bytes;
               Ref_cache.access model ~image ~block ~addr ~bytes)
             pairs);
       List.for_all (fun (sys, model) -> System.counters sys = Ref_cache.counters model) pairs)
+
+(* Members that share one line size, so each pass strips one chain per
+   side: 4..10 unified and victim caches with 1..64 sets under every
+   policy, then two split and two reserved systems (one [hot_limit]), so
+   the OS side, the inside and the outside of the limit each have two
+   readers too. *)
+let staged_pairs g ~window ~line =
+  let config ?assoc () = config ?assoc ~line ~set_bits:7 g in
+  let member _ =
+    if Prng.int g 3 = 0 then
+      let main = config ~assoc:1 () and entries = 1 + Prng.int g 8 in
+      (System.victim ~main ~entries, Ref_cache.victim ~main ~entries)
+    else
+      let c = config () in
+      (System.unified c, Ref_cache.unified c)
+  in
+  let hot_limit = Prng.int g (window + 1) in
+  let split _ =
+    let os = config () and app = config () in
+    (System.split ~os ~app, Ref_cache.split ~os ~app)
+  and reserved _ =
+    let hot = config () and rest = config () in
+    (System.reserved ~hot ~rest ~hot_limit, Ref_cache.reserved ~hot ~rest ~hot_limit)
+  in
+  List.init (4 + Prng.int g 7) member @ List.init 2 split @ List.init 2 reserved
+
+(* Two to three chunks, so the filters carry their tags from chunk to
+   chunk, with the warm-up anywhere. *)
+let staged_trace g ~blocks = trace g ~blocks ~events:((2 * Chunk.size) + Prng.int g Chunk.size)
+
+let prop_stages =
+  QCheck.Test.make ~name:"stripped streams: many set counts at one line size" ~count:12
+    QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let map, blocks, window = program g in
+      let trace = staged_trace g ~blocks in
+      let pairs = staged_pairs g ~window ~line:(pick g [| 16; 32; 64 |]) in
+      replay_agrees ~map ~blocks ~trace ~warmup:(Prng.int g (Trace.exec_count trace + 1)) pairs)
+
+(* Two passes into the same systems, unreset, against the reference over
+   both traces.  The second pass also carries fresh members, which saw
+   nothing of the first: a filter left holding the first pass's lines
+   would strip their cold misses. *)
+let prop_stages_two_passes =
+  QCheck.Test.make ~name:"stripped streams: two passes into unreset systems" ~count:6
+    QCheck.int
+    (fun seed ->
+      let g = Prng.of_int seed in
+      let map, blocks, window = program g in
+      let line = pick g [| 16; 32; 64 |] in
+      let kept = staged_pairs g ~window ~line in
+      let first = staged_trace g ~blocks and second = staged_trace g ~blocks in
+      let warmup t = Prng.int g (Trace.exec_count t + 1) in
+      replay_agrees ~map ~blocks ~trace:first ~warmup:(warmup first) kept
+      &&
+      let fresh = staged_pairs g ~window ~line in
+      let images = Array.length blocks in
+      List.iter (fun (sys, _) -> System.enable_block_attribution sys ~images ~blocks) fresh;
+      let pairs = kept @ fresh and warmup = warmup second in
+      Replay.run_range ~trace:second ~map ~systems:(Array.of_list (List.map fst pairs)) ~warmup;
+      Ref_cache.replay ~trace:second ~map ~warmup (List.map snd pairs);
+      List.for_all (agree ~blocks) pairs)
 
 (* Blocks of [bytes] laid out back to back from [base], as every layout
    algorithm places its fall-through chains, so consecutive blocks share
@@ -344,6 +408,8 @@ let () =
           qcheck prop_fallthrough;
           qcheck prop_side_repeats;
           qcheck prop_huge_block;
+          qcheck prop_stages;
+          qcheck prop_stages_two_passes;
         ] );
       ( "stack vs reference",
         [

@@ -245,7 +245,7 @@ let test_suite_counters_and_reports () =
 
 (* Every replay is counted: the whole suite from cold memos, traced,
    records exactly as many replay_pass spans as batch.replay_passes
-   rises. *)
+   rises, and each says how many stream entries its kernels read. *)
 let test_every_pass_counted () =
   let ctx = Lazy.force small_context in
   Sim_cache.clear ();
@@ -264,7 +264,13 @@ let test_every_pass_counted () =
   Trace_log.reset ();
   check_bool "passes recorded" true (spans <> []);
   check_int "replay_pass spans == batch.replay_passes rise" (List.length spans)
-    (counter "batch.replay_passes" - passes0)
+    (counter "batch.replay_passes" - passes0);
+  List.iter
+    (fun (e : Trace_log.event) ->
+      match List.assoc_opt "probes" e.Trace_log.args with
+      | Some (Json.Int n) when n > 0 -> ()
+      | _ -> Alcotest.fail "a replay_pass span without a positive probes count")
+    spans
 
 let () =
   Alcotest.run "parallel"

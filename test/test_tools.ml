@@ -248,7 +248,7 @@ let test_stack_matches_fa_simulation () =
   let lines = 64 in
   let sim = Sim.create (Config.v ~size:(lines * 32) ~assoc:lines ~line:32) in
   Array.iter
-    (fun addr -> Sim.access sim ~os:true ~image:0 ~block:0 ~addr ~bytes:4)
+    (fun addr -> sim_access sim ~image:0 ~block:0 ~addr ~bytes:4)
     addrs;
   check_int "stack distances = fully-associative LRU"
     (Counters.misses (Sim.counters sim))
@@ -386,7 +386,7 @@ let prop_lru_inclusion =
         (* 8 sets of 32-byte lines. *)
         let s = Sim.create (Config.v ~size:(8 * 32 * assoc) ~assoc ~line:32) in
         List.iter
-          (fun addr -> Sim.access s ~os:true ~image:0 ~block:0 ~addr ~bytes:4)
+          (fun addr -> sim_access s ~image:0 ~block:0 ~addr ~bytes:4)
           addrs;
         Counters.misses (Sim.counters s)
       in
@@ -401,7 +401,7 @@ let prop_classification_partitions =
       let s = Sim.create (Config.v ~size:512 ~assoc:2 ~line:16) in
       List.iter
         (fun (addr, os) ->
-          Sim.access s ~os ~image:(if os then 0 else 1) ~block:0 ~addr ~bytes:4)
+          sim_access s ~image:(if os then 0 else 1) ~block:0 ~addr ~bytes:4)
         accesses;
       let c = Sim.counters s in
       Counters.misses c
@@ -417,7 +417,7 @@ let prop_second_pass_not_cold =
       let s = Sim.create (Config.v ~size:256 ~assoc:1 ~line:32) in
       let replay () =
         List.iter
-          (fun addr -> Sim.access s ~os:true ~image:0 ~block:0 ~addr ~bytes:4)
+          (fun addr -> sim_access s ~image:0 ~block:0 ~addr ~bytes:4)
           addrs
       in
       replay ();

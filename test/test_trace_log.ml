@@ -112,6 +112,38 @@ let test_span_end_recorded_on_raise () =
   ignore (check_stream (Trace_log.events ()));
   check_int "span completed despite raise" 1 (Trace_log.span_count ())
 
+(* [after]'s arguments join the begin event once the body returns, even
+   when a nested span grew the buffer meanwhile; a raise skips them, and
+   an untraced span never evaluates them. *)
+let test_span_after_args () =
+  fresh ();
+  let r =
+    Trace_log.with_span "outer" ~args:[ ("k", Json.Int 7) ]
+      ~after:(fun () -> [ ("late", Json.Int 3) ])
+      (fun () ->
+        for _ = 1 to 300 do
+          Trace_log.with_span "inner" Fun.id
+        done;
+        "v")
+  in
+  (try
+     Trace_log.with_span "bang" ~after:(fun () -> [ ("late", Json.Int 0) ]) (fun () ->
+         failwith "x")
+   with Failure _ -> ());
+  quiesce ();
+  check_string "result" "v" r;
+  let begins name =
+    List.filter_map
+      (fun (e : Trace_log.event) ->
+        if e.Trace_log.begin_ && e.Trace_log.name = name then Some e.Trace_log.args else None)
+      (Trace_log.events ())
+  in
+  check_bool "args, then after's" true
+    (begins "outer" = [ [ ("k", Json.Int 7); ("late", Json.Int 3) ] ]);
+  check_bool "a raise skips after" true (begins "bang" = [ [] ]);
+  Trace_log.set_enabled false;
+  Trace_log.with_span "ghost" ~after:(fun () -> Alcotest.fail "after evaluated untraced") Fun.id
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: random span forests are well-formed and round-trip          *)
 (* ------------------------------------------------------------------ *)
@@ -462,6 +494,7 @@ let () =
         [
           case "begin/end pair with nesting and args" test_span_records_pair;
           case "end recorded when f raises" test_span_end_recorded_on_raise;
+          case "after's args join the begin event" test_span_after_args;
           qcheck prop_forest_well_formed;
           qcheck prop_of_chrome_inverts_to_chrome;
           case "fold rejects unmatched and unclosed spans" test_fold_rejects_malformed;
