@@ -13,11 +13,16 @@ val region_to_string : region -> string
 
 type t
 
+val addr_limit : int
+(** 2{^40}: every address is below it, so an address and a block id
+    pack into one int key for {!blocks_by_addr}. *)
+
 val create : Graph.t -> t
+(** @raise Invalid_argument past 2{^22} blocks, the ids a sort key holds. *)
 
 val place : t -> Block.id -> addr:int -> region:region -> unit
 (** @raise Invalid_argument if the block is already placed, the address
-    is negative or the map is sealed. *)
+    is negative or not below {!addr_limit}, or the map is sealed. *)
 
 val is_placed : t -> Block.id -> bool
 val addr : t -> Block.id -> int
@@ -32,8 +37,9 @@ val graph : t -> Graph.t
 
 val validate : t -> unit
 (** Check completeness (every block placed) and non-overlap in one linear
-    scan over {!blocks_by_addr}.  The first success records {!digest} and
-    seals the map: later {!place} calls raise.
+    scan over the sorted keys of {!blocks_by_addr} (two int arrays as long
+    as the graph), which carry the addresses.  The first success records
+    {!digest} and seals the map: later {!place} calls raise.
     @raise Failure with a diagnostic otherwise. *)
 
 val back_to_back : Graph.t -> Block.id Seq.t -> region:(Block.id -> region) -> t
@@ -60,4 +66,5 @@ val sealed_addr : t -> int array
     @raise Invalid_argument if the map was never validated. *)
 
 val blocks_by_addr : t -> Block.id array
-(** All placed blocks sorted by address, equal addresses by id. *)
+(** All placed blocks sorted by address, equal addresses by id: a stable
+    LSD radix sort of [addr lsl 22 lor id] keys on their address digits. *)

@@ -9,8 +9,10 @@ val to_string : graph:Graph.t -> Address_map.t -> string
 
 val of_string : graph:Graph.t -> string -> Address_map.t
 (** Parses and validates (every block placed exactly once, no overlap).
-    @raise Invalid_argument on malformed input or a block/size mismatch
-    with [graph]; @raise Failure if the resulting placement is invalid. *)
+    @raise Invalid_argument on malformed input, a block/size mismatch
+    with [graph] or a line {!Address_map.place} refuses (an address out
+    of range, a block placed twice); @raise Failure if the resulting
+    placement is invalid. *)
 
 val save : string -> graph:Graph.t -> Address_map.t -> unit
 

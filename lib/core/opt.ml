@@ -95,17 +95,18 @@ let assemble_once ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclud
         let blocks = List.filter (fun b -> not (exclude b)) (select_scf cutoff) in
         (blocks, Scf.bytes g blocks)
   in
-  let in_scf = Array.make (Graph.block_count g) false in
-  List.iter (fun b -> in_scf.(b) <- true) scf_blocks;
-  (* Loop extraction: mark qualifying loops' bodies. *)
-  let in_loop_area = Array.make (Graph.block_count g) false in
+  (* One mark per block: 's' in the SelfConfFree area, 'l' in a
+     qualifying loop's body (loop extraction), '\000' neither. *)
+  let n = Graph.block_count g and size = Graph.block_sizes g in
+  let mark = Bytes.make n '\000' in
+  List.iter (fun b -> Bytes.set mark b 's') scf_blocks;
   if params.extract_loops then begin
     let infos = loop_infos () in
     List.iter
       (fun (i : Loopstat.info) ->
         if i.Loopstat.iterations_per_invocation >= params.min_loop_iterations then
           Array.iter
-            (fun b -> if not in_scf.(b) && not (exclude b) then in_loop_area.(b) <- true)
+            (fun b -> if Bytes.get mark b <> 's' && not (exclude b) then Bytes.set mark b 'l')
             i.Loopstat.loop.Loops.body)
       infos
   end;
@@ -115,7 +116,7 @@ let assemble_once ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclud
   List.iter
     (fun b ->
       Address_map.place map b ~addr:!scf_cursor ~region:Address_map.Self_conf_free;
-      scf_cursor := !scf_cursor + (Graph.block g b).Block.size)
+      scf_cursor := !scf_cursor + size.(b))
     scf_blocks;
   (* 2. Sequences, skipping later logical caches' SelfConfFree holes. *)
   let hole = if params.scf_holes then scf_bytes else 0 in
@@ -132,51 +133,59 @@ let assemble_once ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclud
       in
       Array.iter
         (fun b ->
-          if exclude b || in_scf.(b) then ()
-          else if in_loop_area.(b) then loop_order := b :: !loop_order
-          else begin
-            let size = (Graph.block g b).Block.size in
-            Address_map.place map b ~addr:(fit cur size) ~region
-          end)
+          match Bytes.get mark b with
+          | 's' -> ()
+          | 'l' -> loop_order := b :: !loop_order
+          | _ ->
+              if not (exclude b) then
+                Address_map.place map b ~addr:(fit cur size.(b)) ~region)
         s.Sequence.blocks)
     sequences;
   (* 3. Loop area at the end of the sequences, same internal order. *)
   let loop_blocks = List.rev !loop_order in
   List.iter
-    (fun b ->
-      let size = (Graph.block g b).Block.size in
-      Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Loop_area)
+    (fun b -> Address_map.place map b ~addr:(fit cur size.(b)) ~region:Address_map.Loop_area)
     loop_blocks;
   (* 4. Cold filler: coldest blocks first (ties by id) into the reserved
      holes, first fit, the rest after the end.  The zero-count blocks,
-     usually all of them, come out of the id scan already in order. *)
-  let n = Graph.block_count g and count b = p.Profile.block.(b) in
-  let zeros = Array.make n 0 and nz = ref 0 and others = ref [] in
-  for b = 0 to n - 1 do
-    if not (Address_map.is_placed map b || exclude b) then
-      if count b = 0.0 then (zeros.(!nz) <- b; incr nz) else others := b :: !others
-  done;
+     usually all of them, are placed in one scan over ids; only the rest
+     are sorted. *)
+  let count b = p.Profile.block.(b) in
+  let cold b = not (Address_map.is_placed map b || exclude b) in
+  let others = ref [] in
+  for b = n - 1 downto 0 do if cold b && count b <> 0.0 then others := b :: !others done;
   let below, above =
-    List.rev !others
-    |> List.stable_sort (fun a b -> Float.compare (count a) (count b))
+    List.stable_sort (fun a b -> Float.compare (count a) (count b)) !others
     |> List.partition (fun b -> Float.compare (count b) 0.0 < 0)
   in
-  let starts = Array.of_list (List.rev cur.holes) in
-  let room = Array.make (Array.length starts) cur.hole in
+  (* [next.(i)] is hole i's next free byte.  [room] is a tree over the
+     holes: leaf [leaves + i] holds hole i's room left (-1 past the last
+     hole) and node k the largest room under it, so the leftmost hole
+     that fits is one descent away. *)
+  let next = Array.of_list (List.rev cur.holes) in
+  let rec pow2 k = if k >= Array.length next then k else pow2 (2 * k) in
+  let leaves = pow2 1 in
+  let room = Array.make (2 * leaves) (-1) in
+  Array.fill room leaves (Array.length next) cur.hole;
+  let up k = room.(k) <- Int.max room.(2 * k) room.((2 * k) + 1) in
+  for k = leaves - 1 downto 1 do up k done;
+  let rec refresh k = if k >= 1 then (up k; refresh (k / 2)) in
+  let rec leaf size k =
+    if k >= leaves then k else leaf size (if room.(2 * k) >= size then 2 * k else (2 * k) + 1) in
   let place_cold b =
-    let size = (Graph.block g b).Block.size in
-    let i = ref 0 in
-    while !i < Array.length room && room.(!i) < size do incr i done;
-    if !i = Array.length room then
-      Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Cold
+    let size = size.(b) in
+    if room.(1) < size then Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Cold
     else begin
-      Address_map.place map b ~addr:starts.(!i) ~region:Address_map.Cold;
-      starts.(!i) <- starts.(!i) + size;
-      room.(!i) <- room.(!i) - size
+      let k = leaf size 1 in
+      let i = k - leaves in
+      Address_map.place map b ~addr:next.(i) ~region:Address_map.Cold;
+      next.(i) <- next.(i) + size;
+      room.(k) <- room.(k) - size;
+      refresh (k / 2)
     end
   in
   List.iter place_cold below;
-  for i = 0 to !nz - 1 do place_cold zeros.(i) done;
+  for b = 0 to n - 1 do if cold b && count b = 0.0 then place_cold b done;
   List.iter place_cold above;
   { map; sequences; scf_blocks; scf_bytes; loop_blocks }
 

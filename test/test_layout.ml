@@ -27,6 +27,20 @@ let test_address_map_errors () =
       Address_map.place m d.a ~addr:(-4) ~region:Address_map.Cold);
   check_raises_invalid "unplaced addr query" (fun () -> Address_map.addr m d.a)
 
+(* Addresses stop below Address_map.addr_limit: a block at the last
+   address is accepted and sorts last, the bound itself is refused. *)
+let test_address_map_bound () =
+  let d = diamond () in
+  let m = Address_map.create d.g in
+  let place b addr = Address_map.place m b ~addr ~region:Address_map.Cold in
+  check_raises_invalid "address at the bound" (fun () -> place d.entry Address_map.addr_limit);
+  check_raises_invalid "address far above" (fun () -> place d.entry max_int);
+  check_int "refused blocks stay unplaced" 0 (Address_map.placed_count m);
+  place d.entry (Address_map.addr_limit - 1);
+  place d.a 0;
+  Alcotest.(check (array int)) "highest address last" [| d.a; d.entry |]
+    (Address_map.blocks_by_addr m)
+
 let test_address_map_validate_missing () =
   let d = diamond () in
   let m = Address_map.create d.g in
@@ -394,6 +408,65 @@ let test_opt_no_scf () =
   check_int "no scf blocks" 0 (List.length r.Opt.scf_blocks);
   check_int "no scf bytes" 0 r.Opt.scf_bytes
 
+(* Cold blocks fill the SelfConfFree holes first fit: a later small
+   block goes back to the first hole with room, not on from the hole
+   used last.  64-byte logical caches; the 16-byte hot block h is the
+   SelfConfFree area, so every logical cache past the first reserves
+   its lowest 16 bytes.  Four 48-byte sequence blocks fill the rest of
+   caches 0-3 and leave holes at 64, 128 and 192.  The unexecuted
+   blocks, in id order: c1 (12 bytes) and c2 (8) open holes 64 and 128;
+   c3 (4) fits the 4 bytes left at 76; c4 (20) fits no hole and goes
+   past the end, skipping the hole at 256; c5 and c6 (4 each) fill hole
+   128; c7 (8) takes hole 192. *)
+let test_opt_cold_first_fit () =
+  let bld = Graph.builder () in
+  let r = Graph.declare_routine bld "r" in
+  let blk size = Graph.add_block bld ~routine:r ~size () in
+  let h = blk 16 in
+  let seq = List.init 4 (fun _ -> blk 48) in
+  let cold = List.map blk [ 12; 8; 4; 20; 4; 4; 8 ] in
+  let arcs =
+    List.map2 (fun src dst -> Graph.add_arc bld ~src ~dst Arc.Fallthrough)
+      (h :: List.filteri (fun i _ -> i < 3) seq) seq
+  in
+  let g = Graph.freeze bld in
+  let p =
+    profile_of g ((h, 100.0) :: List.map (fun b -> (b, 10.0)) seq)
+      (List.map (fun a -> (a, 10.0)) arcs)
+  in
+  let params = Opt.params ~cache_size:64 ~scf_cutoff:(Some 0.5) () in
+  let seed_entry _ = h and schedule = Schedule.uniform ~levels:[ (0.0, 0.0) ] in
+  let m = (Opt.layout ~graph:g ~profile:p ~loops:[] ~seed_entry ~schedule params).Opt.map in
+  let addrs bs = List.map (Address_map.addr m) bs in
+  Alcotest.(check (list int)) "SelfConfFree and sequences" [ 0; 16; 80; 144; 208 ]
+    (addrs (h :: seq));
+  Alcotest.(check (list int)) "cold blocks" [ 64; 128; 76; 272; 136; 140; 192 ] (addrs cold);
+  let reference = Ref_layout.layout ~graph:g ~profile:p ~loops:[] ~seed_entry ~schedule params in
+  check_bool "reference agrees" true
+    (Address_map.addr_array reference.Opt.map = Address_map.addr_array m)
+
+(* A cold place build, its sequences and SelfConfFree selection warm,
+   allocates a few words per block, validate and digest included: the
+   address array, a byte of region and a byte of mark per block, the
+   two key arrays of the sort and the digest's marshalled copy (4.9
+   words per block on this kernel, 8.6 before marks, byte regions and
+   packed keys). *)
+let test_opt_place_allocation () =
+  let ctx = small_ctx () in
+  let n = Graph.block_count (Context.os_graph ctx) in
+  let place_misses () = (List.assoc "place" (Layout_cache.stage_stats ())).Layout_cache.misses in
+  Layout_cache.clear ();
+  ignore (os_opt ctx);
+  (* A minor collection first, so the count starts from settled totals. *)
+  let allocated () = Gc.minor (); Gc.allocated_bytes () in
+  let misses = place_misses () and before = allocated () in
+  ignore (os_opt ~params:(Opt.params ~cache_size:4096 ()) ctx);
+  let words = (allocated () -. before) /. float_of_int (Sys.word_size / 8) in
+  check_int "one cold place build" (misses + 1) (place_misses ());
+  if words > 6.0 *. float_of_int n then
+    Alcotest.failf "%.0f words for %d blocks (%.2f per block, at most 6)" words n
+      (words /. float_of_int n)
+
 let test_opt_app_layout () =
   let ctx = small_ctx () in
   let app = (snd ctx.Context.pairs.(0)).Program.apps.(0) in
@@ -654,6 +727,7 @@ let () =
         [
           case "place" test_address_map_place;
           case "errors" test_address_map_errors;
+          case "address bound" test_address_map_bound;
           case "validate missing" test_address_map_validate_missing;
           case "validate overlap" test_address_map_validate_overlap;
           case "blocks_by_addr" test_address_map_blocks_by_addr;
@@ -688,6 +762,8 @@ let () =
           case "hot sequences early" test_opt_s_hot_sequences_early;
           case "OptL extracts loops" test_opt_l_extracts_loops;
           case "no SCF" test_opt_no_scf;
+          case "cold blocks first fit" test_opt_cold_first_fit;
+          case "place build allocation" test_opt_place_allocation;
           case "app layout" test_opt_app_layout;
           case "app stagger" test_opt_app_stagger;
         ] );

@@ -5,6 +5,10 @@ open Helpers
    and caches from one QCheck-chosen seed, so a failure names the seed
    that reproduces it. *)
 
+(* Seeds without a shrinker: a nearby seed is an unrelated case, so
+   shrinking would only replay more cases before naming the seed. *)
+let seeds = QCheck.make ~print:string_of_int QCheck.Gen.int
+
 (* A random program: the OS (image 0) plus up to two applications, with
    blocks of 1..160 bytes at random word-aligned addresses in a window of
    1 KB up to [2^(sizes-1)] KB, so blocks span several lines and images
@@ -104,7 +108,7 @@ let replay_agrees ~map ~blocks ~trace ~warmup pairs =
 
 let prop_unified =
   QCheck.Test.make ~name:"unified: every policy x assoc x line, mixed line sizes per pass"
-    ~count:40 QCheck.int
+    ~count:40 seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, window = program g in
@@ -113,7 +117,7 @@ let prop_unified =
       replay_agrees ~map ~blocks ~trace ~warmup:(Prng.int g (Trace.exec_count trace + 1)) pairs)
 
 let prop_organizations =
-  QCheck.Test.make ~name:"split, reserved and victim organizations" ~count:40 QCheck.int
+  QCheck.Test.make ~name:"split, reserved and victim organizations" ~count:40 seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, window = program g in
@@ -127,7 +131,7 @@ let prop_organizations =
 let prop_warmup_edges =
   let n = Chunk.size in
   QCheck.Test.make ~name:"warm-up at 0, 1, chunk-1, chunk, chunk+1 and exec_count" ~count:3
-    QCheck.int
+    seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, window = program ~sizes:2 g in
@@ -140,7 +144,7 @@ let prop_warmup_edges =
 
 (* One-event passes, a pass per fetch, run the same kernels. *)
 let prop_single_access =
-  QCheck.Test.make ~name:"one-event passes, in order" ~count:40 QCheck.int
+  QCheck.Test.make ~name:"one-event passes, in order" ~count:40 seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, window = program g in
@@ -186,7 +190,7 @@ let staged_trace g ~blocks = trace g ~blocks ~events:((2 * Chunk.size) + Prng.in
 
 let prop_stages =
   QCheck.Test.make ~name:"stripped streams: many set counts at one line size" ~count:12
-    QCheck.int
+    seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, window = program g in
@@ -200,7 +204,7 @@ let prop_stages =
    would strip their cold misses. *)
 let prop_stages_two_passes =
   QCheck.Test.make ~name:"stripped streams: two passes into unreset systems" ~count:6
-    QCheck.int
+    seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, window = program g in
@@ -263,7 +267,7 @@ let walk g ~blocks ~events =
   t
 
 let prop_fallthrough =
-  QCheck.Test.make ~name:"fall-through runs: most events repeat a line" ~count:40 QCheck.int
+  QCheck.Test.make ~name:"fall-through runs: most events repeat a line" ~count:40 seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, window = fallthrough_program ~overlap:(Prng.int g 3 = 0) g in
@@ -300,7 +304,7 @@ let triples g ~n ~count =
 
 let prop_side_repeats =
   QCheck.Test.make ~name:"split and reserved: repeats that only a side makes" ~count:40
-    QCheck.int
+    seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let n = 2 + Prng.int g 40 in
@@ -315,7 +319,7 @@ let prop_side_repeats =
    grow. *)
 let prop_huge_block =
   QCheck.Test.make ~name:"a block spanning more lines than a chunk holds events" ~count:6
-    QCheck.int
+    seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let line = pick g [| 16; 32; 64 |] and n = 2 + Prng.int g 8 in
@@ -342,7 +346,7 @@ let stack_agrees sd (model : Ref_cache.stack) =
 let prop_stack_dist =
   QCheck.Test.make
     ~name:"Stack_dist (from_trace and access) == LRU stack, 1..1024 lines" ~count:40
-    QCheck.int
+    seeds
     (fun seed ->
       let g = Prng.of_int seed in
       let map, blocks, _ = program ~overlap:(Prng.int g 3 = 0) g in

@@ -66,7 +66,10 @@ let test_layout_file_rejects_garbage () =
   check_raises_invalid "bad region" (fun () ->
       Layout_file.of_string ~graph:g "0x0 16 0 Nonsense foo");
   check_raises_invalid "block out of range" (fun () ->
-      Layout_file.of_string ~graph:g "0x0 16 99999999 Cold foo")
+      Layout_file.of_string ~graph:g "0x0 16 99999999 Cold foo");
+  check_raises_invalid "address past the bound" (fun () ->
+      Layout_file.of_string ~graph:g
+        (Printf.sprintf "0x%x %d 0 Cold foo" Address_map.addr_limit (Graph.block g 0).Block.size))
 
 let test_layout_file_rejects_size_mismatch () =
   let ctx = small_ctx () in
