@@ -10,6 +10,7 @@ type stream = {
   mutable len : int;
   mutable os_words : int;
   mutable app_words : int;
+  mutable repeats : int;
 }
 
 (* A stage past the first: the entries of [src] that miss [tags], an
@@ -63,9 +64,9 @@ let grow s need =
    event below [limit] is inside, any other event outside.  Lines within
    one event ascend, so only an event's first line can repeat the entry
    before it; [prev] is the last line kept, -1 before the first (tags are
-   never negative).  The buffers live in locals between the rare grows,
-   and the repeat test is arithmetic rather than a branch: half the events
-   repeat, unpredictably. *)
+   never negative), and [repeats] counts the drops.  The buffers live in
+   locals between the rare grows, and the repeat test is arithmetic
+   rather than a branch: half the events repeat, unpredictably. *)
 let build (c : t) s ~shift ~side =
   let all = match side with All -> true | Inside _ | Outside _ -> false in
   let limit = match side with All -> 0 | Inside l | Outside l -> l in
@@ -73,6 +74,7 @@ let build (c : t) s ~shift ~side =
   let owner = c.owner and first = c.addr and last = c.last in
   let lines = ref s.lines and owners = ref s.owner and cap = ref (Array.length s.lines) in
   let n = ref 0 and prev = ref (-1) and os_words = ref 0 and app_words = ref 0 in
+  let repeats = ref 0 in
   for i = 0 to c.len - 1 do
     let o = Array.unsafe_get owner i and a = Array.unsafe_get first i in
     let os = o land 7 = 0 in
@@ -81,7 +83,9 @@ let build (c : t) s ~shift ~side =
       let w = words ~addr:a ~last:l in
       if os then os_words := !os_words + w else app_words := !app_words + w;
       let lo = a lsr shift and hi = l lsr shift in
-      let lo = lo + Bool.to_int (lo = !prev) in
+      let repeat = Bool.to_int (lo = !prev) in
+      repeats := !repeats + repeat;
+      let lo = lo + repeat in
       if lo <= hi then begin
         let k = !n in
         if k + (hi - lo + 1) > !cap then begin
@@ -105,7 +109,8 @@ let build (c : t) s ~shift ~side =
   done;
   s.len <- !n;
   s.os_words <- !os_words;
-  s.app_words <- !app_words
+  s.app_words <- !app_words;
+  s.repeats <- !repeats
 
 (* A later stage: every entry of [src] that misses the filter is copied
    and becomes the filter's tag.  A hit's tag is the line already, so the
@@ -131,7 +136,8 @@ let strip { src; dst; tags; mask } =
   done;
   dst.len <- !n;
   dst.os_words <- src.os_words;
-  dst.app_words <- src.app_words
+  dst.app_words <- src.app_words;
+  dst.repeats <- src.repeats
 
 (* The one place an (image, block) pair becomes an address range.  The
    map reads stay bounds-checked: a block id the placement does not know
@@ -170,7 +176,14 @@ let plan c (readers : reader array) =
     if k = Array.length b.pool then begin
       let n = Array.length c.owner in
       let fresh =
-        { lines = Array.make n 0; owner = Array.make n 0; len = 0; os_words = 0; app_words = 0 }
+        {
+          lines = Array.make n 0;
+          owner = Array.make n 0;
+          len = 0;
+          os_words = 0;
+          app_words = 0;
+          repeats = 0;
+        }
       in
       b.pool <- Array.append b.pool [| fresh |]
     end;

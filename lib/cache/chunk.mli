@@ -33,10 +33,14 @@ type reader = {
 
 type stream = private {
   mutable lines : int array;  (** Entries [0 .. len-1]: the lines probed, in order. *)
-  mutable owner : int array;  (** Per entry: the fetching event's owner (see {!t}). *)
+  mutable owner : int array;
+      (** Per entry: the fetching event's [(block lsl 3) lor image], the
+          trace's own packed encoding.  Image 0 is the OS, so
+          [owner land 7 = 0] is the OS bit. *)
   mutable len : int;
   mutable os_words : int;  (** Instruction words the side's OS events fetch. *)
   mutable app_words : int;  (** Instruction words the side's other events fetch. *)
+  mutable repeats : int;  (** Stage-1 entries dropped as repeats of the entry before. *)
 }
 (** The line fetches of a chunk's events on one side at one line size,
     stripped of references that cannot change a reader's state.
@@ -48,8 +52,10 @@ type stream = private {
     sets keeps only the entries of the stage before it that miss an
     [s]-set direct-mapped tag array, which starts empty when the pass
     starts and keeps its state from chunk to chunk.  Every stage carries
-    stage 1's word totals: every event on the side, one word per 4 bytes
-    and at least one per event.
+    stage 1's word totals (every event on the side, one word per 4 bytes
+    and at least one per event) and its count of dropped repeats: a
+    reader that counts line references, as {!Stack_dist} does, adds
+    those as hits at distance 0.
 
     A dropped entry changes no result of a cache with at least [s] sets
     and the same line size (set counts are powers of two): the filter
@@ -59,20 +65,10 @@ type stream = private {
     PRNG draw or victim buffer, and references come from the word
     totals, never from the lines. *)
 
-type buffers
-(** A chunk's plan and the stream and filter buffers it reuses from pass
-    to pass. *)
-
-type t = private {
-  owner : int array;
-      (** Per event: [(block lsl 3) lor image], the trace's own packed
-          encoding.  Image 0 is the OS, so [owner land 7 = 0] is the
-          OS bit. *)
-  addr : int array;  (** Per event: first byte fetched. *)
-  last : int array;  (** Per event: [addr + bytes - 1], the last byte. *)
-  mutable len : int;  (** Events [0 .. len-1] are valid. *)
-  buffers : buffers;
-}
+type t
+(** One reused chunk: a fill's events resolved under the code map, and
+    the streams planned for its readers, with the stream and filter
+    buffers it keeps from pass to pass. *)
 
 val size : int
 (** Events per chunk in a replay pass (4096): large enough to amortise

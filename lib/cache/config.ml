@@ -22,10 +22,6 @@ let policy_to_string = function
 
 let sets t = t.size / (t.line * t.assoc)
 
-let line_of_addr t addr = addr / t.line
-
-let set_of_line t line = line land (sets t - 1)
-
 let to_string t =
   let base = Printf.sprintf "%dKB/%dway/%dB" (t.size / 1024) t.assoc t.line in
   match t.policy with Lru -> base | p -> base ^ "/" ^ policy_to_string p

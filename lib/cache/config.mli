@@ -28,10 +28,5 @@ val policy_to_string : policy -> string
 
 val sets : t -> int
 
-val line_of_addr : t -> int -> int
-(** Line-granularity address ([addr / line]). *)
-
-val set_of_line : t -> int -> int
-
 val to_string : t -> string
 (** E.g. ["8KB/1way/32B"]. *)

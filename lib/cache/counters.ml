@@ -51,6 +51,4 @@ let misses t = os_misses t + app_misses t
 
 let miss_rate t = Stats.ratio (misses t) (refs t)
 
-let os_miss_rate t = Stats.ratio (os_misses t) t.refs_os
-
 let copy t = { t with refs_os = t.refs_os }

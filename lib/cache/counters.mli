@@ -26,5 +26,4 @@ val misses : t -> int
 val miss_rate : t -> float
 (** Total misses over total word fetches. *)
 
-val os_miss_rate : t -> float
 val copy : t -> t

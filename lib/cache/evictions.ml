@@ -61,5 +61,3 @@ let classify t (c : Counters.t) ~os line =
         c.app_self <- c.app_self + 1;
         1
       end
-
-let reset t = Array.iter (fun page -> Bytes.fill page 0 (Bytes.length page) '\000') t.pages

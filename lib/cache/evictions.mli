@@ -14,6 +14,3 @@ val record : t -> line:int -> os:bool -> unit
 val classify : t -> Counters.t -> os:bool -> int -> int
 (** Count a miss on a line in the matching [Counters] field and return
     its kind: 0 = cold, 1 = self-interference, 2 = cross-interference. *)
-
-val reset : t -> unit
-(** Forget every eviction. *)

@@ -31,4 +31,4 @@ val run_range :
     reported numbers
     exclude the initial cold start (the paper's traces are mid-execution
     snapshots with negligible first-time misses).  Systems accumulate
-    counters; call {!System.reset} first to reuse one. *)
+    counters from pass to pass. *)

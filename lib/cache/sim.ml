@@ -229,11 +229,3 @@ let reset_counters t =
     Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.attr_self;
     Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.attr_cross
   end
-
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  (match t.kernel with
-  | Victim buf -> Array.fill buf 0 (Array.length buf) (-1)
-  | Direct | Lru_assoc | Fifo_assoc | Random_assoc _ -> ());
-  Evictions.reset t.evictions;
-  reset_counters t

@@ -65,7 +65,3 @@ val probes : t -> int
 
 val reset_counters : t -> unit
 (** Zero counters and attributions, keeping cache contents (warm-up). *)
-
-val reset : t -> unit
-(** Empty the cache (and a victim cache's buffer) and zero all counters
-    and attributions. *)

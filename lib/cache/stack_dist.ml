@@ -7,8 +7,8 @@
    line) is at least C.  The classic tool for separating capacity misses
    from the conflict misses that the paper's layouts remove: a layout
    cannot change the stack-distance profile (it is address-free), so any
-   gap between the fully-associative curve and a set-associative
-   simulation is conflict misses.
+   gap between the fully-associative misses and a set-associative
+   simulation's is conflict misses.
 
    Only the power-of-two bin of a distance is ever read, so the LRU stack
    is kept as a doubly linked list over dense line ids, in int arrays,
@@ -26,10 +26,9 @@ let bins = 25
 let last_bin = bins - 1
 
 type t = {
-  line_shift : int;
-  mutable prev : int array;  (** Toward the top; -1 at the top. *)
-  mutable next : int array;  (** Toward the bottom; -1 at the bottom. *)
-  mutable bin : int array;  (** Current bin of each line; -1 before its first reference. *)
+  prev : int array;  (** Toward the top; -1 at the top. *)
+  next : int array;  (** Toward the bottom; -1 at the bottom. *)
+  bin : int array;  (** Current bin of each line; -1 before its first reference. *)
   first : int array;  (** [first.(j)] for j >= 1: the line at depth 2^(j-1), or -1. *)
   mutable top : int;
   mutable bottom : int;
@@ -37,17 +36,15 @@ type t = {
   hist : int array;  (** References per bin of stack distance. *)
   mutable cold : int;
   mutable refs : int;
-  ids : (int, int) Hashtbl.t;  (** Line -> id, for streams fed through {!access}. *)
 }
 
 let shift_of line =
   let rec go v i = if v <= 1 then i else go (v lsr 1) (i + 1) in
   go line 0
 
-let make ~line ~capacity =
+let make ~capacity =
   let capacity = max 1 capacity in
   {
-    line_shift = shift_of line;
     prev = Array.make capacity (-1);
     next = Array.make capacity (-1);
     bin = Array.make capacity (-1);
@@ -58,10 +55,7 @@ let make ~line ~capacity =
     hist = Array.make bins 0;
     cold = 0;
     refs = 0;
-    ids = Hashtbl.create 64;
   }
-
-let create ?(line = 32) () = make ~line ~capacity:1024
 
 (* A line's first reference: every line on the stack moves one deeper, so
    the deepest line of each occupied bin crosses into the next one.  A bin
@@ -81,7 +75,6 @@ let push_cold t id =
   t.depth <- depth;
   if t.bottom < 0 then t.bottom <- id
 
-(* The one kernel both entry points run: reference line [id]. *)
 let touch t id =
   t.refs <- t.refs + 1;
   let bin = t.bin in
@@ -112,32 +105,6 @@ let touch t id =
     bin.(id) <- 0
   end
 
-let grow a n fill =
-  let b = Array.make n fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-(* Hand-fed streams number their lines in order of first reference. *)
-let intern t line =
-  match Hashtbl.find_opt t.ids line with
-  | Some id -> id
-  | None ->
-      let id = Hashtbl.length t.ids in
-      Hashtbl.add t.ids line id;
-      let n = Array.length t.bin in
-      if id >= n then begin
-        t.prev <- grow t.prev (2 * n) (-1);
-        t.next <- grow t.next (2 * n) (-1);
-        t.bin <- grow t.bin (2 * n) (-1)
-      end;
-      id
-
-let access t ~addr ~bytes =
-  let last = addr + max 1 bytes - 1 in
-  for line = addr lsr t.line_shift to last lsr t.line_shift do
-    touch t (intern t line)
-  done
-
 let refs t = t.refs
 
 let cold t = t.cold
@@ -157,18 +124,10 @@ let misses_at t ~lines =
     t.hist;
   t.cold + (!total - !hits)
 
-let curve t ~max_lines =
-  let rec go lines acc =
-    if lines > max_lines then List.rev acc
-    else go (lines * 2) ((lines, misses_at t ~lines) :: acc)
-  in
-  go 1 []
-
 (* Dense ids for a code map's lines: each image spans one range of lines,
    overlapping ranges merge (lines are keyed by address, so overlapping
    images share them), and the merged ranges are numbered end to end, so
-   image [k]'s line [l] is id [l + delta.(k)].  [None] when the ranges
-   cover too many lines to hold arrays for. *)
+   image [k]'s line [l] is id [l + delta.(k)]. *)
 let max_dense_lines = 1 lsl 22
 
 let dense_ids (map : Chunk.code_map) ~shift =
@@ -203,34 +162,24 @@ let dense_ids (map : Chunk.code_map) ~shift =
       delta.(k) <- !start - !lo)
     ranges;
   let lines = !start + (!hi - !lo + 1) in
-  if lines > max_dense_lines then None else Some (delta, lines)
+  if lines > max_dense_lines then
+    invalid_arg "Stack_dist.from_trace: the map spans more than 2^22 lines";
+  (delta, lines)
 
+(* Stage 1 of the pass's one stream: every line an event on the side
+   spans, less the repeats of the entry before, which are references at
+   distance 0 and are counted as such. *)
 let from_trace ~trace ~map ?(line = 32) ?(os_only = false) () =
   let shift = shift_of line in
-  let dense = dense_ids map ~shift in
-  let t =
-    match dense with
-    | Some (_, lines) -> make ~line ~capacity:lines
-    | None -> create ~line ()
-  in
-  Chunk.iter ~trace ~map ~boundary:0 ~readers:[||] (fun (c : Chunk.t) _ ->
-      let owner = c.owner and first = c.addr and last = c.last in
-      for i = 0 to c.len - 1 do
-        let image = owner.(i) land 7 in
-        if (not os_only) || Program.is_os image then begin
-          (* A block fetches at least one byte. *)
-          let a = first.(i) in
-          let l = max a last.(i) in
-          match dense with
-          | Some (delta, _) ->
-              let d = delta.(image) in
-              for line = a lsr shift to l lsr shift do
-                touch t (line + d)
-              done
-          | None ->
-              for line = a lsr shift to l lsr shift do
-                touch t (intern t line)
-              done
-        end
-      done);
+  let delta, lines = dense_ids map ~shift in
+  let t = make ~capacity:lines in
+  let side = if os_only then Chunk.Inside max_int else Chunk.All in
+  Chunk.iter ~trace ~map ~boundary:0 ~readers:[| { Chunk.shift; side; sets = 1 } |] (fun c _ ->
+      let s = Chunk.stream c 0 in
+      let lines = s.Chunk.lines and owner = s.Chunk.owner in
+      for j = 0 to s.Chunk.len - 1 do
+        touch t (lines.(j) + delta.(owner.(j) land 7))
+      done;
+      t.refs <- t.refs + s.Chunk.repeats;
+      t.hist.(0) <- t.hist.(0) + s.Chunk.repeats);
   t

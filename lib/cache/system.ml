@@ -54,5 +54,3 @@ let block_misses t ~image = merged_misses t ~image Sim.block_misses
 let block_misses_self t ~image = merged_misses t ~image Sim.block_misses_self
 
 let block_misses_cross t ~image = merged_misses t ~image Sim.block_misses_cross
-
-let reset t = Array.iter (fun (s, _) -> Sim.reset s) t

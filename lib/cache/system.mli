@@ -62,5 +62,3 @@ val block_misses : t -> image:int -> int array
 
 val block_misses_self : t -> image:int -> int array
 val block_misses_cross : t -> image:int -> int array
-
-val reset : t -> unit

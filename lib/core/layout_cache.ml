@@ -8,13 +8,15 @@ let lock = Mutex.create ()
 (* Loop detection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Not a stage: {!stage_stats} lists the layout stages only. *)
+(* Not a stage: {!stage_stats} lists the layout stages only.  Its builds
+   are timed as a stage of the memo's name all the same. *)
 let loops_memo : (Loops.t list * string) Memo.t = Memo.create "layout_cache.loops"
 
 let loops_entry g =
   Memo.find_or_build loops_memo (Graph.digest g) (fun () ->
-      let l = Loops.find g in
-      (l, Memo.digest l))
+      Trace_log.stage "layout_cache.loops" (fun () ->
+          let l = Loops.find g in
+          (l, Memo.digest l)))
 
 let loops g = fst (loops_entry g)
 

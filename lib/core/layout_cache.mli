@@ -37,7 +37,8 @@ val loops : Graph.t -> Loops.t list
     [layout_cache.loops] (not a stage of {!stage_stats}): the first
     caller for a graph runs detection and racing callers wait for its
     list, so detection runs once per graph content and repeated calls
-    return the {e same} list, including across domains. *)
+    return the {e same} list, including across domains.  Each detection
+    and its digest run as the {!Trace_log.stage} of the memo's name. *)
 
 val loops_digest : Graph.t -> Loops.t list -> string
 (** Content digest of a loop set.  When [loops] is the canonical

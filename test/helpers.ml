@@ -45,6 +45,16 @@ let system_access sys ~image ~block ~addr ~bytes =
   let trace, map = one_event ~image ~block ~addr ~bytes in
   Replay.run_range ~trace ~map ~systems:[| sys |] ~warmup:0
 
+(* OS fetches of [lines] in order, over a one-image map whose block [l]
+   starts line [l] ([line] bytes each) and spans [bytes] bytes: the
+   reference streams stack-distance tests feed [Stack_dist.from_trace]. *)
+let line_trace ~line ?(bytes = 4) lines =
+  let n = 1 + List.fold_left max 0 lines in
+  let map = { Replay.addr = [| Array.init n (fun l -> l * line) |]; bytes = [| Array.make n bytes |] } in
+  let trace = Trace.create () in
+  List.iter (fun block -> Trace.append_exec trace ~image:0 ~block) lines;
+  (trace, map)
+
 let sim_access sim ~image ~block ~addr ~bytes =
   let trace, map = one_event ~image ~block ~addr ~bytes in
   Chunk.iter ~trace ~map ~boundary:0

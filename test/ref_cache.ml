@@ -211,16 +211,20 @@ type stack = {
 
 let stack ~line = { sline = line; lines = []; distances = []; first_touches = 0; line_refs = 0 }
 
-let rec position (line : int) i = function
-  | [] -> None
-  | l :: rest -> if l = line then Some i else position line (i + 1) rest
-
-let stack_line t line =
+(* One walk down to the line, keeping the lines above it reversed, so a
+   re-reference costs its distance. *)
+let stack_line t (line : int) =
   t.line_refs <- t.line_refs + 1;
-  (match position line 0 t.lines with
-  | None -> t.first_touches <- t.first_touches + 1
-  | Some d -> t.distances <- d :: t.distances);
-  t.lines <- line :: List.filter (fun (l : int) -> l <> line) t.lines
+  let rec walk d above = function
+    | [] ->
+        t.first_touches <- t.first_touches + 1;
+        t.lines
+    | l :: rest when l = line ->
+        t.distances <- d :: t.distances;
+        List.rev_append above rest
+    | l :: rest -> walk (d + 1) (l :: above) rest
+  in
+  t.lines <- line :: walk 0 [] t.lines
 
 let stack_access t ~addr ~bytes =
   for line = addr / t.sline to (addr + max 1 bytes - 1) / t.sline do

@@ -169,6 +169,22 @@ let test_clear_makes_levels_build_cold () =
   check_int "one new OptS placement after clear" (before + 1) (place ());
   check_digests "rebuilt after clear == before" warm cold
 
+(* Loop detection is timed as a stage of its memo's name: a cold OptS
+   build detects the OS loops once, and a warm rebuild not at all. *)
+let test_loops_timed () =
+  let ctx = Lazy.force small_context in
+  let calls () =
+    List.fold_left
+      (fun n (name, c, _) -> if name = "layout_cache.loops" then c else n)
+      0 (Trace_log.stage_totals ())
+  in
+  Layout_cache.clear ();
+  let before = calls () in
+  ignore (Levels.build ctx Levels.OptS);
+  check_int "one detection in a cold build" (before + 1) (calls ());
+  ignore (Levels.build ctx Levels.OptS);
+  check_int "none in a warm rebuild" (before + 1) (calls ())
+
 (* --- loop detection under parallelism ------------------------------ *)
 
 (* The old Program_layout.loops_cache was an unsynchronized global ref;
@@ -226,6 +242,7 @@ let () =
             test_profile_digest_survives_consumers;
         ] );
       ("reset", [ case "clear makes the next Levels.build cold" test_clear_makes_levels_build_cold ]);
+      ("timing", [ case "loop detection is a timed stage" test_loops_timed ]);
       ( "concurrency",
         [
           case "loop detection race-free" test_loops_race_free;

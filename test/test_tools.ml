@@ -199,16 +199,15 @@ let test_dot_save () =
 (* Stack distances                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let stack ?bytes lines =
+  let trace, map = line_trace ~line:32 ?bytes lines in
+  Stack_dist.from_trace ~trace ~map ~line:32 ()
+
 let test_stack_cyclic () =
   (* Cycling over 4 lines: after the cold pass every access has stack
      distance 3, so any capacity >= 4 lines only takes the cold misses and
      any capacity <= 2 (power-of-two resolution) misses everything. *)
-  let t = Stack_dist.create ~line:32 () in
-  for _ = 1 to 10 do
-    for l = 0 to 3 do
-      Stack_dist.access t ~addr:(l * 32) ~bytes:4
-    done
-  done;
+  let t = stack (List.concat (List.init 10 (fun _ -> [ 0; 1; 2; 3 ]))) in
   check_int "refs" 40 (Stack_dist.refs t);
   check_int "cold" 4 (Stack_dist.cold t);
   check_int "large cache: cold only" 4 (Stack_dist.misses_at t ~lines:4);
@@ -218,26 +217,20 @@ let test_stack_cyclic () =
       ignore (Stack_dist.misses_at t ~lines:0))
 
 let test_stack_curve_monotone () =
-  let t = Stack_dist.create ~line:32 () in
   let g = Prng.of_int 7 in
-  for _ = 1 to 3000 do
-    Stack_dist.access t ~addr:(32 * Prng.int g 600) ~bytes:4
-  done;
-  let curve = Stack_dist.curve t ~max_lines:1024 in
-  check_int "eleven points" 11 (List.length curve);
+  let t = stack (List.init 3000 (fun _ -> Prng.int g 600)) in
+  let curve = List.init 11 (fun k -> Stack_dist.misses_at t ~lines:(1 lsl k)) in
   ignore
     (List.fold_left
-       (fun prev (_, m) ->
+       (fun prev m ->
          check_bool "monotone non-increasing" true (m <= prev);
          m)
        max_int curve);
-  let _, last = List.nth curve (List.length curve - 1) in
-  check_int "converges to cold misses" (Stack_dist.cold t) last
+  check_int "converges to cold misses" (Stack_dist.cold t) (List.nth curve 10)
 
 let test_stack_spanning_blocks () =
-  let t = Stack_dist.create ~line:32 () in
   (* One 64-byte block touches two lines. *)
-  Stack_dist.access t ~addr:0 ~bytes:64;
+  let t = stack ~bytes:64 [ 0 ] in
   check_int "two line refs" 2 (Stack_dist.refs t);
   check_int "both cold" 2 (Stack_dist.cold t)
 
@@ -245,16 +238,13 @@ let test_stack_matches_fa_simulation () =
   (* The stack-distance count at a power-of-two capacity must equal a
      fully-associative LRU simulation of the same stream. *)
   let g = Prng.of_int 21 in
-  let addrs = Array.init 4000 (fun _ -> 32 * Prng.int g 700) in
-  let t = Stack_dist.create ~line:32 () in
-  Array.iter (fun addr -> Stack_dist.access t ~addr ~bytes:4) addrs;
+  let trace, map = line_trace ~line:32 (List.init 4000 (fun _ -> Prng.int g 700)) in
+  let t = Stack_dist.from_trace ~trace ~map ~line:32 () in
   let lines = 64 in
-  let sim = Sim.create (Config.v ~size:(lines * 32) ~assoc:lines ~line:32) in
-  Array.iter
-    (fun addr -> sim_access sim ~image:0 ~block:0 ~addr ~bytes:4)
-    addrs;
+  let sys = System.unified (Config.v ~size:(lines * 32) ~assoc:lines ~line:32) in
+  Replay.run_range ~trace ~map ~systems:[| sys |] ~warmup:0;
   check_int "stack distances = fully-associative LRU"
-    (Counters.misses (Sim.counters sim))
+    (Counters.misses (System.counters sys))
     (Stack_dist.misses_at t ~lines)
 
 let test_stack_from_trace () =
