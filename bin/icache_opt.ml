@@ -54,8 +54,8 @@ let format_conv =
   let print ppf f = Format.pp_print_string ppf (Result.format_to_string f) in
   Arg.conv ~docv:"FORMAT" (parse, print)
 
-(* Workload.standard's four workloads, in paper order; checked before any
-   context is built. *)
+(* The four workloads of Workload.standard_programs, in paper order;
+   checked before any context is built. *)
 let workload_arg =
   let doc = "Workload index 0-3 (TRFD_4, TRFD+Make, ARC2D+Fsck, Shell)." in
   Arg.(value & opt int 0 & info [ "w"; "workload" ] ~docv:"I" ~doc)

@@ -3,5 +3,3 @@ type id = int
 type kind = Fallthrough | Taken
 
 type t = { id : id; src : Block.id; dst : Block.id; kind : kind }
-
-let kind_to_string = function Fallthrough -> "fallthrough" | Taken -> "taken"

@@ -8,5 +8,3 @@ type kind =
   | Taken  (** A conditional or unconditional branch target. *)
 
 type t = { id : id; src : Block.id; dst : Block.id; kind : kind }
-
-val kind_to_string : kind -> string

@@ -1,5 +1,4 @@
 type t = {
-  entry : Block.id;
   rpo : Block.id array;
   rpo_index : (Block.id, int) Hashtbl.t; (* reachable blocks only *)
   idom : Block.id array; (* indexed by rpo position; idom.(0) = entry *)
@@ -59,7 +58,7 @@ let compute g (r : Routine.t) =
       end
     done
   done;
-  { entry = r.Routine.entry; rpo; rpo_index; idom }
+  { rpo; rpo_index; idom }
 
 let reachable t b = Hashtbl.mem t.rpo_index b
 
@@ -77,5 +76,3 @@ let dominates t a b =
       | Some ai ->
           let rec climb i = if i = ai then true else if i = 0 then false else climb t.idom.(i) in
           climb bi)
-
-let reverse_postorder t = Array.copy t.rpo

@@ -16,6 +16,3 @@ val dominates : t -> Block.id -> Block.id -> bool
     whenever [b] is unreachable. *)
 
 val reachable : t -> Block.id -> bool
-
-val reverse_postorder : t -> Block.id array
-(** Reachable blocks of the routine in reverse postorder (entry first). *)

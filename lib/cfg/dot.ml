@@ -4,7 +4,7 @@
 
 let escape s = String.concat "\\\"" (String.split_on_char '"' s)
 
-let emit buf g ?weights ?(loops = []) (r : Routine.t) =
+let routine_to_string g ?weights ?(loops = []) (r : Routine.t) =
   let back_edges = Hashtbl.create 8 in
   List.iter
     (fun (l : Loops.t) ->
@@ -19,6 +19,7 @@ let emit buf g ?weights ?(loops = []) (r : Routine.t) =
   let executed b =
     match weights with Some w -> w.(b) > 0.0 | None -> false
   in
+  let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "digraph \"%s\" {\n" (escape r.Routine.name);
   add "  node [shape=box, fontsize=10];\n";
@@ -55,15 +56,5 @@ let emit buf g ?weights ?(loops = []) (r : Routine.t) =
           add "  n%d -> n%d%s;\n" arc.Arc.src arc.Arc.dst attrs)
         (Graph.out_arcs g b))
     r.Routine.blocks;
-  add "}\n"
-
-let routine_to_string g ?weights ?loops r =
-  let buf = Buffer.create 1024 in
-  emit buf g ?weights ?loops r;
+  add "}\n";
   Buffer.contents buf
-
-let save_routine path g ?weights ?loops r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (routine_to_string g ?weights ?loops r))

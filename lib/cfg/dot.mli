@@ -6,6 +6,3 @@
 
 val routine_to_string :
   Graph.t -> ?weights:float array -> ?loops:Loops.t list -> Routine.t -> string
-
-val save_routine :
-  string -> Graph.t -> ?weights:float array -> ?loops:Loops.t list -> Routine.t -> unit

@@ -81,18 +81,6 @@ let find g =
   (* Stable order: by header block id. *)
   List.sort (fun a b -> compare a.header b.header) !acc
 
-let contains l b =
-  let body = l.body in
-  let rec search lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      if body.(mid) = b then true
-      else if body.(mid) < b then search (mid + 1) hi
-      else search lo mid
-  in
-  search 0 (Array.length body)
-
 let blocks_in_loops g loops =
   let marks = Array.make (Graph.block_count g) false in
   List.iter (fun l -> Array.iter (fun b -> marks.(b) <- true) l.body) loops;

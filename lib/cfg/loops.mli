@@ -19,9 +19,6 @@ val find : Graph.t -> t list
 
 val find_in_routine : Graph.t -> Routine.t -> t list
 
-val contains : t -> Block.id -> bool
-(** Membership in the body (O(log n)). *)
-
 val blocks_in_loops : Graph.t -> t list -> bool array
 (** [blocks_in_loops g loops] maps each block id to whether it belongs to
     any of the given loops' bodies. *)

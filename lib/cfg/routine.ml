@@ -1,5 +1,3 @@
 type id = int
 
 type t = { id : id; name : string; entry : Block.id; blocks : Block.id array }
-
-let block_count r = Array.length r.blocks

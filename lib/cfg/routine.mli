@@ -12,5 +12,3 @@ type t = {
   entry : Block.id;
   blocks : Block.id array;  (** All blocks, in original (Base) text order. *)
 }
-
-val block_count : t -> int

@@ -1,7 +1,6 @@
 type t = {
   os_map : Address_map.t;
   app_maps : Address_map.t array;
-  os_meta : Opt.result option;
   digest : string;
   code_map : Replay.code_map;
 }
@@ -29,7 +28,7 @@ let shifted_apps app_maps =
    array and every image's sizes are its graph's, so no layout copies
    the kernel's arrays.  Only the small application images get shifted
    copies, which [with_os_map] passes on as [app_addr]. *)
-let make ?app_addr ~os_map ~app_maps ~os_meta () =
+let make ?app_addr ~os_map ~app_maps () =
   let images = os_map :: Array.to_list app_maps in
   let digest = Memo.digest (List.map Address_map.digest images) in
   let app_addr = match app_addr with Some a -> a | None -> shifted_apps app_maps in
@@ -40,7 +39,7 @@ let make ?app_addr ~os_map ~app_maps ~os_meta () =
       bytes = Array.map sizes (Array.of_list images);
     }
   in
-  { os_map; app_maps; os_meta; digest; code_map }
+  { os_map; app_maps; digest; code_map }
 
 (* Loop detection over the 40k-block kernel graph is not free; delegate to
    the lock-guarded per-graph memo (the old single-slot ref here was a
@@ -67,7 +66,7 @@ let base_apps program =
 let base_os model = base_map model.Model.graph ~order:model.Model.base_order
 
 let base ~model ~program =
-  make ~os_map:(base_os model) ~app_maps:(base_apps program) ~os_meta:None ()
+  make ~os_map:(base_os model) ~app_maps:(base_apps program) ()
 
 (* The C-H OS placement depends only on (graph, profile) and is shared by
    every workload of a level build, so it rides the same content-addressed
@@ -80,12 +79,15 @@ let chang_hwu ~model ~program ~os_profile =
   make
     ~os_map:
       (Layout_cache.find_or_build ch_stage ~key (fun () -> Chang_hwu.layout g os_profile))
-    ~app_maps:(base_apps program) ~os_meta:None ()
+    ~app_maps:(base_apps program) ()
+
+let os_opt ~model ~os_profile ~extract_loops ~params =
+  Opt.os_layout ~model ~profile:os_profile ~loops:(os_loops model)
+    { params with Opt.extract_loops }
 
 let opt_with ~extract_loops ~model ~program ~os_profile ~params =
-  let params = { params with Opt.extract_loops } in
-  let r = Opt.os_layout ~model ~profile:os_profile ~loops:(os_loops model) params in
-  make ~os_map:r.Opt.map ~app_maps:(base_apps program) ~os_meta:(Some r) ()
+  let r = os_opt ~model ~os_profile ~extract_loops ~params in
+  make ~os_map:r.Opt.map ~app_maps:(base_apps program) ()
 
 let opt_s ~model ~program ~os_profile ?(params = Opt.params ()) () =
   opt_with ~extract_loops:false ~model ~program ~os_profile ~params
@@ -94,7 +96,7 @@ let opt_l ~model ~program ~os_profile ?(params = Opt.params ()) () =
   opt_with ~extract_loops:true ~model ~program ~os_profile ~params
 
 let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) () =
-  let os = opt_with ~extract_loops:false ~model ~program ~os_profile ~params in
+  let os = os_opt ~model ~os_profile ~extract_loops:false ~params in
   let app_maps =
     Array.mapi
       (fun k (app : App_model.t) ->
@@ -106,10 +108,10 @@ let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) ()
         r.Opt.map)
       program.Program.apps
   in
-  make ~os_map:os.os_map ~app_maps ~os_meta:os.os_meta ()
+  make ~os_map:os.Opt.map ~app_maps ()
 
 let with_os_map t os_map =
-  make ~os_map ~app_maps:t.app_maps ~os_meta:None
+  make ~os_map ~app_maps:t.app_maps
     ~app_addr:(Array.sub t.code_map.Replay.addr 1 (Array.length t.app_maps))
     ()
 

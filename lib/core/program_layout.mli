@@ -13,8 +13,6 @@
 type t = private {
   os_map : Address_map.t;
   app_maps : Address_map.t array;
-  os_meta : Opt.result option;  (** Sequence/SCF/loop metadata when built
-                                    by the Opt machinery. *)
   digest : string;  (** See {!digest}. *)
   code_map : Replay.code_map;  (** See {!code_map}. *)
 }
@@ -32,6 +30,16 @@ val base : model:Model.t -> program:Program.t -> t
 
 val chang_hwu : model:Model.t -> program:Program.t -> os_profile:Profile.t -> t
 
+val os_opt :
+  model:Model.t -> os_profile:Profile.t -> extract_loops:bool -> params:Opt.params ->
+  Opt.result
+(** The OS placement of an Opt level ({!Opt.os_layout} over the kernel's
+    loops, with [extract_loops] set in [params]), with its sequences,
+    SelfConfFree set and loop blocks.  [opt_s], [opt_l] and [opt_a] place
+    the OS through it, and its stages are {!Layout_cache} memos, so asking
+    again for a built level's result re-runs no placement and returns the
+    very map the level's layouts hold. *)
+
 val opt_s :
   model:Model.t -> program:Program.t -> os_profile:Profile.t ->
   ?params:Opt.params -> unit -> t
@@ -46,8 +54,7 @@ val opt_a :
 (** [app_profiles.(k)] profiles application image [k+1]. *)
 
 val with_os_map : t -> Address_map.t -> t
-(** Replace the OS placement (the experiments' OS-map variants); the
-    result carries no [os_meta].
+(** Replace the OS placement (the experiments' OS-map variants).
     @raise Invalid_argument if the map was never validated. *)
 
 val code_map : t -> Replay.code_map

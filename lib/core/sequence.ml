@@ -146,5 +146,3 @@ let covered g seqs =
   let marks = Array.make (Graph.block_count g) false in
   List.iter (fun s -> Array.iter (fun b -> marks.(b) <- true) s.blocks) seqs;
   marks
-
-let total_bytes seqs = List.fold_left (fun acc s -> acc + s.bytes) 0 seqs

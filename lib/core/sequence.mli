@@ -29,5 +29,3 @@ val build :
 
 val covered : Graph.t -> t list -> bool array
 (** Block id -> whether some sequence contains it. *)
-
-val total_bytes : t list -> int

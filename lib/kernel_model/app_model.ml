@@ -211,10 +211,3 @@ let cc1 ?(seed = 1003) () =
 let fsck ?(seed = 1004) () =
   branchy ~name:"fsck" ~seed ~utils:22 ~workers:24 ~worker_hot:6 ~outer_iters:1000
     ~worker_loop_frac:0.25 ()
-
-let by_name = function
-  | "trfd" -> trfd ()
-  | "arc2d" -> arc2d ()
-  | "cc1" -> cc1 ()
-  | "fsck" -> fsck ()
-  | name -> invalid_arg ("App_model.by_name: unknown application " ^ name)

@@ -23,7 +23,3 @@ val trfd : ?seed:int -> unit -> t
 val arc2d : ?seed:int -> unit -> t
 val cc1 : ?seed:int -> unit -> t
 val fsck : ?seed:int -> unit -> t
-
-val by_name : string -> t
-(** One of ["trfd"], ["arc2d"], ["cc1"], ["fsck"] with default seeds.
-    @raise Invalid_argument otherwise. *)

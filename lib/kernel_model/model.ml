@@ -14,10 +14,4 @@ type t = {
 
 let seed_for t c = t.seeds.(Service.index c)
 
-let dispatch_for t c = t.dispatches.(Service.index c)
-
-let handler_count t c = Array.length t.handlers.(Service.index c)
-
-let is_dispatch_block t b = Array.exists (fun d -> d.block = b) t.dispatches
-
 let routine_name t r = (Graph.routine t.graph r).Routine.name

@@ -28,7 +28,4 @@ type t = {
 }
 
 val seed_for : t -> Service.t -> seed_info
-val dispatch_for : t -> Service.t -> dispatch
-val handler_count : t -> Service.t -> int
-val is_dispatch_block : t -> Block.id -> bool
 val routine_name : t -> Routine.id -> string

@@ -40,5 +40,3 @@ let small =
     handler_counts = [| 4; 3; 8; 3 |];
     cold_count = 60;
   }
-
-let with_seed t seed = { t with seed }

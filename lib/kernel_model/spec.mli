@@ -27,5 +27,3 @@ val default : t
 
 val small : t
 (** A scaled-down kernel for fast unit/integration tests. *)
-
-val with_seed : t -> int -> t

@@ -33,12 +33,6 @@ let reachable_routines g p r =
   visit r;
   seen
 
-let executed_routine_bytes_with_descendants g p =
-  let own = executed_routine_bytes g p in
-  Array.init (Graph.routine_count g) (fun r ->
-      let seen = reachable_routines g p r in
-      Hashtbl.fold (fun r' () acc -> acc + own.(r')) seen 0)
-
 let analyze g p loops =
   let own = executed_routine_bytes g p in
   List.filter_map

@@ -35,8 +35,3 @@ val static_share_without_calls : ?profile:Profile.t -> Graph.t -> Loops.t list -
 val reachable_routines : Graph.t -> Profile.t -> Routine.id -> (Routine.id, unit) Hashtbl.t
 (** Routines transitively callable from the given routine through executed
     call blocks (including itself). *)
-
-val executed_routine_bytes_with_descendants : Graph.t -> Profile.t -> int array
-(** Per routine: executed bytes of the routine plus all routines it
-    (transitively) calls from executed blocks, shared descendants counted
-    once. *)

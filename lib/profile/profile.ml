@@ -86,19 +86,9 @@ let routine_invocations t g =
       in
       Float.max 0.0 (t.block.(entry) -. back))
 
-let executed_routine_count t g =
-  let n = ref 0 in
-  Graph.iter_routines g (fun r ->
-      if Array.exists (fun b -> executed t b) r.Routine.blocks then incr n);
-  !n
-
 let executed_block_count t =
   Array.fold_left (fun acc x -> if x > 0.0 then acc + 1 else acc) 0 t.block
 
 let executed_bytes t g =
   Graph.fold_blocks g ~init:0 ~f:(fun acc b ->
       if executed t b.Block.id then acc + b.Block.size else acc)
-
-let dynamic_words t g =
-  Graph.fold_blocks g ~init:0.0 ~f:(fun acc b ->
-      acc +. (t.block.(b.Block.id) *. float_of_int (Block.instruction_words b)))

@@ -69,9 +69,5 @@ val routine_invocations : t -> Graph.t -> float array
 (** Invocations of each routine: executions of its entry block minus
     loop-back-edge re-entries. *)
 
-val executed_routine_count : t -> Graph.t -> int
 val executed_block_count : t -> int
 val executed_bytes : t -> Graph.t -> int
-
-val dynamic_words : t -> Graph.t -> float
-(** Total instruction words implied by the block counts. *)

@@ -41,5 +41,3 @@ let compute e ctx = Trace_log.stage ("experiment." ^ e.id) (fun () -> e.compute 
 
 let compute_all exps ctx =
   Array.to_list (Parallel.map_array (fun _ e -> compute e ctx) (Array.of_list exps))
-
-let run e ctx = Result.print (compute e ctx)

@@ -23,6 +23,3 @@ val compute_all : t list -> Context.t -> Result.report list
     are single-flight).  The [batch.*] replay-work counters are not: which
     of two concurrent experiments replays a shared Sim_cache key first,
     and so how the replays group into passes, depends on scheduling. *)
-
-val run : t -> Context.t -> unit
-(** {!compute} rendered as text to stdout — the classic transcript. *)

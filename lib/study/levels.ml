@@ -54,10 +54,15 @@ let build ctx ?(params = Opt.params ()) level =
     ~args:[ ("level", Json.String (to_string level)) ]
     (fun () -> build_uncached ctx ~params level)
 
-let opt_result ctx ?params level =
-  match (build ctx ?params level).(0).Program_layout.os_meta with
-  | Some r -> r
-  | None -> invalid_arg "Levels.opt_result: Base and C-H carry no Opt result"
+let opt_result (ctx : Context.t) ?(params = Opt.params ()) level =
+  let extract_loops =
+    match level with
+    | OptS | OptA -> false
+    | OptL -> true
+    | Base | CH -> invalid_arg "Levels.opt_result: Base and C-H carry no Opt result"
+  in
+  Program_layout.os_opt ~model:ctx.Context.model ~os_profile:ctx.Context.avg_os_profile
+    ~extract_loops ~params
 
 let os_variant ctx os_map =
   Array.map (fun l -> Program_layout.with_os_map l os_map) (build ctx Base)

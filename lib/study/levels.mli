@@ -26,8 +26,10 @@ val build : Context.t -> ?params:Opt.params -> level -> Program_layout.t array
 
 val opt_result : Context.t -> ?params:Opt.params -> level -> Opt.result
 (** The OS placement's sequences, SelfConfFree set and loop blocks, as
-    {!build} made them (every workload shares them): the one source for
-    reports on an Opt level's construction.
+    {!build} makes them ({!Program_layout.os_opt}; every workload shares
+    them): the one source for reports on an Opt level's construction.
+    It assembles no layout, so after [build ctx level] it costs only
+    stage-memo hits.
     @raise Invalid_argument for [Base] and [CH]. *)
 
 val os_variant : Context.t -> Address_map.t -> Program_layout.t array

@@ -38,17 +38,8 @@ let section_banner title =
   let bar = String.make (String.length title + 8) '=' in
   Printf.sprintf "\n%s\n=== %s ===\n%s\n" bar title bar
 
-let rebuild_table ~title ~columns ~rows =
-  let t = Table.create ?title columns in
-  List.iter
-    (function
-      | Table.Cells cells -> Table.add_row t cells
-      | Table.Separator -> Table.add_separator t)
-    rows;
-  t
-
 let item_text = function
-  | Table { title; columns; rows } -> Table.render (rebuild_table ~title ~columns ~rows)
+  | Table { title; columns; rows } -> Table.render_rows ?title columns rows
   | Series { label; points } -> Chart.bars ~title:label points
   | Scalar { text; _ } -> Printf.sprintf "  %s\n" text
   | Note s -> Printf.sprintf "  %s\n" s

@@ -2,13 +2,9 @@ type run = Sim_cache.entry = { counters : Counters.t; os_block_misses : int arra
 
 let default_warmup_fraction = 0.2
 
-(* Replay distributions: how long one sweep member's share of a replay
-   pass took and how fast passes decode events.  Observed per pass (and,
-   for member seconds, once per member riding that pass), so batch fusion
-   shows up as many members sharing one pass's wall-clock. *)
-let member_seconds_hist =
-  Metrics_registry.histogram ~unit_:"seconds" "simulate.member_seconds"
-
+(* How fast replay passes decode events, observed once per pass.  A
+   pass's members share its one decode, so the pass is the unit that has
+   a measured duration; its [replay_pass] span carries the members. *)
 let events_per_sec_hist =
   Metrics_registry.histogram ~unit_:"events/s" "simulate.pass_events_per_sec"
 
@@ -33,14 +29,6 @@ let count_call ~members ~simulated ~groups ~passes ~events =
   bump "passes_saved" ((simulated - groups) * passes);
   bump "events_replayed" (groups * events);
   bump "events_saved" ((simulated - groups) * events)
-
-let record_pass ~members ~events dt =
-  for _ = 1 to members do
-    Metrics_registry.observe member_seconds_hist
-      (dt /. float_of_int (max 1 members))
-  done;
-  if dt > 0.0 then
-    Metrics_registry.observe events_per_sec_hist (float_of_int events /. dt)
 
 (* Warm-up thresholds count replayed executions (Replay.run_range only
    advances on exec events), so they must come from Trace.exec_count: a
@@ -76,8 +64,9 @@ let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
       Array.iter (fun sys -> System.enable_block_attribution sys ~images ~blocks) systems)
     attribute;
   Replay.run_range ~trace ~map ~systems ~warmup:(warmup_of trace ~warmup_fraction);
-  record_pass ~members:(Array.length systems) ~events:(Trace.length trace)
-    (Trace_log.now () -. t0);
+  let dt = Trace_log.now () -. t0 in
+  if dt > 0.0 then
+    Metrics_registry.observe events_per_sec_hist (float_of_int (Trace.length trace) /. dt);
   Array.map
     (fun sys ->
       {

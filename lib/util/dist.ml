@@ -1,16 +1,8 @@
 type t = Prng.t -> int
 
-let constant v = fun _ -> v
-
 let uniform_int lo hi =
   if hi < lo then invalid_arg "Dist.uniform_int: empty range";
   fun g -> Prng.int_in g lo hi
-
-let geometric ~p ~min =
-  if not (p > 0.0 && p <= 1.0) then invalid_arg "Dist.geometric: p out of (0,1]";
-  fun g ->
-    let rec trials k = if Prng.bernoulli g p then k else trials (k + 1) in
-    min + trials 0
 
 let zipf_cdf n s =
   let cdf = Array.make n 0.0 in
@@ -45,11 +37,6 @@ let weighted choices =
   fun g -> Prng.choose_weighted g tagged
 
 let scaled d k = fun g -> int_of_float (Float.round (float_of_int (d g) *. k))
-
-let clamped d ~min ~max =
- fun g ->
-  let v = d g in
-  if v < min then min else if v > max then max else v
 
 let sample d g = d g
 

@@ -4,17 +4,9 @@
 type t
 (** A distribution over non-negative integers (sampled with a {!Prng.t}). *)
 
-val constant : int -> t
-(** Always returns the given value. *)
-
 val uniform_int : int -> int -> t
 (** [uniform_int lo hi] is uniform over [\[lo, hi\]].
     @raise Invalid_argument if [hi < lo]. *)
-
-val geometric : p:float -> min:int -> t
-(** [geometric ~p ~min] counts Bernoulli trials until first success and adds
-    [min]; mean is [min + (1-p)/p].  @raise Invalid_argument unless
-    [0 < p <= 1]. *)
 
 val zipf : n:int -> s:float -> t
 (** [zipf ~n ~s] samples ranks in [\[0, n)] with probability proportional to
@@ -26,9 +18,6 @@ val weighted : (int * float) array -> t
 
 val scaled : t -> float -> t
 (** [scaled d k] samples [d] and multiplies by [k] (rounded to nearest). *)
-
-val clamped : t -> min:int -> max:int -> t
-(** Clamp samples into [\[min, max\]]. *)
 
 val sample : t -> Prng.t -> int
 (** Draw one sample. *)

@@ -1,17 +1,10 @@
 type shape =
-  | Linear of { lo : int; hi : int; bucket : int }
   | Log2 of { max_exp : int }
   | Explicit of int array
 
 type t = { shape : shape; counts : int array; mutable total : int }
 
 let make shape n = { shape; counts = Array.make n 0; total = 0 }
-
-let linear ~lo ~hi ~bucket =
-  if hi <= lo then invalid_arg "Histogram.linear: empty range";
-  if bucket <= 0 then invalid_arg "Histogram.linear: bucket must be positive";
-  let n = ((hi - lo) + bucket - 1) / bucket in
-  make (Linear { lo; hi; bucket }) n
 
 let log2 ~max_exp =
   if max_exp <= 0 then invalid_arg "Histogram.log2: max_exp must be positive";
@@ -28,9 +21,6 @@ let explicit edges =
 
 let bucket_of t v =
   match t.shape with
-  | Linear { lo; hi; bucket } ->
-      let v = if v < lo then lo else if v >= hi then hi - 1 else v in
-      (v - lo) / bucket
   | Log2 { max_exp } ->
       let v = if v < 0 then 0 else v in
       let rec magnitude x i = if x <= 0 then i else magnitude (x lsr 1) (i + 1) in
@@ -56,18 +46,10 @@ let add t v = add_many t v 1
 
 let bucket_count t = Array.length t.counts
 
-let count t i = t.counts.(i)
-
 let total t = t.total
-
-let fraction t i = if t.total = 0 then 0.0 else float_of_int t.counts.(i) /. float_of_int t.total
 
 let bucket_label t i =
   match t.shape with
-  | Linear { lo; hi; bucket } ->
-      let b_lo = lo + (i * bucket) in
-      let b_hi = min hi (b_lo + bucket) in
-      Printf.sprintf "[%d,%d)" b_lo b_hi
   | Log2 { max_exp } ->
       if i = 0 then "0"
       else if i >= max_exp then Printf.sprintf ">=%d" ((1 lsl max_exp) - 1)
@@ -97,9 +79,6 @@ let cumulative_fraction_below t i =
    recorded range's known bounds. *)
 let bucket_bounds t i =
   match t.shape with
-  | Linear { lo; hi; bucket } ->
-      let b_lo = lo + (i * bucket) in
-      (float_of_int b_lo, float_of_int (min hi (b_lo + bucket)))
   | Log2 { max_exp } ->
       if i = 0 then (0.0, 1.0)
       else if i >= max_exp then
@@ -141,10 +120,9 @@ let percentile t p =
 
 let same_shape a b =
   match (a.shape, b.shape) with
-  | Linear x, Linear y -> x.lo = y.lo && x.hi = y.hi && x.bucket = y.bucket
   | Log2 x, Log2 y -> x.max_exp = y.max_exp
   | Explicit x, Explicit y -> x = y
-  | (Linear _ | Log2 _ | Explicit _), _ -> false
+  | (Log2 _ | Explicit _), _ -> false
 
 let merge dst src =
   if not (same_shape dst src) then invalid_arg "Histogram.merge: shape mismatch";

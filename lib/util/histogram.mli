@@ -4,11 +4,6 @@
 
 type t
 
-val linear : lo:int -> hi:int -> bucket:int -> t
-(** [linear ~lo ~hi ~bucket] covers [\[lo, hi)] with buckets of width
-    [bucket]; samples outside are clamped into the first/last bucket.
-    @raise Invalid_argument if the range is empty or [bucket <= 0]. *)
-
 val log2 : max_exp:int -> t
 (** [log2 ~max_exp] buckets by binary magnitude: bucket [i] holds samples
     [v] with [2^i <= v+1 < 2^(i+1)] for [i < max_exp]; larger samples fall
@@ -26,13 +21,7 @@ val add_many : t -> int -> int -> unit
 (** [add_many h v n] records [v] with multiplicity [n]. *)
 
 val bucket_count : t -> int
-val count : t -> int -> int
-(** [count h i] is the number of samples in bucket [i]. *)
-
 val total : t -> int
-
-val fraction : t -> int -> float
-(** Bucket count over total; 0. when empty. *)
 
 val to_list : t -> (string * int) list
 (** All (label, count) pairs in bucket order. *)

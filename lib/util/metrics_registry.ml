@@ -80,8 +80,6 @@ let pct h p =
   if h.count = 0 then 0.0
   else Float.min h.max_v (Float.max h.min_v (Histogram.percentile h.buckets p /. micro))
 
-let percentile h p = Mutex.protect lock (fun () -> pct h p)
-
 let find_counter name =
   Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table name with

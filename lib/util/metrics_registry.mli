@@ -3,7 +3,7 @@
 
     Metrics complement {!Trace_log} spans: spans answer {e when} something
     ran, metrics answer {e how often} and {e how it was distributed}
-    (cache hit counters, per-member simulate seconds, per-domain busy
+    (cache hit counters, replay-pass decode rates, per-domain busy
     time).  Unlike tracing, metrics are always on — every recording site
     is far off the simulator's inner loops, so the cost is a handful of
     mutex-protected updates per pipeline stage.
@@ -51,11 +51,6 @@ val histogram : ?unit_:string -> string -> histogram
 
 val observe : histogram -> float -> unit
 (** Record one observation.  Negative observations clamp to 0. *)
-
-val percentile : histogram -> float -> float
-(** Bucket-interpolated percentile in the histogram's own unit
-    (see {!Histogram.percentile}), clamped to the observed [[min, max]];
-    [0.] when empty.  {!to_json} reports the same values. *)
 
 val find_counter : string -> int option
 (** The current value of a counter registered under [name], if any

@@ -17,8 +17,6 @@ let create seed =
 
 let of_int seed = create (Int64.of_int seed)
 
-let copy = Bytes.copy
-
 (* SplitMix64 step: advance by the golden gamma, then mix (Stafford's
    variant 13 finalizer).  Inlined so callers that narrow the result to
    an int never box it. *)

@@ -10,10 +10,6 @@ type t
 val of_int : int -> t
 (** [of_int seed] returns a fresh generator seeded with [seed]. *)
 
-val copy : t -> t
-(** [copy g] is a generator with the same state as [g], advancing
-    independently afterwards. *)
-
 val split : t -> t
 (** [split g] draws from [g] and returns a new generator whose stream is
     statistically independent of [g]'s subsequent output. *)

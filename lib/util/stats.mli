@@ -3,30 +3,15 @@
 val mean : float array -> float
 (** Arithmetic mean; 0. on the empty array. *)
 
-val geometric_mean : float array -> float
-(** Geometric mean of strictly positive values; 0. on the empty array.
-    @raise Invalid_argument if any value is not positive. *)
-
-val stddev : float array -> float
-(** Population standard deviation; 0. on arrays shorter than 2. *)
-
 val median : float array -> float
 (** Median (average of middle two for even length); 0. on the empty array.
     Does not modify its argument. *)
-
-val percentile : float array -> float -> float
-(** [percentile a p] with [p] in [\[0, 100\]], nearest-rank on a sorted copy.
-    @raise Invalid_argument if [a] is empty or [p] out of range. *)
 
 val minimum : float array -> float
 val maximum : float array -> float
 (** @raise Invalid_argument on the empty array. *)
 
 val sum : float array -> float
-val sum_int : int array -> int
-
-val normalize : float array -> float array
-(** Scale so the entries sum to 1.  Returns all-zero if the sum is 0. *)
 
 val ratio : int -> int -> float
 (** [ratio num den] as a float; 0. when [den = 0]. *)

@@ -32,15 +32,15 @@ let pad align width s =
     let fill = String.make (width - n) ' ' in
     match align with Left -> s ^ fill | Right -> fill ^ s
 
-let render t =
-  let rows = List.rev t.rows in
+let render_rows ?title columns rows =
+  let headers = List.map fst columns and aligns = List.map snd columns in
   let widths =
     List.fold_left
       (fun acc row ->
         match row with
         | Separator -> acc
         | Cells cells -> List.map2 (fun w c -> max w (String.length c)) acc cells)
-      (List.map String.length t.headers)
+      (List.map String.length headers)
       rows
   in
   let buf = Buffer.create 1024 in
@@ -52,20 +52,20 @@ let render t =
     List.iteri
       (fun i c ->
         let w = List.nth widths i in
-        let a = List.nth t.aligns i in
+        let a = List.nth aligns i in
         Buffer.add_string buf ("| " ^ pad a w c ^ " "))
       cells;
     Buffer.add_string buf "|\n"
   in
-  (match t.title with
-  | None -> ()
-  | Some title -> Buffer.add_string buf (title ^ "\n"));
+  Option.iter (fun title -> Buffer.add_string buf (title ^ "\n")) title;
   rule ();
-  emit_cells t.headers;
+  emit_cells headers;
   rule ();
   List.iter (function Separator -> rule () | Cells cells -> emit_cells cells) rows;
   rule ();
   Buffer.contents buf
+
+let render t = render_rows ?title:t.title (columns t) (row_list t)
 
 let print t = print_string (render t)
 

@@ -25,6 +25,11 @@ val row_list : t -> row list
 (** The accumulated rows in insertion order (snapshot for the structured
     report algebra). *)
 
+val render_rows : ?title:string -> (string * align) list -> row list -> string
+(** A table given as its parts (trailing newline included): the renderer
+    behind {!render}, for a table that lives on as data, such as a report
+    item. *)
+
 val render : t -> string
 (** The table as a string (trailing newline included). *)
 

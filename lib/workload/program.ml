@@ -21,8 +21,4 @@ let arc_prob t i =
   check t i;
   if i = 0 then t.os.Model.arc_prob else t.apps.(i - 1).App_model.arc_prob
 
-let image_name t i =
-  check t i;
-  if i = 0 then "os" else t.apps.(i - 1).App_model.name
-
 let is_os i = i = 0

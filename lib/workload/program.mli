@@ -19,8 +19,6 @@ val graph : t -> int -> Graph.t
 
 val arc_prob : t -> int -> float array
 
-val image_name : t -> int -> string
-
 val is_os : int -> bool
 
 val make : os:Model.t -> apps:App_model.t array -> t

@@ -45,10 +45,6 @@ let length t = t.len
 
 let exec_count t = t.execs
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Trace.get: out of bounds";
-  decode t.data.(i)
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f (decode t.data.(i))

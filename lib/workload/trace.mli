@@ -29,8 +29,6 @@ val exec_count : t -> int
     executions, so a threshold computed from the marker-inclusive length
     would drift with marker density. *)
 
-val get : t -> int -> event
-
 val iter : t -> (event -> unit) -> unit
 
 val iter_exec : t -> (image:int -> block:Block.id -> unit) -> unit

@@ -93,8 +93,6 @@ let shell model =
     repeat_prob = 0.45;
   }
 
-let standard model = [| trfd_4 model; trfd_make model; arc2d_fsck model; shell model |]
-
 let standard_programs model =
   let trfd = App_model.trfd () in
   let arc2d = App_model.arc2d () in

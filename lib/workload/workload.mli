@@ -35,10 +35,6 @@ val focused_weights :
 val trfd_4 : Model.t -> t
 val shell : Model.t -> t
 
-val standard : Model.t -> t array
-(** The four paper workloads, in paper order.  The corresponding program
-    images are built by {!standard_programs}. *)
-
 val standard_programs : Model.t -> (t * Program.t) array
-(** Each workload paired with its {!Program.t} (OS + the right app
-    images). *)
+(** The four paper workloads, in paper order, each paired with its
+    {!Program.t} (OS + the right app images). *)

@@ -112,12 +112,8 @@ let test_graph_unknown_routine_block () =
 
 let test_routine_block_count () =
   let lc = loop_call () in
-  check_int "caller blocks" 5 (Routine.block_count (Graph.routine lc.g lc.caller));
-  check_int "callee blocks" 2 (Routine.block_count (Graph.routine lc.g lc.callee))
-
-let test_arc_kinds () =
-  check_bool "kind strings differ" true
-    (Arc.kind_to_string Arc.Fallthrough <> Arc.kind_to_string Arc.Taken)
+  check_int "caller blocks" 5 (Array.length (Graph.routine lc.g lc.caller).Routine.blocks);
+  check_int "callee blocks" 2 (Array.length (Graph.routine lc.g lc.callee).Routine.blocks)
 
 (* ------------------------------------------------------------------ *)
 (* Dominators                                                         *)
@@ -160,14 +156,6 @@ let test_dominators_unreachable () =
   check_bool "orphan unreachable" false (Dominators.reachable dom orphan);
   check_bool "nothing dominates unreachable" false (Dominators.dominates dom e orphan)
 
-let test_dominators_rpo () =
-  let d = diamond () in
-  let dom = Dominators.compute d.g (Graph.routine d.g d.routine) in
-  let rpo = Dominators.reverse_postorder dom in
-  check_int "all reachable in rpo" 4 (Array.length rpo);
-  check_int "entry first" d.entry rpo.(0);
-  check_int "exit last" d.exit_ rpo.(3)
-
 (* ------------------------------------------------------------------ *)
 (* Loops                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -193,10 +181,10 @@ let test_loops_natural () =
 let test_loops_contains () =
   let lc = loop_call () in
   let l = List.hd (Loops.find lc.g) in
-  check_bool "header in body" true (Loops.contains l lc.c1);
-  check_bool "c2 in body" true (Loops.contains l lc.c2);
-  check_bool "c0 not in body" false (Loops.contains l lc.c0);
-  check_bool "c4 not in body" false (Loops.contains l lc.c4)
+  check_bool "header in body" true (Array.mem lc.c1 l.Loops.body);
+  check_bool "c2 in body" true (Array.mem lc.c2 l.Loops.body);
+  check_bool "c0 not in body" false (Array.mem lc.c0 l.Loops.body);
+  check_bool "c4 not in body" false (Array.mem lc.c4 l.Loops.body)
 
 let test_loops_self_loop () =
   let bld = Graph.builder () in
@@ -336,7 +324,7 @@ let prop_loop_bodies_well_formed =
       let g, _, _ = build_random_cfg spec in
       List.for_all
         (fun (l : Loops.t) ->
-          Loops.contains l l.Loops.header
+          Array.mem l.Loops.header l.Loops.body
           && l.Loops.static_bytes
              = Array.fold_left
                  (fun acc b -> acc + (Graph.block g b).Block.size)
@@ -356,7 +344,7 @@ let prop_back_edges_enter_header =
           Array.for_all
             (fun a ->
               let arc = Graph.arc g a in
-              arc.Arc.dst = l.Loops.header && Loops.contains l arc.Arc.src)
+              arc.Arc.dst = l.Loops.header && Array.mem arc.Arc.src l.Loops.body)
             l.Loops.back_edges)
         (Loops.find g))
 
@@ -367,7 +355,6 @@ let () =
         [
           case "instruction words" test_block_words;
           case "ends_in_call" test_block_ends_in_call;
-          case "arc kinds" test_arc_kinds;
         ] );
       ( "graph",
         [
@@ -392,7 +379,6 @@ let () =
           case "relation" test_dominators_relation;
           case "chain" test_dominators_chain;
           case "unreachable" test_dominators_unreachable;
-          case "reverse postorder" test_dominators_rpo;
           qcheck prop_entry_dominates_reachable;
           qcheck prop_idom_dominates;
         ] );

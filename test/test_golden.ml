@@ -89,13 +89,13 @@ let () =
           (fun (e : Experiments.t) ->
             case
               (e.Experiments.id ^ " matches checked-in transcript")
-              (golden e.Experiments.id (fun ctx -> Experiments.run e ctx)))
+              (golden e.Experiments.id (fun ctx -> Result.print (Experiments.compute e ctx))))
           Experiments.all );
       ( "experiment-output-traced",
         List.map
           (fun (e : Experiments.t) ->
             case
               (e.Experiments.id ^ " byte-identical with tracing enabled")
-              (traced e.Experiments.id (fun ctx -> Experiments.run e ctx)))
+              (traced e.Experiments.id (fun ctx -> Result.print (Experiments.compute e ctx))))
           Experiments.all );
     ]

@@ -64,7 +64,7 @@ let test_generate_deterministic () =
 
 let test_generate_seed_sensitivity () =
   let a = Generator.generate Spec.small in
-  let b = Generator.generate (Spec.with_seed Spec.small 43) in
+  let b = Generator.generate { Spec.small with seed = 43 } in
   check_bool "different seed differs" true
     (a.Model.base_order <> b.Model.base_order
     || Graph.code_bytes a.Model.graph <> Graph.code_bytes b.Model.graph)
@@ -85,17 +85,15 @@ let test_model_dispatch () =
   let m = model () in
   Array.iter
     (fun s ->
-      let d = Model.dispatch_for m s in
-      check_int "one dispatch arc per handler"
-        (Model.handler_count m s)
-        (Array.length d.Model.arcs);
-      check_bool "dispatch block flagged" true (Model.is_dispatch_block m d.Model.block);
+      let d = m.Model.dispatches.(Service.index s) in
+      let handlers = Array.length m.Model.handlers.(Service.index s) in
+      check_int "one dispatch arc per handler" handlers (Array.length d.Model.arcs);
       Array.iter
         (fun (a, hi) ->
           let arc = Graph.arc m.Model.graph a in
           check_int "arc leaves the dispatch block" d.Model.block arc.Arc.src;
           check_bool "handler index in range" true
-            (hi >= 0 && hi < Model.handler_count m s))
+            (hi >= 0 && hi < handlers))
         d.Model.arcs)
     Service.all
 
@@ -263,8 +261,7 @@ let test_routine_gen_cold_probability () =
 
 let test_app_models_construct () =
   List.iter
-    (fun name ->
-      let app = App_model.by_name name in
+    (fun (name, app) ->
       check_string "name recorded" name app.App_model.name;
       check_bool "nonempty graph" true (Graph.block_count app.App_model.graph > 10);
       let sorted = Array.copy app.App_model.base_order in
@@ -273,10 +270,12 @@ let test_app_models_construct () =
         "base order is a permutation"
         (Array.init (Graph.routine_count app.App_model.graph) Fun.id)
         sorted)
-    [ "trfd"; "arc2d"; "cc1"; "fsck" ]
-
-let test_app_by_name_invalid () =
-  check_raises_invalid "unknown app" (fun () -> App_model.by_name "doom")
+    [
+      ("trfd", App_model.trfd ());
+      ("arc2d", App_model.arc2d ());
+      ("cc1", App_model.cc1 ());
+      ("fsck", App_model.fsck ());
+    ]
 
 let test_app_deterministic () =
   let a = App_model.trfd () and b = App_model.trfd () in
@@ -345,7 +344,6 @@ let () =
       ( "app_model",
         [
           case "construct all" test_app_models_construct;
-          case "by_name invalid" test_app_by_name_invalid;
           case "deterministic" test_app_deterministic;
           case "loop character" test_app_loop_character;
           case "arc probability shape" test_app_arc_prob_shape;

@@ -205,9 +205,6 @@ let test_sequence_no_duplicates_kernel () =
       in
       check_int "sequence byte count" sum s.Sequence.bytes)
     seqs;
-  check_int "total bytes"
-    (List.fold_left (fun acc (s : Sequence.t) -> acc + s.Sequence.bytes) 0 seqs)
-    (Sequence.total_bytes seqs);
   let covered = Sequence.covered g seqs in
   Array.iteri
     (fun b s -> check_bool "covered agrees with membership" s covered.(b))

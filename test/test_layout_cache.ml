@@ -185,6 +185,21 @@ let test_loops_timed () =
   ignore (Levels.build ctx Levels.OptS);
   check_int "none in a warm rebuild" (before + 1) (calls ())
 
+(* Reading a built level's Opt result assembles no layout and places
+   nothing: it is the level's own OS placement, served by the stage
+   memos. *)
+let test_opt_result_reuses_build () =
+  let ctx = Lazy.force small_context in
+  let calls name =
+    List.fold_left (fun n (s, c, _) -> if s = name then c else n) 0 (Trace_log.stage_totals ())
+  in
+  let layouts = Levels.build ctx Levels.OptS in
+  let builds = calls "levels_build" and places = calls "layout_cache.place" in
+  let r = Levels.opt_result ctx Levels.OptS in
+  check_int "no levels_build" builds (calls "levels_build");
+  check_int "no layout_cache.place" places (calls "layout_cache.place");
+  check_bool "the level's own OS map" true (r.Opt.map == layouts.(0).Program_layout.os_map)
+
 (* --- loop detection under parallelism ------------------------------ *)
 
 (* The old Program_layout.loops_cache was an unsynchronized global ref;
@@ -242,7 +257,11 @@ let () =
             test_profile_digest_survives_consumers;
         ] );
       ("reset", [ case "clear makes the next Levels.build cold" test_clear_makes_levels_build_cold ]);
-      ("timing", [ case "loop detection is a timed stage" test_loops_timed ]);
+      ( "timing",
+        [
+          case "loop detection is a timed stage" test_loops_timed;
+          case "opt_result reuses the level's build" test_opt_result_reuses_build;
+        ] );
       ( "concurrency",
         [
           case "loop detection race-free" test_loops_race_free;

@@ -60,12 +60,8 @@ let test_profile_routine_invocations () =
 let test_profile_executed_counts () =
   let lc = loop_call () in
   let p = loop_profile lc in
-  check_int "routines" 2 (Profile.executed_routine_count p lc.g);
   check_int "blocks" 7 (Profile.executed_block_count p);
-  check_int "bytes" (7 * 16) (Profile.executed_bytes p lc.g);
-  check_close 1e-9 "dynamic words"
-    (p.Profile.total_blocks *. 4.0)
-    (Profile.dynamic_words p lc.g)
+  check_int "bytes" (7 * 16) (Profile.executed_bytes p lc.g)
 
 let test_profile_scale_average () =
   let lc = loop_call () in
@@ -294,13 +290,6 @@ let test_loopstat_reachable () =
   let reach_leaf = Loopstat.reachable_routines lc.g p lc.callee in
   check_bool "callee reaches only itself" false (Hashtbl.mem reach_leaf lc.caller)
 
-let test_loopstat_descendant_bytes () =
-  let lc = loop_call () in
-  let p = loop_profile lc in
-  let bytes = Loopstat.executed_routine_bytes_with_descendants lc.g p in
-  check_int "callee alone" 32 bytes.(lc.callee);
-  check_int "caller includes callee once" ((5 * 16) + 32) bytes.(lc.caller)
-
 (* ------------------------------------------------------------------ *)
 (* Reuse (Figure 7)                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -320,7 +309,7 @@ let test_reuse_distances () =
   check_int "one last-invocation call" 1 r.Reuse.last_invocation;
   (* Distance between the two l0 executions: l0,l1,c3,c1,c2 = 5 blocks of
      16 bytes = 20 words; it lands in the [10,32) bucket (index 1). *)
-  check_int "distance bucketed" 1 (Histogram.count r.Reuse.histogram 1);
+  check_int "distance bucketed" 1 (snd (List.nth (Histogram.to_list r.Reuse.histogram) 1));
   check_int "single distance sample" 1 (Histogram.total r.Reuse.histogram)
 
 let test_reuse_resets_across_invocations () =
@@ -375,7 +364,6 @@ let () =
           case "shares (fixture)" test_loopstat_shares;
           case "shares (kernel)" test_loopstat_shares_kernel;
           case "reachable routines" test_loopstat_reachable;
-          case "descendant bytes" test_loopstat_descendant_bytes;
         ] );
       ( "reuse",
         [

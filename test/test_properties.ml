@@ -33,7 +33,7 @@ let prop_generator_invariants =
       let g = m.Model.graph in
       (* Every routine non-empty with its entry in range. *)
       Graph.iter_routines g (fun r ->
-          assert (Routine.block_count r > 0);
+          assert (Array.length r.Routine.blocks > 0);
           assert (Graph.routine_of_block g r.Routine.entry = r.Routine.id));
       (* Arc probabilities well-formed. *)
       Graph.iter_blocks g (fun b ->

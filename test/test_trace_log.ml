@@ -374,8 +374,9 @@ let test_fold_rejects_malformed () =
 (* Histogram.percentile                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Unit-width buckets [0,1) .. [99,100) between the two open ends. *)
 let test_percentile_linear () =
-  let h = Histogram.linear ~lo:0 ~hi:100 ~bucket:1 in
+  let h = Histogram.explicit (Array.init 101 Fun.id) in
   for v = 1 to 100 do
     Histogram.add h v
   done;
@@ -386,7 +387,7 @@ let test_percentile_linear () =
   check_close 1.0 "p100 clamps" 100.0 (Histogram.percentile h 1.0)
 
 let test_percentile_edges () =
-  let h = Histogram.linear ~lo:0 ~hi:10 ~bucket:1 in
+  let h = Histogram.explicit (Array.init 11 Fun.id) in
   check_float "empty histogram is 0" 0.0 (Histogram.percentile h 0.5);
   Histogram.add_many h 3 1000;
   let p50 = Histogram.percentile h 0.5 in
@@ -444,13 +445,24 @@ let test_registry_json_shape () =
   check_bool "metrics json round-trips" true
     (Json.of_string (Json.to_string j) = Ok j)
 
+(* A float field of registry histogram [name] in the JSON snapshot. *)
+let registry_field name f =
+  match
+    Option.bind
+      (Option.bind (Json.member "histograms" (Metrics_registry.to_json ())) (Json.member name))
+      (Json.member f)
+  with
+  | Some (Json.Float x) -> Some x
+  | _ -> None
+
 let test_observe_clamps_negative () =
   let h = Metrics_registry.histogram "test.clamp_hist" in
   Metrics_registry.observe h (-5.0);
   (* A clamped observation lands in the [0, 1) micro-unit bucket, so the
      interpolated percentile is at most one micro-unit. *)
-  let p = Metrics_registry.percentile h 0.5 in
-  check_bool "negative clamps to 0" true (p >= 0.0 && p <= 1e-6)
+  match registry_field "test.clamp_hist" "p50" with
+  | Some p -> check_bool "negative clamps to 0" true (p >= 0.0 && p <= 1e-6)
+  | None -> Alcotest.fail "missing p50"
 
 (* Bucket interpolation must never report a percentile outside what was
    observed: one observation of 0.31 s sits in a bucket reaching 0.52 s. *)
@@ -464,23 +476,14 @@ let prop_registry_percentiles_in_range =
       let h = Metrics_registry.histogram name in
       List.iter (Metrics_registry.observe h) obs;
       let field f =
-        match
-          Option.bind
-            (Option.bind
-               (Json.member "histograms" (Metrics_registry.to_json ()))
-               (Json.member name))
-            (Json.member f)
-        with
-        | Some (Json.Float x) -> x
-        | _ -> Alcotest.failf "histogram %s: no %s" name f
+        match registry_field name f with
+        | Some x -> x
+        | None -> Alcotest.failf "histogram %s: no %s" name f
       in
-      let p q = Metrics_registry.percentile h q in
-      field "min" <= p 0.5
-      && p 0.5 <= p 0.9
-      && p 0.9 <= p 0.99
-      && p 0.99 <= field "max"
-      && field "p50" = p 0.5
-      && field "p99" = p 0.99)
+      field "min" <= field "p50"
+      && field "p50" <= field "p90"
+      && field "p90" <= field "p99"
+      && field "p99" <= field "max")
 
 let () =
   Alcotest.run "trace_log"

@@ -18,13 +18,6 @@ let test_prng_seed_sensitivity () =
   done;
   check_bool "different seeds give different streams" true !differs
 
-let test_prng_copy () =
-  let a = Prng.of_int 5 in
-  ignore (Prng.next_int64 a);
-  let b = Prng.copy a in
-  check_bool "copy continues identically" true
-    (Prng.next_int64 a = Prng.next_int64 b)
-
 let test_prng_split_independent () =
   let a = Prng.of_int 5 in
   let b = Prng.split a in
@@ -173,13 +166,6 @@ let prop_int_uniformish =
 (* Dist                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_dist_constant () =
-  let g = Prng.of_int 1 in
-  let d = Dist.constant 9 in
-  for _ = 1 to 20 do
-    check_int "constant" 9 (Dist.sample d g)
-  done
-
 let test_dist_uniform_bounds () =
   let g = Prng.of_int 1 in
   let d = Dist.uniform_int 3 8 in
@@ -189,20 +175,12 @@ let test_dist_uniform_bounds () =
   done;
   check_raises_invalid "hi < lo" (fun () -> Dist.uniform_int 8 3)
 
-let test_dist_geometric () =
+let test_dist_constant () =
   let g = Prng.of_int 1 in
-  let d = Dist.geometric ~p:0.5 ~min:2 in
-  let n = 20_000 in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    let v = Dist.sample d g in
-    check_bool ">= min" true (v >= 2);
-    sum := !sum + v
-  done;
-  (* mean = min + (1-p)/p = 3 *)
-  check_close 0.1 "geometric mean" 3.0 (float_of_int !sum /. float_of_int n);
-  check_raises_invalid "p=0" (fun () -> Dist.geometric ~p:0.0 ~min:0);
-  check_raises_invalid "p>1" (fun () -> Dist.geometric ~p:1.5 ~min:0)
+  let d = Dist.uniform_int 9 9 in
+  for _ = 1 to 20 do
+    check_int "a one-value range is constant" 9 (Dist.sample d g)
+  done
 
 let test_dist_zipf_mass () =
   let n = 20 and s = 1.25 in
@@ -248,20 +226,13 @@ let test_dist_weighted () =
 
 let test_dist_scaled () =
   let g = Prng.of_int 1 in
-  let d = Dist.scaled (Dist.constant 10) 2.5 in
+  let d = Dist.scaled (Dist.uniform_int 10 10) 2.5 in
   check_int "scaled" 25 (Dist.sample d g)
-
-let test_dist_clamped () =
-  let g = Prng.of_int 1 in
-  let d = Dist.clamped (Dist.constant 100) ~min:0 ~max:12 in
-  check_int "clamped above" 12 (Dist.sample d g);
-  let d = Dist.clamped (Dist.constant 1) ~min:5 ~max:12 in
-  check_int "clamped below" 5 (Dist.sample d g)
 
 let test_dist_mean_estimate () =
   let g = Prng.of_int 1 in
   check_close 1e-9 "mean of constant" 6.0
-    (Dist.mean_estimate (Dist.constant 6) g 100)
+    (Dist.mean_estimate (Dist.uniform_int 6 6) g 100)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
@@ -271,16 +242,6 @@ let test_stats_mean () =
   check_float "mean" 2.5 (Stats.mean [| 1.0; 2.0; 3.0; 4.0 |]);
   check_float "mean empty" 0.0 (Stats.mean [||])
 
-let test_stats_geometric_mean () =
-  check_close 1e-9 "geomean" 2.0 (Stats.geometric_mean [| 1.0; 2.0; 4.0 |]);
-  check_float "geomean empty" 0.0 (Stats.geometric_mean [||]);
-  check_raises_invalid "non-positive" (fun () ->
-      Stats.geometric_mean [| 1.0; 0.0 |])
-
-let test_stats_stddev () =
-  check_close 1e-9 "stddev" 2.0 (Stats.stddev [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |]);
-  check_float "stddev single" 0.0 (Stats.stddev [| 5.0 |])
-
 let test_stats_median () =
   check_float "odd" 3.0 (Stats.median [| 5.0; 1.0; 3.0 |]);
   check_float "even" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |]);
@@ -289,72 +250,28 @@ let test_stats_median () =
   ignore (Stats.median a);
   check_float "argument unchanged" 9.0 a.(0)
 
-let test_stats_percentile () =
-  let a = [| 10.0; 20.0; 30.0; 40.0 |] in
-  check_float "p0 = min" 10.0 (Stats.percentile a 0.0);
-  check_float "p100 = max" 40.0 (Stats.percentile a 100.0);
-  check_raises_invalid "empty" (fun () -> Stats.percentile [||] 50.0);
-  check_raises_invalid "out of range" (fun () -> Stats.percentile a 101.0)
-
 let test_stats_min_max_sum () =
   check_float "min" (-2.0) (Stats.minimum [| 3.0; -2.0; 7.0 |]);
   check_float "max" 7.0 (Stats.maximum [| 3.0; -2.0; 7.0 |]);
   check_float "sum" 8.0 (Stats.sum [| 3.0; -2.0; 7.0 |]);
-  check_int "sum_int" 6 (Stats.sum_int [| 1; 2; 3 |]);
   check_raises_invalid "min empty" (fun () -> Stats.minimum [||])
-
-let test_stats_normalize () =
-  let n = Stats.normalize [| 1.0; 3.0 |] in
-  check_float "first" 0.25 n.(0);
-  check_float "second" 0.75 n.(1);
-  let z = Stats.normalize [| 0.0; 0.0 |] in
-  check_float "zero stays zero" 0.0 z.(0)
 
 let test_stats_ratio_pct () =
   check_float "ratio" 0.5 (Stats.ratio 1 2);
   check_float "ratio zero den" 0.0 (Stats.ratio 5 0);
   check_float "pct" 50.0 (Stats.pct 1 2)
 
-let prop_percentile_bounds =
-  QCheck.Test.make ~name:"percentile between min and max" ~count:200
-    QCheck.(pair (array_of_size Gen.(1 -- 40) (float_range (-100.) 100.)) (float_range 0. 100.))
-    (fun (a, p) ->
-      let v = Stats.percentile a p in
-      v >= Stats.minimum a && v <= Stats.maximum a)
-
-let prop_normalize_sums_to_one =
-  QCheck.Test.make ~name:"normalize sums to 1" ~count:200
-    QCheck.(array_of_size Gen.(1 -- 40) (float_range 0.001 50.))
-    (fun a -> abs_float (Stats.sum (Stats.normalize a) -. 1.0) < 1e-9)
-
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_hist_linear () =
-  let h = Histogram.linear ~lo:0 ~hi:100 ~bucket:10 in
-  check_int "bucket count" 10 (Histogram.bucket_count h);
-  Histogram.add h 0;
-  Histogram.add h 9;
-  Histogram.add h 10;
-  Histogram.add h 99;
-  check_int "bucket 0" 2 (Histogram.count h 0);
-  check_int "bucket 1" 1 (Histogram.count h 1);
-  check_int "bucket 9" 1 (Histogram.count h 9);
-  check_int "total" 4 (Histogram.total h)
+(* Bucket counts in bucket order. *)
+let counts h = List.map snd (Histogram.to_list h)
 
-let test_hist_linear_clamp () =
-  let h = Histogram.linear ~lo:0 ~hi:100 ~bucket:10 in
-  Histogram.add h (-5);
-  Histogram.add h 1000;
-  check_int "below clamps to first" 1 (Histogram.count h 0);
-  check_int "above clamps to last" 1 (Histogram.count h 9)
-
-let test_hist_linear_invalid () =
-  check_raises_invalid "empty range" (fun () ->
-      Histogram.linear ~lo:10 ~hi:10 ~bucket:1);
-  check_raises_invalid "bad bucket" (fun () ->
-      Histogram.linear ~lo:0 ~hi:10 ~bucket:0)
+let test_hist_invalid () =
+  check_raises_invalid "log2 without buckets" (fun () -> Histogram.log2 ~max_exp:0);
+  check_raises_invalid "no edges" (fun () -> Histogram.explicit [||]);
+  check_raises_invalid "edges not increasing" (fun () -> Histogram.explicit [| 5; 5 |])
 
 let test_hist_log2 () =
   let h = Histogram.log2 ~max_exp:5 in
@@ -366,10 +283,8 @@ let test_hist_log2 () =
   (* v+1 = 4 -> bucket 2 *)
   Histogram.add h 1000;
   (* overflow -> last *)
-  check_int "bucket 0 holds v=0" 1 (Histogram.count h 0);
-  check_int "bucket 1" 1 (Histogram.count h 1);
-  check_int "bucket 2" 1 (Histogram.count h 2);
-  check_int "overflow" 1 (Histogram.count h (Histogram.bucket_count h - 1))
+  Alcotest.(check (list int))
+    "v=0 in bucket 0, then 1, 3 and the overflow" [ 1; 1; 1; 0; 0; 1 ] (counts h)
 
 let test_hist_explicit () =
   let h = Histogram.explicit [| 10; 100 |] in
@@ -378,33 +293,32 @@ let test_hist_explicit () =
   Histogram.add h 10;
   Histogram.add h 99;
   Histogram.add h 100;
-  check_int "below first edge" 1 (Histogram.count h 0);
-  check_int "middle" 2 (Histogram.count h 1);
-  check_int "last" 1 (Histogram.count h 2)
+  Alcotest.(check (list int)) "below first edge, middle, last" [ 1; 2; 1 ] (counts h)
 
 let test_hist_add_many_fraction () =
-  let h = Histogram.linear ~lo:0 ~hi:10 ~bucket:5 in
+  let h = Histogram.explicit [| 5 |] in
   Histogram.add_many h 1 3;
   Histogram.add_many h 7 1;
-  check_float "fraction" 0.75 (Histogram.fraction h 0);
+  Alcotest.(check (list int)) "counts" [ 3; 1 ] (counts h);
   check_float "cumulative" 1.0 (Histogram.cumulative_fraction_below h 1);
   check_float "cumulative first" 0.75 (Histogram.cumulative_fraction_below h 0)
 
 let test_hist_merge () =
-  let a = Histogram.linear ~lo:0 ~hi:10 ~bucket:5 in
+  let a = Histogram.explicit [| 5 |] in
   let b = Histogram.copy_empty a in
   Histogram.add a 1;
   Histogram.add b 1;
   Histogram.add b 6;
   Histogram.merge a b;
-  check_int "merged bucket 0" 2 (Histogram.count a 0);
-  check_int "merged bucket 1" 1 (Histogram.count a 1);
+  Alcotest.(check (list int)) "merged counts" [ 2; 1 ] (counts a);
   check_int "src untouched" 2 (Histogram.total b);
-  let c = Histogram.linear ~lo:0 ~hi:20 ~bucket:5 in
-  check_raises_invalid "mismatched merge" (fun () -> Histogram.merge a c)
+  check_raises_invalid "mismatched edges" (fun () ->
+      Histogram.merge a (Histogram.explicit [| 10 |]));
+  check_raises_invalid "mismatched shape" (fun () ->
+      Histogram.merge a (Histogram.log2 ~max_exp:1))
 
 let test_hist_labels () =
-  let h = Histogram.linear ~lo:0 ~hi:10 ~bucket:5 in
+  let h = Histogram.explicit [| 5 |] in
   Histogram.add h 2;
   let l = Histogram.to_list h in
   check_int "list length" 2 (List.length l);
@@ -673,7 +587,6 @@ let () =
         [
           case "determinism" test_prng_determinism;
           case "seed sensitivity" test_prng_seed_sensitivity;
-          case "copy" test_prng_copy;
           case "split independence" test_prng_split_independent;
           case "int bounds" test_prng_int_bounds;
           case "int invalid" test_prng_int_invalid;
@@ -694,33 +607,23 @@ let () =
         [
           case "constant" test_dist_constant;
           case "uniform bounds" test_dist_uniform_bounds;
-          case "geometric" test_dist_geometric;
           case "zipf mass" test_dist_zipf_mass;
           case "zipf bounds" test_dist_zipf_bounds;
           case "zipf empirical" test_dist_zipf_empirical;
           case "weighted" test_dist_weighted;
           case "scaled" test_dist_scaled;
-          case "clamped" test_dist_clamped;
           case "mean_estimate" test_dist_mean_estimate;
         ] );
       ( "stats",
         [
           case "mean" test_stats_mean;
-          case "geometric mean" test_stats_geometric_mean;
-          case "stddev" test_stats_stddev;
           case "median" test_stats_median;
-          case "percentile" test_stats_percentile;
           case "min/max/sum" test_stats_min_max_sum;
-          case "normalize" test_stats_normalize;
           case "ratio/pct" test_stats_ratio_pct;
-          qcheck prop_percentile_bounds;
-          qcheck prop_normalize_sums_to_one;
         ] );
       ( "histogram",
         [
-          case "linear" test_hist_linear;
-          case "linear clamp" test_hist_linear_clamp;
-          case "linear invalid" test_hist_linear_invalid;
+          case "invalid shapes" test_hist_invalid;
           case "log2" test_hist_log2;
           case "explicit" test_hist_explicit;
           case "add_many / fraction" test_hist_add_many_fraction;
