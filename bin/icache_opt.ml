@@ -111,7 +111,9 @@ let check_out_dir dir =
 let make_context ~small ~words ~seed ~jobs =
   Option.iter Parallel.set_jobs jobs;
   let spec = if small then Spec.small else Spec.default in
-  Context.create ~spec ~words ~seed ()
+  let ctx = Context.create ~spec ~words ~seed () in
+  Manifest.set_run ctx ~jobs:(Parallel.default_jobs ());
+  ctx
 
 let write_manifest path =
   Out.with_file path (fun oc ->

@@ -11,7 +11,7 @@
    Run with:  dune exec examples/cache_geometry.exe *)
 
 let () =
-  let ctx = Context.create ~spec:Spec.small ~words:600_000 () in
+  let ctx = Context.create ~spec:Spec.small ~words:600_000 ~seed:11 () in
   let shell_index = 3 in
   let base = (Levels.build ctx Levels.Base).(shell_index) in
   let opt_s = (Levels.build ctx Levels.OptS).(shell_index) in

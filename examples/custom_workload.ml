@@ -40,7 +40,7 @@ let () =
   (* Layouts are built from the *standard* profiles - the new workload is
      deliberately absent, exactly as a shipped pre-linked kernel would
      be. *)
-  let ctx = Context.create ~spec:Spec.small ~words:300_000 () in
+  let ctx = Context.create ~spec:Spec.small ~words:300_000 ~seed:11 () in
   let os_profile = ctx.Context.avg_os_profile in
   let base = Program_layout.base ~model ~program in
   let ch = Program_layout.chang_hwu ~model ~program ~os_profile in

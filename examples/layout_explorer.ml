@@ -8,7 +8,7 @@
    Run with:  dune exec examples/layout_explorer.exe *)
 
 let () =
-  let ctx = Context.create ~spec:Spec.small ~words:400_000 () in
+  let ctx = Context.create ~spec:Spec.small ~words:400_000 ~seed:11 () in
   let model = ctx.Context.model in
   let g = Context.os_graph ctx in
   let profile = ctx.Context.avg_os_profile in

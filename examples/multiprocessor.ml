@@ -11,7 +11,7 @@
    Run with:  dune exec examples/multiprocessor.exe *)
 
 let () =
-  let ctx = Context.create ~spec:Spec.small ~words:400_000 () in
+  let ctx = Context.create ~spec:Spec.small ~words:400_000 ~seed:11 () in
   let workload, program = ctx.Context.pairs.(0) in
   Printf.printf "workload: %s on 4 CPUs, one 8KB I-cache each\n"
     workload.Workload.name;

@@ -23,9 +23,9 @@ type t = {
           but the victim way is drawn uniformly. *)
   counters : Counters.t;
   evictions : Evictions.t;
-  mutable attr : int array array;  (** per image: per block miss counts *)
-  mutable attr_self : int array array;
-  mutable attr_cross : int array array;
+  mutable attr : int array;  (** per OS block miss counts *)
+  mutable attr_self : int array;
+  mutable attr_cross : int array;
   mutable attribution : bool;
   mutable probes : int;  (** Stream entries read, over the cache's life. *)
 }
@@ -65,48 +65,40 @@ let victim main ~entries =
 
 let counters t = t.counters
 
-let enable_block_attribution t ~images ~blocks =
-  if images <> Array.length blocks then
-    invalid_arg "Sim.enable_block_attribution: images/blocks mismatch";
-  t.attr <- Array.map (fun n -> Array.make n 0) blocks;
-  t.attr_self <- Array.map (fun n -> Array.make n 0) blocks;
-  t.attr_cross <- Array.map (fun n -> Array.make n 0) blocks;
+let enable_block_attribution t ~blocks =
+  t.attr <- Array.make blocks 0;
+  t.attr_self <- Array.make blocks 0;
+  t.attr_cross <- Array.make blocks 0;
   t.attribution <- true
 
-let block_misses t ~image =
+let block_misses t =
   if not t.attribution then
     invalid_arg "Sim.block_misses: attribution not enabled";
-  t.attr.(image)
+  t.attr
 
-let block_misses_self t ~image =
+let block_misses_self t =
   if not t.attribution then
     invalid_arg "Sim.block_misses_self: attribution not enabled";
-  t.attr_self.(image)
+  t.attr_self
 
-let block_misses_cross t ~image =
+let block_misses_cross t =
   if not t.attribution then
     invalid_arg "Sim.block_misses_cross: attribution not enabled";
-  t.attr_cross.(image)
+  t.attr_cross
 
 type side = Chunk.side = All | Inside of int | Outside of int
 
 (* The cold path every kernel shares: count the miss on [line] by the
-   stream entry's [owner] as cold, self or cross, and charge it to the
-   fetching block when attributing. *)
+   stream entry's [owner] as cold, self or cross, and charge an OS miss
+   to the fetching block when attributing. *)
 let[@inline never] classify t owner line =
-  let kind = Evictions.classify t.evictions t.counters ~os:(owner land 7 = 0) line in
-  if t.attribution then begin
-    let image = owner land 7 and block = owner lsr 3 in
-    let a = t.attr.(image) in
-    a.(block) <- a.(block) + 1;
-    if kind = 1 then begin
-      let a = t.attr_self.(image) in
-      a.(block) <- a.(block) + 1
-    end
-    else if kind = 2 then begin
-      let a = t.attr_cross.(image) in
-      a.(block) <- a.(block) + 1
-    end
+  let os = owner land 7 = 0 in
+  let kind = Evictions.classify t.evictions t.counters ~os line in
+  if t.attribution && os then begin
+    let block = owner lsr 3 in
+    t.attr.(block) <- t.attr.(block) + 1;
+    if kind = 1 then t.attr_self.(block) <- t.attr_self.(block) + 1
+    else if kind = 2 then t.attr_cross.(block) <- t.attr_cross.(block) + 1
   end
 
 (* A main-array miss behind a victim buffer: a buffered [line] swaps
@@ -224,8 +216,6 @@ let probes t = t.probes
 
 let reset_counters t =
   Counters.reset t.counters;
-  if t.attribution then begin
-    Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.attr;
-    Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.attr_self;
-    Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.attr_cross
-  end
+  Array.fill t.attr 0 (Array.length t.attr) 0;
+  Array.fill t.attr_self 0 (Array.length t.attr_self) 0;
+  Array.fill t.attr_cross 0 (Array.length t.attr_cross) 0

@@ -1,6 +1,6 @@
 (** Set-associative instruction-cache simulator (LRU, FIFO or Random
     replacement) with the paper's miss classification and optional
-    per-block miss attribution (for the miss-address distributions of
+    per-OS-block miss attribution (for the miss-address distributions of
     Figures 1 and 14).
 
     A cache runs over one chunk's line stream ({!Chunk.stream}) at a
@@ -27,19 +27,19 @@ val victim : Config.t -> entries:int -> t
 
 val counters : t -> Counters.t
 
-val enable_block_attribution : t -> images:int -> blocks:int array -> unit
-(** Allocate per-(image, block) miss counters; [blocks.(i)] is image [i]'s
-    block count. *)
+val enable_block_attribution : t -> blocks:int -> unit
+(** Allocate per-block miss counters for the OS image's [blocks] blocks.
+    Application misses are counted but not attributed. *)
 
-val block_misses : t -> image:int -> int array
-(** Per-block miss counts.
+val block_misses : t -> int array
+(** Per-OS-block miss counts.
     @raise Invalid_argument if attribution was not enabled. *)
 
-val block_misses_self : t -> image:int -> int array
-(** Per-block self-interference miss counts. *)
+val block_misses_self : t -> int array
+(** Per-OS-block self-interference miss counts. *)
 
-val block_misses_cross : t -> image:int -> int array
-(** Per-block cross-interference miss counts. *)
+val block_misses_cross : t -> int array
+(** Per-OS-block cross-interference miss counts. *)
 
 type side = Chunk.side =
   | All  (** Every event. *)

@@ -39,18 +39,18 @@ let counters t =
 
 let reset_counters t = Array.iter (fun (s, _) -> Sim.reset_counters s) t
 
-let enable_block_attribution t ~images ~blocks =
-  Array.iter (fun (s, _) -> Sim.enable_block_attribution s ~images ~blocks) t
+let enable_block_attribution t ~blocks =
+  Array.iter (fun (s, _) -> Sim.enable_block_attribution s ~blocks) t
 
-let merged_misses t ~image get =
-  let acc = Array.copy (get (fst t.(0)) ~image) in
+let merged_misses t get =
+  let acc = Array.copy (get (fst t.(0))) in
   for k = 1 to Array.length t - 1 do
-    Array.iteri (fun i m -> acc.(i) <- acc.(i) + m) (get (fst t.(k)) ~image)
+    Array.iteri (fun i m -> acc.(i) <- acc.(i) + m) (get (fst t.(k)))
   done;
   acc
 
-let block_misses t ~image = merged_misses t ~image Sim.block_misses
+let block_misses t = merged_misses t Sim.block_misses
 
-let block_misses_self t ~image = merged_misses t ~image Sim.block_misses_self
+let block_misses_self t = merged_misses t Sim.block_misses_self
 
-let block_misses_cross t ~image = merged_misses t ~image Sim.block_misses_cross
+let block_misses_cross t = merged_misses t Sim.block_misses_cross

@@ -54,11 +54,11 @@ val counters : t -> Counters.t
 val reset_counters : t -> unit
 (** Zero all counters while keeping cache contents (warm-up support). *)
 
-val enable_block_attribution : t -> images:int -> blocks:int array -> unit
+val enable_block_attribution : t -> blocks:int -> unit
 (** {!Sim.enable_block_attribution} on every sub-cache. *)
 
-val block_misses : t -> image:int -> int array
-(** Aggregated per-block misses across sub-caches. *)
+val block_misses : t -> int array
+(** Aggregated per-OS-block misses across sub-caches. *)
 
-val block_misses_self : t -> image:int -> int array
-val block_misses_cross : t -> image:int -> int array
+val block_misses_self : t -> int array
+val block_misses_cross : t -> int array

@@ -4,21 +4,15 @@
 
 let escape s = String.concat "\\\"" (String.split_on_char '"' s)
 
-let routine_to_string g ?weights ?(loops = []) (r : Routine.t) =
+let routine_to_string g ~weights ~loops (r : Routine.t) =
   let back_edges = Hashtbl.create 8 in
   List.iter
     (fun (l : Loops.t) ->
       if l.Loops.routine = r.Routine.id then
         Array.iter (fun a -> Hashtbl.replace back_edges a ()) l.Loops.back_edges)
     loops;
-  let weight b =
-    match weights with
-    | Some w when w.(b) > 0.0 -> Printf.sprintf "\\n%.0fx" w.(b)
-    | Some _ | None -> ""
-  in
-  let executed b =
-    match weights with Some w -> w.(b) > 0.0 | None -> false
-  in
+  let executed b = weights.(b) > 0.0 in
+  let weight b = if executed b then Printf.sprintf "\\n%.0fx" weights.(b) else "" in
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "digraph \"%s\" {\n" (escape r.Routine.name);

@@ -4,7 +4,11 @@ type stats = {
   extracted_blocks : int;
 }
 
-let layout ~model ~profile:p ?(params = Opt.params ()) ?(max_matrix_routines = 50) () =
+(* The paper's "50 most popular routines" of the conflict matrix. *)
+let max_matrix_routines = 50
+
+let layout ~model ~profile:p =
+  let params = Opt.params () in
   let g = model.Model.graph in
   let loops = Program_layout.os_loops model in
   let infos = Loopstat.analyze g p loops in
@@ -12,7 +16,7 @@ let layout ~model ~profile:p ?(params = Opt.params ()) ?(max_matrix_routines = 5
     List.filter
       (fun (i : Loopstat.info) ->
         Loops.has_calls i.Loopstat.loop
-        && i.Loopstat.iterations_per_invocation >= params.Opt.min_loop_iterations)
+        && i.Loopstat.iterations_per_invocation >= Opt.min_loop_iterations)
       infos
   in
   (* Claim blocks: loop bodies first (first claimer wins for nested or

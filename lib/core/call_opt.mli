@@ -4,7 +4,7 @@
     destroys more spatial locality than it saves.
 
     Algorithm: loops with procedure calls and at least
-    [min_loop_iterations] iterations per invocation are each assigned a
+    {!Opt.min_loop_iterations} iterations per invocation are each assigned a
     logical cache past the sequence/loop area, with the loop body at offset
     SelfConfFree from the chunk start.  A {e conflict matrix} (loops x the
     50 most popular routines they call, directly or transitively) drives
@@ -19,8 +19,7 @@ type stats = {
   extracted_blocks : int;
 }
 
-val layout :
-  model:Model.t -> profile:Profile.t -> ?params:Opt.params ->
-  ?max_matrix_routines:int -> unit -> Opt.result * stats
-(** OptS assembly with the loop-callee extension applied on top.  The
-    returned map is validated (every block placed exactly once). *)
+val layout : model:Model.t -> profile:Profile.t -> Opt.result * stats
+(** OptS assembly ({!Opt.params} defaults) with the loop-callee extension
+    applied on top.  The returned map is validated (every block placed
+    exactly once). *)

@@ -4,10 +4,17 @@ type stats = {
   added_bytes : int;
 }
 
+(* The largest callee, in static bytes, that gets inlined. *)
+let max_callee_bytes = 256
+
+(* The fewest executions of a call block per OS invocation for its site
+   to be inlined. *)
+let min_site_rate = 0.05
+
 (* A call site qualifies when the callee is a small leaf (no calls of its
    own, static size within budget), is not a seed routine, and the site
    executes frequently enough to matter. *)
-let inlinable ~graph:g ~profile:p ~max_callee_bytes ~min_site_rate ~seeds b =
+let inlinable ~graph:g ~profile:p ~seeds b =
   match (Graph.block g b).Block.call with
   | None -> None
   | Some c ->
@@ -33,7 +40,7 @@ let inlinable ~graph:g ~profile:p ~max_callee_bytes ~min_site_rate ~seeds b =
         else None
       end
 
-let transform ~model ~profile:p ?(max_callee_bytes = 256) ?(min_site_rate = 0.05) () =
+let transform ~model ~profile:p =
   let g = model.Model.graph in
   let seeds =
     Array.to_list (Array.map (fun (s : Model.seed_info) -> s.Model.routine) model.Model.seeds)
@@ -42,10 +49,7 @@ let transform ~model ~profile:p ?(max_callee_bytes = 256) ?(min_site_rate = 0.05
   let callees = Hashtbl.create 16 in
   let sites = ref 0 in
   Graph.iter_blocks g (fun blk ->
-      match
-        inlinable ~graph:g ~profile:p ~max_callee_bytes ~min_site_rate ~seeds
-          blk.Block.id
-      with
+      match inlinable ~graph:g ~profile:p ~seeds blk.Block.id with
       | Some c ->
           site_callee.(blk.Block.id) <- c;
           Hashtbl.replace callees c ();

@@ -17,11 +17,8 @@ type stats = {
   added_bytes : int;  (** Static code growth. *)
 }
 
-val transform :
-  model:Model.t -> profile:Profile.t -> ?max_callee_bytes:int ->
-  ?min_site_rate:float -> unit -> Model.t * stats
-(** [min_site_rate] is the minimum executions of the call block per OS
-    invocation for the site to qualify (default 0.05); [max_callee_bytes]
-    bounds the callee's static size (default 256).  The returned model
-    walks identically to the original except that inlined callees occupy
-    per-site addresses. *)
+val transform : model:Model.t -> profile:Profile.t -> Model.t * stats
+(** A site qualifies when its call block executes at least 0.05 times
+    per OS invocation and its callee is at most 256 bytes.  The returned
+    model walks identically to the original except that inlined callees
+    occupy per-site addresses. *)

@@ -2,7 +2,6 @@ type params = {
   cache_size : int;
   scf_cutoff : float option;
   extract_loops : bool;
-  min_loop_iterations : float;
   start_offset : int;
   scf_holes : bool;
 }
@@ -13,10 +12,11 @@ let params ?(cache_size = 8192) ?(scf_cutoff = Some 0.5) ?(extract_loops = false
     cache_size;
     scf_cutoff;
     extract_loops;
-    min_loop_iterations = 6.0;
     start_offset = 0;
     scf_holes;
   }
+
+let min_loop_iterations = 6.0
 
 type result = {
   map : Address_map.t;
@@ -104,7 +104,7 @@ let assemble_once ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclud
     let infos = loop_infos () in
     List.iter
       (fun (i : Loopstat.info) ->
-        if i.Loopstat.iterations_per_invocation >= params.min_loop_iterations then
+        if i.Loopstat.iterations_per_invocation >= min_loop_iterations then
           Array.iter
             (fun b -> if Bytes.get mark b <> 's' && not (exclude b) then Bytes.set mark b 'l')
             i.Loopstat.loop.Loops.body)

@@ -39,7 +39,6 @@ type params = {
       (** Loop-adjusted execution-fraction cut-off for the SelfConfFree
           area; [None] disables the area. *)
   extract_loops : bool;  (** OptL. *)
-  min_loop_iterations : float;  (** Loops below this stay in sequences. *)
   start_offset : int;  (** First byte used for sequences (app side). *)
   scf_holes : bool;
       (** Reserve the SelfConfFree offsets of every logical cache (the
@@ -53,7 +52,11 @@ val params :
   ?scf_holes:bool -> unit -> params
 (** Paper defaults: 8 KB logical caches, a cut-off giving the paper's
     ~1 KB SelfConfFree area (0.5 loop-adjusted executions per
-    invocation), no loop extraction, 6-iteration minimum, offset 0. *)
+    invocation), no loop extraction, offset 0. *)
+
+val min_loop_iterations : float
+(** 6: loops with fewer iterations per invocation stay in the sequences
+    (OptL) and get no logical cache of their own (Call). *)
 
 type result = {
   map : Address_map.t;

@@ -192,22 +192,22 @@ let branchy ~name ~seed ~utils:n_utils ~workers:n_workers ~worker_hot ~outer_ite
   ignore (Routine_gen.emit sink main_shape);
   finish ~name ~prng:g bld sink main
 
-let trfd ?(seed = 1001) () =
-  scientific ~name:"trfd" ~seed ~phases:4 ~kernels:8
+let trfd () =
+  scientific ~name:"trfd" ~seed:1001 ~phases:4 ~kernels:8
     ~kernel_iters:(Dist.weighted [| (20, 0.4); (40, 0.3); (80, 0.3) |])
     ~phase_iters:(Dist.weighted [| (8, 0.5); (16, 0.3); (32, 0.2) |])
     ()
 
-let arc2d ?(seed = 1002) () =
-  scientific ~name:"arc2d" ~seed ~phases:6 ~kernels:14
+let arc2d () =
+  scientific ~name:"arc2d" ~seed:1002 ~phases:6 ~kernels:14
     ~kernel_iters:(Dist.weighted [| (60, 0.3); (120, 0.4); (250, 0.3) |])
     ~phase_iters:(Dist.weighted [| (16, 0.4); (40, 0.4); (100, 0.2) |])
     ()
 
-let cc1 ?(seed = 1003) () =
-  branchy ~name:"cc1" ~seed ~utils:60 ~workers:80 ~worker_hot:10 ~outer_iters:400
+let cc1 () =
+  branchy ~name:"cc1" ~seed:1003 ~utils:60 ~workers:80 ~worker_hot:10 ~outer_iters:400
     ~worker_loop_frac:0.3 ()
 
-let fsck ?(seed = 1004) () =
-  branchy ~name:"fsck" ~seed ~utils:22 ~workers:24 ~worker_hot:6 ~outer_iters:1000
+let fsck () =
+  branchy ~name:"fsck" ~seed:1004 ~utils:22 ~workers:24 ~worker_hot:6 ~outer_iters:1000
     ~worker_loop_frac:0.25 ()

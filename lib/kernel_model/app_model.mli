@@ -19,7 +19,7 @@ type t = {
   base_order : Routine.id array;
 }
 
-val trfd : ?seed:int -> unit -> t
-val arc2d : ?seed:int -> unit -> t
-val cc1 : ?seed:int -> unit -> t
-val fsck : ?seed:int -> unit -> t
+val trfd : unit -> t
+val arc2d : unit -> t
+val cc1 : unit -> t
+val fsck : unit -> t

@@ -102,16 +102,10 @@ let static_executed_share_without_calls g p loops =
       end);
   Stats.ratio !in_loops !total
 
-let static_share_without_calls ?profile g loops =
+let static_share_without_calls ~profile:p g loops =
   let marks = plain_loop_marks g loops in
-  let counted b =
-    marks.(b.Block.id)
-    &&
-    match profile with
-    | None -> true
-    | Some p -> Profile.executed p b.Block.id
-  in
   let in_loops = ref 0 in
   Graph.iter_blocks g (fun b ->
-      if counted b then in_loops := !in_loops + b.Block.size);
+      if marks.(b.Block.id) && Profile.executed p b.Block.id then
+        in_loops := !in_loops + b.Block.size);
   Stats.ratio !in_loops (Graph.code_bytes g)

@@ -26,11 +26,11 @@ val dynamic_share_without_calls : Graph.t -> Profile.t -> Loops.t list -> float
 val static_executed_share_without_calls : Graph.t -> Profile.t -> Loops.t list -> float
 (** Table 3, column 3. *)
 
-val static_share_without_calls : ?profile:Profile.t -> Graph.t -> Loops.t list -> float
-(** Table 3, column 4: call-free loop code as a fraction of the whole
-    kernel.  With [profile], only loop blocks the profile executed are
-    counted (the paper's columns 3 and 4 are mutually consistent only
-    under that reading). *)
+val static_share_without_calls : profile:Profile.t -> Graph.t -> Loops.t list -> float
+(** Table 3, column 4: executed call-free loop code as a fraction of the
+    whole kernel.  Only loop blocks [profile] executed are counted (the
+    paper's columns 3 and 4 are mutually consistent only under that
+    reading). *)
 
 val reachable_routines : Graph.t -> Profile.t -> Routine.id -> (Routine.id, unit) Hashtbl.t
 (** Routines transitively callable from the given routine through executed

@@ -85,21 +85,13 @@ let build ~spec ~model ~words ~seed ~key ?jobs () =
     key;
   }
 
-let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
+let create ~spec ~words ~seed ?jobs () =
   if words < 1 then invalid_arg "Context.create: words < 1";
-  let spec_digest = Memo.digest (spec : Spec.t) in
   let model =
-    Memo.find_or_build models spec_digest (fun () ->
+    Memo.find_or_build models (Memo.digest (spec : Spec.t)) (fun () ->
         Trace_log.stage "kernel_model.generate" (fun () -> Generator.generate spec))
   in
-  let key = Memo.digest (spec, words, seed) in
-  let t = build ~spec ~model ~words ~seed ~key ?jobs () in
-  Manifest.set_run ~spec_seed:spec.Spec.seed
-    ~spec_digest
-    ~words ~seed
-    ~jobs:(match jobs with Some j -> j | None -> Parallel.default_jobs ())
-    ~context_key:key;
-  t
+  build ~spec ~model ~words ~seed ~key:(Memo.digest (spec, words, seed)) ?jobs ()
 
 (* A derived model is not a function of the spec, so the key names the
    model's content: the workloads are built from its handler counts and

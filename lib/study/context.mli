@@ -25,13 +25,14 @@ type t = {
           the key content-addresses this context in {!Sim_cache} keys. *)
 }
 
-val create : ?spec:Spec.t -> ?words:int -> ?seed:int -> ?jobs:int -> unit -> t
-(** Defaults: the calibrated kernel, 2 M instruction words per workload,
-    engine seed 11.  The per-workload trace captures run on up to [jobs]
-    domains (default {!Parallel.default_jobs}); the result is bit-identical
-    for every job count.  The kernel is generated once per spec and
-    process (a {!Memo} named [kernel_model], keyed on the spec's digest),
-    so contexts of one spec share their [model] physically.
+val create : spec:Spec.t -> words:int -> seed:int -> ?jobs:int -> unit -> t
+(** The kernel of [spec], traced for [words] instruction words per
+    workload under engine seed [seed].  The per-workload trace captures
+    run on up to [jobs] domains (default {!Parallel.default_jobs}); the
+    result is bit-identical for every job count.  The kernel is
+    generated once per spec and process (a {!Memo} named
+    [kernel_model], keyed on the spec's digest), so contexts of one spec
+    share their [model] physically.
     @raise Invalid_argument if [words < 1]. *)
 
 val derive : t -> model:Model.t -> seed:int -> t
@@ -40,8 +41,7 @@ val derive : t -> model:Model.t -> seed:int -> t
     [seed + i], profiles averaged as by {!create}.  Its key digests
     everything the traces depend on (the model's graph, arc
     probabilities, seeds, dispatches and handlers, [words] and [seed]),
-    so its layouts and replays are memoized like any context's.  The
-    run manifest keeps the parent's identity. *)
+    so its layouts and replays are memoized like any context's. *)
 
 val workload_count : t -> int
 val key : t -> string

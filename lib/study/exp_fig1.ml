@@ -4,12 +4,7 @@ let report (ctx : Context.t) =
   let layouts = Levels.build ctx Levels.Base in
   let config = Config.make ~size_kb:16 () in
   let sys = System.create (System.Unified config) in
-  let program = snd ctx.Context.pairs.(wl) in
-  let blocks =
-    Array.init (Program.image_count program) (fun k ->
-        Graph.block_count (Program.graph program k))
-  in
-  System.enable_block_attribution sys ~images:(Program.image_count program) ~blocks;
+  System.enable_block_attribution sys ~blocks:(Graph.block_count (Context.os_graph ctx));
   Runner.replay ~trace:ctx.Context.traces.(wl) ~map:(Program_layout.code_map layouts.(wl))
     [| sys |];
   let c = System.counters sys in
@@ -17,9 +12,9 @@ let report (ctx : Context.t) =
   let positions = Address_map.addr_array base_map in
   let sizes = Address_map.bytes_array base_map in
   let bins misses = Missmap.by_address ~positions ~sizes ~misses ~bin:1024 in
-  let total_bins = bins (System.block_misses sys ~image:0) in
-  let self_bins = bins (System.block_misses_self sys ~image:0) in
-  let cross_bins = bins (System.block_misses_cross sys ~image:0) in
+  let total_bins = bins (System.block_misses sys) in
+  let self_bins = bins (System.block_misses_self sys) in
+  let cross_bins = bins (System.block_misses_cross sys) in
   let self_pct = Stats.pct c.Counters.os_self (Counters.os_misses c) in
   let top2_peak_pct = 100.0 *. Missmap.peak_fraction total_bins ~n:2 in
   let peaks =

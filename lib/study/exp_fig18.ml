@@ -3,7 +3,7 @@ let report (ctx : Context.t) =
   let os_profile = ctx.Context.avg_os_profile in
   let opt_a_layouts = Levels.build ctx Levels.OptA in
   (* Call: Section 4.4 loop-callee placement on the OS side. *)
-  let call_os, _stats = Call_opt.layout ~model ~profile:os_profile () in
+  let call_os, _stats = Call_opt.layout ~model ~profile:os_profile in
   let call_layouts =
     Array.map (fun l -> Program_layout.with_os_map l call_os.Opt.map) opt_a_layouts
   in

@@ -11,7 +11,7 @@ let report (ctx : Context.t) =
   let model = ctx.Context.model in
   let inlined, stats =
     Trace_log.with_span "inline.transform" @@ fun () ->
-    Inline.transform ~model ~profile:ctx.Context.avg_os_profile ()
+    Inline.transform ~model ~profile:ctx.Context.avg_os_profile
   in
   let growth =
     Stats.pct stats.Inline.added_bytes (Graph.code_bytes model.Model.graph)

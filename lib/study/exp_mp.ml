@@ -30,10 +30,16 @@ let compute (ctx : Context.t) =
      concurrently and merge by index. *)
   Parallel.map_array
     (fun i ((w : Workload.t), program) ->
+      let words_per_cpu = ctx.Context.words / cpus in
       let r =
-        Multiproc.run ~program ~workload:w ~cpus
-          ~words_per_cpu:(ctx.Context.words / cpus)
-          ~seed:(97 + i)
+        Trace_log.with_span "multiproc.capture"
+          ~args:
+            [
+              ("workload", Json.String w.Workload.name);
+              ("words", Json.Int (words_per_cpu * cpus));
+            ]
+        @@ fun () ->
+        Multiproc.run ~program ~workload:w ~cpus ~words_per_cpu ~seed:(97 + i)
           ~xcall_prob:(xcall_prob_for w) ()
       in
       let rates layout =

@@ -9,10 +9,17 @@ type run = {
 
 let run_info : run option Atomic.t = Atomic.make None
 
-let set_run ~spec_seed ~spec_digest ~words ~seed ~jobs ~context_key =
-  ignore
-    (Atomic.compare_and_set run_info None
-       (Some { spec_seed; spec_digest; words; seed; jobs; context_key }))
+let set_run (ctx : Context.t) ~jobs =
+  Atomic.set run_info
+    (Some
+       {
+         spec_seed = ctx.spec.Spec.seed;
+         spec_digest = Memo.digest (ctx.spec : Spec.t);
+         words = ctx.words;
+         seed = ctx.seed;
+         jobs;
+         context_key = Context.key ctx;
+       })
 
 let batch_fields =
   [

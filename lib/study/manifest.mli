@@ -46,17 +46,11 @@
     its counter and [cache_hits + simulated <= members]; every GC field
     is non-negative. *)
 
-val set_run :
-  spec_seed:int ->
-  spec_digest:string ->
-  words:int ->
-  seed:int ->
-  jobs:int ->
-  context_key:string ->
-  unit
-(** Record the run's identity.  First writer wins: the first (usually
-    main) context built in the process defines the run; sub-contexts
-    built by individual experiments do not overwrite it. *)
+val set_run : Context.t -> jobs:int -> unit
+(** Record [ctx], run on [jobs] domains, as the run's identity, replacing
+    any recorded before.  The CLI records its context once, after
+    building it; the contexts that experiments build for themselves
+    record nothing. *)
 
 val batch_fields : string list
 (** The [batch] object's fields, in order; field [f] is the registry

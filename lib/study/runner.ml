@@ -39,11 +39,11 @@ let warmup_of trace ~warmup_fraction =
 
 (* The one replay pass behind every entry point: every system in
    [systems] rides a single decode of [trace] under [map], with counters
-   reset after the warm-up prefix.  With [attribute], each system also
-   counts misses per block of that program's images.  A traced pass
+   reset after the warm-up prefix.  With [os_blocks], each system also
+   counts misses per block of the OS's [os_blocks] blocks.  A traced pass
    also reports [probes], the stream entries its kernels read: what
    stripping left of the events for its members to probe. *)
-let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
+let pass ?workload ?os_blocks ~warmup_fraction ~trace ~map systems =
   let probes () = Array.fold_left (fun n sys -> n + System.probes sys) 0 systems in
   let probes0 = probes () in
   Trace_log.with_span "replay_pass"
@@ -58,11 +58,8 @@ let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
   @@ fun () ->
   let t0 = Trace_log.now () in
   Option.iter
-    (fun program ->
-      let images = Program.image_count program in
-      let blocks = Array.init images (fun k -> Graph.block_count (Program.graph program k)) in
-      Array.iter (fun sys -> System.enable_block_attribution sys ~images ~blocks) systems)
-    attribute;
+    (fun blocks -> Array.iter (fun sys -> System.enable_block_attribution sys ~blocks) systems)
+    os_blocks;
   Replay.run_range ~trace ~map ~systems ~warmup:(warmup_of trace ~warmup_fraction);
   let dt = Trace_log.now () -. t0 in
   if dt > 0.0 then
@@ -72,7 +69,7 @@ let pass ?workload ?attribute ~warmup_fraction ~trace ~map systems =
       {
         counters = System.counters sys;
         os_block_misses =
-          (if Option.is_some attribute then System.block_misses sys ~image:0 else [||]);
+          (if Option.is_some os_blocks then System.block_misses sys else [||]);
       })
     systems
 
@@ -81,6 +78,9 @@ let replay ~trace ~map systems =
   ignore (pass ~warmup_fraction:default_warmup_fraction ~trace ~map systems);
   let n = Array.length systems in
   count_call ~members:n ~simulated:n ~groups:1 ~passes:1 ~events:(Trace.length trace)
+
+let os_blocks ctx ~attribute_os =
+  if attribute_os then Some (Graph.block_count (Context.os_graph ctx)) else None
 
 let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
     ?(warmup_fraction = default_warmup_fraction) () =
@@ -91,9 +91,9 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
     ~args:[ ("workloads", Json.Int (Array.length ctx.Context.pairs)) ]
   @@ fun () ->
   Parallel.map_array
-    (fun i ((w : Workload.t), program) ->
+    (fun i ((w : Workload.t), _) ->
       (pass ~workload:w.Workload.name
-         ?attribute:(if attribute_os then Some program else None)
+         ?os_blocks:(os_blocks ctx ~attribute_os)
          ~warmup_fraction ~trace:ctx.Context.traces.(i)
          ~map:(Program_layout.code_map layouts.(i))
          [| system () |]).(0))
@@ -153,10 +153,10 @@ let batch ctx ~members ?(attribute_os = false)
       Parallel.map_array
         (fun t () ->
           let i = t / ngroups and group = groups.(t mod ngroups) in
-          let (w : Workload.t), program = ctx.Context.pairs.(i) in
+          let (w : Workload.t), _ = ctx.Context.pairs.(i) in
           let rep_layouts, _ = members.(reps.(group.(0))) in
           pass ~workload:w.Workload.name
-            ?attribute:(if attribute_os then Some program else None)
+            ?os_blocks:(os_blocks ctx ~attribute_os)
             ~warmup_fraction ~trace:ctx.Context.traces.(i)
             ~map:(Program_layout.code_map rep_layouts.(i))
             (Array.map (fun k -> System.create (snd members.(reps.(k)))) group))

@@ -179,4 +179,4 @@ let default_model = lazy (Generator.generate Spec.default)
 let small_context =
   lazy (Context.create ~spec:Spec.small ~words:150_000 ~seed:7 ())
 
-let full_context = lazy (Context.create ~words:400_000 ~seed:7 ())
+let full_context = lazy (Context.create ~spec:Spec.default ~words:400_000 ~seed:7 ())

@@ -63,7 +63,7 @@ let assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude (pa
     let infos = loop_infos () in
     List.iter
       (fun (i : Loopstat.info) ->
-        if i.Loopstat.iterations_per_invocation >= params.min_loop_iterations then
+        if i.Loopstat.iterations_per_invocation >= Opt.min_loop_iterations then
           Array.iter
             (fun b -> if not in_scf.(b) && not (exclude b) then in_loop_area.(b) <- true)
             i.Loopstat.loop.Loops.body)

@@ -140,7 +140,7 @@ let inlined_trace_digests =
     ("Shell", "cd65e845899bcbefb2d668aa374887ba");
   ]
 
-let inlined c = fst (Inline.transform ~model:c.Context.model ~profile:c.Context.avg_os_profile ())
+let inlined c = fst (Inline.transform ~model:c.Context.model ~profile:c.Context.avg_os_profile)
 
 let test_context_derive () =
   let c = ctx () in
@@ -168,6 +168,34 @@ let test_inline_memoized () =
   ignore (Exp_inline.report c);
   check_int "a second report replays nothing" before (simulated ())
 
+(* mp's per-CPU captures run in one span per workload, which names the
+   workload and the words captured across its CPUs. *)
+let test_mp_capture_spans () =
+  let c = ctx () in
+  Trace_log.reset ();
+  Trace_log.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Trace_log.set_enabled false)
+    (fun () -> ignore (Exp_mp.report c));
+  let spans =
+    List.filter_map
+      (fun (e : Trace_log.event) ->
+        if e.Trace_log.begin_ && e.Trace_log.name = "multiproc.capture" then
+          Some e.Trace_log.args
+        else None)
+      (Trace_log.events ())
+  in
+  Trace_log.reset ();
+  let workloads = Array.to_list (Context.workload_names c) in
+  check_int "one span per workload" (List.length workloads) (List.length spans);
+  List.iter
+    (fun args ->
+      (match List.assoc_opt "workload" args with
+      | Some (Json.String w) -> check_bool ("known workload " ^ w) true (List.mem w workloads)
+      | _ -> Alcotest.fail "a multiproc.capture span without a workload");
+      check_bool "words" true (List.assoc_opt "words" args = Some (Json.Int c.Context.words)))
+    spans
+
 let () =
   Alcotest.run "experiments"
     [
@@ -182,5 +210,6 @@ let () =
           case "figure 16" test_fig16;
           case "context derive" test_context_derive;
           case "inline replays memoized" test_inline_memoized;
+          case "mp captures traced" test_mp_capture_spans;
         ] );
     ]

@@ -86,7 +86,7 @@ let inlined_small () =
   let ctx = small_ctx () in
   let model = ctx.Context.model in
   let inlined, stats =
-    Inline.transform ~model ~profile:ctx.Context.avg_os_profile ()
+    Inline.transform ~model ~profile:ctx.Context.avg_os_profile
   in
   (ctx, model, inlined, stats)
 
@@ -153,20 +153,6 @@ let test_inline_model_traces () =
     (stats.Engine.total_words >= 30_000);
   check_bool "OS invocations happen" true
     (Array.fold_left ( + ) 0 stats.Engine.invocations > 0)
-
-let test_inline_thresholds () =
-  let ctx = small_ctx () in
-  let model = ctx.Context.model in
-  let _, none =
-    Inline.transform ~model ~profile:ctx.Context.avg_os_profile
-      ~min_site_rate:1e9 ()
-  in
-  check_int "impossible rate inlines nothing" 0 none.Inline.sites;
-  let _, tiny =
-    Inline.transform ~model ~profile:ctx.Context.avg_os_profile
-      ~max_callee_bytes:0 ()
-  in
-  check_int "zero byte budget inlines nothing" 0 tiny.Inline.sites
 
 (* ------------------------------------------------------------------ *)
 (* Multiproc                                                          *)
@@ -438,7 +424,6 @@ let () =
           case "model consistency" test_inline_no_remaining_hot_leaf_calls;
           case "arc probabilities" test_inline_arc_probabilities;
           case "traces" test_inline_model_traces;
-          case "thresholds" test_inline_thresholds;
         ] );
       ( "multiproc",
         [

@@ -62,7 +62,7 @@ let test_context_rejects_empty_budget () =
       Alcotest.check_raises
         (Printf.sprintf "%d words" words)
         (Invalid_argument "Context.create: words < 1")
-        (fun () -> ignore (Context.create ~spec:Spec.small ~words ())))
+        (fun () -> ignore (Context.create ~spec:Spec.small ~words ~seed:11 ())))
     [ 0; -5 ]
 
 (* ------------------------------------------------------------------ *)

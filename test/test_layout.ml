@@ -531,7 +531,7 @@ let test_chang_hwu_separates_cold () =
 let test_call_opt_valid () =
   let ctx = small_ctx () in
   let model = ctx.Context.model in
-  let r, stats = Call_opt.layout ~model ~profile:ctx.Context.avg_os_profile () in
+  let r, stats = Call_opt.layout ~model ~profile:ctx.Context.avg_os_profile in
   Address_map.validate r.Opt.map;
   check_bool "matrix routines bounded" true (stats.Call_opt.matrix_routines <= 50);
   if stats.Call_opt.extracted_blocks > 0 then begin
@@ -543,14 +543,32 @@ let test_call_opt_valid () =
     check_bool "loop-area blocks exist" true (!extracted > 0)
   end
 
-let test_call_opt_max_matrix () =
-  let ctx = small_ctx () in
-  let model = ctx.Context.model in
-  let _, stats =
-    Call_opt.layout ~model ~profile:ctx.Context.avg_os_profile
-      ~max_matrix_routines:3 ()
-  in
-  check_bool "matrix capped" true (stats.Call_opt.matrix_routines <= 3)
+(* No loop of the small kernel qualifies, so Call's own placement runs on
+   the calibrated one: the claimed blocks, and only they, form the loop
+   area, which opens one SelfConfFree area into the first logical cache
+   past everything else. *)
+let test_call_opt_calibrated () =
+  let ctx = Lazy.force full_context in
+  let r, stats = Call_opt.layout ~model:ctx.Context.model ~profile:ctx.Context.avg_os_profile in
+  check_bool "candidate loops" true (stats.Call_opt.candidate_loops > 0);
+  check_bool "matrix routines" true (stats.Call_opt.matrix_routines > 0);
+  check_bool "extracted blocks" true (stats.Call_opt.extracted_blocks > 0);
+  let map = r.Opt.map in
+  let claimed = ref 0 and lowest = ref max_int and others_end = ref 0 in
+  Graph.iter_blocks (Context.os_graph ctx) (fun blk ->
+      let a = Address_map.addr map blk.Block.id in
+      if Address_map.region map blk.Block.id = Address_map.Loop_area then begin
+        incr claimed;
+        lowest := min !lowest a
+      end
+      else others_end := max !others_end (a + blk.Block.size));
+  check_int "loop-area blocks == extracted blocks" stats.Call_opt.extracted_blocks !claimed;
+  let cache = (Opt.params ()).Opt.cache_size in
+  check_int "loop area starts scf_bytes into the next logical cache"
+    ((((!others_end + cache - 1) / cache) * cache) + r.Opt.scf_bytes)
+    !lowest;
+  check_bool "differs from OptS" true
+    (Address_map.digest map <> Address_map.digest (os_opt ctx).Opt.map)
 
 (* ------------------------------------------------------------------ *)
 (* Program_layout                                                     *)
@@ -774,7 +792,7 @@ let () =
       ( "call_opt",
         [
           case "valid" test_call_opt_valid;
-          case "matrix cap" test_call_opt_max_matrix;
+          case "calibrated kernel" test_call_opt_calibrated;
         ] );
       ( "program_layout",
         [

@@ -81,27 +81,22 @@ let pair g ~window kind =
       let main = config ~assoc:1 g and entries = 1 + Prng.int g 8 in
       (System.victim ~main ~entries, Ref_cache.victim ~main ~entries)
 
-(* Counters and per-block misses of every kind must match the reference
-   exactly. *)
+(* Counters and per-OS-block misses of every kind must match the
+   reference exactly. *)
 let agree ~blocks (sys, model) =
   System.counters sys = Ref_cache.counters model
-  && Array.for_all Fun.id
-       (Array.mapi
-          (fun image n ->
-            let total = System.block_misses sys ~image
-            and self = System.block_misses_self sys ~image
-            and cross = System.block_misses_cross sys ~image in
-            List.for_all
-              (fun block ->
-                Ref_cache.block_misses model ~image ~block
-                = (total.(block), self.(block), cross.(block)))
-              (List.init n Fun.id))
-          blocks)
+  &&
+  let total = System.block_misses sys
+  and self = System.block_misses_self sys
+  and cross = System.block_misses_cross sys in
+  List.for_all
+    (fun block ->
+      Ref_cache.block_misses model ~image:0 ~block = (total.(block), self.(block), cross.(block)))
+    (List.init blocks.(0) Fun.id)
 
 (* Replay [pairs] through both paths and compare every member. *)
 let replay_agrees ~map ~blocks ~trace ~warmup pairs =
-  let images = Array.length blocks in
-  List.iter (fun (sys, _) -> System.enable_block_attribution sys ~images ~blocks) pairs;
+  List.iter (fun (sys, _) -> System.enable_block_attribution sys ~blocks:blocks.(0)) pairs;
   Replay.run_range ~trace ~map ~systems:(Array.of_list (List.map fst pairs)) ~warmup;
   Ref_cache.replay ~trace ~map ~warmup (List.map snd pairs);
   List.for_all (agree ~blocks) pairs
@@ -215,8 +210,7 @@ let prop_stages_two_passes =
       replay_agrees ~map ~blocks ~trace:first ~warmup:(warmup first) kept
       &&
       let fresh = staged_pairs g ~window ~line in
-      let images = Array.length blocks in
-      List.iter (fun (sys, _) -> System.enable_block_attribution sys ~images ~blocks) fresh;
+      List.iter (fun (sys, _) -> System.enable_block_attribution sys ~blocks:blocks.(0)) fresh;
       let pairs = kept @ fresh and warmup = warmup second in
       Replay.run_range ~trace:second ~map ~systems:(Array.of_list (List.map fst pairs)) ~warmup;
       Ref_cache.replay ~trace:second ~map ~warmup (List.map snd pairs);

@@ -67,7 +67,7 @@ let prop_pipeline_layouts_valid =
            (Opt.os_layout ~model:m ~profile:p ~loops
               (Opt.params ~extract_loops:true ()))
              .Opt.map
-      && check (fst (Call_opt.layout ~model:m ~profile:p ())).Opt.map)
+      && check (fst (Call_opt.layout ~model:m ~profile:p)).Opt.map)
 
 let prop_sequences_cover_executed =
   QCheck.Test.make ~name:"random kernels: sequences cover all executed blocks"
@@ -96,7 +96,7 @@ let prop_inline_engine_runs =
       let pairs = Workload.standard_programs m in
       let w, program = pairs.(0) in
       let _, _, profiles = Profile.capture ~program ~workload:w ~words:30_000 ~seed:1 in
-      let inlined, _ = Inline.transform ~model:m ~profile:profiles.(0) () in
+      let inlined, _ = Inline.transform ~model:m ~profile:profiles.(0) in
       let pairs' = Workload.standard_programs inlined in
       let w', program' = pairs'.(0) in
       let _, stats = Engine.capture ~program:program' ~workload:w' ~words:20_000 ~seed:2 in

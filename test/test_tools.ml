@@ -157,7 +157,8 @@ let test_profile_file_rejects () =
 let test_dot_structure () =
   let lc = loop_call () in
   let r = Graph.routine lc.g lc.caller in
-  let s = Dot.routine_to_string lc.g ~loops:(Loops.find lc.g) r in
+  let weights = Array.make (Graph.block_count lc.g) 0.0 in
+  let s = Dot.routine_to_string lc.g ~weights ~loops:(Loops.find lc.g) r in
   let contains needle =
     let n = String.length needle and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
@@ -173,7 +174,7 @@ let test_dot_weights_shading () =
   let weights = Array.make (Graph.block_count lc.g) 0.0 in
   weights.(lc.c1) <- 42.0;
   let r = Graph.routine lc.g lc.caller in
-  let s = Dot.routine_to_string lc.g ~weights r in
+  let s = Dot.routine_to_string lc.g ~weights ~loops:[] r in
   let contains needle =
     let n = String.length needle and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in

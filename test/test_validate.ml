@@ -13,14 +13,15 @@ type run = {
 }
 
 (* One traced run of every experiment in a fresh context of this job
-   count (the seed differs per count, so neither run is served from the
-   other's memos). *)
+   count, recorded as the run as the CLI records it (the seed differs per
+   count, so neither run is served from the other's memos). *)
 let small_run jobs =
   lazy
     (Parallel.set_jobs jobs;
      Trace_log.reset ();
      Trace_log.set_enabled true;
      let ctx = Context.create ~spec:Spec.small ~words:60_000 ~seed:(20 + jobs) () in
+     Manifest.set_run ctx ~jobs;
      let reports = List.map (fun e -> Experiments.compute e ctx) Experiments.all in
      Trace_log.set_enabled false;
      let manifest = Manifest.to_json () in
