@@ -42,9 +42,16 @@ let () =
      be. *)
   let ctx = Context.create ~spec:Spec.small ~words:300_000 ~seed:11 () in
   let os_profile = ctx.Context.avg_os_profile in
-  let base = Program_layout.base ~model ~program in
-  let ch = Program_layout.chang_hwu ~model ~program ~os_profile in
-  let opt_s = Program_layout.opt_s ~model ~program ~os_profile () in
+  let app_maps = Program_layout.base_apps program in
+  let layout os_map = Program_layout.make ~os_map ~app_maps in
+  let base = layout (Program_layout.base_os model) in
+  let ch = layout (Program_layout.chang_hwu_os ~model ~os_profile) in
+  let opt_s =
+    layout
+      (Opt.os_layout ~model ~profile:os_profile ~loops:(Program_layout.os_loops model)
+         (Opt.params ()))
+        .Opt.map
+  in
 
   (* Trace the new workload and replay it against all three layouts. *)
   let trace, stats = Engine.capture ~program ~workload:oltp ~words:800_000 ~seed:9 in

@@ -33,10 +33,16 @@ let () =
     (Array.fold_left ( + ) 0 stats.Engine.invocations);
   let os_profile = profiles.(0) in
 
-  (* 4. Two layouts: the original link order (Base) and the paper's OptS
+  (* 4. Two layouts, each an OS placement plus the applications in link
+     order: the original link order (Base) and the paper's OptS
      (sequences grown from the four seeds + a SelfConfFree area). *)
-  let base = Program_layout.base ~model ~program in
-  let opt_s = Program_layout.opt_s ~model ~program ~os_profile () in
+  let app_maps = Program_layout.base_apps program in
+  let base = Program_layout.make ~os_map:(Program_layout.base_os model) ~app_maps in
+  let opt_s_os =
+    Opt.os_layout ~model ~profile:os_profile ~loops:(Program_layout.os_loops model)
+      (Opt.params ())
+  in
+  let opt_s = Program_layout.make ~os_map:opt_s_os.Opt.map ~app_maps in
 
   (* 5. Replay the same trace against both layouts through an 8 KB
      direct-mapped cache with 32-byte lines, counting after the first 20%

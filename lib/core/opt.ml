@@ -6,15 +6,8 @@ type params = {
   scf_holes : bool;
 }
 
-let params ?(cache_size = 8192) ?(scf_cutoff = Some 0.5) ?(extract_loops = false)
-    ?(scf_holes = true) () =
-  {
-    cache_size;
-    scf_cutoff;
-    extract_loops;
-    start_offset = 0;
-    scf_holes;
-  }
+let params ?(cache_size = 8192) ?(scf_cutoff = Some 0.5) ?(scf_holes = true) () =
+  { cache_size; scf_cutoff; extract_loops = false; start_offset = 0; scf_holes }
 
 let min_loop_iterations = 6.0
 
@@ -258,7 +251,7 @@ let os_layout ?(schedule = Schedule.paper) ?(follow_calls = true) ~model ~profil
 let app_schedule =
   Schedule.uniform ~levels:[ (1e-3, 0.4); (1e-4, 0.1); (1e-7, 0.01); (0.0, 0.0) ]
 
-let app_layout ~app ~profile ?stagger:(k = 0) ?(addr_skew = 0) params =
+let app_layout ~app ~profile ~stagger:k ~addr_skew params =
   let g = app.App_model.graph in
   let loops = Layout_cache.loops g in
   let entry = Graph.entry_of g app.App_model.main in

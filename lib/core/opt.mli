@@ -47,9 +47,7 @@ type params = {
           reserved cache) but memory is packed densely. *)
 }
 
-val params :
-  ?cache_size:int -> ?scf_cutoff:float option -> ?extract_loops:bool ->
-  ?scf_holes:bool -> unit -> params
+val params : ?cache_size:int -> ?scf_cutoff:float option -> ?scf_holes:bool -> unit -> params
 (** Paper defaults: 8 KB logical caches, a cut-off giving the paper's
     ~1 KB SelfConfFree area (0.5 loop-adjusted executions per
     invocation), no loop extraction, offset 0. *)
@@ -87,8 +85,8 @@ val os_layout :
     (flat schedules, fewer seeds, no caller/callee interleaving). *)
 
 val app_layout :
-  app:App_model.t -> profile:Profile.t -> ?stagger:int -> ?addr_skew:int ->
-  params -> result
+  app:App_model.t -> profile:Profile.t -> stagger:int -> addr_skew:int -> params ->
+  result
 (** Application-side layout for OptA ([main] as seed, loop extraction on,
     sequences starting at [cache_size / 2], shifted by [stagger] quarter
     caches so co-scheduled images do not collide set-for-set).

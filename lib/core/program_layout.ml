@@ -27,15 +27,14 @@ let shifted_apps app_maps =
    here, once per layout: the OS image is the sealed map's own address
    array and every image's sizes are its graph's, so no layout copies
    the kernel's arrays.  Only the small application images get shifted
-   copies, which [with_os_map] passes on as [app_addr]. *)
-let make ?app_addr ~os_map ~app_maps () =
+   copies. *)
+let make ~os_map ~app_maps =
   let images = os_map :: Array.to_list app_maps in
   let digest = Memo.digest (List.map Address_map.digest images) in
-  let app_addr = match app_addr with Some a -> a | None -> shifted_apps app_maps in
   let sizes m = Graph.block_sizes (Address_map.graph m) in
   let code_map =
     {
-      Replay.addr = Array.append [| Address_map.sealed_addr os_map |] app_addr;
+      Replay.addr = Array.append [| Address_map.sealed_addr os_map |] (shifted_apps app_maps);
       bytes = Array.map sizes (Array.of_list images);
     }
   in
@@ -65,55 +64,23 @@ let base_apps program =
 
 let base_os model = base_map model.Model.graph ~order:model.Model.base_order
 
-let base ~model ~program =
-  make ~os_map:(base_os model) ~app_maps:(base_apps program) ()
-
-(* The C-H OS placement depends only on (graph, profile) and is shared by
-   every workload of a level build, so it rides the same content-addressed
-   cache layer as the staged Opt pipeline. *)
+(* The C-H OS placement depends only on (graph, profile), so it rides the
+   same content-addressed cache layer as the staged Opt pipeline. *)
 let ch_stage : Address_map.t Layout_cache.stage = Layout_cache.stage "chang_hwu"
 
-let chang_hwu ~model ~program ~os_profile =
+let chang_hwu_os ~model ~os_profile =
   let g = model.Model.graph in
   let key = Memo.digest (Graph.digest g, Profile.digest os_profile) in
-  make
-    ~os_map:
-      (Layout_cache.find_or_build ch_stage ~key (fun () -> Chang_hwu.layout g os_profile))
-    ~app_maps:(base_apps program) ()
+  Layout_cache.find_or_build ch_stage ~key (fun () -> Chang_hwu.layout g os_profile)
 
-let os_opt ~model ~os_profile ~extract_loops ~params =
-  Opt.os_layout ~model ~profile:os_profile ~loops:(os_loops model)
-    { params with Opt.extract_loops }
-
-let opt_with ~extract_loops ~model ~program ~os_profile ~params =
-  let r = os_opt ~model ~os_profile ~extract_loops ~params in
-  make ~os_map:r.Opt.map ~app_maps:(base_apps program) ()
-
-let opt_s ~model ~program ~os_profile ?(params = Opt.params ()) () =
-  opt_with ~extract_loops:false ~model ~program ~os_profile ~params
-
-let opt_l ~model ~program ~os_profile ?(params = Opt.params ()) () =
-  opt_with ~extract_loops:true ~model ~program ~os_profile ~params
-
-let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) () =
-  let os = os_opt ~model ~os_profile ~extract_loops:false ~params in
-  let app_maps =
-    Array.mapi
-      (fun k (app : App_model.t) ->
-        let r =
-          Opt.app_layout ~app ~profile:app_profiles.(k) ~stagger:k
-            ~addr_skew:(app_skew k mod params.Opt.cache_size)
-            params
-        in
-        r.Opt.map)
-      program.Program.apps
-  in
-  make ~os_map:os.Opt.map ~app_maps ()
-
-let with_os_map t os_map =
-  make ~os_map ~app_maps:t.app_maps
-    ~app_addr:(Array.sub t.code_map.Replay.addr 1 (Array.length t.app_maps))
-    ()
+let opt_apps ~program ~app_profiles ~params =
+  Array.mapi
+    (fun k (app : App_model.t) ->
+      (Opt.app_layout ~app ~profile:app_profiles.(k) ~stagger:k
+         ~addr_skew:(app_skew k mod params.Opt.cache_size)
+         params)
+        .Opt.map)
+    program.Program.apps
 
 let code_map t = t.code_map
 

@@ -2,13 +2,14 @@
     per application image, combinable into a {!Replay.code_map} for cache
     simulation.
 
-    The evaluation's layout levels (Section 5):
-    - [base]: original link order for OS and applications;
-    - [chang_hwu]: C-H layout for the OS, applications unchanged;
-    - [opt_s]: sequences + SelfConfFree area, no loop extraction;
-    - [opt_l]: [opt_s] plus loop extraction;
-    - [opt_a]: [opt_s] for the OS plus optimized application layouts
-      (sequences + loop extraction, placed from the opposite cache side). *)
+    A layout is an OS map plus application maps, and {!make} is its one
+    constructor.  The evaluation's layout levels (Section 5) differ only
+    in the maps they pass it:
+    - Base: {!base_os} and {!base_apps} (original link order);
+    - C-H: {!chang_hwu_os} with {!base_apps};
+    - OptS and OptL: an {!Opt.os_layout} map with {!base_apps};
+    - OptA: the OptS map with {!opt_apps} (sequences + loop extraction,
+      placed from the opposite cache side). *)
 
 type t = private {
   os_map : Address_map.t;
@@ -16,8 +17,8 @@ type t = private {
   digest : string;  (** See {!digest}. *)
   code_map : Replay.code_map;  (** See {!code_map}. *)
 }
-(** Only this module builds layouts, so every value's digest and code map
-    are the ones of the maps it holds. *)
+(** Only {!make} builds layouts, so every value's digest and code map are
+    the ones of the maps it holds. *)
 
 val app_region_base : int
 (** Byte address where application image 1 begins (a multiple of every
@@ -26,36 +27,27 @@ val app_region_base : int
 
 val app_region_stride : int
 
-val base : model:Model.t -> program:Program.t -> t
+val make : os_map:Address_map.t -> app_maps:Address_map.t array -> t
+(** [app_maps.(k)] places application image [k+1].
+    @raise Invalid_argument if a map was never validated. *)
 
-val chang_hwu : model:Model.t -> program:Program.t -> os_profile:Profile.t -> t
+val base_os : Model.t -> Address_map.t
+(** The kernel in link order. *)
 
-val os_opt :
-  model:Model.t -> os_profile:Profile.t -> extract_loops:bool -> params:Opt.params ->
-  Opt.result
-(** The OS placement of an Opt level ({!Opt.os_layout} over the kernel's
-    loops, with [extract_loops] set in [params]), with its sequences,
-    SelfConfFree set and loop blocks.  [opt_s], [opt_l] and [opt_a] place
-    the OS through it, and its stages are {!Layout_cache} memos, so asking
-    again for a built level's result re-runs no placement and returns the
-    very map the level's layouts hold. *)
+val base_apps : Program.t -> Address_map.t array
+(** Every application image in link order.  A Base map depends only on
+    the image, so each is built once and physically shared by every
+    workload and level that uses it. *)
 
-val opt_s :
-  model:Model.t -> program:Program.t -> os_profile:Profile.t ->
-  ?params:Opt.params -> unit -> t
+val chang_hwu_os : model:Model.t -> os_profile:Profile.t -> Address_map.t
+(** The kernel in Chang–Hwu order for [os_profile]. *)
 
-val opt_l :
-  model:Model.t -> program:Program.t -> os_profile:Profile.t ->
-  ?params:Opt.params -> unit -> t
-
-val opt_a :
-  model:Model.t -> program:Program.t -> os_profile:Profile.t ->
-  app_profiles:Profile.t array -> ?params:Opt.params -> unit -> t
-(** [app_profiles.(k)] profiles application image [k+1]. *)
-
-val with_os_map : t -> Address_map.t -> t
-(** Replace the OS placement (the experiments' OS-map variants).
-    @raise Invalid_argument if the map was never validated. *)
+val opt_apps :
+  program:Program.t -> app_profiles:Profile.t array -> params:Opt.params ->
+  Address_map.t array
+(** OptA's application images: {!Opt.app_layout} of image [k+1] from
+    [app_profiles.(k)], staggered by [k] and compensated for the image's
+    load-address skew. *)
 
 val code_map : t -> Replay.code_map
 (** Absolute addresses: OS at 0, application image [k] at

@@ -17,7 +17,6 @@ type result = {
 }
 
 let compute (ctx : Context.t) =
-  let layouts_from = Levels.opt_variant ctx in
   let n = Context.workload_count ctx in
   (* One layout per workload profile, then the averaged one, through the
      8 KB cache in one batch. *)
@@ -26,7 +25,9 @@ let compute (ctx : Context.t) =
   let misses =
     Runner.simulate_batch ctx
       ~members:
-        (Parallel.map_array (fun _ profile -> (layouts_from ~profile (), config)) profiles)
+        (Parallel.map_array
+           (fun _ profile -> (Levels.opt_variant ctx ~profile (), config))
+           profiles)
       ()
     |> Array.map (Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters))
   in

@@ -4,9 +4,14 @@ let report (ctx : Context.t) =
   let opt_a_layouts = Levels.build ctx Levels.OptA in
   (* Call: Section 4.4 loop-callee placement on the OS side. *)
   let call_os, _stats = Call_opt.layout ~model ~profile:os_profile in
-  let call_layouts =
-    Array.map (fun l -> Program_layout.with_os_map l call_os.Opt.map) opt_a_layouts
+  (* OptA's application maps under another OS placement. *)
+  let with_os (os : Opt.result) =
+    Array.map
+      (fun (l : Program_layout.t) ->
+        Program_layout.make ~os_map:os.Opt.map ~app_maps:l.Program_layout.app_maps)
+      opt_a_layouts
   in
+  let call_layouts = with_os call_os in
   (* Sep: both halves 4 KB; layouts optimized for 4 KB logical caches. *)
   let sep_layouts = Levels.build ctx ~params:(Opt.params ~cache_size:4096 ()) Levels.OptA in
   (* Resv: hottest OS code at the bottom of memory feeds a 1 KB cache; the
@@ -15,9 +20,7 @@ let report (ctx : Context.t) =
     Opt.os_layout ~model ~profile:os_profile ~loops:(Program_layout.os_loops model)
       (Opt.params ~cache_size:7168 ~scf_holes:false ())
   in
-  let resv_layouts =
-    Array.map (fun l -> Program_layout.with_os_map l resv_os.Opt.map) opt_a_layouts
-  in
+  let resv_layouts = with_os resv_os in
   let dm kb = Config.make ~size_kb:kb () in
   let setups =
     [|

@@ -28,7 +28,6 @@ let perturb ~seed ~spread (p : Profile.t) =
   Profile.of_counts ~block ~arc ~invocations:p.Profile.invocations
 
 let report (ctx : Context.t) =
-  let layouts_from = Levels.opt_variant ctx in
   (* The clean layout, then one per spread (each perturbed with its own
      PRNG, so they build concurrently), through the 8 KB cache in one
      batch. *)
@@ -41,7 +40,7 @@ let report (ctx : Context.t) =
           | None -> ctx.Context.avg_os_profile
           | Some spread -> perturb ~seed:31 ~spread ctx.Context.avg_os_profile
         in
-        (layouts_from ~profile (), config))
+        (Levels.opt_variant ctx ~profile (), config))
       (Array.append [| None |] (Array.map Option.some spreads))
   in
   let misses =

@@ -26,15 +26,16 @@ val build : Context.t -> ?params:Opt.params -> level -> Program_layout.t array
 
 val opt_result : Context.t -> ?params:Opt.params -> level -> Opt.result
 (** The OS placement's sequences, SelfConfFree set and loop blocks, as
-    {!build} makes them ({!Program_layout.os_opt}; every workload shares
-    them): the one source for reports on an Opt level's construction.
-    It assembles no layout, so after [build ctx level] it costs only
-    stage-memo hits.
+    {!build} makes them (every workload shares them): the one source for
+    reports on an Opt level's construction.  It assembles no layout, so
+    after [build ctx level] it costs only stage-memo hits.
     @raise Invalid_argument for [Base] and [CH]. *)
 
 val os_variant : Context.t -> Address_map.t -> Program_layout.t array
-(** The [Base] level's layouts with the OS placement replaced by [os_map]
-    ({!Program_layout.with_os_map}): an experiment's OS-only variant. *)
+(** One layout per workload: [os_map] with the program's Base application
+    maps ({!Program_layout.make}).  Every level but OptA is the
+    [os_variant] of its OS placement, and so is an experiment's OS-only
+    variant. *)
 
 val opt_variant :
   Context.t -> ?schedule:Schedule.pass list -> ?follow_calls:bool ->
@@ -42,13 +43,11 @@ val opt_variant :
 (** {!os_variant} of an OS placement that {!Opt.os_layout} builds from
     [profile] (default: the averaged OS profile) and [params] (default
     [Opt.params ()]): the OS-only OptS variants of the ablation,
-    cross-validation and noise studies.  [opt_variant ctx] looks the
-    kernel's loops up once, so the variants built through one partial
-    application share that lookup. *)
+    cross-validation and noise studies. *)
 
 val build_uncached :
   Context.t -> params:Opt.params -> level -> Program_layout.t array
-(** {!build} without the [levels_build] stage.  The workloads fan out
-    over the [--jobs] domains; the one that reaches the shared OS
-    placement first builds it and the others wait for it (the stage
-    memos are single-flight). *)
+(** {!build} without the [levels_build] stage.  The level's OS placement
+    is built once, on the calling domain; then the workloads' layouts
+    are assembled around it, fanned out over the [--jobs] domains (for
+    OptA, with each program's {!Program_layout.opt_apps}). *)

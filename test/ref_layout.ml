@@ -150,7 +150,7 @@ let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?(exclude = fun _ ->
 let app_schedule =
   Schedule.uniform ~levels:[ (1e-3, 0.4); (1e-4, 0.1); (1e-7, 0.01); (0.0, 0.0) ]
 
-let app_layout ~app ~profile ?stagger:(k = 0) ?(addr_skew = 0) (params : Opt.params) =
+let app_layout ~app ~profile ~stagger:k ~addr_skew (params : Opt.params) =
   let g = app.App_model.graph in
   let c = params.Opt.cache_size in
   let target = (c / 2) + (k * c / 4 mod (c / 2)) in

@@ -19,6 +19,11 @@
 # check fails, naming each offender, when a value has no caller and is
 # not allowlisted, when an allowlisted value has gained a caller, and
 # when an allowlisted name is no longer exported.
+#
+# ALLOWLIST also pins the number of optional arguments (`?name:`) that
+# ROOT/lib/*/*.mli declare outside comments, in an `optional-arguments N`
+# line.  The check fails, printing both numbers, when the count differs,
+# so adding an option, or removing one, comes with an edit of that line.
 set -euo pipefail
 
 root=${1:?usage: surface.sh ROOT ALLOWLIST}
@@ -53,7 +58,8 @@ for dir in lib bin benchmark examples; do
 done
 
 grep -rhoE "\b[A-Z][A-Za-z0-9_]*\.[a-z_][A-Za-z0-9_']*" "$tmp/src" | sort -u > "$tmp/qualified"
-awk '!/^[[:space:]]*(#|$)/ { print $1 }' "$allow" | sort -u > "$tmp/allowed"
+awk '!/^[[:space:]]*(#|$)/ && $1 != "optional-arguments" { print $1 }' "$allow" \
+  | sort -u > "$tmp/allowed"
 
 id="[A-Za-z0-9_']"
 fail=0
@@ -89,5 +95,12 @@ while IFS= read -r a; do
     fail=1
   fi
 done < "$tmp/allowed"
+
+pinned=$(awk '$1 == "optional-arguments" { print $2 }' "$allow")
+options=$(perl -0777 -pe 's/\(\*.*?\*\)//gs' "$root"/lib/*/*.mli | { grep -oE '\?[a-z_]+:' || true; } | wc -l | tr -d ' ')
+if [ "$options" != "$pinned" ]; then
+  echo "surface: lib/*/*.mli declare $options optional arguments; $(basename "$allow") pins ${pinned:-none}"
+  fail=1
+fi
 
 exit $fail

@@ -468,7 +468,7 @@ let test_opt_app_layout () =
   let ctx = small_ctx () in
   let app = (snd ctx.Context.pairs.(0)).Program.apps.(0) in
   let profile = ctx.Context.avg_app_profile app in
-  let r = Opt.app_layout ~app ~profile (Opt.params ()) in
+  let r = Opt.app_layout ~app ~profile ~stagger:0 ~addr_skew:0 (Opt.params ()) in
   Address_map.validate r.Opt.map;
   check_int "no scf area for applications" 0 r.Opt.scf_bytes;
   let entry = Graph.entry_of app.App_model.graph app.App_model.main in
@@ -479,8 +479,8 @@ let test_opt_app_stagger () =
   let ctx = small_ctx () in
   let app = (snd ctx.Context.pairs.(0)).Program.apps.(0) in
   let profile = ctx.Context.avg_app_profile app in
-  let a = Opt.app_layout ~app ~profile ~stagger:0 (Opt.params ()) in
-  let b = Opt.app_layout ~app ~profile ~stagger:1 (Opt.params ()) in
+  let a = Opt.app_layout ~app ~profile ~stagger:0 ~addr_skew:0 (Opt.params ()) in
+  let b = Opt.app_layout ~app ~profile ~stagger:1 ~addr_skew:0 (Opt.params ()) in
   let entry = Graph.entry_of app.App_model.graph app.App_model.main in
   check_bool "staggered images differ" true
     (Address_map.addr a.Opt.map entry <> Address_map.addr b.Opt.map entry)
@@ -641,8 +641,12 @@ let test_program_layout_code_map_shared () =
   let opt_a = per_level.(4) in
   let variants =
     [|
-      ("Base+OptS", Program_layout.with_os_map base.(0) opt_s.(0).Program_layout.os_map);
-      ("OptA+C-H", Program_layout.with_os_map opt_a.(0) ch.(0).Program_layout.os_map);
+      ( "Base+OptS",
+        Program_layout.make ~os_map:opt_s.(0).Program_layout.os_map
+          ~app_maps:base.(0).Program_layout.app_maps );
+      ( "OptA+C-H",
+        Program_layout.make ~os_map:ch.(0).Program_layout.os_map
+          ~app_maps:opt_a.(0).Program_layout.app_maps );
     |]
   in
   (* (name, layout, the workload whose trace it replays) *)
@@ -674,15 +678,6 @@ let test_program_layout_code_map_shared () =
       cm.Replay.bytes
   in
   Array.iter check_layout layouts;
-  Array.iteri
-    (fun v (src : Program_layout.t) ->
-      let cm = Program_layout.code_map (snd variants.(v)) in
-      Array.iteri
-        (fun k _ ->
-          check_bool "with_os_map reuses the application rows" true
-            (cm.Replay.addr.(k + 1) == (Program_layout.code_map src).Replay.addr.(k + 1)))
-        src.Program_layout.app_maps)
-    [| base.(0); opt_a.(0) |];
   Array.iter
     (fun (_, l, w) ->
       let trace = ctx.Context.traces.(w) and map = Program_layout.code_map l in
@@ -701,15 +696,18 @@ let test_program_layout_code_map_shared () =
     layouts
 
 (* The digest is computed when the layout is built, from its maps'
-   sealed digests, so a layout derived with [with_os_map] gets the digest
-   of what it now holds, never the one its source had. *)
+   sealed digests, so a layout made from another layout's application
+   maps gets the digest of what it holds, never the one its source had. *)
 let test_program_layout_digest_memo () =
   let ctx = small_ctx () in
   let model = ctx.Context.model and _, program = ctx.Context.pairs.(0) in
-  let base () = Program_layout.base ~model ~program in
-  let l = Program_layout.opt_s ~model ~program ~os_profile:ctx.Context.avg_os_profile () in
+  let app_maps = Program_layout.base_apps program in
+  let base () = Program_layout.make ~os_map:(Program_layout.base_os model) ~app_maps in
+  let l = Program_layout.make ~os_map:(os_opt ctx).Opt.map ~app_maps in
   let d = Program_layout.digest l in
-  let derive src map = Program_layout.with_os_map src map in
+  let derive (src : Program_layout.t) os_map =
+    Program_layout.make ~os_map ~app_maps:src.Program_layout.app_maps
+  in
   let same = derive l l.Program_layout.os_map in
   check_string "same OS map, same digest" d (Program_layout.digest same);
   let m = (base ()).Program_layout.os_map in

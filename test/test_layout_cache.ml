@@ -119,12 +119,42 @@ let test_cross_level_sharing () =
 let test_base_app_maps_shared () =
   let ctx = Lazy.force small_context in
   let base = build_uncached ctx ~params:(Opt.params ()) Levels.Base in
-  let ch = build_uncached ctx ~params:(Opt.params ()) Levels.CH in
   (* Workloads 0 (trfd_4) and 1 (trfd_make) both run the trfd image. *)
   check_bool "same app image shares one map across workloads" true
     (base.(0).Program_layout.app_maps.(0) == base.(1).Program_layout.app_maps.(0));
-  check_bool "same app image shares one map across levels" true
-    (base.(0).Program_layout.app_maps.(0) == ch.(0).Program_layout.app_maps.(0))
+  List.iter
+    (fun level ->
+      let layouts = build_uncached ctx ~params:(Opt.params ()) level in
+      Array.iteri
+        (fun w (l : Program_layout.t) ->
+          Array.iteri
+            (fun k m ->
+              check_bool
+                (Printf.sprintf "%s shares Base's map of workload %d's app %d"
+                   (Levels.to_string level) w k)
+                true
+                (m == base.(w).Program_layout.app_maps.(k)))
+            l.Program_layout.app_maps)
+        layouts)
+    [ Levels.CH; Levels.OptS; Levels.OptL ]
+
+(* A level places its OS once per build, before its workloads fan out,
+   not once per workload. *)
+let test_level_places_os_once () =
+  let ctx = Lazy.force small_context in
+  let lookups name =
+    let s = stage name in
+    s.Layout_cache.hits + s.Layout_cache.misses
+  in
+  List.iter
+    (fun (level, name) ->
+      Layout_cache.clear ();
+      let before = lookups name in
+      ignore (Levels.build ctx level);
+      check_int
+        (Printf.sprintf "one %s lookup in a cold %s build" name (Levels.to_string level))
+        (before + 1) (lookups name))
+    [ (Levels.CH, "chang_hwu"); (Levels.OptS, "place"); (Levels.OptL, "place") ]
 
 (* --- profile identity -------------------------------------------- *)
 
@@ -256,7 +286,11 @@ let () =
           case "profile digest survives every consumer"
             test_profile_digest_survives_consumers;
         ] );
-      ("reset", [ case "clear makes the next Levels.build cold" test_clear_makes_levels_build_cold ]);
+      ( "reset",
+        [
+          case "clear makes the next Levels.build cold" test_clear_makes_levels_build_cold;
+          case "a level places its OS once" test_level_places_os_once;
+        ] );
       ( "timing",
         [
           case "loop detection is a timed stage" test_loops_timed;

@@ -65,7 +65,7 @@ let prop_pipeline_layouts_valid =
       && check (Opt.os_layout ~model:m ~profile:p ~loops (Opt.params ())).Opt.map
       && check
            (Opt.os_layout ~model:m ~profile:p ~loops
-              (Opt.params ~extract_loops:true ()))
+              { (Opt.params ()) with Opt.extract_loops = true })
              .Opt.map
       && check (fst (Call_opt.layout ~model:m ~profile:p)).Opt.map)
 
@@ -148,8 +148,9 @@ let layout_case_gen =
     let* stagger = 0 -- 3 and* skew = 0 -- 9000 in
     let params =
       {
-        (Opt.params ~cache_size:(cache_kb * 1024) ~scf_cutoff ~extract_loops ~scf_holes ()) with
-        Opt.start_offset;
+        (Opt.params ~cache_size:(cache_kb * 1024) ~scf_cutoff ~scf_holes ()) with
+        Opt.extract_loops;
+        start_offset;
       }
     in
     return { spec; params; one_seed; exclude; perturb; stagger; skew })
@@ -373,8 +374,8 @@ let prop_validate_matches_reference =
 (* The digest must separate placements exactly: equal iff the placement
    the simulator consumes (absolute addresses and block sizes) is equal.
    Distinct layouts of random kernels must therefore never conflate, and
-   a [with_os_map] variant must key like the layout it reproduces.  The
-   layouts of every program share its Base application maps. *)
+   two layouts assembled from equal maps must key alike.  The layouts of
+   every program share its Base application maps. *)
 let prop_digest_separates_layouts =
   QCheck.Test.make ~name:"random kernels: layout digest equal iff placement equal"
     ~count:10 spec_arb (fun spec ->
@@ -384,27 +385,34 @@ let prop_digest_separates_layouts =
       let _, _, profiles = Profile.capture ~program ~workload:w ~words:40_000 ~seed:spec.Spec.seed in
       let p = profiles.(0) in
       let app_profiles = Array.sub profiles 1 (Array.length profiles - 1) in
+      let opt_os params =
+        (Opt.os_layout ~model:m ~profile:p ~loops:(Program_layout.os_loops m) params).Opt.map
+      in
+      let base_os = Program_layout.base_os m
+      and ch_os = Program_layout.chang_hwu_os ~model:m ~os_profile:p
+      and opt_s_os = opt_os (Opt.params ()) in
       let built =
         Array.to_list pairs
         |> List.concat_map (fun (_, program) ->
-               [
-                 Program_layout.base ~model:m ~program;
-                 Program_layout.chang_hwu ~model:m ~program ~os_profile:p;
-                 Program_layout.opt_s ~model:m ~program ~os_profile:p ();
-               ])
+               List.map
+                 (fun os_map ->
+                   Program_layout.make ~os_map ~app_maps:(Program_layout.base_apps program))
+                 [ base_os; ch_os; opt_s_os ])
       in
-      let base = List.hd built and ch = List.nth built 1 and opt_s = List.nth built 2 in
-      let variant src (l : Program_layout.t) =
-        Program_layout.with_os_map src l.Program_layout.os_map
+      let opt_apps =
+        Program_layout.opt_apps ~program ~app_profiles ~params:(Opt.params ())
       in
+      let with_opt_apps os_map = Program_layout.make ~os_map ~app_maps:opt_apps in
       let layouts =
         built
         @ [
-            Program_layout.opt_l ~model:m ~program ~os_profile:p ();
-            Program_layout.opt_a ~model:m ~program ~os_profile:p ~app_profiles ();
-            variant base opt_s;
-            variant opt_s ch;
-            variant ch base;
+            Program_layout.make
+              ~os_map:(opt_os { (Opt.params ()) with Opt.extract_loops = true })
+              ~app_maps:(Program_layout.base_apps program);
+            with_opt_apps opt_s_os;
+            with_opt_apps ch_os;
+            with_opt_apps base_os;
+            Program_layout.make ~os_map:opt_s_os ~app_maps:(Program_layout.base_apps program);
           ]
       in
       let placement l =
