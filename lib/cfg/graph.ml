@@ -11,30 +11,47 @@ type t = {
   digest : string Atomic.t;  (* "" until the first {!digest} *)
 }
 
+(* The builder keeps blocks and arcs as columns of growable int arrays
+   (a block's call is -1 when it ends in none), so building allocates
+   nothing per block beyond the occasional doubling; {!freeze} makes the
+   records. *)
 type builder = {
-  mutable names : string list; (* reverse order *)
+  mutable names : string array;
   mutable routine_n : int;
-  mutable blocks_rev : Block.t list;
+  mutable block_routine : int array;
+  mutable block_size : int array;
+  mutable block_call : int array;
   mutable block_n : int;
-  mutable arcs_rev : Arc.t list;
+  mutable arc_src : int array;
+  mutable arc_dst : int array;
+  mutable arc_kind : Arc.kind array;
   mutable arc_n : int;
-  block_routine : (Block.id, int) Hashtbl.t;
 }
 
 let builder () =
   {
-    names = [];
+    names = Array.make 16 "";
     routine_n = 0;
-    blocks_rev = [];
+    block_routine = Array.make 64 0;
+    block_size = Array.make 64 0;
+    block_call = Array.make 64 0;
     block_n = 0;
-    arcs_rev = [];
+    arc_src = Array.make 64 0;
+    arc_dst = Array.make 64 0;
+    arc_kind = Array.make 64 Arc.Fallthrough;
     arc_n = 0;
-    block_routine = Hashtbl.create 256;
   }
+
+(* [a] doubled, keeping its first [n] elements. *)
+let grow a n fill =
+  let a' = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 a' 0 n;
+  a'
 
 let declare_routine b name =
   let id = b.routine_n in
-  b.names <- name :: b.names;
+  if id = Array.length b.names then b.names <- grow b.names id "";
+  b.names.(id) <- name;
   b.routine_n <- id + 1;
   id
 
@@ -43,85 +60,99 @@ let add_block b ~routine ~size ?call () =
   if routine < 0 || routine >= b.routine_n then
     invalid_arg "Graph.add_block: unknown routine";
   let id = b.block_n in
-  b.blocks_rev <- { Block.id; routine; size; call } :: b.blocks_rev;
-  Hashtbl.replace b.block_routine id routine;
+  if id = Array.length b.block_size then begin
+    b.block_routine <- grow b.block_routine id 0;
+    b.block_size <- grow b.block_size id 0;
+    b.block_call <- grow b.block_call id 0
+  end;
+  b.block_routine.(id) <- routine;
+  b.block_size.(id) <- size;
+  (* A negative callee stays negative but never -1, so {!freeze} rejects it. *)
+  b.block_call.(id) <- (match call with None -> -1 | Some r -> if r < 0 then min_int else r);
   b.block_n <- id + 1;
   id
 
 let add_arc b ~src ~dst kind =
   if src < 0 || src >= b.block_n || dst < 0 || dst >= b.block_n then
     invalid_arg "Graph.add_arc: unknown block";
-  if Hashtbl.find b.block_routine src <> Hashtbl.find b.block_routine dst then
+  if b.block_routine.(src) <> b.block_routine.(dst) then
     invalid_arg "Graph.add_arc: arc crosses routine boundary";
   let id = b.arc_n in
-  b.arcs_rev <- { Arc.id; src; dst; kind } :: b.arcs_rev;
+  if id = Array.length b.arc_src then begin
+    b.arc_src <- grow b.arc_src id 0;
+    b.arc_dst <- grow b.arc_dst id 0;
+    b.arc_kind <- grow b.arc_kind id Arc.Fallthrough
+  end;
+  b.arc_src.(id) <- src;
+  b.arc_dst.(id) <- dst;
+  b.arc_kind.(id) <- kind;
   b.arc_n <- id + 1;
   id
 
-let group_by_index ~count ~items ~index =
-  let buckets = Array.make count [] in
-  List.iter (fun item -> buckets.(index item) <- item :: buckets.(index item)) items;
-  (* items arrive in reverse insertion order, so the cons above restores
-     insertion order. *)
-  Array.map Array.of_list buckets
+(* Groups the ids [0, n) by [key.(id)] (skipping negative keys) into
+   [count] arrays, one count pass and one fill pass, so each group lists
+   its ids in ascending order. *)
+let group ~count ~n key =
+  let sizes = Array.make count 0 in
+  for i = 0 to n - 1 do
+    let k = key.(i) in
+    if k >= 0 then sizes.(k) <- sizes.(k) + 1
+  done;
+  let groups = Array.map (fun len -> Array.make len 0) sizes in
+  Array.fill sizes 0 count 0;
+  for i = 0 to n - 1 do
+    let k = key.(i) in
+    if k >= 0 then begin
+      groups.(k).(sizes.(k)) <- i;
+      sizes.(k) <- sizes.(k) + 1
+    end
+  done;
+  groups
 
 let freeze b =
-  let blocks = Array.of_list (List.rev b.blocks_rev) in
-  let arcs = Array.of_list (List.rev b.arcs_rev) in
-  Array.iter
-    (fun (a : Arc.t) ->
-      if blocks.(a.src).Block.routine <> blocks.(a.dst).Block.routine then
-        invalid_arg "Graph.freeze: arc crosses routine boundary")
-    arcs;
-  Array.iter
-    (fun (blk : Block.t) ->
-      match blk.Block.call with
-      | Some r when r < 0 || r >= b.routine_n ->
-          invalid_arg "Graph.freeze: call to undeclared routine"
-      | Some _ | None -> ())
-    blocks;
-  let routine_blocks = Array.make b.routine_n [] in
-  (* blocks_rev is reverse insertion order; cons restores insertion order. *)
-  List.iter
-    (fun (blk : Block.t) ->
-      routine_blocks.(blk.Block.routine) <- blk.Block.id :: routine_blocks.(blk.Block.routine))
-    b.blocks_rev;
-  let names = Array.of_list (List.rev b.names) in
+  let n = b.block_n and m = b.arc_n and rn = b.routine_n in
+  for a = 0 to m - 1 do
+    if b.block_routine.(b.arc_src.(a)) <> b.block_routine.(b.arc_dst.(a)) then
+      invalid_arg "Graph.freeze: arc crosses routine boundary"
+  done;
+  for i = 0 to n - 1 do
+    let c = b.block_call.(i) in
+    if c < -1 || c >= rn then invalid_arg "Graph.freeze: call to undeclared routine"
+  done;
+  let routine_blocks = group ~count:rn ~n b.block_routine in
   let routines =
-    Array.init b.routine_n (fun id ->
-        match routine_blocks.(id) with
-        | [] -> invalid_arg (Printf.sprintf "Graph.freeze: routine %s has no blocks" names.(id))
-        | entry :: _ as all ->
-            { Routine.id; name = names.(id); entry; blocks = Array.of_list all })
+    Array.init rn (fun id ->
+        let blocks = routine_blocks.(id) in
+        if Array.length blocks = 0 then
+          invalid_arg (Printf.sprintf "Graph.freeze: routine %s has no blocks" b.names.(id));
+        { Routine.id; name = b.names.(id); entry = blocks.(0); blocks })
   in
-  let out_arcs =
-    group_by_index ~count:(Array.length blocks) ~items:b.arcs_rev
-      ~index:(fun (a : Arc.t) -> a.src)
-    |> Array.map (Array.map (fun (a : Arc.t) -> a.Arc.id))
+  (* One [Some r] per callee, shared by all its call blocks. *)
+  let some = Array.init rn Option.some in
+  let blocks =
+    Array.init n (fun id ->
+        let c = b.block_call.(id) in
+        {
+          Block.id;
+          routine = b.block_routine.(id);
+          size = b.block_size.(id);
+          call = (if c < 0 then None else some.(c));
+        })
   in
-  let in_arcs =
-    group_by_index ~count:(Array.length blocks) ~items:b.arcs_rev
-      ~index:(fun (a : Arc.t) -> a.dst)
-    |> Array.map (Array.map (fun (a : Arc.t) -> a.Arc.id))
+  let arcs =
+    Array.init m (fun id ->
+        { Arc.id; src = b.arc_src.(id); dst = b.arc_dst.(id); kind = b.arc_kind.(id) })
   in
-  let caller_items =
-    List.filter (fun (blk : Block.t) -> Option.is_some blk.Block.call) b.blocks_rev
-  in
-  let callers =
-    group_by_index ~count:b.routine_n ~items:caller_items
-      ~index:(fun (blk : Block.t) -> Option.get blk.Block.call)
-    |> Array.map (Array.map (fun (blk : Block.t) -> blk.Block.id))
-  in
-  let sizes = Array.map (fun (blk : Block.t) -> blk.Block.size) blocks in
+  let sizes = Array.sub b.block_size 0 n in
   let code_bytes = Array.fold_left ( + ) 0 sizes in
   let words = Array.map Block.instruction_words blocks in
   {
     blocks;
     arcs;
     routines;
-    out_arcs;
-    in_arcs;
-    callers;
+    out_arcs = group ~count:n ~n:m b.arc_src;
+    in_arcs = group ~count:n ~n:m b.arc_dst;
+    callers = group ~count:rn ~n b.block_call;
     code_bytes;
     sizes;
     words;

@@ -96,10 +96,17 @@ let transform ~model ~profile:p =
      each inlined site is wired site -> clone entry, clone internal arcs,
      clone exits -> the site's original successors. *)
   let new_arc_of_old = Array.make (Graph.arc_count g) (-1) in
-  let probs = ref [] in
+  (* Arc id -> probability.  Every arc is added here, so the first
+     [Graph.arc_count] slots are all written by the time of the freeze. *)
+  let probs = ref (Array.make (Graph.arc_count g) 0.0) in
   let add_arc ~src ~dst kind prob =
     let a = Graph.add_arc bld ~src ~dst kind in
-    probs := (a, prob) :: !probs;
+    if a = Array.length !probs then begin
+      let grown = Array.make (max 16 (2 * a)) 0.0 in
+      Array.blit !probs 0 grown 0 a;
+      probs := grown
+    end;
+    !probs.(a) <- prob;
     a
   in
   Graph.iter_arcs g (fun arc ->
@@ -144,8 +151,7 @@ let transform ~model ~profile:p =
       end);
 
   let graph = Graph.freeze bld in
-  let arc_prob = Array.make (Graph.arc_count graph) 0.0 in
-  List.iter (fun (a, p) -> arc_prob.(a) <- p) !probs;
+  let arc_prob = Array.sub !probs 0 (Graph.arc_count graph) in
   let remap_seed (s : Model.seed_info) =
     { s with Model.entry = new_of_old.(s.Model.entry) }
   in

@@ -1,27 +1,30 @@
+(* Whether [v] is among the first [n] elements of [a], from index [i]. *)
+let rec mem a n v i = i < n && (a.(i) = v || mem a n v (i + 1))
+
 (* Picks [count] distinct values by repeated sampling of [dist]; falls back
    to lower indices when the distribution keeps returning duplicates. *)
 let pick_distinct g dist ~count ~bound =
   let count = min count bound in
-  let chosen = Hashtbl.create count in
-  let out = ref [] in
+  let out = Array.make count 0 in
+  let n = ref 0 in
   let attempts = ref 0 in
-  while Hashtbl.length chosen < count && !attempts < count * 30 do
+  while !n < count && !attempts < count * 30 do
     incr attempts;
     let v = Dist.sample dist g in
-    if not (Hashtbl.mem chosen v) then begin
-      Hashtbl.add chosen v ();
-      out := v :: !out
+    if not (mem out !n v 0) then begin
+      out.(!n) <- v;
+      incr n
     end
   done;
   let i = ref 0 in
-  while Hashtbl.length chosen < count do
-    if not (Hashtbl.mem chosen !i) then begin
-      Hashtbl.add chosen !i ();
-      out := !i :: !out
+  while !n < count do
+    if not (mem out !n !i 0) then begin
+      out.(!n) <- !i;
+      incr n
     end;
     incr i
   done;
-  Array.of_list (List.rev !out)
+  out
 
 let mean_iters_dist choices = Dist.weighted choices
 

@@ -20,13 +20,12 @@ let zipf ~n ~s =
   fun g ->
     let u = Prng.unit_float g in
     (* First index whose cdf is > u. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if cdf.(mid) > u then search lo mid else search (mid + 1) hi
-    in
-    search 0 (n - 1)
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) > u then hi := mid else lo := mid + 1
+    done;
+    !lo
 
 let zipf_mass ~n ~s ~rank =
   let cdf = zipf_cdf n s in

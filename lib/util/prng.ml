@@ -41,7 +41,8 @@ let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let unit_float g =
+(* Inlined so [float] and [bernoulli] never box the draw. *)
+let[@inline] unit_float g =
   (* 53 random bits scaled into [0, 1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (next_int64 g) 11) in
   bits *. 0x1p-53

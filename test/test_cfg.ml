@@ -89,7 +89,40 @@ let test_graph_invalid_size () =
   let bld = Graph.builder () in
   let r = Graph.declare_routine bld "r" in
   check_raises_invalid "zero size" (fun () ->
-      Graph.add_block bld ~routine:r ~size:0 ())
+      Graph.add_block bld ~routine:r ~size:0 ());
+  check_raises_invalid "negative size" (fun () ->
+      Graph.add_block bld ~routine:r ~size:(-4) ());
+  (* A rejected block takes no id. *)
+  check_int "next id" 0 (Graph.add_block bld ~routine:r ~size:4 ())
+
+let test_graph_unknown_block_arc () =
+  let bld = Graph.builder () in
+  let r = Graph.declare_routine bld "r" in
+  let b = Graph.add_block bld ~routine:r ~size:4 () in
+  check_raises_invalid "unknown dst" (fun () ->
+      Graph.add_arc bld ~src:b ~dst:(b + 1) Arc.Taken);
+  check_raises_invalid "unknown src" (fun () ->
+      Graph.add_arc bld ~src:(-1) ~dst:b Arc.Taken);
+  (* A rejected arc takes no id. *)
+  check_int "next id" 0 (Graph.add_arc bld ~src:b ~dst:b Arc.Taken)
+
+(* Calls may name routines declared after the calling block, so the
+   callee is checked at the freeze. *)
+let test_graph_undeclared_callee () =
+  List.iter
+    (fun callee ->
+      let bld = Graph.builder () in
+      let r = Graph.declare_routine bld "r" in
+      ignore (Graph.add_block bld ~routine:r ~size:4 ~call:callee ());
+      check_raises_invalid "call to undeclared routine" (fun () -> Graph.freeze bld))
+    [ 1; -1 ];
+  let bld = Graph.builder () in
+  let r = Graph.declare_routine bld "r" in
+  let b = Graph.add_block bld ~routine:r ~size:4 ~call:1 () in
+  let later = Graph.declare_routine bld "later" in
+  ignore (Graph.add_block bld ~routine:later ~size:4 ());
+  let g = Graph.freeze bld in
+  Alcotest.(check (array int)) "forward call" [| b |] (Graph.callers g later)
 
 let test_graph_cross_routine_arc () =
   let bld = Graph.builder () in
@@ -371,6 +404,8 @@ let () =
           case "cross-routine arc" test_graph_cross_routine_arc;
           case "empty routine rejected" test_graph_empty_routine_rejected;
           case "unknown routine" test_graph_unknown_routine_block;
+          case "arc to unknown block" test_graph_unknown_block_arc;
+          case "call to undeclared routine" test_graph_undeclared_callee;
           case "routine block count" test_routine_block_count;
         ] );
       ( "dominators",

@@ -147,6 +147,63 @@ let test_model_hot_exit_probability () =
         (Array.exists (fun a -> m.Model.arc_prob.(a) > 0.0) entry_arcs))
     m.Model.seeds
 
+(* Identity pins: the digests of every generated model and application.
+   Generation is one PRNG stream per model, so a change to how the graph
+   is built that moves a draw, an id or an arc order moves a digest. *)
+let model_fields (m : Model.t) =
+  Memo.digest
+    ( m.Model.arc_prob,
+      m.Model.seeds,
+      m.Model.dispatches,
+      m.Model.handlers,
+      m.Model.leaves,
+      m.Model.base_order )
+
+let test_model_identity () =
+  List.iter
+    (fun (name, m, graph, fields) ->
+      check_string (name ^ " graph") graph (Graph.digest m.Model.graph);
+      check_string (name ^ " fields") fields (model_fields m))
+    [
+      ( "default",
+        Lazy.force default_model,
+        "c7b47c7f209ac22b04787963b9dac97f",
+        "4effd18d4d4cf635e3f8cb0f247819dd" );
+      ( "small",
+        model (),
+        "7d5e97192c1f669bb54816b5e7f90746",
+        "346f0c4caabe031908d18d0afeb210b7" );
+    ]
+
+let test_app_identity () =
+  List.iter
+    (fun (app, graph, fields) ->
+      let name = app.App_model.name in
+      check_string (name ^ " graph") graph (Graph.digest app.App_model.graph);
+      check_string (name ^ " fields") fields
+        (Memo.digest (app.App_model.arc_prob, app.App_model.main, app.App_model.base_order)))
+    [
+      (App_model.trfd (), "109bc36e5a08dab11daaf4409b9193b9", "f150bc7be704afadb71832fb0be35a48");
+      (App_model.cc1 (), "76a60025f0f66a8ce20c0244232f13ac", "4c7168b677db67923027c883c7cecdfd");
+      (App_model.arc2d (), "977adeab77f253a6552b6d61c6de9c91", "8d98a8ce21ead4eba6218ca7e925906a");
+      (App_model.fsck (), "0443005d4f88d7c5bd77f017ef1976cd", "2fcbafcebe25238168c06458401edf6b");
+    ]
+
+(* Generating the small kernel allocates at most 70 words per block: the
+   builder keeps blocks and arcs in growable int arrays and the freeze
+   groups them in count-then-fill passes (measured: 52 words per block;
+   111 when the builder kept lists and a block -> routine table). *)
+let test_generate_allocation () =
+  let n = Graph.block_count (model ()).Model.graph in
+  (* A minor collection first, so the count starts from settled totals. *)
+  let allocated () = Gc.minor (); Gc.allocated_bytes () in
+  let before = allocated () in
+  ignore (Sys.opaque_identity (Generator.generate Spec.small));
+  let words = (allocated () -. before) /. float_of_int (Sys.word_size / 8) in
+  if words > 70.0 *. float_of_int n then
+    Alcotest.failf "%.0f words for %d blocks (%.2f per block, at most 70)" words n
+      (words /. float_of_int n)
+
 let test_model_routine_name () =
   let m = model () in
   check_bool "names nonempty" true (String.length (Model.routine_name m 0) > 0)
@@ -330,6 +387,8 @@ let () =
           case "hot paths continue" test_model_hot_exit_probability;
           case "routine names" test_model_routine_name;
           case "code-size calibration" test_model_code_size_calibration;
+          case "identity pins" test_model_identity;
+          case "allocation per block" test_generate_allocation;
         ] );
       ( "routine_gen",
         [
@@ -347,5 +406,6 @@ let () =
           case "deterministic" test_app_deterministic;
           case "loop character" test_app_loop_character;
           case "arc probability shape" test_app_arc_prob_shape;
+          case "identity pins" test_app_identity;
         ] );
     ]
