@@ -429,20 +429,22 @@ let sweep_cmd =
             let c = r.Runner.counters in
             rows :=
               Table.Cells
-                [
-                  Levels.to_string level;
-                  string_of_int size_kb;
-                  string_of_int assoc;
-                  string_of_int line;
-                  (Context.workload_names ctx).(i);
-                  string_of_int (Counters.refs c);
-                  string_of_int (Counters.misses c);
-                  Printf.sprintf "%.6f" (Counters.miss_rate c);
-                  string_of_int c.Counters.os_self;
-                  string_of_int c.Counters.os_cross;
-                  string_of_int c.Counters.app_self;
-                  string_of_int c.Counters.app_cross;
-                ]
+                (List.map
+                   (fun s -> Table.Text s)
+                   [
+                     Levels.to_string level;
+                     string_of_int size_kb;
+                     string_of_int assoc;
+                     string_of_int line;
+                     (Context.workload_names ctx).(i);
+                     string_of_int (Counters.refs c);
+                     string_of_int (Counters.misses c);
+                     Printf.sprintf "%.6f" (Counters.miss_rate c);
+                     string_of_int c.Counters.os_self;
+                     string_of_int c.Counters.os_cross;
+                     string_of_int c.Counters.app_self;
+                     string_of_int c.Counters.app_cross;
+                   ])
               :: !rows)
           batch.(m))
       specs;

@@ -34,11 +34,10 @@ let () =
     let b = rate base config and o = rate opt_s config in
     Table.add_row t
       [
-        Config.to_string config;
-        Table.cell_f ~decimals:3 (100.0 *. b);
-        Table.cell_f ~decimals:3 (100.0 *. o);
-        Table.cell_pct ~decimals:1
-          (Speedup.speed_increase ~base_miss_rate:b ~opt_miss_rate:o ~penalty:30);
+        Table.Text (Config.to_string config);
+        Table.Float (3, 100.0 *. b);
+        Table.Float (3, 100.0 *. o);
+        Table.Pct (1, Speedup.speed_increase ~base_miss_rate:b ~opt_miss_rate:o ~penalty:30);
       ]
   in
   List.iter (fun kb -> row (Config.make ~size_kb:kb ())) [ 4; 8; 16; 32 ];

@@ -75,10 +75,10 @@ let () =
       if name = "Base" then base_misses := Counters.misses c;
       Table.add_row t
         [
-          name;
-          Table.cell_pct ~decimals:3 (100.0 *. Counters.miss_rate c);
-          Table.cell_i (Counters.os_misses c);
-          Table.cell_f (Stats.ratio (Counters.misses c) !base_misses);
+          Table.Text name;
+          Table.Pct (3, 100.0 *. Counters.miss_rate c);
+          Table.Int (Counters.os_misses c);
+          Table.Float (2, Stats.ratio (Counters.misses c) !base_misses);
         ])
     [ ("Base", base); ("C-H", ch); ("OptS", opt_s) ];
   Table.print t;

@@ -42,12 +42,12 @@ let () =
       let b = rate base and o = rate opt_s in
       Table.add_row t
         [
-          Printf.sprintf "cpu%d" i;
-          Table.cell_i cpu.Multiproc.os_words;
-          Table.cell_i cpu.Multiproc.forced;
-          Table.cell_f ~decimals:3 (100.0 *. b);
-          Table.cell_f ~decimals:3 (100.0 *. o);
-          Table.cell_pct ~decimals:0 (100.0 *. (1.0 -. (o /. b)));
+          Table.Text (Printf.sprintf "cpu%d" i);
+          Table.Int cpu.Multiproc.os_words;
+          Table.Int cpu.Multiproc.forced;
+          Table.Float (3, 100.0 *. b);
+          Table.Float (3, 100.0 *. o);
+          Table.Pct (0, 100.0 *. (1.0 -. (o /. b)));
         ])
     r.Multiproc.cpus;
   Table.print t;

@@ -9,15 +9,7 @@
    one ingredient and is simulated on the paper's 8 KB direct-mapped
    cache. *)
 
-type variant = {
-  name : string;
-  what : string;
-  misses : int;  (** Sum over the four workloads. *)
-  vs_base : float;
-  vs_opt_s : float;
-}
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let variants =
     [
       ("OptS", "full algorithm", fun () -> Levels.opt_variant ctx ());
@@ -53,21 +45,6 @@ let compute (ctx : Context.t) =
     |> Array.map (fun runs -> Counters.misses (Runner.total runs))
   in
   let base = misses.(0) and full = misses.(1) in
-  ( base,
-    List.mapi
-      (fun k (name, what, _) ->
-        let misses = misses.(k + 1) in
-        {
-          name;
-          what;
-          misses;
-          vs_base = Stats.ratio misses base;
-          vs_opt_s = Stats.ratio misses full;
-        })
-      variants )
-
-let report ctx =
-  let base, variants = compute ctx in
   let t =
     Table.create
       [
@@ -76,13 +53,17 @@ let report ctx =
       ]
   in
   Table.add_row t
-    [ "Base"; "(original layout)"; Table.cell_i base; Table.cell_f 1.0; "" ];
-  List.iter
-    (fun v ->
+    [
+      Table.Text "Base"; Table.Text "(original layout)"; Table.Int base;
+      Table.Float (2, 1.0); Table.Text "";
+    ];
+  List.iteri
+    (fun k (name, what, _) ->
+      let m = misses.(k + 1) in
       Table.add_row t
         [
-          v.name; v.what; Table.cell_i v.misses; Table.cell_f v.vs_base;
-          Table.cell_f v.vs_opt_s;
+          Table.Text name; Table.Text what; Table.Int m;
+          Table.Float (2, Stats.ratio m base); Table.Float (2, Stats.ratio m full);
         ])
     variants;
   Result.report ~id:"ablation"

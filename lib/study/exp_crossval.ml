@@ -5,19 +5,15 @@
    common to all of them.  This experiment quantifies that: an OptS layout
    is built from each single workload's profile and evaluated on every
    workload, normalized to the layout built from the workload's own
-   profile.  Values near 1.0 off the diagonal mean profiles transfer. *)
+   profile.  Values near 1.0 off the diagonal mean profiles transfer.
+   Row [i], column [j]: misses of workload [j] under the layout built from
+   workload [i]'s profile, over workload [j]'s misses under its
+   own-profile layout; the last row is the paper's averaged-profile
+   layout. *)
 
-type result = {
-  names : string array;
-  matrix : float array array;
-      (** [matrix.(i).(j)]: misses of workload [j] under the layout built
-          from workload [i]'s profile, over workload [j]'s misses under
-          its own-profile layout. *)
-  average_row : float array;  (** The paper's averaged-profile layout. *)
-}
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let n = Context.workload_count ctx in
+  let names = Context.workload_names ctx in
   (* One layout per workload profile, then the averaged one, through the
      8 KB cache in one batch. *)
   let profiles = Array.append ctx.Context.os_profiles [| ctx.Context.avg_os_profile |] in
@@ -31,31 +27,20 @@ let compute (ctx : Context.t) =
       ()
     |> Array.map (Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters))
   in
-  let per_profile = Array.sub misses 0 n and avg = misses.(n) in
-  let own = Array.init n (fun j -> per_profile.(j).(j)) in
-  {
-    names = Context.workload_names ctx;
-    matrix =
-      Array.init n (fun i ->
-          Array.init n (fun j -> Stats.ratio per_profile.(i).(j) own.(j)));
-    average_row = Array.init n (fun j -> Stats.ratio avg.(j) own.(j));
-  }
-
-let report ctx =
-  let r = compute ctx in
+  let own = Array.init n (fun j -> misses.(j).(j)) in
   let t =
     Table.create
       (("profile \\ evaluated on", Table.Left)
-      :: Array.to_list (Array.map (fun n -> (n, Table.Right)) r.names))
+      :: Array.to_list (Array.map (fun n -> (n, Table.Right)) names))
   in
-  Array.iteri
-    (fun i row ->
-      Table.add_row t
-        (r.names.(i) :: Array.to_list (Array.map Table.cell_f row)))
-    r.matrix;
+  let row i label =
+    Table.add_row t
+      (Table.Text label
+      :: List.init n (fun j -> Table.Float (2, Stats.ratio misses.(i).(j) own.(j))))
+  in
+  Array.iteri row names;
   Table.add_separator t;
-  Table.add_row t
-    ("average (paper)" :: Array.to_list (Array.map Table.cell_f r.average_row));
+  row n "average (paper)";
   Result.report ~id:"crossval"
     ~section:"Cross-validation: layout from one profile, evaluated on all"
     [

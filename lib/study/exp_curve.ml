@@ -64,8 +64,8 @@ let report (ctx : Context.t) =
         let fa = fa.((k * n) + i) and dm = dm.(k).(i) in
         Table.add_row t
           [
-            workload; layout; Table.cell_i fa; Table.cell_i dm;
-            Table.cell_i (conflict ~dm ~fa);
+            Table.Text workload; Table.Text layout; Table.Int fa; Table.Int dm;
+            Table.Int (conflict ~dm ~fa);
           ]
       in
       add name "Base" 0;

@@ -6,8 +6,6 @@
    OS block transitions whose successor starts exactly where the current
    block ends. *)
 
-type row = { workload : string; rates : (string * float) list }
-
 let levels = [ ("Base", Levels.Base); ("C-H", Levels.CH); ("OptS", Levels.OptS) ]
 
 let rate ~trace ~(map : Replay.code_map) =
@@ -26,43 +24,31 @@ let rate ~trace ~(map : Replay.code_map) =
       | Trace.Invocation_start _ | Trace.Invocation_end -> prev_end := -1);
   Stats.ratio !fallthroughs !transitions
 
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   (* Levels build concurrently; each level's workloads are measured
      concurrently inside its task. *)
   let per_level =
     Parallel.map_array
-      (fun _ (name, level) ->
+      (fun _ (_, level) ->
         let layouts = Levels.build ctx level in
-        ( name,
-          Parallel.map_array
-            (fun i layout ->
-              rate ~trace:ctx.Context.traces.(i)
-                ~map:(Program_layout.code_map layout))
-            layouts ))
+        Parallel.map_array
+          (fun i layout ->
+            rate ~trace:ctx.Context.traces.(i) ~map:(Program_layout.code_map layout))
+          layouts)
       (Array.of_list levels)
-    |> Array.to_list
   in
-  Array.mapi
-    (fun i ((w : Workload.t), _) ->
-      {
-        workload = w.Workload.name;
-        rates = List.map (fun (n, r) -> (n, r.(i))) per_level;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
   let t =
     Table.create
       (("Workload", Table.Left)
       :: List.map (fun (n, _) -> (n, Table.Right)) levels)
   in
-  Array.iter
-    (fun r ->
+  Array.iteri
+    (fun i name ->
       Table.add_row t
-        (r.workload
-        :: List.map (fun (_, rate) -> Table.cell_pct ~decimals:1 (100.0 *. rate)) r.rates))
-    rows;
+        (Table.Text name
+        :: Array.to_list
+             (Array.map (fun rates -> Table.Pct (1, 100.0 *. rates.(i))) per_level)))
+    (Context.workload_names ctx);
   Result.report ~id:"fallthrough"
     ~section:"Fall-through rate of dynamic OS block transitions"
     [

@@ -2,10 +2,9 @@
     block transitions whose successor is textually adjacent, per layout
     level - the fetch-side benefit of straightened control flow. *)
 
-type row = { workload : string; rates : (string * float) list }
-
 val rate : trace:Trace.t -> map:Replay.code_map -> float
+(** The fall-through fraction of [trace]'s OS block transitions under
+    [map]; a transition never spans an invocation boundary. *)
 
-val compute : Context.t -> row array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)

@@ -31,11 +31,12 @@ let report (ctx : Context.t) =
     ~section:"Figure 1: OS miss-address distribution (TRFD+Make, 16KB DM)"
     ((Result.note "largest miss peaks (1KB bins of the Base address space):" :: peaks)
     @ [
-        Result.scalar ~label:"self_interference_pct" ~value:self_pct
-          ~text:(Printf.sprintf "self-interference share of OS misses: %.1f%%" self_pct);
-        Result.scalar ~label:"top2_peak_pct" ~value:top2_peak_pct
-          ~text:
-            (Printf.sprintf "two largest peaks hold %.1f%% of OS misses" top2_peak_pct);
+        Result.scalar
+          ~text:(Printf.sprintf "self-interference share of OS misses: %.1f%%" self_pct)
+          [ ("self_interference_pct", Table.Pct (1, self_pct)) ];
+        Result.scalar
+          ~text:(Printf.sprintf "two largest peaks hold %.1f%% of OS misses" top2_peak_pct)
+          [ ("top2_peak_pct", Table.Pct (1, top2_peak_pct)) ];
         Result.paper
           "self-interference accounts for over 90% of OS misses in all workloads;";
         Result.paper "the two dominant peaks hold 12.6% + 8.6% of OS misses in TRFD+Make";

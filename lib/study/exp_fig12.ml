@@ -1,16 +1,4 @@
-type miss_bar = {
-  level : Levels.level;
-  os_self : int;
-  os_cross : int;
-  app_cross : int;
-  app_self : int;
-  total : int;
-  normalized : float;
-}
-
-type row = { workload : string; os_ref_pct : float; bars : miss_bar array }
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let config = Config.make ~size_kb:8 () in
   (* The five levels build concurrently, then the whole level sweep is
      one batch: every uncached member replays in the same fused pass over
@@ -21,38 +9,6 @@ let compute (ctx : Context.t) =
         (Parallel.map_array (fun _ level -> (Levels.build ctx level, config)) Levels.all)
       ()
   in
-  let per_level = Array.mapi (fun k level -> (level, batch.(k))) Levels.all in
-  Array.mapi
-    (fun i (w, _) ->
-      let base_total =
-        let _, runs = per_level.(0) in
-        Counters.misses runs.(i).Runner.counters
-      in
-      let bars =
-        Array.map
-          (fun (level, runs) ->
-            let c = runs.(i).Runner.counters in
-            {
-              level;
-              os_self = c.Counters.os_self + c.Counters.os_cold;
-              os_cross = c.Counters.os_cross;
-              app_cross = c.Counters.app_cross;
-              app_self = c.Counters.app_self + c.Counters.app_cold;
-              total = Counters.misses c;
-              normalized = Stats.ratio (Counters.misses c) base_total;
-            })
-          per_level
-      in
-      let c0 = (snd per_level.(0)).(i).Runner.counters in
-      {
-        workload = w.Workload.name;
-        os_ref_pct = Stats.pct c0.Counters.refs_os (Counters.refs c0);
-        bars;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
   let t =
     Table.create
       [
@@ -62,25 +18,29 @@ let report ctx =
         ("Total", Table.Right); ("Norm", Table.Right);
       ]
   in
-  Array.iter
-    (fun r ->
+  Array.iteri
+    (fun i name ->
+      let c0 = batch.(0).(i).Runner.counters in
+      let base_total = Counters.misses c0 in
       Array.iteri
-        (fun j b ->
+        (fun k level ->
+          let c = batch.(k).(i).Runner.counters in
           Table.add_row t
             [
-              (if j = 0 then r.workload else "");
-              (if j = 0 then Table.cell_pct r.os_ref_pct else "");
-              Levels.to_string b.level;
-              Table.cell_i b.os_self;
-              Table.cell_i b.os_cross;
-              Table.cell_i b.app_cross;
-              Table.cell_i b.app_self;
-              Table.cell_i b.total;
-              Table.cell_f b.normalized;
+              Table.Text (if k = 0 then name else "");
+              (if k = 0 then Table.Pct (1, Stats.pct c0.Counters.refs_os (Counters.refs c0))
+               else Table.Text "");
+              Table.Text (Levels.to_string level);
+              Table.Int (c.Counters.os_self + c.Counters.os_cold);
+              Table.Int c.Counters.os_cross;
+              Table.Int c.Counters.app_cross;
+              Table.Int (c.Counters.app_self + c.Counters.app_cold);
+              Table.Int (Counters.misses c);
+              Table.Float (2, Stats.ratio (Counters.misses c) base_total);
             ])
-        r.bars;
+        Levels.all;
       Table.add_separator t)
-    rows;
+    (Context.workload_names ctx);
   Result.report ~id:"fig12" ~section:"Figure 12: misses by layout level (8KB DM, 32B lines)"
     [
       Result.of_table t;

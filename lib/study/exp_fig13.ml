@@ -41,8 +41,9 @@ let report (ctx : Context.t) =
   in
   let add name label values =
     Table.add_row t
-      (name :: label
-      :: Array.to_list (Array.map Table.cell_pct (classify_split region_of values)))
+      (Table.Text name :: Table.Text label
+      :: Array.to_list
+           (Array.map (fun pct -> Table.Pct (1, pct)) (classify_split region_of values)))
   in
   Array.iteri
     (fun i name ->

@@ -1,12 +1,4 @@
-type result = {
-  level : Levels.level;
-  bins : int array;
-  total : int;
-  top5_pct : float;
-  tallest_peak : int;
-}
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let config = Config.make ~size_kb:8 () in
   let g = Context.os_graph ctx in
   let base_map = (Levels.build ctx Levels.Base).(0).Program_layout.os_map in
@@ -18,32 +10,32 @@ let compute (ctx : Context.t) =
       ~members:(Array.map (fun level -> (Levels.build ctx level, config)) levels)
       ~attribute_os:true ()
   in
-  Array.mapi
-    (fun k level ->
-      let runs = batch.(k) in
-      let misses = Array.make (Graph.block_count g) 0 in
-      Array.iter
-        (fun (r : Runner.run) ->
-          Array.iteri (fun b m -> misses.(b) <- misses.(b) + m) r.Runner.os_block_misses)
-        runs;
-      let bins = Missmap.by_address ~positions ~sizes ~misses ~bin:1024 in
-      {
-        level;
-        bins;
-        total = Array.fold_left ( + ) 0 bins;
-        top5_pct = 100.0 *. Missmap.peak_fraction bins ~n:5;
-        tallest_peak = (match Missmap.peaks bins ~n:1 with (_, c) :: _ -> c | [] -> 0);
-      })
-    levels
-
-let report ctx =
-  let results = compute ctx in
   let per_level =
-    Array.to_list results
-    |> List.map (fun r ->
-           Result.note
-             "%-5s: total OS misses %8d; tallest 1KB peak %6d; top-5 peaks hold %.1f%%"
-             (Levels.to_string r.level) r.total r.tallest_peak r.top5_pct)
+    Array.to_list
+      (Array.mapi
+         (fun k level ->
+           let misses = Array.make (Graph.block_count g) 0 in
+           Array.iter
+             (fun (r : Runner.run) ->
+               Array.iteri (fun b m -> misses.(b) <- misses.(b) + m) r.Runner.os_block_misses)
+             batch.(k);
+           let bins = Missmap.by_address ~positions ~sizes ~misses ~bin:1024 in
+           let total = Array.fold_left ( + ) 0 bins in
+           let tallest = match Missmap.peaks bins ~n:1 with (_, c) :: _ -> c | [] -> 0 in
+           let top5 = 100.0 *. Missmap.peak_fraction bins ~n:5 in
+           let name = Levels.to_string level in
+           Result.scalar
+             ~text:
+               (Printf.sprintf
+                  "%-5s: total OS misses %8d; tallest 1KB peak %6d; top-5 peaks hold %.1f%%"
+                  name total tallest top5)
+             [
+               ("level", Table.Text name);
+               ("total_os_misses", Table.Int total);
+               ("tallest_peak", Table.Int tallest);
+               ("top5_pct", Table.Pct (1, top5));
+             ])
+         levels)
   in
   Result.report ~id:"fig14"
     ~section:"Figure 14: OS miss distribution by code position (sum of workloads, 8KB DM)"

@@ -1,12 +1,3 @@
-type point = {
-  size_kb : int;
-  workload : string;
-  base_pct : float;
-  ch_pct : float;
-  opt_s_pct : float;
-  speedups : float array;
-}
-
 let levels = [| Levels.Base; Levels.CH; Levels.OptS |]
 
 let sweep (ctx : Context.t) configs =
@@ -32,55 +23,37 @@ let sweep (ctx : Context.t) configs =
             batch.((ci * Array.length levels) + k)))
     configs
 
-let compute (ctx : Context.t) =
+let report ctx =
   let sizes = [| 4; 8; 16; 32 |] in
   let rates = sweep ctx (Array.map (fun size_kb -> Config.make ~size_kb ()) sizes) in
-  Array.concat
-    (Array.to_list
-       (Array.mapi
-          (fun si size_kb ->
-            let base = rates.(si).(0) and ch = rates.(si).(1) and opt_s = rates.(si).(2) in
-            Array.mapi
-              (fun i workload ->
-                {
-                  size_kb;
-                  workload;
-                  base_pct = 100.0 *. base.(i);
-                  ch_pct = 100.0 *. ch.(i);
-                  opt_s_pct = 100.0 *. opt_s.(i);
-                  speedups =
-                    Array.map
-                      (fun penalty ->
-                        Speedup.speed_increase ~base_miss_rate:base.(i)
-                          ~opt_miss_rate:opt_s.(i) ~penalty)
-                      Speedup.penalties;
-                })
-              (Context.workload_names ctx))
-          sizes))
-
-let report ctx =
-  let points = compute ctx in
   let t =
     Table.create
-      [
-        ("Cache", Table.Right); ("Workload", Table.Left);
-        ("Base%", Table.Right); ("C-H%", Table.Right); ("OptS%", Table.Right);
-        ("spd@10", Table.Right); ("spd@30", Table.Right); ("spd@50", Table.Right);
-      ]
+      ([
+         ("Cache", Table.Right); ("Workload", Table.Left);
+         ("Base%", Table.Right); ("C-H%", Table.Right); ("OptS%", Table.Right);
+       ]
+      @ Array.to_list
+          (Array.map (fun p -> (Printf.sprintf "spd@%d" p, Table.Right)) Speedup.penalties))
   in
-  Array.iter
-    (fun p ->
-      Table.add_row t
-        [
-          Printf.sprintf "%dKB" p.size_kb; p.workload;
-          Table.cell_f ~decimals:3 p.base_pct;
-          Table.cell_f ~decimals:3 p.ch_pct;
-          Table.cell_f ~decimals:3 p.opt_s_pct;
-          Table.cell_f ~decimals:1 p.speedups.(0);
-          Table.cell_f ~decimals:1 p.speedups.(1);
-          Table.cell_f ~decimals:1 p.speedups.(2);
-        ])
-    points;
+  Array.iteri
+    (fun si size_kb ->
+      let base = rates.(si).(0) and ch = rates.(si).(1) and opt_s = rates.(si).(2) in
+      Array.iteri
+        (fun i workload ->
+          let pct r = Table.Float (3, 100.0 *. r.(i)) in
+          Table.add_row t
+            ([ Table.Text (Printf.sprintf "%dKB" size_kb); Table.Text workload;
+               pct base; pct ch; pct opt_s ]
+            @ Array.to_list
+                (Array.map
+                   (fun penalty ->
+                     Table.Float
+                       ( 1,
+                         Speedup.speed_increase ~base_miss_rate:base.(i)
+                           ~opt_miss_rate:opt_s.(i) ~penalty ))
+                   Speedup.penalties)))
+        (Context.workload_names ctx))
+    sizes;
   Result.report ~id:"fig15"
     ~section:"Figure 15: miss rates and speedups vs cache size (DM, 32B)"
     [

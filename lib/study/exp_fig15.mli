@@ -8,16 +8,5 @@ val sweep : Context.t -> Config.t array -> float array array array
     OptS placed for that geometry's cache size.  One batch replays the
     whole grid (Figures 15 and 17). *)
 
-type point = {
-  size_kb : int;
-  workload : string;
-  base_pct : float;
-  ch_pct : float;
-  opt_s_pct : float;
-  speedups : float array;  (** Per {!Speedup.penalties}. *)
-}
-
-val compute : Context.t -> point array
-
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)

@@ -16,8 +16,8 @@ let sweep_items (ctx : Context.t) ~title ~summary geometries =
       Array.iteri
         (fun i workload ->
           Table.add_row t
-            (label :: workload
-            :: List.map (fun k -> Table.cell_f ~decimals:3 (pct c k i)) [ 0; 1; 2 ]))
+            (Table.Text label :: Table.Text workload
+            :: List.map (fun k -> Table.Float (3, pct c k i)) [ 0; 1; 2 ]))
         names)
     geometries;
   let average_reduction c =

@@ -51,12 +51,12 @@ let report (ctx : Context.t) =
           let c = runs.(j).(i).Runner.counters in
           Table.add_row t
             [
-              (if j = 0 then name else "");
-              setup;
-              Table.cell_i (Counters.os_misses c);
-              Table.cell_i (Counters.app_misses c);
-              Table.cell_i (Counters.misses c);
-              Table.cell_f (Stats.ratio (Counters.misses c) base_total);
+              Table.Text (if j = 0 then name else "");
+              Table.Text setup;
+              Table.Int (Counters.os_misses c);
+              Table.Int (Counters.app_misses c);
+              Table.Int (Counters.misses c);
+              Table.Float (2, Stats.ratio (Counters.misses c) base_total);
             ])
         setups;
       Table.add_separator t)

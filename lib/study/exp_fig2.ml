@@ -57,10 +57,11 @@ let report (ctx : Context.t) =
     ~section:"Figure 2: OS reference-address distribution per workload"
     (per_workload
     @ [
-        Result.scalar ~label:"top20_overlap_pct" ~value:overlap
+        Result.scalar
           ~text:
             (Printf.sprintf "top-20 peak bins referenced by every workload: %.0f%%"
-               overlap);
+               overlap)
+          [ ("top20_overlap_pct", Table.Pct (0, overlap)) ];
         Result.paper
           "references are concentrated; peaks sit at similar addresses across workloads";
       ])

@@ -7,8 +7,9 @@ let report (ctx : Context.t) =
   Result.report ~id:"fig8" ~section:"Figure 8: basic-block invocation skew (loops discounted)"
     [
       Result.note "executed basic blocks (union): %d" n;
-      Result.scalar ~label:"peak_block_pct" ~value:peak_pct
-        ~text:(Printf.sprintf "hottest block holds %.1f%% of invocations" peak_pct);
+      Result.scalar
+        ~text:(Printf.sprintf "hottest block holds %.1f%% of invocations" peak_pct)
+        [ ("peak_block_pct", Table.Pct (1, peak_pct)) ];
       Result.note "blocks above 3%%: %d; above 1%%: %d; below 0.01%%: %d"
         (Popularity.count_above series ~threshold:3.0)
         (Popularity.count_above series ~threshold:1.0)

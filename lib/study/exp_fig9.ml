@@ -1,5 +1,3 @@
-type result = { pass1 : string list; pass2 : string list }
-
 let expected_pass1 =
   [
     "push0"; "push1"; "push4"; "push8"; "read0"; "read1"; "read2"; "read3";
@@ -90,35 +88,27 @@ let build () =
   List.iter (fun (a, count) -> arc.(a) <- float_of_int count) !arcs;
   (g, Profile.of_counts ~block ~arc ~invocations:0.0, labels, p.(0))
 
-let compute () =
-  let g, profile, labels, seed = build () in
-  let schedule =
-    Schedule.uniform ~levels:[ (0.01, 0.1); (0.0, 0.0) ]
-  in
-  let seqs = Sequence.build ~graph:g ~profile ~seed_entry:(fun _ -> seed) ~schedule () in
-  let label b = Hashtbl.find labels b in
-  match seqs with
-  | [ s1; s2 ] ->
-      {
-        pass1 = Array.to_list (Array.map label s1.Sequence.blocks);
-        pass2 = Array.to_list (Array.map label s2.Sequence.blocks);
-      }
-  | other ->
-      {
-        pass1 =
-          List.concat_map
-            (fun (s : Sequence.t) -> Array.to_list (Array.map label s.Sequence.blocks))
-            other;
-        pass2 = [];
-      }
-
 let report _ctx =
-  let r = compute () in
-  let ok = r.pass1 = expected_pass1 && r.pass2 = expected_pass2 in
+  let g, profile, labels, seed = build () in
+  let schedule = Schedule.uniform ~levels:[ (0.01, 0.1); (0.0, 0.0) ] in
+  let seqs = Sequence.build ~graph:g ~profile ~seed_entry:(fun _ -> seed) ~schedule () in
+  let labels_of (s : Sequence.t) =
+    Array.to_list (Array.map (Hashtbl.find labels) s.Sequence.blocks)
+  in
+  let pass1, pass2 =
+    match seqs with
+    | [ s1; s2 ] -> (labels_of s1, labels_of s2)
+    | other -> (List.concat_map labels_of other, [])
+  in
+  let ok = pass1 = expected_pass1 && pass2 = expected_pass2 in
+  let pass label prefix blocks =
+    let blocks = String.concat " " blocks in
+    Result.scalar ~text:(prefix ^ blocks) [ (label, Table.Text blocks) ]
+  in
   Result.report ~id:"fig9" ~section:"Figure 9: worked sequence-placement example"
     [
-      Result.note "pass (0.01, 0.1): %s" (String.concat " " r.pass1);
-      Result.note "pass (0, 0):     %s" (String.concat " " r.pass2);
+      pass "pass1" "pass (0.01, 0.1): " pass1;
+      pass "pass2" "pass (0, 0):     " pass2;
       Result.note "matches the paper's placement: %s" (if ok then "YES" else "NO");
       Result.paper "0 1 4 8 | read 0 1 2 3 | 9 10 11 12 | chk 0 1 2 5 | 13 | upd 0 |";
       Result.paper "14 15 17 18 19 | 16, then (0,0) places 5 and 7";

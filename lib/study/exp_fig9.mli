@@ -4,17 +4,8 @@
     The flow graph and profile are rebuilt exactly as described; running
     the two threshold passes (0.01, 0.1) then (0, 0) must interleave the
     callees' hot blocks between the caller's blocks in the order the paper
-    lists. *)
-
-type result = {
-  pass1 : string list;  (** Block labels placed by the (0.01, 0.1) pass. *)
-  pass2 : string list;  (** Block labels placed by the (0, 0) pass. *)
-}
-
-val expected_pass1 : string list
-val expected_pass2 : string list
-
-val compute : unit -> result
+    lists.  The report's [pass1] and [pass2] values are the block labels
+    each pass placed, space-separated. *)
 
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript.  The

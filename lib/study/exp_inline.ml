@@ -38,10 +38,10 @@ let report (ctx : Context.t) =
       let opt_s = reference.(i) and with_inline = inline_rates.(i) in
       Table.add_row t
         [
-          name;
-          Table.cell_f ~decimals:3 (100.0 *. opt_s);
-          Table.cell_f ~decimals:3 (100.0 *. with_inline);
-          Table.cell_f (with_inline /. Float.max 1e-12 opt_s);
+          Table.Text name;
+          Table.Float (3, 100.0 *. opt_s);
+          Table.Float (3, 100.0 *. with_inline);
+          Table.Float (2, with_inline /. Float.max 1e-12 opt_s);
         ])
     (Context.workload_names ctx);
   Result.report ~id:"inline" ~section:"Inlining: OptS vs inline-then-OptS (8KB DM, 32B lines)"

@@ -6,13 +6,6 @@
    (a) per-CPU miss rates are mutually consistent, so averaging is sound,
    and (b) the OptS gain measured on one CPU transfers to the machine. *)
 
-type row = {
-  workload : string;
-  base_rates : float array;  (** Per CPU. *)
-  opt_rates : float array;
-  forced_share : float;  (** Cross-processor interrupts / invocations. *)
-}
-
 let cpus = 4
 
 let xcall_prob_for (w : Workload.t) =
@@ -23,13 +16,13 @@ let xcall_prob_for (w : Workload.t) =
   | "TRFD+Make" | "ARC2D+Fsck" -> 0.25
   | _ -> 0.03
 
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let base_layouts = Levels.build ctx Levels.Base in
   let opt_layouts = Levels.build ctx Levels.OptS in
   (* Each workload's machine run seeds its own engine, so they run
      concurrently and merge by index. *)
-  Parallel.map_array
-    (fun i ((w : Workload.t), program) ->
+  let rows =
+    Parallel.map_array (fun i ((w : Workload.t), program) ->
       let words_per_cpu = ctx.Context.words / cpus in
       let r =
         Trace_log.with_span "multiproc.capture"
@@ -62,43 +55,40 @@ let compute (ctx : Context.t) =
           (fun acc (c : Multiproc.cpu) -> acc + c.Multiproc.forced)
           0 r.Multiproc.cpus
       in
-      {
-        workload = w.Workload.name;
-        base_rates = rates base_layouts.(i);
-        opt_rates = rates opt_layouts.(i);
-        forced_share = Stats.ratio forced invocations;
-      })
+      ( w.Workload.name,
+        rates base_layouts.(i),
+        rates opt_layouts.(i),
+        100.0 *. Stats.ratio forced invocations ))
     ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
-  let t =
-    Table.create
-      [
-        ("Workload", Table.Left); ("Layout", Table.Left); ("CPU0 %", Table.Right);
-        ("CPU1 %", Table.Right); ("CPU2 %", Table.Right); ("CPU3 %", Table.Right);
-        ("avg %", Table.Right);
-      ]
   in
+  let columns =
+    [ ("Workload", Table.Left); ("Layout", Table.Left) ]
+    @ List.init cpus (fun c -> (Printf.sprintf "CPU%d %%" c, Table.Right))
+    @ [ ("avg %", Table.Right) ]
+  in
+  let t = Table.create columns in
   Array.iter
-    (fun r ->
+    (fun (workload, base_rates, opt_rates, _) ->
       let line name rates =
         Table.add_row t
-          ([ ""; name ]
-          @ Array.to_list
-              (Array.map (fun x -> Table.cell_f ~decimals:3 (100.0 *. x)) rates)
-          @ [ Table.cell_f ~decimals:3 (100.0 *. Stats.mean rates) ])
+          ([ Table.Text ""; Table.Text name ]
+          @ Array.to_list (Array.map (fun x -> Table.Float (3, 100.0 *. x)) rates)
+          @ [ Table.Float (3, 100.0 *. Stats.mean rates) ])
       in
-      Table.add_row t [ r.workload; ""; ""; ""; ""; ""; "" ];
-      line "Base" r.base_rates;
-      line "OptS" r.opt_rates;
+      Table.add_row t
+        (Table.Text workload :: List.init (List.length columns - 1) (fun _ -> Table.Text ""));
+      line "Base" base_rates;
+      line "OptS" opt_rates;
       Table.add_separator t)
     rows;
   let shares =
     Array.to_list rows
-    |> List.map (fun r ->
-           Result.note "%-12s cross-processor interrupts: %.0f%% of invocations"
-             r.workload (100.0 *. r.forced_share))
+    |> List.map (fun (workload, _, _, share) ->
+           Result.scalar
+             ~text:
+               (Printf.sprintf "%-12s cross-processor interrupts: %.0f%% of invocations"
+                  workload share)
+             [ ("cross_processor_interrupt_pct", Table.Pct (0, share)) ])
   in
   Result.report ~id:"mp" ~section:"Multiprocessor: per-CPU miss rates, 4 CPUs, 8KB DM each"
     ((Result.of_table t :: shares)

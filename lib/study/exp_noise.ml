@@ -54,7 +54,7 @@ let report (ctx : Context.t) =
   Array.iteri
     (fun k spread ->
       Table.add_row t
-        [ Printf.sprintf "%.2f" spread; Table.cell_f (Stats.ratio misses.(k + 1) misses.(0)) ])
+        [ Table.Float (2, spread); Table.Float (2, Stats.ratio misses.(k + 1) misses.(0)) ])
     spreads;
   Result.report ~id:"noise"
     ~section:"Profile noise: OptS from a perturbed profile vs the clean one"

@@ -5,11 +5,9 @@
    routine boundaries, SelfConfFree) still beat the stronger generic
    baseline that displaced C-H a year later? *)
 
-type row = { workload : string; rates : (string * float) list }
-
 let levels = [ "Base"; "C-H"; "P-H"; "OptS" ]
 
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let layouts_of = function
     | "Base" -> Levels.build ctx Levels.Base
     | "C-H" -> Levels.build ctx Levels.CH
@@ -26,36 +24,21 @@ let compute (ctx : Context.t) =
         (Parallel.map_array (fun _ name -> (layouts_of name, config)) (Array.of_list levels))
       ()
   in
-  let rates =
-    List.mapi
-      (fun k name ->
-        let rate (r : Runner.run) = Counters.miss_rate r.Runner.counters in
-        (name, Array.map rate runs.(k)))
-      levels
-  in
-  Array.mapi
-    (fun i ((w : Workload.t), _) ->
-      {
-        workload = w.Workload.name;
-        rates = List.map (fun (name, rs) -> (name, rs.(i))) rates;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
   let t =
     Table.create
       (("Workload", Table.Left)
       :: List.map (fun name -> (name ^ " %", Table.Right)) levels)
   in
-  Array.iter
-    (fun r ->
+  Array.iteri
+    (fun i name ->
       Table.add_row t
-        (r.workload
-        :: List.map
-             (fun (_, rate) -> Table.cell_f ~decimals:3 (100.0 *. rate))
-             r.rates))
-    rows;
+        (Table.Text name
+        :: Array.to_list
+             (Array.map
+                (fun level_runs ->
+                  Table.Float (3, 100.0 *. Counters.miss_rate level_runs.(i).Runner.counters))
+                runs)))
+    (Context.workload_names ctx);
   Result.report ~id:"ph"
     ~section:"Baselines: Base / Chang-Hwu / Pettis-Hansen / OptS (8KB DM)"
     [

@@ -4,15 +4,10 @@
    (direct-mapped caches have no policy, so associativity is needed to
    expose the difference). *)
 
-type row = {
-  workload : string;
-  rates : (string * float * float) array;  (** policy, Base, OptS. *)
-}
-
 let policies =
   [| ("LRU", Config.Lru); ("FIFO", Config.Fifo); ("random", Config.Random 1234) |]
 
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let base_layouts = Levels.build ctx Levels.Base in
   let opt_layouts = Levels.build ctx Levels.OptS in
   (* All six (policy x layout) members ride one batch: the three policies
@@ -27,24 +22,7 @@ let compute (ctx : Context.t) =
             policies))
   in
   let batch = Runner.simulate_batch ctx ~members () in
-  let rates runs =
-    Array.map (fun (r : Runner.run) -> Counters.miss_rate r.Runner.counters) runs
-  in
-  let per_policy =
-    Array.mapi
-      (fun pi (name, _) -> (name, rates batch.(2 * pi), rates batch.((2 * pi) + 1)))
-      policies
-  in
-  Array.mapi
-    (fun i ((w : Workload.t), _) ->
-      {
-        workload = w.Workload.name;
-        rates = Array.map (fun (n, b, o) -> (n, b.(i), o.(i))) per_policy;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
+  let rate m i = Counters.miss_rate batch.(m).(i).Runner.counters in
   let t =
     Table.create
       [
@@ -52,21 +30,22 @@ let report ctx =
         ("OptS %", Table.Right); ("reduction", Table.Right);
       ]
   in
-  Array.iter
-    (fun r ->
+  Array.iteri
+    (fun i name ->
       Array.iteri
-        (fun j (policy, base, opt) ->
+        (fun pi (policy, _) ->
+          let base = rate (2 * pi) i and opt = rate ((2 * pi) + 1) i in
           Table.add_row t
             [
-              (if j = 0 then r.workload else "");
-              policy;
-              Table.cell_f ~decimals:3 (100.0 *. base);
-              Table.cell_f ~decimals:3 (100.0 *. opt);
-              Table.cell_pct ~decimals:0 (100.0 *. (1.0 -. (opt /. base)));
+              Table.Text (if pi = 0 then name else "");
+              Table.Text policy;
+              Table.Float (3, 100.0 *. base);
+              Table.Float (3, 100.0 *. opt);
+              Table.Pct (0, 100.0 *. (1.0 -. (opt /. base)));
             ])
-        r.rates;
+        policies;
       Table.add_separator t)
-    rows;
+    (Context.workload_names ctx);
   Result.report ~id:"policy" ~section:"Replacement policy: Base vs OptS, 8KB 4-way"
     [
       Result.of_table t;

@@ -5,10 +5,6 @@
    OptS misses over Base misses on the 8 KB cache - is stable, i.e. the
    committed 2 M-word configuration is long enough. *)
 
-type point = { words : int; ratio : float }
-
-let budgets_of words = [| words / 4; words / 2; words; words * 2 |]
-
 let ratio_at (ctx : Context.t) words =
   (* The committed budget is the context itself: same spec, words and
      seed, so rebuilding it would recapture identical traces. *)
@@ -26,24 +22,20 @@ let ratio_at (ctx : Context.t) words =
   in
   Stats.ratio misses.(0) misses.(1)
 
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   (* Rebuild contexts at each budget with the committed spec and seed so
      only the trace length varies.  The budgets are independent (each
      context has its own key, so they share no memo entry) and run
      concurrently; each one's trace capture fans out inside its task. *)
-  Parallel.map_array
-    (fun _ words -> { words; ratio = ratio_at ctx words })
-    (budgets_of ctx.Context.words)
-
-let report ctx =
-  let points = compute ctx in
+  let words = ctx.Context.words in
+  let budgets = [| words / 4; words / 2; words; words * 2 |] in
+  let ratios = Parallel.map_array (fun _ words -> ratio_at ctx words) budgets in
   let t =
     Table.create [ ("words per workload", Table.Right); ("OptS/Base", Table.Right) ]
   in
-  Array.iter
-    (fun p -> Table.add_row t [ Table.cell_i p.words; Table.cell_f p.ratio ])
-    points;
-  let ratios = Array.map (fun p -> p.ratio) points in
+  Array.iteri
+    (fun k words -> Table.add_row t [ Table.Int words; Table.Float (2, ratios.(k)) ])
+    budgets;
   Result.report ~id:"robust" ~section:"Robustness: OptS/Base miss ratio vs traced words"
     [
       Result.of_table t;

@@ -1,30 +1,5 @@
-type row = {
-  workload : string;
-  executed_bytes : int;
-  executed_code_pct : float;
-  executed_bb_pct : float;
-  invocation_pct : float array;
-}
-
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let g = Context.os_graph ctx in
-  Array.mapi
-    (fun i (w, _) ->
-      let p = ctx.Context.os_profiles.(i) in
-      let s = ctx.Context.stats.(i) in
-      let total_inv = Array.fold_left ( + ) 0 s.Engine.invocations in
-      {
-        workload = w.Workload.name;
-        executed_bytes = Profile.executed_bytes p g;
-        executed_code_pct = Stats.pct (Profile.executed_bytes p g) (Graph.code_bytes g);
-        executed_bb_pct = Stats.pct (Profile.executed_block_count p) (Graph.block_count g);
-        invocation_pct =
-          Array.map (fun c -> Stats.pct c total_inv) s.Engine.invocations;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
   let t =
     Table.create
       [
@@ -33,15 +8,24 @@ let report ctx =
         ("ARC2D+Fsck", Table.Right); ("Shell", Table.Right);
       ]
   in
-  let line label f = Table.add_row t (label :: Array.to_list (Array.map f rows)) in
-  line "Size of Executed OS Code (Bytes)" (fun r -> Table.cell_i r.executed_bytes);
-  line "Size of Executed OS Code (%)" (fun r -> Table.cell_f ~decimals:1 r.executed_code_pct);
-  line "Number of Executed OS BBs (%)" (fun r -> Table.cell_f ~decimals:1 r.executed_bb_pct);
+  let line label f =
+    Table.add_row t (Table.Text label :: List.init (Context.workload_count ctx) f)
+  in
+  let profile i = ctx.Context.os_profiles.(i) in
+  line "Size of Executed OS Code (Bytes)" (fun i ->
+      Table.Int (Profile.executed_bytes (profile i) g));
+  line "Size of Executed OS Code (%)" (fun i ->
+      Table.Float (1, Stats.pct (Profile.executed_bytes (profile i) g) (Graph.code_bytes g)));
+  line "Number of Executed OS BBs (%)" (fun i ->
+      Table.Float
+        (1, Stats.pct (Profile.executed_block_count (profile i)) (Graph.block_count g)));
   Array.iteri
     (fun ci c ->
       line
         (Service.to_string c ^ " Invoc. (% of Total)")
-        (fun r -> Table.cell_pct r.invocation_pct.(ci)))
+        (fun i ->
+          let invocations = ctx.Context.stats.(i).Engine.invocations in
+          Table.Pct (1, Stats.pct invocations.(ci) (Array.fold_left ( + ) 0 invocations))))
     Service.all;
   Result.report ~id:"table1" ~section:"Table 1: OS instruction-reference characteristics"
     [

@@ -23,14 +23,14 @@ let report (ctx : Context.t) =
           let pred = Seqstat.predictability set ~trace in
           let weight = Seqstat.weight set ~graph:g ~profile:p ~os_block_misses:misses in
           [
-            Table.cell_f pred.Seqstat.to_any;
-            Table.cell_f pred.Seqstat.to_next;
-            Table.cell_f ~decimals:1 weight.Seqstat.static_pct;
-            Table.cell_f ~decimals:1 weight.Seqstat.refs_pct;
-            Table.cell_f ~decimals:1 weight.Seqstat.misses_pct;
+            Table.Float (2, pred.Seqstat.to_any);
+            Table.Float (2, pred.Seqstat.to_next);
+            Table.Float (1, weight.Seqstat.static_pct);
+            Table.Float (1, weight.Seqstat.refs_pct);
+            Table.Float (1, weight.Seqstat.misses_pct);
           ]
         in
-        (w.Workload.name :: cells core) @ cells regular)
+        (Table.Text w.Workload.name :: cells core) @ cells regular)
       ctx.Context.pairs
   in
   let t =

@@ -5,9 +5,9 @@ let report (ctx : Context.t) =
     Parallel.map_array
       (fun i ((w : Workload.t), _) ->
         let p = ctx.Context.os_profiles.(i) in
-        w.Workload.name
+        Table.Text w.Workload.name
         :: List.map
-             (fun share -> Table.cell_f ~decimals:1 (100.0 *. share))
+             (fun share -> Table.Float (1, 100.0 *. share))
              [
                Loopstat.dynamic_share_without_calls g p loops;
                Loopstat.static_executed_share_without_calls g p loops;

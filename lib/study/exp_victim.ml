@@ -6,13 +6,6 @@
    fully-associative buffer next to the direct-mapped cache make the
    software layout unnecessary?  And do the two compose? *)
 
-type row = {
-  workload : string;
-  rates : (string * float) list;
-      (** setup name -> miss rate, for Base / Base+victim(4/8/16) /
-          OptS / OptS+victim(8). *)
-}
-
 let setups =
   [
     ("Base", Levels.Base, None);
@@ -23,7 +16,7 @@ let setups =
     ("OptS+V8", Levels.OptS, Some 8);
   ]
 
-let compute (ctx : Context.t) =
+let report (ctx : Context.t) =
   let main = Config.make ~size_kb:8 () in
   let runs =
     Runner.batch ctx
@@ -38,30 +31,19 @@ let compute (ctx : Context.t) =
               setups))
       ()
   in
-  Array.mapi
-    (fun i ((w : Workload.t), _) ->
-      {
-        workload = w.Workload.name;
-        rates =
-          List.mapi
-            (fun m (name, _, _) -> (name, Counters.miss_rate runs.(m).(i).Runner.counters))
-            setups;
-      })
-    ctx.Context.pairs
-
-let report ctx =
-  let rows = compute ctx in
   let t =
     Table.create
       (("Workload", Table.Left)
       :: List.map (fun (n, _, _) -> (n ^ " %", Table.Right)) setups)
   in
-  Array.iter
-    (fun r ->
+  Array.iteri
+    (fun i name ->
       Table.add_row t
-        (r.workload
-        :: List.map (fun (_, rate) -> Table.cell_f ~decimals:3 (100.0 *. rate)) r.rates))
-    rows;
+        (Table.Text name
+        :: List.mapi
+             (fun m _ -> Table.Float (3, 100.0 *. Counters.miss_rate runs.(m).(i).Runner.counters))
+             setups))
+    (Context.workload_names ctx);
   Result.report ~id:"victim"
     ~section:"Victim cache vs software layout (8KB DM main, 32B lines)"
     [

@@ -29,9 +29,12 @@ let batch_fields =
 
 let to_json () =
   (* GC statistics are a point sample taken now (manifest emission), not
-     an accumulation: quick_stat is cheap and the emission point is the
-     end of the run, so the numbers cover the whole pipeline. *)
+     an accumulation: the emission point is the end of the run, so the
+     numbers cover the whole pipeline.  quick_stat counts a domain's minor
+     words only up to its last minor collection, and Gc.minor_words counts
+     only the calling domain, so empty every minor heap first. *)
   let gc_json =
+    Gc.minor ();
     let g = Gc.quick_stat () in
     Json.Obj
       [

@@ -29,7 +29,8 @@
       "metrics": { "counters": {..}, "histograms": {..} } }
     v}
 
-    [run.gc] samples [Gc.quick_stat] at emission time.  [stages] lists
+    [run.gc] samples [Gc.quick_stat] at emission time, after a minor
+    collection, so [minor_words] counts every domain's allocations.  [stages] lists
     {!Trace_log.stage_totals} in order of first completion: stage
     [experiment.<id>] is one experiment, [layout_cache.<stage>] the builds
     of one staged layout cache.  [batch] is the registry's [batch.<field>] counters

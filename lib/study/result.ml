@@ -5,7 +5,7 @@ type item =
       rows : Table.row list;
     }
   | Series of { label : string; points : (string * float) list }
-  | Scalar of { label : string; value : float; text : string }
+  | Scalar of { text : string; values : (string * Table.cell) list }
   | Note of string
   | Paper_ref of string
 
@@ -24,11 +24,30 @@ let of_table t =
 
 let series ~label points = Series { label; points }
 
-let scalar ~label ~value ~text = Scalar { label; value; text }
+let scalar ~text values = Scalar { text; values }
 
 let note fmt = Printf.ksprintf (fun s -> Note s) fmt
 
 let paper s = Paper_ref s
+
+(* ------------------------------------------------------------------ *)
+(* Reading values back                                                *)
+(* ------------------------------------------------------------------ *)
+
+let column r name =
+  List.concat_map
+    (function
+      | Table { columns; rows; _ } -> (
+          match List.find_index (fun (header, _) -> header = name) columns with
+          | None -> []
+          | Some k ->
+              List.filter_map
+                (function Table.Cells cells -> Some (List.nth cells k) | Table.Separator -> None)
+                rows)
+      | Scalar { values; _ } ->
+          List.filter_map (fun (label, c) -> if label = name then Some c else None) values
+      | Series _ | Note _ | Paper_ref _ -> [])
+    r.items
 
 (* ------------------------------------------------------------------ *)
 (* Text rendering (byte-identical to the historical printf output)    *)
@@ -59,6 +78,16 @@ let print r = print_string (render_text r)
 
 let align_to_json = function Table.Left -> Json.String "left" | Table.Right -> Json.String "right"
 
+let cell_to_json = function
+  | Table.Text s -> Json.String s
+  | Table.Int n -> Json.Obj [ ("kind", Json.String "int"); ("value", Json.Int n) ]
+  | Table.Float (decimals, x) ->
+      Json.Obj
+        [ ("kind", Json.String "float"); ("value", Json.Float x); ("decimals", Json.Int decimals) ]
+  | Table.Pct (decimals, x) ->
+      Json.Obj
+        [ ("kind", Json.String "pct"); ("value", Json.Float x); ("decimals", Json.Int decimals) ]
+
 let item_to_json = function
   | Table { title; columns; rows } ->
       Json.Obj
@@ -78,7 +107,7 @@ let item_to_json = function
                    | Table.Separator -> Json.String "sep"
                    | Table.Cells cells ->
                        Json.Obj
-                         [ ("cells", Json.List (List.map (fun c -> Json.String c) cells)) ])
+                         [ ("cells", Json.List (List.map cell_to_json cells)) ])
                  rows) );
         ]
   | Series { label; points } ->
@@ -92,13 +121,12 @@ let item_to_json = function
                  (fun (x, y) -> Json.Obj [ ("x", Json.String x); ("y", Json.Float y) ])
                  points) );
         ]
-  | Scalar { label; value; text } ->
+  | Scalar { text; values } ->
       Json.Obj
         [
           ("kind", Json.String "scalar");
-          ("label", Json.String label);
-          ("value", Json.Float value);
           ("text", Json.String text);
+          ("values", Json.Obj (List.map (fun (label, c) -> (label, cell_to_json c)) values));
         ]
   | Note s -> Json.Obj [ ("kind", Json.String "note"); ("text", Json.String s) ]
   | Paper_ref s -> Json.Obj [ ("kind", Json.String "paper_ref"); ("text", Json.String s) ]
@@ -145,6 +173,35 @@ let rec map_result f = function
       let* ys = map_result f rest in
       Ok (y :: ys)
 
+let as_int what j =
+  match Json.to_int j with
+  | Some i -> Ok i
+  | None -> Error (Printf.sprintf "%s: expected an integer" what)
+
+let cell_of_json = function
+  | Json.String s -> Ok (Table.Text s)
+  | j -> (
+      let* kind = field "kind" j in
+      let* kind = as_string "cell kind" kind in
+      let* value = field "value" j in
+      let decimals () =
+        let* d = field "decimals" j in
+        as_int "cell decimals" d
+      in
+      match kind with
+      | "int" ->
+          let* n = as_int "int cell" value in
+          Ok (Table.Int n)
+      | "float" ->
+          let* d = decimals () in
+          let* x = as_float "float cell" value in
+          Ok (Table.Float (d, x))
+      | "pct" ->
+          let* d = decimals () in
+          let* x = as_float "pct cell" value in
+          Ok (Table.Pct (d, x))
+      | other -> Error (Printf.sprintf "unknown cell kind %S" other))
+
 let align_of_json = function
   | Json.String "left" -> Ok Table.Left
   | Json.String "right" -> Ok Table.Right
@@ -184,7 +241,7 @@ let item_of_json j =
             | _ ->
                 let* cells = field "cells" r in
                 let* cells = as_list "row cells" cells in
-                let* cells = map_result (as_string "cell") cells in
+                let* cells = map_result cell_of_json cells in
                 Ok (Table.Cells cells))
           rows
       in
@@ -206,13 +263,19 @@ let item_of_json j =
       in
       Ok (Series { label; points })
   | "scalar" ->
-      let* label = field "label" j in
-      let* label = as_string "scalar label" label in
-      let* value = field "value" j in
-      let* value = as_float "scalar value" value in
       let* text = field "text" j in
       let* text = as_string "scalar text" text in
-      Ok (Scalar { label; value; text })
+      let* values =
+        match Json.member "values" j with
+        | Some (Json.Obj kvs) ->
+            map_result
+              (fun (label, c) ->
+                let* c = cell_of_json c in
+                Ok (label, c))
+              kvs
+        | _ -> Error "scalar values: expected an object"
+      in
+      Ok (Scalar { text; values })
   | "note" ->
       let* text = field "text" j in
       let* text = as_string "note text" text in
@@ -252,15 +315,21 @@ let csv_field s =
   end
   else s
 
-let csv_line fields = String.concat "," (List.map csv_field fields) ^ "\n"
+(* Numbers go out bare, at their decimals, so a spreadsheet can sum them. *)
+let csv_cell = function
+  | Table.Int n -> string_of_int n
+  | Table.Float (decimals, x) | Table.Pct (decimals, x) -> Printf.sprintf "%.*f" decimals x
+  | Table.Text s -> csv_field s
+
+let csv_line fields = String.concat "," fields ^ "\n"
 
 let csv_of_table columns rows =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (csv_line (List.map fst columns));
+  Buffer.add_string buf (csv_line (List.map (fun (header, _) -> csv_field header) columns));
   List.iter
     (function
       | Table.Separator -> ()
-      | Table.Cells cells -> Buffer.add_string buf (csv_line cells))
+      | Table.Cells cells -> Buffer.add_string buf (csv_line (List.map csv_cell cells)))
     rows;
   Buffer.contents buf
 
@@ -271,8 +340,10 @@ let item_csv = function
       "# series: " ^ label ^ "\n"
       ^ csv_line [ "label"; "value" ]
       ^ String.concat ""
-          (List.map (fun (x, y) -> csv_line [ x; Json.float_repr y ]) points)
-  | Scalar { label; value; _ } -> csv_line [ "scalar"; label; Json.float_repr value ]
+          (List.map (fun (x, y) -> csv_line [ csv_field x; Json.float_repr y ]) points)
+  | Scalar { values; _ } ->
+      String.concat ""
+        (List.map (fun (label, c) -> csv_line [ "scalar"; csv_field label; csv_cell c ]) values)
   | Note s -> "# " ^ s ^ "\n"
   | Paper_ref s -> "# [paper] " ^ s ^ "\n"
 

@@ -1,9 +1,11 @@
 (** Typed experiment reports.
 
-    Every experiment's [compute] produces a {!report}: a section banner
-    plus an ordered list of {!item}s — tables, labelled series (rendered
-    as ASCII bar charts in text mode), named scalars, free-form notes and
-    the paper's reference values.  Three renderers consume the same value:
+    Every experiment's [report] produces a {!report}: a section banner
+    plus an ordered list of {!item}s — tables of typed {!Table.cell}s,
+    labelled series (rendered as ASCII bar charts in text mode), scalar
+    lines carrying labelled values, free-form notes and the paper's
+    reference values.  {!column} reads the values back; three renderers
+    consume the same value:
 
     - {!render_text} reproduces the classic stdout transcript byte for
       byte (the golden tests in [test/test_golden.ml] prove this for all
@@ -12,7 +14,7 @@
       document that {!of_json} parses back to a structurally equal
       report (QCheck round-trip property in [test/test_report.ml]);
     - {!render} with {!Csv} emits flat comma-separated blocks for
-      spreadsheet / plotting consumption.
+      spreadsheet / plotting consumption, numbers bare at their decimals.
 
     The module intentionally shadows [Stdlib.Result] inside the
     [icache_study] namespace; the standard module stays reachable as
@@ -25,7 +27,7 @@ type item =
       rows : Table.row list;
     }
   | Series of { label : string; points : (string * float) list }
-  | Scalar of { label : string; value : float; text : string }
+  | Scalar of { text : string; values : (string * Table.cell) list }
   | Note of string
   | Paper_ref of string
 
@@ -42,17 +44,25 @@ val of_table : Table.t -> item
 
 val series : label:string -> (string * float) list -> item
 
-val scalar : label:string -> value:float -> text:string -> item
-(** A named number.  [text] is the exact human-readable line the classic
-    transcript printed for it (indentation and newline added by the
-    renderer), so text output stays byte-identical while JSON/CSV
-    consumers get [label]/[value]. *)
+val scalar : text:string -> (string * Table.cell) list -> item
+(** A line of text and the labelled values it shows.  [text] is the exact
+    line the transcript prints (indentation and newline added by the
+    renderer), so text output stays byte-identical while {!column} and
+    JSON/CSV consumers get the values. *)
 
 val note : ('a, unit, string, item) format4 -> 'a
 (** Printf-style free-form remark. *)
 
 val paper : string -> item
 (** The paper's reported value/shape for side-by-side comparison. *)
+
+(** {1 Reading} *)
+
+val column : report -> string -> Table.cell list
+(** Every value of [report] under [name], in item order: the cells of each
+    table column headed [name] (separators skipped), and each scalar value
+    labelled [name].  The one way a program reads a number back from a
+    report. *)
 
 (** {1 Rendering} *)
 
@@ -72,6 +82,10 @@ val section_banner : string -> string
 (** {1 JSON} *)
 
 val to_json : report -> Json.t
+(** A [Text] cell is a JSON string; a numeric cell is an object with its
+    [kind] (["int"], ["float"] or ["pct"]), its [value] as a JSON number
+    and, for [float] and [pct], its [decimals].  A scalar's values are an
+    object from label to cell. *)
 
 val of_json : Json.t -> (report, string) result
 (** Inverse of {!to_json}: [of_json (to_json r) = Ok r] for every report

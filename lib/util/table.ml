@@ -1,6 +1,8 @@
 type align = Left | Right
 
-type row = Cells of string list | Separator
+type cell = Int of int | Float of int * float | Pct of int * float | Text of string
+
+type row = Cells of cell list | Separator
 
 type t = {
   title : string option;
@@ -25,6 +27,24 @@ let columns t = List.combine t.headers t.aligns
 
 let row_list t = List.rev t.rows
 
+let thousands n =
+  let s = string_of_int (abs n) in
+  let len = String.length s in
+  let buf = Buffer.create (len + (len / 3) + 1) in
+  if n < 0 then Buffer.add_char buf '-';
+  String.iteri
+    (fun i c ->
+      if i > 0 && (len - i) mod 3 = 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let cell_text = function
+  | Int n -> thousands n
+  | Float (decimals, x) -> Printf.sprintf "%.*f" decimals x
+  | Pct (decimals, x) -> Printf.sprintf "%.*f%%" decimals x
+  | Text s -> s
+
 let pad align width s =
   let n = String.length s in
   if n >= width then s
@@ -34,12 +54,15 @@ let pad align width s =
 
 let render_rows ?title columns rows =
   let headers = List.map fst columns and aligns = List.map snd columns in
+  let rows =
+    List.map (function Separator -> None | Cells cells -> Some (List.map cell_text cells)) rows
+  in
   let widths =
     List.fold_left
       (fun acc row ->
         match row with
-        | Separator -> acc
-        | Cells cells -> List.map2 (fun w c -> max w (String.length c)) acc cells)
+        | None -> acc
+        | Some cells -> List.map2 (fun w c -> max w (String.length c)) acc cells)
       (List.map String.length headers)
       rows
   in
@@ -61,26 +84,10 @@ let render_rows ?title columns rows =
   rule ();
   emit_cells headers;
   rule ();
-  List.iter (function Separator -> rule () | Cells cells -> emit_cells cells) rows;
+  List.iter (function None -> rule () | Some cells -> emit_cells cells) rows;
   rule ();
   Buffer.contents buf
 
 let render t = render_rows ?title:t.title (columns t) (row_list t)
 
 let print t = print_string (render t)
-
-let cell_f ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
-
-let cell_pct ?(decimals = 1) x = Printf.sprintf "%.*f%%" decimals x
-
-let cell_i n =
-  let s = string_of_int (abs n) in
-  let len = String.length s in
-  let buf = Buffer.create (len + (len / 3) + 1) in
-  if n < 0 then Buffer.add_char buf '-';
-  String.iteri
-    (fun i c ->
-      if i > 0 && (len - i) mod 3 = 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf c)
-    s;
-  Buffer.contents buf

@@ -2,14 +2,18 @@
 
 type align = Left | Right
 
-type row = Cells of string list | Separator
+(** A typed cell.  [Float (d, x)] and [Pct (d, x)] carry the decimals
+    they render with; [Pct] holds a percentage (0-100), not a fraction. *)
+type cell = Int of int | Float of int * float | Pct of int * float | Text of string
+
+type row = Cells of cell list | Separator
 
 type t
 
 val create : ?title:string -> (string * align) list -> t
 (** [create ~title columns] starts a table with the given column headers. *)
 
-val add_row : t -> string list -> unit
+val add_row : t -> cell list -> unit
 (** Append a row.  @raise Invalid_argument if the arity differs from the
     header. *)
 
@@ -25,6 +29,11 @@ val row_list : t -> row list
 (** The accumulated rows in insertion order (snapshot for the structured
     report algebra). *)
 
+val cell_text : cell -> string
+(** A cell as the text renderer prints it: [Int] with thousands
+    separators ("1,234"), [Float (d, x)] as [%.*f], [Pct (d, x)] the same
+    with a trailing [%], [Text] verbatim. *)
+
 val render_rows : ?title:string -> (string * align) list -> row list -> string
 (** A table given as its parts (trailing newline included): the renderer
     behind {!render}, for a table that lives on as data, such as a report
@@ -35,12 +44,3 @@ val render : t -> string
 
 val print : t -> unit
 (** [render] to stdout. *)
-
-val cell_f : ?decimals:int -> float -> string
-(** Format a float cell (default 2 decimals). *)
-
-val cell_pct : ?decimals:int -> float -> string
-(** Format a percentage cell with a trailing [%]. *)
-
-val cell_i : int -> string
-(** Format an int cell with thousands separators. *)

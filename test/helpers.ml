@@ -180,3 +180,24 @@ let small_context =
   lazy (Context.create ~spec:Spec.small ~words:150_000 ~seed:7 ())
 
 let full_context = lazy (Context.create ~spec:Spec.default ~words:400_000 ~seed:7 ())
+
+(* Reading a report back through [Result.column], the one value reader. *)
+let num = function
+  | Table.Int n -> float_of_int n
+  | Table.Float (_, x) | Table.Pct (_, x) -> x
+  | Table.Text s -> Alcotest.failf "expected a number, got the text %S" s
+
+(* The numbers under [name], blank cells skipped. *)
+let nums r name =
+  List.filter_map (function Table.Text "" -> None | c -> Some (num c)) (Result.column r name)
+
+let texts r name =
+  List.map
+    (function Table.Text s -> s | c -> Alcotest.failf "expected text, got %s" (Table.cell_text c))
+    (Result.column r name)
+
+(* The number under [column] on the row (or scalar) whose [key] reads [k]. *)
+let lookup r ~key k column =
+  match List.assoc_opt k (List.combine (texts r key) (Result.column r column)) with
+  | Some c -> num c
+  | None -> Alcotest.failf "no %s %S in report %s" key k r.Result.id

@@ -9,6 +9,9 @@
 #     ROOT/benchmark or ROOT/examples, or
 #   - the bare NAME in M's own .ml, on a line other than the `let`/`and`
 #     line that defines it, and not as a field (`x.NAME`) or a label.
+#     This rule does not apply to an experiment (lib/study/exp_*.mli):
+#     an experiment exports its report and what another module calls, so
+#     a value only its own report uses stays private.
 # Comments and string literals are stripped first.  Qualified names are
 # enough outside the defining module because no file under lib/, bin/,
 # benchmark/ or examples/ opens a project module (bin/ opens only
@@ -73,7 +76,7 @@ for mli in "$root"/lib/*/*.mli; do
     called=no
     if grep -qxF "$m.$v" "$tmp/qualified"; then
       called=yes
-    elif [ -f "$ml" ]; then
+    elif [ -f "$ml" ] && [[ "$base" != exp_* ]]; then
       grep -vE "^[[:space:]]*(let|and)(\[@[^]]*\])?([[:space:]]+rec)?[[:space:]]+$v($|[^A-Za-z0-9_'])" "$ml" > "$tmp/body" || true
       if grep -qE "(^|[^.~?A-Za-z0-9_'])$v($|[^:A-Za-z0-9_'])" "$tmp/body"; then called=yes; fi
     fi

@@ -1,132 +1,131 @@
 open Helpers
 
-(* Typed assertions on the paper experiments' compute functions: beyond
-   the "every driver runs" smoke test, these pin the structural and
-   qualitative properties each table/figure must exhibit even on the
-   mini-kernel. *)
+(* Assertions on the paper experiments' reports, read back through
+   [Result.column]: beyond the "every driver runs" smoke test, these pin
+   the structural and qualitative properties each table/figure must
+   exhibit even on the mini-kernel. *)
 
 let ctx () = Lazy.force small_context
 
+let workloads () = Array.to_list (Context.workload_names (ctx ()))
+
 let test_table1 () =
-  let rows = Exp_table1.compute (ctx ()) in
-  check_int "four rows" 4 (Array.length rows);
-  Array.iter
-    (fun (r : Exp_table1.row) ->
-      check_bool "some code executed" true (r.Exp_table1.executed_bytes > 0);
-      check_bool "a strict subset of the kernel" true
-        (r.Exp_table1.executed_code_pct > 0.0 && r.Exp_table1.executed_code_pct < 50.0);
+  let r = Exp_table1.report (ctx ()) in
+  let key = "OS code characteristic" in
+  let rows = texts r key in
+  check_int "four workloads" 4 (List.length (workloads ()));
+  List.iter
+    (fun w ->
+      check_int (w ^ ": a value per row") (List.length rows) (List.length (nums r w));
+      let value label = lookup r ~key label w in
+      check_bool "some code executed" true (value "Size of Executed OS Code (Bytes)" > 0.0);
+      let code_pct = value "Size of Executed OS Code (%)" in
+      check_bool "a strict subset of the kernel" true (code_pct > 0.0 && code_pct < 50.0);
       check_close 0.5 "invocation mix sums to 100%" 100.0
-        (Stats.sum r.Exp_table1.invocation_pct))
-    rows;
+        (List.fold_left
+           (fun acc c -> acc +. value (Service.to_string c ^ " Invoc. (% of Total)"))
+           0.0 (Array.to_list Service.all)))
+    (workloads ());
   (* TRFD_4 never makes system calls. *)
-  let trfd = rows.(0) in
   check_close 1e-6 "TRFD_4 syscall share 0" 0.0
-    trfd.Exp_table1.invocation_pct.(Service.index Service.Syscall)
+    (lookup r ~key (Service.to_string Service.Syscall ^ " Invoc. (% of Total)") "TRFD_4")
 
 let test_fig3 () =
-  let r = Exp_fig3.compute (ctx ()) in
-  check_bool "bimodal: deterministic mass dominates" true (r.Exp_fig3.ge_99 > 0.5);
-  check_bool "fractions are fractions" true
-    (r.Exp_fig3.ge_99 <= 1.0 && r.Exp_fig3.le_01 >= 0.0 && r.Exp_fig3.le_01 <= 1.0);
-  let total =
-    Array.fold_left (fun acc (b : Arcstat.bin) -> acc + b.Arcstat.count) 0 r.Exp_fig3.bins
-  in
-  check_bool "bins populated" true (total > 0)
+  let r = Exp_fig3.report (ctx ()) in
+  let ge_95 = List.hd (nums r "arcs_ge_95_pct") in
+  let le_01 = List.hd (nums r "arcs_le_01_pct") in
+  check_bool "bimodal: deterministic mass dominates" true (ge_95 > 50.0);
+  check_bool "shares are percentages" true (ge_95 <= 100.0 && le_01 >= 0.0 && le_01 <= 100.0)
 
 let test_fig7 () =
-  let r = Exp_fig7.compute (ctx ()) in
-  check_int "ten hot routines" 10 (List.length r.Exp_fig7.top_routines);
-  check_bool "short-distance reuse exists" true (r.Exp_fig7.within_1000_pct > 0.0);
+  let r = Exp_fig7.report (ctx ()) in
+  let share name = List.hd (nums r name) in
+  check_bool "short-distance reuse exists" true (share "within_1000_pct" > 0.0);
   check_bool "within-100 <= within-1000" true
-    (r.Exp_fig7.within_100_pct <= r.Exp_fig7.within_1000_pct +. 1e-9);
+    (share "within_100_pct" <= share "within_1000_pct" +. 1e-9);
   check_bool "last-inv share is a percentage" true
-    (r.Exp_fig7.last_inv_pct >= 0.0 && r.Exp_fig7.last_inv_pct <= 100.0)
+    (share "last_inv_pct" >= 0.0 && share "last_inv_pct" <= 100.0)
 
 let test_fig12 () =
-  let rows = Exp_fig12.compute (ctx ()) in
-  Array.iter
-    (fun (r : Exp_fig12.row) ->
-      check_int "five bars" (Array.length Levels.all) (Array.length r.Exp_fig12.bars);
-      let bar level =
-        Array.to_list r.Exp_fig12.bars
-        |> List.find (fun (b : Exp_fig12.miss_bar) -> b.Exp_fig12.level = level)
-      in
-      let base = bar Levels.Base in
-      check_close 1e-9 "Base normalized to itself" 1.0 base.Exp_fig12.normalized;
-      Array.iter
-        (fun (b : Exp_fig12.miss_bar) ->
-          check_int "breakdown sums to total"
-            (b.Exp_fig12.os_self + b.Exp_fig12.os_cross + b.Exp_fig12.app_cross
-           + b.Exp_fig12.app_self)
-            b.Exp_fig12.total)
-        r.Exp_fig12.bars;
-      check_bool "OptS below Base" true
-        ((bar Levels.OptS).Exp_fig12.normalized < 1.0);
-      check_bool "OS refs share is a percentage" true
-        (r.Exp_fig12.os_ref_pct > 0.0 && r.Exp_fig12.os_ref_pct <= 100.0))
-    rows
+  let r = Exp_fig12.report (ctx ()) in
+  let levels = Array.to_list (Array.map Levels.to_string Levels.all) in
+  Alcotest.(check (list string))
+    "five bars per workload"
+    (List.concat_map (fun _ -> levels) (workloads ()))
+    (texts r "Level");
+  let col name = Array.of_list (nums r name) in
+  let os_self = col "OS self" and os_cross = col "OS x-app" and app_cross = col "App x-OS" in
+  let app_self = col "App self" and total = col "Total" and norm = col "Norm" in
+  List.iteri
+    (fun k level ->
+      if level = "Base" then check_close 1e-9 "Base normalized to itself" 1.0 norm.(k);
+      if level = "OptS" then check_bool "OptS below Base" true (norm.(k) < 1.0);
+      check_int "breakdown sums to total"
+        (int_of_float (os_self.(k) +. os_cross.(k) +. app_cross.(k) +. app_self.(k)))
+        (int_of_float total.(k)))
+    (texts r "Level");
+  check_int "an OS refs share per workload" (List.length (workloads ()))
+    (List.length (nums r "OS refs"));
+  List.iter
+    (fun pct -> check_bool "OS refs share is a percentage" true (pct > 0.0 && pct <= 100.0))
+    (nums r "OS refs")
 
 let test_fig14 () =
-  let results = Exp_fig14.compute (ctx ()) in
-  let find level =
-    Array.to_list results
-    |> List.find (fun (r : Exp_fig14.result) -> r.Exp_fig14.level = level)
-  in
-  let base = find Levels.Base and opt = find Levels.OptS in
-  check_bool "OptS total below Base" true (opt.Exp_fig14.total < base.Exp_fig14.total);
+  let r = Exp_fig14.report (ctx ()) in
+  let at level name = lookup r ~key:"level" (Levels.to_string level) name in
+  check_bool "OptS total below Base" true
+    (at Levels.OptS "total_os_misses" < at Levels.Base "total_os_misses");
   check_bool "OptS tallest peak below Base's" true
-    (opt.Exp_fig14.tallest_peak < base.Exp_fig14.tallest_peak);
-  Array.iter
-    (fun (r : Exp_fig14.result) ->
-      check_int "bins sum to total" r.Exp_fig14.total
-        (Array.fold_left ( + ) 0 r.Exp_fig14.bins);
-      check_bool "top-5 share sane" true
-        (r.Exp_fig14.top5_pct > 0.0 && r.Exp_fig14.top5_pct <= 100.0))
-    results
+    (at Levels.OptS "tallest_peak" < at Levels.Base "tallest_peak");
+  check_int "three levels" 3 (List.length (nums r "top5_pct"));
+  List.iter
+    (fun top5 -> check_bool "top-5 share sane" true (top5 > 0.0 && top5 <= 100.0))
+    (nums r "top5_pct")
 
 let test_fig15 () =
-  let points = Exp_fig15.compute (ctx ()) in
-  check_int "4 sizes x 4 workloads" 16 (Array.length points);
-  Array.iter
-    (fun (p : Exp_fig15.point) ->
-      check_bool "Base rate positive" true (p.Exp_fig15.base_pct > 0.0);
-      check_bool "OptS below Base" true (p.Exp_fig15.opt_s_pct < p.Exp_fig15.base_pct);
-      check_int "three speedups" (Array.length Speedup.penalties)
-        (Array.length p.Exp_fig15.speedups);
-      (* Speedups grow with the penalty when OptS wins. *)
-      if p.Exp_fig15.opt_s_pct < p.Exp_fig15.base_pct then
-        check_bool "speedup grows with penalty" true
-          (p.Exp_fig15.speedups.(2) >= p.Exp_fig15.speedups.(0)))
-    points;
-  (* Miss rates fall with cache size for each workload under Base. *)
-  let base_of kb w =
-    (Array.to_list points
-    |> List.find (fun (p : Exp_fig15.point) ->
-           p.Exp_fig15.size_kb = kb && p.Exp_fig15.workload = w))
-      .Exp_fig15.base_pct
+  let r = Exp_fig15.report (ctx ()) in
+  let base = Array.of_list (nums r "Base%") and opt_s = Array.of_list (nums r "OptS%") in
+  check_int "4 sizes x 4 workloads" 16 (Array.length base);
+  let speedups =
+    Array.map (fun p -> Array.of_list (nums r (Printf.sprintf "spd@%d" p))) Speedup.penalties
   in
-  Array.iter
+  Array.iter (fun s -> check_int "a speedup per penalty" 16 (Array.length s)) speedups;
+  let last = Array.length Speedup.penalties - 1 in
+  Array.iteri
+    (fun k b ->
+      check_bool "Base rate positive" true (b > 0.0);
+      check_bool "OptS below Base" true (opt_s.(k) < b);
+      (* Speedups grow with the penalty when OptS wins. *)
+      if opt_s.(k) < b then
+        check_bool "speedup grows with penalty" true (speedups.(last).(k) >= speedups.(0).(k)))
+    base;
+  (* Miss rates fall with cache size for each workload under Base. *)
+  let rows =
+    List.combine (List.combine (texts r "Cache") (texts r "Workload")) (Array.to_list base)
+  in
+  let base_of kb w = List.assoc (Printf.sprintf "%dKB" kb, w) rows in
+  List.iter
     (fun w -> check_bool "bigger cache, lower Base rate" true (base_of 32 w < base_of 4 w))
-    (Context.workload_names (ctx ()))
+    (workloads ())
 
 let test_fig16 () =
-  let c = ctx () in
-  let areas = Exp_fig16.scf_area_bytes c in
-  check_int "one area per variant" (Array.length Exp_fig16.variants) (Array.length areas);
+  let r = Exp_fig16.report (ctx ()) in
+  let cutoffs = List.map Table.cell_text (Result.column r "cut-off") in
+  let sizes = Array.of_list (nums r "scf_area_bytes") in
+  check_int "four cut-offs" 4 (List.length cutoffs);
+  check_int "one area per variant" (List.length cutoffs) (Array.length sizes);
   (* Lower cut-offs admit more blocks: areas grow monotonically. *)
-  let sizes = Array.map snd areas in
-  check_int "no-area variant is empty" 0 sizes.(0);
+  check_int "no-area variant is empty" 0 (int_of_float sizes.(0));
   for i = 1 to Array.length sizes - 2 do
     check_bool "areas grow as the cut-off drops" true (sizes.(i) <= sizes.(i + 1))
   done;
-  let rows = Exp_fig16.compute c in
-  Array.iter
-    (fun (r : Exp_fig16.row) ->
-      Array.iter
-        (fun (cell : Exp_fig16.cell) ->
-          check_bool "every variant beats Base" true (cell.Exp_fig16.normalized < 1.0))
-        r.Exp_fig16.cells)
-    rows
+  List.iter
+    (fun cutoff ->
+      check_int (cutoff ^ ": a value per (cache, workload)") 12 (List.length (nums r cutoff));
+      List.iter
+        (fun normalized -> check_bool "every variant beats Base" true (normalized < 1.0))
+        (nums r cutoff))
+    cutoffs
 
 (* A context derived on the inlined kernel.  The pins are the event
    streams of [Profile.capture ~seed:(11 + i)] on that kernel, taken

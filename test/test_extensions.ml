@@ -294,89 +294,94 @@ let test_ph_layout_valid () =
 
 let test_ph_in_ch_league () =
   let ctx = small_ctx () in
-  let rows = Exp_ph.compute ctx in
+  let r = Exp_ph.report ctx in
   Array.iter
-    (fun (r : Exp_ph.row) ->
-      let rate name = List.assoc name r.Exp_ph.rates in
+    (fun w ->
+      let rate name = lookup r ~key:"Workload" w (name ^ " %") in
       check_bool "P-H beats Base" true (rate "P-H" < rate "Base");
       check_bool "P-H within 2x of C-H" true (rate "P-H" <= 2.0 *. rate "C-H"))
-    rows
+    (Context.workload_names ctx)
 
 (* ------------------------------------------------------------------ *)
-(* Experiment smoke: compute functions of the new experiments          *)
+(* Experiment smoke: the reports of the new experiments               *)
 (* ------------------------------------------------------------------ *)
 
 let test_ablation_compute () =
   let ctx = small_ctx () in
-  let base, variants = Exp_ablation.compute ctx in
-  check_bool "base has misses" true (base > 0);
-  check_int "five variants" 5 (List.length variants);
+  let r = Exp_ablation.report ctx in
+  (* The first row is Base itself; the variants follow. *)
+  check_bool "base has misses" true (lookup r ~key:"variant" "Base" "misses" > 0.0);
+  check_int "five variants" 5 (List.length (texts r "variant") - 1);
   List.iter
-    (fun (v : Exp_ablation.variant) ->
-      check_bool "every variant beats Base" true (v.Exp_ablation.vs_base < 1.0))
-    variants
+    (fun vs_base -> check_bool "every variant beats Base" true (vs_base < 1.0))
+    (List.tl (nums r "vs Base"))
 
 let test_policy_compute () =
   let ctx = small_ctx () in
-  let rows = Exp_policy.compute ctx in
-  check_int "four workloads" 4 (Array.length rows);
-  Array.iter
-    (fun (r : Exp_policy.row) ->
-      check_int "three policies" 3 (Array.length r.Exp_policy.rates);
-      Array.iter
-        (fun (_, base, opt) ->
-          check_bool "OptS at or below Base under every policy" true
-            (opt <= base +. 1e-9))
-        r.Exp_policy.rates)
-    rows
+  let r = Exp_policy.report ctx in
+  let workloads = List.filter (( <> ) "") (texts r "Workload") in
+  check_int "four workloads" 4 (List.length workloads);
+  Alcotest.(check (list string))
+    "three policies" (List.concat_map (fun _ -> [ "LRU"; "FIFO"; "random" ]) workloads)
+    (texts r "Policy");
+  (* Miss rates in percent: 1e-7 here is 1e-9 of a rate. *)
+  List.iter2
+    (fun base opt ->
+      check_bool "OptS at or below Base under every policy" true (opt <= base +. 1e-7))
+    (nums r "Base %") (nums r "OptS %")
 
 let test_robust_budgets () =
-  let budgets = Exp_robust.budgets_of 2_000_000 in
+  let ctx = Context.create ~spec:Spec.small ~words:40_000 ~seed:5 () in
+  let budgets = Array.of_list (nums (Exp_robust.report ctx) "words per workload") in
   check_bool "budgets ascend" true
     (Array.for_all2 ( < )
        (Array.sub budgets 0 (Array.length budgets - 1))
        (Array.sub budgets 1 (Array.length budgets - 1)));
-  check_int "committed budget is the context budget" 2_000_000 budgets.(2)
+  check_int "committed budget is the context budget" 40_000 (int_of_float budgets.(2))
 
 let test_victim_compute () =
   let ctx = small_ctx () in
-  let rows = Exp_victim.compute ctx in
+  let r = Exp_victim.report ctx in
   Array.iter
-    (fun (r : Exp_victim.row) ->
-      let rate n = List.assoc n r.Exp_victim.rates in
+    (fun w ->
+      let rate n = lookup r ~key:"Workload" w (n ^ " %") in
       check_bool "victim buffer helps Base" true (rate "Base+V8" <= rate "Base");
       check_bool "bigger buffers help more" true (rate "Base+V16" <= rate "Base+V4");
-      check_bool "OptS+victim composes" true (rate "OptS+V8" <= rate "OptS" +. 1e-9))
-    rows
+      (* Miss rates in percent: 1e-7 here is 1e-9 of a rate. *)
+      check_bool "OptS+victim composes" true (rate "OptS+V8" <= rate "OptS" +. 1e-7))
+    (Context.workload_names ctx)
 
 let test_crossval_compute () =
   let ctx = small_ctx () in
-  let r = Exp_crossval.compute ctx in
-  let n = Array.length r.Exp_crossval.names in
-  for i = 0 to n - 1 do
-    check_close 1e-9 "diagonal is 1" 1.0 r.Exp_crossval.matrix.(i).(i)
-  done;
+  let r = Exp_crossval.report ctx in
+  let names = Context.workload_names ctx in
+  (* Column [w]: one row per single-workload profile, then the averaged one. *)
+  Array.iteri
+    (fun i w -> check_close 1e-9 "diagonal is 1" 1.0 (List.nth (nums r w) i))
+    names;
+  let average_row = Array.map (fun w -> List.nth (nums r w) (Array.length names)) names in
   (* On the mini-kernel per-workload miss counts are small, so individual
      ratios are noisy; the average-profile layout must still be in the
      right league overall. *)
   Array.iter
     (fun v -> check_bool "ratios finite and positive" true (v > 0.0 && v < 20.0))
-    r.Exp_crossval.average_row;
+    average_row;
   check_bool "competitive on most workloads" true
     (Array.fold_left (fun acc v -> if v < 2.0 then acc + 1 else acc) 0
-       r.Exp_crossval.average_row
-    >= Array.length r.Exp_crossval.average_row / 2)
+       average_row
+    >= Array.length average_row / 2)
 
 let test_fallthrough_layouts_raise_rate () =
   let ctx = small_ctx () in
-  let rows = Exp_fallthrough.compute ctx in
+  let r = Exp_fallthrough.report ctx in
   Array.iter
-    (fun (r : Exp_fallthrough.row) ->
-      let rate n = List.assoc n r.Exp_fallthrough.rates in
-      check_bool "rates in range" true (rate "Base" >= 0.0 && rate "OptS" <= 1.0);
+    (fun w ->
+      (* Rates in percent. *)
+      let rate n = lookup r ~key:"Workload" w n in
+      check_bool "rates in range" true (rate "Base" >= 0.0 && rate "OptS" <= 100.0);
       check_bool "OptS raises the fall-through rate" true
         (rate "OptS" > rate "Base"))
-    rows
+    (Context.workload_names ctx)
 
 let test_fallthrough_golden () =
   (* Two blocks placed adjacently fall through; placed apart they do not. *)
@@ -399,14 +404,21 @@ let test_fallthrough_golden () =
 
 let test_mp_compute () =
   let ctx = small_ctx () in
-  let rows = Exp_mp.compute ctx in
-  check_int "four workloads" 4 (Array.length rows);
-  Array.iter
-    (fun (r : Exp_mp.row) ->
-      check_int "four cpus" Exp_mp.cpus (Array.length r.Exp_mp.base_rates);
-      check_bool "OptS wins on average" true
-        (Stats.mean r.Exp_mp.opt_rates < Stats.mean r.Exp_mp.base_rates))
-    rows
+  let r = Exp_mp.report ctx in
+  check_int "four workloads" 4 (List.length (List.filter (( <> ) "") (texts r "Workload")));
+  (* Each workload has a Base row and an OptS row, each with one rate per
+     CPU column and their average. *)
+  let cpu c = nums r (Printf.sprintf "CPU%d %%" c) in
+  List.iter (fun c -> check_int "a rate per layout row" 8 (List.length (cpu c))) [ 0; 1; 2; 3 ];
+  check_int "four cpus: no fifth column" 0 (List.length (cpu 4));
+  let avg layout =
+    List.filter_map
+      (fun (l, c) -> if l = layout then Some (num c) else None)
+      (List.combine (texts r "Layout") (Result.column r "avg %"))
+  in
+  List.iter2
+    (fun base opt -> check_bool "OptS wins on average" true (opt < base))
+    (avg "Base") (avg "OptS")
 
 let () =
   Alcotest.run "extensions"

@@ -81,6 +81,35 @@ let traced name run () =
       Trace_log.reset ())
     (golden name run)
 
+(* Every number a report shows is a typed cell, so [repro --format json]
+   carries it as a JSON number: no table cell or scalar value is a [Text]
+   that reads as a plain number.  Labels such as 4KB, 16B or 1way are
+   not plain numbers. *)
+let plain_number = Str.regexp "^-?[0-9,]+\\(\\.[0-9]+\\)?%?$"
+
+let no_number_in_text (e : Experiments.t) () =
+  let r = Experiments.compute e (Lazy.force small_context) in
+  let check where = function
+    | Table.Text s when Str.string_match plain_number s 0 ->
+        Alcotest.failf "%s: %s holds the number %S as text" r.Result.id where s
+    | _ -> ()
+  in
+  List.iter
+    (function
+      | Result.Table { columns; rows; _ } ->
+          List.iteri
+            (fun k -> function
+              | Table.Separator -> ()
+              | Table.Cells cells ->
+                  List.iter2
+                    (fun (header, _) c -> check (Printf.sprintf "row %d, column %S" k header) c)
+                    columns cells)
+            rows
+      | Result.Scalar { values; _ } ->
+          List.iter (fun (label, c) -> check (Printf.sprintf "scalar value %S" label) c) values
+      | Result.Series _ | Result.Note _ | Result.Paper_ref _ -> ())
+    r.Result.items
+
 let () =
   Alcotest.run "golden"
     [
@@ -97,5 +126,10 @@ let () =
             case
               (e.Experiments.id ^ " byte-identical with tracing enabled")
               (traced e.Experiments.id (fun ctx -> Result.print (Experiments.compute e ctx))))
+          Experiments.all );
+      ( "report-values",
+        List.map
+          (fun (e : Experiments.t) ->
+            case (e.Experiments.id ^ " has no number in a text cell") (no_number_in_text e))
           Experiments.all );
     ]

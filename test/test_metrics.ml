@@ -61,7 +61,8 @@ let test_missmap_by_address () =
   let bins = Missmap.by_address ~positions ~sizes ~misses ~bin:1024 in
   check_int "bin 0 holds blocks at 0 and 1000" 12 bins.(0);
   check_int "bin 2 holds the third block" 11 bins.(2);
-  check_int "bin 1 empty" 0 bins.(1)
+  check_int "bin 1 empty" 0 bins.(1);
+  check_int "bins sum to the total misses" 23 (Array.fold_left ( + ) 0 bins)
 
 let test_missmap_peaks () =
   let bins = [| 3; 50; 7; 50; 1 |] in

@@ -175,8 +175,8 @@ let test_robust_reuses_context () =
   ignore (Levels.build ctx Levels.Base);
   let captures = stage_calls "trace_capture" and places = counter "layout_cache.place.misses" in
   let models = counter "kernel_model.misses" in
-  let points = Exp_robust.compute ctx in
-  check_int "four budgets" 4 (Array.length points);
+  let r = Exp_robust.report ctx in
+  check_int "four budgets" 4 (List.length (nums r "OptS/Base"));
   check_int "three new contexts: the 1x budget is the parent" (captures + 3)
     (stage_calls "trace_capture");
   check_int "one new OptS placement per new context, none for the 1x budget" (places + 3)

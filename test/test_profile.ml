@@ -191,6 +191,8 @@ let test_arcstat_bimodal_kernel () =
   let ctx = small_ctx () in
   let p = ctx.Context.avg_os_profile in
   let bins = Arcstat.distribution p (Context.os_graph ctx) in
+  check_bool "bins populated" true
+    (Array.fold_left (fun acc (b : Arcstat.bin) -> acc + b.Arcstat.count) 0 bins > 0);
   let hi = Arcstat.fraction_at_least bins 0.99 in
   check_bool "most arcs near-deterministic" true (hi > 0.5)
 

@@ -50,16 +50,28 @@ let json_gen =
 
 let json_arb = QCheck.make ~print:(fun j -> Json.to_string j) json_gen
 
+(* All four cell kinds. *)
+let cell_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun n -> Table.Int n) (int_range (-1_000_000) 1_000_000);
+      map2 (fun d x -> Table.Float (d, x)) (int_bound 6) (QCheck.gen finite_float);
+      map2 (fun d x -> Table.Pct (d, x)) (int_bound 6) (QCheck.gen finite_float);
+      map (fun s -> Table.Text s) (QCheck.gen string_gen);
+    ]
+
 let item_gen =
   let open QCheck.Gen in
-  let cells = list_size (int_bound 4) (QCheck.gen string_gen) in
+  let cells = list_size (int_bound 4) cell_gen in
   oneof
     [
       map (fun s -> Result.Note s) (QCheck.gen string_gen);
       map (fun s -> Result.Paper_ref s) (QCheck.gen string_gen);
-      map3
-        (fun label value text -> Result.Scalar { label; value; text })
-        (QCheck.gen string_gen) (QCheck.gen finite_float) (QCheck.gen string_gen);
+      map2
+        (fun text values -> Result.Scalar { text; values })
+        (QCheck.gen string_gen)
+        (list_size (int_bound 3) (pair (QCheck.gen string_gen) cell_gen));
       map2
         (fun label points -> Result.Series { label; points })
         (QCheck.gen string_gen)
@@ -142,7 +154,7 @@ let test_text_rendering () =
 let test_scalar_text_is_verbatim () =
   let r =
     Result.report ~id:"x" ~section:"s"
-      [ Result.scalar ~label:"peak" ~value:12.5 ~text:"peak share: 12.5%" ]
+      [ Result.scalar ~text:"peak share: 12.5%" [ ("peak", Table.Pct (1, 12.5)) ] ]
   in
   check_bool "scalar renders its text line" true
     (String.ends_with ~suffix:"  peak share: 12.5%\n" (Result.render_text r))
@@ -155,7 +167,11 @@ let test_csv_bare_table_undecorated () =
           {
             title = None;
             columns = [ ("a", Table.Left); ("b", Table.Right) ];
-            rows = [ Table.Cells [ "1"; "2" ]; Table.Cells [ "3"; "4" ] ];
+            rows =
+              [
+                Table.Cells [ Table.Text "1"; Table.Text "2" ];
+                Table.Cells [ Table.Text "3"; Table.Text "4" ];
+              ];
           };
       ]
   in
@@ -170,12 +186,67 @@ let test_csv_quoting () =
           {
             title = None;
             columns = [ ("h", Table.Left) ];
-            rows = [ Table.Cells [ "a,b" ]; Table.Cells [ "say \"hi\"" ] ];
+            rows = [ Table.Cells [ Table.Text "a,b" ]; Table.Cells [ Table.Text "say \"hi\"" ] ];
           };
       ]
   in
   check_string "commas and quotes get quoted" "h\n\"a,b\"\n\"say \"\"hi\"\"\"\n"
     (Result.render Result.Csv r)
+
+let typed_table =
+  Result.Table
+    {
+      title = None;
+      columns = [ ("misses", Table.Right); ("rate", Table.Right); ("share", Table.Right) ];
+      rows =
+        [
+          Table.Cells [ Table.Int 1234; Table.Float (3, 0.5309); Table.Pct (2, 0.5349) ];
+          Table.Separator;
+          Table.Cells [ Table.Int (-7); Table.Float (1, 2.0); Table.Text "n/a" ];
+        ];
+    }
+
+let test_csv_numbers_bare () =
+  (* No thousands separator and no %: a spreadsheet can sum the column. *)
+  check_string "numbers at their decimals" "misses,rate,share\n1234,0.531,0.53\n-7,2.0,n/a\n"
+    (Result.render Result.Csv (Result.report ~id:"n" ~section:"s" [ typed_table ]));
+  check_string "a scalar value too" "# n: s\nscalar,peak,12.5\n"
+    (Result.render Result.Csv
+       (Result.report ~id:"n" ~section:"s"
+          [ Result.scalar ~text:"peak: 12.5%" [ ("peak", Table.Pct (1, 12.5)) ] ]))
+
+let test_text_formats_cells () =
+  check_string "ints with separators, decimals as given, % on shares"
+    (Result.section_banner "s"
+    ^ "+--------+-------+-------+\n\
+       | misses |  rate | share |\n\
+       +--------+-------+-------+\n\
+       |  1,234 | 0.531 | 0.53% |\n\
+       +--------+-------+-------+\n\
+       |     -7 |   2.0 |   n/a |\n\
+       +--------+-------+-------+\n")
+    (Result.render_text (Result.report ~id:"n" ~section:"s" [ typed_table ]))
+
+let test_json_numbers () =
+  let j = Result.to_json (Result.report ~id:"n" ~section:"s" [ typed_table ]) in
+  check_string "kind, value and decimals; text stays a string"
+    {|{"id":"n","section":"s","items":[{"kind":"table","title":null,"columns":[{"name":"misses","align":"right"},{"name":"rate","align":"right"},{"name":"share","align":"right"}],"rows":[{"cells":[{"kind":"int","value":1234},{"kind":"float","value":0.5309,"decimals":3},{"kind":"pct","value":0.5349,"decimals":2}]},"sep",{"cells":[{"kind":"int","value":-7},{"kind":"float","value":2.0,"decimals":1},"n/a"]}]}]}|}
+    (Json.to_string ~minify:true j)
+
+let test_column_reader () =
+  let r =
+    Result.report ~id:"n" ~section:"s"
+      [
+        typed_table;
+        Result.note "no values here";
+        Result.scalar ~text:"misses: 9" [ ("misses", Table.Int 9); ("other", Table.Text "x") ];
+      ]
+  in
+  check_bool "table cells, separators skipped, then scalar values" true
+    (Result.column r "misses" = [ Table.Int 1234; Table.Int (-7); Table.Int 9 ]);
+  check_bool "text cells too" true
+    (Result.column r "share" = [ Table.Pct (2, 0.5349); Table.Text "n/a" ]);
+  check_bool "an unknown name reads nothing" true (Result.column r "absent" = [])
 
 let test_format_of_string () =
   check_bool "text" true (Result.format_of_string "text" = Ok Result.Text);
@@ -250,6 +321,25 @@ let test_manifest_invariants () =
         List.map fst kvs = [ "schema_version"; "run"; "stages"; "batch"; "metrics" ]
     | _ -> false)
 
+let test_manifest_minor_words () =
+  Manifest.set_run (Lazy.force small_context) ~jobs:1;
+  let manifest_words () =
+    match Json.to_float (member "minor_words" (member "gc" (member "run" (Manifest.to_json ())))) with
+    | Some words -> words
+    | None -> Alcotest.fail "run.gc.minor_words is not a number"
+  in
+  (* Start from an empty minor heap, so the 1000 cells below stay in it. *)
+  Gc.minor ();
+  let before = manifest_words () in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (List.init 1000 Fun.id));
+  let allocated = Gc.minor_words () -. w0 in
+  let counted = manifest_words () -. before in
+  check_bool
+    (Printf.sprintf "the manifest counts %.0f of %.0f words still in the minor heap" counted
+       allocated)
+    true (counted >= allocated)
+
 let test_manifest_experiment_timing () =
   let ctx = Lazy.force small_context in
   let e = Experiments.find "fig9" in
@@ -285,11 +375,16 @@ let () =
           case "scalar text verbatim" test_scalar_text_is_verbatim;
           case "csv bare table" test_csv_bare_table_undecorated;
           case "csv quoting" test_csv_quoting;
+          case "csv numbers bare" test_csv_numbers_bare;
+          case "text formats typed cells" test_text_formats_cells;
+          case "json numeric cells" test_json_numbers;
+          case "column reader" test_column_reader;
           case "format_of_string" test_format_of_string;
         ] );
       ( "manifest",
         [
           case "stage and sim-cache invariants" test_manifest_invariants;
           case "per-experiment timing" test_manifest_experiment_timing;
+          case "minor words include the minor heap" test_manifest_minor_words;
         ] );
     ]

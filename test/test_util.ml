@@ -332,9 +332,9 @@ let test_hist_labels () =
 
 let test_table_render () =
   let t = Table.create [ ("name", Table.Left); ("value", Table.Right) ] in
-  Table.add_row t [ "a"; "1" ];
+  Table.add_row t [ Table.Text "a"; Table.Int 1 ];
   Table.add_separator t;
-  Table.add_row t [ "bb"; "22" ];
+  Table.add_row t [ Table.Text "bb"; Table.Int 22 ];
   let s = Table.render t in
   check_bool "mentions header" true
     (String.length s > 0
@@ -343,14 +343,16 @@ let test_table_render () =
 
 let test_table_arity () =
   let t = Table.create [ ("a", Table.Left); ("b", Table.Left) ] in
-  check_raises_invalid "wrong arity" (fun () -> Table.add_row t [ "only one" ])
+  check_raises_invalid "wrong arity" (fun () -> Table.add_row t [ Table.Text "only one" ])
 
 let test_table_cells () =
-  check_string "cell_i separators" "1,234,567" (Table.cell_i 1234567);
-  check_string "cell_i small" "42" (Table.cell_i 42);
-  check_string "cell_f" "3.14" (Table.cell_f 3.14159);
-  check_string "cell_f decimals" "3.1416" (Table.cell_f ~decimals:4 3.14159);
-  check_string "cell_pct" "12.3%" (Table.cell_pct ~decimals:1 12.345)
+  check_string "int separators" "1,234,567" (Table.cell_text (Table.Int 1234567));
+  check_string "int small" "42" (Table.cell_text (Table.Int 42));
+  check_string "negative int" "-1,234" (Table.cell_text (Table.Int (-1234)));
+  check_string "float" "3.14" (Table.cell_text (Table.Float (2, 3.14159)));
+  check_string "float decimals" "3.1416" (Table.cell_text (Table.Float (4, 3.14159)));
+  check_string "pct" "12.3%" (Table.cell_text (Table.Pct (1, 12.345)));
+  check_string "text verbatim" "4KB" (Table.cell_text (Table.Text "4KB"))
 
 let test_chart_bars () =
   let s = Chart.bars [ ("x", 10.0); ("y", 5.0) ] in
