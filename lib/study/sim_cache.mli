@@ -1,8 +1,13 @@
 (** Content-addressed memo table for trace-replay results.
 
     The ~30 experiments of the evaluation repeatedly simulate identical
-    (layout, cache geometry) pairs — Figures 12, 13 and 14 alone replay the
-    same five layout levels through the same 8 KB cache.  This table keys a
+    (layout, cache geometry) pairs.  Figure 13 replays Base, C-H, OptS and
+    OptL through the 8 KB direct-mapped cache with OS blocks attributed;
+    Figure 14's attributed Base, C-H and OptS runs and Table 2's
+    attributed Base run use three of those four keys, so whichever
+    experiment comes first replays them and the others hit.  Figure 12 replays its levels
+    unattributed, and the attribution flag is part of the key, so it
+    shares no entry with them.  This table keys a
     whole per-workload [run array] on everything the simulation depends on:
     the trace identity (the context's digest over spec/words/seed), the
     per-workload layout digests ({!Program_layout.digest}), the cache

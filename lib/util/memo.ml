@@ -43,7 +43,7 @@ let store t key v =
 (* Caller holds the lock.  Drop this caller's unfinished claims, so a
    waiter claims the key itself. *)
 let release t keys =
-  List.iter
+  Array.iter
     (fun key ->
       match Hashtbl.find_opt t.table key with
       | Some Building -> Hashtbl.remove t.table key
@@ -51,71 +51,61 @@ let release t keys =
     keys;
   Condition.broadcast t.built
 
-(* Caller holds the lock; waits out other callers' claims. *)
-let rec await t key =
-  match Hashtbl.find_opt t.table key with
-  | Some (Done v) -> `Stored v
-  | Some Building ->
-      Condition.wait t.built t.lock;
-      await t key
-  | None ->
-      Hashtbl.replace t.table key Building;
-      `Claimed
-
-let build_claimed t keys build =
-  match build () with
-  | v -> v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Mutex.protect t.lock (fun () -> release t keys);
-      Printexc.raise_with_backtrace e bt
-
-let find_or_build t key build =
-  match Mutex.protect t.lock (fun () -> await t key) with
-  | `Stored v ->
-      count t ~hits:1 ~misses:0;
-      v
-  | `Claimed ->
-      count t ~hits:0 ~misses:1;
-      let v = build_claimed t [ key ] build in
-      Mutex.protect t.lock (fun () -> store t key v)
-
 let find_or_build_all t keys build =
-  let n = Array.length keys in
-  (* Claim every absent key in one pass under the lock, first occurrence
-     first.  Keys another caller is building (or a repeat of a key claimed
-     here) are awaited only after this call's builds are stored, so no
-     caller waits while holding a claim. *)
-  let stored = Array.make n None in
-  let claimed = ref [] in
-  Mutex.protect t.lock (fun () ->
-      Array.iteri
-        (fun i key ->
-          match Hashtbl.find_opt t.table key with
-          | Some (Done v) -> stored.(i) <- Some v
-          | Some Building -> ()
-          | None ->
-              Hashtbl.replace t.table key Building;
-              claimed := i :: !claimed)
-        keys);
-  let claimed = Array.of_list (List.rev !claimed) in
-  let misses = Array.length claimed in
-  let hits = Array.fold_left (fun k v -> if Option.is_some v then k + 1 else k) 0 stored in
-  count t ~hits ~misses;
-  if misses > 0 then begin
-    let claimed_keys = Array.to_list (Array.map (fun i -> keys.(i)) claimed) in
-    let values = build_claimed t claimed_keys (fun () -> build claimed) in
-    Mutex.protect t.lock (fun () ->
-        Array.iteri (fun k i -> stored.(i) <- Some (store t keys.(i) values.(k))) claimed)
-  end;
-  Array.mapi
-    (fun i v ->
-      match v with
-      | Some v -> v
-      | None ->
-          (* Awaited keys count when they resolve, like [find_or_build]. *)
-          find_or_build t keys.(i) (fun () -> (build [| i |]).(0)))
-    stored
+  let values = Array.make (Array.length keys) None in
+  let unresolved = ref (List.init (Array.length keys) Fun.id) in
+  let building i =
+    match Hashtbl.find_opt t.table keys.(i) with
+    | Some Building -> true
+    | Some (Done _) | None -> false
+  in
+  while !unresolved <> [] do
+    (* One round under the lock: wait while every unresolved key is another
+       caller's claim, then take what is stored and claim what is absent,
+       in index order so a key is claimed at its first index.  A repeat of
+       a key claimed here stays unresolved and hits in the next round.
+       This caller holds no claim while it waits: each round stores its
+       own builds before the next begins. *)
+    let claimed, hits =
+      Mutex.protect t.lock (fun () ->
+          while List.for_all building !unresolved do
+            Condition.wait t.built t.lock
+          done;
+          let claimed = ref [] and hits = ref 0 in
+          unresolved :=
+            List.filter
+              (fun i ->
+                match Hashtbl.find_opt t.table keys.(i) with
+                | Some (Done v) ->
+                    values.(i) <- Some v;
+                    incr hits;
+                    false
+                | Some Building -> true
+                | None ->
+                    Hashtbl.replace t.table keys.(i) Building;
+                    claimed := i :: !claimed;
+                    false)
+              !unresolved;
+          (Array.of_list (List.rev !claimed), !hits))
+    in
+    count t ~hits ~misses:(Array.length claimed);
+    if claimed <> [||] then begin
+      let claimed_keys = Array.map (fun i -> keys.(i)) claimed in
+      let built =
+        match build claimed with
+        | v -> v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Mutex.protect t.lock (fun () -> release t claimed_keys);
+            Printexc.raise_with_backtrace e bt
+      in
+      Mutex.protect t.lock (fun () ->
+          Array.iteri (fun k i -> values.(i) <- Some (store t claimed_keys.(k) built.(k))) claimed)
+    end
+  done;
+  Array.map Option.get values
+
+let find_or_build t key build = (find_or_build_all t [| key |] (fun _ -> [| build () |])).(0)
 
 let stats t =
   {

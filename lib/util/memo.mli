@@ -42,18 +42,22 @@ val create : string -> 'a t
 
 val find_or_build : 'a t -> string -> (unit -> 'a) -> 'a
 (** The stored value, or [build ()] stored and returned, single-flight
-    (see above).  [build] runs outside the lock, on the caller's domain. *)
+    (see above): the one-key case of {!find_or_build_all}.  [build] runs
+    outside the lock, on the caller's domain. *)
 
 val find_or_build_all : 'a t -> string array -> (int array -> 'a array) -> 'a array
-(** [find_or_build_all t keys build] is [Array.map] of {!find_or_build}
-    over [keys] with the builds batched: under one lock it takes what is
-    stored and claims every absent key (at its first index), then calls
-    [build claimed] once with the claimed indices in increasing order,
-    which must return their values in the same order.  Only after those
-    are stored does it wait for keys other callers are building (and
-    repeats of a key it claimed, which count as hits), so no caller ever
-    waits while holding a claim.  If [build] raises, every claim of the
-    call is released and the exception re-raised. *)
+(** [find_or_build_all t keys build] is each key's stored value, or its
+    value built and stored, single-flight, with the builds batched.  It
+    works in rounds.  Under one lock a round takes what is stored and
+    claims every absent key (at its first index), then calls [build
+    claimed] once with the claimed indices in increasing order, which
+    must return their values in the same order, and stores them.  Keys
+    other callers are building, and repeats of a key claimed here (which
+    count as hits), resolve in later rounds; a round waits only while
+    every key still unresolved is another caller's claim, and a caller
+    holds no claim while it waits.  A key whose builder raised is claimed
+    and built by a later round.  If [build] raises, every claim of that
+    round is released and the exception re-raised. *)
 
 val stats : 'a t -> stats
 

@@ -1,20 +1,10 @@
 type counter = { value : int Atomic.t }
 
-(* Observations are scaled to integer micro-units and bucketed by binary
-   magnitude; 2^52 micro-units covers ~4.5e9 whole units, far beyond any
-   duration or rate the pipeline records.  Exact sum/min/max ride along so
-   only percentiles are bucket-quantized. *)
-let micro = 1e6
-let hist_max_exp = 52
-
-type histogram = {
-  unit_ : string;
-  mutable buckets : Histogram.t;
-  mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
+(* Every observation, in arrival order, in the first [count] slots of
+   [obs]; the array doubles when full.  A run observes a few hundred
+   values per histogram, so keeping them all costs kilobytes and makes
+   every reported statistic exact. *)
+type histogram = { unit_ : string; mutable obs : float array; mutable count : int }
 
 type metric = Counter of counter | Hist of histogram
 
@@ -47,38 +37,43 @@ let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.value by)
 let counter_value c = Atomic.get c.value
 
 let histogram ?(unit_ = "seconds") name =
-  match
-    register name
-      (fun () ->
-        Hist
-          {
-            unit_;
-            buckets = Histogram.log2 ~max_exp:hist_max_exp;
-            count = 0;
-            sum = 0.0;
-            min_v = infinity;
-            max_v = neg_infinity;
-          })
-      `H
-  with
+  match register name (fun () -> Hist { unit_; obs = [||]; count = 0 }) `H with
   | Hist h -> h
   | _ -> assert false
 
 let observe h v =
   let v = if v < 0.0 then 0.0 else v in
   Mutex.protect lock (fun () ->
-      Histogram.add h.buckets (int_of_float (v *. micro));
-      h.count <- h.count + 1;
-      h.sum <- h.sum +. v;
-      if v < h.min_v then h.min_v <- v;
-      if v > h.max_v then h.max_v <- v)
+      if h.count = Array.length h.obs then begin
+        let grown = Array.make (max 64 (2 * h.count)) 0.0 in
+        Array.blit h.obs 0 grown 0 h.count;
+        h.obs <- grown
+      end;
+      h.obs.(h.count) <- v;
+      h.count <- h.count + 1)
 
-(* Bucket interpolation can land anywhere in the occupied bucket, which
-   may reach past the observed range (one observation of 0.31 s sits in a
-   bucket spanning 0.26-0.52 s); clamp to the exact [min, max]. *)
-let pct h p =
-  if h.count = 0 then 0.0
-  else Float.min h.max_v (Float.max h.min_v (Histogram.percentile h.buckets p /. micro))
+(* Exact statistics from a sorted copy of the observations.  A
+   percentile is the nearest rank: the smallest observation with at least
+   [pct]% of the observations at or below it, so it is always observed. *)
+let hist_json h =
+  let obs = Mutex.protect lock (fun () -> Array.sub h.obs 0 h.count) in
+  let n = Array.length obs in
+  let sum = Array.fold_left ( +. ) 0.0 obs in
+  Array.sort Float.compare obs;
+  let at i = if n = 0 then 0.0 else obs.(i) in
+  let pct p = at (max 0 ((((p * n) + 99) / 100) - 1)) in
+  Json.Obj
+    [
+      ("unit", Json.String h.unit_);
+      ("count", Json.Int n);
+      ("sum", Json.Float sum);
+      ("min", Json.Float (at 0));
+      ("max", Json.Float (at (n - 1)));
+      ("mean", Json.Float (if n = 0 then 0.0 else sum /. float_of_int n));
+      ("p50", Json.Float (pct 50));
+      ("p90", Json.Float (pct 90));
+      ("p99", Json.Float (pct 99));
+    ]
 
 let find_counter name =
   Mutex.protect lock (fun () ->
@@ -96,27 +91,7 @@ let to_json () =
   let counters =
     pick (function n, Counter c -> Some (n, Json.Int (Atomic.get c.value)) | _ -> None)
   in
-  let hists =
-    pick (function
-      | n, Hist h ->
-          let empty = h.count = 0 in
-          Some
-            ( n,
-              Json.Obj
-                [
-                  ("unit", Json.String h.unit_);
-                  ("count", Json.Int h.count);
-                  ("sum", Json.Float h.sum);
-                  ("min", Json.Float (if empty then 0.0 else h.min_v));
-                  ("max", Json.Float (if empty then 0.0 else h.max_v));
-                  ( "mean",
-                    Json.Float (if empty then 0.0 else h.sum /. float_of_int h.count) );
-                  ("p50", Json.Float (pct h 0.5));
-                  ("p90", Json.Float (pct h 0.9));
-                  ("p99", Json.Float (pct h 0.99));
-                ] )
-      | _ -> None)
-  in
+  let hists = pick (function n, Hist h -> Some (n, hist_json h) | _ -> None) in
   Json.Obj
     [ ("counters", Json.Obj counters); ("histograms", Json.Obj hists) ]
 
@@ -127,9 +102,6 @@ let reset () =
           match m with
           | Counter c -> Atomic.set c.value 0
           | Hist h ->
-              h.buckets <- Histogram.copy_empty h.buckets;
-              h.count <- 0;
-              h.sum <- 0.0;
-              h.min_v <- infinity;
-              h.max_v <- neg_infinity)
+              h.obs <- [||];
+              h.count <- 0)
         table)

@@ -16,11 +16,13 @@
     registry mutex per update.
 
     Histograms record float observations in fixed units (their [unit_],
-    e.g. seconds): each observation is scaled to an integer micro-unit and
-    bucketed by binary magnitude through {!Histogram}, from which
-    {!Histogram.percentile} answers p50/p90/p99 at export; exact count,
-    sum, min and max are kept alongside, so means are exact, only the
-    percentiles are bucket-quantized, and they never leave [[min, max]].
+    e.g. seconds) and keep every one: the pipeline observes a few hundred
+    values per histogram per run (one per replay pass, one per runner per
+    fan-out).  The snapshot computes count, sum, min, max and mean from
+    them, and p50/p90/p99 as nearest-rank observations (the smallest
+    observation with at least that share of the observations at or below
+    it), so every reported statistic is exact and every percentile is a
+    value that was observed.
 
     JSON snapshot shape ({!to_json}):
     {v

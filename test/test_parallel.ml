@@ -272,6 +272,42 @@ let test_every_pass_counted () =
       | _ -> Alcotest.fail "a replay_pass span without a positive probes count")
     spans
 
+(* The exact-store histograms hold one observation per unit of work: a
+   whole suite from cold memos on two domains adds one busy-time
+   observation per runner that took part in a fan-out (so as many as
+   parallel.domains_used rises) and one decode-rate observation per
+   replay pass (so as many as batch.replay_passes rises; the suite makes
+   no Runner.simulate call, which observes passes without counting them
+   in the batch counters). *)
+let test_observations_match_work () =
+  let ctx = Lazy.force small_context in
+  let observations name =
+    match
+      Option.bind
+        (Option.bind (Json.member "histograms" (Metrics_registry.to_json ())) (Json.member name))
+        (Json.member "count")
+    with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "no %s histogram in the metrics snapshot" name
+  in
+  let read () =
+    ( observations "parallel.domain_busy_seconds",
+      counter "parallel.domains_used",
+      observations "simulate.pass_events_per_sec",
+      counter "batch.replay_passes" )
+  in
+  let busy0, domains0, rates0, passes0 = read () in
+  with_jobs 2 (fun () ->
+      Sim_cache.clear ();
+      Layout_cache.clear ();
+      ignore (Experiments.compute_all Experiments.all ctx));
+  let busy1, domains1, rates1, passes1 = read () in
+  check_bool "runners took part" true (domains1 > domains0);
+  check_int "one busy observation per runner per fan-out" (domains1 - domains0)
+    (busy1 - busy0);
+  check_bool "passes replayed" true (passes1 > passes0);
+  check_int "one rate observation per replay pass" (passes1 - passes0) (rates1 - rates0)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -306,5 +342,6 @@ let () =
           case "all experiments: counters and reports equal at 1 and 4 jobs"
             test_suite_counters_and_reports;
           case "every replay pass is counted in batch.*" test_every_pass_counted;
+          case "histogram observations match the work" test_observations_match_work;
         ] );
     ]

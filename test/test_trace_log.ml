@@ -371,43 +371,6 @@ let test_fold_rejects_malformed () =
     = Ok 2)
 
 (* ------------------------------------------------------------------ *)
-(* Histogram.percentile                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Unit-width buckets [0,1) .. [99,100) between the two open ends. *)
-let test_percentile_linear () =
-  let h = Histogram.explicit (Array.init 101 Fun.id) in
-  for v = 1 to 100 do
-    Histogram.add h v
-  done;
-  check_close 1.0 "p50 of 1..100" 50.0 (Histogram.percentile h 0.5);
-  check_close 1.0 "p90 of 1..100" 90.0 (Histogram.percentile h 0.9);
-  check_close 1.0 "p99 of 1..100" 99.0 (Histogram.percentile h 0.99);
-  check_close 1.0 "p0 clamps" 1.0 (Histogram.percentile h 0.0);
-  check_close 1.0 "p100 clamps" 100.0 (Histogram.percentile h 1.0)
-
-let test_percentile_edges () =
-  let h = Histogram.explicit (Array.init 11 Fun.id) in
-  check_float "empty histogram is 0" 0.0 (Histogram.percentile h 0.5);
-  Histogram.add_many h 3 1000;
-  let p50 = Histogram.percentile h 0.5 in
-  check_bool "single-bucket p50 inside [3,4)" true (p50 >= 3.0 && p50 < 4.0);
-  (* p clamps into [0,1]; p=1 interpolates to the bucket's upper edge. *)
-  check_bool "out-of-range p clamps" true
-    (Histogram.percentile h (-1.0) >= 3.0 && Histogram.percentile h 2.0 <= 4.0)
-
-let prop_percentile_monotone =
-  QCheck.Test.make ~count:100 ~name:"percentiles are monotone in p"
-    QCheck.(list_of_size Gen.(int_range 1 50) (int_bound 10_000))
-    (fun samples ->
-      let h = Histogram.log2 ~max_exp:20 in
-      List.iter (Histogram.add h) samples;
-      let p50 = Histogram.percentile h 0.5 in
-      let p90 = Histogram.percentile h 0.9 in
-      let p99 = Histogram.percentile h 0.99 in
-      p50 <= p90 && p90 <= p99)
-
-(* ------------------------------------------------------------------ *)
 (* Metrics registry                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -455,31 +418,73 @@ let registry_field name f =
   | Some (Json.Float x) -> Some x
   | _ -> None
 
-let test_observe_clamps_negative () =
-  let h = Metrics_registry.histogram "test.clamp_hist" in
-  Metrics_registry.observe h (-5.0);
-  (* A clamped observation lands in the [0, 1) micro-unit bucket, so the
-     interpolated percentile is at most one micro-unit. *)
-  match registry_field "test.clamp_hist" "p50" with
-  | Some p -> check_bool "negative clamps to 0" true (p >= 0.0 && p <= 1e-6)
-  | None -> Alcotest.fail "missing p50"
+(* A histogram [name] holding [obs], read back as its snapshot fields. *)
+let observed name obs =
+  let h = Metrics_registry.histogram ~unit_:"units" name in
+  List.iter (Metrics_registry.observe h) obs;
+  fun f ->
+    match registry_field name f with
+    | Some x -> x
+    | None -> Alcotest.failf "histogram %s: no %s" name f
 
-(* Bucket interpolation must never report a percentile outside what was
-   observed: one observation of 0.31 s sits in a bucket reaching 0.52 s. *)
+let check_exact = Alcotest.(check (float 0.0))
+
+let test_observe_clamps_negative () =
+  let field = observed "test.clamp_hist" [ -5.0 ] in
+  List.iter
+    (fun f -> check_exact ("negative clamps to 0: " ^ f) 0.0 (field f))
+    [ "min"; "max"; "p50" ]
+
+(* ------------------------------------------------------------------ *)
+(* Registry percentiles                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Percentiles are nearest-rank observations, so they are exact: a
+   bucketed estimate lands near, not on, these values. *)
+let test_percentile_linear () =
+  (* 1.0 .. 100.0, observed out of order (37 is coprime to 100). *)
+  let field =
+    observed "test.pct_linear" (List.init 100 (fun i -> float_of_int ((i * 37 mod 100) + 1)))
+  in
+  check_exact "p50 of 1..100" 50.0 (field "p50");
+  check_exact "p90 of 1..100" 90.0 (field "p90");
+  check_exact "p99 of 1..100" 99.0 (field "p99");
+  check_exact "min" 1.0 (field "min");
+  check_exact "max" 100.0 (field "max")
+
+let test_percentile_edges () =
+  let empty = observed "test.pct_empty" [] in
+  List.iter
+    (fun f -> check_exact ("empty histogram " ^ f ^ " is 0") 0.0 (empty f))
+    [ "sum"; "min"; "max"; "mean"; "p50"; "p90"; "p99" ];
+  let skewed = observed "test.pct_skewed" [ 1.0; 2.0; 3.0; 1000.0 ] in
+  check_exact "p50 of {1,2,3,1000}" 2.0 (skewed "p50");
+  check_exact "p90 of {1,2,3,1000}" 1000.0 (skewed "p90");
+  check_exact "mean of {1,2,3,1000}" 251.5 (skewed "mean");
+  let single = observed "test.pct_single" [ 0.31 ] in
+  List.iter
+    (fun f -> check_exact ("one observation: " ^ f) 0.31 (single f))
+    [ "min"; "p50"; "p90"; "p99"; "max" ]
+
+let prop_percentile_monotone =
+  let fresh = ref 0 in
+  QCheck.Test.make ~count:100 ~name:"percentiles are monotone in p"
+    QCheck.(list_of_size Gen.(int_range 1 50) (int_bound 10_000))
+    (fun samples ->
+      incr fresh;
+      let obs = List.map float_of_int samples in
+      let field = observed (Printf.sprintf "test.pct_monotone_%d" !fresh) obs in
+      let p50 = field "p50" and p90 = field "p90" and p99 = field "p99" in
+      p50 <= p90 && p90 <= p99 && List.for_all (fun p -> List.mem p obs) [ p50; p90; p99 ])
+
+(* No percentile outside what was observed. *)
 let prop_registry_percentiles_in_range =
   let fresh = ref 0 in
   QCheck.Test.make ~count:200 ~name:"registry: min <= p50 <= p90 <= p99 <= max"
     QCheck.(list_of_size Gen.(int_range 1 40) (float_bound_inclusive 10.0))
     (fun obs ->
       incr fresh;
-      let name = Printf.sprintf "test.pct_range_%d" !fresh in
-      let h = Metrics_registry.histogram name in
-      List.iter (Metrics_registry.observe h) obs;
-      let field f =
-        match registry_field name f with
-        | Some x -> x
-        | None -> Alcotest.failf "histogram %s: no %s" name f
-      in
+      let field = observed (Printf.sprintf "test.pct_range_%d" !fresh) obs in
       field "min" <= field "p50"
       && field "p50" <= field "p90"
       && field "p90" <= field "p99"
