@@ -53,7 +53,9 @@ check: build
 # sizes, three associativities, three line sizes) and three levels to
 # the one in test/golden/sweep_1m.md5, so every set count a replay pass
 # strips its streams by is covered; a change meant to move results
-# updates the pins along with the goldens.
+# updates the pins along with the goldens.  Last, it prints the work
+# ledger of the 1M-word suite (test/work_ledger.ml) for the record; the
+# small-context ledger is the tier-1 gate, this one is not.
 validate: build
 	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 --format json \
 	  --trace _build/trace_j1.json \
@@ -76,6 +78,7 @@ validate: build
 	  --sizes 4,8,16,32 --assocs 1,2,4 --lines 16,32,64 --levels base,ch,opts \
 	  | md5sum | cut -d' ' -f1 > _build/sweep_1m.md5
 	diff test/golden/sweep_1m.md5 _build/sweep_1m.md5
+	ICACHE_JOBS=2 _build/default/test/work_ledger.exe --words 1000000
 
 # Capture a span timeline of the small repro and print its hot spans.
 # The Chrome-format trace lands in _build/trace.json: load it in

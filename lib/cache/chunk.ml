@@ -4,6 +4,10 @@ type side = All | Inside of int | Outside of int
 
 type reader = { shift : int; side : side; sets : int }
 
+let log2 n =
+  let rec go v i = if v <= 1 then i else go (v lsr 1) (i + 1) in
+  go n 0
+
 type stream = {
   mutable lines : int array;
   mutable owner : int array;

@@ -24,12 +24,16 @@ type side =
     reserved system sees only its side of the events. *)
 
 type reader = {
-  shift : int;  (** [log2] of the cache's line size. *)
+  shift : int;  (** {!log2} of the cache's line size. *)
   side : side;  (** The events it takes. *)
   sets : int;  (** Its set count, a power of two. *)
 }
 (** What a cache reads of a chunk: the pass plans one stream per reader
     from these three numbers. *)
+
+val log2 : int -> int
+(** [log2 n] for [n >= 1], rounded down: a power of two's shift, as a
+    line size's is. *)
 
 type stream = private {
   mutable lines : int array;  (** Entries [0 .. len-1]: the lines probed, in order. *)

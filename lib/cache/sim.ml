@@ -23,16 +23,12 @@ type t = {
           but the victim way is drawn uniformly. *)
   counters : Counters.t;
   evictions : Evictions.t;
-  mutable attr : int array;  (** per OS block miss counts *)
-  mutable attr_self : int array;
-  mutable attr_cross : int array;
-  mutable attribution : bool;
+  mutable block_store : int array option;
+      (** Per OS block [b], its misses of kind [k] (Evictions.classify's
+          0 cold, 1 self, 2 cross) at [3b + k]; [None] until attribution
+          is enabled. *)
   mutable probes : int;  (** Stream entries read, over the cache's life. *)
 }
-
-let log2 n =
-  let rec go v i = if v <= 1 then i else go (v lsr 1) (i + 1) in
-  go n 0
 
 let create config =
   let sets = Config.sets config in
@@ -46,14 +42,11 @@ let create config =
       | Config.Fifo -> Fifo_assoc);
     sets;
     assoc = config.Config.assoc;
-    line_shift = log2 config.Config.line;
+    line_shift = Chunk.log2 config.Config.line;
     tags = Array.make (sets * config.Config.assoc) (-1);
     counters = Counters.create ();
     evictions = Evictions.create ();
-    attr = [||];
-    attr_self = [||];
-    attr_cross = [||];
-    attribution = false;
+    block_store = None;
     probes = 0;
   }
 
@@ -65,41 +58,24 @@ let victim main ~entries =
 
 let counters t = t.counters
 
-let enable_block_attribution t ~blocks =
-  t.attr <- Array.make blocks 0;
-  t.attr_self <- Array.make blocks 0;
-  t.attr_cross <- Array.make blocks 0;
-  t.attribution <- true
+let enable_block_attribution t ~blocks = t.block_store <- Some (Array.make (3 * blocks) 0)
 
 let block_misses t =
-  if not t.attribution then
-    invalid_arg "Sim.block_misses: attribution not enabled";
-  t.attr
-
-let block_misses_self t =
-  if not t.attribution then
-    invalid_arg "Sim.block_misses_self: attribution not enabled";
-  t.attr_self
-
-let block_misses_cross t =
-  if not t.attribution then
-    invalid_arg "Sim.block_misses_cross: attribution not enabled";
-  t.attr_cross
-
-type side = Chunk.side = All | Inside of int | Outside of int
+  match t.block_store with
+  | Some store -> store
+  | None -> invalid_arg "Sim.block_misses: attribution not enabled"
 
 (* The cold path every kernel shares: count the miss on [line] by the
    stream entry's [owner] as cold, self or cross, and charge an OS miss
-   to the fetching block when attributing. *)
+   to the fetching block's entry of that kind when attributing. *)
 let[@inline never] classify t owner line =
   let os = owner land 7 = 0 in
   let kind = Evictions.classify t.evictions t.counters ~os line in
-  if t.attribution && os then begin
-    let block = owner lsr 3 in
-    t.attr.(block) <- t.attr.(block) + 1;
-    if kind = 1 then t.attr_self.(block) <- t.attr_self.(block) + 1
-    else if kind = 2 then t.attr_cross.(block) <- t.attr_cross.(block) + 1
-  end
+  match t.block_store with
+  | Some store when os ->
+      let i = (3 * (owner lsr 3)) + kind in
+      store.(i) <- store.(i) + 1
+  | Some _ | None -> ()
 
 (* A main-array miss behind a victim buffer: a buffered [line] swaps
    back with the [displaced] one and is no miss.  Otherwise the miss is
@@ -216,6 +192,4 @@ let probes t = t.probes
 
 let reset_counters t =
   Counters.reset t.counters;
-  Array.fill t.attr 0 (Array.length t.attr) 0;
-  Array.fill t.attr_self 0 (Array.length t.attr_self) 0;
-  Array.fill t.attr_cross 0 (Array.length t.attr_cross) 0
+  Option.iter (fun store -> Array.fill store 0 (Array.length store) 0) t.block_store

@@ -1,6 +1,6 @@
 (** Set-associative instruction-cache simulator (LRU, FIFO or Random
-    replacement) with the paper's miss classification and optional
-    per-OS-block miss attribution (for the miss-address distributions of
+    replacement) with the paper's miss classification and an optional
+    per-OS-block miss store (for the miss-address distributions of
     Figures 1 and 14).
 
     A cache runs over one chunk's line stream ({!Chunk.stream}) at a
@@ -11,7 +11,8 @@
     victim cache ({!victim}) is the direct-mapped loop whose miss path
     first looks in its buffer; only a miss there too is classified, so
     it counts and attributes misses as every other kernel does.  It
-    allocates nothing per event. *)
+    allocates nothing per event.  A replay pass ({!Replay.run_range})
+    feeds every cache the stream its {!reader} planned. *)
 
 type t
 
@@ -28,27 +29,18 @@ val victim : Config.t -> entries:int -> t
 val counters : t -> Counters.t
 
 val enable_block_attribution : t -> blocks:int -> unit
-(** Allocate per-block miss counters for the OS image's [blocks] blocks.
+(** Allocate the miss store for the OS image's [blocks] blocks.
     Application misses are counted but not attributed. *)
 
 val block_misses : t -> int array
-(** Per-OS-block miss counts.
+(** The miss store: [3 * blocks] counts, where entry [3b + k] holds OS
+    block [b]'s misses of kind [k], as {!Evictions.classify} numbers
+    them: [0] cold, [1] self-interference, [2] cross-interference.  A
+    block's misses are the sum of its three entries.  This is the
+    cache's own array, zeroed by {!reset_counters}.
     @raise Invalid_argument if attribution was not enabled. *)
 
-val block_misses_self : t -> int array
-(** Per-OS-block self-interference miss counts. *)
-
-val block_misses_cross : t -> int array
-(** Per-OS-block cross-interference miss counts. *)
-
-type side = Chunk.side =
-  | All  (** Every event. *)
-  | Inside of int  (** OS events at addresses below the limit. *)
-  | Outside of int  (** Every event [Inside] the same limit rejects. *)
-(** Which of a chunk's events a cache takes: a sub-cache of a split or
-    reserved {!System} sees only its side of the stream. *)
-
-val reader : t -> side -> Chunk.reader
+val reader : t -> Chunk.side -> Chunk.reader
 (** What this cache reads of a chunk on [side]: its line shift, the side
     and its set count. *)
 
@@ -64,4 +56,5 @@ val probes : t -> int
     observability: what stripping left the kernel to probe. *)
 
 val reset_counters : t -> unit
-(** Zero counters and attributions, keeping cache contents (warm-up). *)
+(** Zero the counters and the miss store, keeping cache contents
+    (warm-up). *)

@@ -38,10 +38,6 @@ type t = {
   mutable refs : int;
 }
 
-let shift_of line =
-  let rec go v i = if v <= 1 then i else go (v lsr 1) (i + 1) in
-  go line 0
-
 let make ~capacity =
   let capacity = max 1 capacity in
   {
@@ -115,7 +111,7 @@ let misses_at t ~lines =
      down to a power of two.  A distance d hits in a cache of 2^k lines
      iff d < 2^k: bins 0..k exactly. *)
   if lines < 1 then invalid_arg "Stack_dist.misses_at: lines < 1";
-  let k = shift_of lines in
+  let k = Chunk.log2 lines in
   let hits = ref 0 and total = ref 0 in
   Array.iteri
     (fun i n ->
@@ -170,7 +166,7 @@ let dense_ids (map : Chunk.code_map) ~shift =
    spans, less the repeats of the entry before, which are references at
    distance 0 and are counted as such. *)
 let from_trace ~trace ~map ?(line = 32) ?(os_only = false) () =
-  let shift = shift_of line in
+  let shift = Chunk.log2 line in
   let delta, lines = dense_ids map ~shift in
   let t = make ~capacity:lines in
   let side = if os_only then Chunk.Inside max_int else Chunk.All in

@@ -20,7 +20,7 @@
 type t
 
 val from_trace :
-  trace:Trace.t -> map:Replay.code_map -> ?line:int -> ?os_only:bool -> unit -> t
+  trace:Trace.t -> map:Chunk.code_map -> ?line:int -> ?os_only:bool -> unit -> t
 (** Feed a captured block trace through the analysis under a given code
     placement, at [line]-byte lines (default 32, a power of two);
     [os_only] restricts it to OS fetches.  The references are stage 1 of

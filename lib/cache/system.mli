@@ -1,7 +1,12 @@
 (** Cache organizations evaluated in Section 5.5: the standard unified
     cache, the split OS/application cache ("Sep"), and a small reserved
     cache for the hottest OS code next to a main cache ("Resv"), plus a
-    victim buffer behind a direct-mapped cache. *)
+    victim buffer behind a direct-mapped cache.
+
+    A system is its sub-caches ({!caches}), each a {!Sim.t} with the side
+    of the events it takes.  A replay pass flattens its systems into
+    them, and a system's results are its sub-caches' summed: {!counters}
+    and the per-OS-block miss store ({!block_misses}). *)
 
 type spec =
   | Unified of Config.t
@@ -33,17 +38,13 @@ val reserved : hot:Config.t -> rest:Config.t -> hot_limit:int -> t
 val victim : main:Config.t -> entries:int -> t
 (** {!create} of the matching {!spec}. *)
 
-val readers : t -> Chunk.reader array
-(** One {!Chunk.reader} per sub-cache, in the order {!run} feeds them: a
-    split cache's OS half takes the OS events, a reserved cache's hot
-    half the OS events below [hot_limit], the other half the rest.  A
-    unified or victim cache is one sub-cache over every event. *)
-
-val run : t -> Chunk.t -> first:int -> unit
-(** Feed a chunk through every sub-cache in turn: sub-cache [k] reads
-    the chunk's stream for reader [first + k], which [readers t] planned
-    at position [k].  Sub-caches are independent, so each sees exactly
-    the per-event order of the trace.  Allocates nothing per event. *)
+val caches : t -> (Sim.t * Chunk.side) array
+(** The sub-caches, each with the side of the events it takes: a split
+    cache's OS half takes the OS events, a reserved cache's hot half the
+    OS events below [hot_limit], the other half the rest.  A unified or
+    victim cache is one sub-cache over every event.  Sub-caches are
+    independent, so a replay pass ({!Replay.run_range}) feeds each its
+    own stream, in the per-event order of the trace. *)
 
 val probes : t -> int
 (** {!Sim.probes} summed over the sub-caches. *)
@@ -51,14 +52,11 @@ val probes : t -> int
 val counters : t -> Counters.t
 (** Aggregated snapshot (a fresh copy) across sub-caches. *)
 
-val reset_counters : t -> unit
-(** Zero all counters while keeping cache contents (warm-up support). *)
-
 val enable_block_attribution : t -> blocks:int -> unit
 (** {!Sim.enable_block_attribution} on every sub-cache. *)
 
 val block_misses : t -> int array
-(** Aggregated per-OS-block misses across sub-caches. *)
-
-val block_misses_self : t -> int array
-val block_misses_cross : t -> int array
+(** The sub-caches' {!Sim.block_misses} stores summed entry by entry
+    into a fresh array, laid out as each one is: OS block [b]'s cold,
+    self- and cross-interference misses at [3b], [3b + 1] and [3b + 2].
+    @raise Invalid_argument if attribution was not enabled. *)

@@ -2,7 +2,7 @@ type t = {
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   digest : string;
-  code_map : Replay.code_map;
+  code_map : Chunk.code_map;
 }
 
 let app_region_base = 1 lsl 24
@@ -34,7 +34,7 @@ let make ~os_map ~app_maps =
   let sizes m = Graph.block_sizes (Address_map.graph m) in
   let code_map =
     {
-      Replay.addr = Array.append [| Address_map.sealed_addr os_map |] (shifted_apps app_maps);
+      Chunk.addr = Array.append [| Address_map.sealed_addr os_map |] (shifted_apps app_maps);
       bytes = Array.map sizes (Array.of_list images);
     }
   in

@@ -1,5 +1,5 @@
 (** Whole-program placements: one {!Address_map.t} for the OS image and one
-    per application image, combinable into a {!Replay.code_map} for cache
+    per application image, combinable into a {!Chunk.code_map} for cache
     simulation.
 
     A layout is an OS map plus application maps, and {!make} is its one
@@ -15,7 +15,7 @@ type t = private {
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   digest : string;  (** See {!digest}. *)
-  code_map : Replay.code_map;  (** See {!code_map}. *)
+  code_map : Chunk.code_map;  (** See {!code_map}. *)
 }
 (** Only {!make} builds layouts, so every value's digest and code map are
     the ones of the maps it holds. *)
@@ -49,7 +49,7 @@ val opt_apps :
     [app_profiles.(k)], staggered by [k] and compensated for the image's
     load-address skew. *)
 
-val code_map : t -> Replay.code_map
+val code_map : t -> Chunk.code_map
 (** Absolute addresses: OS at 0, application image [k] at
     [app_region_base + (k-1) * app_region_stride] plus a per-image skew.
 

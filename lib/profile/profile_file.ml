@@ -14,32 +14,16 @@
 
 let format_version = "icache-opt profile v1"
 
-let write_channel oc ~graph:g (p : Profile.t) =
-  Printf.fprintf oc "# %s\n" format_version;
-  Printf.fprintf oc "shape %d %d\n" (Graph.block_count g) (Graph.arc_count g);
-  Printf.fprintf oc "invocations %.17g\n" p.Profile.invocations;
-  Array.iteri
-    (fun b w -> if w > 0.0 then Printf.fprintf oc "b %d %.17g\n" b w)
-    p.Profile.block;
-  Array.iteri
-    (fun a w -> if w > 0.0 then Printf.fprintf oc "a %d %.17g\n" a w)
-    p.Profile.arc
-
 let to_string ~graph (p : Profile.t) =
   let buf = Buffer.create 65536 in
-  Buffer.add_string buf (Printf.sprintf "# %s\n" format_version);
-  Buffer.add_string buf
-    (Printf.sprintf "shape %d %d\n" (Graph.block_count graph) (Graph.arc_count graph));
-  Buffer.add_string buf (Printf.sprintf "invocations %.17g\n" p.Profile.invocations);
-  Array.iteri
-    (fun b w ->
-      if w > 0.0 then Buffer.add_string buf (Printf.sprintf "b %d %.17g\n" b w))
-    p.Profile.block;
-  Array.iteri
-    (fun a w ->
-      if w > 0.0 then Buffer.add_string buf (Printf.sprintf "a %d %.17g\n" a w))
-    p.Profile.arc;
+  Printf.bprintf buf "# %s\n" format_version;
+  Printf.bprintf buf "shape %d %d\n" (Graph.block_count graph) (Graph.arc_count graph);
+  Printf.bprintf buf "invocations %.17g\n" p.Profile.invocations;
+  Array.iteri (fun b w -> if w > 0.0 then Printf.bprintf buf "b %d %.17g\n" b w) p.Profile.block;
+  Array.iteri (fun a w -> if w > 0.0 then Printf.bprintf buf "a %d %.17g\n" a w) p.Profile.arc;
   Buffer.contents buf
+
+let write_channel oc ~graph p = output_string oc (to_string ~graph p)
 
 let of_string ~graph:g s =
   let blocks = Graph.block_count g and arcs = Graph.arc_count g in

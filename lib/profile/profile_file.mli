@@ -5,6 +5,7 @@
     header ties a profile to its graph's block/arc counts. *)
 
 val to_string : graph:Graph.t -> Profile.t -> string
+(** The profile's text; {!save} and {!write_channel} write exactly this. *)
 
 val of_string : graph:Graph.t -> string -> Profile.t
 (** @raise Invalid_argument on malformed input, negative counts, indices

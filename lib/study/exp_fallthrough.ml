@@ -8,18 +8,18 @@
 
 let levels = [ ("Base", Levels.Base); ("C-H", Levels.CH); ("OptS", Levels.OptS) ]
 
-let rate ~trace ~(map : Replay.code_map) =
+let rate ~trace ~(map : Chunk.code_map) =
   let transitions = ref 0 and fallthroughs = ref 0 in
   let prev_end = ref (-1) in
   Trace.iter trace (fun ev ->
       match ev with
       | Trace.Exec { image; block } when Program.is_os image ->
-          let addr = map.Replay.addr.(image).(block) in
+          let addr = map.Chunk.addr.(image).(block) in
           if !prev_end >= 0 then begin
             incr transitions;
             if addr = !prev_end then incr fallthroughs
           end;
-          prev_end := addr + map.Replay.bytes.(image).(block)
+          prev_end := addr + map.Chunk.bytes.(image).(block)
       | Trace.Exec _ -> ()
       | Trace.Invocation_start _ | Trace.Invocation_end -> prev_end := -1);
   Stats.ratio !fallthroughs !transitions

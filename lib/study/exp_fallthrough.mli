@@ -2,7 +2,7 @@
     block transitions whose successor is textually adjacent, per layout
     level - the fetch-side benefit of straightened control flow. *)
 
-val rate : trace:Trace.t -> map:Replay.code_map -> float
+val rate : trace:Trace.t -> map:Chunk.code_map -> float
 (** The fall-through fraction of [trace]'s OS block transitions under
     [map]; a transition never spans an invocation boundary. *)
 

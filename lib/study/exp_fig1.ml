@@ -12,9 +12,11 @@ let report (ctx : Context.t) =
   let positions = Address_map.addr_array base_map in
   let sizes = Address_map.bytes_array base_map in
   let bins misses = Missmap.by_address ~positions ~sizes ~misses ~bin:1024 in
-  let total_bins = bins (System.block_misses sys) in
-  let self_bins = bins (System.block_misses_self sys) in
-  let cross_bins = bins (System.block_misses_cross sys) in
+  (* Per OS block: cold, self and cross misses at 3b, 3b+1 and 3b+2. *)
+  let store = System.block_misses sys in
+  let kind k = bins (Array.init (Array.length store / 3) (fun b -> store.((3 * b) + k))) in
+  let self_bins = kind 1 and cross_bins = kind 2 in
+  let total_bins = Array.mapi (fun i cold -> cold + self_bins.(i) + cross_bins.(i)) (kind 0) in
   let self_pct = Stats.pct c.Counters.os_self (Counters.os_misses c) in
   let top2_peak_pct = 100.0 *. Missmap.peak_fraction total_bins ~n:2 in
   let peaks =

@@ -53,6 +53,15 @@ val set_run : Context.t -> jobs:int -> unit
     building it; the contexts that experiments build for themselves
     record nothing. *)
 
+val schema_version : int
+(** The schema's version, [5]: the manifest's [schema_version] field. *)
+
+val fields : string list
+(** The manifest's top-level fields, in order. *)
+
+val gc_fields : string list
+(** [run.gc]'s fields, in order. *)
+
 val batch_fields : string list
 (** The [batch] object's fields, in order; field [f] is the registry
     counter [batch.f]. *)

@@ -37,6 +37,13 @@ let count_call ~members ~simulated ~groups ~passes ~events =
 let warmup_of trace ~warmup_fraction =
   int_of_float (warmup_fraction *. float_of_int (Trace.exec_count trace))
 
+(* Per OS block, its misses of every kind: the three entries of
+   System.block_misses's store that hold them, summed. *)
+let block_totals sys =
+  let store = System.block_misses sys in
+  Array.init (Array.length store / 3) (fun b ->
+      store.(3 * b) + store.((3 * b) + 1) + store.((3 * b) + 2))
+
 (* The one replay pass behind every entry point: every system in
    [systems] rides a single decode of [trace] under [map], with counters
    reset after the warm-up prefix.  With [os_blocks], each system also
@@ -69,7 +76,7 @@ let pass ?workload ?os_blocks ~warmup_fraction ~trace ~map systems =
       {
         counters = System.counters sys;
         os_block_misses =
-          (if Option.is_some os_blocks then System.block_misses sys else [||]);
+          (if Option.is_some os_blocks then block_totals sys else [||]);
       })
     systems
 

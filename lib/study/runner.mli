@@ -12,7 +12,9 @@
 
 type run = Sim_cache.entry = {
   counters : Counters.t;
-  os_block_misses : int array;  (** Per OS block; empty unless requested. *)
+  os_block_misses : int array;
+      (** Per OS block, its misses of every kind summed; empty unless
+          requested. *)
 }
 (** One workload's result: the record {!Sim_cache} stores. *)
 
@@ -23,15 +25,19 @@ type run = Sim_cache.entry = {
     - {!simulate_batch}: {!batch} with every member a [System.Unified];
     - {!replay}: one pass into systems the caller keeps, counted like a
       batch but not memoized.  Two experiments use it: mp, whose per-CPU
-      traces no context holds, and fig1, which reads per-block self/cross
-      attribution that batch entries do not carry.  (A kernel other than
+      traces no context holds, and fig1, which reads the per-block
+      self/cross counts of {!System.block_misses} that batch entries do
+      not carry: a run holds one total per block.  (A kernel other than
       the context's gets a {!Context.derive}d context and the batch.)
     - {!simulate}: the unmemoized, uncounted closure form, kept only as
       the reference that tests and the benchmark's solo gate check the
       batch against.  Nothing in the library or the CLI calls it.
     Each call runs as a {!Trace_log.stage} ([simulate_batch] for {!batch}
     and {!simulate_batch}, [replay], [simulate]), and each replay pass
-    inside it as a [replay_pass] span. *)
+    inside it as a [replay_pass] span.  One private function runs every
+    pass: one {!Replay.run_range} over the pass's systems, flattened into
+    their sub-caches, and, when attributing, each system's per-block
+    miss store summed into its run's per-block totals. *)
 
 val batch :
   Context.t -> members:(Program_layout.t array * System.spec) array ->
@@ -61,7 +67,7 @@ val simulate_batch :
   run array array
 (** {!batch} over unified caches of the given geometries. *)
 
-val replay : trace:Trace.t -> map:Replay.code_map -> System.t array -> unit
+val replay : trace:Trace.t -> map:Chunk.code_map -> System.t array -> unit
 (** Feed [trace] under [map] to every system in one pass, with {!batch}'s
     default warm-up (counters reset after the first 20% of executions).
     The systems keep the counters.  Adds

@@ -79,21 +79,17 @@ let check_run r =
     (fun name ->
       let x = num "gc" name gc in
       if not (x >= 0.0) then fail "gc %s: %g < 0" name x)
-    [
-      "minor_collections"; "major_collections"; "compactions"; "minor_words";
-      "promoted_words"; "major_words"; "heap_words"; "top_heap_words";
-    ]
-
-let manifest_fields = [ "schema_version"; "run"; "stages"; "batch"; "metrics" ]
+    Manifest.gc_fields
 
 (* Returns the number of stages. *)
 let check_manifest m =
   (match m with
-  | Json.Obj kvs when List.sort compare (List.map fst kvs) = List.sort compare manifest_fields -> ()
-  | _ -> fail "manifest: fields must be exactly %s" (String.concat ", " manifest_fields));
+  | Json.Obj kvs when List.sort compare (List.map fst kvs) = List.sort compare Manifest.fields -> ()
+  | _ -> fail "manifest: fields must be exactly %s" (String.concat ", " Manifest.fields));
   let part name = Option.get (Json.member name m) in
   let version = int "manifest" "schema_version" m in
-  if version <> 5 then fail "manifest: schema_version %d, expected 5" version;
+  if version <> Manifest.schema_version then
+    fail "manifest: schema_version %d, expected %d" version Manifest.schema_version;
   if part "run" <> Json.Null then check_run (part "run");
   let stages = list "manifest" "stages" m in
   let names =

@@ -32,8 +32,9 @@ val exec_count : t -> int
 val iter : t -> (event -> unit) -> unit
 
 val iter_exec : t -> (image:int -> block:Block.id -> unit) -> unit
-(** Replay only block executions (the common fast path for cache
-    simulation). *)
+(** Visit only block executions, one callback per event.  Cache replay
+    does not come through here: it reads executions in batches with
+    {!read_exec}, through [Chunk]. *)
 
 type cursor
 (** A read position in a trace, for consuming its executions in

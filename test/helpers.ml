@@ -35,7 +35,7 @@ let one_event ~image ~block ~addr ~bytes =
   let trace = Trace.create ~capacity:1 () in
   Trace.append trace (Trace.Exec { image; block });
   let row v = Array.init (image + 1) (fun i -> Array.make (if i = image then block + 1 else 0) v) in
-  let map = { Replay.addr = row addr; bytes = row bytes } in
+  let map = { Chunk.addr = row addr; bytes = row bytes } in
   (trace, map)
 
 (* One fetch through a system or a cache, as a one-event replay pass:
@@ -45,12 +45,19 @@ let system_access sys ~image ~block ~addr ~bytes =
   let trace, map = one_event ~image ~block ~addr ~bytes in
   Replay.run_range ~trace ~map ~systems:[| sys |] ~warmup:0
 
+(* Zero a system's counters and miss store, keeping its contents, as a
+   replay pass does at its warm-up boundary. *)
+let system_reset sys = Array.iter (fun (s, _) -> Sim.reset_counters s) (System.caches sys)
+
+(* Block [b]'s (cold, self, cross) misses in a Sim or System miss store. *)
+let block_kinds store b = (store.(3 * b), store.((3 * b) + 1), store.((3 * b) + 2))
+
 (* OS fetches of [lines] in order, over a one-image map whose block [l]
    starts line [l] ([line] bytes each) and spans [bytes] bytes: the
    reference streams stack-distance tests feed [Stack_dist.from_trace]. *)
 let line_trace ~line ?(bytes = 4) lines =
   let n = 1 + List.fold_left max 0 lines in
-  let map = { Replay.addr = [| Array.init n (fun l -> l * line) |]; bytes = [| Array.make n bytes |] } in
+  let map = { Chunk.addr = [| Array.init n (fun l -> l * line) |]; bytes = [| Array.make n bytes |] } in
   let trace = Trace.create () in
   List.iter (fun block -> Trace.append_exec trace ~image:0 ~block) lines;
   (trace, map)
@@ -58,7 +65,7 @@ let line_trace ~line ?(bytes = 4) lines =
 let sim_access sim ~image ~block ~addr ~bytes =
   let trace, map = one_event ~image ~block ~addr ~bytes in
   Chunk.iter ~trace ~map ~boundary:0
-    ~readers:[| Sim.reader sim Sim.All |]
+    ~readers:[| Sim.reader sim Chunk.All |]
     (fun c _ -> Sim.run sim (Chunk.stream c 0))
 
 (* ------------------------------------------------------------------ *)

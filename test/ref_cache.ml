@@ -187,13 +187,13 @@ let block_misses t ~image ~block =
 
 (* Replay's contract, one event at a time: every execution event goes to
    every model, and counters restart after the first [warmup]. *)
-let replay ~trace ~(map : Replay.code_map) ~warmup models =
+let replay ~trace ~(map : Chunk.code_map) ~warmup models =
   let fed = ref 0 in
   Trace.iter_exec trace (fun ~image ~block ->
       List.iter
         (fun m ->
-          access m ~image ~block ~addr:map.Replay.addr.(image).(block)
-            ~bytes:map.Replay.bytes.(image).(block))
+          access m ~image ~block ~addr:map.Chunk.addr.(image).(block)
+            ~bytes:map.Chunk.bytes.(image).(block))
         models;
       incr fed;
       if !fed = warmup then List.iter reset_counters models)
@@ -236,8 +236,8 @@ let stack_misses t ~lines =
 
 (* Every execution event of [trace] under [map], OS events only when
    [os_only]. *)
-let stack_replay ~trace ~(map : Replay.code_map) ~os_only t =
+let stack_replay ~trace ~(map : Chunk.code_map) ~os_only t =
   Trace.iter_exec trace (fun ~image ~block ->
       if (not os_only) || image = 0 then
-        stack_access t ~addr:map.Replay.addr.(image).(block)
-          ~bytes:map.Replay.bytes.(image).(block))
+        stack_access t ~addr:map.Chunk.addr.(image).(block)
+          ~bytes:map.Chunk.bytes.(image).(block))

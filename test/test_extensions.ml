@@ -392,12 +392,12 @@ let test_fallthrough_golden () =
     [ lc.c0; lc.c1 ];
   let n = Graph.block_count lc.g in
   let adjacent =
-    { Replay.addr = [| Array.init n (fun b -> b * 16) |]; bytes = [| Array.make n 16 |] }
+    { Chunk.addr = [| Array.init n (fun b -> b * 16) |]; bytes = [| Array.make n 16 |] }
   in
   check_close 1e-9 "adjacent placement falls through" 1.0
     (Exp_fallthrough.rate ~trace ~map:adjacent);
   let apart =
-    { Replay.addr = [| Array.init n (fun b -> b * 64) |]; bytes = [| Array.make n 16 |] }
+    { Chunk.addr = [| Array.init n (fun b -> b * 64) |]; bytes = [| Array.make n 16 |] }
   in
   check_close 1e-9 "gapped placement does not" 0.0
     (Exp_fallthrough.rate ~trace ~map:apart)

@@ -608,10 +608,10 @@ let test_program_layout_code_map () =
   let cm = Program_layout.code_map with_apps in
   check_int "one address table per image"
     (1 + Array.length with_apps.Program_layout.app_maps)
-    (Array.length cm.Replay.addr);
-  let os_min = Array.fold_left min max_int cm.Replay.addr.(0) in
+    (Array.length cm.Chunk.addr);
+  let os_min = Array.fold_left min max_int cm.Chunk.addr.(0) in
   check_int "OS at address 0" 0 os_min;
-  let app_min = Array.fold_left min max_int cm.Replay.addr.(1) in
+  let app_min = Array.fold_left min max_int cm.Chunk.addr.(1) in
   check_bool "apps in their own region" true
     (app_min >= Program_layout.app_region_base)
 
@@ -621,7 +621,7 @@ let test_program_layout_code_map () =
 let reference_code_map (l : Program_layout.t) =
   let images = Array.append [| l.Program_layout.os_map |] l.Program_layout.app_maps in
   {
-    Replay.addr =
+    Chunk.addr =
       Array.mapi
         (fun i m ->
           let a = Address_map.addr_array m in
@@ -673,10 +673,10 @@ let test_program_layout_code_map_shared () =
     let cm = Program_layout.code_map l in
     let ref_cm = reference_code_map l in
     check_bool (name ^ ": one map per layout") true (cm == Program_layout.code_map l);
-    Alcotest.(check (array (array int))) (name ^ ": addresses") ref_cm.Replay.addr cm.Replay.addr;
-    Alcotest.(check (array (array int))) (name ^ ": sizes") ref_cm.Replay.bytes cm.Replay.bytes;
+    Alcotest.(check (array (array int))) (name ^ ": addresses") ref_cm.Chunk.addr cm.Chunk.addr;
+    Alcotest.(check (array (array int))) (name ^ ": sizes") ref_cm.Chunk.bytes cm.Chunk.bytes;
     check_bool (name ^ ": OS row is the sealed map's own") true
-      (cm.Replay.addr.(0) == Address_map.sealed_addr l.Program_layout.os_map);
+      (cm.Chunk.addr.(0) == Address_map.sealed_addr l.Program_layout.os_map);
     Array.iteri
       (fun i row ->
         check_bool (name ^ ": sizes row is the graph's") true
@@ -684,7 +684,7 @@ let test_program_layout_code_map_shared () =
           == Graph.block_sizes
                (Address_map.graph
                   (if i = 0 then l.Program_layout.os_map else l.Program_layout.app_maps.(i - 1)))))
-      cm.Replay.bytes
+      cm.Chunk.bytes
   in
   Array.iter check_layout layouts;
   Array.iter

@@ -26,7 +26,7 @@ let program ?(sizes = 4) ?(overlap = false) g =
   in
   let map =
     {
-      Replay.addr =
+      Chunk.addr =
         Array.mapi
           (fun image n -> Array.init n (fun _ -> base.(image) + (4 * Prng.int g (window / 4))))
           blocks;
@@ -81,18 +81,19 @@ let pair g ~window kind =
       let main = config ~assoc:1 g and entries = 1 + Prng.int g 8 in
       (System.victim ~main ~entries, Ref_cache.victim ~main ~entries)
 
-(* Counters and per-OS-block misses of every kind must match the
-   reference exactly. *)
+(* Counters and every entry of the per-OS-block miss store must match
+   the reference exactly: each block's cold, self and cross misses, where
+   the reference's cold misses are its misses less the other two. *)
 let agree ~blocks (sys, model) =
   System.counters sys = Ref_cache.counters model
   &&
-  let total = System.block_misses sys
-  and self = System.block_misses_self sys
-  and cross = System.block_misses_cross sys in
-  List.for_all
-    (fun block ->
-      Ref_cache.block_misses model ~image:0 ~block = (total.(block), self.(block), cross.(block)))
-    (List.init blocks.(0) Fun.id)
+  let store = System.block_misses sys in
+  Array.length store = 3 * blocks.(0)
+  && List.for_all
+       (fun block ->
+         let misses, self, cross = Ref_cache.block_misses model ~image:0 ~block in
+         block_kinds store block = (misses - self - cross, self, cross))
+       (List.init blocks.(0) Fun.id)
 
 (* Replay [pairs] through both paths and compare every member. *)
 let replay_agrees ~map ~blocks ~trace ~warmup pairs =
@@ -146,7 +147,7 @@ let prop_single_access =
       let trace = trace g ~blocks ~events:(1 + Prng.int g 500) in
       let pairs = List.map (pair g ~window) [ Unified; Split; Reserved; Victim ] in
       Trace.iter_exec trace (fun ~image ~block ->
-          let addr = map.Replay.addr.(image).(block) and bytes = map.Replay.bytes.(image).(block) in
+          let addr = map.Chunk.addr.(image).(block) and bytes = map.Chunk.bytes.(image).(block) in
           List.iter
             (fun (sys, model) ->
               system_access sys ~image ~block ~addr ~bytes;
@@ -239,7 +240,7 @@ let fallthrough_program ~overlap g =
     Array.mapi (fun image b -> back_to_back ~base:(if overlap then 0 else image lsl 24) b) bytes
   in
   let window = Array.fold_left (fun w b -> max w (Array.fold_left ( + ) 0 b)) 0 bytes in
-  ({ Replay.addr; bytes }, Array.map Array.length bytes, window)
+  ({ Chunk.addr; bytes }, Array.map Array.length bytes, window)
 
 (* Runs of consecutive blocks, as a fall-through chain executes them: a
    run starts at a random block of a random image and walks forward, one
@@ -277,7 +278,7 @@ let mirrored_program ?huge g n =
   let bytes = block_bytes g n in
   Option.iter (fun line -> bytes.(Prng.int g n) <- line * (Chunk.size + 1 + Prng.int g 64)) huge;
   let addr = back_to_back ~base:0 bytes in
-  let map = { Replay.addr = [| addr; addr |]; bytes = [| bytes; bytes |] } in
+  let map = { Chunk.addr = [| addr; addr |]; bytes = [| bytes; bytes |] } in
   (map, [| n; n |], addr.(n - 1) + bytes.(n - 1))
 
 (* [count] triples in which only a side makes repeats: an OS block, an
@@ -341,14 +342,14 @@ let stack_agrees sd (model : Ref_cache.stack) =
    and spans more [line]-byte lines than a chunk holds events once, at a
    random point: its run costs the list model a chunk's worth of lines
    at up to a chunk's depth. *)
-let with_huge_block g ~line (map : Replay.code_map) trace =
-  let huge = Array.length map.Replay.addr.(0) in
+let with_huge_block g ~line (map : Chunk.code_map) trace =
+  let huge = Array.length map.Chunk.addr.(0) in
   let at = Prng.int g (Trace.exec_count trace) in
   let grow row v = Array.mapi (fun image a -> if image = 0 then Array.append a [| v |] else a) row in
   let map =
     {
-      Replay.addr = grow map.Replay.addr 0;
-      bytes = grow map.Replay.bytes (line * (Chunk.size + 1 + Prng.int g 64));
+      Chunk.addr = grow map.Chunk.addr 0;
+      bytes = grow map.Chunk.bytes (line * (Chunk.size + 1 + Prng.int g 64));
     }
   in
   let t = Trace.create () and i = ref 0 in
@@ -396,7 +397,7 @@ let test_stack_deep () =
 let test_stack_sparse () =
   let map =
     {
-      Replay.addr = [| Array.init 8 (fun b -> b lsl 40); [| 1 lsl 24 |] |];
+      Chunk.addr = [| Array.init 8 (fun b -> b lsl 40); [| 1 lsl 24 |] |];
       bytes = [| Array.make 8 48; [| 100 |] |];
     }
   in

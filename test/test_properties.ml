@@ -417,7 +417,7 @@ let prop_digest_separates_layouts =
       in
       let placement l =
         let map = Program_layout.code_map l in
-        (map.Replay.addr, map.Replay.bytes)
+        (map.Chunk.addr, map.Chunk.bytes)
       in
       List.for_all
         (fun a ->
