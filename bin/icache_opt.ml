@@ -558,6 +558,8 @@ let trace_summary_cmd =
     let ok = function Ok x -> x | Error e -> fail e in
     let doc = ok (Json.of_string (read_input_or_exit file)) in
     let events = ok (Trace_log.of_chrome doc) in
+    (* Summarize only a trace validate accepts, so the two agree. *)
+    ignore (ok (Validate.json doc));
     (* name -> (count, total us, max us) *)
     let totals : (string, int * float * float) Hashtbl.t = Hashtbl.create 32 in
     ok
@@ -591,41 +593,28 @@ let trace_summary_cmd =
     match Json.member "metrics" doc with
     | None -> ()
     | Some mx ->
-        (match Json.member "counters" mx with
-        | Some (Json.Obj kvs) when kvs <> [] ->
-            Printf.printf "\ncounters:\n";
-            List.iter
-              (fun (n, v) ->
-                match Json.to_int v with
-                | Some i -> Printf.printf "  %-32s %12d\n" n i
-                | None -> ())
-              kvs
-        | _ -> ());
-        (match Json.member "histograms" mx with
-        | Some (Json.Obj hs) when hs <> [] ->
-            Printf.printf "\nhistograms:\n";
-            Printf.printf "  %-32s %8s %12s %12s %12s %12s  %s\n" "" "count" "mean"
-              "p50" "p90" "p99" "unit";
-            List.iter
-              (fun (n, h) ->
-                let f field =
-                  match Option.bind (Json.member field h) Json.to_float with
-                  | Some x -> x
-                  | None -> 0.0
-                in
-                let unit_ =
-                  Option.value ~default:""
-                    (Option.bind (Json.member "unit" h) Json.to_str)
-                in
-                let count =
-                  match Option.bind (Json.member "count" h) Json.to_int with
-                  | Some c -> c
-                  | None -> 0
-                in
-                Printf.printf "  %-32s %8d %12.4g %12.4g %12.4g %12.4g  %s\n" n
-                  count (f "mean") (f "p50") (f "p90") (f "p99") unit_)
-              hs
-        | _ -> ())
+        (* Validate.json has checked every field read here. *)
+        ok @@ Json.decode @@ fun () ->
+        let part name = Json.field Json.to_obj "metrics" name mx in
+        if part "counters" <> [] then begin
+          Printf.printf "\ncounters:\n";
+          List.iter
+            (fun (n, v) -> Printf.printf "  %-32s %12s\n" n (Json.to_string v))
+            (part "counters")
+        end;
+        if part "histograms" <> [] then begin
+          Printf.printf "\nhistograms:\n";
+          Printf.printf "  %-32s %8s %12s %12s %12s %12s  %s\n" "" "count" "mean"
+            "p50" "p90" "p99" "unit";
+          List.iter
+            (fun (n, h) ->
+              let get conv f = Json.field conv ("metrics histogram " ^ n) f h in
+              let f = get Json.to_float in
+              Printf.printf "  %-32s %8d %12.4g %12.4g %12.4g %12.4g  %s\n" n
+                (get Json.to_int "count") (f "mean") (f "p50") (f "p90") (f "p99")
+                (get Json.to_str "unit"))
+            (part "histograms")
+        end
   in
   Cmd.v
     (Cmd.info "trace-summary"

@@ -139,162 +139,66 @@ let to_json r =
       ("items", Json.List (List.map item_to_json r.items));
     ]
 
-(* Parsing back.  Shapes are validated strictly enough that the QCheck
+(* Parsing back.  Shapes are checked strictly enough that the QCheck
    round-trip property is meaningful, with readable errors for the CI
    validator. *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_string what j =
-  match Json.to_str j with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%s: expected a string" what)
-
-let as_float what j =
-  match j with
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "%s: expected a number" what)
-
-let as_list what j =
-  match Json.to_list j with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "%s: expected a list" what)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let as_int what j =
-  match Json.to_int j with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "%s: expected an integer" what)
-
 let cell_of_json = function
-  | Json.String s -> Ok (Table.Text s)
+  | Json.String s -> Table.Text s
   | j -> (
-      let* kind = field "kind" j in
-      let* kind = as_string "cell kind" kind in
-      let* value = field "value" j in
-      let decimals () =
-        let* d = field "decimals" j in
-        as_int "cell decimals" d
-      in
-      match kind with
-      | "int" ->
-          let* n = as_int "int cell" value in
-          Ok (Table.Int n)
+      let get conv name = Json.field conv "cell" name j in
+      match get Json.to_str "kind" with
+      | "int" -> Table.Int (get Json.to_int "value")
       | "float" ->
-          let* d = decimals () in
-          let* x = as_float "float cell" value in
-          Ok (Table.Float (d, x))
+          let d = get Json.to_int "decimals" in
+          Table.Float (d, get Json.to_float "value")
       | "pct" ->
-          let* d = decimals () in
-          let* x = as_float "pct cell" value in
-          Ok (Table.Pct (d, x))
-      | other -> Error (Printf.sprintf "unknown cell kind %S" other))
+          let d = get Json.to_int "decimals" in
+          Table.Pct (d, get Json.to_float "value")
+      | other -> Json.fail "unknown cell kind %S" other)
 
-let align_of_json = function
-  | Json.String "left" -> Ok Table.Left
-  | Json.String "right" -> Ok Table.Right
-  | _ -> Error "column align: expected \"left\" or \"right\""
+let column_of_json c =
+  let name = Json.field Json.to_str "column" "name" c in
+  match Json.field Json.to_str "column" "align" c with
+  | "left" -> (name, Table.Left)
+  | "right" -> (name, Table.Right)
+  | _ -> Json.fail "column %s align: expected \"left\" or \"right\"" name
+
+let row_of_json = function
+  | Json.String "sep" -> Table.Separator
+  | r -> Table.Cells (List.map cell_of_json (Json.field Json.to_list "row" "cells" r))
 
 let item_of_json j =
-  let* kind = field "kind" j in
-  let* kind = as_string "item kind" kind in
+  let kind = Json.field Json.to_str "item" "kind" j in
+  let get conv name = Json.field conv kind name j in
   match kind with
   | "table" ->
-      let* title =
+      let title =
         match Json.member "title" j with
-        | None | Some Json.Null -> Ok None
-        | Some t ->
-            let* s = as_string "table title" t in
-            Ok (Some s)
+        | None | Some Json.Null -> None
+        | Some _ -> Some (get Json.to_str "title")
       in
-      let* columns = field "columns" j in
-      let* columns = as_list "table columns" columns in
-      let* columns =
-        map_result
-          (fun c ->
-            let* name = field "name" c in
-            let* name = as_string "column name" name in
-            let* align = field "align" c in
-            let* align = align_of_json align in
-            Ok (name, align))
-          columns
-      in
-      let* rows = field "rows" j in
-      let* rows = as_list "table rows" rows in
-      let* rows =
-        map_result
-          (fun r ->
-            match r with
-            | Json.String "sep" -> Ok Table.Separator
-            | _ ->
-                let* cells = field "cells" r in
-                let* cells = as_list "row cells" cells in
-                let* cells = map_result cell_of_json cells in
-                Ok (Table.Cells cells))
-          rows
-      in
-      Ok (Table { title; columns; rows })
+      let columns = List.map column_of_json (get Json.to_list "columns") in
+      Table { title; columns; rows = List.map row_of_json (get Json.to_list "rows") }
   | "series" ->
-      let* label = field "label" j in
-      let* label = as_string "series label" label in
-      let* points = field "points" j in
-      let* points = as_list "series points" points in
-      let* points =
-        map_result
-          (fun p ->
-            let* x = field "x" p in
-            let* x = as_string "point x" x in
-            let* y = field "y" p in
-            let* y = as_float "point y" y in
-            Ok (x, y))
-          points
+      let label = get Json.to_str "label" in
+      let point p =
+        (Json.field Json.to_str "point" "x" p, Json.field Json.to_float "point" "y" p)
       in
-      Ok (Series { label; points })
+      Series { label; points = List.map point (get Json.to_list "points") }
   | "scalar" ->
-      let* text = field "text" j in
-      let* text = as_string "scalar text" text in
-      let* values =
-        match Json.member "values" j with
-        | Some (Json.Obj kvs) ->
-            map_result
-              (fun (label, c) ->
-                let* c = cell_of_json c in
-                Ok (label, c))
-              kvs
-        | _ -> Error "scalar values: expected an object"
-      in
-      Ok (Scalar { text; values })
-  | "note" ->
-      let* text = field "text" j in
-      let* text = as_string "note text" text in
-      Ok (Note text)
-  | "paper_ref" ->
-      let* text = field "text" j in
-      let* text = as_string "paper_ref text" text in
-      Ok (Paper_ref text)
-  | other -> Error (Printf.sprintf "unknown item kind %S" other)
+      let text = get Json.to_str "text" in
+      let value (label, c) = (label, cell_of_json c) in
+      Scalar { text; values = List.map value (get Json.to_obj "values") }
+  | "note" -> Note (get Json.to_str "text")
+  | "paper_ref" -> Paper_ref (get Json.to_str "text")
+  | other -> Json.fail "unknown item kind %S" other
 
 let of_json j =
-  let* id = field "id" j in
-  let* id = as_string "report id" id in
-  let* section = field "section" j in
-  let* section = as_string "report section" section in
-  let* items = field "items" j in
-  let* items = as_list "report items" items in
-  let* items = map_result item_of_json items in
-  Ok { id; section; items }
+  Json.decode (fun () ->
+      let id = Json.field Json.to_str "report" "id" j in
+      let section = Json.field Json.to_str "report" "section" j in
+      { id; section; items = List.map item_of_json (Json.field Json.to_list "report" "items" j) })
 
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                *)

@@ -89,7 +89,8 @@ val to_json : report -> Json.t
 
 val of_json : Json.t -> (report, string) result
 (** Inverse of {!to_json}: [of_json (to_json r) = Ok r] for every report
-    whose floats are finite. *)
+    whose floats are finite.  Reads through {!Json.decode}, so a document
+    of the wrong shape is an [Error] naming the field, never an exception. *)
 
 val format_of_string : string -> (format, string) result
 (** ["text" | "json" | "csv"], case-insensitive. *)

@@ -1,37 +1,14 @@
-exception Invalid of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
-
-let field conv what name j =
-  match Json.member name j with
-  | None -> fail "%s: missing %s" what name
-  | Some v -> (
-      match conv v with Some x -> x | None -> fail "%s %s: wrong type" what name)
-
-let int = field Json.to_int
-let num = field Json.to_float
-let str = field Json.to_str
-
-let obj what name j =
-  match Json.member name j with
-  | Some (Json.Obj kvs) -> kvs
-  | _ -> fail "%s: missing %s object" what name
-
-let list what name j =
-  match Json.member name j with
-  | Some (Json.List l) -> l
-  | _ -> fail "%s: missing %s list" what name
-
 (* A registry snapshot; returns its counters. *)
 let check_metrics mx =
+  let part name = Json.field Json.to_obj "metrics" name mx in
   let counters =
     List.map
       (fun (n, v) ->
         match Json.to_int v with
         | Some i when i >= 0 -> (n, i)
-        | Some i -> fail "metrics counter %s: %d < 0" n i
-        | None -> fail "metrics counter %s: not an integer" n)
-      (obj "metrics" "counters" mx)
+        | Some i -> Json.fail "metrics counter %s: %d < 0" n i
+        | None -> Json.fail "metrics counter %s: not an integer" n)
+      (part "counters")
   in
   (* Every Memo counts its lookups as a <name>.hits/.misses/.lookups
      trio; check each trio any of the three names announces. *)
@@ -48,86 +25,91 @@ let check_metrics mx =
       let value s = List.assoc_opt (prefix ^ s) counters in
       match (value ".hits", value ".misses", value ".lookups") with
       | Some h, Some m, Some l ->
-          if h + m <> l then fail "metrics: %s hits %d + misses %d <> lookups %d" prefix h m l
-      | _ -> fail "metrics: incomplete %s hits/misses/lookups trio" prefix)
+          if h + m <> l then
+            Json.fail "metrics: %s hits %d + misses %d <> lookups %d" prefix h m l
+      | _ -> Json.fail "metrics: incomplete %s hits/misses/lookups trio" prefix)
     (List.sort_uniq compare (List.filter_map (fun (n, _) -> trio_prefix n) counters));
   List.iter
     (fun (n, h) ->
       let what = "metrics histogram " ^ n in
-      let count = int what "count" h in
-      if count < 0 then fail "%s: count %d < 0" what count;
-      let p50 = num what "p50" h and p90 = num what "p90" h and p99 = num what "p99" h in
+      let num f = Json.field Json.to_float what f h in
+      let count = Json.field Json.to_int what "count" h in
+      if count < 0 then Json.fail "%s: count %d < 0" what count;
+      (* Every field of the schema, so trace-summary can print any of them. *)
+      ignore (Json.field Json.to_str what "unit" h, num "sum", num "mean");
+      let min = num "min" and max = num "max" in
+      let p50 = num "p50" and p90 = num "p90" and p99 = num "p99" in
       if not (p50 <= p90 && p90 <= p99) then
-        fail "%s: percentiles not monotone (%g/%g/%g)" what p50 p90 p99;
+        Json.fail "%s: percentiles not monotone (%g/%g/%g)" what p50 p90 p99;
       if count > 0 then begin
-        let min = num what "min" h and max = num what "max" h in
-        if not (min <= max) then fail "%s: min > max" what;
+        if not (min <= max) then Json.fail "%s: min > max" what;
         if not (min <= p50 && p99 <= max) then
-          fail "%s: percentiles %g/%g outside [%g, %g]" what p50 p99 min max
+          Json.fail "%s: percentiles %g/%g outside [%g, %g]" what p50 p99 min max
       end)
-    (obj "metrics" "histograms" mx);
+    (part "histograms");
   counters
 
 let check_run r =
-  ignore (int "run" "spec_seed" r, str "run" "spec_digest" r, int "run" "seed" r);
-  ignore (str "run" "context_key" r);
-  if int "run" "words" r < 1 then fail "run: words < 1";
-  if int "run" "jobs" r < 1 then fail "run: jobs < 1";
-  let gc = Option.value ~default:Json.Null (Json.member "gc" r) in
-  (* A missing or malformed gc object fails on its first field below. *)
+  let int name = Json.field Json.to_int "run" name r in
+  ignore (int "spec_seed", Json.field Json.to_str "run" "spec_digest" r, int "seed");
+  ignore (Json.field Json.to_str "run" "context_key" r);
+  if int "words" < 1 then Json.fail "run: words < 1";
+  if int "jobs" < 1 then Json.fail "run: jobs < 1";
+  let gc = Json.field Option.some "run" "gc" r in
   List.iter
     (fun name ->
-      let x = num "gc" name gc in
-      if not (x >= 0.0) then fail "gc %s: %g < 0" name x)
+      let x = Json.field Json.to_float "gc" name gc in
+      if not (x >= 0.0) then Json.fail "gc %s: %g < 0" name x)
     Manifest.gc_fields
 
 (* Returns the number of stages. *)
 let check_manifest m =
   (match m with
   | Json.Obj kvs when List.sort compare (List.map fst kvs) = List.sort compare Manifest.fields -> ()
-  | _ -> fail "manifest: fields must be exactly %s" (String.concat ", " Manifest.fields));
+  | _ -> Json.fail "manifest: fields must be exactly %s" (String.concat ", " Manifest.fields));
   let part name = Option.get (Json.member name m) in
-  let version = int "manifest" "schema_version" m in
+  let version = Json.field Json.to_int "manifest" "schema_version" m in
   if version <> Manifest.schema_version then
-    fail "manifest: schema_version %d, expected %d" version Manifest.schema_version;
+    Json.fail "manifest: schema_version %d, expected %d" version Manifest.schema_version;
   if part "run" <> Json.Null then check_run (part "run");
-  let stages = list "manifest" "stages" m in
+  let stages = Json.field Json.to_list "manifest" "stages" m in
   let names =
     List.map
       (fun s ->
-        let name = str "stage" "name" s in
+        let name = Json.field Json.to_str "stage" "name" s in
         let what = "stage " ^ name in
-        let count = int what "count" s and seconds = num what "seconds" s in
-        if count < 1 then fail "%s: count %d < 1" what count;
-        if not (seconds >= 0.0) then fail "%s: seconds %g < 0" what seconds;
+        let count = Json.field Json.to_int what "count" s in
+        let seconds = Json.field Json.to_float what "seconds" s in
+        if count < 1 then Json.fail "%s: count %d < 1" what count;
+        if not (seconds >= 0.0) then Json.fail "%s: seconds %g < 0" what seconds;
         name)
       stages
   in
   if List.length (List.sort_uniq compare names) <> List.length names then
-    fail "stages: a name appears twice";
+    Json.fail "stages: a name appears twice";
   let counters = check_metrics (part "metrics") in
-  let batch = part "batch" in
   let b f =
-    let v = int "batch" f batch in
+    let v = Json.field Json.to_int "batch" f (part "batch") in
     let c = Option.value ~default:0 (List.assoc_opt ("batch." ^ f) counters) in
-    if v <> c then fail "batch: %s %d <> metrics counter batch.%s %d" f v f c;
+    if v <> c then Json.fail "batch: %s %d <> metrics counter batch.%s %d" f v f c;
     v
   in
   List.iter (fun f -> ignore (b f)) Manifest.batch_fields;
   if b "cache_hits" + b "simulated" > b "members" then
-    fail "batch: cache_hits %d + simulated %d > members %d" (b "cache_hits") (b "simulated")
+    Json.fail "batch: cache_hits %d + simulated %d > members %d" (b "cache_hits") (b "simulated")
       (b "members");
   List.length stages
 
 let check_trace doc =
-  let ok = function Ok x -> x | Error e -> fail "%s" e in
+  let ok = function Ok x -> x | Error e -> Json.fail "%s" e in
   let events = ok (Trace_log.of_chrome doc) in
   let spans =
     ok
       (Trace_log.fold_spans
          (fun n (b : Trace_log.event) dur ->
            if dur < 0.0 then
-             fail "span %s on track %d: negative duration %g" b.Trace_log.name b.Trace_log.track dur;
+             Json.fail "span %s on track %d: negative duration %g" b.Trace_log.name
+               b.Trace_log.track dur;
            n + 1)
          0 events)
   in
@@ -139,15 +121,14 @@ let check_trace doc =
 let check_repro doc =
   let reports =
     match Json.member "reports" doc with
-    | Some (Json.List l) -> l
-    | Some _ -> fail "reports: expected a list"
+    | Some _ -> Json.field Json.to_list "document" "reports" doc
     | None -> (
         match Result.of_json doc with
         | Ok _ -> [ doc ]
-        | Error _ -> fail "document has neither a reports list nor a report shape")
+        | Error _ -> Json.fail "document has neither a reports list nor a report shape")
   in
   List.iteri
-    (fun i r -> match Result.of_json r with Ok _ -> () | Error e -> fail "report %d: %s" i e)
+    (fun i r -> match Result.of_json r with Ok _ -> () | Error e -> Json.fail "report %d: %s" i e)
     reports;
   let n = List.length reports in
   match Json.member "manifest" doc with
@@ -155,12 +136,10 @@ let check_repro doc =
   | None -> Printf.sprintf "ok: %d report(s), no manifest" n
 
 let json doc =
-  try
-    Ok
-      (if Json.member "traceEvents" doc <> None then check_trace doc
-       else if Json.member "schema_version" doc <> None then
-         Printf.sprintf "ok: manifest with %d stage(s)" (check_manifest doc)
-       else check_repro doc)
-  with Invalid msg -> Error msg
+  Json.decode (fun () ->
+      if Json.member "traceEvents" doc <> None then check_trace doc
+      else if Json.member "schema_version" doc <> None then
+        Printf.sprintf "ok: manifest with %d stage(s)" (check_manifest doc)
+      else check_repro doc)
 
 let of_string text = Stdlib.Result.bind (Json.of_string text) json

@@ -2,7 +2,12 @@
 
     Every check is an invariant the pipeline guarantees (see {!Manifest}
     for the manifest's): a document that fails one was not written by this
-    code, or was written by a broken build of it. *)
+    code, or was written by a broken build of it.
+
+    Every check reads through {!Json.decode}: fields by {!Json.field}, the
+    reports by {!Result.of_json} and the trace events by
+    {!Trace_log.of_chrome}.  [trace-summary] summarizes only a trace this
+    module accepts, so the two reject the same traces in the same words. *)
 
 val json : Json.t -> (string, string) result
 (** Validate one document, recognised by its shape:

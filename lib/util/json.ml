@@ -192,11 +192,14 @@ let of_string s =
     | _ -> ());
     let tok = String.sub s start (!pos - start) in
     if tok = "" || tok = "-" then fail "expected number";
-    if !is_float then Float (float_of_string tok)
-    else
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> Float (float_of_string tok)
+    match (if !is_float then None else int_of_string_opt tok) with
+    | Some i -> Int i
+    | None -> (
+        match float_of_string_opt tok with
+        | Some f -> Float f
+        | None ->
+            pos := start;
+            fail (Printf.sprintf "malformed number %S" tok))
   in
   let rec parse_value () =
     skip_ws ();
@@ -277,3 +280,20 @@ let to_int = function Int i -> Some i | _ -> None
 let to_list = function List l -> Some l | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
+
+let to_obj = function Obj kvs -> Some kvs | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                           *)
+(* ------------------------------------------------------------------ *)
+
+exception Decode_error of string
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Decode_error msg)) fmt
+
+let field conv owner name j =
+  match member name j with
+  | None -> fail "%s: missing %s" owner name
+  | Some v -> ( match conv v with Some x -> x | None -> fail "%s %s: wrong type" owner name)
+
+let decode f = try Ok (f ()) with Decode_error msg -> Error msg

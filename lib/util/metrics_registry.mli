@@ -33,7 +33,8 @@
                               "p99": float }, ... } }
     v}
     Keys appear in name order, so snapshots are stable across runs and
-    domain schedules. *)
+    domain schedules.  Its readers ([Validate], which checks every field
+    above, and [trace-summary]) decode it through {!Json.decode}. *)
 
 type counter
 type histogram

@@ -143,63 +143,53 @@ let to_chrome ?(extra = []) () =
      ]
     @ extra)
 
-exception Malformed of string
-
-let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
-
 let of_chrome doc =
   let event i e =
-    let field name conv =
-      match Option.bind (Json.member name e) conv with
-      | Some v -> v
-      | None -> malformed "event %d: missing %s" i name
-    in
-    let name = field "name" Json.to_str in
+    let what = Printf.sprintf "event %d" i in
+    let name = Json.field Json.to_str what "name" e in
     let begin_ =
-      match field "ph" Json.to_str with
+      match Json.field Json.to_str what "ph" e with
       | "B" -> true
       | "E" -> false
-      | ph -> malformed "event %d (%s): unsupported phase %S" i name ph
+      | ph -> Json.fail "event %d (%s): unsupported phase %S" i name ph
     in
-    let args = match Json.member "args" e with Some (Json.Obj a) -> a | _ -> [] in
-    { seq = i; name; begin_; ts = field "ts" Json.to_float; track = field "tid" Json.to_int; args }
+    let args = Option.value ~default:[] (Option.bind (Json.member "args" e) Json.to_obj) in
+    let ts = Json.field Json.to_float what "ts" e in
+    { seq = i; name; begin_; ts; track = Json.field Json.to_int what "tid" e; args }
   in
-  match Json.member "traceEvents" doc with
-  | Some (Json.List l) -> ( try Ok (List.mapi event l) with Malformed msg -> Error msg)
-  | _ -> Error "trace: missing traceEvents list"
+  Json.decode (fun () -> List.mapi event (Json.field Json.to_list "trace" "traceEvents" doc))
 
 (* Events of one track are in program order: seq order refines per-domain
    order, and successive domains sharing a track never overlap in time. *)
 let fold_spans f init events =
   let stacks : (int, event list) Hashtbl.t = Hashtbl.create 8 in
   let stack track = Option.value ~default:[] (Hashtbl.find_opt stacks track) in
-  try
-    let acc =
-      List.fold_left
-        (fun acc e ->
-          match (e.begin_, stack e.track) with
-          | true, open_ ->
-              Hashtbl.replace stacks e.track (e :: open_);
-              acc
-          | false, b :: rest when b.name = e.name ->
-              Hashtbl.replace stacks e.track rest;
-              f acc b (e.ts -. b.ts)
-          | false, b :: _ ->
-              malformed "track %d: end of %S does not match innermost open span %S" e.track
-                e.name b.name
-          | false, [] -> malformed "track %d: end of %S with no open span" e.track e.name)
-        init events
-    in
-    Hashtbl.iter
-      (fun track open_ ->
-        match open_ with
-        | [] -> ()
-        | b :: _ ->
-            malformed "track %d: %d unclosed span(s), innermost %S" track (List.length open_)
-              b.name)
-      stacks;
-    Ok acc
-  with Malformed msg -> Error msg
+  Json.decode (fun () ->
+      let acc =
+        List.fold_left
+          (fun acc e ->
+            match (e.begin_, stack e.track) with
+            | true, open_ ->
+                Hashtbl.replace stacks e.track (e :: open_);
+                acc
+            | false, b :: rest when b.name = e.name ->
+                Hashtbl.replace stacks e.track rest;
+                f acc b (e.ts -. b.ts)
+            | false, b :: _ ->
+                Json.fail "track %d: end of %S does not match innermost open span %S" e.track
+                  e.name b.name
+            | false, [] -> Json.fail "track %d: end of %S with no open span" e.track e.name)
+          init events
+      in
+      Hashtbl.iter
+        (fun track open_ ->
+          match open_ with
+          | [] -> ()
+          | b :: _ ->
+              Json.fail "track %d: %d unclosed span(s), innermost %S" track (List.length open_)
+                b.name)
+        stacks;
+      acc)
 
 let reset () =
   Mutex.protect registry_lock (fun () -> List.iter (fun b -> b.len <- 0) !registry);

@@ -96,14 +96,16 @@ val to_chrome : ?extra:(string * Json.t) list -> unit -> Json.t
 
 val of_chrome : Json.t -> (event list, string) result
 (** Decode a {!to_chrome} document's events in file order ([seq] is the
-    position).  Every event needs a string [name], a [ph] of ["B"] or
-    ["E"], a numeric [ts] and an integer [tid]; [args] is optional. *)
+    position), through {!Json.decode}.  Every event needs a string [name],
+    a [ph] of ["B"] or ["E"], a numeric [ts] and an integer [tid]; [args]
+    is optional. *)
 
 val fold_spans : ('a -> event -> float -> 'a) -> 'a -> event list -> ('a, string) result
 (** Pair each track's begin and end events into spans and fold
     [f acc begin_event duration_us] over them in end order.  Fails when an
     end does not match its track's innermost open span, or when a span is
-    left open. *)
+    left open.  The fold runs inside {!Json.decode}, so a {!Json.fail} in
+    [f] ends it with that [Error]. *)
 
 val reset : unit -> unit
 (** Drop all recorded events and stage totals (the enabled flag is left

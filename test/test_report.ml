@@ -248,6 +248,18 @@ let test_column_reader () =
     (Result.column r "share" = [ Table.Pct (2, 0.5349); Table.Text "n/a" ]);
   check_bool "an unknown name reads nothing" true (Result.column r "absent" = [])
 
+(* Tokens the number scanner takes but that spell no number: each is an
+   error at the byte where the token starts, not an exception. *)
+let test_json_malformed_numbers () =
+  List.iter
+    (fun (text, at, tok) ->
+      match Json.of_string text with
+      | Ok _ -> Alcotest.failf "%S parsed" text
+      | Error e ->
+          let want = Printf.sprintf "JSON parse error at byte %d: malformed number %S" at tok in
+          check_string text want e)
+    [ ("1e", 0, "1e"); (".", 0, "."); ("-.", 0, "-."); ("1.5e+", 0, "1.5e+"); ("[1e]", 1, "1e") ]
+
 let test_format_of_string () =
   check_bool "text" true (Result.format_of_string "text" = Ok Result.Text);
   check_bool "JSON case-insensitive" true
@@ -378,6 +390,7 @@ let () =
           case "csv numbers bare" test_csv_numbers_bare;
           case "text formats typed cells" test_text_formats_cells;
           case "json numeric cells" test_json_numbers;
+          case "json malformed numbers" test_json_malformed_numbers;
           case "column reader" test_column_reader;
           case "format_of_string" test_format_of_string;
         ] );

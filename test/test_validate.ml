@@ -196,6 +196,76 @@ let test_rejects_traces () =
 let test_rejects_text () =
   check_bool "unparsable text" true (Stdlib.Result.is_error (Validate.of_string "{\"reports\": ["))
 
+(* ------------------------------------------------------------------ *)
+(* Fuzz: every reader returns on a mutated document                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Two valid documents as the CLI writes them: a one-report repro
+   document with its manifest, and a trace with its metrics snapshot. *)
+let fuzz_docs =
+  lazy
+    (Parallel.set_jobs 1;
+     Trace_log.reset ();
+     Trace_log.set_enabled true;
+     let ctx = Context.create ~spec:Spec.small ~words:20_000 ~seed:31 () in
+     Manifest.set_run ctx ~jobs:1;
+     let report = Experiments.compute (Experiments.find "table1") ctx in
+     Trace_log.set_enabled false;
+     let trace = Trace_log.to_chrome ~extra:[ ("metrics", Metrics_registry.to_json ()) ] () in
+     let reports = Json.List [ Result.to_json report ] in
+     let repro = Json.Obj [ ("reports", reports); ("manifest", Manifest.to_json ()) ] in
+     [| Json.to_string repro; Json.to_string ~minify:true trace |])
+
+(* Mutation bytes come from JSON's own alphabet, so a mutant can spell a
+   malformed number, a broken key or an unbalanced bracket. *)
+let alphabet = "{}[]\":,.eE+-0123456789x"
+
+let mutate text m =
+  let n = String.length text in
+  let at p = if n = 0 then 0 else p mod n in
+  match m with
+  | `Flip (p, c) when n > 0 -> String.mapi (fun i b -> if i = at p then c else b) text
+  | `Insert (p, c) ->
+      let i = p mod (n + 1) in
+      String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i)
+  | `Delete p when n > 0 -> String.sub text 0 (at p) ^ String.sub text (at p + 1) (n - at p - 1)
+  | `Truncate p -> String.sub text 0 (at p)
+  | _ -> text
+
+let mutant_arb =
+  let open QCheck.Gen in
+  let pos = int_bound (1 lsl 29) in
+  let byte = map (String.get alphabet) (int_bound (String.length alphabet - 1)) in
+  let mutation =
+    frequency
+      [
+        (3, map2 (fun p c -> `Flip (p, c)) pos byte);
+        (3, map2 (fun p c -> `Insert (p, c)) pos byte);
+        (3, map (fun p -> `Delete p) pos);
+        (1, map (fun p -> `Truncate p) pos);
+      ]
+  in
+  let show = function
+    | `Flip (p, c) -> Printf.sprintf "flip %d %C" p c
+    | `Insert (p, c) -> Printf.sprintf "insert %d %C" p c
+    | `Delete p -> Printf.sprintf "delete %d" p
+    | `Truncate p -> Printf.sprintf "truncate %d" p
+  in
+  QCheck.make
+    ~print:(fun (doc, ms) ->
+      Printf.sprintf "doc %d: %s" doc (String.concat "; " (List.map show ms)))
+    (pair (int_bound 1) (list_size (int_range 1 4) mutation))
+
+let prop_readers_never_raise =
+  QCheck.Test.make ~count:1000 ~name:"mutated documents: each reader returns Ok or Error"
+    mutant_arb (fun (doc, ms) ->
+      let text = List.fold_left mutate (Lazy.force fuzz_docs).(doc) ms in
+      match Json.of_string text with
+      | Error _ -> true
+      | Ok j ->
+          ignore (Validate.json j, Result.of_json j, Trace_log.of_chrome j);
+          true)
+
 let () =
   Alcotest.run "validate"
     [
@@ -217,4 +287,5 @@ let () =
           case "malformed traces" test_rejects_traces;
           case "unparsable text" test_rejects_text;
         ] );
+      ("fuzz", [ qcheck prop_readers_never_raise ]);
     ]
