@@ -143,19 +143,38 @@ let strip { src; dst; tags; mask } =
   dst.app_words <- src.app_words;
   dst.repeats <- src.repeats
 
-(* The one place an (image, block) pair becomes an address range.  The
-   map reads stay bounds-checked: a block id the placement does not know
-   fails here, not inside a kernel's unchecked loads.  Then every planned
-   stream is built from the fill, each chain's stages in order. *)
+exception Unknown_block of { image : int; block : int }
+
+let () =
+  Printexc.register_printer (function
+    | Unknown_block { image; block } ->
+        Some (Printf.sprintf "Chunk.Unknown_block: the code map has no block %d of image %d" block image)
+    | _ -> None)
+
+(* Every (image, block) pair the trace executes has a row entry in both
+   of the map's arrays: checked once per pass from the trace's largest id
+   per image, so the fill reads the rows unchecked. *)
+let check_ids trace (map : code_map) =
+  for image = 0 to Trace.images - 1 do
+    let block = Trace.max_block trace image in
+    let has rows = image < Array.length rows && block < Array.length rows.(image) in
+    if block >= 0 && not (has map.addr && has map.bytes) then raise (Unknown_block { image; block })
+  done
+
+(* The one place an (image, block) pair becomes an address range, reading
+   the rows unchecked: {!iter} has checked every id the trace holds.
+   Then every planned stream is built from the fill, each chain's stages
+   in order. *)
 let fill c (map : code_map) cursor n =
   let len = Trace.read_exec cursor c.owner n in
   let owner = c.owner and first = c.addr and last = c.last in
+  let addr = map.addr and bytes = map.bytes in
   for i = 0 to len - 1 do
     let o = Array.unsafe_get owner i in
     let image = o land 7 and block = o lsr 3 in
-    let a = map.addr.(image).(block) in
+    let a = Array.unsafe_get (Array.unsafe_get addr image) block in
     Array.unsafe_set first i a;
-    Array.unsafe_set last i (a + map.bytes.(image).(block) - 1)
+    Array.unsafe_set last i (a + Array.unsafe_get (Array.unsafe_get bytes image) block - 1)
   done;
   c.len <- len;
   Array.iter
@@ -239,6 +258,7 @@ let stream c i = c.buffers.read.(i)
 let spare : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let iter ~trace ~map ~boundary ~readers f =
+  check_ids trace map;
   let c =
     match Domain.DLS.get spare with
     | Some c ->

@@ -79,6 +79,11 @@ val size : int
     the per-chunk switch between systems, small enough that the three
     arrays stay in L2 while every system runs over them. *)
 
+exception Unknown_block of { image : int; block : int }
+(** A trace executes [block] of [image], and the code map has no row
+    entry for it: the image is missing, or the block id is past its
+    rows. *)
+
 val iter :
   trace:Trace.t -> map:code_map -> boundary:int -> readers:reader array ->
   (t -> int -> unit) -> unit
@@ -100,7 +105,8 @@ val iter :
     pass to pass; an [iter] called from inside another's [f] uses a
     chunk of its own.  Buffers start as long as the chunk and grow as a
     fill needs more.
-    @raise Invalid_argument if an event names a block [map] lacks. *)
+    @raise Unknown_block before the first fill if an event names an
+    image or a block [map] lacks. *)
 
 val stream : t -> int -> stream
 (** [stream chunk i]: reader [i]'s stream of the current fill, valid

@@ -37,10 +37,15 @@ val graph : t -> Graph.t
 
 val validate : t -> unit
 (** Check completeness (every block placed) and non-overlap in one linear
-    scan over the sorted keys of {!blocks_by_addr} (two int arrays as long
-    as the graph), which carry the addresses.  The first success records
-    {!digest} and seals the map: later {!place} calls raise.
-    @raise Failure with a diagnostic otherwise. *)
+    scan over the sorted keys of {!blocks_by_addr}, which carry the
+    addresses.  The first success records {!digest} and seals the map:
+    later {!place} calls raise.  The sort's keys and the digest's bytes
+    live in the calling domain's scratch, grown to the largest graph it
+    has sealed and never shrunk, so [validate] allocates nothing per
+    block, and it is safe on different maps from different domains at
+    once.  The seal runs in an [address_map.seal] span.
+    @raise Failure with a diagnostic otherwise: the block count placed,
+    or the first overlapping pair in address order (ties by id). *)
 
 val back_to_back : Graph.t -> Block.id Seq.t -> region:(Block.id -> region) -> t
 (** A validated map with [blocks] placed in order from address 0,
@@ -50,8 +55,13 @@ val back_to_back : Graph.t -> Block.id Seq.t -> region:(Block.id -> region) -> t
     @raise Failure if a block of the graph is missing. *)
 
 val digest : t -> string
-(** Hex MD5 of the {!addr_array} and {!bytes_array} contents, recorded by
-    the first successful {!validate}.
+(** Hex MD5, recorded by the first successful {!validate}, of
+    [Graph.digest] of the map's graph (which covers every block size),
+    one byte [w], and every block's address in id order as [w]
+    little-endian bytes, [w] the fewest of 3, 4 and 8 that hold the
+    highest address.  For one graph the encoding is injective, so two
+    maps of a graph share a digest exactly when they share
+    {!addr_array} (and, by the graph, {!bytes_array}).
     @raise Invalid_argument if the map was never validated. *)
 
 val addr_array : t -> int array
@@ -67,4 +77,5 @@ val sealed_addr : t -> int array
 
 val blocks_by_addr : t -> Block.id array
 (** All placed blocks sorted by address, equal addresses by id: a stable
-    LSD radix sort of [addr lsl 22 lor id] keys on their address digits. *)
+    LSD radix sort of [addr lsl 22 lor id] keys on their address digits,
+    the one {!validate} runs, with the ids copied out of the scratch. *)

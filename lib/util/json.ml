@@ -94,6 +94,25 @@ let to_string ?(minify = false) v =
 
 exception Parse_error of int * string
 
+(* JSON's number grammar, [-]? (0 | [1-9][0-9]* ) ([.][0-9]+)?
+   ([eE][+-]?[0-9]+)?, over a token the scanner took: OCaml's own
+   conversions also take [.5], [1.] and [01], which JSON does not have. *)
+let number_grammar tok =
+  let n = String.length tok and i = ref 0 in
+  let eat c = !i < n && tok.[!i] = c && (incr i; true) in
+  let digits () =
+    let from = !i in
+    while !i < n && tok.[!i] >= '0' && tok.[!i] <= '9' do incr i done;
+    !i - from
+  in
+  ignore (eat '-');
+  let zero = !i < n && tok.[!i] = '0' in
+  let whole = digits () in
+  let int_ok = whole = 1 || (whole > 1 && not zero) in
+  let frac_ok = (not (eat '.')) || digits () > 0 in
+  let exp_ok = (not (eat 'e' || eat 'E')) || (ignore (eat '+' || eat '-'); digits () > 0) in
+  int_ok && frac_ok && exp_ok && !i = n
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -144,12 +163,20 @@ let of_string s =
           | 'f' -> Buffer.add_char buf '\012'; loop ()
           | 'u' ->
               if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with Failure _ -> fail "bad \\u escape"
-              in
+              (* Exactly four hex digits; the error is at the first other byte. *)
+              let code = ref 0 in
+              for _ = 1 to 4 do
+                let d =
+                  match s.[!pos] with
+                  | '0' .. '9' as c -> Char.code c - Char.code '0'
+                  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                  | _ -> fail "bad \\u escape"
+                in
+                code := (!code lsl 4) lor d;
+                advance ()
+              done;
+              let code = !code in
               (* Encode the code point as UTF-8 (code points we emit are
                  always < 0x20, i.e. single bytes). *)
               if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -192,14 +219,13 @@ let of_string s =
     | _ -> ());
     let tok = String.sub s start (!pos - start) in
     if tok = "" || tok = "-" then fail "expected number";
+    if not (number_grammar tok) then begin
+      pos := start;
+      fail (Printf.sprintf "malformed number %S" tok)
+    end;
     match (if !is_float then None else int_of_string_opt tok) with
     | Some i -> Int i
-    | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None ->
-            pos := start;
-            fail (Printf.sprintf "malformed number %S" tok))
+    | None -> Float (float_of_string tok)
   in
   let rec parse_value () =
     skip_ws ();

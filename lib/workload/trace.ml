@@ -1,4 +1,9 @@
-type t = { mutable data : int array; mutable len : int; mutable execs : int }
+type t = {
+  mutable data : int array;
+  mutable len : int;
+  mutable execs : int;
+  max_block : int array;  (* per image: the largest block id executed, -1 if none *)
+}
 
 type event =
   | Exec of { image : int; block : Block.id }
@@ -23,10 +28,11 @@ let decode v =
   else Exec { image = tag; block = payload }
 
 let create ?(capacity = 4096) () =
-  { data = Array.make (max 16 capacity) 0; len = 0; execs = 0 }
+  { data = Array.make (max 16 capacity) 0; len = 0; execs = 0; max_block = Array.make tag_end (-1) }
 
 (* Both append paths funnel through here: grow-by-doubling, store the
-   packed event, and keep the exec-event count current. *)
+   packed event, and keep the exec-event count and each image's largest
+   block id current. *)
 let push t v =
   if t.len = Array.length t.data then begin
     let bigger = Array.make (2 * t.len) 0 in
@@ -35,7 +41,11 @@ let push t v =
   end;
   t.data.(t.len) <- v;
   t.len <- t.len + 1;
-  if v land 7 < tag_end then t.execs <- t.execs + 1
+  let image = v land 7 in
+  if image < tag_end then begin
+    t.execs <- t.execs + 1;
+    if v lsr 3 > t.max_block.(image) then t.max_block.(image) <- v lsr 3
+  end
 
 let append t ev = push t (encode ev)
 
@@ -44,6 +54,10 @@ let append_exec t ~image ~block = push t ((block lsl 3) lor image)
 let length t = t.len
 
 let exec_count t = t.execs
+
+let images = tag_end
+
+let max_block t image = t.max_block.(image)
 
 let iter t f =
   for i = 0 to t.len - 1 do
@@ -58,12 +72,12 @@ let iter_exec t f =
     if tag < 6 then f ~image:tag ~block:(v lsr 3)
   done
 
-type cursor = { trace : t; mutable pos : int }
+type cursor = { trace : t; mutable pos : int; stop : int }
 
-let cursor trace = { trace; pos = 0 }
+let cursor trace = { trace; pos = 0; stop = trace.len }
 
 let read_exec c dst n =
-  let data = c.trace.data and len = c.trace.len in
+  let data = c.trace.data and len = c.stop in
   let n = min n (Array.length dst) in
   let k = ref 0 and pos = ref c.pos in
   while !k < n && !pos < len do

@@ -29,6 +29,15 @@ val exec_count : t -> int
     executions, so a threshold computed from the marker-inclusive length
     would drift with marker density. *)
 
+val images : int
+(** Image indices run from 0 (the OS) to [images - 1]. *)
+
+val max_block : t -> int -> int
+(** [max_block t image]: the largest block id of [image] that [t]
+    executes, or [-1] if it has no execution of [image].  Kept as events
+    are appended, so a replay checks its trace's ids against a code map
+    once instead of at every event. *)
+
 val iter : t -> (event -> unit) -> unit
 
 val iter_exec : t -> (image:int -> block:Block.id -> unit) -> unit
@@ -41,7 +50,8 @@ type cursor
     batches. *)
 
 val cursor : t -> cursor
-(** A cursor at the first event. *)
+(** A cursor at the first event, reading the events the trace holds now:
+    events appended later are past its end. *)
 
 val read_exec : cursor -> int array -> int -> int
 (** [read_exec c dst n] copies the packed encoding [(block lsl 3) lor

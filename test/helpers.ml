@@ -171,8 +171,30 @@ let profile_content_digest (p : Profile.t) =
    array, so a write to that array shows up here. *)
 let sizes_of g = Array.init (Graph.block_count g) (fun b -> (Graph.block g b).Block.size)
 
+(* Address_map's digest encoding, transcribed byte by byte: MD5 of the
+   graph's digest, one byte giving the address width (3, 4 or 8, the
+   fewest that hold the highest address), then every block's address in
+   id order as that many little-endian bytes.  The graph's digest is
+   cached, so the sizes are compared block by block first: a write to
+   the shared Graph.block_sizes array shows up here as a digest no map
+   has. *)
 let map_content_digest m =
-  content_md5 (Address_map.addr_array m, sizes_of (Address_map.graph m))
+  let g = Address_map.graph m and addr = Address_map.addr_array m in
+  if Graph.block_sizes g <> sizes_of g then "sizes array written"
+  else begin
+    let top = Array.fold_left max 0 addr in
+    let w = if top < 1 lsl 24 then 3 else if top < 1 lsl 32 then 4 else 8 in
+    let b = Buffer.create (33 + (w * Array.length addr)) in
+    Buffer.add_string b (Graph.digest g);
+    Buffer.add_char b (Char.chr w);
+    Array.iter
+      (fun a ->
+        for i = 0 to w - 1 do
+          Buffer.add_char b (Char.chr ((a lsr (8 * i)) land 0xff))
+        done)
+      addr;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Memoized expensive fixtures.                                       *)

@@ -173,20 +173,21 @@ let blocks_by_addr t =
   Array.sort (fun a b -> compare (Address_map.addr t a) (Address_map.addr t b)) blocks;
   blocks
 
+(* Every placed block as an (address, id) pair, the list sorted, then the
+   first pair of neighbours where a block starts before the one below it
+   ends.  Ties sort by id, as Address_map's sort keeps them, so both name
+   the same first overlapping pair. *)
 let validate t =
   let g = Address_map.graph t in
   let n = Graph.block_count g in
   if Address_map.placed_count t <> n then
     failwith (Printf.sprintf "Address_map: %d of %d blocks placed" (Address_map.placed_count t) n);
-  let order = blocks_by_addr t in
-  Array.iteri
-    (fun i b ->
-      if i > 0 then begin
-        let prev = order.(i - 1) in
-        let prev_end = Address_map.addr t prev + (Graph.block g prev).Block.size in
-        if Address_map.addr t b < prev_end then
-          failwith
-            (Printf.sprintf "Address_map: blocks %d and %d overlap at %d" prev b
-               (Address_map.addr t b))
-      end)
-    order
+  let size b = (Graph.block g b).Block.size in
+  let rec scan = function
+    | (prev_addr, prev) :: ((a, b) :: _ as rest) ->
+        if a < prev_addr + size prev then
+          failwith (Printf.sprintf "Address_map: blocks %d and %d overlap at %d" prev b a);
+        scan rest
+    | [ _ ] | [] -> ()
+  in
+  scan (List.sort compare (List.init n (fun b -> (Address_map.addr t b, b))))

@@ -443,6 +443,29 @@ let test_replay_warmup () =
   check_int "warmup discards all misses" 0 (Counters.misses (System.counters sys));
   check_int "and all refs" 0 (Counters.refs (System.counters sys))
 
+(* A trace naming a block past the map's rows, or an image the map lacks,
+   fails with the typed error before the first fill, although the bad
+   event sits in the second chunk: no kernel has run, so every counter is
+   still 0. *)
+let test_replay_unknown_block () =
+  let map = { Chunk.addr = [| [| 0; 16; 32 |] |]; bytes = [| [| 16; 16 |] |] } in
+  List.iter
+    (fun (name, image, block) ->
+      let t = Trace.create () in
+      for i = 1 to Chunk.size + 100 do
+        Trace.append_exec t ~image:0 ~block:(i land 1)
+      done;
+      Trace.append_exec t ~image ~block;
+      let sys = System.unified (Config.make ~size_kb:1 ()) in
+      (match Replay.run_range ~trace:t ~map ~systems:[| sys |] ~warmup:0 with
+      | exception Chunk.Unknown_block e ->
+          check_int (name ^ ": image") image e.image;
+          check_int (name ^ ": block") block e.block
+      | () -> Alcotest.failf "%s: replayed" name);
+      check_int (name ^ ": no reference counted") 0 (Counters.refs (System.counters sys));
+      check_int (name ^ ": no miss counted") 0 (Counters.misses (System.counters sys)))
+    [ ("block past both rows", 0, 3); ("block past the sizes row", 0, 2); ("image the map lacks", 1, 0) ]
+
 (* A replay allocates per pass (the chunk, its cursor), never per event:
    a closure or boxed value in any kernel's loop shows up here as
    allocated words per event. *)
@@ -668,6 +691,7 @@ let () =
           case "run" test_replay_run;
           case "multiple systems" test_replay_multiple_systems;
           case "warmup" test_replay_warmup;
+          case "unknown block" test_replay_unknown_block;
           case "allocation-free kernels" test_replay_allocation_free;
           case "second pass reuses its buffers" test_replay_reuses_buffers;
           case "chunk streams" test_chunk_streams;

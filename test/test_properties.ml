@@ -369,6 +369,106 @@ let prop_validate_matches_reference =
       && got = expect_ordered
       && ref_ok = ok Address_map.validate)
 
+(* Random small graphs and placements, placed in a shuffled order: a
+   clean case puts each block right after the one before it or a little
+   apart; a faulty one also ties, overlaps and leaves blocks out.  Bases
+   give every address width of the digest (3, 4 and 8 bytes). *)
+let seal_case_gen =
+  QCheck.Gen.(
+    let* sizes = list_size (1 -- 30) (1 -- 48) in
+    let n = List.length sizes in
+    let* order = shuffle_l (List.init n Fun.id) in
+    let* clean = bool in
+    let gap =
+      if clean then frequencyl [ (3, `Touch); (1, `Apart) ]
+      else frequencyl [ (1, `Tie); (1, `Overlap); (4, `Touch); (1, `Apart) ]
+    in
+    let* gaps = list_repeat n gap in
+    let* skip = list_repeat n (if clean then return false else frequencyl [ (8, false); (1, true) ]) in
+    let* base = oneofl [ 0; 100; (1 lsl 24) - 512; (1 lsl 32) - 512; Address_map.addr_limit - 65536 ] in
+    let* place_order = shuffle_l (List.init n Fun.id) in
+    return (sizes, List.combine order gaps, skip, base, place_order))
+
+let seal_case_arb =
+  QCheck.make
+    ~print:(fun (sizes, _, _, base, _) ->
+      Printf.sprintf "%d blocks from %d" (List.length sizes) base)
+    seal_case_gen
+
+let graph_of_sizes sizes =
+  let bld = Graph.builder () in
+  let r = Graph.declare_routine bld "r" in
+  List.iter (fun size -> ignore (Graph.add_block bld ~routine:r ~size ())) sizes;
+  Graph.freeze bld
+
+(* [(block, addr)] pairs placed into a fresh map over [g] in list order. *)
+let map_of g placed =
+  let m = Address_map.create g in
+  List.iter (fun (b, addr) -> Address_map.place m b ~addr ~region:Address_map.Cold) placed;
+  m
+
+let outcome m = match Address_map.validate m with () -> Ok () | exception Failure e -> Error e
+let ref_outcome m = match Ref_layout.validate m with () -> Ok () | exception Failure e -> Error e
+
+let prop_seal_matches_reference =
+  QCheck.Test.make ~name:"random placements: validate == list-sort reference, digest is the content's"
+    ~count:500 seal_case_arb (fun (sizes, walk, skip, base, place_order) ->
+      let g = graph_of_sizes sizes in
+      let size = Array.of_list sizes in
+      let placed, _, _ =
+        List.fold_left2
+          (fun (placed, at, prev) (b, gap) skip ->
+            let a =
+              match (gap, prev) with
+              | `Tie, Some (pa, _) -> pa
+              | `Overlap, Some (pa, ps) -> pa + max 0 (ps - 1)
+              | `Apart, _ -> at + 8
+              | _ -> at
+            in
+            if skip then (placed, at, prev)
+            else ((b, a) :: placed, max at (a + size.(b)), Some (a, size.(b))))
+          ([], base, None) walk skip
+      in
+      let m = map_of g (List.rev placed) in
+      let expect = ref_outcome m in
+      let got = outcome m in
+      if got <> expect then
+        QCheck.Test.fail_reportf "validate %s, reference %s"
+          (match got with Ok () -> "accepts" | Error e -> e)
+          (match expect with Ok () -> "accepts" | Error e -> e);
+      match got with
+      | Error _ -> true
+      | Ok () ->
+          let d = Address_map.digest m in
+          let addr_of b = List.assoc b placed in
+          (* The same contents, placed in another order. *)
+          let again = map_of g (List.map (fun b -> (b, addr_of b)) place_order) in
+          Address_map.validate again;
+          (* One block moved past the highest byte, still a valid map. *)
+          let moved = List.hd place_order in
+          let elsewhere =
+            map_of g
+              (List.map
+                 (fun (b, a) -> (b, if b = moved then Address_map.extent m else a))
+                 placed)
+          in
+          Address_map.validate elsewhere;
+          (* The same addresses over a graph with one size changed: shrink
+             a block that can, or else grow the highest one. *)
+          let resized =
+            match List.find_opt (fun b -> size.(b) > 1) place_order with
+            | Some b -> List.mapi (fun i s -> if i = b then s - 1 else s) sizes
+            | None ->
+                let top = snd (List.fold_left max (-1, -1) (List.map (fun (b, a) -> (a, b)) placed)) in
+                List.mapi (fun i s -> if i = top then s + 1 else s) sizes
+          in
+          let other = map_of (graph_of_sizes resized) placed in
+          Address_map.validate other;
+          d = map_content_digest m
+          && Address_map.digest again = d
+          && Address_map.digest elsewhere <> d
+          && Address_map.digest other <> d)
+
 (* --- Sim_cache memo-key properties -------------------------------- *)
 
 (* The digest must separate placements exactly: equal iff the placement
@@ -498,7 +598,11 @@ let () =
           qcheck prop_layout_file_roundtrip_random;
         ] );
       ( "placement",
-        [ qcheck prop_placement_matches_reference; qcheck prop_validate_matches_reference ] );
+        [
+          qcheck prop_placement_matches_reference;
+          qcheck prop_validate_matches_reference;
+          qcheck prop_seal_matches_reference;
+        ] );
       ( "totality",
         [
           case "SelfConfFree area above the cache" test_scf_area_above_cache;

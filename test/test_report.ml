@@ -260,6 +260,68 @@ let test_json_malformed_numbers () =
           check_string text want e)
     [ ("1e", 0, "1e"); (".", 0, "."); ("-.", 0, "-."); ("1.5e+", 0, "1.5e+"); ("[1e]", 1, "1e") ]
 
+(* JSON's number grammar, not OCaml's: no bare or trailing point, no
+   leading zero.  A \u escape takes exactly four hex digits, and its
+   error is at the first byte that is not one. *)
+let test_json_strict_grammar () =
+  let rejects text want =
+    match Json.of_string text with
+    | Ok _ -> Alcotest.failf "%S parsed" text
+    | Error e -> check_string text ("JSON parse error at " ^ want) e
+  in
+  List.iter
+    (fun (text, at, tok) -> rejects text (Printf.sprintf "byte %d: malformed number %S" at tok))
+    [
+      (".5", 0, ".5");
+      ("-.5", 0, "-.5");
+      ("1.", 0, "1.");
+      ("1.e5", 0, "1.e5");
+      ("01", 0, "01");
+      ("-01", 0, "-01");
+      ("[0, 01]", 4, "01");
+    ];
+  rejects {|"\u1___"|} "byte 4: bad \\u escape";
+  rejects {|"\u12_4"|} "byte 5: bad \\u escape";
+  List.iter
+    (fun (text, want) ->
+      match Json.of_string text with
+      | Ok j -> check_bool text true (j = want)
+      | Error e -> Alcotest.failf "%S: %s" text e)
+    [
+      ("0", Json.Int 0);
+      ("-0", Json.Int 0);
+      ("0.5", Json.Float 0.5);
+      ("1e5", Json.Float 1e5);
+      ("1E+5", Json.Float 1e5);
+      ("-1.5e-3", Json.Float (-1.5e-3));
+      ({|"\u00e9\u001F"|}, Json.String "\xc3\xa9\x1f");
+    ]
+
+(* Everything the emitter writes is in the strict grammar and parses back
+   equal: any finite float, any int, any byte in a string. *)
+let wide_json_arb =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) (map (fun f -> if Float.is_finite f then f else 0.0) float);
+        map (fun s -> Json.String s) (string_size ~gen:char (int_bound 8));
+      ]
+  in
+  QCheck.make ~print:(fun j -> Json.to_string j)
+    (map (fun l -> Json.List l) (list_size (int_bound 6) scalar))
+
+let prop_json_wide_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"Json round-trip: any int, finite float and byte"
+    wide_json_arb (fun j ->
+      List.for_all
+        (fun minify ->
+          match Json.of_string (Json.to_string ~minify j) with
+          | Ok j' -> j' = j
+          | Error e -> QCheck.Test.fail_reportf "parse error: %s" e)
+        [ false; true ])
+
 let test_format_of_string () =
   check_bool "text" true (Result.format_of_string "text" = Ok Result.Text);
   check_bool "JSON case-insensitive" true
@@ -378,6 +440,7 @@ let () =
           [
             prop_json_roundtrip;
             prop_json_roundtrip_minified;
+            prop_json_wide_roundtrip;
             prop_report_roundtrip;
             prop_report_roundtrip_via_text;
           ] );
@@ -391,6 +454,7 @@ let () =
           case "text formats typed cells" test_text_formats_cells;
           case "json numeric cells" test_json_numbers;
           case "json malformed numbers" test_json_malformed_numbers;
+          case "json strict grammar" test_json_strict_grammar;
           case "column reader" test_column_reader;
           case "format_of_string" test_format_of_string;
         ] );
